@@ -113,7 +113,7 @@ proptest! {
         let red_sol = match solve_dual_with_options(&reduced, &mapped, &RevisedOptions::default()) {
             Ok(s) => s,
             // The honest fallbacks the epoch ladder also takes.
-            Err(LpError::NotDualFeasible | LpError::SingularBasis) => {
+            Err(LpError::DualDeclined(_) | LpError::SingularBasis) => {
                 reduced.solve_warm(Some(&mapped)).expect("reduced model is feasible")
             }
             Err(e) => panic!("seed {seed}: unexpected dual error: {e}"),

@@ -35,11 +35,11 @@ use std::time::Instant;
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    sanitize_warm_start, ColGenOptions, ColGenState, EpochSolver, LpInstance, LpJob, PruneConfig,
-    ShardOptions, ShardState,
+    sanitize_warm_start, ColGenOptions, ColGenState, EpochSolveError, EpochSolver, LpInstance,
+    LpJob, PruneConfig, ShardOptions, ShardState,
 };
 pub use lips_core::EpochRecord;
-use lips_lp::{WarmOutcome, WarmStart};
+use lips_lp::{LpError, WarmOutcome, WarmStart};
 use lips_workload::JobId;
 use serde::Serialize;
 
@@ -240,17 +240,23 @@ pub fn run_epochs(
                 (report.schedule, certified, 0, 0, 1, 0, report.timings)
             }
             EpochMode::Dual => {
-                // Presolve + dual re-solve from the carried basis; when
-                // the basis is not dual feasible (first epoch, heavy
-                // churn) the rung fails fast and the presolved warm
-                // primal takes over — exactly the scheduler's ladder.
-                let report = with_width(EpochSolver::new(&inst), threads)
+                // Presolve + dual solve from the carried basis (from the
+                // slack basis on the first epoch or when the carried one
+                // is declined at seeding); when the walk is declined
+                // mid-way the presolved warm primal takes over, and the
+                // decline stays on the record — exactly the scheduler's
+                // ladder.
+                let mut declined = None;
+                let mut report = with_width(EpochSolver::new(&inst), threads)
                     .warm(basis.as_ref())
                     .dual()
                     .presolve()
                     .certify()
                     .run()
-                    .or_else(|_| {
+                    .or_else(|e| {
+                        if let EpochSolveError::Lp(LpError::DualDeclined(d)) = e {
+                            declined = Some(d);
+                        }
                         with_width(EpochSolver::new(&inst), threads)
                             .warm(basis.as_ref())
                             .presolve()
@@ -258,6 +264,7 @@ pub fn run_epochs(
                             .run()
                     })
                     .expect("epoch LP solves");
+                report.schedule.stats.declined = report.schedule.stats.declined.or(declined);
                 let certified = report
                     .certificate
                     .as_ref()
@@ -347,32 +354,37 @@ pub fn run_epochs(
                 EpochMode::Warm | EpochMode::Dual => stats.warm != WarmOutcome::Cold,
                 EpochMode::ColGen | EpochMode::Sharded => true,
             };
-        out.epochs.push(EpochRecord {
-            epoch: e,
-            jobs: n_jobs,
-            outcome: mode.label().to_string(),
-            warm: format!("{:?}", stats.warm),
-            iterations: stats.iterations,
-            phase1_iterations: stats.phase1_iterations,
-            refactors: stats.refactors,
-            ftran_nnz: stats.ftran_nnz,
-            dual_pivots: stats.dual_pivots,
-            bound_flips: stats.bound_flips,
-            pricing_rounds: rounds,
-            active_columns: active,
-            total_columns: total,
-            shards: shard_info.0,
-            shard_failures: shard_info.1,
-            subproblem_ms: shard_info.2,
-            presolve_removed,
-            build_ms: timings.build_ms,
-            solve_ms: stats.solve_ms,
-            certify_ms: timings.certify_ms,
-            epoch_ms,
-            objective: sched.predicted_dollars,
-            certified,
-            incremental,
-        });
+        out.epochs.push(
+            EpochRecord {
+                epoch: e,
+                jobs: n_jobs,
+                outcome: mode.label().to_string(),
+                warm: format!("{:?}", stats.warm),
+                iterations: stats.iterations,
+                phase1_iterations: stats.phase1_iterations,
+                refactors: stats.refactors,
+                ftran_nnz: stats.ftran_nnz,
+                dual_pivots: stats.dual_pivots,
+                bound_flips: stats.bound_flips,
+                pricing_rounds: rounds,
+                active_columns: active,
+                total_columns: total,
+                shards: shard_info.0,
+                shard_failures: shard_info.1,
+                subproblem_ms: shard_info.2,
+                presolve_removed,
+                build_ms: timings.build_ms,
+                solve_ms: stats.solve_ms,
+                certify_ms: timings.certify_ms,
+                epoch_ms,
+                objective: sched.predicted_dollars,
+                certified,
+                incremental,
+                declined: String::new(),
+                declined_pivots: 0,
+            }
+            .with_declined(stats.declined),
+        );
     }
     if epochs > 0 {
         out.active_column_share = share_sum / epochs as f64;
@@ -930,12 +942,24 @@ mod tests {
         let dual = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Dual, 1);
         assert!(dual.all_certified);
         // The steady-state epochs (no churn) must actually take the dual
-        // rung, and dual pivots only ever appear on dual-served epochs.
+        // rung from the carried basis.
         let dual_served = dual.epochs.iter().filter(|r| r.warm == "Dual").count();
         assert!(dual_served >= 2, "only {dual_served} epochs dual-resolved");
+        // The first epoch has no basis: the dual starts from the slack
+        // basis — cold, with dual pivots and no phase 1.
+        let first = &dual.epochs[0];
+        assert_eq!(first.warm, "Cold");
+        assert_eq!(first.phase1_iterations, 0);
+        assert!(first.dual_pivots > 0);
+        // Every epoch is a dual solve with no phase 1, unless its walk was
+        // declined mid-way: then the primal path served it, with no dual
+        // pivots, and the record names the decline.
         for r in &dual.epochs {
-            if r.warm != "Dual" {
+            let walk_declined = r.declined == "Thrash" || r.declined_pivots > 0;
+            if walk_declined {
                 assert_eq!(r.dual_pivots, 0, "epoch {}", r.epoch);
+            } else {
+                assert_eq!(r.phase1_iterations, 0, "epoch {}", r.epoch);
             }
         }
         // Presolve actually removed something on this instance family.

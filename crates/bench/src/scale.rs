@@ -222,7 +222,10 @@ fn sharded_epoch(
         objective: report.schedule.predicted_dollars,
         certified,
         incremental: carried,
-    };
+        declined: String::new(),
+        declined_pivots: 0,
+    }
+    .with_declined(s.declined);
     (rec, state)
 }
 

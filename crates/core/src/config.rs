@@ -87,18 +87,20 @@ pub struct SchedulerConfig {
     /// retry, then greedy placement) instead of stalling the cluster —
     /// the fault-tolerance analogue of a wall-clock solve budget.
     pub max_pivots_per_epoch: Option<usize>,
-    /// Try a bounded dual-simplex re-solve from the carried basis
-    /// *before* the primal path each epoch
-    /// ([`crate::lp_build::EpochSolver::dual`]). After churn that only
-    /// drifts bounds and costs the carried basis is usually still dual
-    /// feasible, and the dual method re-optimizes in a handful of pivots
-    /// with no phase 1; when it is not (topology deltas, one-sided rows
-    /// gone dual-infeasible) the rung fails fast and the ladder continues
-    /// with warm primal. Requires `warm_start`. Under `colgen` the same
-    /// knob makes the first restricted-master round dual-simplex-first
-    /// from the carried master basis — the incremental-arrival path the
-    /// `lips-serve` daemon rides. Strictly a solve-path knob: every
-    /// successful rung is still independently KKT-certified.
+    /// Solve each epoch with the bounded dual simplex *before* the
+    /// primal path ([`crate::lp_build::EpochSolver::dual`]). After churn
+    /// that only drifts bounds and costs the carried basis is usually
+    /// still dual feasible, and the dual method re-optimizes in a handful
+    /// of pivots with no phase 1. With no carried basis, or one declined
+    /// at seeding, it starts from the slack basis — dual feasible since
+    /// every Fig-4 cost is non-negative — so cold epochs skip phase 1
+    /// too. Only a walk declined mid-way (flip thrash after a topology
+    /// delta) continues down the ladder to warm primal. Requires
+    /// `warm_start`. Under `colgen` the same knob makes the first
+    /// restricted-master round dual-simplex-first — the
+    /// incremental-arrival path the `lips-serve` daemon rides. Strictly a
+    /// solve-path knob: every successful rung is still independently
+    /// KKT-certified.
     pub dual_resolve: bool,
     /// Shrink each epoch LP with certification-safe presolve before the
     /// simplex ([`crate::lp_build::EpochSolver::presolve`]):

@@ -18,8 +18,9 @@
 use std::collections::BTreeMap;
 
 use lips_cluster::{DataId, StoreId};
-use lips_lp::{WarmOutcome, WarmStart};
+use lips_lp::{DeclinedBasis, LpError, WarmOutcome, WarmStart};
 use lips_sim::{Action, Scheduler, SchedulerContext, WORK_EPS};
+use lips_workload::JobId;
 
 pub use crate::config::SchedulerConfig;
 use crate::lp_build::{
@@ -35,13 +36,15 @@ pub use crate::config::LipsConfig;
 /// rungs of the degradation ladder a fault-mode run reports per epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochOutcome {
-    /// The first rung: the carried basis was still dual feasible and the
-    /// bounded dual simplex re-optimized it directly — no phase 1, no
-    /// repair artificials — and the result certified. Distinguished from
+    /// The first rung: the bounded dual simplex solved the epoch — from
+    /// the carried basis when it was usable (`warm == Dual`), else from
+    /// the slack basis (`warm == Cold`) — with no phase 1 and no repair
+    /// artificials, and the result certified. Distinguished from
     /// [`EpochOutcome::Certified`] so fault-mode telemetry can report how
-    /// often churn was absorbed by the cheap path.
+    /// often the cheap path served the epoch.
     CertifiedDual,
-    /// The epoch LP solved along the configured primal path and was
+    /// The epoch LP solved along the configured primal path (behind a
+    /// declined or failed dual rung, or with the dual rung off) and was
     /// independently certified optimal (whether it started warm,
     /// repaired-warm, or cold).
     Certified,
@@ -91,8 +94,8 @@ pub struct LipsScheduler {
     /// Epoch solves that actually started from the previous basis
     /// (feasible as-is or after repair).
     warm_solves: usize,
-    /// Epoch solves absorbed by the dual-simplex rung (the carried basis
-    /// was dual feasible and re-optimized without phase 1).
+    /// Epoch solves served by the dual-simplex rung (from the carried
+    /// basis or the slack basis, without phase 1).
     dual_solves: usize,
     /// Total simplex pivots across all epoch solves.
     lp_iterations: usize,
@@ -174,7 +177,7 @@ impl LipsScheduler {
         self.warm_solves
     }
 
-    /// Number of epoch solves absorbed by the dual-simplex rung (see
+    /// Number of epoch solves served by the dual-simplex rung (see
     /// [`SchedulerConfig::dual_resolve`]).
     pub fn dual_solves(&self) -> usize {
         self.dual_solves
@@ -260,10 +263,11 @@ impl LipsScheduler {
             }
             // The incremental-arrival path: carried master columns seed
             // the restriction, the carried basis warm-starts it —
-            // dual-simplex rung first when the dual knob is on.
+            // dual-simplex rung first when the dual knob is on, from the
+            // slack basis when nothing usable was carried.
             let carried = prior.is_some();
             let opts = ColGenOptions {
-                dual_first: self.config.dual_resolve && carried,
+                dual_first: self.config.dual_resolve,
                 ..ColGenOptions::default()
             };
             let mut solver = self.solver(inst).colgen(opts, prior.as_ref());
@@ -310,24 +314,32 @@ impl LipsScheduler {
         }
     }
 
-    /// The ladder's first rung: a bounded dual-simplex re-solve from the
-    /// carried basis ([`SchedulerConfig::dual_resolve`]). Only attempted when a
-    /// basis exists on the non-colgen warm path. The basis is *taken* and
-    /// sanitized here; on failure the sanitized basis is put back so the
-    /// primal rung still warm-starts from it (and does not re-count the
-    /// stale entries), on success the re-optimized basis replaces it.
-    fn try_dual_rung(&mut self, inst: &LpInstance<'_>) -> Option<RungResult> {
+    /// The ladder's first rung: a bounded dual-simplex solve
+    /// ([`SchedulerConfig::dual_resolve`]) on the non-colgen warm path,
+    /// every epoch. The carried basis, if any, is *taken* and sanitized
+    /// here; the dual starts from it, or from the slack basis when there
+    /// is none or it is declined at seeding — a cold start with no
+    /// phase 1 and no second model build. On success the re-optimized
+    /// basis replaces it. On failure the sanitized basis is put back so
+    /// the primal rung still warm-starts from it (and does not re-count
+    /// the stale entries), and a walk declined mid-way is handed back so
+    /// the epoch's record keeps it.
+    fn try_dual_rung(
+        &mut self,
+        inst: &LpInstance<'_>,
+    ) -> Result<RungResult, Option<DeclinedBasis>> {
         if !self.config.dual_resolve
             || !self.config.warm_start
             || self.config.colgen
             || self.config.shard_zones.is_some()
-            || self.basis.is_none()
         {
-            return None;
+            return Err(None);
         }
-        let mut ws = self.basis.take()?;
-        self.stale_basis_entries_dropped += sanitize_warm_start(&mut ws, inst.cluster);
-        let mut solver = self.solver(inst).warm(Some(&ws)).dual().certify();
+        let mut carried = self.basis.take();
+        if let Some(ws) = carried.as_mut() {
+            self.stale_basis_entries_dropped += sanitize_warm_start(ws, inst.cluster);
+        }
+        let mut solver = self.solver(inst).warm(carried.as_ref()).dual().certify();
         if self.config.presolve {
             solver = solver.presolve();
         }
@@ -338,42 +350,40 @@ impl LipsScheduler {
             Ok(report) => {
                 self.basis = Some(report.basis.clone());
                 self.dual_solves += 1;
-                Some(RungResult {
-                    incremental: true,
+                Ok(RungResult {
+                    incremental: report.schedule.stats.warm != WarmOutcome::Cold,
                     report,
                 })
             }
-            Err(_) => {
-                // Not dual feasible (or budget blown): hand the sanitized
-                // basis to the primal rung untouched.
-                self.basis = Some(ws);
-                None
+            Err(e) => {
+                // Declined, infeasible, or budget blown: hand the
+                // sanitized basis to the primal rung untouched.
+                self.basis = carried;
+                match e {
+                    EpochSolveError::Lp(LpError::DualDeclined(d)) => Err(Some(d)),
+                    _ => Err(None),
+                }
             }
         }
     }
 
-    /// The degradation ladder: dual re-solve from the carried basis →
-    /// configured primal path (warm / colgen, possibly repaired) →
-    /// fairness floors relaxed → cold full model → `None` (the caller
-    /// degrades to greedy placement and retries the LP next epoch). Every
-    /// rung that returns a schedule returned a *certified* one.
+    /// The degradation ladder: dual solve (from the carried basis, else
+    /// the slack basis) → configured primal path (warm / colgen, possibly
+    /// repaired) → fairness floors relaxed → cold full model → `None` (the
+    /// caller degrades to greedy placement and retries the LP next
+    /// epoch). Every rung that returns a schedule returned a *certified*
+    /// one, and a dual walk declined on the way is kept on its record.
     fn solve_with_ladder(&mut self, inst: &LpInstance<'_>) -> Option<FractionalSchedule> {
         let epoch = self.solves.saturating_sub(1);
         let jobs = inst.jobs.len();
-        let finish = |this: &mut Self, outcome: EpochOutcome, r: RungResult| {
-            this.epoch_outcomes.push(outcome);
-            this.records.push(EpochRecord::from_solve_report(
-                epoch,
-                jobs,
-                outcome,
-                &r.report,
-                r.incremental,
-            ));
-            r.report.schedule
+        let declined = match self.try_dual_rung(inst) {
+            Ok(r) => return Some(self.finish(epoch, jobs, EpochOutcome::CertifiedDual, r)),
+            Err(d) => d,
         };
-        if let Some(r) = self.try_dual_rung(inst) {
-            return Some(finish(self, EpochOutcome::CertifiedDual, r));
-        }
+        let finish = |this: &mut Self, outcome: EpochOutcome, mut r: RungResult| {
+            r.report.schedule.stats.declined = r.report.schedule.stats.declined.or(declined);
+            this.finish(epoch, jobs, outcome, r)
+        };
         if let Ok(r) = self.epoch_solve(inst) {
             return Some(finish(self, EpochOutcome::Certified, r));
         }
@@ -415,10 +425,30 @@ impl LipsScheduler {
             }
             Err(_) => {
                 self.epoch_outcomes.push(EpochOutcome::Degraded);
-                self.records.push(EpochRecord::degraded(epoch, jobs));
+                self.records
+                    .push(EpochRecord::degraded(epoch, jobs).with_declined(declined));
                 None
             }
         }
+    }
+
+    /// Log one served epoch and hand its schedule back.
+    fn finish(
+        &mut self,
+        epoch: usize,
+        jobs: usize,
+        outcome: EpochOutcome,
+        r: RungResult,
+    ) -> FractionalSchedule {
+        self.epoch_outcomes.push(outcome);
+        self.records.push(EpochRecord::from_solve_report(
+            epoch,
+            jobs,
+            outcome,
+            &r.report,
+            r.incremental,
+        ));
+        r.report.schedule
     }
 
     fn unread(&self, ctx: &SchedulerContext<'_>, data: DataId, store: StoreId) -> f64 {
@@ -565,6 +595,106 @@ impl LipsScheduler {
             }]
         }
     }
+
+    /// Turn an epoch's fractional schedule into simulator actions: the
+    /// planned copies, then task chunks rounded to natural task sizes.
+    fn emit(&mut self, ctx: &SchedulerContext<'_>, sched: FractionalSchedule) -> Vec<Action> {
+        let mut actions: Vec<Action> = Vec::new();
+        // Track how much will be present at each (data, store) after the
+        // planned moves, so chunk emission can honour constraint (13)
+        // (each entry starts from the *unread* amount).
+        let mut budget: BTreeMap<(DataId, StoreId), f64> = BTreeMap::new();
+        let budget_of =
+            |this: &Self, data: DataId, store: StoreId| -> f64 { this.unread(ctx, data, store) };
+
+        // --- 1. data moves (already per-source from the LP decode) ------
+        for &(data, src, dst, mb) in &sched.moves {
+            // Clamp by what the source physically holds (the LP worked in
+            // unread fractions, which never exceed the holder's stock, but
+            // guard against float drift).
+            let take = mb.min(ctx.placement.amount(data, src));
+            if take <= WORK_EPS {
+                continue;
+            }
+            actions.push(Action::MoveData {
+                data,
+                from: src,
+                to: dst,
+                mb: take,
+            });
+            *budget
+                .entry((data, dst))
+                .or_insert_with(|| budget_of(self, data, dst)) += take;
+        }
+
+        // --- 2. task chunks, rounded to natural task sizes --------------
+        // A job's LP fractions can sum a hair above 1, so every
+        // assignment is clamped to what the job's earlier assignments of
+        // this epoch left over: the chunks never claim more work than the
+        // job has.
+        let mut emitted: BTreeMap<JobId, (f64, f64)> = BTreeMap::new();
+        for (job_id, machine, source, frac) in sched.assignments {
+            let Some(pj) = ctx.queue.iter().find(|j| j.id == job_id) else {
+                continue;
+            };
+            let (emitted_mb, emitted_ecu) = emitted.entry(job_id).or_default();
+            match source {
+                Some(store) => {
+                    // A sourced assignment for a dataless job cannot be
+                    // emitted by the builder; skip rather than panic.
+                    let Some(data) = pj.data else { continue };
+                    let want = (frac * pj.remaining_mb).min(pj.remaining_mb - *emitted_mb);
+                    let cap = *budget
+                        .entry((data, store))
+                        .or_insert_with(|| budget_of(self, data, store));
+                    let mut total = want.min(cap);
+                    // Minimum-viable-task rounding: defer crumbs unless
+                    // they finish the job.
+                    let min_mb = self.config.min_task_fraction * pj.task_mb;
+                    if total < min_mb && total < pj.remaining_mb - WORK_EPS {
+                        continue;
+                    }
+                    if let Some(b) = budget.get_mut(&(data, store)) {
+                        *b -= total;
+                    }
+                    *emitted_mb += total;
+                    *self.issued.entry((data, store)).or_default() += total;
+                    while total > WORK_EPS {
+                        let mb = total.min(pj.task_mb);
+                        actions.push(Action::RunChunk {
+                            job: job_id,
+                            machine,
+                            source: Some(store),
+                            mb,
+                            fixed_ecu: 0.0,
+                        });
+                        total -= mb;
+                    }
+                }
+                None => {
+                    let mut total =
+                        (frac * pj.remaining_fixed_ecu).min(pj.remaining_fixed_ecu - *emitted_ecu);
+                    let min_ecu = self.config.min_task_fraction * pj.task_fixed_ecu;
+                    if total < min_ecu && total < pj.remaining_fixed_ecu - WORK_EPS {
+                        continue;
+                    }
+                    *emitted_ecu += total;
+                    while total > WORK_EPS {
+                        let ecu = total.min(pj.task_fixed_ecu);
+                        actions.push(Action::RunChunk {
+                            job: job_id,
+                            machine,
+                            source: None,
+                            mb: 0.0,
+                            fixed_ecu: ecu,
+                        });
+                        total -= ecu;
+                    }
+                }
+            }
+        }
+        actions
+    }
 }
 
 impl Scheduler for LipsScheduler {
@@ -612,92 +742,7 @@ impl Scheduler for LipsScheduler {
             self.warm_solves += 1;
         }
 
-        let mut actions: Vec<Action> = Vec::new();
-        // Track how much will be present at each (data, store) after the
-        // planned moves, so chunk emission can honour constraint (13)
-        // (each entry starts from the *unread* amount).
-        let mut budget: BTreeMap<(DataId, StoreId), f64> = BTreeMap::new();
-        let budget_of =
-            |this: &Self, data: DataId, store: StoreId| -> f64 { this.unread(ctx, data, store) };
-
-        // --- 1. data moves (already per-source from the LP decode) ------
-        for &(data, src, dst, mb) in &sched.moves {
-            // Clamp by what the source physically holds (the LP worked in
-            // unread fractions, which never exceed the holder's stock, but
-            // guard against float drift).
-            let take = mb.min(ctx.placement.amount(data, src));
-            if take <= WORK_EPS {
-                continue;
-            }
-            actions.push(Action::MoveData {
-                data,
-                from: src,
-                to: dst,
-                mb: take,
-            });
-            *budget
-                .entry((data, dst))
-                .or_insert_with(|| budget_of(self, data, dst)) += take;
-        }
-
-        // --- 2. task chunks, rounded to natural task sizes --------------
-        // Group LP assignments per job to find the deferral share.
-        for (job_id, machine, source, frac) in sched.assignments {
-            let Some(pj) = ctx.queue.iter().find(|j| j.id == job_id) else {
-                continue;
-            };
-            match source {
-                Some(store) => {
-                    // A sourced assignment for a dataless job cannot be
-                    // emitted by the builder; skip rather than panic.
-                    let Some(data) = pj.data else { continue };
-                    let want = frac * pj.remaining_mb;
-                    let cap = *budget
-                        .entry((data, store))
-                        .or_insert_with(|| budget_of(self, data, store));
-                    let mut total = want.min(cap);
-                    // Minimum-viable-task rounding: defer crumbs unless
-                    // they finish the job.
-                    let min_mb = self.config.min_task_fraction * pj.task_mb;
-                    if total < min_mb && total < pj.remaining_mb - WORK_EPS {
-                        continue;
-                    }
-                    if let Some(b) = budget.get_mut(&(data, store)) {
-                        *b -= total;
-                    }
-                    *self.issued.entry((data, store)).or_default() += total;
-                    while total > WORK_EPS {
-                        let mb = total.min(pj.task_mb);
-                        actions.push(Action::RunChunk {
-                            job: job_id,
-                            machine,
-                            source: Some(store),
-                            mb,
-                            fixed_ecu: 0.0,
-                        });
-                        total -= mb;
-                    }
-                }
-                None => {
-                    let mut total = frac * pj.remaining_fixed_ecu;
-                    let min_ecu = self.config.min_task_fraction * pj.task_fixed_ecu;
-                    if total < min_ecu && total < pj.remaining_fixed_ecu - WORK_EPS {
-                        continue;
-                    }
-                    while total > WORK_EPS {
-                        let ecu = total.min(pj.task_fixed_ecu);
-                        actions.push(Action::RunChunk {
-                            job: job_id,
-                            machine,
-                            source: None,
-                            mb: 0.0,
-                            fixed_ecu: ecu,
-                        });
-                        total -= ecu;
-                    }
-                }
-            }
-        }
+        let actions = self.emit(ctx, sched);
 
         // Guarantee progress even if the LP deferred everything while the
         // cluster is idle (can only happen with a degenerate config).
@@ -792,9 +837,11 @@ mod tests {
         infeasible.duration = 1024.0 * 10.0 / 7.0 * 0.9; // 10% short of capacity
 
         let mut sched = LipsScheduler::new(SchedulerConfig::small_cluster(600.0));
-        // Epoch 0: no carried basis — the primal rung serves it.
+        // Epoch 0: no carried basis — the dual rung serves it from the
+        // slack basis: cold, no phase 1, not incremental.
         assert!(sched.solve_with_ladder(&feasible).is_some());
-        // Epoch 1: unchanged model, carried basis — the dual rung's.
+        // Epoch 1: unchanged model, carried basis — the dual rung again,
+        // now warm from the carried basis.
         assert!(sched.solve_with_ladder(&feasible).is_some());
         // Epoch 2: infeasible. The dual rung must fail fast (the shrunken
         // model admits no feasible point), every primal rung after it must
@@ -804,18 +851,94 @@ mod tests {
         assert_eq!(
             sched.epoch_outcomes(),
             &[
-                EpochOutcome::Certified,
+                EpochOutcome::CertifiedDual,
                 EpochOutcome::CertifiedDual,
                 EpochOutcome::Degraded
             ]
         );
-        assert_eq!(sched.dual_solves(), 1);
-        // Epoch 3: capacity restored — the scheduler recovers on its own.
+        assert_eq!(sched.dual_solves(), 2);
+        let r = sched.epoch_records();
+        assert_eq!((r[0].warm.as_str(), r[0].incremental), ("Cold", false));
+        assert_eq!(r[0].phase1_iterations, 0);
+        assert_eq!((r[1].warm.as_str(), r[1].incremental), ("Dual", true));
+        assert!(!r[2].certified);
+        // An infeasibility verdict is not a declined basis.
+        assert!(r.iter().all(|r| r.declined.is_empty()));
+        // Epoch 3: capacity restored — the scheduler recovers on its own,
+        // on the dual rung from the slack basis (the failed primal rungs
+        // dropped the carried basis).
         assert!(sched.solve_with_ladder(&feasible).is_some());
-        assert_ne!(
+        assert_eq!(
             *sched.epoch_outcomes().last().unwrap(),
-            EpochOutcome::Degraded
+            EpochOutcome::CertifiedDual
         );
+        assert_eq!(sched.epoch_records()[3].warm, "Cold");
+    }
+
+    #[test]
+    fn chunks_never_over_consume_when_fractions_overshoot() {
+        // Two machines, each with its own store holding a full copy of the
+        // input, so the read budget never clamps; only the per-job clamp
+        // stands between the overshoot and `PendingJob::consume`.
+        let mut b = lips_cluster::ClusterBuilder::new();
+        let za = b.add_zone("a");
+        let zb = b.add_zone("b");
+        b.add_machine(za, lips_cluster::InstanceType::M1_MEDIUM, 1.0, 100_000.0);
+        b.add_machine(zb, lips_cluster::InstanceType::C1_MEDIUM, 0.0, 100_000.0);
+        let cluster = b.build();
+        let mut grep =
+            lips_sim::PendingJob::from_spec(&JobSpec::new(0, "g", JobKind::Grep, 10_240.0, 16));
+        grep.data = Some(DataId(0));
+        let mut pi = lips_sim::PendingJob::from_spec(&JobSpec::new(1, "p", JobKind::Pi, 0.0, 4));
+        pi.remaining_fixed_ecu = 40_960.0;
+        pi.task_fixed_ecu = 10_240.0;
+        let mut placement = Placement::empty();
+        placement.add_copy(DataId(0), StoreId(0), 10_240.0, 0.0);
+        placement.add_copy(DataId(0), StoreId(1), 10_240.0, 0.0);
+        let queue = vec![grep, pi];
+        let machines: Vec<lips_sim::MachineState> = cluster
+            .machines
+            .iter()
+            .map(lips_sim::MachineState::new)
+            .collect();
+        let ctx = SchedulerContext {
+            now: 0.0,
+            cluster: &cluster,
+            placement: &placement,
+            queue: &queue,
+            machines: &machines,
+            reads_used: None,
+        };
+        // Each job's fractions sum to 1 + 1e-9.
+        let (m0, m1) = (lips_cluster::MachineId(0), lips_cluster::MachineId(1));
+        let (half, over) = (0.5, 0.5 + 1e-9);
+        let sched = FractionalSchedule {
+            assignments: vec![
+                (JobId(0), m0, Some(StoreId(0)), half),
+                (JobId(0), m1, Some(StoreId(1)), over),
+                (JobId(1), m0, None, half),
+                (JobId(1), m1, None, over),
+            ],
+            moves: vec![],
+            deferred: BTreeMap::new(),
+            predicted_dollars: 0.0,
+            lp_objective: 0.0,
+            iterations: 0,
+            stats: lips_lp::SolveStats::default(),
+        };
+        let mut lips = LipsScheduler::new(SchedulerConfig::small_cluster(600.0));
+        let actions = lips.emit(&ctx, sched);
+        let mut after = queue.clone();
+        for a in &actions {
+            if let Action::RunChunk {
+                job, mb, fixed_ecu, ..
+            } = *a
+            {
+                after[job.0].consume(mb, fixed_ecu); // panics on over-consumption
+            }
+        }
+        // All of both jobs went out, and not a MB or ECU-second more.
+        assert!(after.iter().all(|j| !j.has_unassigned_work()));
     }
 
     #[test]

@@ -1001,18 +1001,20 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         self
     }
 
-    /// Re-optimize with the *bounded dual simplex*
-    /// ([`lips_lp::solve_dual_with_options`]) starting from the basis
-    /// passed to [`EpochSolver::warm`], instead of the primal simplex.
-    /// This is the churn rung: after an epoch edit that only perturbs
-    /// bounds and costs (work completing, rhs drifting), the carried
-    /// basis is typically still dual feasible and the dual method
-    /// re-optimizes in a handful of pivots with no phase 1 and no
-    /// artificials. The solve *fails* (rather than silently falling back)
-    /// when no usable warm basis was given or the basis is not dual
-    /// feasible even after bound flips — callers degrade to the primal
-    /// path, which is exactly how [`crate::lips::LipsScheduler`]'s ladder
-    /// uses it. Ignored in colgen mode.
+    /// Solve with the *bounded dual simplex*
+    /// ([`lips_lp::solve_dual_with_options`]) instead of the primal
+    /// simplex, starting from the basis passed to [`EpochSolver::warm`].
+    /// After an epoch edit that only perturbs bounds and costs (work
+    /// completing, rhs drifting) the carried basis is typically still
+    /// dual feasible and re-optimizes in a handful of pivots. With no
+    /// basis, or one declined at seeding (under-full or singular), the
+    /// same solve starts from the slack basis — dual feasible because
+    /// every Fig-4 cost is non-negative — so a cold epoch needs no phase 1
+    /// and no second model build. The solve *fails* only when the walk
+    /// from a carried basis is declined ([`LpError::DualDeclined`]) or
+    /// the model is infeasible; callers degrade to the primal path, which
+    /// is exactly how [`crate::lips::LipsScheduler`]'s ladder uses it.
+    /// Ignored in colgen mode.
     #[must_use]
     pub fn dual(mut self) -> Self {
         self.dual = true;
@@ -1141,17 +1143,15 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     }
 }
 
-/// One bounded dual-simplex run from a warm basis, optionally
-/// pivot-capped. No warm basis at all means there is nothing to
-/// re-optimize from: that is [`LpError::NotDualFeasible`], the same error
-/// the dual solver reports for an unusable basis, so callers have exactly
-/// one fallback signal.
+/// One bounded dual-simplex run, optionally pivot-capped, from a warm
+/// basis or — with none — from the slack basis.
 fn solve_model_dual(
     model: &Model,
     warm: Option<&WarmStart>,
     pivot_budget: Option<usize>,
 ) -> Result<lips_lp::Solution, LpError> {
-    let warm = warm.ok_or(LpError::NotDualFeasible)?;
+    let none = WarmStart::new();
+    let warm = warm.unwrap_or(&none);
     let mut opts = lips_lp::revised::RevisedOptions::default();
     if let Some(max_iterations) = pivot_budget {
         opts.max_iterations = max_iterations;
@@ -1202,15 +1202,16 @@ pub struct ColGenOptions {
     /// loop terminates without it (every round appends ≥ 1 column), but a
     /// bound keeps worst-case degenerate instances from crawling.
     pub max_rounds: usize,
-    /// Try the bounded dual simplex from the carried basis on the *first*
-    /// master round, falling back to the warm primal path when the basis
-    /// is not dual feasible. This is the incremental-arrival rung the
-    /// `lips-serve` daemon rides: after a queue delta that only adds and
-    /// retires columns, the carried master basis is usually still dual
-    /// feasible and re-optimizes in a handful of pivots with no phase 1.
-    /// Pointless without a carried [`ColGenState`] (the dual attempt
-    /// fails fast and the round proceeds primal); strictly a solve-path
-    /// knob — the fixpoint and its full-model certificate are unchanged.
+    /// Solve the *first* master round with the bounded dual simplex,
+    /// falling back to the warm primal path when the walk from the
+    /// carried basis is declined. This is the incremental-arrival rung
+    /// the `lips-serve` daemon rides: after a queue delta that only adds
+    /// and retires columns, the carried master basis is usually still
+    /// dual feasible and re-optimizes in a handful of pivots with no
+    /// phase 1. Without a carried [`ColGenState`], or with a basis
+    /// declined at seeding, the round starts from the slack basis — a
+    /// cold start with no phase 1. Strictly a solve-path knob — the
+    /// fixpoint and its full-model certificate are unchanged.
     pub dual_first: bool,
 }
 
@@ -1326,8 +1327,9 @@ pub struct ColGenStats {
     /// Wall-clock spent building the master and appending columns
     /// (everything except the simplex itself and certification).
     pub build_ms: f64,
-    /// The first master round was absorbed by the bounded dual simplex
-    /// from the carried basis (see [`ColGenOptions::dual_first`]).
+    /// The first master round was solved by the bounded dual simplex,
+    /// from the carried basis or the slack basis (see
+    /// [`ColGenOptions::dual_first`]).
     pub dual_master: bool,
 }
 
@@ -1486,18 +1488,25 @@ fn master_price_loop(
     let mut dual_master = false;
     let sol = loop {
         rounds += 1;
-        // The incremental rung: on the first round only, try to
-        // re-optimize the carried basis with the bounded dual simplex —
-        // new columns perturb the master without disturbing dual
-        // feasibility — and fall back to the warm primal path when the
-        // basis is unusable (`solve_model_dual` fails fast on `None`).
+        // The first round goes to the bounded dual simplex: from the
+        // carried basis (new columns perturb the master without
+        // disturbing dual feasibility), else from the slack basis. A dual
+        // that fails short of an infeasibility verdict (a walk declined
+        // mid-way, a budget) falls back to the warm primal path, and a
+        // decline is kept on the record.
         let solved = if dual_first && rounds == 1 {
             match solve_model_dual(&model, warm.as_ref(), pivot_budget) {
                 Ok(s) => {
                     dual_master = true;
                     Ok(s)
                 }
-                Err(_) => solve_model(&model, warm.as_ref(), pivot_budget),
+                Err(LpError::Infeasible) => Err(LpError::Infeasible),
+                Err(e) => {
+                    if let LpError::DualDeclined(d) = e {
+                        agg.declined = Some(d);
+                    }
+                    solve_model(&model, warm.as_ref(), pivot_budget)
+                }
             }
         } else {
             solve_model(&model, warm.as_ref(), pivot_budget)
@@ -1525,6 +1534,9 @@ fn master_price_loop(
         agg.refactors += s.refactors;
         agg.ftran_nnz += s.ftran_nnz;
         agg.solve_ms += s.solve_ms;
+        agg.dual_pivots += s.dual_pivots;
+        agg.bound_flips += s.bound_flips;
+        agg.declined = agg.declined.or(s.declined);
         first_warm.get_or_insert(s.warm);
 
         let pricer = lips_lp::ColumnPricer::new(&model, &sol).map_err(|e| {
@@ -1922,11 +1934,9 @@ fn solve_shard(
         return failed;
     };
     let basis = sol.warm_start().cloned();
-    let warm_hit = dual
-        || matches!(
-            sol.stats().warm,
-            lips_lp::WarmOutcome::Warm | lips_lp::WarmOutcome::WarmRepaired
-        );
+    // A carried basis the dual declined at seeding restarted from the
+    // slack basis: that solve is cold, not a warm hit.
+    let warm_hit = sol.stats().warm != lips_lp::WarmOutcome::Cold;
     let proposal: Vec<String> = maps
         .xt
         .values()

@@ -19,7 +19,7 @@ pub use crate::lips::EpochOutcome;
 pub use crate::lp_build::{
     ColGenStats, EpochCertificate, EpochSolveError, PhaseTimings, ShardStats, SolveReport,
 };
-pub use lips_lp::{SolveStats, WarmOutcome};
+pub use lips_lp::{DeclinedBasis, SolveStats, WarmOutcome};
 
 /// One epoch solve, flattened to the stable serde schema.
 ///
@@ -89,6 +89,15 @@ pub struct EpochRecord {
     /// columns) instead of building cold — the daemon's
     /// incremental-re-solve criterion.
     pub incremental: bool,
+    /// Why the dual simplex declined the carried basis this epoch:
+    /// `"UnderFull"`, `"Singular"`, or `"Thrash"` (see
+    /// [`lips_lp::DualDecline`]); empty when nothing was declined.
+    #[serde(default)]
+    pub declined: String,
+    /// Pivots the declined attempt spent before declining (0 when it was
+    /// declined at seeding).
+    #[serde(default)]
+    pub declined_pivots: usize,
 }
 
 impl EpochRecord {
@@ -143,7 +152,19 @@ impl EpochRecord {
             objective: report.schedule.lp_objective,
             certified: outcome != EpochOutcome::Degraded,
             incremental,
+            declined: String::new(),
+            declined_pivots: 0,
         }
+        .with_declined(stats.declined)
+    }
+
+    /// Record a carried basis the dual simplex declined this epoch.
+    pub fn with_declined(mut self, declined: Option<DeclinedBasis>) -> Self {
+        if let Some(d) = declined {
+            self.declined = d.reason.as_str().to_string();
+            self.declined_pivots = d.pivots;
+        }
+        self
     }
 
     /// A record for an epoch every LP rung failed on (the greedy rung):
@@ -174,6 +195,8 @@ impl EpochRecord {
             objective: 0.0,
             certified: false,
             incremental: false,
+            declined: String::new(),
+            declined_pivots: 0,
         }
     }
 }
@@ -356,9 +379,33 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: EpochRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back.epoch, 9);
+        assert_eq!(back.declined, "");
         assert_eq!(back.jobs, 4);
         assert_eq!(back.iterations, 17);
         assert!(back.certified);
         assert_eq!(back.objective, 1.25);
+    }
+
+    #[test]
+    fn declined_attempt_is_recorded_and_optional_on_the_wire() {
+        let r = EpochRecord::degraded(2, 3).with_declined(Some(DeclinedBasis {
+            reason: lips_lp::DualDecline::Thrash,
+            pivots: 41,
+        }));
+        assert_eq!(r.declined, "Thrash");
+        assert_eq!(r.declined_pivots, 41);
+        let json = serde_json::to_string(&r).unwrap();
+        let back: EpochRecord = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            (back.declined.as_str(), back.declined_pivots),
+            ("Thrash", 41)
+        );
+        // Records written before the fields existed still parse.
+        let old = json
+            .replace(",\"declined\":\"Thrash\"", "")
+            .replace(",\"declined_pivots\":41", "");
+        assert!(!old.contains("declined"), "{old}");
+        let back: EpochRecord = serde_json::from_str(&old).unwrap();
+        assert_eq!((back.declined.as_str(), back.declined_pivots), ("", 0));
     }
 }

@@ -254,4 +254,45 @@ proptest! {
             wide = Some(b.basis);
         }
     }
+
+    /// Cold epochs on the dual rung start from the slack basis: on random
+    /// Fig-4 epochs (revocations included) the slack-start dual and the
+    /// cold primal certify the same objective, the dual needs no phase 1,
+    /// and its run is bitwise identical at 1 vs 4 threads.
+    #[test]
+    fn slack_start_dual_matches_cold_primal_across_widths(rc in chain_strategy()) {
+        let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
+        for e in 0..rc.epochs {
+            maybe_revoke(&rc, &mut cluster, e);
+            let inst = instance(&rc, &cluster, e);
+            let primal = EpochSolver::new(&inst)
+                .threads(1)
+                .certify()
+                .run()
+                .map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")))?;
+            let dual = |threads: usize| {
+                EpochSolver::new(&inst)
+                    .threads(threads)
+                    .dual()
+                    .certify()
+                    .run()
+                    .map_err(|e| TestCaseError::fail(format!("slack-start dual failed: {e}")))
+            };
+            let a = dual(1)?;
+            let b = dual(4)?;
+            assert_bitwise(&a, &b, &format!("epoch {e}"))?;
+            let (p, d) = (primal.schedule.lp_objective, a.schedule.lp_objective);
+            prop_assert!(
+                (p - d).abs() <= 1e-6 * (1.0 + p.abs()),
+                "epoch {}: cold primal {} vs slack-start dual {}",
+                e,
+                p,
+                d
+            );
+            let stats = a.schedule.stats;
+            prop_assert_eq!(stats.warm, lips_lp::WarmOutcome::Cold);
+            prop_assert_eq!(stats.phase1_iterations, 0);
+            prop_assert_eq!(stats.declined, None);
+        }
+    }
 }

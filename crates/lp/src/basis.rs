@@ -27,8 +27,10 @@ pub enum BasisStatus {
 /// [`crate::solution::SolveStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmOutcome {
-    /// Phase 1 from scratch: no warm start given, or the given basis could
-    /// not be salvaged (singular after repair, wrong shape).
+    /// From scratch: no warm start given, or the given basis could not be
+    /// salvaged (singular after repair, wrong shape). The primal solver
+    /// runs phase 1 from its crash basis; the dual solver starts from the
+    /// slack basis and needs no phase 1.
     #[default]
     Cold,
     /// The warm basis was primal feasible as-is; phase 1 was skipped
@@ -38,10 +40,44 @@ pub enum WarmOutcome {
     /// after model edits); a short phase 1 over the repair artificials ran
     /// before phase 2.
     WarmRepaired,
-    /// The warm basis was dual feasible (possibly after bound flips) and
-    /// the bounded dual simplex re-optimized it directly — no phase 1, no
-    /// artificials (see [`crate::dual::solve_dual_from_basis`]).
+    /// The bounded dual simplex re-optimized the *carried* warm basis
+    /// directly — no phase 1, no artificials (see
+    /// [`crate::dual::solve_dual_from_basis`]). A dual solve that started
+    /// from the slack basis reports [`WarmOutcome::Cold`].
     Dual,
+}
+
+/// Why the bounded dual simplex declined a carried basis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DualDecline {
+    /// Fewer than half the rows kept a carried basic: the slack-completed
+    /// basis would be mostly guessed slacks.
+    UnderFull,
+    /// The carried basis did not factorize even after the rank sweep, or
+    /// a pivot went singular during the walk.
+    Singular,
+    /// The walk over cost-shifted columns churned bound flips instead of
+    /// converging (or its restricted ratio test ran dry).
+    Thrash,
+}
+
+impl DualDecline {
+    /// The stable schema spelling: `"UnderFull"`, `"Singular"`, `"Thrash"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DualDecline::UnderFull => "UnderFull",
+            DualDecline::Singular => "Singular",
+            DualDecline::Thrash => "Thrash",
+        }
+    }
+}
+
+/// A carried basis the dual simplex declined, with the pivots it spent on
+/// the basis before declining (0 when declined at seeding).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeclinedBasis {
+    pub reason: DualDecline,
+    pub pivots: usize,
 }
 
 /// A basis snapshot keyed by names, suitable for seeding a later solve of

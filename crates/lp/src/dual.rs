@@ -1,4 +1,5 @@
-//! Bounded-variable dual simplex for warm re-solves after churn.
+//! Bounded-variable dual simplex for warm re-solves after churn, and for
+//! cold solves from the slack basis.
 //!
 //! The epoch loop's perturbations — a revoked machine, a lost store, a
 //! repriced transfer — change bounds and right-hand sides but leave the
@@ -8,6 +9,15 @@
 //! as a starting point and walks back to primal feasibility directly,
 //! typically in a handful of pivots.
 //!
+//! The same holds with no carried basis at all. Every cost of the
+//! scheduling LPs is non-negative, so the *slack basis* — every structural
+//! at its lower bound, every slack basic — is already dual feasible, and a
+//! cold solve needs no phase 1: the dual walk starts at once. An empty or
+//! unmatched warm start starts there, and so does a carried basis that is
+//! declined at seeding (under-full or singular), on the same standard
+//! form and CSR mirror, so a declined warm start never costs a second
+//! model build.
+//!
 //! Design notes:
 //!
 //! * **Same machinery, different outer loop.** The solver reuses the primal
@@ -16,7 +26,10 @@
 //!   selection differs: the *row* (most-violated basic) is chosen first and
 //!   the *column* comes out of a dual ratio test over the pivot row, which
 //!   is accumulated sparsely from the CSR mirror over the support of
-//!   `ρ = B⁻ᵀe_r` — the same trick devex pricing uses.
+//!   `ρ = B⁻ᵀe_r` — the same trick devex pricing uses. The same row updates
+//!   every reduced cost after the pivot, so a pivot needs neither a BTRAN
+//!   for the duals nor a dot product per candidate; they are recomputed
+//!   from fresh duals at each refactorization.
 //! * **Bound flips, long-step ratio test.** All structural variables of the
 //!   scheduling LPs are boxed in `[0, 1]`, which makes the generalized
 //!   (long-step) dual ratio test effective: when the minimum-ratio column is
@@ -38,7 +51,7 @@
 //!   off the genuine primal damage with shifted columns held in a
 //!   second-tier reserve: they enter only when a row has no unshifted way
 //!   out, and a flip-thrash guard declines the walk (to the caller's
-//!   primal ladder rung, via [`LpError::NotDualFeasible`]) when the
+//!   primal ladder rung, via [`LpError::DualDeclined`]) when the
 //!   shifted set starts churning instead of converging. Afterwards the
 //!   shifts come off and a warm primal phase-2 *finisher* under the true
 //!   costs absorbs any remaining cost drift — a no-op when the walk's
@@ -47,7 +60,7 @@
 
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
-use crate::basis::{BasisStatus, WarmOutcome, WarmStart};
+use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart};
 use crate::error::LpError;
 use crate::model::Model;
 use crate::revised::{extract_warm_start, resolve_warm_states, RevisedOptions, VarState, Worker};
@@ -61,10 +74,12 @@ const SLOPE_EPS: f64 = 1e-12;
 
 /// Re-optimize `model` by the dual simplex starting from `warm`.
 ///
-/// Succeeds only when the warm basis is (or can be flipped) dual feasible;
-/// otherwise returns [`LpError::NotDualFeasible`] so the caller can fall
-/// back to the primal solver. [`LpError::Infeasible`] means the dual became
-/// unbounded — the perturbed model genuinely has no feasible point.
+/// An empty or unmatched `warm` starts from the slack basis and reports
+/// [`WarmOutcome::Cold`]; so does a carried basis declined at seeding,
+/// whose reason lands in [`SolveStats::declined`]. A carried basis that is
+/// seeded but declined mid-walk returns [`LpError::DualDeclined`] so the
+/// caller can fall back to the primal solver. [`LpError::Infeasible`]
+/// means the dual became unbounded — the model has no feasible point.
 pub fn solve_dual_from_basis(model: &Model, warm: &WarmStart) -> Result<Solution, LpError> {
     solve_dual_with_options(model, warm, &RevisedOptions::default())
 }
@@ -84,29 +99,46 @@ pub fn solve_dual_with_options(
     } else {
         resolve_warm_states(model, &sf, warm)
     };
-    let Some(states) = states else {
-        // Nothing matched: there is no basis to be dual feasible about.
-        return Err(LpError::NotDualFeasible);
-    };
 
     let mut w = Worker::new(&sf, opts);
     w.ensure_csr();
-    seed_basis(&mut w, &states)?;
+    let mut outcome = WarmOutcome::Cold;
+    let mut declined = None;
+    match states.map(|st| seed_basis(&mut w, &st)) {
+        Some(Ok(())) => outcome = WarmOutcome::Dual,
+        Some(Err(reason)) => {
+            declined = Some(DeclinedBasis { reason, pivots: 0 });
+            seed_slack_basis(&mut w)?;
+        }
+        None => seed_slack_basis(&mut w)?,
+    }
     w.set_phase2_costs();
-    let (dual_pivots, bound_flips) = shifted_dual_solve(&mut w)?;
+    let (dual_pivots, bound_flips) = match shifted_dual_solve(&mut w) {
+        Ok(counts) => counts,
+        // A carried basis that goes singular mid-walk is declined like a
+        // thrashing one: the primal rung can still solve the model.
+        Err(LpError::SingularBasis) if outcome == WarmOutcome::Dual => {
+            return Err(LpError::DualDeclined(DeclinedBasis {
+                reason: DualDecline::Singular,
+                pivots: w.iterations,
+            }))
+        }
+        Err(e) => return Err(e),
+    };
 
     let values = w.x[..sf.n_structural].to_vec();
-    let internal: f64 = w.costs.iter().zip(&w.x).map(|(c, x)| c * x).sum();
+    let internal = w.objective();
     let duals = w.current_duals();
     let stats = SolveStats {
         iterations: w.iterations,
         phase1_iterations: 0,
         refactors: w.refactors,
         ftran_nnz: w.ftran_nnz,
-        warm: WarmOutcome::Dual,
+        warm: outcome,
         solve_ms: t0.elapsed_ms(),
         dual_pivots,
         bound_flips,
+        declined,
     };
     let next_warm = extract_warm_start(model, &sf, &w);
     Ok(
@@ -120,8 +152,9 @@ pub fn solve_dual_with_options(
 /// trim an over-full basis, complete an under-full one with slacks, and
 /// factorize (degrading through the rank sweep once). Primal bound
 /// violations among the basics are left in place — they are the dual
-/// solver's work list, not damage.
-fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), LpError> {
+/// solver's work list, not damage. On `Err` the worker is half-seeded and
+/// the caller reseeds it from the slack basis.
+fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), DualDecline> {
     let m = w.m();
     let n_struct = w.sf.n_structural;
     let mut basics: Vec<usize> = Vec::new();
@@ -141,29 +174,24 @@ fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), LpEr
     // A slack-completed basis is a *good* dual start (the slacks are dual
     // feasible at cost zero; the violations they park on the basics are
     // the dual loop's normal work), so under-full is tolerated until the
-    // basis is mostly guessed slacks — then the walk is no better than a
-    // cold solve and the ladder moves on.
+    // basis is mostly guessed slacks — then the slack basis itself is the
+    // better start.
     if m - basics.len() > m / 2 {
-        return Err(LpError::NotDualFeasible);
+        return Err(DualDecline::UnderFull);
     }
-    if basics.len() < m {
-        let mut in_basis = vec![false; w.n_real];
-        for &j in &basics {
-            in_basis[j] = true;
-        }
-        for i in 0..m {
-            if basics.len() == m {
-                break;
-            }
-            let s = n_struct + i;
-            if !in_basis[s] {
-                in_basis[s] = true;
-                basics.push(s);
-            }
-        }
+    let mut in_basis = vec![false; w.n_real];
+    for &j in &basics {
+        in_basis[j] = true;
     }
-    if basics.len() != m {
-        return Err(LpError::NotDualFeasible);
+    for i in 0..m {
+        if basics.len() == m {
+            break;
+        }
+        let s = n_struct + i;
+        if !in_basis[s] {
+            in_basis[s] = true;
+            basics.push(s);
+        }
     }
     basics.sort_unstable();
     for &j in &basics {
@@ -171,9 +199,34 @@ fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), LpEr
     }
     w.basis = basics;
     if !w.refactor_or_prune() {
-        return Err(LpError::SingularBasis);
+        return Err(DualDecline::Singular);
     }
     Ok(())
+}
+
+/// Seed the slack basis: every structural at its lower bound (the upper
+/// one if there is none, zero if free) and every slack basic. With
+/// non-negative costs this basis is dual feasible as it stands, and any
+/// wrong-signed cost is left to [`restore_dual_feasibility`]'s shifts.
+fn seed_slack_basis(w: &mut Worker) -> Result<(), LpError> {
+    let n_struct = w.sf.n_structural;
+    for j in 0..n_struct {
+        let (lo, hi) = (w.lb[j], w.ub[j]);
+        let (st, v) = if lo.is_finite() {
+            (VarState::AtLower, lo)
+        } else if hi.is_finite() {
+            (VarState::AtUpper, hi)
+        } else {
+            (VarState::Free, 0.0)
+        };
+        w.state[j] = st;
+        w.x[j] = v;
+    }
+    w.basis = (n_struct..w.n_real).collect();
+    for s in n_struct..w.n_real {
+        w.state[s] = VarState::Basic;
+    }
+    w.refactor()
 }
 
 /// Run to a *true* optimum in three acts. (1) *Shift*: every wrong-signed
@@ -350,6 +403,11 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
     let mut dual_pivots = 0usize;
     let mut bound_flips = 0usize;
     let mut tiny_pivot_retries = 0usize;
+    // Reduced costs of every column, updated after each pivot from the
+    // pivot row (no BTRAN for the duals and no column dot products per
+    // pivot) and recomputed from fresh duals after a refactorization.
+    let mut d = vec![0.0; n];
+    let mut d_fresh = false;
 
     loop {
         let cap = self_cap(w);
@@ -367,12 +425,12 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // shifted set instead of repairing primal damage (a churn-epoch
         // storm) — decline to the primal ladder before burning the budget.
         if any_barred && bound_flips > 4 * dual_pivots + 256 {
-            return Err(LpError::NotDualFeasible);
+            return Err(thrash(w));
         }
 
         // Pivot row α_r = (B⁻ᵀe_r)ᵀA, accumulated over the CSR rows of
-        // ρ's support. `touched` is sorted so candidates run in column
-        // order — deterministic tie-breaks for free.
+        // ρ's support. `touched` is put in column order so candidates run
+        // in column order — deterministic tie-breaks for free.
         rho.fill(0.0);
         rho[r] = 1.0;
         w.btran(&mut rho);
@@ -393,10 +451,28 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                 }
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
+        if touched.len() * 16 > n {
+            // A dense pivot row: one scan of `acc` costs less than the
+            // sort (columns whose sum cancelled to zero drop out, which
+            // changes nothing — they are never eligible).
+            touched.clear();
+            touched.extend((0..n).filter(|&j| acc[j] != 0.0));
+        } else {
+            touched.sort_unstable();
+            touched.dedup();
+        }
 
-        w.current_duals_into(&mut y);
+        if !d_fresh {
+            w.current_duals_into(&mut y);
+            for j in 0..n {
+                d[j] = if w.state[j] == VarState::Basic {
+                    0.0
+                } else {
+                    w.reduced_cost(&y, j)
+                };
+            }
+            d_fresh = true;
+        }
         let mut cand: Vec<Candidate> = Vec::with_capacity(touched.len());
         let mut reserve: Vec<Candidate> = Vec::new();
         for &j in &touched {
@@ -414,7 +490,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                 let c = Candidate {
                     col: j,
                     abar,
-                    d: w.reduced_cost(&y, j),
+                    d: d[j],
                 };
                 // Shifted columns are second-tier: they only enter when a
                 // row has no unshifted way out, so the walk stays on the
@@ -425,9 +501,6 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                     cand.push(c);
                 }
             }
-        }
-        for &j in &touched {
-            acc[j] = 0.0;
         }
 
         // Long-step ratio test: flip boxed breakpoint columns while the
@@ -451,7 +524,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                     // The restriction to unshifted columns may be what
                     // starved the ratio test: decline rather than
                     // misreport the true model as infeasible.
-                    return Err(LpError::NotDualFeasible);
+                    return Err(thrash(w));
                 }
                 // No breakpoint left: the dual ray is unbounded, so the
                 // perturbed primal admits no feasible point.
@@ -483,7 +556,11 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             if tiny_pivot_retries > 2 {
                 return Err(LpError::SingularBasis);
             }
+            for &j in &touched {
+                acc[j] = 0.0;
+            }
             w.refactor()?;
+            d_fresh = false;
             continue;
         }
         tiny_pivot_retries = 0;
@@ -531,6 +608,18 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         w.x[out] = target;
         w.basis[r] = q;
         w.state[q] = VarState::Basic;
+        // d' = d − (d_q / α_rq)·α_r: the entering column prices to zero,
+        // the leaving one to −d_q / α_rq, columns off the pivot row keep
+        // theirs.
+        let theta = entering.d / piv;
+        for &j in &touched {
+            if w.state[j] != VarState::Basic {
+                d[j] -= theta * acc[j];
+            }
+            acc[j] = 0.0;
+        }
+        d[q] = 0.0;
+        d[out] = -theta;
 
         let nnz: Vec<(usize, f64)> = wvec
             .iter()
@@ -545,6 +634,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         });
         if w.etas.len() >= w.opts.refactor_interval {
             w.refactor()?;
+            d_fresh = false;
         }
 
         // Degeneracy bookkeeping → Bland switch, mirroring the primal loop.
@@ -560,6 +650,15 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         w.iterations += 1;
         dual_pivots += 1;
     }
+}
+
+/// The decline of a walk over cost-shifted columns, after the pivots it
+/// spent.
+fn thrash(w: &Worker) -> LpError {
+    LpError::DualDeclined(DeclinedBasis {
+        reason: DualDecline::Thrash,
+        pivots: w.iterations,
+    })
 }
 
 /// Effective pivot cap: the explicit budget, clamped by `max_iterations`.
@@ -627,11 +726,84 @@ mod tests {
         assert_eq!(dual_sol.stats().bound_flips, 0);
     }
 
+    /// min 2x + 3y + z  s.t.  x + y >= 4,  x + 3y + z >= 6,  y + z = 2,
+    /// 0 <= x,y,z <= 5: non-negative costs, so the slack basis is dual
+    /// feasible, and every row is violated by it.
+    fn covering() -> Model {
+        let mut m = Model::minimize();
+        let x = m.add_var("x", 0.0, 5.0, 2.0);
+        let y = m.add_var("y", 0.0, 5.0, 3.0);
+        let z = m.add_var("z", 0.0, 5.0, 1.0);
+        let c0 = m.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
+        let c1 = m.add_constraint([(x, 1.0), (y, 3.0), (z, 1.0)], Cmp::Ge, 6.0);
+        let c2 = m.add_constraint([(y, 1.0), (z, 1.0)], Cmp::Eq, 2.0);
+        m.name_constraint(c0, "c0");
+        m.name_constraint(c1, "c1");
+        m.name_constraint(c2, "c2");
+        m
+    }
+
     #[test]
-    fn empty_warm_start_is_not_dual_feasible() {
+    fn slack_start_reaches_cold_optimum_without_phase1() {
+        let m = covering();
+        let cold = m.solve().unwrap();
+        assert_eq!(cold.stats().warm, WarmOutcome::Cold);
+        assert!(
+            cold.stats().phase1_iterations > 0,
+            "the primal needs phase 1 here"
+        );
+        let dual = solve_dual_from_basis(&m, &WarmStart::new()).unwrap();
+        assert_close(dual.objective(), cold.objective());
+        assert!(m.is_feasible(dual.values(), 1e-7));
+        assert_eq!(dual.stats().warm, WarmOutcome::Cold);
+        assert_eq!(dual.stats().phase1_iterations, 0);
+        assert!(dual.stats().dual_pivots > 0);
+        assert_eq!(dual.stats().declined, None);
+        // A warm start for another model matches nothing: same slack start.
+        let mut alien = WarmStart::new();
+        alien.set_var("a", BasisStatus::Basic);
+        let again = solve_dual_from_basis(&m, &alien).unwrap();
+        assert_eq!(again.stats().warm, WarmOutcome::Cold);
+        assert_eq!(again.objective().to_bits(), dual.objective().to_bits());
+    }
+
+    #[test]
+    fn slack_start_shifts_wrong_signed_costs() {
+        // The textbook LP maximizes positive costs: negated, the slack
+        // basis is dual infeasible and cost shifting carries the start.
         let (m, _) = textbook();
-        let err = solve_dual_from_basis(&m, &WarmStart::new()).unwrap_err();
-        assert_eq!(err, LpError::NotDualFeasible);
+        let sol = solve_dual_from_basis(&m, &WarmStart::new()).unwrap();
+        assert_close(sol.objective(), 36.0);
+        assert_eq!(sol.stats().warm, WarmOutcome::Cold);
+        assert_eq!(sol.stats().phase1_iterations, 0);
+    }
+
+    #[test]
+    fn under_full_carried_basis_restarts_from_slack_basis() {
+        let m = covering();
+        // One basic out of three rows: under-full past the half-way mark.
+        let mut sparse = WarmStart::new();
+        sparse.set_var("x", BasisStatus::Basic);
+        sparse.set_var("y", BasisStatus::AtLower);
+        sparse.set_row("c0", BasisStatus::AtLower);
+        sparse.set_row("c1", BasisStatus::AtLower);
+        sparse.set_row("c2", BasisStatus::AtLower);
+        let sol = solve_dual_from_basis(&m, &sparse).unwrap();
+        assert_close(sol.objective(), m.solve().unwrap().objective());
+        assert_eq!(sol.stats().warm, WarmOutcome::Cold);
+        assert_eq!(
+            sol.stats().declined,
+            Some(DeclinedBasis {
+                reason: DualDecline::UnderFull,
+                pivots: 0
+            })
+        );
+        // The carried optimum itself is accepted as a dual start.
+        let ws = sol.warm_start().unwrap();
+        let again = solve_dual_from_basis(&m, ws).unwrap();
+        assert_eq!(again.stats().warm, WarmOutcome::Dual);
+        assert_eq!(again.stats().declined, None);
+        assert_eq!(again.stats().dual_pivots, 0);
     }
 
     #[test]
@@ -729,7 +901,7 @@ mod tests {
                     assert_close(d.objective(), fresh.objective());
                     checked += 1;
                 }
-                Err(LpError::NotDualFeasible) => {} // honest fallback
+                Err(LpError::DualDeclined(_)) => {} // honest fallback
                 Err(e) => panic!("unexpected dual error: {e}"),
             }
         }

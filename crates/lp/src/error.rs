@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::basis::DeclinedBasis;
+
 /// Everything that can go wrong while building or solving a linear program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
@@ -24,11 +26,10 @@ pub enum LpError {
     /// The basis matrix became numerically singular and refactorization did
     /// not recover it.
     SingularBasis,
-    /// A warm basis handed to the dual simplex could not be made dual
-    /// feasible (wrong-signed reduced costs on columns that cannot bound
-    /// flip). Not a property of the model — the caller should fall back to
-    /// the primal solver.
-    NotDualFeasible,
+    /// The dual simplex declined the warm basis mid-walk (flip thrash over
+    /// cost-shifted columns, or a singular pivot). Not a property of the
+    /// model — the caller should fall back to the primal solver.
+    DualDeclined(DeclinedBasis),
 }
 
 impl fmt::Display for LpError {
@@ -52,9 +53,12 @@ impl fmt::Display for LpError {
                 write!(f, "constraint references unknown variable id {var}")
             }
             LpError::SingularBasis => write!(f, "basis matrix is numerically singular"),
-            LpError::NotDualFeasible => {
-                write!(f, "warm basis is not dual feasible even after bound flips")
-            }
+            LpError::DualDeclined(d) => write!(
+                f,
+                "dual simplex declined the warm basis ({}) after {} pivots",
+                d.reason.as_str(),
+                d.pivots
+            ),
         }
     }
 }
@@ -79,7 +83,10 @@ mod tests {
             LpError::NonFiniteInput { what: "rhs" },
             LpError::UnknownVariable { var: 3 },
             LpError::SingularBasis,
-            LpError::NotDualFeasible,
+            LpError::DualDeclined(DeclinedBasis {
+                reason: crate::basis::DualDecline::Thrash,
+                pivots: 5,
+            }),
         ];
         let msgs: Vec<String> = errs.iter().map(std::string::ToString::to_string).collect();
         for (i, a) in msgs.iter().enumerate() {

@@ -53,7 +53,7 @@ pub mod solution;
 pub mod sparse;
 pub mod standard;
 
-pub use basis::{BasisStatus, WarmOutcome, WarmStart};
+pub use basis::{BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart};
 pub use dual::{solve_dual_from_basis, solve_dual_with_options};
 pub use error::LpError;
 pub use model::{Cmp, ConstraintId, Model, Sense, VarId};

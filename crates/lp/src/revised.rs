@@ -68,6 +68,10 @@ pub enum Pricing {
 /// weights back to 1); unbounded weight growth makes the scores meaningless.
 const DEVEX_RESET: f64 = 1e8;
 
+/// Pricing tolerance of a phase 2 resumed because the reduced costs it
+/// accepted left too wide a duality gap, relative to the normal one.
+const POLISH_TOL_FACTOR: f64 = 1e-3;
+
 /// Tuning knobs for [`RevisedSimplex`].
 #[derive(Debug, Clone)]
 pub struct RevisedOptions {
@@ -216,7 +220,7 @@ impl RevisedSimplex {
         w.run()?;
 
         let values = w.x[..sf.n_structural].to_vec();
-        let internal: f64 = w.costs.iter().zip(&w.x).map(|(c, x)| c * x).sum();
+        let internal = w.objective();
         let duals = w.current_duals();
         let stats = SolveStats {
             iterations: w.iterations,
@@ -1004,11 +1008,11 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Pick the entering column, honoring the pricing rule or Bland mode.
+    /// Pick the entering column, honoring the pricing rule or Bland mode:
+    /// a reduced cost must beat `tol` in the improving direction.
     /// Returns `(column, direction)` with direction `+1` (increase from
     /// lower/free) or `-1` (decrease from upper).
-    fn price(&mut self, y: &[f64]) -> Option<(usize, f64)> {
-        let tol = self.opts.tol;
+    fn price(&mut self, y: &[f64], tol: f64) -> Option<(usize, f64)> {
         let n = self.ncols();
         let window = if self.bland {
             None
@@ -1156,6 +1160,67 @@ impl<'a> Worker<'a> {
         }
     }
 
+    /// The first phase-2 optimum, checked once more before it is accepted:
+    /// the duality gap its accepted reduced costs leave open — each
+    /// nonbasic column whose reduced cost is wrong-signed but within `tol`
+    /// contributes `|d_j|` times its bound range — must stay within
+    /// `tol · (1 + |z|)`. Dozens of tied task arcs each just inside the
+    /// tolerance can add up to more than that. When it does, the eta
+    /// file's drift is cleared first by a refactorization (phase 2 resumes
+    /// if the fresh duals price a column in), and if the gap is still too
+    /// wide phase 2 resumes at a pricing tolerance a thousand times
+    /// tighter. Returns the
+    /// entering column, if any, and leaves `y` and `tol` as the resumed
+    /// phase must use them.
+    fn recheck_optimum(
+        &mut self,
+        y: &mut Vec<f64>,
+        tol: &mut f64,
+    ) -> Result<Option<(usize, f64)>, LpError> {
+        if self.open_gap(y) <= *tol * (1.0 + self.objective().abs()) {
+            return Ok(None);
+        }
+        if !self.etas.is_empty() {
+            self.refactor()?;
+            self.current_duals_into(y);
+            if let Some(e) = self.price(y, *tol) {
+                return Ok(Some(e));
+            }
+            if self.open_gap(y) <= *tol * (1.0 + self.objective().abs()) {
+                return Ok(None);
+            }
+        }
+        *tol *= POLISH_TOL_FACTOR;
+        Ok(self.price(y, *tol))
+    }
+
+    /// The duality gap left open by nonbasic columns whose reduced cost
+    /// under `y` is wrong-signed: `Σ |d_j| · (u_j − l_j)` over finite
+    /// ranges.
+    fn open_gap(&self, y: &[f64]) -> f64 {
+        let mut gap = 0.0;
+        for j in 0..self.ncols() {
+            let range = self.ub[j] - self.lb[j];
+            if self.state[j] == VarState::Basic || range == 0.0 || !range.is_finite() {
+                continue;
+            }
+            let d = self.reduced_cost(y, j);
+            let wrong = match self.state[j] {
+                VarState::AtLower => (-d).max(0.0),
+                VarState::AtUpper => d.max(0.0),
+                VarState::Free | VarState::Basic => 0.0,
+            };
+            // lips-allow(float-accum-in-loop): serial sum in column order
+            gap += wrong * range;
+        }
+        gap
+    }
+
+    /// Objective value under the current cost vector.
+    pub(crate) fn objective(&self) -> f64 {
+        self.costs.iter().zip(&self.x).map(|(c, x)| c * x).sum()
+    }
+
     /// One full simplex phase with the current cost vector.
     pub(crate) fn run(&mut self) -> Result<(), LpError> {
         let m = self.m();
@@ -1167,6 +1232,8 @@ impl<'a> Worker<'a> {
         let mut rho = vec![0.0; m];
         let mut acc = vec![0.0; n];
         let mut touched: Vec<usize> = Vec::new();
+        let mut tol = self.opts.tol;
+        let mut checked = false;
         loop {
             let cap = self.iteration_budget.map_or(self.opts.max_iterations, |b| {
                 b.min(self.opts.max_iterations)
@@ -1177,7 +1244,12 @@ impl<'a> Worker<'a> {
                 });
             }
             self.current_duals_into(&mut y);
-            let Some((q, dir)) = self.price(&y) else {
+            let mut entering = self.price(&y, tol);
+            if entering.is_none() && !self.in_phase1 && !checked {
+                checked = true;
+                entering = self.recheck_optimum(&mut y, &mut tol)?;
+            }
+            let Some((q, dir)) = entering else {
                 return Ok(()); // phase optimal
             };
 

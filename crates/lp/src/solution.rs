@@ -1,7 +1,7 @@
 //! Solver output: status, primal values, objective, and (when available)
 //! dual values, solve statistics, and a reusable warm-start basis.
 
-use crate::basis::{WarmOutcome, WarmStart};
+use crate::basis::{DeclinedBasis, WarmOutcome, WarmStart};
 use crate::model::VarId;
 
 /// Termination status of a solve.
@@ -38,6 +38,10 @@ pub struct SolveStats {
     /// long-step flips inside the dual ratio test. Flips are not pivots
     /// and are not counted in `iterations`.
     pub bound_flips: usize,
+    /// A carried basis the dual solver declined before this solve: at
+    /// seeding (the dual solve then restarted from the slack basis on the
+    /// same model) or mid-walk (a later ladder rung then solved it).
+    pub declined: Option<DeclinedBasis>,
 }
 
 /// Result of a successful solve.

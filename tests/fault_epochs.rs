@@ -99,9 +99,9 @@ fn twenty_epoch_fault_run_certifies_or_degrades_every_epoch() {
     assert_eq!(certified + degraded, outcomes.len());
 
     // Rung ordering: the dual rung runs *first*, so with warm starts on it
-    // absorbs the steady-state epochs — only the first epoch (no carried
-    // basis) and fault-perturbed epochs may fall to the primal rungs. The
-    // scheduler's counter must agree with the per-epoch record.
+    // absorbs the steady-state epochs — only fault-perturbed epochs whose
+    // walk is declined may fall to the primal rungs. The scheduler's
+    // counter must agree with the per-epoch record.
     let dual = outcomes
         .iter()
         .filter(|&&o| o == EpochOutcome::CertifiedDual)
@@ -111,11 +111,18 @@ fn twenty_epoch_fault_run_certifies_or_degrades_every_epoch() {
         dual > 0,
         "a 20-epoch warm run never took the dual rung: {outcomes:?}"
     );
-    assert_ne!(
+    // The first epoch has no carried basis: the dual rung still serves
+    // it, cold from the slack basis, and it is not an incremental solve.
+    let first = &sched.epoch_records()[0];
+    assert_eq!(
         outcomes[0],
         EpochOutcome::CertifiedDual,
-        "the first epoch has no carried basis to dual-resolve from"
+        "the first epoch must be served by the dual rung: {outcomes:?}"
     );
+    assert_eq!(first.warm, "Cold");
+    assert!(!first.incremental);
+    assert_eq!(first.phase1_iterations, 0);
+    assert!(first.dual_pivots > 0);
 }
 
 #[test]
