@@ -13,10 +13,6 @@
 //! `--faults`, a second fault series whose ladder tries the dual rung
 //! first; records `dual_pivots`/`bound_flips`/`presolve_removed` per epoch
 //! and the fault-epoch iteration ratio vs the primal repair ladder),
-//! `--mode sharded` (also run the block-angular decomposition — per-zone
-//! subproblems fanned out in parallel, stitched and re-priced by a
-//! restricted master, certified against the full model — with shard +
-//! master bases chained across epochs),
 //! `--audit` (exit non-zero unless every epoch of every mode certified),
 //! `--threads N` (worker count for model build, pricing, and
 //! certification; default 0 = `LIPS_THREADS` or the host parallelism),
@@ -51,10 +47,6 @@ struct BenchReport {
     /// (certification-safe presolve + dual-simplex re-solve from the
     /// carried basis, primal fallback when no basis is dual-startable).
     dual: Option<EpochRun>,
-    /// Present only with `--mode sharded`: the block-angular
-    /// decomposition, shard + master bases chained across epochs, every
-    /// epoch certified against the full model.
-    sharded: Option<EpochRun>,
     /// Present only with `--faults`: the same epoch sequence with scripted
     /// machine revocations, a store loss, a repricing, and a rejoin.
     faults: Option<FaultEpochRun>,
@@ -86,9 +78,6 @@ struct BenchReport {
     /// cold ÷ dual total simplex iterations over the churn sequence
     /// (higher = the dual fast path wins). `None` without `--mode dual`.
     dual_iteration_ratio: Option<f64>,
-    /// warm ÷ sharded total epoch wall-time (build + solve + certify;
-    /// higher = the decomposition wins). `None` without `--mode sharded`.
-    sharded_epoch_ms_ratio: Option<f64>,
     /// Head-to-head fault re-solve ratio: on each dual-served fault
     /// epoch both methods solve the same model from the same repaired
     /// basis, and this is primal ÷ dual summed iterations (higher = the
@@ -118,9 +107,6 @@ fn main() {
     let nodes = flag_value(&args, "--nodes", 100);
     let with_colgen = args.iter().any(|a| a == "--colgen");
     let with_dual = args.windows(2).any(|w| w[0] == "--mode" && w[1] == "dual");
-    let with_sharded = args
-        .windows(2)
-        .any(|w| w[0] == "--mode" && w[1] == "sharded");
     let with_faults = args.iter().any(|a| a == "--faults");
     let with_scaling = args.iter().any(|a| a == "--scaling");
     // lips-allow(thread-width-dependence): reported in the bench header only; never feeds results
@@ -179,17 +165,6 @@ fn main() {
             threads,
         )
     });
-    let sharded = with_sharded.then(|| {
-        run_epochs(
-            &cluster,
-            jobs,
-            churn,
-            churn_every,
-            epochs,
-            EpochMode::Sharded,
-            threads,
-        )
-    });
     let faults = with_faults.then(|| {
         let script = FaultScript::acceptance(&cluster);
         run_epochs_faulted(
@@ -233,9 +208,6 @@ fn main() {
     if with_dual {
         header.extend(["dual iters", "dual ms", "pivots/flips", "presolved"]);
     }
-    if with_sharded {
-        header.extend(["sh iters", "sh ms", "sh cols", "sh rounds"]);
-    }
     let mut t = Table::new(header);
     for (i, (c, w)) in cold.epochs.iter().zip(&warm.epochs).enumerate() {
         let mut row = vec![
@@ -262,14 +234,6 @@ fn main() {
                 d.presolve_removed.to_string(),
             ]);
         }
-        if let Some(s) = sharded.as_ref().and_then(|r| r.epochs.get(i)) {
-            row.extend([
-                s.iterations.to_string(),
-                format!("{:.2}", s.epoch_ms),
-                format!("{}/{}", s.active_columns, s.total_columns),
-                s.pricing_rounds.to_string(),
-            ]);
-        }
         t.row(row);
     }
     t.print();
@@ -286,9 +250,6 @@ fn main() {
         dual_iteration_ratio: dual
             .as_ref()
             .map(|d| ratio(cold.total_iterations as f64, d.total_iterations as f64)),
-        sharded_epoch_ms_ratio: sharded
-            .as_ref()
-            .map(|s| ratio(warm.total_epoch_ms, s.total_epoch_ms)),
         dual_fault_iteration_ratio: faults_dual
             .as_ref()
             .and_then(dual_fault_head_to_head)
@@ -305,7 +266,6 @@ fn main() {
         warm,
         colgen,
         dual,
-        sharded,
         faults,
         faults_dual,
         threads,
@@ -360,20 +320,6 @@ fn main() {
     }
     if let Some(r) = report.dual_iteration_ratio {
         println!("dual:    {r:.2}x iterations vs cold over the churn sequence");
-    }
-    if let Some(s) = &report.sharded {
-        println!(
-            "        sharded {} iters / {:.1} ms build / {:.1} ms solve / {:.1} ms certify / {:.1} ms epoch / {:.0}% columns active",
-            s.total_iterations,
-            s.total_build_ms,
-            s.total_solve_ms,
-            s.total_certify_ms,
-            s.total_epoch_ms,
-            s.active_column_share * 100.0
-        );
-        if let Some(r) = report.sharded_epoch_ms_ratio {
-            println!("sharded: {r:.2}x epoch wall-time vs warm");
-        }
     }
     let print_fault_series = |label: &str, f: &FaultEpochRun| {
         let mut t = Table::new(vec![
@@ -467,7 +413,6 @@ fn main() {
         && report.warm.all_certified
         && report.colgen.as_ref().is_none_or(|cg| cg.all_certified)
         && report.dual.as_ref().is_none_or(|d| d.all_certified)
-        && report.sharded.as_ref().is_none_or(|s| s.all_certified)
         && report.faults.as_ref().is_none_or(|f| f.all_accounted)
         && report.faults_dual.as_ref().is_none_or(|f| f.all_accounted)
         && deterministic;
@@ -510,7 +455,7 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
             spec.jobs,
             spec.epochs,
             if spec.certified {
-                "sharded, certified"
+                "colgen, certified"
             } else {
                 "greedy, uncertified"
             }
@@ -527,8 +472,8 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
         "solve ms",
         "certify ms",
         "epoch ms",
-        "shards",
         "rounds",
+        "cols",
         "state",
     ]);
     for p in &points {
@@ -542,8 +487,8 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
                 format!("{:.1}", r.solve_ms),
                 format!("{:.1}", r.certify_ms),
                 format!("{:.1}", r.epoch_ms),
-                r.shards.to_string(),
                 r.pricing_rounds.to_string(),
+                format!("{}/{}", r.active_columns, r.total_columns),
                 if r.certified {
                     "certified".to_string()
                 } else {
@@ -561,8 +506,8 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
                 format!("{:.1}", probe.solve_ms),
                 format!("{:.1}", probe.certify_ms),
                 format!("{:.1}", probe.epoch_ms),
-                probe.shards.to_string(),
                 probe.pricing_rounds.to_string(),
+                format!("{}/{}", probe.active_columns, probe.total_columns),
                 if probe.certified {
                     "certified".to_string()
                 } else {
@@ -574,7 +519,7 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
     t.print();
 
     let ok = points.iter().all(|p| {
-        (p.mode != "sharded" || p.all_certified)
+        (p.mode != "colgen" || p.all_certified)
             && p.certified_probe.as_ref().is_none_or(|r| r.certified)
     });
     println!("certified points + probes optimal: {ok}");

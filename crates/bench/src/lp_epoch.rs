@@ -6,7 +6,7 @@
 //! completed last epoch), and only occasionally a departure + arrival.
 //! The sequence here mirrors that: sizes decay a few percent per epoch of
 //! a job's age, and every `churn_every` epochs `churn` jobs complete and
-//! are replaced by fresh ones. Three solve policies are compared:
+//! are replaced by fresh ones. Four solve policies are compared:
 //!
 //! * [`EpochMode::Cold`] — each epoch's full model from scratch;
 //! * [`EpochMode::Warm`] — full model, chaining each epoch's optimal basis
@@ -14,10 +14,8 @@
 //! * [`EpochMode::ColGen`] — a column-generated restricted master
 //!   ([`EpochSolver::colgen`]) carrying the surviving active columns *and*
 //!   the basis across epochs;
-//! * [`EpochMode::Sharded`] — the block-angular decomposition
-//!   ([`EpochSolver::sharded`]): per-zone subproblems solved in parallel
-//!   feed a stitched restricted master, shard and master bases chained
-//!   across epochs.
+//! * [`EpochMode::Dual`] — presolve plus the bounded dual simplex from
+//!   the carried basis, warm primal when the walk is declined.
 //!
 //! Every epoch is KKT-certified in all modes (the restricted modes
 //! against the **full** model, excluded columns priced), so the
@@ -36,7 +34,7 @@ use std::time::Instant;
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
 use lips_core::lp_build::{
     sanitize_warm_start, ColGenOptions, ColGenState, EpochSolveError, EpochSolver, LpInstance,
-    LpJob, PruneConfig, ShardOptions, ShardState,
+    LpJob, PruneConfig,
 };
 pub use lips_core::EpochRecord;
 use lips_lp::{LpError, WarmOutcome, WarmStart};
@@ -68,13 +66,6 @@ pub enum EpochMode {
     /// to the presolved warm primal when the carried basis is not dual
     /// feasible (always on the first epoch, which has no basis).
     Dual,
-    /// The block-angular decomposition: machines partitioned into zone
-    /// shards, per-shard restricted subproblems solved in parallel
-    /// (dual-first from their prior-epoch bases), stitched and re-priced
-    /// by a small master until the full-model KKT certifier accepts
-    /// ([`EpochSolver::sharded`]), with shard + master bases carried
-    /// across epochs.
-    Sharded,
 }
 
 impl EpochMode {
@@ -84,7 +75,6 @@ impl EpochMode {
             EpochMode::Warm => "warm",
             EpochMode::ColGen => "colgen",
             EpochMode::Dual => "dual",
-            EpochMode::Sharded => "sharded",
         }
     }
 }
@@ -98,7 +88,7 @@ impl EpochMode {
 // (build + solve + pricing + certification, metered around the call rather
 // than summed from phase timings), and `incremental` means the mode
 // re-used carried state — a chained basis that warmed, or carried
-// colgen/shard state.
+// colgen state.
 
 /// A full epoch sequence under one starting policy.
 #[derive(Debug, Clone, Serialize)]
@@ -182,7 +172,6 @@ pub fn run_epochs(
 ) -> EpochRun {
     let mut basis: Option<WarmStart> = None;
     let mut colgen_state: Option<ColGenState> = None;
-    let mut shard_state: Option<ShardState> = None;
     let mut share_sum = 0.0;
     let mut out = EpochRun {
         mode: mode.label().to_string(),
@@ -216,9 +205,6 @@ pub fn run_epochs(
             },
         };
         let t = Instant::now();
-        // (shards, shard_failures, subproblem_ms); nonzero only in
-        // sharded mode.
-        let mut shard_info = (0usize, 0usize, 0.0f64);
         let (sched, certified, active, total, rounds, presolve_removed, timings) = match mode {
             EpochMode::Cold | EpochMode::Warm => {
                 let seed = if mode == EpochMode::Warm {
@@ -296,35 +282,12 @@ pub fn run_epochs(
                     report.timings,
                 )
             }
-            EpochMode::Sharded => {
-                let report = with_width(EpochSolver::new(&inst), threads)
-                    .sharded_with(ShardOptions::default(), shard_state.as_ref())
-                    .run()
-                    .expect("epoch LP solves");
-                let certified = report
-                    .certificate
-                    .as_ref()
-                    .expect("sharded mode always certifies")
-                    .is_optimal();
-                let (state, stats) = report.shard.expect("sharded mode carries state");
-                shard_state = Some(state);
-                shard_info = (stats.shards, stats.shard_failures, stats.subproblem_ms);
-                (
-                    report.schedule,
-                    certified,
-                    stats.active_columns,
-                    stats.total_columns,
-                    stats.rounds,
-                    0,
-                    report.timings,
-                )
-            }
         };
         let epoch_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Cold/warm/dual solve the full model: active = total by
         // definition. The restricted modes report their own counts.
-        let (active, total) = if matches!(mode, EpochMode::ColGen | EpochMode::Sharded) {
+        let (active, total) = if mode == EpochMode::ColGen {
             (active, total)
         } else {
             let full = lp_build_columns(&inst);
@@ -352,7 +315,7 @@ pub fn run_epochs(
             && match mode {
                 EpochMode::Cold => false,
                 EpochMode::Warm | EpochMode::Dual => stats.warm != WarmOutcome::Cold,
-                EpochMode::ColGen | EpochMode::Sharded => true,
+                EpochMode::ColGen => true,
             };
         out.epochs.push(
             EpochRecord {
@@ -369,9 +332,6 @@ pub fn run_epochs(
                 pricing_rounds: rounds,
                 active_columns: active,
                 total_columns: total,
-                shards: shard_info.0,
-                shard_failures: shard_info.1,
-                subproblem_ms: shard_info.2,
                 presolve_removed,
                 build_ms: timings.build_ms,
                 solve_ms: stats.solve_ms,
@@ -1035,16 +995,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sequence_matches_full_model_optima_with_phase_times() {
+    fn colgen_sequence_matches_full_model_optima() {
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
         let cold = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Cold, 1);
-        let sh = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Sharded, 1);
-        assert!(sh.all_certified);
-        assert!(sh.active_column_share < 1.0, "stitched master never shrank");
-        for (a, b) in cold.epochs.iter().zip(&sh.epochs) {
+        let cg = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::ColGen, 1);
+        assert!(cg.all_certified);
+        assert!(cg.active_column_share < 1.0, "master never shrank");
+        assert!(cg.total_pricing_rounds >= cg.epochs.len());
+        for (a, b) in cold.epochs.iter().zip(&cg.epochs) {
             assert!(
                 (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-                "epoch {}: cold {} vs sharded {}",
+                "epoch {}: cold {} vs colgen {}",
                 a.epoch,
                 a.objective,
                 b.objective
@@ -1054,7 +1015,7 @@ mod tests {
         // The per-phase clocks are populated and consistent in every mode:
         // build/solve/certify are each nonzero somewhere and sum to no
         // more than the whole-epoch wall-time.
-        for run in [&cold, &sh] {
+        for run in [&cold, &cg] {
             assert!(
                 run.total_build_ms > 0.0,
                 "{}: build phase unmetered",
@@ -1082,26 +1043,6 @@ mod tests {
                     r.epoch_ms
                 );
             }
-        }
-    }
-
-    #[test]
-    fn colgen_sequence_matches_full_model_optima() {
-        let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let cold = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Cold, 1);
-        let cg = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::ColGen, 1);
-        assert!(cg.all_certified);
-        assert!(cg.active_column_share < 1.0, "master never shrank");
-        assert!(cg.total_pricing_rounds >= cg.epochs.len());
-        for (a, b) in cold.epochs.iter().zip(&cg.epochs) {
-            assert!(
-                (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-                "epoch {}: cold {} vs colgen {}",
-                a.epoch,
-                a.objective,
-                b.objective
-            );
-            assert!(b.active_columns <= b.total_columns);
         }
     }
 }

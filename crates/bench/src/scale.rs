@@ -5,15 +5,15 @@
 //! ([`lips_workload::google_synth`], round-tripped through the TSV
 //! *reader* so the benchmark exercises the same parsing path a real
 //! cluster-data summary file takes) against an `ec2_mixed_cluster` of the
-//! point's size, solved with the block-angular sharded path
-//! ([`EpochSolver::sharded`]) and chained shard/master bases across
-//! epochs. Every certified epoch records the solver-metered
-//! build / solve / certify split plus shard fan-out telemetry.
+//! point's size, solved by column generation ([`EpochSolver::colgen`],
+//! first master round on the dual simplex) with the restricted master's
+//! columns and basis carried across epochs. Every certified epoch records
+//! the solver-metered build / solve / certify split.
 //!
 //! The 10k-node point runs the §IV greedy **uncertified** by default —
 //! the honest scale story is that certification (a full-model KKT pass:
 //! every excluded column priced) costs more than the solve at that scale
-//! — and records a *certified probe* alongside it: one sharded epoch at
+//! — and records a *certified probe* alongside it: one colgen epoch at
 //! the same node count (optionally a reduced job count) whose phase split
 //! documents exactly what certification costs there. See DESIGN.md §3.14.
 
@@ -21,8 +21,11 @@ use std::io::Cursor;
 use std::time::Instant;
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
-use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig, ShardOptions, ShardState};
+use lips_core::lp_build::{
+    ColGenOptions, ColGenState, EpochCertificate, EpochSolver, LpInstance, LpJob, PruneConfig,
+};
 use lips_core::offline::greedy_schedule;
+use lips_core::EpochOutcome;
 use lips_workload::{
     google_records_to_jobs, google_synth, parse_google_tsv, write_google_tsv, GoogleSynthCfg,
 };
@@ -34,10 +37,10 @@ pub struct ScaleSpec {
     pub nodes: usize,
     pub jobs: usize,
     pub epochs: usize,
-    /// `true`: the sharded certified path. `false`: the §IV greedy,
+    /// `true`: the colgen certified path. `false`: the §IV greedy,
     /// uncertified (10k-node default).
     pub certified: bool,
-    /// With `certified = false`, additionally run one *certified* sharded
+    /// With `certified = false`, additionally run one *certified* colgen
     /// epoch at this node count with this many jobs, recording what the
     /// certified path costs at the scale the greedy serves.
     pub probe_jobs: Option<usize>,
@@ -45,9 +48,10 @@ pub struct ScaleSpec {
 
 /// One epoch of a scale point, on the workspace-wide stable schema
 /// ([`lips_core::EpochRecord`]). Scale-specific field semantics:
-/// `outcome` is `"sharded"` or `"greedy"`, `epoch_ms` the whole-epoch
-/// wall-clock metered around the call, `incremental` whether carried
-/// shard/master state was re-used (always false for the stateless
+/// `outcome` is `"colgen"` or `"greedy"`, `epoch_ms` the whole-epoch
+/// wall-clock metered around the call, `objective` the predicted dollars
+/// (fake-node share excluded), `incremental` whether carried master state
+/// was re-used (always false for the stateless
 /// greedy), and the greedy leaves every model-side counter at zero —
 /// it builds no model and certifies nothing, which is the point being
 /// measured.
@@ -58,7 +62,7 @@ pub type ScaleEpoch = lips_core::EpochRecord;
 pub struct ScalePoint {
     pub nodes: usize,
     pub jobs: usize,
-    /// `"sharded"` (certified) or `"greedy"` (uncertified).
+    /// `"colgen"` (certified) or `"greedy"` (uncertified).
     pub mode: String,
     pub epochs: Vec<ScaleEpoch>,
     pub total_build_ms: f64,
@@ -66,7 +70,7 @@ pub struct ScalePoint {
     pub total_certify_ms: f64,
     pub total_epoch_ms: f64,
     pub all_certified: bool,
-    /// Greedy points only: one certified sharded epoch at the same node
+    /// Greedy points only: one certified colgen epoch at the same node
     /// count (`probe_jobs` jobs) — the measured certification cost the
     /// greedy avoids.
     pub certified_probe: Option<ScaleEpoch>,
@@ -173,60 +177,43 @@ fn with_width<'a, 'b>(s: EpochSolver<'a, 'b>, threads: usize) -> EpochSolver<'a,
     }
 }
 
-/// One certified sharded epoch, recorded with its phase split.
-fn sharded_epoch(
+/// One certified colgen epoch, recorded with its phase split.
+fn colgen_epoch(
     cluster: &Cluster,
     jobs: Vec<LpJob>,
     epoch: usize,
-    state: Option<&ShardState>,
+    state: Option<&ColGenState>,
     threads: usize,
-) -> (ScaleEpoch, ShardState) {
+) -> (ScaleEpoch, ColGenState) {
     let n_jobs = jobs.len();
-    let carried = state.is_some();
     let inst = instance(cluster, jobs);
+    let opts = ColGenOptions {
+        dual_first: true,
+        ..ColGenOptions::default()
+    };
     let t = Instant::now();
     let report = with_width(EpochSolver::new(&inst), threads)
-        .sharded_with(ShardOptions::default(), state)
+        .colgen(opts, state)
         .run()
         .expect("scale epoch LP solves");
     let epoch_ms = t.elapsed().as_secs_f64() * 1e3;
-    let certified = report
-        .certificate
-        .as_ref()
-        .expect("sharded mode always certifies")
-        .is_optimal();
-    let (state, stats) = report.shard.expect("sharded mode carries state");
-    let s = &report.schedule.stats;
     let rec = ScaleEpoch {
-        epoch,
-        jobs: n_jobs,
-        outcome: "sharded".to_string(),
-        warm: format!("{:?}", s.warm),
-        iterations: s.iterations,
-        phase1_iterations: s.phase1_iterations,
-        refactors: s.refactors,
-        ftran_nnz: s.ftran_nnz,
-        dual_pivots: s.dual_pivots,
-        bound_flips: s.bound_flips,
-        pricing_rounds: stats.rounds,
-        active_columns: stats.active_columns,
-        total_columns: stats.total_columns,
-        shards: stats.shards,
-        shard_failures: stats.shard_failures,
-        subproblem_ms: stats.subproblem_ms,
-        presolve_removed: 0,
-        build_ms: report.timings.build_ms,
-        solve_ms: report.timings.solve_ms,
-        certify_ms: report.timings.certify_ms,
+        outcome: "colgen".to_string(),
         epoch_ms,
         objective: report.schedule.predicted_dollars,
-        certified,
-        incremental: carried,
-        declined: String::new(),
-        declined_pivots: 0,
-    }
-    .with_declined(s.declined);
-    (rec, state)
+        certified: report
+            .certificate
+            .as_ref()
+            .is_some_and(EpochCertificate::is_optimal),
+        ..ScaleEpoch::from_solve_report(
+            epoch,
+            n_jobs,
+            EpochOutcome::Certified,
+            &report,
+            state.is_some(),
+        )
+    };
+    (rec, report.carry())
 }
 
 /// Run one point of the trajectory.
@@ -236,7 +223,7 @@ pub fn run_scale_point(spec: &ScaleSpec, threads: usize) -> ScalePoint {
     let mut out = ScalePoint {
         nodes: spec.nodes,
         jobs: spec.jobs,
-        mode: if spec.certified { "sharded" } else { "greedy" }.to_string(),
+        mode: if spec.certified { "colgen" } else { "greedy" }.to_string(),
         epochs: Vec::with_capacity(spec.epochs),
         total_build_ms: 0.0,
         total_solve_ms: 0.0,
@@ -246,11 +233,11 @@ pub fn run_scale_point(spec: &ScaleSpec, threads: usize) -> ScalePoint {
         certified_probe: None,
         probe_jobs: None,
     };
-    let mut state: Option<ShardState> = None;
+    let mut state: Option<ColGenState> = None;
     for e in 0..spec.epochs {
         let jobs = decayed(&base, e);
         let rec = if spec.certified {
-            let (rec, next) = sharded_epoch(&cluster, jobs, e, state.as_ref(), threads);
+            let (rec, next) = colgen_epoch(&cluster, jobs, e, state.as_ref(), threads);
             state = Some(next);
             rec
         } else {
@@ -278,7 +265,7 @@ pub fn run_scale_point(spec: &ScaleSpec, threads: usize) -> ScalePoint {
     if !spec.certified {
         if let Some(pj) = spec.probe_jobs {
             let probe_base = google_scale_jobs(&cluster, pj, 1);
-            let (rec, _) = sharded_epoch(&cluster, probe_base, 0, None, threads);
+            let (rec, _) = colgen_epoch(&cluster, probe_base, 0, None, threads);
             out.probe_jobs = Some(pj);
             out.certified_probe = Some(rec);
         }
@@ -335,7 +322,7 @@ mod tests {
         assert_eq!(p.epochs.len(), 2);
         for r in &p.epochs {
             assert!(r.certified);
-            assert!(r.shards > 0);
+            assert!(r.pricing_rounds > 0 && r.active_columns > 0);
             assert!(r.build_ms > 0.0 && r.solve_ms > 0.0 && r.certify_ms > 0.0);
             assert!(r.build_ms + r.solve_ms + r.certify_ms <= r.epoch_ms * 1.05 + 1.0);
         }

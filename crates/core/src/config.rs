@@ -69,19 +69,6 @@ pub struct SchedulerConfig {
     /// model is large (≳ 50 machines); on small clusters the full LP is
     /// already cheap.
     pub colgen: bool,
-    /// Solve each epoch LP by block-angular shard decomposition
-    /// ([`crate::lp_build::EpochSolver::sharded`]): partition the live
-    /// machines into this many zone-aligned shards (`Some(0)` = one shard
-    /// per cluster zone), fan the restricted per-shard subproblems across
-    /// the worker pool — each warm-started from its prior-epoch basis,
-    /// dual-simplex-first under churn — and stitch their column proposals
-    /// into a restricted master that prices cross-zone transfers until
-    /// the KKT certifier accepts the result against the full model. Takes
-    /// precedence over `colgen` (it subsumes the same master/pricing
-    /// machinery); like `colgen` and `warm_start`, strictly a solve-path
-    /// knob that can never change an optimum. This is the ladder rung
-    /// that makes multi-thousand-node epochs tractable.
-    pub shard_zones: Option<usize>,
     /// Simplex pivot budget per epoch solve (`None` = unlimited). An
     /// epoch whose LP exceeds it walks the degradation ladder (cold
     /// retry, then greedy placement) instead of stalling the cluster —
@@ -130,7 +117,6 @@ impl Default for SchedulerConfig {
             fairness: 0.0,
             warm_start: true,
             colgen: false,
-            shard_zones: None,
             max_pivots_per_epoch: None,
             dual_resolve: true,
             presolve: false,
@@ -148,9 +134,6 @@ pub enum Preset {
     /// ~100-node clusters / trace workloads: pruned candidates plus
     /// column generation.
     LargeCluster,
-    /// ≳ 1000-node clusters: pruned candidates plus the block-angular
-    /// sharded solve, one shard per cluster zone.
-    HugeCluster,
 }
 
 impl Preset {
@@ -159,7 +142,6 @@ impl Preset {
         match name {
             "small" => Some(Preset::Small),
             "large" | "large_cluster" => Some(Preset::LargeCluster),
-            "huge" | "huge_cluster" => Some(Preset::HugeCluster),
             _ => None,
         }
     }
@@ -178,7 +160,6 @@ impl SchedulerConfig {
         let cfg = match preset {
             Preset::Small => SchedulerConfig::small_cluster(epoch_s),
             Preset::LargeCluster => SchedulerConfig::large_cluster(epoch_s),
-            Preset::HugeCluster => SchedulerConfig::huge_cluster(epoch_s),
         };
         SchedulerConfigBuilder { cfg }
     }
@@ -202,16 +183,6 @@ impl SchedulerConfig {
             max_holder_stores_per_job: Some(20),
             colgen: true,
             ..Default::default()
-        }
-    }
-
-    /// Preset for ≳ 1000-node clusters: pruned candidates plus the
-    /// block-angular sharded solve, one shard per cluster zone.
-    pub fn huge_cluster(epoch_s: f64) -> Self {
-        SchedulerConfig {
-            shard_zones: Some(0),
-            colgen: false,
-            ..Self::large_cluster(epoch_s)
         }
     }
 
@@ -384,14 +355,6 @@ impl SchedulerConfigBuilder {
         self
     }
 
-    /// Solve each epoch LP by block-angular shard decomposition
-    /// (`Some(0)` = one shard per cluster zone; `None` = off).
-    #[must_use]
-    pub fn shard_zones(mut self, zones: Option<usize>) -> Self {
-        self.cfg.shard_zones = zones;
-        self
-    }
-
     /// Simplex pivot budget per epoch solve (`None` = unlimited).
     #[must_use]
     pub fn max_pivots_per_epoch(mut self, budget: Option<usize>) -> Self {
@@ -428,22 +391,13 @@ impl SchedulerConfigBuilder {
     }
 }
 
-/// The batch-era name for [`SchedulerConfig`], kept as a thin forward for
-/// one release.
-#[deprecated(
-    since = "0.9.0",
-    note = "renamed to `SchedulerConfig`; construct through \
-            `SchedulerConfig::builder()` / `SchedulerConfig::preset(..)`"
-)]
-pub type LipsConfig = SchedulerConfig;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn presets_validate() {
-        for p in [Preset::Small, Preset::LargeCluster, Preset::HugeCluster] {
+        for p in [Preset::Small, Preset::LargeCluster] {
             let cfg = SchedulerConfig::preset(p, 400.0).build().unwrap();
             assert!(cfg.validate().is_ok());
         }
@@ -454,7 +408,7 @@ mod tests {
         let small = SchedulerConfig::preset(Preset::Small, 100.0)
             .build()
             .unwrap();
-        assert!(!small.colgen && small.shard_zones.is_none());
+        assert!(!small.colgen);
         assert_eq!(small.max_new_stores_per_job, None);
 
         let large = SchedulerConfig::preset(Preset::LargeCluster, 100.0)
@@ -462,19 +416,13 @@ mod tests {
             .unwrap();
         assert!(large.colgen);
         assert_eq!(large.max_jobs_per_lp, 16);
-
-        let huge = SchedulerConfig::preset(Preset::HugeCluster, 100.0)
-            .build()
-            .unwrap();
-        assert_eq!(huge.shard_zones, Some(0));
-        assert!(!huge.colgen);
     }
 
     #[test]
     fn preset_names_parse() {
         assert_eq!(Preset::parse("small"), Some(Preset::Small));
         assert_eq!(Preset::parse("large_cluster"), Some(Preset::LargeCluster));
-        assert_eq!(Preset::parse("huge"), Some(Preset::HugeCluster));
+        assert_eq!(Preset::parse("huge"), None);
         assert_eq!(Preset::parse("gigantic"), None);
     }
 

@@ -56,8 +56,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveLips};
 pub use advisor::{capacity_advice, CapacityAdvice};
 pub use analysis::{break_even_ratio, move_pays_off, savings_per_mb};
 pub use baselines::{DelayScheduler, FairScheduler, HadoopDefaultScheduler};
-#[allow(deprecated)]
-pub use config::LipsConfig;
 pub use config::{ConfigError, Preset, SchedulerConfig, SchedulerConfigBuilder};
 pub use dag::{run_dag, DagReport, DagRunError};
 pub use lips::{EpochOutcome, LipsScheduler};

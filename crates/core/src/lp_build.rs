@@ -836,9 +836,7 @@ pub struct PhaseTimings {
     /// build, presolve, column pricing and appends — everything outside
     /// the simplex and the certifier.
     pub build_ms: f64,
-    /// Simplex wall-time. Sums every master round; a sharded solve also
-    /// adds the shard subproblems' simplex time (the fan-out's *wall*
-    /// clock is reported separately in [`ShardStats::subproblem_ms`]).
+    /// Simplex wall-time, summed over every master round in colgen mode.
     pub solve_ms: f64,
     /// Independent KKT certification (including excluded-column pricing
     /// for restricted solves). `0.0` when certification was not requested.
@@ -864,13 +862,26 @@ pub struct SolveReport {
     pub basis: WarmStart,
     /// Cross-epoch column state + telemetry; `Some` iff colgen mode.
     pub colgen: Option<(ColGenState, ColGenStats)>,
-    /// Cross-epoch shard state + telemetry; `Some` iff sharded mode.
-    pub shard: Option<(ShardState, ShardStats)>,
     /// Variables fixed plus rows dropped by epoch presolve (0 unless
     /// [`EpochSolver::presolve`] was requested).
     pub presolve_removed: usize,
     /// Per-phase wall-clock of this solve.
     pub timings: PhaseTimings,
+}
+
+impl SolveReport {
+    /// The state to carry into the next epoch: the colgen master's
+    /// columns and basis in colgen mode, else this solve's basis alone
+    /// (with no carried columns).
+    pub fn carry(&self) -> ColGenState {
+        match &self.colgen {
+            Some((state, _)) => state.clone(),
+            None => ColGenState {
+                active: std::collections::BTreeSet::new(),
+                basis: self.basis.clone(),
+            },
+        }
+    }
 }
 
 /// The unified builder-style solve entry point (the former seven `solve*`
@@ -898,7 +909,6 @@ pub struct EpochSolver<'i, 'c> {
     certify: bool,
     shadow_prices: bool,
     colgen: Option<(ColGenOptions, Option<&'i ColGenState>)>,
-    shard: Option<(ShardOptions, Option<&'i ShardState>)>,
     pivot_budget: Option<usize>,
     dual: bool,
     presolve: bool,
@@ -913,7 +923,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
             certify: false,
             shadow_prices: false,
             colgen: None,
-            shard: None,
             pivot_budget: None,
             dual: false,
             presolve: false,
@@ -972,35 +981,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         self
     }
 
-    /// Solve by block-angular shard decomposition ([`sharded_run`]):
-    /// partition the live machines into `zones` zone-aligned shards
-    /// (`0` = one shard per cluster zone), fan the restricted per-shard
-    /// subproblems across the worker pool, stitch their column proposals
-    /// into a restricted master that prices cross-shard transfers, and
-    /// certify the stitched solution against the full model. Implies
-    /// certification; takes precedence over [`EpochSolver::colgen`]. The
-    /// basis passed to [`EpochSolver::warm`] is ignored in this mode —
-    /// the shard state carries its own bases.
-    #[must_use]
-    pub fn sharded(self, zones: usize) -> Self {
-        self.sharded_with(
-            ShardOptions {
-                zones,
-                ..ShardOptions::default()
-            },
-            None,
-        )
-    }
-
-    /// [`EpochSolver::sharded`] with explicit options and a prior epoch's
-    /// carried [`ShardState`] (per-shard bases + master columns), the
-    /// cross-epoch warm path of the sharded ladder rung.
-    #[must_use]
-    pub fn sharded_with(mut self, opts: ShardOptions, prior: Option<&'i ShardState>) -> Self {
-        self.shard = Some((opts, prior));
-        self
-    }
-
     /// Solve with the *bounded dual simplex*
     /// ([`lips_lp::solve_dual_with_options`]) instead of the primal
     /// simplex, starting from the basis passed to [`EpochSolver::warm`].
@@ -1049,19 +1029,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
 
     /// Execute the configured solve.
     pub fn run(self) -> Result<SolveReport, EpochSolveError> {
-        if let Some((opts, prior)) = &self.shard {
-            let out = sharded_run(self.inst, opts, *prior, self.pivot_budget, self.pool)?;
-            return Ok(SolveReport {
-                schedule: out.schedule,
-                shadow_prices: Some(out.shadow_prices),
-                certificate: Some(EpochCertificate::Restricted(out.certificate)),
-                basis: out.state.master.basis.clone(),
-                colgen: None,
-                shard: Some((out.state, out.stats)),
-                presolve_removed: 0,
-                timings: out.timings,
-            });
-        }
         if let Some((opts, prior)) = &self.colgen {
             let out = colgen_run(self.inst, opts, *prior, self.pivot_budget, self.pool)?;
             return Ok(SolveReport {
@@ -1070,7 +1037,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
                 certificate: Some(EpochCertificate::Restricted(out.certificate)),
                 basis: out.state.basis.clone(),
                 colgen: Some((out.state, out.stats)),
-                shard: None,
                 presolve_removed: 0,
                 timings: out.timings,
             });
@@ -1136,7 +1102,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
             certificate,
             basis,
             colgen: None,
-            shard: None,
             presolve_removed,
             timings,
         })
@@ -1230,7 +1195,8 @@ impl Default for ColGenOptions {
 /// restricted master ([`EpochSolver::colgen`]) with both means a churned
 /// job only *perturbs* the master (its arcs enter via pricing) instead of
 /// rebuilding the column set from scratch — arc names are keyed by job id, so surviving names
-/// keep denoting the same `(job, machine, store)` arc across epochs.
+/// keep denoting the same `(job, machine, store)` arc across epochs. A
+/// full-model solve carries its basis alone ([`SolveReport::carry`]).
 #[derive(Debug, Clone, Default)]
 pub struct ColGenState {
     active: std::collections::BTreeSet<String>,
@@ -1253,14 +1219,15 @@ impl ColGenState {
         if dead.is_empty() {
             return 0;
         }
-        let before = self.active.len() + self.basis.len();
+        let before = self.active.len();
         self.active
             .retain(|name| !name_references_machine(name, &dead));
-        self.basis
-            .retain_vars(|name| !name_references_machine(name, &dead));
-        self.basis
-            .retain_rows(|name| !name_references_machine(name, &dead));
-        before - self.active.len() - self.basis.len()
+        before - self.active.len() + sanitize_warm_start(&mut self.basis, cluster)
+    }
+
+    /// The carried basis.
+    pub fn basis(&self) -> &WarmStart {
+        &self.basis
     }
 }
 
@@ -1415,12 +1382,11 @@ fn arc_terms_into(
     }
 }
 
-/// Result of one restricted-master pricing loop: the final master model,
-/// its optimal solution, and the loop's telemetry. Shared by the colgen
-/// ([`colgen_run`]) and sharded ([`sharded_run`]) engines — both end in
-/// the same master-plus-pricing fixpoint, they only differ in how the
-/// initial active set and warm basis are produced.
+/// Result of one restricted-master pricing loop: the full model's task
+/// arcs, the final master model, its optimal solution, and the loop's
+/// telemetry.
 struct MasterRun {
+    arcs: Vec<ArcCand>,
     model: Model,
     maps: VarMaps,
     rows: RowIds,
@@ -1435,9 +1401,11 @@ struct MasterRun {
     dual_master: bool,
 }
 
-/// The restricted-master / pricing loop. Each round solves the master
-/// warm from the incumbent basis, prices every excluded arc against the
-/// master's duals across `pool`'s workers
+/// The restricted-master / pricing loop. The master starts with every
+/// `nd`/fake column, the full row set, and only the seed task arcs (top-N
+/// cheapest per job, plus whatever `prior` carried over). Each round
+/// solves the master warm from the incumbent basis, prices every excluded
+/// arc against the master's duals across `pool`'s workers
 /// ([`lips_lp::ColumnPricer::price_out_batch`]), appends everything that
 /// prices out through [`Model::add_column`], and repeats until nothing
 /// does — at which point the master's optimum *is* the full model's
@@ -1447,22 +1415,20 @@ struct MasterRun {
 /// floor unreachable on the seeded machines); the loop then appends the
 /// whole remainder and retries once, so feasibility semantics match the
 /// direct solve exactly.
-#[allow(clippy::too_many_arguments)] // internal driver shared by colgen and sharded paths
 fn master_price_loop(
     inst: &LpInstance<'_>,
-    job_machines: &[Vec<MachineId>],
-    job_stores: &[Vec<StoreId>],
-    arcs: &[ArcCand],
-    mut active: std::collections::BTreeSet<String>,
-    mut warm: Option<WarmStart>,
-    max_rounds: usize,
+    opts: &ColGenOptions,
+    prior: Option<&ColGenState>,
     pivot_budget: Option<usize>,
-    dual_first: bool,
     pool: Pool,
 ) -> Result<MasterRun, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
+    let (job_machines, job_stores) = candidates(inst);
+    let arcs = enumerate_arcs(inst, &job_machines, &job_stores);
+    let mut active = seed_active(&arcs, opts.seed_arcs_per_job, prior.map(|p| &p.active));
+    let mut warm = prior.map(|p| p.basis.clone());
     let (mut model, mut maps, rows) =
-        build_filtered(inst, job_machines, job_stores, Some(&active), pool);
+        build_filtered(inst, &job_machines, &job_stores, Some(&active), pool);
     let mut build_ms = t_build.elapsed_ms();
 
     let mut scratch: Vec<(lips_lp::ConstraintId, f64)> = Vec::new();
@@ -1494,7 +1460,7 @@ fn master_price_loop(
         // that fails short of an infeasibility verdict (a walk declined
         // mid-way, a budget) falls back to the warm primal path, and a
         // decline is kept on the record.
-        let solved = if dual_first && rounds == 1 {
+        let solved = if opts.dual_first && rounds == 1 {
             match solve_model_dual(&model, warm.as_ref(), pivot_budget) {
                 Ok(s) => {
                     dual_master = true;
@@ -1559,7 +1525,7 @@ fn master_price_loop(
             build_ms += t.elapsed_ms();
             break sol;
         }
-        if rounds >= max_rounds {
+        if rounds >= opts.max_rounds {
             // Round budget exhausted: go exact in one step.
             entering = arcs.iter().filter(|a| !active.contains(&a.name)).collect();
         }
@@ -1573,6 +1539,7 @@ fn master_price_loop(
     };
     agg.warm = first_warm.unwrap_or_default();
     Ok(MasterRun {
+        arcs,
         model,
         maps,
         rows,
@@ -1586,7 +1553,7 @@ fn master_price_loop(
     })
 }
 
-/// The shared certification/decoding tail of a restricted solve.
+/// The certification/decoding tail of a restricted solve.
 struct RestrictedFinish {
     schedule: FractionalSchedule,
     shadow_prices: Vec<(MachineId, f64)>,
@@ -1603,16 +1570,15 @@ struct RestrictedFinish {
 /// schedule and the next epoch's carry-over state.
 fn finish_restricted(
     inst: &LpInstance<'_>,
-    arcs: &[ArcCand],
     run: &MasterRun,
-    context: &str,
     pool: Pool,
 ) -> Result<RestrictedFinish, EpochSolveError> {
     // Column assembly for the certificate parallelizes per arc; the
     // certificate itself splits its KKT and re-pricing passes across the
     // same pool.
     let t_cert = lips_lp::clock::Stopwatch::start();
-    let excluded_arcs: Vec<&ArcCand> = arcs
+    let excluded_arcs: Vec<&ArcCand> = run
+        .arcs
         .iter()
         .filter(|a| !run.active.contains(&a.name))
         .collect();
@@ -1630,7 +1596,7 @@ fn finish_restricted(
             Ok(cert) if cert.is_optimal() => cert,
             Ok(cert) => {
                 return Err(EpochSolveError::Certification(format!(
-                    "{context} failed full-model certification: {cert}"
+                    "colgen master failed full-model certification: {cert}"
                 )))
             }
             Err(e) => return Err(EpochSolveError::Certification(e.to_string())),
@@ -1678,13 +1644,9 @@ fn finish_restricted(
 }
 
 /// The column-generation engine behind [`EpochSolver::colgen`]: solve
-/// `inst` by delayed column generation over a restricted master.
-///
-/// The master starts with every `nd`/fake column, the full row set, and
-/// only the seed task arcs (top-N cheapest per job, plus whatever `prior`
-/// carried over), then runs [`master_price_loop`] to the pricing fixpoint
-/// and proves full-model optimality via [`finish_restricted`]'s
-/// excluded-column certificate.
+/// `inst` by delayed column generation over a restricted master. Runs
+/// [`master_price_loop`] to the pricing fixpoint and proves full-model
+/// optimality via [`finish_restricted`]'s excluded-column certificate.
 fn colgen_run(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
@@ -1692,33 +1654,15 @@ fn colgen_run(
     pivot_budget: Option<usize>,
     pool: Pool,
 ) -> Result<ColGenOutcome, EpochSolveError> {
-    let t_enum = lips_lp::clock::Stopwatch::start();
-    let (job_machines, job_stores) = candidates(inst);
-    let arcs = enumerate_arcs(inst, &job_machines, &job_stores);
-    let active = seed_active(&arcs, opts.seed_arcs_per_job, prior.map(|p| &p.active));
-    let enumerate_ms = t_enum.elapsed_ms();
-
-    let warm = prior.map(|p| p.basis.clone());
-    let run = master_price_loop(
-        inst,
-        &job_machines,
-        &job_stores,
-        &arcs,
-        active,
-        warm,
-        opts.max_rounds,
-        pivot_budget,
-        opts.dual_first,
-        pool,
-    )?;
-    let fin = finish_restricted(inst, &arcs, &run, "colgen master", pool)?;
+    let run = master_price_loop(inst, opts, prior, pivot_budget, pool)?;
+    let fin = finish_restricted(inst, &run, pool)?;
 
     let stats = ColGenStats {
         rounds: run.rounds,
         appended: run.appended,
         active_columns: run.maps.xt.len(),
-        total_columns: arcs.len(),
-        build_ms: enumerate_ms + run.build_ms,
+        total_columns: run.arcs.len(),
+        build_ms: run.build_ms,
         dual_master: run.dual_master,
     };
     let timings = PhaseTimings {
@@ -1734,397 +1678,6 @@ fn colgen_run(
             active: fin.surviving,
             basis: fin.basis,
         },
-        stats,
-        timings,
-    })
-}
-
-/// Tuning for the block-angular sharded solve ([`EpochSolver::sharded`]).
-#[derive(Debug, Clone)]
-pub struct ShardOptions {
-    /// Number of machine shards. `0` (the default) means one shard per
-    /// cluster zone — the paper's natural partition, since cross-shard
-    /// data movement then prices exactly as cross-zone transfer.
-    pub zones: usize,
-    /// Safety seed: cheapest arcs per job stitched into the master on top
-    /// of the shard proposals, so every coverage row has a real column
-    /// even for jobs a failed shard subproblem proposed nothing for.
-    pub seed_arcs_per_job: usize,
-    /// Master pricing-round budget (same semantics as
-    /// [`ColGenOptions::max_rounds`]).
-    pub max_rounds: usize,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            zones: 0,
-            seed_arcs_per_job: 1,
-            max_rounds: 50,
-        }
-    }
-}
-
-/// Cross-epoch state of the sharded solve: every shard subproblem's last
-/// optimal basis (so next epoch's shard solves re-optimize dual-first
-/// under churn) plus the stitched master's surviving columns and basis
-/// (exactly a [`ColGenState`]).
-#[derive(Debug, Clone, Default)]
-pub struct ShardState {
-    shard_bases: Vec<WarmStart>,
-    master: ColGenState,
-}
-
-impl ShardState {
-    /// Number of task columns the master carries into the next epoch.
-    pub fn carried_columns(&self) -> usize {
-        self.master.carried_columns()
-    }
-
-    /// Number of shard bases carried.
-    pub fn shards(&self) -> usize {
-        self.shard_bases.len()
-    }
-
-    /// Drop carried columns and basis entries referencing machines no
-    /// longer alive in `cluster` (see [`ColGenState::sanitize_for_cluster`]
-    /// and [`sanitize_warm_start`]). Returns how many entries were dropped.
-    pub fn sanitize_for_cluster(&mut self, cluster: &Cluster) -> usize {
-        let mut dropped = self.master.sanitize_for_cluster(cluster);
-        for ws in &mut self.shard_bases {
-            dropped += sanitize_warm_start(ws, cluster);
-        }
-        dropped
-    }
-}
-
-/// Telemetry from one sharded solve.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardStats {
-    /// Shards actually built this epoch (≤ requested, ≥ 1).
-    pub shards: usize,
-    /// Shard subproblems whose carried basis was usable (warm, repaired,
-    /// or dual).
-    pub shard_warm_hits: usize,
-    /// Shard subproblems re-optimized by the bounded dual simplex.
-    pub shard_dual_solves: usize,
-    /// Shard subproblems whose LP failed — their jobs enter the master
-    /// via the safety seed and pricing instead, so a failed shard costs
-    /// master rounds, never correctness.
-    pub shard_failures: usize,
-    /// Simplex pivots summed across all shard subproblems.
-    pub subproblem_iterations: usize,
-    /// Wall-clock of the parallel subproblem fan-out as seen by the
-    /// coordinator (builds + solves of every shard).
-    pub subproblem_ms: f64,
-    /// Task columns proposed to the master by the shard optima (union,
-    /// including the safety seed and carried master columns).
-    pub proposed_columns: usize,
-    /// Master pricing rounds / columns appended by master pricing.
-    pub rounds: usize,
-    pub appended: usize,
-    /// Task columns in the final stitched master / in the full model.
-    pub active_columns: usize,
-    pub total_columns: usize,
-    /// Wall-clock building the master and pricing columns (everything
-    /// except shard fan-out, simplex, and certification).
-    pub build_ms: f64,
-}
-
-/// Everything a sharded epoch solve hands back.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    pub schedule: FractionalSchedule,
-    /// Shadow price of each machine's CPU-capacity row (see
-    /// [`EpochSolver::shadow_prices`]).
-    pub shadow_prices: Vec<(MachineId, f64)>,
-    /// Full-model KKT certificate: the stitched master's own certificate
-    /// plus a pricing pass over every excluded column.
-    pub certificate: lips_audit::RestrictedCertificate,
-    /// Carry into the next epoch's [`EpochSolver::sharded_with`] call.
-    pub state: ShardState,
-    pub stats: ShardStats,
-    pub timings: PhaseTimings,
-}
-
-/// What one shard subproblem hands back to the coordinator.
-struct ShardProposal {
-    /// Task arcs at the shard optimum (basic or nonzero), by name.
-    proposal: Vec<String>,
-    /// The shard's optimal basis, carried into the next epoch.
-    basis: Option<WarmStart>,
-    iterations: usize,
-    solve_ms: f64,
-    warm_hit: bool,
-    dual: bool,
-    failed: bool,
-}
-
-/// Fallback fake-node price for shard subproblems when the instance has
-/// none: a shard must stay feasible when the true optimum runs a job
-/// outside the shard, so deferral must always be available inside the
-/// subproblem — priced far above any real arc, and invisible to the
-/// master, which prices deferral (or not) from the unmodified instance.
-const SHARD_FAKE_COST: f64 = 1.0;
-
-/// Solve one shard's restricted subproblem: the instance narrowed to the
-/// shard's machines (task arcs and new-copy destinations inside the
-/// shard; data holders stay visible wherever they live, so cross-shard
-/// reads are priced, not forbidden), with pool floors dropped (global
-/// coupling is the master's job) and the fake node forced on (work the
-/// shard cannot take is deferral *from this shard's viewpoint*, not
-/// infeasibility). Dual-simplex-first from the carried basis under churn,
-/// warm primal as fallback. Never fails: an unsolvable shard returns an
-/// empty proposal and lets the master recover it through pricing.
-fn solve_shard(
-    inst: &LpInstance<'_>,
-    job_machines: &[Vec<MachineId>],
-    job_stores: &[Vec<StoreId>],
-    members: &std::collections::BTreeSet<MachineId>,
-    warm: Option<&WarmStart>,
-    pivot_budget: Option<usize>,
-) -> ShardProposal {
-    let failed = ShardProposal {
-        proposal: Vec::new(),
-        basis: None,
-        iterations: 0,
-        solve_ms: 0.0,
-        warm_hit: false,
-        dual: false,
-        failed: true,
-    };
-    let sub_machines: Vec<Vec<MachineId>> = job_machines
-        .iter()
-        .map(|ms| ms.iter().copied().filter(|m| members.contains(m)).collect())
-        .collect();
-    let sub_stores: Vec<Vec<StoreId>> = inst
-        .jobs
-        .iter()
-        .zip(job_stores)
-        .map(|(job, ss)| {
-            let holders: std::collections::BTreeSet<StoreId> =
-                job.avail.iter().map(|&(s, _)| s).collect();
-            ss.iter()
-                .copied()
-                .filter(|&s| {
-                    holders.contains(&s)
-                        || inst
-                            .cluster
-                            .store(s)
-                            .colocated
-                            .is_some_and(|m| members.contains(&m))
-                })
-                .collect()
-        })
-        .collect();
-    let mut sub = inst.clone();
-    sub.fake_cost = Some(inst.fake_cost.unwrap_or(SHARD_FAKE_COST));
-    sub.pool_floors = Vec::new();
-    // The shard build is serial: the fan-out itself already occupies the
-    // pool's workers, one shard per worker.
-    let (model, maps, _rows) =
-        build_filtered(&sub, &sub_machines, &sub_stores, None, Pool::serial());
-    let solved = match warm {
-        Some(w) => solve_model_dual(&model, Some(w), pivot_budget)
-            .map(|s| (s, true))
-            .or_else(|_| solve_model(&model, Some(w), pivot_budget).map(|s| (s, false))),
-        None => solve_model(&model, None, pivot_budget).map(|s| (s, false)),
-    };
-    let Ok((sol, dual)) = solved else {
-        return failed;
-    };
-    let basis = sol.warm_start().cloned();
-    // A carried basis the dual declined at seeding restarted from the
-    // slack basis: that solve is cold, not a warm hit.
-    let warm_hit = sol.stats().warm != lips_lp::WarmOutcome::Cold;
-    let proposal: Vec<String> = maps
-        .xt
-        .values()
-        .filter_map(|&v| {
-            let name = model.var_name(v);
-            let keep = sol.value_of(v) > 1e-9
-                || basis
-                    .as_ref()
-                    .is_some_and(|b| b.var(name) == Some(lips_lp::BasisStatus::Basic));
-            keep.then(|| name.to_string())
-        })
-        .collect();
-    ShardProposal {
-        proposal,
-        basis,
-        iterations: sol.iterations(),
-        solve_ms: sol.stats().solve_ms,
-        warm_hit,
-        dual,
-        failed: false,
-    }
-}
-
-/// The block-angular sharded engine behind [`EpochSolver::sharded`]: a
-/// Dantzig–Wolfe-flavoured decomposition of the Fig-4 epoch LP.
-///
-/// The LP is block-angular — per-machine CPU/read rows and per-store
-/// capacity rows are separable, coupled only by the per-job coverage and
-/// linking rows — so the live machines are partitioned into zone-aligned
-/// shards and each shard solves its restricted subproblem independently,
-/// fanned across `pool`'s workers ([`solve_shard`]). The shard optima are
-/// *column proposals*: their nonzero/basic task arcs seed a stitched
-/// restricted master over the full row set, whose duals on the coverage
-/// and linking rows are exactly the cross-zone transfer prices. The
-/// master then re-dispatches columns through the ordinary pricing loop
-/// ([`master_price_loop`]) until no arc anywhere — in-shard or cross —
-/// prices out, and [`finish_restricted`] certifies the stitched solution
-/// against the full model. Certified optimality is therefore inherited,
-/// not approximated: the shard phase only decides where the master
-/// *starts*, never where it stops.
-///
-/// Determinism: the partition is a sorted chunking, shard solves are
-/// serial inside `par_map` workers and merged in shard order, and the
-/// master loop is the same deterministic machinery colgen uses — so the
-/// whole solve is bitwise identical at any thread count.
-fn sharded_run(
-    inst: &LpInstance<'_>,
-    opts: &ShardOptions,
-    prior: Option<&ShardState>,
-    pivot_budget: Option<usize>,
-    pool: Pool,
-) -> Result<ShardOutcome, EpochSolveError> {
-    let t_enum = lips_lp::clock::Stopwatch::start();
-    let (job_machines, job_stores) = candidates(inst);
-    let arcs = enumerate_arcs(inst, &job_machines, &job_stores);
-
-    // Zone-aligned partition: live machines sorted by (zone, id), split
-    // into near-equal contiguous chunks. Deterministic by construction; a
-    // revocation shifts chunk boundaries, which degrades shard warm hits
-    // for one epoch but never correctness.
-    let mut live: Vec<MachineId> = inst
-        .cluster
-        .machines
-        .iter()
-        .filter(|m| m.tp_ecu > 0.0)
-        .map(|m| m.id)
-        .collect();
-    live.sort_by_key(|&m| (inst.cluster.machine(m).zone, m));
-    let requested = if opts.zones == 0 {
-        inst.cluster.zones.len().max(1)
-    } else {
-        opts.zones
-    };
-    let nshards = requested.min(live.len()).max(1);
-    let members: Vec<std::collections::BTreeSet<MachineId>> = (0..nshards)
-        .map(|s| {
-            live[s * live.len() / nshards..(s + 1) * live.len() / nshards]
-                .iter()
-                .copied()
-                .collect()
-        })
-        .collect();
-    let enumerate_ms = t_enum.elapsed_ms();
-
-    // --- shard subproblem fan-out --------------------------------------
-    let t_sub = lips_lp::clock::Stopwatch::start();
-    let shard_idx: Vec<usize> = (0..nshards).collect();
-    let proposals: Vec<ShardProposal> = pool.par_map(&shard_idx, |_, &s| {
-        let warm = prior
-            .and_then(|p| p.shard_bases.get(s))
-            .filter(|w| !w.is_empty());
-        solve_shard(
-            inst,
-            &job_machines,
-            &job_stores,
-            &members[s],
-            warm,
-            pivot_budget,
-        )
-    });
-    let subproblem_ms = t_sub.elapsed_ms();
-
-    // --- stitch + master pricing ---------------------------------------
-    // Active set: shard proposals ∪ safety seed ∪ carried master columns.
-    // Proposal names are always known (shard candidates are subsets of the
-    // full candidate sets, and naming is shared).
-    let mut active = seed_active(
-        &arcs,
-        opts.seed_arcs_per_job,
-        prior.map(|p| &p.master.active),
-    );
-    for p in &proposals {
-        active.extend(p.proposal.iter().cloned());
-    }
-    let proposed_columns = active.len();
-    // Master warm start: the carried master basis when there is one, else
-    // the shard bases absorbed in shard order (task columns are disjoint
-    // across shards; coupling-row conflicts resolve first-shard-wins and
-    // the repair loop completes or cold-falls-back — never a correctness
-    // concern).
-    let warm: Option<WarmStart> = match prior {
-        Some(p) if !p.master.basis.is_empty() => Some(p.master.basis.clone()),
-        _ => {
-            let mut ws = WarmStart::new();
-            for p in &proposals {
-                if let Some(b) = &p.basis {
-                    ws.absorb(b);
-                }
-            }
-            (!ws.is_empty()).then_some(ws)
-        }
-    };
-    let run = master_price_loop(
-        inst,
-        &job_machines,
-        &job_stores,
-        &arcs,
-        active,
-        warm,
-        opts.max_rounds,
-        pivot_budget,
-        false,
-        pool,
-    )?;
-    let fin = finish_restricted(inst, &arcs, &run, "sharded master", pool)?;
-
-    let subproblem_iterations: usize = proposals.iter().map(|p| p.iterations).sum();
-    let subproblem_solve_ms: f64 = proposals.iter().map(|p| p.solve_ms).sum();
-    let stats = ShardStats {
-        shards: nshards,
-        shard_warm_hits: proposals.iter().filter(|p| p.warm_hit).count(),
-        shard_dual_solves: proposals.iter().filter(|p| p.dual).count(),
-        shard_failures: proposals.iter().filter(|p| p.failed).count(),
-        subproblem_iterations,
-        subproblem_ms,
-        proposed_columns,
-        rounds: run.rounds,
-        appended: run.appended,
-        active_columns: run.maps.xt.len(),
-        total_columns: arcs.len(),
-        build_ms: enumerate_ms + run.build_ms,
-    };
-    let timings = PhaseTimings {
-        build_ms: enumerate_ms + run.build_ms,
-        solve_ms: run.agg.solve_ms + subproblem_solve_ms,
-        certify_ms: fin.certify_ms,
-    };
-    // The report's stats aggregate the epoch's *total* simplex work —
-    // master rounds plus every shard subproblem.
-    let mut schedule = fin.schedule;
-    schedule.stats.iterations += subproblem_iterations;
-    schedule.stats.solve_ms += subproblem_solve_ms;
-    schedule.iterations = schedule.stats.iterations;
-    let state = ShardState {
-        shard_bases: proposals
-            .into_iter()
-            .map(|p| p.basis.unwrap_or_default())
-            .collect(),
-        master: ColGenState {
-            active: fin.surviving,
-            basis: fin.basis,
-        },
-    };
-    Ok(ShardOutcome {
-        schedule,
-        shadow_prices: fin.shadow_prices,
-        certificate: fin.certificate,
-        state,
         stats,
         timings,
     })
@@ -2614,170 +2167,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_full_solve_objective() {
-        // Three zone-aligned shards propose columns independently; the
-        // stitched master must land on the monolithic certified optimum
-        // exactly, with the certificate re-pricing every excluded arc.
-        let cluster = ec2_20_node(0.5, 100_000.0);
-        let mut inst = base_inst(&cluster, spread_jobs(8));
-        inst.fake_cost = Some(1.0);
-        let full = solve(&inst).unwrap();
-        let out = EpochSolver::new(&inst).sharded(3).run().unwrap();
-        let cert = out.certificate.expect("sharded always certifies");
-        assert!(cert.is_optimal(), "{cert}");
-        assert!(
-            (out.schedule.lp_objective - full.lp_objective).abs() < 1e-6,
-            "sharded {} vs full {}",
-            out.schedule.lp_objective,
-            full.lp_objective
-        );
-        let (state, stats) = out.shard.expect("sharded mode reports its state");
-        assert_eq!(stats.shards, 3);
-        assert_eq!(stats.shard_failures, 0);
-        assert_eq!(state.shards(), 3);
-        assert!(state.carried_columns() > 0);
-        assert!(stats.active_columns <= stats.total_columns);
-        assert!(stats.proposed_columns > 0);
-    }
-
-    #[test]
-    fn sharded_without_fake_cost_still_matches_full() {
-        // Offline-style instance (no fake node): each shard subproblem
-        // forces its own fake node internally so narrowing to a shard can
-        // never manufacture infeasibility, while the master solves the
-        // unmodified instance.
-        let cluster = ec2_20_node(0.5, 100_000.0);
-        let inst = base_inst(&cluster, spread_jobs(6));
-        assert!(inst.fake_cost.is_none());
-        let full = solve(&inst).unwrap();
-        let out = EpochSolver::new(&inst).sharded(4).run().unwrap();
-        assert!(
-            (out.schedule.lp_objective - full.lp_objective).abs() < 1e-6,
-            "sharded {} vs full {}",
-            out.schedule.lp_objective,
-            full.lp_objective
-        );
-        assert!(out.schedule.deferred.is_empty());
-    }
-
-    #[test]
-    fn sharded_state_reuse_matches_full_after_churn() {
-        // Epoch 2 perturbs epoch 1 (work drift); the carried shard bases
-        // and master columns must re-land on the full optimum.
-        let cluster = ec2_20_node(0.5, 100_000.0);
-        let inst1 = base_inst(&cluster, spread_jobs(6));
-        let e1 = EpochSolver::new(&inst1).sharded(3).run().unwrap();
-        let (state1, _) = e1.shard.expect("sharded mode reports its state");
-
-        let mut jobs2 = spread_jobs(6);
-        jobs2[2].tcp *= 1.4;
-        jobs2[4].size_mb *= 0.9;
-        let inst2 = base_inst(&cluster, jobs2);
-        let full2 = solve(&inst2).unwrap();
-        let e2 = EpochSolver::new(&inst2)
-            .sharded_with(
-                ShardOptions {
-                    zones: 3,
-                    ..ShardOptions::default()
-                },
-                Some(&state1),
-            )
-            .run()
-            .unwrap();
-        let cert = e2.certificate.expect("sharded always certifies");
-        assert!(cert.is_optimal(), "{cert}");
-        assert!(
-            (e2.schedule.lp_objective - full2.lp_objective).abs() < 1e-6,
-            "warm sharded {} vs full {}",
-            e2.schedule.lp_objective,
-            full2.lp_objective
-        );
-    }
-
-    #[test]
-    fn sharded_single_shard_and_oversharded_both_work() {
-        // Degenerate partitions: one shard (the subproblem *is* the whole
-        // instance) and more shards than machines (clamped) must both
-        // reach the certified optimum.
-        let cluster = two_node();
-        let inst = base_inst(&cluster, vec![one_job(1024.0, 2.0, StoreId(0))]);
-        let full = solve(&inst).unwrap();
-        for zones in [1, 64] {
-            let out = EpochSolver::new(&inst).sharded(zones).run().unwrap();
-            assert!(
-                (out.schedule.lp_objective - full.lp_objective).abs() < 1e-9,
-                "zones={zones}"
-            );
-            let (_, stats) = out.shard.unwrap();
-            assert!(stats.shards <= 2, "zones={zones}: {} shards", stats.shards);
-        }
-    }
-
-    #[test]
-    fn sharded_thread_count_never_changes_the_solve() {
-        // The determinism contract extends to the decomposed path: the
-        // shard fan-out, stitched master, and certification must be
-        // bitwise identical at 1/2/8 threads.
-        let cluster = ec2_20_node(0.5, 100_000.0);
-        let mut inst = base_inst(&cluster, spread_jobs(8));
-        inst.fake_cost = Some(1.0);
-        let run = |threads: usize| {
-            EpochSolver::new(&inst)
-                .threads(threads)
-                .sharded(3)
-                .run()
-                .unwrap()
-        };
-        let base = run(1);
-        for threads in [2, 8] {
-            let other = run(threads);
-            assert_eq!(
-                base.schedule.lp_objective.to_bits(),
-                other.schedule.lp_objective.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                base.schedule.assignments, other.schedule.assignments,
-                "threads={threads}"
-            );
-            assert_eq!(
-                base.schedule.moves, other.schedule.moves,
-                "threads={threads}"
-            );
-            let (state_a, stats_a) = base.shard.as_ref().unwrap();
-            let (state_b, stats_b) = other.shard.as_ref().unwrap();
-            assert_eq!(state_a.carried_columns(), state_b.carried_columns());
-            assert_eq!(stats_a.active_columns, stats_b.active_columns);
-            assert_eq!(stats_a.proposed_columns, stats_b.proposed_columns);
-            assert_eq!(stats_a.rounds, stats_b.rounds);
-            assert_eq!(stats_a.subproblem_iterations, stats_b.subproblem_iterations);
-        }
-    }
-
-    #[test]
-    fn shard_state_sanitize_drops_dead_machine_entries() {
-        use lips_lp::BasisStatus;
-        let mut cluster = two_node();
-        let mut state = ShardState::default();
-        let mut ws = WarmStart::new();
-        ws.set_var("xt_0_1_0", BasisStatus::Basic);
-        ws.set_var("xt_0_0_0", BasisStatus::Basic);
-        ws.set_row("cpu_1", BasisStatus::AtLower);
-        state.shard_bases.push(ws);
-        state.master.active.insert("xt_0_1_0".to_string());
-        state.master.active.insert("xt_0_0_0".to_string());
-        assert_eq!(state.sanitize_for_cluster(&cluster), 0);
-        cluster.machines[1].tp_ecu = 0.0;
-        assert_eq!(state.sanitize_for_cluster(&cluster), 3);
-        assert_eq!(state.carried_columns(), 1);
-        assert_eq!(
-            state.shard_bases[0].var("xt_0_0_0"),
-            Some(BasisStatus::Basic)
-        );
-        assert_eq!(state.shard_bases[0].var("xt_0_1_0"), None);
-    }
-
-    #[test]
     fn thread_count_never_changes_the_solve() {
         // The tentpole determinism contract, end to end: build, colgen
         // pricing, and certification at 1/2/8 threads must produce
@@ -2883,6 +2272,25 @@ mod tests {
         assert_eq!(ws.row("cpu_1"), None);
         assert_eq!(ws.row("xfer_1"), None);
         assert_eq!(ws.row("cov_3"), Some(BasisStatus::AtLower));
+    }
+
+    #[test]
+    fn colgen_state_sanitize_counts_columns_and_basis_entries() {
+        use lips_lp::BasisStatus;
+        let mut cluster = two_node();
+        let mut state = ColGenState::default();
+        state.basis.set_var("xt_0_1_0", BasisStatus::Basic);
+        state.basis.set_var("xt_0_0_0", BasisStatus::Basic);
+        state.basis.set_row("cpu_1", BasisStatus::AtLower);
+        state.active.insert("xt_0_1_0".to_string());
+        state.active.insert("xt_0_0_0".to_string());
+        assert_eq!(state.sanitize_for_cluster(&cluster), 0);
+        cluster.machines[1].tp_ecu = 0.0;
+        // One carried column plus two basis entries name machine 1.
+        assert_eq!(state.sanitize_for_cluster(&cluster), 3);
+        assert_eq!(state.carried_columns(), 1);
+        assert_eq!(state.basis().var("xt_0_0_0"), Some(BasisStatus::Basic));
+        assert_eq!(state.basis().var("xt_0_1_0"), None);
     }
 
     #[test]

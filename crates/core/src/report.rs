@@ -4,8 +4,7 @@
 //! Historically each consumer serialized its own ad-hoc shape —
 //! `lp_bench` one struct, `scale.rs` another, fault telemetry a third.
 //! This module re-exports the in-memory report types
-//! ([`SolveReport`], [`PhaseTimings`], [`ColGenStats`], [`ShardStats`],
-//! [`EpochOutcome`]) and defines the one on-disk/on-wire schema
+//! ([`SolveReport`], [`PhaseTimings`], [`ColGenStats`], [`EpochOutcome`]) and defines the one on-disk/on-wire schema
 //! ([`EpochRecord`], [`RunSummary`]) shared by `lp_bench`, the scaling
 //! series, and the `lips-serve` metrics endpoint.
 //!
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 pub use crate::lips::EpochOutcome;
 pub use crate::lp_build::{
-    ColGenStats, EpochCertificate, EpochSolveError, PhaseTimings, ShardStats, SolveReport,
+    ColGenStats, EpochCertificate, EpochSolveError, PhaseTimings, SolveReport,
 };
 pub use lips_lp::{DeclinedBasis, SolveStats, WarmOutcome};
 
@@ -60,14 +59,6 @@ pub struct EpochRecord {
     pub active_columns: usize,
     /// Task columns of the full model.
     pub total_columns: usize,
-    /// Shards built (0 outside the sharded mode).
-    pub shards: usize,
-    /// Shard subproblems whose LP failed (their jobs entered via master
-    /// pricing instead; 0 outside the sharded mode).
-    pub shard_failures: usize,
-    /// Wall-clock of the parallel shard fan-out (0 outside the sharded
-    /// mode).
-    pub subproblem_ms: f64,
     /// Variables fixed + rows dropped by epoch presolve.
     pub presolve_removed: usize,
     /// Model-construction wall-time (candidate enumeration, build,
@@ -116,16 +107,10 @@ impl EpochRecord {
         incremental: bool,
     ) -> Self {
         let stats = report.schedule.stats;
-        let (pricing_rounds, active_columns, total_columns) = match (&report.colgen, &report.shard)
-        {
-            (Some((_, cg)), _) => (cg.rounds, cg.active_columns, cg.total_columns),
-            (None, Some((_, sh))) => (sh.rounds, sh.active_columns, sh.total_columns),
-            (None, None) => (1, 0, 0),
+        let (pricing_rounds, active_columns, total_columns) = match &report.colgen {
+            Some((_, cg)) => (cg.rounds, cg.active_columns, cg.total_columns),
+            None => (1, 0, 0),
         };
-        let (shards, shard_failures, subproblem_ms) =
-            report.shard.as_ref().map_or((0, 0, 0.0), |(_, sh)| {
-                (sh.shards, sh.shard_failures, sh.subproblem_ms)
-            });
         let timings = report.timings;
         EpochRecord {
             epoch,
@@ -141,9 +126,6 @@ impl EpochRecord {
             pricing_rounds,
             active_columns,
             total_columns,
-            shards,
-            shard_failures,
-            subproblem_ms,
             presolve_removed: report.presolve_removed,
             build_ms: timings.build_ms,
             solve_ms: timings.solve_ms,
@@ -184,9 +166,6 @@ impl EpochRecord {
             pricing_rounds: 0,
             active_columns: 0,
             total_columns: 0,
-            shards: 0,
-            shard_failures: 0,
-            subproblem_ms: 0.0,
             presolve_removed: 0,
             build_ms: 0.0,
             solve_ms: 0.0,
@@ -407,5 +386,22 @@ mod tests {
         assert!(!old.contains("declined"), "{old}");
         let back: EpochRecord = serde_json::from_str(&old).unwrap();
         assert_eq!((back.declined.as_str(), back.declined_pivots), ("", 0));
+    }
+
+    #[test]
+    fn records_with_removed_shard_fields_still_parse() {
+        // Records written while the sharded solve mode existed carry three
+        // fields the schema no longer has; the committed BENCH files hold
+        // such records.
+        let json = serde_json::to_string(&EpochRecord::degraded(5, 2)).unwrap();
+        let old = json.replacen(
+            "\"presolve_removed\"",
+            "\"shards\":3,\"shard_failures\":1,\"subproblem_ms\":12.5,\"presolve_removed\"",
+            1,
+        );
+        assert!(old.contains("\"subproblem_ms\":12.5"), "{old}");
+        let back: EpochRecord = serde_json::from_str(&old).unwrap();
+        assert_eq!((back.epoch, back.jobs), (5, 2));
+        assert_eq!(back.outcome, "Degraded");
     }
 }

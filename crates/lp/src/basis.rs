@@ -154,25 +154,6 @@ impl WarmStart {
         self.rows.retain(|name, _| keep(name));
     }
 
-    /// Merge another warm start into this one, keeping this one's status
-    /// wherever both record the same name (first-wins).
-    ///
-    /// This is the stitching primitive of a decomposed solve: per-shard
-    /// subproblem bases cover disjoint column families but all name the
-    /// shared coupling rows, so absorbing them in shard order yields one
-    /// deterministic seed basis for the stitched master. The merged basis
-    /// need not be consistent (its basic count can be off); the warm-start
-    /// repair loop trims, completes, or cold-falls-back as usual, so an
-    /// absorbed basis can never change an optimum — only the pivot count.
-    pub fn absorb(&mut self, other: &WarmStart) {
-        for (name, &status) in &other.vars {
-            self.vars.entry(name.clone()).or_insert(status);
-        }
-        for (name, &status) in &other.rows {
-            self.rows.entry(name.clone()).or_insert(status);
-        }
-    }
-
     /// Number of variables and rows recorded as [`BasisStatus::Basic`].
     pub fn num_basic(&self) -> usize {
         self.vars
@@ -204,24 +185,6 @@ mod tests {
         ws.set_var("x", BasisStatus::Free);
         assert_eq!(ws.var("x"), Some(BasisStatus::Free));
         assert_eq!(ws.len(), 4);
-    }
-
-    #[test]
-    fn absorb_is_first_wins_and_additive() {
-        let mut a = WarmStart::new();
-        a.set_var("xt_0_1", BasisStatus::Basic);
-        a.set_row("cov_0", BasisStatus::AtLower);
-        let mut b = WarmStart::new();
-        b.set_var("xt_0_1", BasisStatus::AtUpper); // conflict: a wins
-        b.set_var("xt_1_7", BasisStatus::Basic); // new: absorbed
-        b.set_row("cov_0", BasisStatus::Basic); // conflict: a wins
-        b.set_row("cpu_7", BasisStatus::Basic); // new: absorbed
-        a.absorb(&b);
-        assert_eq!(a.var("xt_0_1"), Some(BasisStatus::Basic));
-        assert_eq!(a.var("xt_1_7"), Some(BasisStatus::Basic));
-        assert_eq!(a.row("cov_0"), Some(BasisStatus::AtLower));
-        assert_eq!(a.row("cpu_7"), Some(BasisStatus::Basic));
-        assert_eq!(a.len(), 4);
     }
 
     #[test]

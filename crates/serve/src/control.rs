@@ -52,6 +52,7 @@ pub enum Command {
         tasks: u32,
         #[serde(default)]
         pool: Option<String>,
+        /// Arrival time in virtual seconds (absent: the daemon's `now`).
         #[serde(default)]
         arrival_s: Option<f64>,
         #[serde(default)]
@@ -177,9 +178,8 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             if let Some(p) = pool {
                 spec = spec.in_pool(p);
             }
-            if let Some(t) = arrival_s {
-                spec = spec.arriving_at(t);
-            }
+            // A submit with no arrival time arrives now, not at t = 0.
+            spec = spec.arriving_at(arrival_s.unwrap_or_else(|| daemon.now()));
             if let Some(f) = read_fraction {
                 if !(0.0..=1.0).contains(&f) {
                     return (err("read_fraction must be in [0, 1]"), false);
@@ -292,6 +292,20 @@ mod tests {
         );
         assert!(r.contains("queued"), "{r}");
         assert_eq!(d.pending_arrivals(), 1);
+    }
+
+    #[test]
+    fn submit_without_arrival_arrives_now() {
+        let mut d = daemon();
+        handle_line(&mut d, r#"{"cmd":"run","epochs":3}"#);
+        let submitted = d.now();
+        assert!(submitted > 0.0);
+        let (r, _) = handle_line(&mut d, r#"{"cmd":"submit","input_mb":256,"tasks":4}"#);
+        assert!(r.contains("admitted"), "{r}");
+        handle_line(&mut d, r#"{"cmd":"drain"}"#);
+        let job = &d.completed()[0];
+        assert_eq!(job.arrival, submitted);
+        assert!(job.completed - job.arrival < d.now(), "{job:?}");
     }
 
     #[test]

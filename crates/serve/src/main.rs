@@ -70,7 +70,7 @@ const USAGE: &str = "usage: lips-serve [options]
   --nodes N          cluster size (default 20)
   --c1-frac F        c1.medium fraction (default 0.5)
   --seed S           generator seed (default 2013)
-  --preset P         scheduler preset: small | large | huge (default small)
+  --preset P         scheduler preset: small | large (default small)
   --epoch-s F        initial epoch length in seconds (default 400)
   --no-incremental   disable colgen carry (cold-ish re-solves)
   --threads N        solver worker threads (default: LIPS_THREADS or 1)

@@ -44,7 +44,7 @@ fn continuous_arrivals_drain_certified_and_incremental() {
         s.solver.certified_share,
         1.0,
         "uncertified epochs in a healthy run: {:?}",
-        d.scheduler().epoch_outcomes()
+        d.scheduler().epoch_records()
     );
     assert!(
         s.solver.incremental_share >= 0.8,
@@ -95,7 +95,7 @@ fn revocation_mid_stream_recovers() {
         s.solver.certified_share,
         1.0,
         "fault broke certification: {:?}",
-        d.scheduler().epoch_outcomes()
+        d.scheduler().epoch_records()
     );
 }
 
