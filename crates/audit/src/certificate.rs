@@ -381,8 +381,10 @@ pub fn certify_with(
 /// sense.
 #[derive(Debug, Clone)]
 pub struct ExcludedColumn {
-    /// Name of the would-be variable, for failure reporting only.
-    pub name: String,
+    /// The would-be variable's key (see [`lips_lp::Model::add_keyed_var`]),
+    /// reported back in [`RestrictedCertificate::worst_excluded`]; the
+    /// caller renders it only when a certificate fails.
+    pub key: u64,
     pub obj: f64,
     pub terms: Vec<(lips_lp::ConstraintId, f64)>,
 }
@@ -408,8 +410,8 @@ pub struct RestrictedCertificate {
     /// `1 + max |cost|` over master and excluded columns (the same scale
     /// as the master's dual-feasibility test). 0 when nothing prices out.
     pub max_excluded_violation: f64,
-    /// Name of the worst offending column (None when nothing prices out).
-    pub worst_excluded: Option<String>,
+    /// Key of the worst offending column (None when nothing prices out).
+    pub worst_excluded: Option<u64>,
     /// Number of excluded columns priced.
     pub excluded_priced: usize,
 }
@@ -427,7 +429,8 @@ impl RestrictedCertificate {
         if self.max_excluded_violation > FEAS_RTOL {
             out.push(format!(
                 "excluded column {} prices out: normalized reduced cost -{:.3e} < -{FEAS_RTOL:.3e}",
-                self.worst_excluded.as_deref().unwrap_or("?"),
+                self.worst_excluded
+                    .map_or_else(|| "?".to_string(), |k| format!("#k{k:016x}")),
                 self.max_excluded_violation
             ));
         }
@@ -547,7 +550,7 @@ pub fn certify_restricted_with(
     Ok(RestrictedCertificate {
         master: cert,
         max_excluded_violation: worst,
-        worst_excluded: worst_idx.map(|i| excluded[i].name.clone()),
+        worst_excluded: worst_idx.map(|i| excluded[i].key),
         excluded_priced: excluded.len(),
     })
 }
@@ -684,14 +687,14 @@ mod tests {
         let demand = m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         let sol = m.solve().unwrap();
         let excluded = vec![ExcludedColumn {
-            name: "z".into(),
+            key: 26,
             obj: 1.0,
             terms: vec![(demand, 1.0)],
         }];
         let cert = certify_restricted(&m, &sol, &excluded).unwrap();
         assert!(cert.master.is_optimal(), "master alone certifies");
         assert!(!cert.is_optimal(), "{cert}");
-        assert_eq!(cert.worst_excluded.as_deref(), Some("z"));
+        assert_eq!(cert.worst_excluded, Some(26));
         assert_eq!(cert.excluded_priced, 1);
         assert!(
             cert.failures().iter().any(|s| s.contains("prices out")),
@@ -708,7 +711,7 @@ mod tests {
         let demand = m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         let sol = m.solve().unwrap();
         let excluded = vec![ExcludedColumn {
-            name: "z".into(),
+            key: 26,
             obj: 3.0,
             terms: vec![(demand, 1.0)],
         }];
@@ -718,7 +721,7 @@ mod tests {
         assert!(cert.worst_excluded.is_none());
         // And the full model agrees: appending z does not move the optimum.
         let mut full = m.clone();
-        full.add_column("z", 0.0, 10.0, 3.0, [(demand, 1.0)]);
+        full.add_keyed_column(26, 0.0, 10.0, 3.0, [(demand, 1.0)]);
         assert!((full.solve().unwrap().objective() - sol.objective()).abs() < 1e-9);
     }
 
@@ -729,7 +732,7 @@ mod tests {
         m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         let sol = m.solve().unwrap();
         let excluded = vec![ExcludedColumn {
-            name: "bad".into(),
+            key: 1,
             obj: 1.0,
             terms: vec![(lips_lp::ConstraintId::from_index(7), 1.0)],
         }];
@@ -785,7 +788,7 @@ mod tests {
         // selection is exercised across a chunk boundary.
         let excluded: Vec<ExcludedColumn> = (0..1200)
             .map(|i| ExcludedColumn {
-                name: format!("x{i}"),
+                key: i as u64,
                 obj: if i == 100 || i == 700 { 0.01 } else { 2.5 },
                 terms: vec![(rows[i % rows.len()], 1.0)],
             })
@@ -818,7 +821,7 @@ mod tests {
         }
         // The tie resolved to the earlier column at every width.
         if rbase.max_excluded_violation > 0.0 {
-            assert_eq!(rbase.worst_excluded.as_deref(), Some("x100"));
+            assert_eq!(rbase.worst_excluded, Some(100));
         }
     }
 

@@ -192,7 +192,7 @@ fn colgen_epoch(
         ..ColGenOptions::default()
     };
     let t = Instant::now();
-    let report = with_width(EpochSolver::new(&inst), threads)
+    let mut report = with_width(EpochSolver::new(&inst), threads)
         .colgen(opts, state)
         .run()
         .expect("scale epoch LP solves");
@@ -213,7 +213,7 @@ fn colgen_epoch(
             state.is_some(),
         )
     };
-    (rec, report.carry())
+    (rec, report.take_carry())
 }
 
 /// Run one point of the trajectory.

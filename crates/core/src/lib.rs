@@ -60,8 +60,8 @@ pub use config::{ConfigError, Preset, SchedulerConfig, SchedulerConfigBuilder};
 pub use dag::{run_dag, DagReport, DagRunError};
 pub use lips::{EpochOutcome, LipsScheduler};
 pub use lp_build::{
-    sanitize_warm_start, ColGenOptions, ColGenOutcome, ColGenState, ColGenStats, EpochCertificate,
-    EpochSolveError, EpochSolver, SolveReport,
+    sanitize_warm_start, ColGenOptions, ColGenOutcome, ColGenState, ColGenStats, ColKey,
+    EpochCertificate, EpochSolveError, EpochSolver, RowKey, SolveReport,
 };
 pub use offline::{
     co_schedule, co_schedule_colgen, greedy_schedule, simple_task_schedule, OfflineSchedule,

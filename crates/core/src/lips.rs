@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use lips_cluster::{DataId, StoreId};
+use lips_lp::clock::Stopwatch;
 use lips_lp::{DeclinedBasis, LpError, WarmOutcome};
 use lips_sim::{Action, Scheduler, SchedulerContext, WORK_EPS};
 use lips_workload::JobId;
@@ -84,7 +85,7 @@ pub struct LipsScheduler {
     /// too and the restored work can actually re-read its data.
     issued: BTreeMap<(DataId, StoreId), f64>,
     /// What the previous epoch's solve left for the next one
-    /// ([`SolveReport::carry`]): its basis, plus the restricted master's
+    /// ([`SolveReport::take_carry`]): its basis, plus the restricted master's
     /// surviving columns under colgen. `None` before the first solve and
     /// after a failed one.
     carried: Option<ColGenState>,
@@ -189,8 +190,8 @@ impl LipsScheduler {
         if let Some(b) = budget {
             solver = solver.pivot_budget(b);
         }
-        let report = solver.run()?;
-        self.carried = Some(report.carry());
+        let mut report = solver.run()?;
+        self.carried = Some(report.take_carry());
         Ok(RungResult {
             incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
             report,
@@ -227,8 +228,8 @@ impl LipsScheduler {
             solver = solver.pivot_budget(b);
         }
         match solver.run() {
-            Ok(report) => {
-                self.carried = Some(report.carry());
+            Ok(mut report) => {
+                self.carried = Some(report.take_carry());
                 Ok(RungResult {
                     incremental: report.schedule.stats.warm != WarmOutcome::Cold,
                     report,
@@ -252,16 +253,21 @@ impl LipsScheduler {
     /// caller degrades to greedy placement and retries the LP next
     /// epoch). Every rung that returns a schedule returned a *certified*
     /// one, and a dual walk declined on the way is kept on its record.
+    /// The record's `epoch_ms` times the whole ladder, failed rungs
+    /// included.
     fn solve_with_ladder(&mut self, inst: &LpInstance<'_>) -> Option<FractionalSchedule> {
+        let t_epoch = Stopwatch::start();
         let epoch = self.records.len();
         let jobs = inst.jobs.len();
         let declined = match self.try_dual_rung(inst) {
-            Ok(r) => return Some(self.finish(epoch, jobs, EpochOutcome::CertifiedDual, r)),
+            Ok(r) => {
+                return Some(self.finish(epoch, jobs, EpochOutcome::CertifiedDual, r, t_epoch))
+            }
             Err(d) => d,
         };
         let finish = |this: &mut Self, outcome: EpochOutcome, mut r: RungResult| {
             r.report.schedule.stats.declined = r.report.schedule.stats.declined.or(declined);
-            this.finish(epoch, jobs, outcome, r)
+            this.finish(epoch, jobs, outcome, r, t_epoch)
         };
         if let Ok(r) = self.epoch_solve(inst) {
             return Some(finish(self, EpochOutcome::Certified, r));
@@ -286,9 +292,9 @@ impl LipsScheduler {
             solver = solver.pivot_budget(b);
         }
         match solver.run() {
-            Ok(report) => {
+            Ok(mut report) => {
                 if self.config.warm_start && !self.config.colgen {
-                    self.carried = Some(report.carry());
+                    self.carried = Some(report.take_carry());
                 }
                 Some(finish(
                     self,
@@ -300,28 +306,28 @@ impl LipsScheduler {
                 ))
             }
             Err(_) => {
-                self.records
-                    .push(EpochRecord::degraded(epoch, jobs).with_declined(declined));
+                let mut record = EpochRecord::degraded(epoch, jobs).with_declined(declined);
+                record.epoch_ms = t_epoch.elapsed_ms();
+                self.records.push(record);
                 None
             }
         }
     }
 
-    /// Log one served epoch and hand its schedule back.
+    /// Log one served epoch, timed since `t_epoch`, and hand its
+    /// schedule back.
     fn finish(
         &mut self,
         epoch: usize,
         jobs: usize,
         outcome: EpochOutcome,
         r: RungResult,
+        t_epoch: Stopwatch,
     ) -> FractionalSchedule {
-        self.records.push(EpochRecord::from_solve_report(
-            epoch,
-            jobs,
-            outcome,
-            &r.report,
-            r.incremental,
-        ));
+        let mut record =
+            EpochRecord::from_solve_report(epoch, jobs, outcome, &r.report, r.incremental);
+        record.epoch_ms = t_epoch.elapsed_ms();
+        self.records.push(record);
         r.report.schedule
     }
 
@@ -734,6 +740,8 @@ mod tests {
         assert_eq!(r[0].phase1_iterations, 0);
         assert_eq!((r[1].warm.as_str(), r[1].incremental), ("Dual", true));
         assert!(!r[2].certified);
+        // A degraded record still carries the time its failed rungs took.
+        assert!(r[2].epoch_ms > 0.0);
         // An infeasibility verdict is not a declined basis.
         assert!(r.iter().all(|r| r.declined.is_empty()));
         // Epoch 3: capacity restored — the scheduler recovers on its own,

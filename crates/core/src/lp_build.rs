@@ -36,11 +36,14 @@
 //!   defers its placement too (strictly cheaper, same deployment
 //!   behaviour).
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::ops::Range;
 
 use lips_audit::{Certificate, ModelAnnotations, PaperExpectations, RowKind, VarKind};
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
-use lips_lp::{Cmp, LpError, Model, SolveStats, VarId, WarmStart};
+use lips_lp::{Cmp, KeyNames, LpError, Model, SolveStats, VarId, WarmStart};
 use lips_par::Pool;
 use lips_workload::JobId;
 
@@ -143,15 +146,259 @@ struct NdVar {
 
 /// Internal handle map from LP variables back to schedule entities.
 struct VarMaps {
-    // (job idx, machine, store) -> var
-    xt: BTreeMap<(usize, MachineId, Option<StoreId>), VarId>,
+    /// Column of each arc of the [`ArcSpace`], `None` while the arc is
+    /// outside a restricted master.
+    arc_var: Vec<Option<VarId>>,
     nd: Vec<NdVar>,
-    fake: BTreeMap<usize, VarId>,
+    /// `nd[job_nd[k].clone()]` are job `k`'s copy variables.
+    job_nd: Vec<Range<usize>>,
+    /// Fake-node column per job index.
+    fake: Vec<Option<VarId>>,
     /// CPU-capacity constraint per machine (constraint (23)/(12)).
     capacity_rows: Vec<(MachineId, lips_lp::ConstraintId)>,
     /// Row/column annotations for `lips-audit`'s paper-invariant pass.
     ann: ModelAnnotations,
 }
+
+// --- LP identities -----------------------------------------------------
+//
+// Every column and row of the epoch LP carries a typed identity packed
+// into the `u64` key the solver matches warm starts by. Keys name *job
+// ids* (not LP indices): ids are stable across epochs while indices shift
+// as jobs complete and arrive, so the warm-start basis and the cross-epoch
+// colgen active set both match surviving columns by key. No string is
+// built per column or row; `Display` renders the historical names
+// (`xt_3_1_0`, `cpu_4`, …) for diagnostics only.
+
+const JOB_MASK: u64 = (1 << 31) - 1;
+const ROW_JOB_MASK: u64 = (1 << 32) - 1;
+const ID_MASK: u64 = 0xffff;
+const CLASS_MASK: u64 = (1 << 14) - 1;
+/// Store field of an input-less task key.
+const NO_STORE: u64 = 0xffff;
+/// Bit 63 set: a non-task column.
+const NON_TASK: u64 = 1 << 63;
+
+/// `v` truncated to the bits of `mask`.
+fn field(v: usize, mask: u64) -> u64 {
+    // usize → u64 is lossless on every supported target.
+    (v as u64) & mask
+}
+
+/// Typed identity of one epoch-LP column.
+///
+/// [`ColKey::pack`] layout, bit 63 first:
+///
+/// * `Task`: bit 63 = 0, job in bits 62–32, machine in 31–16, store in
+///   15–0 (`0xffff` = input-less, no store).
+/// * `Nd`: bit 63 = 1, job in 62–32, bits 31–30 = `00`, dest in 29–14,
+///   class in 13–0.
+/// * `Fake`: bit 63 = 1, job in 62–32, bits 31–30 = `01`, the rest zero.
+///
+/// The packing is injective for job ids < 2³¹, machine and dest ids
+/// < 2¹⁶, store ids < 2¹⁶ − 1 and classes < 2¹⁴. Larger ids are truncated
+/// to their field, so two columns can then share a key; a shared key only
+/// makes a warm start or a carried column seed less apt — the restricted
+/// master still prices every arc and certifies against the full model, so
+/// the optimum never depends on keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColKey {
+    /// Task arc `x^t_klm`: `job` on `machine`, reading from `store`
+    /// (`None` for input-less work).
+    Task {
+        job: JobId,
+        machine: MachineId,
+        store: Option<StoreId>,
+    },
+    /// Planned copy `n_km` of `job`'s data to `dest`, in the job's
+    /// `class`-th holder price class for that destination (cheapest
+    /// first — stable across epochs as long as the holder set is).
+    Nd {
+        job: JobId,
+        dest: StoreId,
+        class: usize,
+    },
+    /// Fake-node share `f_k` of `job`.
+    Fake { job: JobId },
+}
+
+impl ColKey {
+    /// The solver key (layout on [`ColKey`]).
+    pub fn pack(self) -> u64 {
+        match self {
+            ColKey::Task {
+                job,
+                machine,
+                store,
+            } => {
+                (field(job.0, JOB_MASK) << 32)
+                    | (field(machine.0, ID_MASK) << 16)
+                    | store.map_or(NO_STORE, |s| field(s.0, ID_MASK))
+            }
+            ColKey::Nd { job, dest, class } => {
+                NON_TASK
+                    | (field(job.0, JOB_MASK) << 32)
+                    | (field(dest.0, ID_MASK) << 14)
+                    | field(class, CLASS_MASK)
+            }
+            ColKey::Fake { job } => NON_TASK | (field(job.0, JOB_MASK) << 32) | (1 << 30),
+        }
+    }
+
+    /// Inverse of [`ColKey::pack`]; `None` for a key no column packs to.
+    pub fn unpack(key: u64) -> Option<ColKey> {
+        // The masks keep every field within usize on all targets.
+        let get = |shift: u32, mask: u64| ((key >> shift) & mask) as usize;
+        let job = JobId(get(32, JOB_MASK));
+        let col = if key & NON_TASK == 0 {
+            let store = key & ID_MASK;
+            ColKey::Task {
+                job,
+                machine: MachineId(get(16, ID_MASK)),
+                store: (store != NO_STORE).then(|| StoreId(get(0, ID_MASK))),
+            }
+        } else if (key >> 30) & 3 == 0 {
+            ColKey::Nd {
+                job,
+                dest: StoreId(get(14, ID_MASK)),
+                class: get(0, CLASS_MASK),
+            }
+        } else {
+            ColKey::Fake { job }
+        };
+        (col.pack() == key).then_some(col)
+    }
+
+    /// The machine a column lives on: task arcs only.
+    pub fn machine(self) -> Option<MachineId> {
+        match self {
+            ColKey::Task { machine, .. } => Some(machine),
+            ColKey::Nd { .. } | ColKey::Fake { .. } => None,
+        }
+    }
+}
+
+impl fmt::Display for ColKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ColKey::Task {
+                job,
+                machine,
+                store: Some(s),
+            } => write!(f, "xt_{}_{}_{}", job.0, machine.0, s.0),
+            ColKey::Task {
+                job,
+                machine,
+                store: None,
+            } => write!(f, "xt_{}_{}", job.0, machine.0),
+            ColKey::Nd { job, dest, class } => write!(f, "nd_{}_{}_{class}", job.0, dest.0),
+            ColKey::Fake { job } => write!(f, "fake_{}", job.0),
+        }
+    }
+}
+
+/// Typed identity of one epoch-LP row.
+///
+/// [`RowKey::pack`] layout: the variant in bits 63–60 (`Cov` = 1, `Lnk`,
+/// `Cpu`, `Xfer`, `Pool`, `Store` = 6), the job id in bits 47–16, the
+/// store, machine or pool id in bits 15–0. Injective for job ids < 2³²
+/// and store/machine/pool ids < 2¹⁶; larger ids are truncated, with the
+/// same warm-start-only consequence as for [`ColKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowKey {
+    /// Coverage row (20) of `job`.
+    Cov { job: JobId },
+    /// Linking row (24) of `job` and `store`.
+    Lnk { job: JobId, store: StoreId },
+    /// CPU-capacity row (23) of `machine`.
+    Cpu { machine: MachineId },
+    /// Read-time budget row (21) of `machine`.
+    Xfer { machine: MachineId },
+    /// Fair-share floor of pool `pool` (its index in
+    /// [`LpInstance::pool_floors`]).
+    Pool { pool: usize },
+    /// Store-capacity row (22) of `store`.
+    Store { store: StoreId },
+}
+
+impl RowKey {
+    /// The solver key (layout on [`RowKey`]).
+    pub fn pack(self) -> u64 {
+        let (kind, job, id) = match self {
+            RowKey::Cov { job } => (1, job.0, 0),
+            RowKey::Lnk { job, store } => (2, job.0, store.0),
+            RowKey::Cpu { machine } => (3, 0, machine.0),
+            RowKey::Xfer { machine } => (4, 0, machine.0),
+            RowKey::Pool { pool } => (5, 0, pool),
+            RowKey::Store { store } => (6, 0, store.0),
+        };
+        (kind << 60) | (field(job, ROW_JOB_MASK) << 16) | field(id, ID_MASK)
+    }
+
+    /// Inverse of [`RowKey::pack`]; `None` for a key no row packs to.
+    pub fn unpack(key: u64) -> Option<RowKey> {
+        // The masks keep every field within usize on all targets.
+        let job = JobId(((key >> 16) & ROW_JOB_MASK) as usize);
+        let id = (key & ID_MASK) as usize;
+        let row = match key >> 60 {
+            1 => RowKey::Cov { job },
+            2 => RowKey::Lnk {
+                job,
+                store: StoreId(id),
+            },
+            3 => RowKey::Cpu {
+                machine: MachineId(id),
+            },
+            4 => RowKey::Xfer {
+                machine: MachineId(id),
+            },
+            5 => RowKey::Pool { pool: id },
+            6 => RowKey::Store { store: StoreId(id) },
+            _ => return None,
+        };
+        (row.pack() == key).then_some(row)
+    }
+
+    /// The machine a row belongs to: CPU-capacity and read-budget rows.
+    pub fn machine(self) -> Option<MachineId> {
+        match self {
+            RowKey::Cpu { machine } | RowKey::Xfer { machine } => Some(machine),
+            RowKey::Cov { .. }
+            | RowKey::Lnk { .. }
+            | RowKey::Pool { .. }
+            | RowKey::Store { .. } => None,
+        }
+    }
+}
+
+impl fmt::Display for RowKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            RowKey::Cov { job } => write!(f, "cov_{}", job.0),
+            RowKey::Lnk { job, store } => write!(f, "lnk_{}_{}", job.0, store.0),
+            RowKey::Cpu { machine } => write!(f, "cpu_{}", machine.0),
+            RowKey::Xfer { machine } => write!(f, "xfer_{}", machine.0),
+            RowKey::Pool { pool } => write!(f, "pool_{pool}"),
+            RowKey::Store { store } => write!(f, "store_{}", store.0),
+        }
+    }
+}
+
+/// Diagnostic rendering of an epoch-LP column key.
+fn render_col(key: u64) -> String {
+    ColKey::unpack(key).map_or_else(|| format!("#k{key:016x}"), |c| c.to_string())
+}
+
+/// Diagnostic rendering of an epoch-LP row key.
+fn render_row(key: u64) -> String {
+    RowKey::unpack(key).map_or_else(|| format!("#k{key:016x}"), |r| r.to_string())
+}
+
+/// How epoch-LP models render their keys in lint and audit messages.
+const KEY_NAMES: KeyNames = KeyNames {
+    var: render_col,
+    row: render_row,
+};
 
 /// Candidate machine/store sets per job: the full Fig 3/4 column space
 /// after [`PruneConfig`]. Shared by the one-shot builder and the
@@ -217,18 +464,6 @@ fn candidates(inst: &LpInstance<'_>) -> (Vec<Vec<MachineId>>, Vec<Vec<StoreId>>)
     (job_machines, job_stores)
 }
 
-/// Name of a task-arc variable. Keyed by *job id* (not LP index): ids are
-/// stable across epochs while indices shift as jobs complete and arrive,
-/// and both the warm-start basis and the cross-epoch colgen active set are
-/// matched by name.
-fn arc_name(job: &LpJob, l: MachineId, m: Option<StoreId>) -> String {
-    let id = job.id.0;
-    match m {
-        Some(m) => format!("xt_{id}_{}_{}", l.0, m.0),
-        None => format!("xt_{id}_{}", l.0),
-    }
-}
-
 /// LP cost of one task arc — Eq (7)+(8): CPU dollars + read dollars per
 /// unit fraction.
 fn arc_cost(inst: &LpInstance<'_>, k: usize, l: MachineId, m: Option<StoreId>) -> f64 {
@@ -246,41 +481,86 @@ struct ArcCand {
     k: usize,
     l: MachineId,
     m: Option<StoreId>,
-    name: String,
+    /// Position of `m` among the job's candidate stores — the index of
+    /// its linking row in [`RowIds::lnk`]; 0 for input-less arcs.
+    si: usize,
+    /// [`ColKey::Task`], packed.
+    key: u64,
     cost: f64,
 }
 
-/// Every candidate arc of the full model, in builder emission order.
-fn enumerate_arcs(
-    inst: &LpInstance<'_>,
-    job_machines: &[Vec<MachineId>],
-    job_stores: &[Vec<StoreId>],
-) -> Vec<ArcCand> {
-    let mut arcs = Vec::new();
-    for (k, job) in inst.jobs.iter().enumerate() {
-        for &l in &job_machines[k] {
-            if job.size_mb > 0.0 {
-                for &m in &job_stores[k] {
-                    arcs.push(ArcCand {
-                        k,
-                        l,
-                        m: Some(m),
-                        name: arc_name(job, l, Some(m)),
-                        cost: arc_cost(inst, k, l, Some(m)),
-                    });
-                }
-            } else {
-                arcs.push(ArcCand {
-                    k,
-                    l,
-                    m: None,
-                    name: arc_name(job, l, None),
-                    cost: arc_cost(inst, k, l, None),
-                });
-            }
+impl ArcCand {
+    fn new(inst: &LpInstance<'_>, k: usize, l: MachineId, m: Option<StoreId>, si: usize) -> Self {
+        let key = ColKey::Task {
+            job: inst.jobs[k].id,
+            machine: l,
+            store: m,
+        };
+        ArcCand {
+            k,
+            l,
+            m,
+            si,
+            key: key.pack(),
+            cost: arc_cost(inst, k, l, m),
         }
     }
-    arcs
+}
+
+/// The full task-column space of an instance: candidate machines and
+/// stores per job, and every candidate arc in builder emission order (job,
+/// then machine, then store). Job `k`'s arcs are the contiguous run
+/// `arcs[jobs[k].clone()]`, machine-major: a data job's arc on its `li`-th
+/// machine and `si`-th store sits at `jobs[k].start + li·stores + si`.
+struct ArcSpace {
+    job_machines: Vec<Vec<MachineId>>,
+    job_stores: Vec<Vec<StoreId>>,
+    arcs: Vec<ArcCand>,
+    jobs: Vec<Range<usize>>,
+}
+
+impl ArcSpace {
+    /// Arcs per candidate machine of job `k`: one per candidate store for
+    /// a data job, one for an input-less job.
+    fn per_machine(&self, inst: &LpInstance<'_>, k: usize) -> usize {
+        if inst.jobs[k].size_mb > 0.0 {
+            self.job_stores[k].len()
+        } else {
+            1
+        }
+    }
+}
+
+/// Enumerate an instance's [`ArcSpace`], one job per pool task.
+fn arc_space(inst: &LpInstance<'_>, pool: Pool) -> ArcSpace {
+    let (job_machines, job_stores) = candidates(inst);
+    let job_indices: Vec<usize> = (0..inst.jobs.len()).collect();
+    let per_job: Vec<Vec<ArcCand>> = pool.par_map(&job_indices, |_, &k| {
+        let mut arcs = Vec::new();
+        for &l in &job_machines[k] {
+            if inst.jobs[k].size_mb > 0.0 {
+                for (si, &m) in job_stores[k].iter().enumerate() {
+                    arcs.push(ArcCand::new(inst, k, l, Some(m), si));
+                }
+            } else {
+                arcs.push(ArcCand::new(inst, k, l, None, 0));
+            }
+        }
+        arcs
+    });
+    let mut arcs = Vec::with_capacity(per_job.iter().map(Vec::len).sum());
+    let mut jobs = Vec::with_capacity(per_job.len());
+    for job_arcs in per_job {
+        let start = arcs.len();
+        arcs.extend(job_arcs);
+        jobs.push(start..arcs.len());
+    }
+    ArcSpace {
+        job_machines,
+        job_stores,
+        arcs,
+        jobs,
+    }
 }
 
 /// Row handles the column-generation loop needs to assemble the column of
@@ -290,50 +570,93 @@ fn enumerate_arcs(
 struct RowIds {
     /// Coverage row (20) per job index.
     cov: Vec<lips_lp::ConstraintId>,
-    /// Linking row (24) per (job index, store).
-    lnk: BTreeMap<(usize, StoreId), lips_lp::ConstraintId>,
-    /// CPU-capacity row (23) per machine.
-    cpu: BTreeMap<MachineId, lips_lp::ConstraintId>,
-    /// Transfer-time row (21) per machine.
-    xfer: BTreeMap<MachineId, lips_lp::ConstraintId>,
+    /// Linking rows (24) per job index, one per candidate store (empty
+    /// for input-less jobs).
+    lnk: Vec<Vec<lips_lp::ConstraintId>>,
+    /// CPU-capacity row (23) per machine id.
+    cpu: Vec<Option<lips_lp::ConstraintId>>,
+    /// Transfer-time row (21) per machine id.
+    xfer: Vec<Option<lips_lp::ConstraintId>>,
     /// Pool-floor rows each job participates in.
     job_pools: Vec<Vec<lips_lp::ConstraintId>>,
 }
 
-/// Build the LP [`Model`] for an instance. Returns the model plus the maps
-/// needed to decode a solution.
-fn build(inst: &LpInstance<'_>, pool: Pool) -> (Model, VarMaps) {
-    let (job_machines, job_stores) = candidates(inst);
-    let (model, maps, _) = build_filtered(inst, &job_machines, &job_stores, None, pool);
-    (model, maps)
-}
-
-/// Everything one job contributes to the variable space, computed in
-/// parallel ([`Pool::par_map`]) and stitched into the [`Model`] serially in
-/// job order — the expensive work (name formatting, arc costing, holder
-/// grouping by `SS` price) parallelizes, while variable ids are assigned in
-/// exactly the serial builder's emission order, so the model is identical
-/// at any pool width.
-struct JobVarPlan {
-    /// Task arcs `(name, cost, machine, store)`, in emission order.
-    arcs: Vec<(String, f64, MachineId, Option<StoreId>)>,
-    /// Planned-copy variables, in `(dest, price class)` emission order.
-    nds: Vec<NdPlan>,
-    /// Fake-node variable cost, when the fake node is enabled.
-    fake: Option<f64>,
+/// Build the LP [`Model`] for an instance. Returns the model plus the arc
+/// space and maps needed to decode a solution.
+fn build(inst: &LpInstance<'_>, pool: Pool) -> (Model, ArcSpace, VarMaps) {
+    let space = arc_space(inst, pool);
+    let (model, maps, _) = build_filtered(inst, &space, None, pool);
+    (model, space, maps)
 }
 
 /// One planned `nd` variable before it has a [`VarId`].
 struct NdPlan {
-    name: String,
+    /// Price-class index within this (job, dest) pair, cheapest first.
+    class: usize,
     ub: f64,
     cost: f64,
     dest: StoreId,
     sources: Vec<(StoreId, f64)>,
 }
 
-/// One planned linking row (24): `(store, rhs, terms)`.
-type LnkPlan = (StoreId, f64, Vec<(VarId, f64)>);
+/// Job `k`'s planned-copy variables, in `(dest, price class)` emission
+/// order (none without moves or input).
+fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPlan> {
+    let cluster = inst.cluster;
+    let job = &inst.jobs[k];
+    let mut nds = Vec::new();
+    if !inst.allow_moves || job.size_mb <= 0.0 {
+        return nds;
+    }
+    let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
+    for &m in stores {
+        // A store already holding everything needs no copies.
+        if avail.get(&m).copied().unwrap_or(0.0) >= 1.0 {
+            continue;
+        }
+        // Group holders by their exact SS price to this destination: one
+        // variable per price class, bounded by that class's actual stock,
+        // so the LP can never price a copy below what emission will pay
+        // for it.
+        let mut holders: Vec<(StoreId, f64)> = job
+            .avail
+            .iter()
+            .copied()
+            .filter(|&(s, frac)| s != m && frac > 0.0)
+            .collect();
+        holders.sort_by(|a, b| {
+            cluster
+                .ss_cost(a.0, m)
+                .total_cmp(&cluster.ss_cost(b.0, m))
+                .then(a.0.cmp(&b.0))
+        });
+        let mut i = 0;
+        let mut class = 0;
+        while i < holders.len() {
+            let price = cluster.ss_cost(holders[i].0, m);
+            let mut sources = Vec::new();
+            let mut stock = 0.0;
+            while i < holders.len() && cluster.ss_cost(holders[i].0, m) == price {
+                sources.push(holders[i]);
+                stock += holders[i].1;
+                i += 1;
+            }
+            // Eq (6): move dollars per unit fraction.
+            nds.push(NdPlan {
+                class,
+                ub: stock.min(1.0),
+                cost: job.size_mb * price,
+                dest: m,
+                sources,
+            });
+            class += 1;
+        }
+    }
+    nds
+}
+
+/// One planned linking row (24): `(rhs, terms)`, in the job's store order.
+type LnkPlan = (f64, Vec<(VarId, f64)>);
 
 /// Everything one job contributes to the coverage/linking row space,
 /// assembled in parallel once the variable maps exist.
@@ -344,145 +667,81 @@ struct JobRowPlan {
     lnk: Vec<LnkPlan>,
 }
 
-/// Build the (possibly restricted) LP: when `active` is given, only task
-/// arcs whose name it contains become columns; `nd`/fake columns and —
-/// crucially — the *row set* are always exactly those of the full model,
-/// so a restricted master's duals price excluded columns correctly and
+/// Per machine id: the terms of its CPU-capacity row and read-budget row,
+/// `None` when no job has a candidate arc there.
+type MachineTerms = Vec<Option<Vec<(VarId, f64)>>>;
+
+/// Build the (possibly restricted) LP: when `active` is given, only the
+/// arcs it marks become columns; `nd`/fake columns and — crucially — the
+/// *row set* are always exactly those of the full model, so a restricted
+/// master's duals price excluded columns correctly and
 /// [`lips_audit::certify_restricted`] can verify the zero-extension
 /// argument row-for-row. (Rows whose full-model terms would all be
 /// excluded are still emitted, merely empty for now; their slack stays
 /// basic at zero cost.)
-/// Per machine: optional CPU-capacity row terms and optional read-budget
-/// row terms, built in parallel and attached to the model in machine order.
-type MachineRowPlan = (Option<Vec<(VarId, f64)>>, Option<Vec<(VarId, f64)>>);
-
+///
+/// Copy planning and coverage/linking row assembly run per job across
+/// `pool` ([`Pool::par_map`]) and are stitched into the [`Model`]
+/// serially in job order, so the model is identical at any pool width.
 fn build_filtered(
     inst: &LpInstance<'_>,
-    job_machines: &[Vec<MachineId>],
-    job_stores: &[Vec<StoreId>],
-    active: Option<&std::collections::BTreeSet<String>>,
+    space: &ArcSpace,
+    active: Option<&[bool]>,
     pool: Pool,
 ) -> (Model, VarMaps, RowIds) {
     let cluster = inst.cluster;
+    let n_jobs = inst.jobs.len();
+    let n_machines = cluster.machines.len();
     let mut model = Model::minimize();
+    model.set_key_names(KEY_NAMES);
     let mut maps = VarMaps {
-        xt: BTreeMap::new(),
+        arc_var: vec![None; space.arcs.len()],
         nd: Vec::new(),
-        fake: BTreeMap::new(),
+        job_nd: Vec::with_capacity(n_jobs),
+        fake: vec![None; n_jobs],
         capacity_rows: Vec::new(),
         ann: ModelAnnotations::default(),
     };
     let mut rows = RowIds {
-        job_pools: vec![Vec::new(); inst.jobs.len()],
-        ..RowIds::default()
+        cov: Vec::with_capacity(n_jobs),
+        lnk: Vec::with_capacity(n_jobs),
+        cpu: vec![None; n_machines],
+        xfer: vec![None; n_machines],
+        job_pools: vec![Vec::new(); n_jobs],
     };
-    let is_active = |name: &str| active.is_none_or(|set| set.contains(name));
-    // Whether job k contributes any *candidate* arc on machine l (active or
-    // not) — the row-emission predicate, which must not depend on `active`.
-    let job_uses_machine = |k: usize, l: MachineId| -> bool {
-        job_machines[k].contains(&l) && (inst.jobs[k].size_mb <= 0.0 || !job_stores[k].is_empty())
-    };
-    let job_indices: Vec<usize> = (0..inst.jobs.len()).collect();
+    let job_indices: Vec<usize> = (0..n_jobs).collect();
 
     // --- variables ------------------------------------------------------
-    // Plan per job in parallel, then stitch serially in job order: ids and
-    // emission order match the serial builder exactly.
-    let var_plans: Vec<JobVarPlan> = pool.par_map(&job_indices, |_, &k| {
-        let job = &inst.jobs[k];
-        let mut plan = JobVarPlan {
-            arcs: Vec::new(),
-            nds: Vec::new(),
-            fake: None,
-        };
-        let id = job.id.0;
-        if job.size_mb > 0.0 {
-            for &l in &job_machines[k] {
-                for &m in &job_stores[k] {
-                    let name = arc_name(job, l, Some(m));
-                    if is_active(&name) {
-                        plan.arcs
-                            .push((name, arc_cost(inst, k, l, Some(m)), l, Some(m)));
-                    }
-                }
-            }
-            if inst.allow_moves {
-                let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
-                for &m in &job_stores[k] {
-                    // A store already holding everything needs no copies.
-                    if avail.get(&m).copied().unwrap_or(0.0) >= 1.0 {
-                        continue;
-                    }
-                    // Group holders by their exact SS price to this
-                    // destination: one variable per price class, bounded by
-                    // that class's actual stock, so the LP can never price
-                    // a copy below what emission will pay for it.
-                    let mut holders: Vec<(StoreId, f64)> = job
-                        .avail
-                        .iter()
-                        .copied()
-                        .filter(|&(s, frac)| s != m && frac > 0.0)
-                        .collect();
-                    holders.sort_by(|a, b| {
-                        cluster
-                            .ss_cost(a.0, m)
-                            .total_cmp(&cluster.ss_cost(b.0, m))
-                            .then(a.0.cmp(&b.0))
-                    });
-                    let mut i = 0;
-                    let mut cls = 0;
-                    while i < holders.len() {
-                        let price = cluster.ss_cost(holders[i].0, m);
-                        let mut sources = Vec::new();
-                        let mut stock = 0.0;
-                        while i < holders.len() && cluster.ss_cost(holders[i].0, m) == price {
-                            sources.push(holders[i]);
-                            stock += holders[i].1;
-                            i += 1;
-                        }
-                        // Eq (6): move dollars per unit fraction. The name's
-                        // class index counts price classes within this
-                        // (job, dest) pair, cheapest first — stable across
-                        // epochs as long as the holder set is.
-                        plan.nds.push(NdPlan {
-                            name: format!("nd_{id}_{}_{cls}", m.0),
-                            ub: stock.min(1.0),
-                            cost: job.size_mb * price,
-                            dest: m,
-                            sources,
-                        });
-                        cls += 1;
-                    }
-                }
-            }
-        } else {
-            // Input-less job: one variable per machine.
-            for &l in &job_machines[k] {
-                let name = arc_name(job, l, None);
-                if is_active(&name) {
-                    plan.arcs.push((name, arc_cost(inst, k, l, None), l, None));
-                }
-            }
-        }
-        if let Some(fc) = inst.fake_cost {
-            plan.fake = Some(job.work_ecu().max(1e-9) * fc);
-        }
-        plan
+    // Per job: its active task arcs, its copy variables, its fake column.
+    let nd_plans: Vec<Vec<NdPlan>> = pool.par_map(&job_indices, |_, &k| {
+        plan_copies(inst, k, &space.job_stores[k])
     });
-    for (k, plan) in var_plans.into_iter().enumerate() {
-        for (name, cost, l, m) in plan.arcs {
-            let v = model.add_var(name, 0.0, 1.0, cost);
-            maps.xt.insert((k, l, m), v);
+    for (k, nds) in nd_plans.into_iter().enumerate() {
+        let id = inst.jobs[k].id;
+        for i in space.jobs[k].clone() {
+            if active.is_some_and(|a| !a[i]) {
+                continue;
+            }
+            let a = &space.arcs[i];
+            let v = model.add_keyed_var(a.key, 0.0, 1.0, a.cost);
+            maps.arc_var[i] = Some(v);
             maps.ann.annotate_var(
                 v,
                 VarKind::Assign {
                     job: k,
-                    machine: l,
-                    store: m,
+                    machine: a.l,
+                    store: a.m,
                 },
             );
         }
-        for nd in plan.nds {
-            let v = model.add_var(nd.name, 0.0, nd.ub, nd.cost);
+        let nd_start = maps.nd.len();
+        for nd in nds {
+            let key = ColKey::Nd {
+                job: id,
+                dest: nd.dest,
+                class: nd.class,
+            };
+            let v = model.add_keyed_var(key.pack(), 0.0, nd.ub, nd.cost);
             maps.ann.annotate_var(
                 v,
                 VarKind::NewCopy {
@@ -497,169 +756,154 @@ fn build_filtered(
                 sources: nd.sources,
             });
         }
-        if let Some(cost) = plan.fake {
-            let v = model.add_var(format!("fake_{}", inst.jobs[k].id.0), 0.0, 1.0, cost);
-            maps.fake.insert(k, v);
+        maps.job_nd.push(nd_start..maps.nd.len());
+        if let Some(fc) = inst.fake_cost {
+            let cost = inst.jobs[k].work_ecu().max(1e-9) * fc;
+            let v = model.add_keyed_var(ColKey::Fake { job: id }.pack(), 0.0, 1.0, cost);
+            maps.fake[k] = Some(v);
             maps.ann.annotate_var(v, VarKind::Fake { job: k });
         }
     }
 
     // --- constraints ----------------------------------------------------
-    // Active-arc lookups go through `maps.xt.get` from here on: a
-    // restricted master simply has fewer terms per row, never fewer rows.
-    // Term assembly reads the now-frozen variable maps, so the per-job and
-    // per-machine row plans parallelize; rows are added serially in the
-    // serial builder's order (all cov, all lnk, all cpu, all xfer).
+    // A restricted master simply has fewer terms per row, never fewer
+    // rows. Rows are added in the order all cov, all lnk, all cpu, all
+    // xfer, pool floors, store capacity.
     // (20): every job fully assigned (fake node included).
     // (24)/(13): task reads bounded by availability + new copies.
     let row_plans: Vec<JobRowPlan> = pool.par_map(&job_indices, |_, &k| {
         let job = &inst.jobs[k];
-        let mut cov: Vec<(VarId, f64)> = Vec::new();
-        for &l in &job_machines[k] {
-            if job.size_mb > 0.0 {
-                for &m in &job_stores[k] {
-                    if let Some(&v) = maps.xt.get(&(k, l, Some(m))) {
-                        cov.push((v, 1.0));
-                    }
-                }
-            } else if let Some(&v) = maps.xt.get(&(k, l, None)) {
-                cov.push((v, 1.0));
-            }
-        }
-        if let Some(&f) = maps.fake.get(&k) {
+        let job_arcs = space.jobs[k].clone();
+        let mut cov: Vec<(VarId, f64)> = maps.arc_var[job_arcs.clone()]
+            .iter()
+            .flatten()
+            .map(|&v| (v, 1.0))
+            .collect();
+        if let Some(f) = maps.fake[k] {
             cov.push((f, 1.0));
         }
         let mut lnk = Vec::new();
         if job.size_mb > 0.0 {
             let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
-            for &m in &job_stores[k] {
-                let mut terms: Vec<(VarId, f64)> = job_machines[k]
-                    .iter()
-                    .filter_map(|&l| maps.xt.get(&(k, l, Some(m))).map(|&v| (v, 1.0)))
+            let stores = &space.job_stores[k];
+            let nds = &maps.nd[maps.job_nd[k].clone()];
+            for (si, &m) in stores.iter().enumerate() {
+                let mut terms: Vec<(VarId, f64)> = (0..space.job_machines[k].len())
+                    .filter_map(|li| maps.arc_var[job_arcs.start + li * stores.len() + si])
+                    .map(|v| (v, 1.0))
                     .collect();
-                for nd in maps.nd.iter().filter(|n| n.job == k && n.dest == m) {
-                    terms.push((nd.var, -1.0));
-                }
+                terms.extend(nds.iter().filter(|n| n.dest == m).map(|n| (n.var, -1.0)));
                 let a = avail.get(&m).copied().unwrap_or(0.0).min(1.0);
-                lnk.push((m, a, terms));
+                lnk.push((a, terms));
             }
         }
         JobRowPlan { cov, lnk }
     });
-    let mut lnk_plans: Vec<Vec<LnkPlan>> = Vec::with_capacity(row_plans.len());
+    let mut lnk_plans: Vec<Vec<LnkPlan>> = Vec::with_capacity(n_jobs);
     for (k, plan) in row_plans.into_iter().enumerate() {
         let row = model.add_constraint(plan.cov, Cmp::Ge, 1.0);
-        model.name_constraint(row, format!("cov_{}", inst.jobs[k].id.0));
+        model.key_constraint(
+            row,
+            RowKey::Cov {
+                job: inst.jobs[k].id,
+            }
+            .pack(),
+        );
         maps.ann.annotate_row(row, RowKind::Coverage { job: k });
         rows.cov.push(row);
         lnk_plans.push(plan.lnk);
     }
     for (k, lnk) in lnk_plans.into_iter().enumerate() {
-        for (m, a, terms) in lnk {
+        let mut job_rows = Vec::with_capacity(lnk.len());
+        for ((a, terms), &m) in lnk.into_iter().zip(&space.job_stores[k]) {
             let row = model.add_constraint(terms, Cmp::Le, a);
-            model.name_constraint(row, format!("lnk_{}_{}", inst.jobs[k].id.0, m.0));
+            let key = RowKey::Lnk {
+                job: inst.jobs[k].id,
+                store: m,
+            };
+            model.key_constraint(row, key.pack());
             maps.ann
                 .annotate_row(row, RowKind::Linking { job: k, store: m });
-            rows.lnk.insert((k, m), row);
+            job_rows.push(row);
         }
+        rows.lnk.push(job_rows);
     }
 
     // (23)/(12): machine CPU capacity.
     // (21): per-machine read-time budget (aggregated across jobs/slots).
-    let machine_ids: Vec<MachineId> = cluster.machines.iter().map(|m| m.id).collect();
-    let machine_plans: Vec<MachineRowPlan> = pool.par_map(&machine_ids, |_, &mid| {
-        let mut cpu_terms: Vec<(VarId, f64)> = Vec::new();
-        let mut any_candidate = false;
-        for (k, job) in inst.jobs.iter().enumerate() {
-            let work = job.work_ecu();
-            if !job_uses_machine(k, mid) {
-                continue;
-            }
-            any_candidate = true;
-            if job.size_mb > 0.0 {
-                for &m in &job_stores[k] {
-                    if let Some(&v) = maps.xt.get(&(k, mid, Some(m))) {
-                        cpu_terms.push((v, work));
-                    }
-                }
-            } else if let Some(&v) = maps.xt.get(&(k, mid, None)) {
-                cpu_terms.push((v, work));
-            }
+    // One pass over the arcs, job-major, so each machine row lists its
+    // terms by job, then store — a job with candidate arcs on a machine
+    // gives that machine its rows even when none of the arcs is active.
+    let mut cpu_terms: MachineTerms = vec![None; n_machines];
+    let mut xfer_terms: MachineTerms = vec![None; n_machines];
+    for (k, job) in inst.jobs.iter().enumerate() {
+        let stores = &space.job_stores[k];
+        if job.size_mb > 0.0 && stores.is_empty() {
+            continue; // no candidate arc anywhere
         }
-        let cpu = any_candidate.then_some(cpu_terms);
-        let xfer = if inst.enforce_transfer_time {
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            let mut any = false;
-            for (k, job) in inst.jobs.iter().enumerate() {
-                if job.size_mb <= 0.0 || !job_uses_machine(k, mid) {
-                    continue;
-                }
-                any = true;
-                for &m in &job_stores[k] {
-                    if let Some(&v) = maps.xt.get(&(k, mid, Some(m))) {
-                        let bw = cluster.bandwidth_machine_store(mid, m);
-                        terms.push((v, job.size_mb / bw));
+        let work = job.work_ecu();
+        let per_machine = space.per_machine(inst, k);
+        for (li, &l) in space.job_machines[k].iter().enumerate() {
+            let first = space.jobs[k].start + li * per_machine;
+            let arc_vars = &maps.arc_var[first..first + per_machine];
+            cpu_terms[l.0]
+                .get_or_insert_with(Vec::new)
+                .extend(arc_vars.iter().flatten().map(|&v| (v, work)));
+            if inst.enforce_transfer_time && job.size_mb > 0.0 {
+                let xfer = xfer_terms[l.0].get_or_insert_with(Vec::new);
+                for (v, &m) in arc_vars.iter().zip(stores) {
+                    if let Some(v) = *v {
+                        let bw = cluster.bandwidth_machine_store(l, m);
+                        xfer.push((v, job.size_mb / bw));
                     }
                 }
             }
-            any.then_some(terms)
-        } else {
-            None
-        };
-        (cpu, xfer)
-    });
-    let mut xfer_plans: Vec<(MachineId, Vec<(VarId, f64)>)> = Vec::new();
-    for (&mid, (cpu, xfer)) in machine_ids.iter().zip(machine_plans) {
-        if let Some(terms) = cpu {
-            let cap = cluster.machine(mid).capacity_ecu_seconds(inst.duration);
-            let row = model.add_constraint(terms, Cmp::Le, cap);
-            model.name_constraint(row, format!("cpu_{}", mid.0));
-            maps.ann.annotate_row(row, RowKind::CpuCap { machine: mid });
-            maps.capacity_rows.push((mid, row));
-            rows.cpu.insert(mid, row);
-        }
-        if let Some(terms) = xfer {
-            xfer_plans.push((mid, terms));
         }
     }
-    for (mid, terms) in xfer_plans {
-        let budget = inst.duration * f64::from(cluster.machine(mid).slots);
-        let row = model.add_constraint(terms, Cmp::Le, budget);
-        model.name_constraint(row, format!("xfer_{}", mid.0));
-        maps.ann
-            .annotate_row(row, RowKind::TransferTime { machine: mid });
-        rows.xfer.insert(mid, row);
+    for machine in &cluster.machines {
+        let mid = machine.id;
+        if let Some(terms) = cpu_terms[mid.0].take() {
+            let cap = machine.capacity_ecu_seconds(inst.duration);
+            let row = model.add_constraint(terms, Cmp::Le, cap);
+            model.key_constraint(row, RowKey::Cpu { machine: mid }.pack());
+            maps.ann.annotate_row(row, RowKind::CpuCap { machine: mid });
+            maps.capacity_rows.push((mid, row));
+            rows.cpu[mid.0] = Some(row);
+        }
+    }
+    for machine in &cluster.machines {
+        let mid = machine.id;
+        if let Some(terms) = xfer_terms[mid.0].take() {
+            let budget = inst.duration * f64::from(machine.slots);
+            let row = model.add_constraint(terms, Cmp::Le, budget);
+            model.key_constraint(row, RowKey::Xfer { machine: mid }.pack());
+            maps.ann
+                .annotate_row(row, RowKind::TransferTime { machine: mid });
+            rows.xfer[mid.0] = Some(row);
+        }
     }
 
     // Fair-share floors: Σ_{k∈pool} work_k · Σ x^t_k ≥ min_ecu.
-    for (pool, (members, min_ecu)) in inst.pool_floors.iter().enumerate() {
+    for (p, (members, min_ecu)) in inst.pool_floors.iter().enumerate() {
         if *min_ecu <= 0.0 {
             continue;
         }
         let mut terms: Vec<(VarId, f64)> = Vec::new();
         let mut any_candidate = false;
         for &k in members {
-            let job = &inst.jobs[k];
-            let work = job.work_ecu();
-            for &l in &job_machines[k] {
-                if job_uses_machine(k, l) {
-                    any_candidate = true;
-                }
-                if job.size_mb > 0.0 {
-                    for &m in &job_stores[k] {
-                        if let Some(&v) = maps.xt.get(&(k, l, Some(m))) {
-                            terms.push((v, work));
-                        }
-                    }
-                } else if let Some(&v) = maps.xt.get(&(k, l, None)) {
-                    terms.push((v, work));
-                }
-            }
+            let work = inst.jobs[k].work_ecu();
+            any_candidate |= !space.jobs[k].is_empty();
+            terms.extend(
+                maps.arc_var[space.jobs[k].clone()]
+                    .iter()
+                    .flatten()
+                    .map(|&v| (v, work)),
+            );
         }
         if any_candidate {
             let row = model.add_constraint(terms, Cmp::Ge, *min_ecu);
-            model.name_constraint(row, format!("pool_{pool}"));
-            maps.ann.annotate_row(row, RowKind::PoolFloor { pool });
+            model.key_constraint(row, RowKey::Pool { pool: p }.pack());
+            maps.ann.annotate_row(row, RowKind::PoolFloor { pool: p });
             for &k in members {
                 rows.job_pools[k].push(row);
             }
@@ -683,7 +927,7 @@ fn build_filtered(
         }
         for (s, terms) in per_store {
             let row = model.add_constraint(terms, Cmp::Le, free(s).max(0.0));
-            model.name_constraint(row, format!("store_{}", s.0));
+            model.key_constraint(row, RowKey::Store { store: s }.pack());
             maps.ann.annotate_row(row, RowKind::StoreCap { store: s });
         }
     }
@@ -743,7 +987,7 @@ fn expectations(inst: &LpInstance<'_>) -> PaperExpectations {
 /// recomputed [`PaperExpectations`]. This is the entry point for static
 /// analysis; [`solve`] is the entry point for scheduling.
 pub fn build_audited(inst: &LpInstance<'_>) -> (Model, ModelAnnotations, PaperExpectations) {
-    let (model, maps) = build(inst, Pool::serial());
+    let (model, _, maps) = build(inst, Pool::serial());
     let expect = expectations(inst);
     (model, maps.ann, expect)
 }
@@ -870,15 +1114,16 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    /// The state to carry into the next epoch: the colgen master's
-    /// columns and basis in colgen mode, else this solve's basis alone
-    /// (with no carried columns).
-    pub fn carry(&self) -> ColGenState {
-        match &self.colgen {
-            Some((state, _)) => state.clone(),
+    /// Move out the state to carry into the next epoch: the colgen
+    /// master's columns and basis in colgen mode, else this solve's basis
+    /// alone (with no carried columns). The report keeps empty state in
+    /// their place.
+    pub fn take_carry(&mut self) -> ColGenState {
+        match &mut self.colgen {
+            Some((state, _)) => std::mem::take(state),
             None => ColGenState {
-                active: std::collections::BTreeSet::new(),
-                basis: self.basis.clone(),
+                active: BTreeSet::new(),
+                basis: std::mem::take(&mut self.basis),
             },
         }
     }
@@ -1043,9 +1288,9 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         }
 
         let t_build = lips_lp::clock::Stopwatch::start();
-        let (model, maps) = build(self.inst, self.pool);
+        let (model, space, maps) = build(self.inst, self.pool);
         let mut build_ms = t_build.elapsed_ms();
-        let (sol, presolve_removed) = if self.presolve {
+        let (mut sol, presolve_removed) = if self.presolve {
             let t_pre = lips_lp::clock::Stopwatch::start();
             let (reduced, restore) =
                 lips_lp::presolve::presolve_with(&model, lips_lp::presolve::certified_options())?;
@@ -1078,26 +1323,17 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
             None
         };
         let certify_ms = t_cert.elapsed_ms();
-        let shadow_prices = self.shadow_prices.then(|| {
-            let sens = lips_lp::sensitivity::analyze(&model, &sol);
-            maps.capacity_rows
-                .iter()
-                .map(|&(m, row)| {
-                    (
-                        m,
-                        sens.shadow_prices.get(row.index()).copied().unwrap_or(0.0),
-                    )
-                })
-                .collect()
-        });
-        let basis = sol.warm_start().cloned().unwrap_or_default();
+        let shadow_prices = self
+            .shadow_prices
+            .then(|| cpu_shadow_prices(&model, &maps, &sol));
+        let basis = sol.take_warm_start().unwrap_or_default();
         let timings = PhaseTimings {
             build_ms,
             solve_ms: sol.stats().solve_ms,
             certify_ms,
         };
         Ok(SolveReport {
-            schedule: decode(self.inst, &maps, &sol),
+            schedule: decode(self.inst, &space, &maps, &sol),
             shadow_prices,
             certificate,
             basis,
@@ -1146,8 +1382,7 @@ fn solve_model(
 /// under the instance's pruning — the denominator of
 /// [`EpochSolver::colgen`]'s active-column share.
 pub fn count_task_columns(inst: &LpInstance<'_>) -> usize {
-    let (job_machines, job_stores) = candidates(inst);
-    enumerate_arcs(inst, &job_machines, &job_stores).len()
+    arc_space(inst, Pool::serial()).arcs.len()
 }
 
 /// Tuning for the delayed-column-generation solve
@@ -1194,12 +1429,14 @@ impl Default for ColGenOptions {
 /// the previous epoch's optimum plus its basis. Seeding the next epoch's
 /// restricted master ([`EpochSolver::colgen`]) with both means a churned
 /// job only *perturbs* the master (its arcs enter via pricing) instead of
-/// rebuilding the column set from scratch — arc names are keyed by job id, so surviving names
-/// keep denoting the same `(job, machine, store)` arc across epochs. A
-/// full-model solve carries its basis alone ([`SolveReport::carry`]).
+/// rebuilding the column set from scratch — arcs are keyed by job id
+/// ([`ColKey`]), so surviving keys keep denoting the same
+/// `(job, machine, store)` arc across epochs. A full-model solve carries
+/// its basis alone ([`SolveReport::take_carry`]).
 #[derive(Debug, Clone, Default)]
 pub struct ColGenState {
-    active: std::collections::BTreeSet<String>,
+    /// Packed [`ColKey::Task`] keys of the carried arcs.
+    active: BTreeSet<u64>,
     basis: WarmStart,
 }
 
@@ -1221,7 +1458,7 @@ impl ColGenState {
         }
         let before = self.active.len();
         self.active
-            .retain(|name| !name_references_machine(name, &dead));
+            .retain(|&key| !on_dead_machine(&dead, ColKey::unpack(key).and_then(ColKey::machine)));
         before - self.active.len() + sanitize_warm_start(&mut self.basis, cluster)
     }
 
@@ -1231,51 +1468,37 @@ impl ColGenState {
     }
 }
 
-/// Machines currently revoked (zero throughput) in `cluster`, by index.
-fn dead_machines(cluster: &Cluster) -> std::collections::BTreeSet<usize> {
+/// Machines currently revoked (zero throughput) in `cluster`.
+fn dead_machines(cluster: &Cluster) -> BTreeSet<MachineId> {
     cluster
         .machines
         .iter()
         .filter(|m| m.tp_ecu <= 0.0)
-        .map(|m| m.id.0)
+        .map(|m| m.id)
         .collect()
 }
 
-/// True if a column/row name references one of the `dead` machines: task
-/// arcs are `xt_{job}_{machine}` / `xt_{job}_{machine}_{store}`, the
-/// per-machine rows are `cpu_{machine}` and `xfer_{machine}`. Every other
-/// name family (`nd_*`, `fake_*`, `cov_*`, `lnk_*`, `pool_*`, `store_*`)
-/// is machine-free and survives a revocation untouched.
-fn name_references_machine(name: &str, dead: &std::collections::BTreeSet<usize>) -> bool {
-    let mut parts = name.split('_');
-    match parts.next() {
-        // Skip the job id; the next segment is the machine.
-        Some("xt") => parts
-            .nth(1)
-            .and_then(|s| s.parse::<usize>().ok())
-            .is_some_and(|m| dead.contains(&m)),
-        Some("cpu") | Some("xfer") => parts
-            .next()
-            .and_then(|s| s.parse::<usize>().ok())
-            .is_some_and(|m| dead.contains(&m)),
-        _ => false,
-    }
+/// True if a key's machine (task arcs, `cpu`/`xfer` rows) is `dead`.
+/// Every other column and row (`nd`, fake, `cov`, `lnk`, pool, store) is
+/// machine-free and survives a revocation untouched.
+fn on_dead_machine(dead: &BTreeSet<MachineId>, machine: Option<MachineId>) -> bool {
+    machine.is_some_and(|m| dead.contains(&m))
 }
 
 /// Drop every warm-start entry that references a machine no longer alive
-/// in `cluster`. A name-keyed [`WarmStart`] survives model edits by
-/// design, but a status for a column or row the builder will never emit
-/// again would seed the repair loop with garbage; pruning up front leaves
-/// a smaller, honest basis the solver completes with slacks. Returns how
-/// many entries were dropped.
+/// in `cluster`. A keyed [`WarmStart`] survives model edits by design, but
+/// a status for a column or row the builder will never emit again would
+/// seed the repair loop with garbage; pruning up front leaves a smaller,
+/// honest basis the solver completes with slacks. Returns how many
+/// entries were dropped.
 pub fn sanitize_warm_start(ws: &mut WarmStart, cluster: &Cluster) -> usize {
     let dead = dead_machines(cluster);
     if dead.is_empty() {
         return 0;
     }
     let before = ws.len();
-    ws.retain_vars(|name| !name_references_machine(name, &dead));
-    ws.retain_rows(|name| !name_references_machine(name, &dead));
+    ws.retain_vars(|key| !on_dead_machine(&dead, ColKey::unpack(key).and_then(ColKey::machine)));
+    ws.retain_rows(|key| !on_dead_machine(&dead, RowKey::unpack(key).and_then(RowKey::machine)));
     before - ws.len()
 }
 
@@ -1316,41 +1539,78 @@ pub struct ColGenOutcome {
     pub timings: PhaseTimings,
 }
 
-/// Seed arc names for a restricted master: the `per_job` cheapest arcs of
-/// every job (LP cost, ties by name — Figure 1's dominance calculus as a
-/// seeding heuristic) plus whatever `carried` names still denote a
-/// candidate arc of this epoch's model.
-fn seed_active(
-    arcs: &[ArcCand],
-    per_job: usize,
-    carried: Option<&std::collections::BTreeSet<String>>,
-) -> std::collections::BTreeSet<String> {
-    let mut active = std::collections::BTreeSet::new();
-    let mut by_job: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, a) in arcs.iter().enumerate() {
-        by_job.entry(a.k).or_default().push(i);
-    }
-    for idxs in by_job.values_mut() {
-        idxs.sort_by(|&a, &b| {
-            arcs[a]
-                .cost
-                .total_cmp(&arcs[b].cost)
-                .then_with(|| arcs[a].name.cmp(&arcs[b].name))
-        });
-        for &i in idxs.iter().take(per_job.max(1)) {
-            active.insert(arcs[i].name.clone());
+/// Seed membership for a restricted master, one flag per arc of `space`:
+/// the `per_job` cheapest arcs of every job (LP cost, ties by
+/// [`name_order`] — Figure 1's dominance calculus as a seeding heuristic)
+/// plus every arc whose key `carried` holds.
+fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&BTreeSet<u64>>) -> Vec<bool> {
+    let arcs = &space.arcs;
+    let mut active = vec![false; arcs.len()];
+    let per_job = per_job.max(1);
+    let mut order: Vec<usize> = Vec::new();
+    for job_arcs in &space.jobs {
+        order.clear();
+        order.extend(job_arcs.clone());
+        if order.len() > per_job {
+            // A total order (names are unique within a job), so the
+            // `per_job` smallest arcs are one well-defined set.
+            order.select_nth_unstable_by(per_job - 1, |&a, &b| {
+                arcs[a]
+                    .cost
+                    .total_cmp(&arcs[b].cost)
+                    .then_with(|| name_order(&arcs[a], &arcs[b]))
+            });
+            order.truncate(per_job);
+        }
+        for &i in &order {
+            active[i] = true;
         }
     }
     if let Some(carried) = carried {
-        let known: std::collections::BTreeSet<&str> =
-            arcs.iter().map(|a| a.name.as_str()).collect();
-        for name in carried {
-            if known.contains(name.as_str()) {
-                active.insert(name.clone());
-            }
+        for (flag, a) in active.iter_mut().zip(arcs) {
+            *flag |= carried.contains(&a.key);
         }
     }
     active
+}
+
+/// Order of two arcs of the same job by the bytes of their [`ColKey`]
+/// names (`xt_{job}_{machine}[_{store}]`), written to the stack instead of
+/// the heap. The epoch LP is degenerate enough that which of several
+/// equal-cost arcs seeds the master can move the certified optimum within
+/// the certificate's tolerance, so seeding keeps this historical order.
+fn name_order(a: &ArcCand, b: &ArcCand) -> std::cmp::Ordering {
+    /// Append the decimal digits of `v` to `buf[..*len]`.
+    fn push_decimal(mut v: usize, buf: &mut [u8; 41], len: &mut usize) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            // `v % 10 < 10`, so the cast cannot truncate.
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        let n = digits.len() - at;
+        buf[*len..*len + n].copy_from_slice(&digits[at..]);
+        *len += n;
+    }
+    /// `"{machine}"` or `"{machine}_{store}"` in `buf`; returns its length.
+    fn suffix(a: &ArcCand, buf: &mut [u8; 41]) -> usize {
+        let mut len = 0;
+        push_decimal(a.l.0, buf, &mut len);
+        if let Some(m) = a.m {
+            buf[len] = b'_';
+            len += 1;
+            push_decimal(m.0, buf, &mut len);
+        }
+        len
+    }
+    let (mut x, mut y) = ([0u8; 41], [0u8; 41]);
+    let (nx, ny) = (suffix(a, &mut x), suffix(b, &mut y));
+    x[..nx].cmp(&y[..ny])
 }
 
 /// Column of one arc in the full row space, written into a reusable
@@ -1368,13 +1628,13 @@ fn arc_terms_into(
     let work = job.work_ecu();
     t.push((rows.cov[a.k], 1.0));
     if let Some(m) = a.m {
-        t.push((rows.lnk[&(a.k, m)], 1.0));
-        if let Some(&x) = rows.xfer.get(&a.l) {
+        t.push((rows.lnk[a.k][a.si], 1.0));
+        if let Some(x) = rows.xfer[a.l.0] {
             let bw = inst.cluster.bandwidth_machine_store(a.l, m);
             t.push((x, job.size_mb / bw));
         }
     }
-    if let Some(&c) = rows.cpu.get(&a.l) {
+    if let Some(c) = rows.cpu[a.l.0] {
         t.push((c, work));
     }
     for &p in &rows.job_pools[a.k] {
@@ -1382,16 +1642,31 @@ fn arc_terms_into(
     }
 }
 
+/// Shadow price of each machine's CPU-capacity row, as
+/// [`lips_lp::sensitivity::shadow_prices`] reports it.
+fn cpu_shadow_prices(
+    model: &Model,
+    maps: &VarMaps,
+    sol: &lips_lp::Solution,
+) -> Vec<(MachineId, f64)> {
+    let prices = lips_lp::sensitivity::shadow_prices(model, sol);
+    maps.capacity_rows
+        .iter()
+        .map(|&(m, row)| (m, prices.get(row.index()).copied().unwrap_or(0.0)))
+        .collect()
+}
+
 /// Result of one restricted-master pricing loop: the full model's task
 /// arcs, the final master model, its optimal solution, and the loop's
 /// telemetry.
 struct MasterRun {
-    arcs: Vec<ArcCand>,
+    space: ArcSpace,
     model: Model,
     maps: VarMaps,
     rows: RowIds,
     sol: lips_lp::Solution,
-    active: std::collections::BTreeSet<String>,
+    /// Per arc of `space`: whether it is a column of the final master.
+    in_master: Vec<bool>,
     rounds: usize,
     appended: usize,
     agg: SolveStats,
@@ -1407,9 +1682,9 @@ struct MasterRun {
 /// solves the master warm from the incumbent basis, prices every excluded
 /// arc against the master's duals across `pool`'s workers
 /// ([`lips_lp::ColumnPricer::price_out_batch`]), appends everything that
-/// prices out through [`Model::add_column`], and repeats until nothing
-/// does — at which point the master's optimum *is* the full model's
-/// optimum.
+/// prices out through [`Model::add_keyed_column`], and repeats until
+/// nothing does — at which point the master's optimum *is* the full
+/// model's optimum.
 ///
 /// A restriction can be infeasible where the full model is not (a pool
 /// floor unreachable on the seeded machines); the loop then appends the
@@ -1423,20 +1698,20 @@ fn master_price_loop(
     pool: Pool,
 ) -> Result<MasterRun, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
-    let (job_machines, job_stores) = candidates(inst);
-    let arcs = enumerate_arcs(inst, &job_machines, &job_stores);
-    let mut active = seed_active(&arcs, opts.seed_arcs_per_job, prior.map(|p| &p.active));
-    let mut warm = prior.map(|p| p.basis.clone());
-    let (mut model, mut maps, rows) =
-        build_filtered(inst, &job_machines, &job_stores, Some(&active), pool);
+    let space = arc_space(inst, pool);
+    let mut in_master = seed_active(&space, opts.seed_arcs_per_job, prior.map(|p| &p.active));
+    // The carried basis is only read; later rounds own their incumbent's.
+    let mut warm: Option<Cow<'_, WarmStart>> = prior.map(|p| Cow::Borrowed(&p.basis));
+    let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master), pool);
     let mut build_ms = t_build.elapsed_ms();
 
     let mut scratch: Vec<(lips_lp::ConstraintId, f64)> = Vec::new();
-    let mut append_arc = |model: &mut Model, maps: &mut VarMaps, a: &ArcCand| {
+    let mut append_arc = |model: &mut Model, maps: &mut VarMaps, i: usize| {
+        let a = &space.arcs[i];
         scratch.clear();
         arc_terms_into(inst, &rows, a, &mut scratch);
-        let v = model.add_column(a.name.clone(), 0.0, 1.0, a.cost, scratch.iter().copied());
-        maps.xt.insert((a.k, a.l, a.m), v);
+        let v = model.add_keyed_column(a.key, 0.0, 1.0, a.cost, scratch.iter().copied());
+        maps.arc_var[i] = Some(v);
         maps.ann.annotate_var(
             v,
             VarKind::Assign {
@@ -1461,7 +1736,7 @@ fn master_price_loop(
         // mid-way, a budget) falls back to the warm primal path, and a
         // decline is kept on the record.
         let solved = if opts.dual_first && rounds == 1 {
-            match solve_model_dual(&model, warm.as_ref(), pivot_budget) {
+            match solve_model_dual(&model, warm.as_deref(), pivot_budget) {
                 Ok(s) => {
                     dual_master = true;
                     Ok(s)
@@ -1471,24 +1746,26 @@ fn master_price_loop(
                     if let LpError::DualDeclined(d) = e {
                         agg.declined = Some(d);
                     }
-                    solve_model(&model, warm.as_ref(), pivot_budget)
+                    solve_model(&model, warm.as_deref(), pivot_budget)
                 }
             }
         } else {
-            solve_model(&model, warm.as_ref(), pivot_budget)
+            solve_model(&model, warm.as_deref(), pivot_budget)
         };
-        let sol = match solved {
+        let mut sol = match solved {
             Ok(s) => s,
-            Err(LpError::Infeasible) if active.len() < arcs.len() => {
+            Err(LpError::Infeasible) if in_master.contains(&false) => {
                 // The *restriction* may be infeasible even when the
                 // instance is not: append everything and match `solve`'s
                 // feasibility semantics exactly.
                 let t = lips_lp::clock::Stopwatch::start();
-                for a in arcs.iter().filter(|a| !active.contains(&a.name)) {
-                    append_arc(&mut model, &mut maps, a);
-                    appended += 1;
+                for (i, inside) in in_master.iter_mut().enumerate() {
+                    if !*inside {
+                        append_arc(&mut model, &mut maps, i);
+                        *inside = true;
+                        appended += 1;
+                    }
                 }
-                active.extend(arcs.iter().map(|a| a.name.clone()));
                 build_ms += t.elapsed_ms();
                 continue;
             }
@@ -1512,14 +1789,15 @@ fn master_price_loop(
         // Price every excluded arc across the pool's workers; the batch
         // returns ascending candidate indices, so `entering` is in arc
         // enumeration order at any thread count.
-        let candidates: Vec<&ArcCand> = arcs.iter().filter(|a| !active.contains(&a.name)).collect();
-        let mut entering: Vec<&ArcCand> = pricer
-            .price_out_batch(pool, candidates.len(), |i, buf| {
-                arc_terms_into(inst, &rows, candidates[i], buf);
-                candidates[i].cost
+        let excluded: Vec<usize> = (0..in_master.len()).filter(|&i| !in_master[i]).collect();
+        let mut entering: Vec<usize> = pricer
+            .price_out_batch(pool, excluded.len(), |j, buf| {
+                let a = &space.arcs[excluded[j]];
+                arc_terms_into(inst, &rows, a, buf);
+                a.cost
             })
             .into_iter()
-            .map(|i| candidates[i])
+            .map(|j| excluded[j])
             .collect();
         if entering.is_empty() {
             build_ms += t.elapsed_ms();
@@ -1527,24 +1805,24 @@ fn master_price_loop(
         }
         if rounds >= opts.max_rounds {
             // Round budget exhausted: go exact in one step.
-            entering = arcs.iter().filter(|a| !active.contains(&a.name)).collect();
+            entering = excluded;
         }
-        for a in entering {
-            append_arc(&mut model, &mut maps, a);
-            active.insert(a.name.clone());
+        for i in entering {
+            append_arc(&mut model, &mut maps, i);
+            in_master[i] = true;
             appended += 1;
         }
         build_ms += t.elapsed_ms();
-        warm = sol.warm_start().cloned();
+        warm = sol.take_warm_start().map(Cow::Owned);
     };
     agg.warm = first_warm.unwrap_or_default();
     Ok(MasterRun {
-        arcs,
+        space,
         model,
         maps,
         rows,
         sol,
-        active,
+        in_master,
         rounds,
         appended,
         agg,
@@ -1559,18 +1837,19 @@ struct RestrictedFinish {
     shadow_prices: Vec<(MachineId, f64)>,
     certificate: lips_audit::RestrictedCertificate,
     basis: WarmStart,
-    /// Task columns that mattered at the optimum (basic or nonzero) —
-    /// the next epoch's carried active set.
-    surviving: std::collections::BTreeSet<String>,
+    /// Keys of the task columns that mattered at the optimum (basic or
+    /// nonzero) — the next epoch's carried active set.
+    surviving: BTreeSet<u64>,
     certify_ms: f64,
 }
 
 /// Certify a finished master against the *full* model (master KKT plus an
 /// independent pricing pass over every excluded column), then decode the
-/// schedule and the next epoch's carry-over state.
+/// schedule and the next epoch's carry-over state. The master's basis is
+/// moved out of `run`.
 fn finish_restricted(
     inst: &LpInstance<'_>,
-    run: &MasterRun,
+    run: &mut MasterRun,
     pool: Pool,
 ) -> Result<RestrictedFinish, EpochSolveError> {
     // Column assembly for the certificate parallelizes per arc; the
@@ -1578,15 +1857,17 @@ fn finish_restricted(
     // same pool.
     let t_cert = lips_lp::clock::Stopwatch::start();
     let excluded_arcs: Vec<&ArcCand> = run
+        .space
         .arcs
         .iter()
-        .filter(|a| !run.active.contains(&a.name))
+        .zip(&run.in_master)
+        .filter_map(|(a, &inside)| (!inside).then_some(a))
         .collect();
     let excluded: Vec<lips_audit::ExcludedColumn> = pool.par_map(&excluded_arcs, |_, a| {
         let mut terms = Vec::new();
         arc_terms_into(inst, &run.rows, a, &mut terms);
         lips_audit::ExcludedColumn {
-            name: a.name.clone(),
+            key: a.key,
             obj: a.cost,
             terms,
         }
@@ -1595,42 +1876,34 @@ fn finish_restricted(
         match lips_audit::certify_restricted_with(pool, &run.model, &run.sol, &excluded) {
             Ok(cert) if cert.is_optimal() => cert,
             Ok(cert) => {
+                let worst = cert.worst_excluded.map(render_col).unwrap_or_default();
                 return Err(EpochSolveError::Certification(format!(
-                    "colgen master failed full-model certification: {cert}"
-                )))
+                    "colgen master failed full-model certification (worst excluded column \
+                     {worst}): {cert}"
+                )));
             }
             Err(e) => return Err(EpochSolveError::Certification(e.to_string())),
         };
     let certify_ms = t_cert.elapsed_ms();
 
-    let sens = lips_lp::sensitivity::analyze(&run.model, &run.sol);
-    let shadow_prices: Vec<(MachineId, f64)> = run
-        .maps
-        .capacity_rows
-        .iter()
-        .map(|&(m, row)| {
-            (
-                m,
-                sens.shadow_prices.get(row.index()).copied().unwrap_or(0.0),
-            )
-        })
-        .collect();
-    let basis = run.sol.warm_start().cloned().unwrap_or_default();
+    let shadow_prices = cpu_shadow_prices(&run.model, &run.maps, &run.sol);
+    let basis = run.sol.take_warm_start().unwrap_or_default();
     // Carry only the columns that mattered at the optimum (basic or at a
     // nonzero value): the master stays lean across epochs instead of
     // monotonically accreting every column that ever priced in.
-    let surviving: std::collections::BTreeSet<String> = run
-        .maps
-        .xt
-        .values()
-        .filter_map(|&v| {
-            let name = run.model.var_name(v);
+    let surviving: BTreeSet<u64> = run
+        .space
+        .arcs
+        .iter()
+        .zip(&run.maps.arc_var)
+        .filter_map(|(a, &v)| {
+            let v = v?;
             let keep =
-                run.sol.value_of(v) > 1e-9 || basis.var(name) == Some(lips_lp::BasisStatus::Basic);
-            keep.then(|| name.to_string())
+                run.sol.value_of(v) > 1e-9 || basis.var(a.key) == Some(lips_lp::BasisStatus::Basic);
+            keep.then_some(a.key)
         })
         .collect();
-    let mut schedule = decode(inst, &run.maps, &run.sol);
+    let mut schedule = decode(inst, &run.space, &run.maps, &run.sol);
     schedule.iterations = run.agg.iterations;
     schedule.stats = run.agg;
     Ok(RestrictedFinish {
@@ -1654,14 +1927,14 @@ fn colgen_run(
     pivot_budget: Option<usize>,
     pool: Pool,
 ) -> Result<ColGenOutcome, EpochSolveError> {
-    let run = master_price_loop(inst, opts, prior, pivot_budget, pool)?;
-    let fin = finish_restricted(inst, &run, pool)?;
+    let mut run = master_price_loop(inst, opts, prior, pivot_budget, pool)?;
+    let fin = finish_restricted(inst, &mut run, pool)?;
 
     let stats = ColGenStats {
         rounds: run.rounds,
         appended: run.appended,
-        active_columns: run.maps.xt.len(),
-        total_columns: run.arcs.len(),
+        active_columns: run.maps.arc_var.iter().flatten().count(),
+        total_columns: run.space.arcs.len(),
         build_ms: run.build_ms,
         dual_master: run.dual_master,
     };
@@ -1684,17 +1957,23 @@ fn colgen_run(
 }
 
 /// Decode a solved LP back into schedule entities.
-fn decode(inst: &LpInstance<'_>, maps: &VarMaps, sol: &lips_lp::Solution) -> FractionalSchedule {
+fn decode(
+    inst: &LpInstance<'_>,
+    space: &ArcSpace,
+    maps: &VarMaps,
+    sol: &lips_lp::Solution,
+) -> FractionalSchedule {
     let eps = 1e-7;
 
     let mut assignments = Vec::new();
-    for (&(k, l, m), &v) in &maps.xt {
+    for (a, &v) in space.arcs.iter().zip(&maps.arc_var) {
+        let Some(v) = v else { continue };
         let frac = sol.value_of(v);
         if frac > eps {
-            assignments.push((inst.jobs[k].id, l, m, frac));
+            assignments.push((inst.jobs[a.k].id, a.l, a.m, frac));
         }
     }
-    // Map order is (job index, machine, store); re-sort by JobId, which
+    // Arc order is (job index, machine, store); re-sort by JobId, which
     // need not be monotone in the index.
     assignments.sort_by(|a, b| (a.0, a.1, a.2.map(|s| s.0)).cmp(&(b.0, b.1, b.2.map(|s| s.0))));
 
@@ -1721,7 +2000,8 @@ fn decode(inst: &LpInstance<'_>, maps: &VarMaps, sol: &lips_lp::Solution) -> Fra
 
     let mut deferred = BTreeMap::new();
     let mut fake_dollars = 0.0;
-    for (&k, &v) in &maps.fake {
+    for (k, &v) in maps.fake.iter().enumerate() {
+        let Some(v) = v else { continue };
         let frac = sol.value_of(v);
         if frac > eps {
             deferred.insert(inst.jobs[k].id, frac);
@@ -2229,6 +2509,15 @@ mod tests {
         }
     }
 
+    fn task(job: usize, machine: usize, store: Option<usize>) -> u64 {
+        ColKey::Task {
+            job: JobId(job),
+            machine: MachineId(machine),
+            store: store.map(StoreId),
+        }
+        .pack()
+    }
+
     #[test]
     fn revoked_machine_gets_no_columns_or_capacity() {
         // Kill the cheap node: everything must land on the survivor even
@@ -2244,34 +2533,79 @@ mod tests {
             .iter()
             .all(|&(_, l, _, _)| l == MachineId(0)));
         // The surviving model has no basis entries touching machine 1.
-        assert_eq!(report.basis.var("xt_0_1_0"), None);
-        assert_eq!(report.basis.row("cpu_1"), None);
+        assert_eq!(report.basis.var(task(0, 1, Some(0))), None);
+        assert_eq!(
+            report.basis.row(
+                RowKey::Cpu {
+                    machine: MachineId(1)
+                }
+                .pack()
+            ),
+            None
+        );
+        assert!(report.basis.var(task(0, 0, Some(0))).is_some());
     }
 
     #[test]
     fn sanitize_warm_start_drops_dead_machine_entries() {
         use lips_lp::BasisStatus;
         let mut cluster = two_node();
+        let nd = ColKey::Nd {
+            job: JobId(3),
+            dest: StoreId(1),
+            class: 0,
+        }
+        .pack();
+        let fake = ColKey::Fake { job: JobId(3) }.pack();
+        let cpu1 = RowKey::Cpu {
+            machine: MachineId(1),
+        }
+        .pack();
+        let xfer1 = RowKey::Xfer {
+            machine: MachineId(1),
+        }
+        .pack();
+        let cpu0 = RowKey::Cpu {
+            machine: MachineId(0),
+        }
+        .pack();
+        let cov = RowKey::Cov { job: JobId(3) }.pack();
+        // Store 1 and job 1 are machine-free identities that share the
+        // dead machine's index: they must survive.
+        let lnk = RowKey::Lnk {
+            job: JobId(1),
+            store: StoreId(1),
+        }
+        .pack();
+        let store = RowKey::Store { store: StoreId(1) }.pack();
+        let pool = RowKey::Pool { pool: 1 }.pack();
         let mut ws = WarmStart::new();
-        ws.set_var("xt_3_0_0", BasisStatus::Basic);
-        ws.set_var("xt_3_1_0", BasisStatus::Basic);
-        ws.set_var("xt_7_1", BasisStatus::AtLower); // input-less arc
-        ws.set_var("nd_3_1_0", BasisStatus::AtLower); // store-keyed: survives
-        ws.set_row("cpu_1", BasisStatus::Basic);
-        ws.set_row("xfer_1", BasisStatus::AtLower);
-        ws.set_row("cov_3", BasisStatus::AtLower);
+        ws.set_var(task(3, 0, Some(0)), BasisStatus::Basic);
+        ws.set_var(task(3, 1, Some(0)), BasisStatus::Basic);
+        ws.set_var(task(7, 1, None), BasisStatus::AtLower); // input-less arc
+        ws.set_var(task(1, 0, Some(1)), BasisStatus::AtLower);
+        ws.set_var(nd, BasisStatus::AtLower); // store-keyed: survives
+        ws.set_var(fake, BasisStatus::AtLower);
+        for row in [cpu1, xfer1, cpu0, cov, lnk, store, pool] {
+            ws.set_row(row, BasisStatus::AtLower);
+        }
         // Nothing dead yet: a no-op.
         assert_eq!(sanitize_warm_start(&mut ws, &cluster), 0);
-        assert_eq!(ws.len(), 7);
+        assert_eq!(ws.len(), 13);
         cluster.machines[1].tp_ecu = 0.0;
+        // Exactly the machine-1 task columns and cpu/xfer rows go.
         assert_eq!(sanitize_warm_start(&mut ws, &cluster), 4);
-        assert_eq!(ws.var("xt_3_0_0"), Some(BasisStatus::Basic));
-        assert_eq!(ws.var("xt_3_1_0"), None);
-        assert_eq!(ws.var("xt_7_1"), None);
-        assert_eq!(ws.var("nd_3_1_0"), Some(BasisStatus::AtLower));
-        assert_eq!(ws.row("cpu_1"), None);
-        assert_eq!(ws.row("xfer_1"), None);
-        assert_eq!(ws.row("cov_3"), Some(BasisStatus::AtLower));
+        assert_eq!(ws.var(task(3, 0, Some(0))), Some(BasisStatus::Basic));
+        assert_eq!(ws.var(task(3, 1, Some(0))), None);
+        assert_eq!(ws.var(task(7, 1, None)), None);
+        assert_eq!(ws.var(task(1, 0, Some(1))), Some(BasisStatus::AtLower));
+        assert_eq!(ws.var(nd), Some(BasisStatus::AtLower));
+        assert_eq!(ws.var(fake), Some(BasisStatus::AtLower));
+        assert_eq!(ws.row(cpu1), None);
+        assert_eq!(ws.row(xfer1), None);
+        for row in [cpu0, cov, lnk, store, pool] {
+            assert_eq!(ws.row(row), Some(BasisStatus::AtLower));
+        }
     }
 
     #[test]
@@ -2279,18 +2613,86 @@ mod tests {
         use lips_lp::BasisStatus;
         let mut cluster = two_node();
         let mut state = ColGenState::default();
-        state.basis.set_var("xt_0_1_0", BasisStatus::Basic);
-        state.basis.set_var("xt_0_0_0", BasisStatus::Basic);
-        state.basis.set_row("cpu_1", BasisStatus::AtLower);
-        state.active.insert("xt_0_1_0".to_string());
-        state.active.insert("xt_0_0_0".to_string());
+        state.basis.set_var(task(0, 1, Some(0)), BasisStatus::Basic);
+        state.basis.set_var(task(0, 0, Some(0)), BasisStatus::Basic);
+        state.basis.set_row(
+            RowKey::Cpu {
+                machine: MachineId(1),
+            }
+            .pack(),
+            BasisStatus::AtLower,
+        );
+        state.active.insert(task(0, 1, Some(0)));
+        state.active.insert(task(0, 0, Some(0)));
         assert_eq!(state.sanitize_for_cluster(&cluster), 0);
         cluster.machines[1].tp_ecu = 0.0;
         // One carried column plus two basis entries name machine 1.
         assert_eq!(state.sanitize_for_cluster(&cluster), 3);
         assert_eq!(state.carried_columns(), 1);
-        assert_eq!(state.basis().var("xt_0_0_0"), Some(BasisStatus::Basic));
-        assert_eq!(state.basis().var("xt_0_1_0"), None);
+        assert_eq!(
+            state.basis().var(task(0, 0, Some(0))),
+            Some(BasisStatus::Basic)
+        );
+        assert_eq!(state.basis().var(task(0, 1, Some(0))), None);
+    }
+
+    #[test]
+    fn name_order_matches_the_order_of_formatted_names() {
+        let ids = [0, 1, 2, 9, 10, 11, 19, 100, 1000];
+        let mut arcs = Vec::new();
+        for &l in &ids {
+            arcs.push((MachineId(l), None));
+            for &m in &ids {
+                arcs.push((MachineId(l), Some(StoreId(m))));
+            }
+        }
+        let arcs: Vec<ArcCand> = arcs
+            .into_iter()
+            .map(|(l, m)| ArcCand {
+                k: 0,
+                l,
+                m,
+                si: 0,
+                key: task(42, l.0, m.map(|s| s.0)),
+                cost: 1.0,
+            })
+            .collect();
+        let name = |a: &ArcCand| ColKey::unpack(a.key).unwrap().to_string();
+        for a in &arcs {
+            for b in &arcs {
+                assert_eq!(
+                    name_order(a, b),
+                    name(a).cmp(&name(b)),
+                    "{} vs {}",
+                    name(a),
+                    name(b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn model_diagnostics_render_the_historical_names() {
+        let cluster = two_node();
+        let mut inst = base_inst(&cluster, vec![one_job(1024.0, 5.0, StoreId(0))]);
+        inst.fake_cost = Some(1.0);
+        let (model, _, _) = build_audited(&inst);
+        let vars: Vec<String> = model
+            .var_ids()
+            .map(|v| model.var_name(v).into_owned())
+            .collect();
+        assert!(vars.contains(&"xt_0_1_0".to_string()), "{vars:?}");
+        assert!(vars.contains(&"fake_0".to_string()), "{vars:?}");
+        let rows: Vec<String> = model
+            .constraint_ids()
+            .map(|c| model.constraint_name(c).into_owned())
+            .collect();
+        for name in ["cov_0", "lnk_0_0", "cpu_0", "cpu_1"] {
+            assert!(
+                rows.contains(&name.to_string()),
+                "{name} missing from {rows:?}"
+            );
+        }
     }
 
     #[test]

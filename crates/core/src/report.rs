@@ -68,9 +68,10 @@ pub struct EpochRecord {
     pub solve_ms: f64,
     /// Independent KKT-certification wall-time, from [`PhaseTimings`].
     pub certify_ms: f64,
-    /// Wall-time of the whole epoch call. Producers with a real outer
-    /// clock (the benches) measure it; virtual-time producers (the
-    /// daemon) report the phase sum.
+    /// Wall-time of the whole epoch call: [`crate::LipsScheduler`] times
+    /// its whole degradation ladder (failed rungs, decode and the carry
+    /// included) and the benches time their own calls;
+    /// [`EpochRecord::from_solve_report`] alone fills in the phase sum.
     pub epoch_ms: f64,
     /// LP objective (dollars, fake-node share included).
     pub objective: f64,

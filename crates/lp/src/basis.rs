@@ -4,9 +4,10 @@
 //! epoch: the same machines, stores, and capacity rows, with a few job
 //! columns added or removed and costs drifting as transfers complete. A
 //! [`WarmStart`] captures the basis of an optimal solution in a form that
-//! survives those edits: statuses are keyed by *variable name* and *row
-//! name*, not by position, so the next model can reuse whatever part of the
-//! basis still exists and the solver repairs or cold-starts the rest.
+//! survives those edits: statuses are keyed by each variable's and row's
+//! `u64` identity, not by position, so the next model can reuse whatever
+//! part of the basis still exists and the solver repairs or cold-starts the
+//! rest.
 
 use std::collections::BTreeMap;
 
@@ -80,32 +81,83 @@ pub struct DeclinedBasis {
     pub pivots: usize,
 }
 
-/// A basis snapshot keyed by names, suitable for seeding a later solve of
-/// the same or a perturbed model.
+/// A basis snapshot keyed by opaque `u64` identities, suitable for
+/// seeding a later solve of the same or a perturbed model.
 ///
 /// Produced by [`crate::solution::Solution::warm_start`] after every
 /// revised-simplex solve; consumed by
 /// [`crate::revised::RevisedSimplex::solve_with_warm_start`] or
-/// [`crate::model::Model::solve_warm`]. Rows without an explicit name (see
-/// [`crate::model::Model::name_constraint`]) are keyed positionally as
-/// `"#<index>"`, which still round-trips when the constraint list does not
-/// change shape.
+/// [`crate::model::Model::solve_warm`]. Every variable and keyed row has a
+/// key: the caller's own typed key ([`crate::model::Model::add_keyed_var`],
+/// [`crate::model::Model::key_constraint`]) or, for named ones,
+/// [`name_key`] of the name. Rows with neither are keyed positionally by
+/// [`positional_row_key`], which still round-trips when the constraint
+/// list does not change shape.
 ///
-/// Name collisions degrade gracefully: the status of the last variable with
-/// a given name wins, and any resulting over- or under-full basis is
+/// Key collisions degrade gracefully: the status of the last variable with
+/// a given key wins, and any resulting over- or under-full basis is
 /// trimmed / completed with slacks before factorization (with a cold solve
 /// as the final fallback), so a warm start can never change the optimum —
 /// only the path to it.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
-    vars: BTreeMap<String, BasisStatus>,
-    rows: BTreeMap<String, BasisStatus>,
+    vars: BTreeMap<u64, BasisStatus>,
+    rows: BTreeMap<u64, BasisStatus>,
+}
+
+/// FNV-1a offset basis and prime (64-bit).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The key of a named variable or row: 64-bit FNV-1a over the name's
+/// UTF-8 bytes. Fixed forever, so name-keyed warm starts saved by one
+/// build match the next.
+pub fn name_key(name: &str) -> u64 {
+    fnv1a(FNV_OFFSET, name.as_bytes())
+}
+
+/// The key of the `i`-th row when it has neither a name nor a key: the
+/// [`name_key`] of `"#i"`, computed without allocating.
+pub fn positional_row_key(i: usize) -> u64 {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = i;
+    loop {
+        at -= 1;
+        // `n % 10 < 10`, so the cast cannot truncate.
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    fnv1a(fnv1a(FNV_OFFSET, b"#"), &digits[at..])
 }
 
 impl WarmStart {
     /// An empty warm start (equivalent to passing `None`).
     pub fn new() -> Self {
         WarmStart::default()
+    }
+
+    /// Build from `(key, status)` pairs; on a repeated key the last pair
+    /// wins, as with repeated [`WarmStart::set_var`] calls.
+    pub(crate) fn from_entries(
+        vars: impl IntoIterator<Item = (u64, BasisStatus)>,
+        rows: impl IntoIterator<Item = (u64, BasisStatus)>,
+    ) -> Self {
+        WarmStart {
+            vars: vars.into_iter().collect(),
+            rows: rows.into_iter().collect(),
+        }
     }
 
     /// True if no statuses are recorded.
@@ -118,40 +170,40 @@ impl WarmStart {
         self.vars.len() + self.rows.len()
     }
 
-    /// Record the status of a variable by name.
-    pub fn set_var(&mut self, name: impl Into<String>, status: BasisStatus) {
-        self.vars.insert(name.into(), status);
+    /// Record the status of a variable by key.
+    pub fn set_var(&mut self, key: u64, status: BasisStatus) {
+        self.vars.insert(key, status);
     }
 
-    /// Record the status of a row's slack by row name.
-    pub fn set_row(&mut self, name: impl Into<String>, status: BasisStatus) {
-        self.rows.insert(name.into(), status);
+    /// Record the status of a row's slack by row key.
+    pub fn set_row(&mut self, key: u64, status: BasisStatus) {
+        self.rows.insert(key, status);
     }
 
-    /// Look up a variable status by name.
-    pub fn var(&self, name: &str) -> Option<BasisStatus> {
-        self.vars.get(name).copied()
+    /// Look up a variable status by key.
+    pub fn var(&self, key: u64) -> Option<BasisStatus> {
+        self.vars.get(&key).copied()
     }
 
-    /// Look up a row-slack status by row name.
-    pub fn row(&self, name: &str) -> Option<BasisStatus> {
-        self.rows.get(name).copied()
+    /// Look up a row-slack status by row key.
+    pub fn row(&self, key: u64) -> Option<BasisStatus> {
+        self.rows.get(&key).copied()
     }
 
-    /// Keep only the variable statuses whose name satisfies `keep`.
+    /// Keep only the variable statuses whose key satisfies `keep`.
     ///
     /// Used when the model the basis was taken from loses structure — e.g.
     /// a machine is revoked and every column touching it vanishes. Feeding
-    /// the stale names to the repair loop would seed garbage; dropping them
+    /// the stale keys to the repair loop would seed garbage; dropping them
     /// up front leaves a smaller but honest basis the solver completes with
     /// slacks.
-    pub fn retain_vars(&mut self, mut keep: impl FnMut(&str) -> bool) {
-        self.vars.retain(|name, _| keep(name));
+    pub fn retain_vars(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        self.vars.retain(|&key, _| keep(key));
     }
 
-    /// Keep only the row statuses whose name satisfies `keep`.
-    pub fn retain_rows(&mut self, mut keep: impl FnMut(&str) -> bool) {
-        self.rows.retain(|name, _| keep(name));
+    /// Keep only the row statuses whose key satisfies `keep`.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        self.rows.retain(|&key, _| keep(key));
     }
 
     /// Number of variables and rows recorded as [`BasisStatus::Basic`].
@@ -172,34 +224,56 @@ mod tests {
     fn roundtrip_and_counts() {
         let mut ws = WarmStart::new();
         assert!(ws.is_empty());
-        ws.set_var("x", BasisStatus::Basic);
-        ws.set_var("y", BasisStatus::AtUpper);
-        ws.set_row("cap", BasisStatus::Basic);
-        ws.set_row("#1", BasisStatus::AtLower);
+        ws.set_var(name_key("x"), BasisStatus::Basic);
+        ws.set_var(name_key("y"), BasisStatus::AtUpper);
+        ws.set_row(name_key("cap"), BasisStatus::Basic);
+        ws.set_row(positional_row_key(1), BasisStatus::AtLower);
         assert_eq!(ws.len(), 4);
         assert_eq!(ws.num_basic(), 2);
-        assert_eq!(ws.var("x"), Some(BasisStatus::Basic));
-        assert_eq!(ws.var("z"), None);
-        assert_eq!(ws.row("cap"), Some(BasisStatus::Basic));
-        // Re-setting a name overwrites.
-        ws.set_var("x", BasisStatus::Free);
-        assert_eq!(ws.var("x"), Some(BasisStatus::Free));
+        assert_eq!(ws.var(name_key("x")), Some(BasisStatus::Basic));
+        assert_eq!(ws.var(name_key("z")), None);
+        assert_eq!(ws.row(name_key("cap")), Some(BasisStatus::Basic));
+        // Re-setting a key overwrites.
+        ws.set_var(name_key("x"), BasisStatus::Free);
+        assert_eq!(ws.var(name_key("x")), Some(BasisStatus::Free));
         assert_eq!(ws.len(), 4);
     }
 
     #[test]
-    fn retain_drops_only_rejected_names() {
+    fn retain_drops_only_rejected_keys() {
         let mut ws = WarmStart::new();
-        ws.set_var("xt_0_1", BasisStatus::Basic);
-        ws.set_var("xt_0_2", BasisStatus::AtLower);
-        ws.set_row("cpu_1", BasisStatus::Basic);
-        ws.set_row("cpu_2", BasisStatus::AtLower);
-        ws.retain_vars(|name| !name.ends_with("_1"));
-        ws.retain_rows(|name| !name.ends_with("_1"));
-        assert_eq!(ws.var("xt_0_1"), None);
-        assert_eq!(ws.var("xt_0_2"), Some(BasisStatus::AtLower));
-        assert_eq!(ws.row("cpu_1"), None);
-        assert_eq!(ws.row("cpu_2"), Some(BasisStatus::AtLower));
+        for k in [10, 11, 20, 21] {
+            ws.set_var(k, BasisStatus::Basic);
+            ws.set_row(k, BasisStatus::AtLower);
+        }
+        ws.retain_vars(|k| k % 10 == 0);
+        ws.retain_rows(|k| k < 20);
+        assert_eq!(ws.var(10), Some(BasisStatus::Basic));
+        assert_eq!(ws.var(11), None);
+        assert_eq!(ws.row(11), Some(BasisStatus::AtLower));
+        assert_eq!(ws.row(20), None);
+        assert_eq!(ws.len(), 4);
+    }
+
+    #[test]
+    fn from_entries_is_last_wins() {
+        let ws = WarmStart::from_entries(
+            [(7, BasisStatus::Basic), (7, BasisStatus::AtUpper)],
+            [(1, BasisStatus::AtLower)],
+        );
+        assert_eq!(ws.var(7), Some(BasisStatus::AtUpper));
         assert_eq!(ws.len(), 2);
+    }
+
+    #[test]
+    fn keys_are_fixed_fnv1a() {
+        // Published FNV-1a 64 test vectors: the keys must never drift, or
+        // saved name-keyed bases stop matching.
+        assert_eq!(name_key(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(name_key("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(name_key("foobar"), 0x85944171f73967e8);
+        for i in [0, 7, 10, 123_456, usize::MAX] {
+            assert_eq!(positional_row_key(i), name_key(&format!("#{i}")), "{i}");
+        }
     }
 }

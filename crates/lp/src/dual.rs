@@ -22,7 +22,7 @@
 //!
 //! * **Same machinery, different outer loop.** The solver reuses the primal
 //!   [`Worker`](crate::revised): the Markowitz sparse LU, the eta file,
-//!   FTRAN/BTRAN, and the name-keyed warm-start resolution. Only the pivot
+//!   FTRAN/BTRAN, and the keyed warm-start resolution. Only the pivot
 //!   selection differs: the *row* (most-violated basic) is chosen first and
 //!   the *column* comes out of a dual ratio test over the pivot row, which
 //!   is accumulated sparsely from the CSR mirror over the support of
@@ -165,7 +165,7 @@ fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), Dual
             w.place_nonbasic(j, states[j]);
         }
     }
-    // Over-full (name collisions): demote highest-index extras, the
+    // Over-full (key collisions): demote highest-index extras, the
     // cheapest to re-derive.
     while basics.len() > m {
         let j = basics.pop().unwrap_or_default();
@@ -670,6 +670,7 @@ fn self_cap(w: &Worker) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::name_key;
     use crate::model::{Cmp, Model, Sense};
 
     fn assert_close(a: f64, b: f64) {
@@ -761,7 +762,7 @@ mod tests {
         assert_eq!(dual.stats().declined, None);
         // A warm start for another model matches nothing: same slack start.
         let mut alien = WarmStart::new();
-        alien.set_var("a", BasisStatus::Basic);
+        alien.set_var(name_key("a"), BasisStatus::Basic);
         let again = solve_dual_from_basis(&m, &alien).unwrap();
         assert_eq!(again.stats().warm, WarmOutcome::Cold);
         assert_eq!(again.objective().to_bits(), dual.objective().to_bits());
@@ -783,11 +784,11 @@ mod tests {
         let m = covering();
         // One basic out of three rows: under-full past the half-way mark.
         let mut sparse = WarmStart::new();
-        sparse.set_var("x", BasisStatus::Basic);
-        sparse.set_var("y", BasisStatus::AtLower);
-        sparse.set_row("c0", BasisStatus::AtLower);
-        sparse.set_row("c1", BasisStatus::AtLower);
-        sparse.set_row("c2", BasisStatus::AtLower);
+        sparse.set_var(name_key("x"), BasisStatus::Basic);
+        sparse.set_var(name_key("y"), BasisStatus::AtLower);
+        sparse.set_row(name_key("c0"), BasisStatus::AtLower);
+        sparse.set_row(name_key("c1"), BasisStatus::AtLower);
+        sparse.set_row(name_key("c2"), BasisStatus::AtLower);
         let sol = solve_dual_from_basis(&m, &sparse).unwrap();
         assert_close(sol.objective(), m.solve().unwrap().objective());
         assert_eq!(sol.stats().warm, WarmOutcome::Cold);

@@ -53,10 +53,12 @@ pub mod solution;
 pub mod sparse;
 pub mod standard;
 
-pub use basis::{BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart};
+pub use basis::{
+    name_key, positional_row_key, BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart,
+};
 pub use dual::{solve_dual_from_basis, solve_dual_with_options};
 pub use error::LpError;
-pub use model::{Cmp, ConstraintId, Model, Sense, VarId};
+pub use model::{Cmp, ConstraintId, KeyNames, Model, Sense, VarId};
 pub use pricing::ColumnPricer;
 pub use solution::{Solution, SolveStats, Status};
 

@@ -1,6 +1,9 @@
 //! Problem builder: variables with box bounds, linear constraints, and an
 //! objective sense. This is the single entry point both solvers consume.
 
+use std::borrow::Cow;
+
+use crate::basis::{name_key, positional_row_key};
 use crate::error::LpError;
 use crate::solution::Solution;
 use crate::TOL;
@@ -59,7 +62,11 @@ impl ConstraintId {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    pub name: String,
+    /// Warm-start identity: the caller's key for keyed columns, else
+    /// [`name_key`] of the name.
+    pub key: u64,
+    /// Diagnostic name; `None` for keyed columns, which store no string.
+    pub name: Option<Box<str>>,
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
@@ -67,14 +74,26 @@ pub(crate) struct Variable {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    /// Optional row name (empty = unnamed). Names key warm-start bases
-    /// across model rebuilds; see [`crate::basis::WarmStart`].
-    pub name: String,
+    /// Warm-start identity ([`Model::key_constraint`], or [`name_key`] of
+    /// a [`Model::name_constraint`] name). `None` rows match positionally;
+    /// see [`crate::basis::WarmStart`].
+    pub key: Option<u64>,
+    /// Diagnostic name, when the row was named rather than keyed.
+    pub name: Option<Box<str>>,
     /// (variable index, coefficient) pairs; duplicates are summed when the
     /// model is lowered to matrix form.
     pub terms: Vec<(usize, f64)>,
     pub cmp: Cmp,
     pub rhs: f64,
+}
+
+/// Renders the keys of keyed columns and rows for diagnostics
+/// ([`Model::var_name`], [`Model::constraint_name`]); set by the model's
+/// builder, which alone knows its key layout.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyNames {
+    pub var: fn(u64) -> String,
+    pub row: fn(u64) -> String,
 }
 
 /// A linear program under construction.
@@ -86,6 +105,7 @@ pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
     pub(crate) cons: Vec<Constraint>,
+    pub(crate) key_names: Option<KeyNames>,
 }
 
 impl Model {
@@ -95,6 +115,7 @@ impl Model {
             sense,
             vars: Vec::new(),
             cons: Vec::new(),
+            key_names: None,
         }
     }
 
@@ -113,9 +134,24 @@ impl Model {
     /// Either bound may be `±f64::INFINITY`. Bad data (NaN bounds, non-finite
     /// objective, inverted boxes) is accepted here and rejected by
     /// [`Model::validate`], which every solver runs before touching the model.
+    ///
+    /// The variable's warm-start key is [`name_key`] of `name`.
     pub fn add_var(&mut self, name: impl Into<String>, lb: f64, ub: f64, obj: f64) -> VarId {
+        let name: String = name.into();
+        self.push_var(name_key(&name), Some(name.into_boxed_str()), lb, ub, obj)
+    }
+
+    /// [`Model::add_var`] for a column identified by an opaque `key`
+    /// instead of a name: no string is stored, and warm starts match the
+    /// column by `key` alone.
+    pub fn add_keyed_var(&mut self, key: u64, lb: f64, ub: f64, obj: f64) -> VarId {
+        self.push_var(key, None, lb, ub, obj)
+    }
+
+    fn push_var(&mut self, key: u64, name: Option<Box<str>>, lb: f64, ub: f64, obj: f64) -> VarId {
         self.vars.push(Variable {
-            name: name.into(),
+            key,
+            name,
             lb,
             ub,
             obj,
@@ -123,8 +159,32 @@ impl Model {
         VarId(self.vars.len() - 1)
     }
 
-    /// Append a full column to a live model: a new variable together with
-    /// its coefficients in *existing* rows. This is the incremental entry
+    /// Add a variable with `src`'s identity (key and name) for variable
+    /// `v`, under new bounds and cost: how derived models (presolve,
+    /// scaling) keep warm starts resolving across the transformation.
+    pub(crate) fn add_var_like(
+        &mut self,
+        src: &Model,
+        v: VarId,
+        lb: f64,
+        ub: f64,
+        obj: f64,
+    ) -> VarId {
+        let s = &src.vars[v.0];
+        self.push_var(s.key, s.name.clone(), lb, ub, obj)
+    }
+
+    /// Give row `c` of this model the identity (key and name) of row
+    /// `from` in `src`.
+    pub(crate) fn copy_row_identity(&mut self, c: ConstraintId, src: &Model, from: ConstraintId) {
+        let s = &src.cons[from.0];
+        self.cons[c.0].key = s.key;
+        self.cons[c.0].name = s.name.clone();
+    }
+
+    /// Append a full column to a live model: a new variable identified by
+    /// the opaque `key` (see [`Model::add_keyed_var`]) together with its
+    /// coefficients in *existing* rows. This is the incremental entry
     /// point for delayed column generation — after a restricted master has
     /// been built and solved, columns that price out (see
     /// [`crate::pricing`]) are appended here and the model re-solved from
@@ -140,19 +200,19 @@ impl Model {
     ///
     /// Panics if a term references a constraint that does not exist yet;
     /// columns can only be appended into rows that are already present.
-    pub fn add_column(
+    pub fn add_keyed_column(
         &mut self,
-        name: impl Into<String>,
+        key: u64,
         lb: f64,
         ub: f64,
         obj: f64,
         terms: impl IntoIterator<Item = (ConstraintId, f64)>,
     ) -> VarId {
-        let v = self.add_var(name, lb, ub, obj);
+        let v = self.add_keyed_var(key, lb, ub, obj);
         for (c, coef) in terms {
             assert!(
                 c.0 < self.cons.len(),
-                "add_column term references unknown constraint {}",
+                "add_keyed_column term references unknown constraint {}",
                 c.0
             );
             self.cons[c.0].terms.push((v.0, coef));
@@ -169,7 +229,8 @@ impl Model {
     ) -> ConstraintId {
         let terms: Vec<(usize, f64)> = terms.into_iter().map(|(v, c)| (v.0, c)).collect();
         self.cons.push(Constraint {
-            name: String::new(),
+            key: None,
+            name: None,
             terms,
             cmp,
             rhs,
@@ -177,16 +238,53 @@ impl Model {
         ConstraintId(self.cons.len() - 1)
     }
 
-    /// Name a constraint so its slack's basis status can be matched by name
-    /// in a [`crate::basis::WarmStart`] even when the row order changes
-    /// between model rebuilds. Unnamed rows fall back to positional keys.
+    /// Name a constraint so its slack's basis status can be matched in a
+    /// [`crate::basis::WarmStart`] (by [`name_key`] of the name) even when
+    /// the row order changes between model rebuilds. Rows with neither a
+    /// name nor a key fall back to positional keys.
     pub fn name_constraint(&mut self, c: ConstraintId, name: impl Into<String>) {
-        self.cons[c.0].name = name.into();
+        let name: String = name.into();
+        self.cons[c.0].key = Some(name_key(&name));
+        self.cons[c.0].name = Some(name.into_boxed_str());
     }
 
-    /// Name of a constraint (empty if never named).
-    pub fn constraint_name(&self, c: ConstraintId) -> &str {
-        &self.cons[c.0].name
+    /// Identify a constraint by an opaque `key` instead of a name (see
+    /// [`Model::name_constraint`]); no string is stored.
+    pub fn key_constraint(&mut self, c: ConstraintId, key: u64) {
+        self.cons[c.0].key = Some(key);
+        self.cons[c.0].name = None;
+    }
+
+    /// Render keyed columns and rows through `names` in diagnostics.
+    pub fn set_key_names(&mut self, names: KeyNames) {
+        self.key_names = Some(names);
+    }
+
+    /// Name of a constraint, for diagnostics: its name, its rendered key,
+    /// or empty if it was never named or keyed.
+    pub fn constraint_name(&self, c: ConstraintId) -> Cow<'_, str> {
+        let con = &self.cons[c.0];
+        match (&con.name, con.key) {
+            (Some(name), _) => Cow::Borrowed(name),
+            (None, Some(key)) => Cow::Owned(match self.key_names {
+                Some(names) => (names.row)(key),
+                None => format!("#k{key:016x}"),
+            }),
+            (None, None) => Cow::Borrowed(""),
+        }
+    }
+
+    /// Warm-start key of a row: its own key, else its positional key.
+    pub fn constraint_key(&self, c: ConstraintId) -> u64 {
+        self.cons[c.0]
+            .key
+            .unwrap_or_else(|| positional_row_key(c.0))
+    }
+
+    /// Whether a row carries its own key (named or keyed) rather than
+    /// matching warm starts by position.
+    pub(crate) fn constraint_is_keyed(&self, c: ConstraintId) -> bool {
+        self.cons[c.0].key.is_some()
     }
 
     /// Number of variables.
@@ -199,9 +297,22 @@ impl Model {
         self.cons.len()
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.0].name
+    /// Name of a variable, for diagnostics only: its name, or its key
+    /// rendered through [`Model::set_key_names`] (hex without one).
+    pub fn var_name(&self, v: VarId) -> Cow<'_, str> {
+        let var = &self.vars[v.0];
+        match &var.name {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(match self.key_names {
+                Some(names) => (names.var)(var.key),
+                None => format!("#k{:016x}", var.key),
+            }),
+        }
+    }
+
+    /// Warm-start key of a variable.
+    pub fn var_key(&self, v: VarId) -> u64 {
+        self.vars[v.0].key
     }
 
     /// Bounds of a variable.
@@ -492,6 +603,31 @@ mod tests {
         m.name_constraint(c0, "cap_row");
         assert_eq!(m.constraint_name(c0), "cap_row");
         assert_eq!(m.constraint_name(c1), "");
+        assert_eq!(m.constraint_key(c0), name_key("cap_row"));
+        assert_eq!(m.constraint_key(c1), positional_row_key(1));
+    }
+
+    #[test]
+    fn keyed_columns_and_rows_store_no_name() {
+        let mut m = Model::minimize();
+        let x = m.add_keyed_var(42, 0.0, 1.0, 1.0);
+        let c = m.add_constraint([(x, 1.0)], Cmp::Ge, 0.5);
+        m.key_constraint(c, 7);
+        let y = m.add_keyed_column(43, 0.0, 1.0, 2.0, [(c, 1.0)]);
+        assert_eq!(m.var_key(x), 42);
+        assert_eq!(m.var_key(y), 43);
+        assert_eq!(m.constraint_key(c), 7);
+        assert!(m.vars.iter().all(|v| v.name.is_none()));
+        assert!(m.cons[0].name.is_none());
+        // Diagnostics render the raw key until the builder says how.
+        assert_eq!(m.var_name(x), "#k000000000000002a");
+        m.set_key_names(KeyNames {
+            var: |k| format!("col{k}"),
+            row: |k| format!("row{k}"),
+        });
+        assert_eq!(m.var_name(y), "col43");
+        assert_eq!(m.constraint_name(c), "row7");
+        assert!((m.solve().unwrap().objective() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -529,7 +665,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 3.0);
         let c = m.add_constraint([(x, 1.0)], Cmp::Ge, 2.0);
         assert!((m.solve().unwrap().objective() - 6.0).abs() < 1e-6);
-        let y = m.add_column("y", 0.0, 10.0, 1.0, [(c, 1.0)]);
+        let y = m.add_keyed_column(name_key("y"), 0.0, 10.0, 1.0, [(c, 1.0)]);
         m.validate().unwrap();
         let sol = m.solve().unwrap();
         assert!((sol.objective() - 2.0).abs() < 1e-6);
@@ -550,7 +686,7 @@ mod tests {
         m.name_constraint(r1, "cap");
         let sol = m.solve().unwrap();
         let basis = sol.warm_start().cloned().unwrap();
-        m.add_column("y", 0.0, 10.0, 1.0, [(r0, 1.0), (r1, 1.0)]);
+        m.add_keyed_column(name_key("y"), 0.0, 10.0, 1.0, [(r0, 1.0), (r1, 1.0)]);
         let warm = m.solve_warm(Some(&basis)).unwrap();
         let cold = m.solve().unwrap();
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
@@ -563,7 +699,7 @@ mod tests {
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         m.add_constraint([(x, 1.0)], Cmp::Le, 1.0);
-        m.add_column("y", 0.0, 1.0, 0.0, [(ConstraintId(3), 1.0)]);
+        m.add_keyed_column(name_key("y"), 0.0, 1.0, 0.0, [(ConstraintId(3), 1.0)]);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! assert!((full[1] - 4.0).abs() < 1e-9);
 //! ```
 
-use crate::basis::{BasisStatus, WarmStart};
+use crate::basis::{positional_row_key, BasisStatus, WarmStart};
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
 use crate::solution::Solution;
@@ -141,34 +141,27 @@ impl Restore {
 
     /// Project a warm start for the *original* model onto the reduced one:
     /// statuses of eliminated variables and dropped rows are discarded,
-    /// positional (`"#i"`) row keys are renumbered.
+    /// positional row keys ([`crate::basis::positional_row_key`]) are
+    /// renumbered.
     pub fn map_warm_start(&self, original: &Model, ws: &WarmStart) -> WarmStart {
-        let mut out = WarmStart::new();
-        for (i, m) in self.mapping.iter().enumerate() {
-            if m.is_ok() {
-                let name = original.var_name(VarId(i));
-                if let Some(st) = ws.var(name) {
-                    out.set_var(name, st);
-                }
-            }
-        }
-        for (ri, m) in self.row_mapping.iter().enumerate() {
-            let Some(new_idx) = m else { continue };
-            let name = original.constraint_name(ConstraintId(ri));
-            let st = if name.is_empty() {
-                ws.row(&format!("#{ri}"))
+        let vars = (0..self.mapping.len())
+            .filter(|&i| self.mapping[i].is_ok())
+            .filter_map(|i| {
+                let key = original.var_key(VarId(i));
+                ws.var(key).map(|st| (key, st))
+            });
+        let rows = self.row_mapping.iter().enumerate().filter_map(|(ri, m)| {
+            let new_idx = (*m)?;
+            let c = ConstraintId(ri);
+            let st = ws.row(original.constraint_key(c))?;
+            let key = if original.constraint_is_keyed(c) {
+                original.constraint_key(c)
             } else {
-                ws.row(name)
+                positional_row_key(new_idx)
             };
-            if let Some(st) = st {
-                if name.is_empty() {
-                    out.set_row(format!("#{new_idx}"), st);
-                } else {
-                    out.set_row(name, st);
-                }
-            }
-        }
-        out
+            Some((key, st))
+        });
+        WarmStart::from_entries(vars, rows)
     }
 
     /// Lift a warm start produced on the reduced model back to the
@@ -176,48 +169,38 @@ impl Restore {
     /// to, dropped rows' slacks are basic (the rows are slack by
     /// construction), positional row keys are renumbered back.
     pub fn unmap_warm_start(&self, original: &Model, ws: &WarmStart) -> WarmStart {
-        let mut out = WarmStart::new();
-        for (i, m) in self.mapping.iter().enumerate() {
-            let name = original.var_name(VarId(i));
-            match m {
-                Ok(_) => {
-                    if let Some(st) = ws.var(name) {
-                        out.set_var(name, st);
-                    }
-                }
+        let vars = self.mapping.iter().enumerate().filter_map(|(i, m)| {
+            let key = original.var_key(VarId(i));
+            let st = match m {
+                Ok(_) => ws.var(key)?,
                 Err(v) => {
                     let (lo, hi) = original.var_bounds(VarId(i));
-                    let st = if hi.is_finite() && (v - hi).abs() <= (v - lo).abs() {
+                    if hi.is_finite() && (v - hi).abs() <= (v - lo).abs() {
                         BasisStatus::AtUpper
                     } else {
                         BasisStatus::AtLower
-                    };
-                    out.set_var(name, st);
-                }
-            }
-        }
-        for (ri, m) in self.row_mapping.iter().enumerate() {
-            let name = original.constraint_name(ConstraintId(ri));
-            let key = if name.is_empty() {
-                format!("#{ri}")
-            } else {
-                name.to_string()
-            };
-            match m {
-                Some(new_idx) => {
-                    let st = if name.is_empty() {
-                        ws.row(&format!("#{new_idx}"))
-                    } else {
-                        ws.row(name)
-                    };
-                    if let Some(st) = st {
-                        out.set_row(key, st);
                     }
                 }
-                None => out.set_row(key, BasisStatus::Basic),
-            }
-        }
-        out
+            };
+            Some((key, st))
+        });
+        let rows = self.row_mapping.iter().enumerate().filter_map(|(ri, m)| {
+            let c = ConstraintId(ri);
+            let key = original.constraint_key(c);
+            let st = match m {
+                Some(new_idx) => {
+                    let reduced_key = if original.constraint_is_keyed(c) {
+                        key
+                    } else {
+                        positional_row_key(*new_idx)
+                    };
+                    ws.row(reduced_key)?
+                }
+                None => BasisStatus::Basic,
+            };
+            Some((key, st))
+        });
+        WarmStart::from_entries(vars, rows)
     }
 
     /// Lift a full reduced-model [`Solution`] back to the original model:
@@ -392,17 +375,13 @@ pub fn presolve_with(model: &Model, opts: PresolveOptions) -> Result<(Model, Res
         }
     }
 
-    // Build the reduced model. Variable and row names are preserved so
-    // warm starts resolve across the reduction.
+    // Build the reduced model. Variable and row identities (keys and
+    // names) are preserved so warm starts resolve across the reduction.
     let mut reduced = Model::new(model.sense());
+    reduced.key_names = model.key_names;
     for i in 0..n {
         if mapping[i].is_ok() {
-            reduced.add_var(
-                model.var_name(VarId(i)).to_string(),
-                lb[i],
-                ub[i],
-                model.var_obj(VarId(i)),
-            );
+            reduced.add_var_like(model, VarId(i), lb[i], ub[i], model.var_obj(VarId(i)));
         }
     }
     let mut row_mapping: Vec<Option<usize>> = vec![None; model.cons.len()];
@@ -475,10 +454,7 @@ pub fn presolve_with(model: &Model, opts: PresolveOptions) -> Result<(Model, Res
             })
             .collect();
         let id = reduced.add_constraint(terms, con.cmp, rhs);
-        let name = model.constraint_name(ConstraintId(ri));
-        if !name.is_empty() {
-            reduced.name_constraint(id, name);
-        }
+        reduced.copy_row_identity(id, model, ConstraintId(ri));
         row_mapping[ri] = Some(id.0);
     }
 
@@ -691,22 +667,23 @@ mod tests {
         m.name_constraint(c, "floor");
         let (reduced, restore) = presolve_with(&m, certified_options()).unwrap();
 
+        let key = crate::basis::name_key;
         let mut ws = WarmStart::new();
-        ws.set_var("x", BasisStatus::AtLower);
-        ws.set_var("y", BasisStatus::Basic);
-        ws.set_row("#0", BasisStatus::Basic);
-        ws.set_row("floor", BasisStatus::AtLower);
+        ws.set_var(key("x"), BasisStatus::AtLower);
+        ws.set_var(key("y"), BasisStatus::Basic);
+        ws.set_row(positional_row_key(0), BasisStatus::Basic);
+        ws.set_row(key("floor"), BasisStatus::AtLower);
         let mapped = restore.map_warm_start(&m, &ws);
-        assert_eq!(mapped.var("x"), None); // eliminated
-        assert_eq!(mapped.var("y"), Some(BasisStatus::Basic));
-        assert_eq!(mapped.row("floor"), Some(BasisStatus::AtLower));
+        assert_eq!(mapped.var(key("x")), None); // eliminated
+        assert_eq!(mapped.var(key("y")), Some(BasisStatus::Basic));
+        assert_eq!(mapped.row(key("floor")), Some(BasisStatus::AtLower));
 
         let sol = reduced.solve_warm(Some(&mapped)).unwrap();
         let restored = restore.restore_solution(&m, &sol);
         assert!((restored.objective() - 2.0).abs() < 1e-6);
         let back = restored.warm_start().unwrap();
-        assert_eq!(back.var("x"), Some(BasisStatus::AtLower));
-        assert_eq!(back.row("#0"), Some(BasisStatus::Basic)); // dropped row
+        assert_eq!(back.var(key("x")), Some(BasisStatus::AtLower));
+        assert_eq!(back.row(positional_row_key(0)), Some(BasisStatus::Basic)); // dropped row
         assert_eq!(back.len(), 4);
     }
 

@@ -4,7 +4,7 @@
 //! model's columns. After the RMP solves to optimality, every *excluded*
 //! column must be priced against the master's duals: a column whose
 //! reduced cost is negative (in the internal minimization sense) would
-//! improve the master and has to be appended ([`crate::Model::add_column`])
+//! improve the master and has to be appended ([`crate::Model::add_keyed_column`])
 //! before the incumbent can be called optimal for the full model. When no
 //! excluded column prices out, the master's optimal basis is optimal for
 //! the full model — the excluded columns are nonbasic at their (zero)
@@ -158,7 +158,7 @@ mod tests {
         let cand = [(demand, 1.0)];
         assert!(pricer.prices_out(1.0, &cand));
         let basis = sol.warm_start().cloned().unwrap();
-        m.add_column("z", 0.0, 10.0, 1.0, cand);
+        m.add_keyed_column(crate::name_key("z"), 0.0, 10.0, 1.0, cand);
         let sol2 = m.solve_warm(Some(&basis)).unwrap();
         assert!((sol2.objective() - 4.0).abs() < 1e-6);
         let pricer2 = ColumnPricer::new(&m, &sol2).unwrap();

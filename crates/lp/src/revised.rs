@@ -24,7 +24,7 @@
 //!   Bland's rule, which guarantees termination, and switches back once the
 //!   objective moves again.
 //! * **Warm starts.** [`RevisedSimplex::solve_with_warm_start`] seeds the
-//!   basis from a named [`WarmStart`] snapshot (produced by every solve).
+//!   basis from a keyed [`WarmStart`] snapshot (produced by every solve).
 //!   A basis that is still primal feasible skips phase 1 entirely; a basis
 //!   broken by model edits is repaired with per-row artificials and a short
 //!   phase 1; anything unusable falls back to a cold solve. The warm start
@@ -133,7 +133,7 @@ impl RevisedSimplex {
 
     /// Solve `model`, optionally seeding the simplex from a prior basis.
     ///
-    /// The warm start is matched to the model by variable name and row name
+    /// The warm start is matched to the model by variable key and row key
     /// (see [`WarmStart`]); unmatched columns get their cold-start
     /// placement. Three things can happen, reported in
     /// [`SolveStats::warm`]:
@@ -240,7 +240,7 @@ impl RevisedSimplex {
     }
 }
 
-/// Map a warm start's named statuses onto this model's standard-form
+/// Map a warm start's keyed statuses onto this model's standard-form
 /// columns. Returns `None` when not a single status matched (treat as
 /// cold — the warm start is for a different model).
 pub(crate) fn resolve_warm_states(
@@ -251,19 +251,13 @@ pub(crate) fn resolve_warm_states(
     let mut states: Vec<Option<BasisStatus>> = vec![None; sf.ncols()];
     let mut matched = 0usize;
     for j in 0..sf.n_structural {
-        if let Some(st) = ws.var(model.var_name(VarId(j))) {
+        if let Some(st) = ws.var(model.var_key(VarId(j))) {
             states[j] = Some(st);
             matched += 1;
         }
     }
     for i in 0..sf.nrows() {
-        let name = model.constraint_name(ConstraintId(i));
-        let st = if name.is_empty() {
-            ws.row(&format!("#{i}"))
-        } else {
-            ws.row(name)
-        };
-        if let Some(st) = st {
+        if let Some(st) = ws.row(model.constraint_key(ConstraintId(i))) {
             states[sf.n_structural + i] = Some(st);
             matched += 1;
         }
@@ -271,22 +265,17 @@ pub(crate) fn resolve_warm_states(
     (matched > 0).then_some(states)
 }
 
-/// Snapshot the final basis as a name-keyed warm start for the next solve.
+/// Snapshot the final basis as a key-indexed warm start for the next solve.
 pub(crate) fn extract_warm_start(model: &Model, sf: &StandardForm, w: &Worker) -> WarmStart {
-    let mut ws = WarmStart::new();
-    for j in 0..sf.n_structural {
-        ws.set_var(model.var_name(VarId(j)), to_basis_status(w.state[j]));
-    }
-    for i in 0..sf.nrows() {
-        let name = model.constraint_name(ConstraintId(i));
-        let key = if name.is_empty() {
-            format!("#{i}")
-        } else {
-            name.to_string()
-        };
-        ws.set_row(key, to_basis_status(w.state[sf.n_structural + i]));
-    }
-    ws
+    WarmStart::from_entries(
+        (0..sf.n_structural).map(|j| (model.var_key(VarId(j)), to_basis_status(w.state[j]))),
+        (0..sf.nrows()).map(|i| {
+            (
+                model.constraint_key(ConstraintId(i)),
+                to_basis_status(w.state[sf.n_structural + i]),
+            )
+        }),
+    )
 }
 
 pub(crate) fn to_basis_status(s: VarState) -> BasisStatus {
@@ -591,7 +580,7 @@ impl<'a> Worker<'a> {
         col
     }
 
-    /// Seed the basis from name-resolved warm statuses. Never fails the
+    /// Seed the basis from key-resolved warm statuses. Never fails the
     /// solve: any inconsistency degrades to [`WarmInit::Failed`] and the
     /// caller cold-starts.
     fn init_warm_basis(&mut self, states: &[Option<BasisStatus>]) -> WarmInit {
@@ -607,7 +596,7 @@ impl<'a> Worker<'a> {
                 self.place_nonbasic(j, states[j]);
             }
         }
-        // Over-full basis (name collisions, model edits): demote the
+        // Over-full basis (key collisions, model edits): demote the
         // highest-index extras — those are slacks / late-added columns,
         // the cheapest to re-derive.
         while basics.len() > m {
@@ -651,7 +640,7 @@ impl<'a> Worker<'a> {
         self.basis = basics;
         let mut repaired = false;
         if self.refactor().is_err() {
-            // Model edits can leave the name-matched columns rank-deficient
+            // Model edits can leave the key-matched columns rank-deficient
             // (a job's avail set changed, a column vanished). Swap the
             // dependent ones for slacks of the rows they fail to cover and
             // retry once before giving up.
@@ -751,7 +740,7 @@ impl<'a> Worker<'a> {
             || (self.prune_dependent_basics(self.repair_limit()) && self.refactor().is_ok())
     }
 
-    /// The seeded warm basis failed to factorize: some name-matched columns
+    /// The seeded warm basis failed to factorize: some key-matched columns
     /// no longer span the row space. Identify a maximal independent subset
     /// with a dense rank-revealing elimination and replace each dependent
     /// column with the slack of a row the independent set leaves uncovered
@@ -1400,6 +1389,7 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::{name_key, positional_row_key};
     use crate::model::{Cmp, Model, Sense};
 
     fn assert_close(a: f64, b: f64) {
@@ -1886,17 +1876,17 @@ mod tests {
 
         // Statuses for a completely different model: nothing matches.
         let mut alien = WarmStart::new();
-        alien.set_var("a", BasisStatus::Basic);
-        alien.set_var("b", BasisStatus::AtUpper);
+        alien.set_var(name_key("a"), BasisStatus::Basic);
+        alien.set_var(name_key("b"), BasisStatus::AtUpper);
         let sol = m.solve_warm(Some(&alien)).unwrap();
         assert_eq!(sol.stats().warm, WarmOutcome::Cold);
         assert_close(sol.objective(), 8.0);
 
         // Everything claims to be basic: must trim and still solve right.
         let mut all_basic = WarmStart::new();
-        all_basic.set_var("x", BasisStatus::Basic);
-        all_basic.set_var("y", BasisStatus::Basic);
-        all_basic.set_row("#0", BasisStatus::Basic);
+        all_basic.set_var(name_key("x"), BasisStatus::Basic);
+        all_basic.set_var(name_key("y"), BasisStatus::Basic);
+        all_basic.set_row(positional_row_key(0), BasisStatus::Basic);
         let sol = m.solve_warm(Some(&all_basic)).unwrap();
         assert_close(sol.objective(), 8.0);
     }

@@ -95,13 +95,8 @@ pub fn equilibrate(model: &Model) -> (Model, ScaleMap) {
         let v = crate::VarId(j);
         let (lb, ub) = model.var_bounds(v);
         let c = col_scale[j];
-        scaled.add_var(
-            model.var_name(v).to_string(),
-            // Bounds divide by the scale (c > 0 always).
-            lb / c,
-            ub / c,
-            model.var_obj(v) * c,
-        );
+        // Bounds divide by the scale (c > 0 always).
+        scaled.add_var_like(model, v, lb / c, ub / c, model.var_obj(v) * c);
     }
     for (ri, con) in model.cons.iter().enumerate() {
         let r = row_scale[ri];

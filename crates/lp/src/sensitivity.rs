@@ -20,6 +20,27 @@ pub struct Sensitivity {
     pub reduced_costs: Vec<f64>,
 }
 
+/// Internal duals are for the minimization form; a maximization model's
+/// objective was negated, so its duals and reduced costs flip back.
+fn sense_sign(model: &Model) -> f64 {
+    match model.sense() {
+        Sense::Minimize => 1.0,
+        Sense::Maximize => -1.0,
+    }
+}
+
+/// Per-constraint shadow prices in the original model sense (see
+/// [`Sensitivity::shadow_prices`]), without the reduced-cost pass of
+/// [`analyze`]. Empty when the solution carries no duals.
+pub fn shadow_prices(model: &Model, solution: &Solution) -> Vec<f64> {
+    let duals = solution.duals();
+    if duals.len() != model.num_constraints() {
+        return Vec::new();
+    }
+    let sign = sense_sign(model);
+    duals.iter().map(|&y| sign * y).collect()
+}
+
 /// Compute sensitivity information from a solved model.
 ///
 /// Requires the solution to carry duals (the revised solver provides them;
@@ -32,13 +53,8 @@ pub fn analyze(model: &Model, solution: &Solution) -> Sensitivity {
             reduced_costs: Vec::new(),
         };
     }
-    // Internal duals are for the minimization form; a maximization model's
-    // objective was negated, so flip back.
-    let sign = match model.sense() {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-    let shadow_prices: Vec<f64> = duals.iter().map(|&y| sign * y).collect();
+    let shadow_prices = shadow_prices(model, solution);
+    let sign = sense_sign(model);
 
     // Reduced cost: d_j = c_j − y·A_j (internal), mapped back by the same
     // sign flip.
@@ -135,6 +151,18 @@ mod tests {
             m
         };
         check_shadow_by_fd(build, 3);
+    }
+
+    #[test]
+    fn shadow_prices_alone_match_analyze_in_both_senses() {
+        for sense in [Sense::Minimize, Sense::Maximize] {
+            let mut m = Model::new(sense);
+            let x = m.add_var("x", 0.0, 10.0, 1.0);
+            m.add_constraint([(x, 1.0)], Cmp::Ge, 2.0);
+            m.add_constraint([(x, 1.0)], Cmp::Le, 5.0);
+            let sol = m.solve().unwrap();
+            assert_eq!(shadow_prices(&m, &sol), analyze(&m, &sol).shadow_prices);
+        }
     }
 
     #[test]

@@ -142,18 +142,24 @@ impl Solution {
         &self.stats
     }
 
-    /// The optimal basis, keyed by names, for seeding the next solve of the
+    /// The optimal basis, keyed by variable and row keys, for seeding the next solve of the
     /// same or a perturbed model. `None` for solutions not produced by the
     /// revised simplex (the dense oracle, hand-built solutions).
     pub fn warm_start(&self) -> Option<&WarmStart> {
         self.warm_start.as_ref()
+    }
+
+    /// Move the basis out of the solution (see [`Solution::warm_start`]),
+    /// for a caller that chains it into the next solve and needs no copy.
+    pub fn take_warm_start(&mut self) -> Option<WarmStart> {
+        self.warm_start.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::BasisStatus;
+    use crate::basis::{name_key, BasisStatus};
 
     #[test]
     fn accessors_roundtrip() {
@@ -172,7 +178,7 @@ mod tests {
     #[test]
     fn stats_and_warm_start_attach() {
         let mut ws = WarmStart::new();
-        ws.set_var("x", BasisStatus::Basic);
+        ws.set_var(name_key("x"), BasisStatus::Basic);
         let s = Solution::new(0.0, vec![], vec![], 3)
             .with_stats(SolveStats {
                 iterations: 3,
@@ -186,6 +192,9 @@ mod tests {
         assert_eq!(s.stats().phase1_iterations, 1);
         assert_eq!(s.stats().ftran_nnz, 42);
         assert_eq!(s.stats().warm, WarmOutcome::Warm);
-        assert_eq!(s.warm_start().unwrap().var("x"), Some(BasisStatus::Basic));
+        assert_eq!(
+            s.warm_start().unwrap().var(name_key("x")),
+            Some(BasisStatus::Basic)
+        );
     }
 }
