@@ -1,25 +1,21 @@
-//! Degeneracy and anti-cycling under both LU backends.
+//! Degeneracy and anti-cycling in the revised simplex.
 //!
 //! Every test here runs with `bland_trigger: 0`, so the very first
 //! degenerate pivot flips the solver into Bland's rule — the worst case
 //! for pivot-selection quality and the configuration where cycling bugs
 //! surface. The solver must still terminate inside the iteration cap,
-//! reach the known optimum, and produce a solution the KKT certificate
-//! checker accepts, with both the sparse and the dense basis
-//! factorization.
+//! reach the known optimum (and the dense tableau oracle's), and produce
+//! a solution the KKT certificate checker accepts.
 
 #![allow(clippy::needless_range_loop)] // structured LP builders read clearer with indices
 
 use lips_audit::certify;
-use lips_lp::revised::{LuBackend, RevisedOptions, RevisedSimplex};
+use lips_lp::revised::{RevisedOptions, RevisedSimplex};
 use lips_lp::{Cmp, Model, Sense, Solution};
 
-const BACKENDS: [LuBackend; 2] = [LuBackend::Sparse, LuBackend::Dense];
-
-fn solve_bland(m: &Model, backend: LuBackend) -> Solution {
+fn solve_bland(m: &Model) -> Solution {
     let solver = RevisedSimplex::with_options(RevisedOptions {
         bland_trigger: 0,
-        backend,
         ..Default::default()
     });
     let sol = solver.solve(m).expect("degenerate model must still solve");
@@ -121,72 +117,64 @@ fn klee_minty(n: usize) -> (Model, f64) {
 #[test]
 fn beale_terminates_and_certifies_under_forced_bland() {
     let (m, expect) = beale();
-    for backend in BACKENDS {
-        let sol = solve_bland(&m, backend);
-        assert!(
-            (sol.objective() - expect).abs() < 1e-6,
-            "{backend:?}: {} vs {expect}",
-            sol.objective()
-        );
-        assert_certified(&m, &sol, "beale");
-    }
+    let sol = solve_bland(&m);
+    assert!(
+        (sol.objective() - expect).abs() < 1e-6,
+        "{} vs {expect}",
+        sol.objective()
+    );
+    assert_certified(&m, &sol, "beale");
 }
 
 #[test]
 fn marshall_suurballe_terminates_and_certifies_under_forced_bland() {
     let (m, expect) = marshall_suurballe();
-    for backend in BACKENDS {
-        let sol = solve_bland(&m, backend);
-        assert!(
-            (sol.objective() - expect).abs() < 1e-6,
-            "{backend:?}: {} vs {expect}",
-            sol.objective()
-        );
-        assert_certified(&m, &sol, "marshall-suurballe");
-    }
+    let sol = solve_bland(&m);
+    assert!(
+        (sol.objective() - expect).abs() < 1e-6,
+        "{} vs {expect}",
+        sol.objective()
+    );
+    assert_certified(&m, &sol, "marshall-suurballe");
 }
 
 #[test]
 fn degenerate_assignment_terminates_and_certifies_under_forced_bland() {
     let (m, expect) = degenerate_assignment(10);
-    for backend in BACKENDS {
-        let sol = solve_bland(&m, backend);
-        assert!(
-            (sol.objective() - expect).abs() < 1e-6,
-            "{backend:?}: {} vs {expect}",
-            sol.objective()
-        );
-        assert_certified(&m, &sol, "assignment");
-    }
+    let sol = solve_bland(&m);
+    assert!(
+        (sol.objective() - expect).abs() < 1e-6,
+        "{} vs {expect}",
+        sol.objective()
+    );
+    assert_certified(&m, &sol, "assignment");
 }
 
 #[test]
 fn klee_minty_terminates_and_certifies_under_forced_bland() {
     for n in [4usize, 6] {
         let (m, expect) = klee_minty(n);
-        for backend in BACKENDS {
-            let sol = solve_bland(&m, backend);
-            assert!(
-                (sol.objective() - expect).abs() / expect < 1e-9,
-                "n={n} {backend:?}: {} vs {expect}",
-                sol.objective()
-            );
-            assert_certified(&m, &sol, "klee-minty");
-        }
+        let sol = solve_bland(&m);
+        assert!(
+            (sol.objective() - expect).abs() / expect < 1e-9,
+            "n={n}: {} vs {expect}",
+            sol.objective()
+        );
+        assert_certified(&m, &sol, "klee-minty");
     }
 }
 
 #[test]
-fn backends_agree_bit_for_bit_on_objectives() {
-    // The two factorization backends follow the same pivot sequence under
-    // Bland (deterministic entering rule), so their optima must agree to
-    // full precision, not just tolerance.
+fn bland_optima_match_the_dense_tableau_oracle() {
+    // The dense tableau simplex shares no factorization or pricing code
+    // with the revised simplex, so agreement on these degenerate models
+    // checks the forced-Bland path against an independent solver.
     for (m, _) in [beale(), marshall_suurballe(), degenerate_assignment(6)] {
-        let a = solve_bland(&m, LuBackend::Sparse);
-        let b = solve_bland(&m, LuBackend::Dense);
+        let a = solve_bland(&m);
+        let b = m.solve_dense().expect("oracle solves");
         assert!(
-            (a.objective() - b.objective()).abs() < 1e-9,
-            "backends diverged: {} vs {}",
+            (a.objective() - b.objective()).abs() < 1e-9 * (1.0 + b.objective().abs()),
+            "revised vs dense oracle: {} vs {}",
             a.objective(),
             b.objective()
         );

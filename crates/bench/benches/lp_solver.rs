@@ -140,7 +140,7 @@ fn bench_refactor_interval(c: &mut Criterion) {
 }
 
 /// The churn fast path head to head: the dual-first ladder
-/// (presolve + dual re-solve from the carried basis) vs the primal
+/// (dual re-solve from the carried basis) vs the primal
 /// warm-repair ladder on the scripted fault sequence — revocations, a
 /// store loss, a repricing, and a rejoin mid-run. This is the
 /// microbenchmark behind `lp_bench --faults --mode dual`.

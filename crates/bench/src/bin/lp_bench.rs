@@ -8,11 +8,11 @@
 //!
 //! Flags: `--json`, `--colgen` (also run the column-generated restricted
 //! master and record active-column counts + pricing rounds per epoch),
-//! `--mode dual` (also run the churn fast path — certification-safe
-//! presolve + dual-simplex re-solve from the carried basis — and, with
-//! `--faults`, a second fault series whose ladder tries the dual rung
-//! first; records `dual_pivots`/`bound_flips`/`presolve_removed` per epoch
-//! and the fault-epoch iteration ratio vs the primal repair ladder),
+//! `--mode dual` (also run the churn fast path — dual-simplex re-solve
+//! from the carried basis — and, with `--faults`, a second fault series
+//! whose ladder tries the dual rung first; records
+//! `dual_pivots`/`bound_flips` per epoch and the fault-epoch iteration
+//! ratio vs the primal repair ladder),
 //! `--audit` (exit non-zero unless every epoch of every mode certified),
 //! `--threads N` (worker count for model build, pricing, and
 //! certification; default 0 = `LIPS_THREADS` or the host parallelism),
@@ -43,9 +43,9 @@ struct BenchReport {
     warm: EpochRun,
     /// Present only with `--colgen`.
     colgen: Option<EpochRun>,
-    /// Present only with `--mode dual`: the churn fast path
-    /// (certification-safe presolve + dual-simplex re-solve from the
-    /// carried basis, primal fallback when no basis is dual-startable).
+    /// Present only with `--mode dual`: the churn fast path (dual-simplex
+    /// re-solve from the carried basis, else the slack basis; warm primal
+    /// when the walk is declined).
     dual: Option<EpochRun>,
     /// Present only with `--faults`: the same epoch sequence with scripted
     /// machine revocations, a store loss, a repricing, and a rejoin.
@@ -206,7 +206,7 @@ fn main() {
         header.extend(["cg iters", "cg ms", "cg cols", "cg rounds"]);
     }
     if with_dual {
-        header.extend(["dual iters", "dual ms", "pivots/flips", "presolved"]);
+        header.extend(["dual iters", "dual ms", "pivots/flips"]);
     }
     let mut t = Table::new(header);
     for (i, (c, w)) in cold.epochs.iter().zip(&warm.epochs).enumerate() {
@@ -231,7 +231,6 @@ fn main() {
                 d.iterations.to_string(),
                 format!("{:.2}", d.epoch_ms),
                 format!("{}/{}", d.dual_pivots, d.bound_flips),
-                d.presolve_removed.to_string(),
             ]);
         }
         t.row(row);
@@ -305,10 +304,9 @@ fn main() {
     if let Some(d) = &report.dual {
         let pivots: usize = d.epochs.iter().map(|e| e.dual_pivots).sum();
         let flips: usize = d.epochs.iter().map(|e| e.bound_flips).sum();
-        let removed: usize = d.epochs.iter().map(|e| e.presolve_removed).sum();
         println!(
-            "        dual {} iters / {:.1} ms solve / {:.1} ms epoch / {} dual pivots / {} bound flips / {} presolved away",
-            d.total_iterations, d.total_solve_ms, d.total_epoch_ms, pivots, flips, removed
+            "        dual {} iters / {:.1} ms solve / {:.1} ms epoch / {} dual pivots / {} bound flips",
+            d.total_iterations, d.total_solve_ms, d.total_epoch_ms, pivots, flips
         );
     }
     if let (Some(r), Some(s)) = (report.colgen_epoch_ms_ratio, report.colgen_active_share) {

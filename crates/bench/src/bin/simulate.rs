@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 
 use lips_cluster::{ec2_100_node, ec2_mixed_cluster, Cluster};
 use lips_core::{
-    AdaptiveConfig, AdaptiveLips, DelayScheduler, FairScheduler, HadoopDefaultScheduler,
-    LipsScheduler, SchedulerConfig,
+    AdaptiveLips, DelayScheduler, FairScheduler, HadoopDefaultScheduler, LipsScheduler,
+    SchedulerConfig, TuneConfig,
 };
 use lips_sim::{Placement, Scheduler, Simulation};
 use lips_workload::{bind_workload, swim_trace, table_iv_suite, JobSpec, PlacementPolicy, SwimCfg};
@@ -162,9 +162,9 @@ fn build_scheduler(cfg: &SchedulerCfg) -> Box<dyn Scheduler> {
         }
         SchedulerCfg::LipsAdaptive { cost_preference } => Box::new(AdaptiveLips::new(
             SchedulerConfig::small_cluster(400.0),
-            AdaptiveConfig {
+            TuneConfig {
                 cost_preference: *cost_preference,
-                ..Default::default()
+                ..TuneConfig::adaptive()
             },
         )),
         SchedulerCfg::HadoopDefault => Box::new(HadoopDefaultScheduler::new()),

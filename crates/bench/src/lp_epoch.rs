@@ -14,8 +14,8 @@
 //! * [`EpochMode::ColGen`] — a column-generated restricted master
 //!   ([`EpochSolver::colgen`]) carrying the surviving active columns *and*
 //!   the basis across epochs;
-//! * [`EpochMode::Dual`] — presolve plus the bounded dual simplex from
-//!   the carried basis, warm primal when the walk is declined.
+//! * [`EpochMode::Dual`] — the bounded dual simplex from the carried
+//!   basis, warm primal when the walk is declined.
 //!
 //! Every epoch is KKT-certified in all modes (the restricted modes
 //! against the **full** model, excluded columns priced), so the
@@ -60,11 +60,10 @@ pub enum EpochMode {
     /// Column-generated restricted master with cross-epoch column + basis
     /// reuse.
     ColGen,
-    /// The churn fast path: certification-safe presolve + bounded
-    /// dual-simplex re-solve from the previous epoch's basis
-    /// ([`EpochSolver::dual`] + [`EpochSolver::presolve`]), falling back
-    /// to the presolved warm primal when the carried basis is not dual
-    /// feasible (always on the first epoch, which has no basis).
+    /// The churn fast path: bounded dual-simplex re-solve from the
+    /// previous epoch's basis ([`EpochSolver::dual`]), or from the slack
+    /// basis on the first epoch, falling back to the warm primal when the
+    /// walk is declined.
     Dual,
 }
 
@@ -205,7 +204,7 @@ pub fn run_epochs(
             },
         };
         let t = Instant::now();
-        let (sched, certified, active, total, rounds, presolve_removed, timings) = match mode {
+        let (sched, certified, active, total, rounds, timings) = match mode {
             EpochMode::Cold | EpochMode::Warm => {
                 let seed = if mode == EpochMode::Warm {
                     basis.as_ref()
@@ -223,20 +222,19 @@ pub fn run_epochs(
                     .expect("certification was requested")
                     .is_optimal();
                 basis = Some(report.basis);
-                (report.schedule, certified, 0, 0, 1, 0, report.timings)
+                (report.schedule, certified, 0, 0, 1, report.timings)
             }
             EpochMode::Dual => {
-                // Presolve + dual solve from the carried basis (from the
-                // slack basis on the first epoch or when the carried one
-                // is declined at seeding); when the walk is declined
-                // mid-way the presolved warm primal takes over, and the
+                // Dual solve from the carried basis (from the slack basis
+                // on the first epoch or when the carried one is declined
+                // at seeding); when the walk is declined mid-way the warm
+                // primal takes over, and the
                 // decline stays on the record — exactly the scheduler's
                 // ladder.
                 let mut declined = None;
                 let mut report = with_width(EpochSolver::new(&inst), threads)
                     .warm(basis.as_ref())
                     .dual()
-                    .presolve()
                     .certify()
                     .run()
                     .or_else(|e| {
@@ -245,7 +243,6 @@ pub fn run_epochs(
                         }
                         with_width(EpochSolver::new(&inst), threads)
                             .warm(basis.as_ref())
-                            .presolve()
                             .certify()
                             .run()
                     })
@@ -256,9 +253,8 @@ pub fn run_epochs(
                     .as_ref()
                     .expect("certification was requested")
                     .is_optimal();
-                let removed = report.presolve_removed;
                 basis = Some(report.basis);
-                (report.schedule, certified, 0, 0, 1, removed, report.timings)
+                (report.schedule, certified, 0, 0, 1, report.timings)
             }
             EpochMode::ColGen => {
                 let report = with_width(EpochSolver::new(&inst), threads)
@@ -278,7 +274,6 @@ pub fn run_epochs(
                     stats.active_columns,
                     stats.total_columns,
                     stats.rounds,
-                    0,
                     report.timings,
                 )
             }
@@ -332,7 +327,7 @@ pub fn run_epochs(
                 pricing_rounds: rounds,
                 active_columns: active,
                 total_columns: total,
-                presolve_removed,
+                presolve_removed: 0,
                 build_ms: timings.build_ms,
                 solve_ms: stats.solve_ms,
                 certify_ms: timings.certify_ms,
@@ -599,12 +594,6 @@ pub fn run_epochs_faulted(
         };
         let t = Instant::now();
         let solved = if dual {
-            // The dual rung runs unpresolved: on fault epochs the model
-            // reduction costs more wall time than it saves, and projecting
-            // an already-repaired basis into the reduced space starves the
-            // dual seed (measured: the mass-revocation epoch declines that
-            // the unreduced dual serves). Presolve earns its keep in the
-            // steady churn series (`EpochMode::Dual`), not here.
             with_width(EpochSolver::new(&inst), threads)
                 .warm(basis.as_ref())
                 .dual()
@@ -889,7 +878,6 @@ mod tests {
                 assert_eq!(a.iterations, b.iterations, "epoch {}", a.epoch);
                 assert_eq!(a.dual_pivots, b.dual_pivots, "epoch {}", a.epoch);
                 assert_eq!(a.bound_flips, b.bound_flips, "epoch {}", a.epoch);
-                assert_eq!(a.presolve_removed, b.presolve_removed, "epoch {}", a.epoch);
                 assert_eq!(a.warm, b.warm, "epoch {}", a.epoch);
             }
         }
@@ -922,11 +910,6 @@ mod tests {
                 assert_eq!(r.phase1_iterations, 0, "epoch {}", r.epoch);
             }
         }
-        // Presolve actually removed something on this instance family.
-        assert!(
-            dual.epochs.iter().any(|r| r.presolve_removed > 0),
-            "epoch presolve never reduced the model"
-        );
         // Same models, same optima — the fast path is a path, not a model
         // change.
         assert!(dual.total_iterations < cold.total_iterations);

@@ -3,15 +3,11 @@
 //! are changed by users."
 //!
 //! [`AdaptiveLips`] wraps [`LipsScheduler`] and re-derives the epoch before
-//! every decision from the current backlog and a single
-//! **cost-preference** dial `σ ∈ [0, 1]`:
-//!
-//! * the dial selects a *target node set* — the cheapest machines whose
-//!   prices are within the bottom `(1 − σ)` share of the cluster's price
-//!   range (σ = 1 → only the cheapest-priced nodes, σ = 0 → every node);
-//! * the epoch is then sized so that the whole current backlog fits into
-//!   one epoch of that node set: `e = backlog / Σ TP(target set)`, clamped
-//!   into `[min_epoch, max_epoch]`.
+//! every decision with the shared [`EpochTuner`]. Under its default
+//! [`TuneConfig::adaptive`] rule the cost-preference dial σ = 1 selects
+//! the cheapest-priced nodes and the epoch is sized so that the whole
+//! current backlog fits into one epoch of them:
+//! `e = backlog / Σ TP(target set)`, clamped into `[min_epoch, max_epoch]`.
 //!
 //! This is exactly the knee observed in Figure 8: the cost-optimal epoch
 //! for a backlog is the one that lets the LP place all of it on the cheap
@@ -20,45 +16,24 @@
 use lips_sim::{Action, Scheduler, SchedulerContext, Time};
 
 use crate::lips::{LipsScheduler, SchedulerConfig};
-
-/// Configuration for [`AdaptiveLips`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Cost preference σ: 1.0 = minimize dollars (longest epochs), 0.0 =
-    /// minimize completion time (shortest epochs).
-    pub cost_preference: f64,
-    /// Epoch clamp, seconds.
-    pub min_epoch_s: f64,
-    pub max_epoch_s: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            cost_preference: 1.0,
-            min_epoch_s: 60.0,
-            max_epoch_s: 4000.0,
-        }
-    }
-}
+use crate::tuner::{EpochTuner, TuneConfig};
 
 /// LiPS with backlog-driven epoch adaptation.
 #[derive(Debug)]
 pub struct AdaptiveLips {
     inner: LipsScheduler,
-    pub adaptive: AdaptiveConfig,
+    pub tuner: EpochTuner,
     current_epoch: f64,
 }
 
 impl AdaptiveLips {
-    pub fn new(base: SchedulerConfig, adaptive: AdaptiveConfig) -> Self {
-        assert!((0.0..=1.0).contains(&adaptive.cost_preference));
-        assert!(adaptive.min_epoch_s > 0.0 && adaptive.max_epoch_s >= adaptive.min_epoch_s);
-        let current_epoch = adaptive.min_epoch_s;
+    pub fn new(base: SchedulerConfig, tuning: TuneConfig) -> Self {
+        assert!((0.0..=1.0).contains(&tuning.cost_preference));
+        assert!(tuning.min_epoch_s > 0.0 && tuning.max_epoch_s >= tuning.min_epoch_s);
         AdaptiveLips {
             inner: LipsScheduler::new(base),
-            adaptive,
-            current_epoch,
+            tuner: EpochTuner::new(tuning),
+            current_epoch: tuning.min_epoch_s,
         }
     }
 
@@ -66,31 +41,14 @@ impl AdaptiveLips {
     pub fn current_epoch(&self) -> f64 {
         self.current_epoch
     }
-
-    /// ECU rate (ECU-seconds per second) of the σ-selected target nodes.
-    fn target_rate(&self, ctx: &SchedulerContext<'_>) -> f64 {
-        let min = ctx.cluster.min_cpu_cost();
-        let max = ctx.cluster.max_cpu_cost();
-        // Price cutoff: bottom (1-σ) share of the price range. σ=1 keeps a
-        // small tolerance so equal-cheapest nodes all qualify.
-        let cutoff = min + (max - min) * (1.0 - self.adaptive.cost_preference) + 1e-12;
-        let rate: f64 = ctx
-            .cluster
-            .machines
-            .iter()
-            .filter(|m| m.cpu_cost <= cutoff)
-            .map(|m| m.tp_ecu)
-            .sum();
-        rate.max(1e-9)
-    }
 }
 
 impl Scheduler for AdaptiveLips {
     fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
-        let backlog = ctx.backlog_ecu();
-        let rate = self.target_rate(ctx);
-        self.current_epoch =
-            (backlog / rate).clamp(self.adaptive.min_epoch_s, self.adaptive.max_epoch_s);
+        let rate = self.tuner.target_rate(ctx.cluster);
+        self.current_epoch = self
+            .tuner
+            .next_epoch(ctx.backlog_ecu(), rate, self.current_epoch);
         self.inner.config.epoch_s = self.current_epoch;
         self.inner.decide(ctx)
     }
@@ -121,9 +79,9 @@ mod tests {
         let placement = Placement::spread_blocks(&cluster, seed);
         let mut sched = AdaptiveLips::new(
             SchedulerConfig::small_cluster(400.0),
-            AdaptiveConfig {
+            TuneConfig {
                 cost_preference: pref,
-                ..Default::default()
+                ..TuneConfig::adaptive()
             },
         );
         Simulation::new(&cluster, &bound)
@@ -168,7 +126,7 @@ mod tests {
         let placement = Placement::spread_blocks(&cluster, 3);
         let mut sched = AdaptiveLips::new(
             SchedulerConfig::small_cluster(400.0),
-            AdaptiveConfig::default(),
+            TuneConfig::adaptive(),
         );
         let _ = Simulation::new(&cluster, &bound)
             .with_placement(placement)
@@ -184,9 +142,9 @@ mod tests {
     fn invalid_preference_rejected() {
         AdaptiveLips::new(
             SchedulerConfig::small_cluster(400.0),
-            AdaptiveConfig {
+            TuneConfig {
                 cost_preference: 2.0,
-                ..Default::default()
+                ..TuneConfig::adaptive()
             },
         );
     }

@@ -10,7 +10,10 @@
 //!
 //! Every knob is a *solve-path* or *policy* knob: presets and builder
 //! settings can change how fast an epoch solves or how much of the queue
-//! it sees, but a certified optimum is certified under any of them.
+//! it sees, but a certified optimum is certified under any of them. The
+//! solve path itself has one switch, [`SchedulerConfig::colgen`]; every
+//! epoch warm-starts from what the previous one carried, and the
+//! degradation ladder behind it is fixed (see [`crate::lips`]).
 
 use std::fmt;
 
@@ -50,51 +53,23 @@ pub struct SchedulerConfig {
     /// if the fairness floors make an epoch LP infeasible the scheduler
     /// retries without them.
     pub fairness: f64,
-    /// Seed each epoch's LP from the previous epoch's optimal basis.
-    /// Successive epoch LPs are structurally near-identical (same machine
-    /// and store rows, a few job columns added/removed, costs drifting as
-    /// work completes), so the previous basis is usually a few pivots from
-    /// the new optimum. The solver falls back to a cold solve on its own
-    /// whenever the saved basis cannot be salvaged; disabling this only
-    /// forces every solve cold (an ablation/debugging knob — the optimum
-    /// never depends on it).
-    pub warm_start: bool,
     /// Solve each epoch LP by delayed column generation
     /// ([`crate::lp_build::EpochSolver::colgen`]): a restricted master
     /// seeded with the cheapest arcs per job (plus the previous epoch's
-    /// surviving columns), grown by pricing until it provably matches the
-    /// full model's optimum. Strictly a solve-path knob, like
-    /// `warm_start`: every epoch is still KKT-certified against the full
-    /// model, so the optimum never depends on it. Pays off once the full
-    /// model is large (≳ 50 machines); on small clusters the full LP is
-    /// already cheap.
+    /// surviving columns and basis), its first round dual-simplex-first,
+    /// grown by pricing until it provably matches the full model's
+    /// optimum. Off, each epoch solves the full model with the bounded
+    /// dual simplex from the carried basis (else the slack basis), then
+    /// warm primal. The only solve-path knob: every epoch is still
+    /// KKT-certified against the full model, so the optimum never depends
+    /// on it. Pays off once the full model is large (≳ 50 machines); on
+    /// small clusters the full LP is already cheap.
     pub colgen: bool,
     /// Simplex pivot budget per epoch solve (`None` = unlimited). An
     /// epoch whose LP exceeds it walks the degradation ladder (cold
     /// retry, then greedy placement) instead of stalling the cluster —
     /// the fault-tolerance analogue of a wall-clock solve budget.
     pub max_pivots_per_epoch: Option<usize>,
-    /// Solve each epoch with the bounded dual simplex *before* the
-    /// primal path ([`crate::lp_build::EpochSolver::dual`]). After churn
-    /// that only drifts bounds and costs the carried basis is usually
-    /// still dual feasible, and the dual method re-optimizes in a handful
-    /// of pivots with no phase 1. With no carried basis, or one declined
-    /// at seeding, it starts from the slack basis — dual feasible since
-    /// every Fig-4 cost is non-negative — so cold epochs skip phase 1
-    /// too. Only a walk declined mid-way (flip thrash after a topology
-    /// delta) continues down the ladder to warm primal. Requires
-    /// `warm_start`. Under `colgen` the same knob makes the first
-    /// restricted-master round dual-simplex-first — the
-    /// incremental-arrival path the `lips-serve` daemon rides. Strictly a
-    /// solve-path knob: every successful rung is still independently
-    /// KKT-certified.
-    pub dual_resolve: bool,
-    /// Shrink each epoch LP with certification-safe presolve before the
-    /// simplex ([`crate::lp_build::EpochSolver::presolve`]):
-    /// redundant-row dropping plus Fig-1 dominated-column fixing, with
-    /// the warm basis mapped through the reduction and the solution
-    /// restored to (and certified against) the full model.
-    pub presolve: bool,
     /// Worker threads for model build, column pricing, and certification
     /// (`None` = the `LIPS_THREADS` environment variable, else the
     /// machine's available parallelism). Pure throughput tuning: the
@@ -115,11 +90,8 @@ impl Default for SchedulerConfig {
             min_task_fraction: 0.05,
             enforce_transfer_time: true,
             fairness: 0.0,
-            warm_start: true,
             colgen: false,
             max_pivots_per_epoch: None,
-            dual_resolve: true,
-            presolve: false,
             threads: None,
         }
     }
@@ -207,9 +179,6 @@ impl SchedulerConfig {
         if !(0.0..=1.0).contains(&self.fairness) {
             return Err(ConfigError::FairnessOutOfRange(self.fairness));
         }
-        if self.dual_resolve && !self.warm_start {
-            return Err(ConfigError::DualResolveNeedsWarmStart);
-        }
         if self.threads == Some(0) {
             return Err(ConfigError::ZeroThreads);
         }
@@ -230,9 +199,6 @@ pub enum ConfigError {
     MinTaskFractionOutOfRange(f64),
     /// `fairness` (σ) must lie in `[0, 1]`.
     FairnessOutOfRange(f64),
-    /// `dual_resolve` re-optimizes the *carried* basis; without
-    /// `warm_start` there is never one to carry.
-    DualResolveNeedsWarmStart,
     /// `threads` of zero cannot run anything; use `None` for the default.
     ZeroThreads,
 }
@@ -252,12 +218,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::FairnessOutOfRange(v) => {
                 write!(f, "fairness must lie in [0, 1] (got {v})")
-            }
-            ConfigError::DualResolveNeedsWarmStart => {
-                write!(
-                    f,
-                    "dual_resolve requires warm_start (no basis is carried without it)"
-                )
             }
             ConfigError::ZeroThreads => {
                 write!(f, "threads must be >= 1 (use None for the default)")
@@ -341,13 +301,6 @@ impl SchedulerConfigBuilder {
         self
     }
 
-    /// Seed each epoch's LP from the previous epoch's optimal basis.
-    #[must_use]
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.cfg.warm_start = on;
-        self
-    }
-
     /// Solve each epoch LP by delayed column generation.
     #[must_use]
     pub fn colgen(mut self, on: bool) -> Self {
@@ -359,20 +312,6 @@ impl SchedulerConfigBuilder {
     #[must_use]
     pub fn max_pivots_per_epoch(mut self, budget: Option<usize>) -> Self {
         self.cfg.max_pivots_per_epoch = budget;
-        self
-    }
-
-    /// Try a bounded dual-simplex re-solve from the carried basis first.
-    #[must_use]
-    pub fn dual_resolve(mut self, on: bool) -> Self {
-        self.cfg.dual_resolve = on;
-        self
-    }
-
-    /// Certification-safe presolve before the simplex.
-    #[must_use]
-    pub fn presolve(mut self, on: bool) -> Self {
-        self.cfg.presolve = on;
         self
     }
 
@@ -437,24 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_cross_field_violations() {
-        assert_eq!(
-            SchedulerConfig::builder()
-                .warm_start(false)
-                .build()
-                .unwrap_err(),
-            ConfigError::DualResolveNeedsWarmStart
-        );
-        // Explicitly turning the dual rung off makes cold-only legal.
-        let cfg = SchedulerConfig::builder()
-            .warm_start(false)
-            .dual_resolve(false)
-            .build()
-            .unwrap();
-        assert!(!cfg.warm_start);
-    }
-
-    #[test]
     fn builder_rejects_out_of_range_fractions() {
         assert!(SchedulerConfig::builder()
             .min_task_fraction(1.5)
@@ -477,7 +398,6 @@ mod tests {
             ConfigError::ZeroJobsPerLp,
             ConfigError::MinTaskFractionOutOfRange(2.0),
             ConfigError::FairnessOutOfRange(-1.0),
-            ConfigError::DualResolveNeedsWarmStart,
             ConfigError::ZeroThreads,
         ];
         for e in errs {

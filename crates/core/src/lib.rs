@@ -51,8 +51,9 @@ pub mod lips;
 pub mod lp_build;
 pub mod offline;
 pub mod report;
+pub mod tuner;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveLips};
+pub use adaptive::AdaptiveLips;
 pub use advisor::{capacity_advice, CapacityAdvice};
 pub use analysis::{break_even_ratio, move_pays_off, savings_per_mb};
 pub use baselines::{DelayScheduler, FairScheduler, HadoopDefaultScheduler};
@@ -67,3 +68,4 @@ pub use offline::{
     co_schedule, co_schedule_colgen, greedy_schedule, simple_task_schedule, OfflineSchedule,
 };
 pub use report::{EpochRecord, RunSummary};
+pub use tuner::{EpochTuner, TuneConfig};

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use lips_cluster::{DataId, StoreId};
 use lips_lp::clock::Stopwatch;
-use lips_lp::{DeclinedBasis, LpError, WarmOutcome};
+use lips_lp::{LpError, WarmOutcome};
 use lips_sim::{Action, Scheduler, SchedulerContext, WORK_EPS};
 use lips_workload::JobId;
 
@@ -41,10 +41,10 @@ pub enum EpochOutcome {
     /// [`EpochOutcome::Certified`] so fault-mode telemetry can report how
     /// often the cheap path served the epoch.
     CertifiedDual,
-    /// The epoch LP solved along the configured primal path (behind a
-    /// declined or failed dual rung, or with the dual rung off) and was
-    /// independently certified optimal (whether it started warm,
-    /// repaired-warm, or cold).
+    /// The epoch LP solved on the warm primal rung (behind a declined or
+    /// failed dual rung) or the colgen master, possibly with the fairness
+    /// floors relaxed, and was independently certified optimal (whether
+    /// it started warm, repaired-warm, or cold).
     Certified,
     /// The configured solve path failed but a cold full-model retry
     /// solved and certified.
@@ -64,6 +64,21 @@ impl EpochOutcome {
             EpochOutcome::Degraded => "Degraded",
         }
     }
+}
+
+/// One step of the degradation ladder ([`LipsScheduler::run_rung`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    /// Bounded dual simplex on the full model, from the carried basis or,
+    /// with none usable, the slack basis.
+    Dual,
+    /// Primal simplex on the full model, warm from the carried basis.
+    Primal,
+    /// Column generation: a restricted master seeded by the carried
+    /// columns and basis, its first round dual-simplex-first.
+    Master,
+    /// Primal simplex on the full model with nothing carried.
+    Cold,
 }
 
 /// What one ladder rung hands back to the record keeper: the full
@@ -116,16 +131,6 @@ impl LipsScheduler {
         })
     }
 
-    /// An [`EpochSolver`] for `inst` with the configured worker-thread
-    /// count applied (the `threads` knob of [`SchedulerConfig`]).
-    fn solver<'i, 'c>(&self, inst: &'i LpInstance<'c>) -> EpochSolver<'i, 'c> {
-        let mut solver = EpochSolver::new(inst);
-        if let Some(t) = self.config.threads {
-            solver = solver.threads(t);
-        }
-        solver
-    }
-
     /// Number of LP decision epochs so far (one record each).
     pub fn solves(&self) -> usize {
         self.records.len()
@@ -144,191 +149,131 @@ impl LipsScheduler {
         &self.records
     }
 
-    /// Take the carried state, sanitized against the live cluster:
-    /// entries naming revoked machines are dropped so a topology delta
-    /// perturbs the next solve instead of feeding the repair loop garbage.
-    fn take_carried(&mut self, inst: &LpInstance<'_>) -> Option<ColGenState> {
-        let mut carried = self.carried.take();
-        if let Some(c) = carried.as_mut() {
-            self.stale_basis_entries_dropped += c.sanitize_for_cluster(inst.cluster);
-        }
-        carried
-    }
-
-    /// Solve one epoch LP along the configured path: column generation,
-    /// warm-started full model, or cold full model. All three land on the
-    /// same (certified) optimum; they differ only in how much model the
-    /// simplex sees. The carried state is sanitized and `take`n so a
-    /// failed solve drops it instead of retrying it forever.
-    fn epoch_solve(&mut self, inst: &LpInstance<'_>) -> Result<RungResult, EpochSolveError> {
-        let budget = self.config.max_pivots_per_epoch;
-        let prior = if self.config.colgen || self.config.warm_start {
-            self.take_carried(inst)
-        } else {
-            None
-        };
-        let mut solver = if self.config.colgen {
-            // The incremental-arrival path: carried master columns seed
-            // the restriction, the carried basis warm-starts it —
-            // dual-simplex rung first when the dual knob is on, from the
-            // slack basis when nothing usable was carried.
-            let opts = ColGenOptions {
-                dual_first: self.config.dual_resolve,
-                ..ColGenOptions::default()
-            };
-            self.solver(inst).colgen(opts, prior.as_ref())
-        } else {
-            let mut solver = self
-                .solver(inst)
-                .warm(prior.as_ref().map(ColGenState::basis))
-                .certify();
-            if self.config.presolve {
-                solver = solver.presolve();
-            }
-            solver
-        };
-        if let Some(b) = budget {
-            solver = solver.pivot_budget(b);
-        }
-        let mut report = solver.run()?;
-        self.carried = Some(report.take_carry());
-        Ok(RungResult {
-            incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
-            report,
-        })
-    }
-
-    /// The ladder's first rung: a bounded dual-simplex solve
-    /// ([`SchedulerConfig::dual_resolve`]) on the non-colgen warm path,
-    /// every epoch. The carried basis, if any, is *taken* and sanitized
-    /// here; the dual starts from it, or from the slack basis when there
-    /// is none or it is declined at seeding — a cold start with no
-    /// phase 1 and no second model build. On success the re-optimized
-    /// basis replaces it. On failure the sanitized basis is put back so
-    /// the primal rung still warm-starts from it (and does not re-count
-    /// the stale entries), and a walk declined mid-way is handed back so
-    /// the epoch's record keeps it.
-    fn try_dual_rung(
+    /// Run one ladder rung on `inst`, pivot-budgeted. Every rung but
+    /// [`Rung::Cold`] takes the carried state, sanitized against the live
+    /// cluster (entries naming revoked machines are dropped, so a topology
+    /// delta perturbs the solve instead of feeding the repair loop
+    /// garbage), as its prior. On success the rung's carry replaces it —
+    /// except a cold rung under colgen, whose full-model basis is no
+    /// master state. On failure the dual rung puts the sanitized state
+    /// back for the primal rung behind it; any other rung drops it, so a
+    /// failing carry is not retried forever.
+    fn run_rung(
         &mut self,
         inst: &LpInstance<'_>,
-    ) -> Result<RungResult, Option<DeclinedBasis>> {
-        if !self.config.dual_resolve || !self.config.warm_start || self.config.colgen {
-            return Err(None);
+        rung: Rung,
+    ) -> Result<RungResult, EpochSolveError> {
+        let prior = match rung {
+            Rung::Cold => None,
+            _ => self.carried.take().map(|mut c| {
+                self.stale_basis_entries_dropped += c.sanitize_for_cluster(inst.cluster);
+                c
+            }),
+        };
+        let mut solver = EpochSolver::new(inst);
+        if let Some(t) = self.config.threads {
+            solver = solver.threads(t);
         }
-        let carried = self.take_carried(inst);
-        let mut solver = self
-            .solver(inst)
-            .warm(carried.as_ref().map(ColGenState::basis))
-            .dual()
-            .certify();
-        if self.config.presolve {
-            solver = solver.presolve();
+        solver = match rung {
+            Rung::Master => {
+                let opts = ColGenOptions {
+                    dual_first: true,
+                    ..ColGenOptions::default()
+                };
+                solver.colgen(opts, prior.as_ref())
+            }
+            Rung::Dual => solver.warm(prior.as_ref().map(ColGenState::basis)).dual(),
+            Rung::Primal | Rung::Cold => solver.warm(prior.as_ref().map(ColGenState::basis)),
         }
+        .certify();
         if let Some(b) = self.config.max_pivots_per_epoch {
             solver = solver.pivot_budget(b);
         }
         match solver.run() {
             Ok(mut report) => {
-                self.carried = Some(report.take_carry());
+                if rung != Rung::Cold || !self.config.colgen {
+                    self.carried = Some(report.take_carry());
+                }
                 Ok(RungResult {
-                    incremental: report.schedule.stats.warm != WarmOutcome::Cold,
+                    incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
                     report,
                 })
             }
             Err(e) => {
-                // Declined, infeasible, or budget blown: hand the
-                // sanitized basis to the primal rung untouched.
-                self.carried = carried;
-                match e {
-                    EpochSolveError::Lp(LpError::DualDeclined(d)) => Err(Some(d)),
-                    _ => Err(None),
+                if rung == Rung::Dual {
+                    self.carried = prior;
                 }
+                Err(e)
             }
         }
     }
 
-    /// The degradation ladder: dual solve (from the carried basis, else
-    /// the slack basis) → configured primal path (warm / colgen, possibly
-    /// repaired) → fairness floors relaxed → cold full model → `None` (the
-    /// caller degrades to greedy placement and retries the LP next
-    /// epoch). Every rung that returns a schedule returned a *certified*
-    /// one, and a dual walk declined on the way is kept on its record.
-    /// The record's `epoch_ms` times the whole ladder, failed rungs
-    /// included.
+    /// The degradation ladder, one [`LipsScheduler::run_rung`] per step:
+    ///
+    /// * full model: dual simplex (from the carried basis, else the slack
+    ///   basis) → warm primal → fairness floors relaxed → cold → `None`;
+    /// * colgen: dual-first restricted master → fairness floors relaxed →
+    ///   cold full model → `None`.
+    ///
+    /// `None` means the caller degrades to greedy placement and retries
+    /// the LP next epoch. Every rung that returns a schedule returned a
+    /// *certified* one, and a dual walk declined on the way is kept on
+    /// its record. The record's `epoch_ms` times the whole ladder, failed
+    /// rungs included.
     fn solve_with_ladder(&mut self, inst: &LpInstance<'_>) -> Option<FractionalSchedule> {
         let t_epoch = Stopwatch::start();
         let epoch = self.records.len();
         let jobs = inst.jobs.len();
-        let declined = match self.try_dual_rung(inst) {
-            Ok(r) => {
-                return Some(self.finish(epoch, jobs, EpochOutcome::CertifiedDual, r, t_epoch))
-            }
-            Err(d) => d,
-        };
-        let finish = |this: &mut Self, outcome: EpochOutcome, mut r: RungResult| {
-            r.report.schedule.stats.declined = r.report.schedule.stats.declined.or(declined);
-            this.finish(epoch, jobs, outcome, r, t_epoch)
-        };
-        if let Ok(r) = self.epoch_solve(inst) {
-            return Some(finish(self, EpochOutcome::Certified, r));
-        }
         // Fairness floors can conflict with data/capacity constraints
         // (and with a shrunken post-fault cluster); cost-only scheduling
-        // is the sane fallback. Carried state was dropped by the failed
-        // attempt, so this retry is already cold along the basis axis.
-        if !inst.pool_floors.is_empty() {
-            let mut relaxed = inst.clone();
-            relaxed.pool_floors.clear();
-            if let Ok(r) = self.epoch_solve(&relaxed) {
-                return Some(finish(self, EpochOutcome::Certified, r));
-            }
-        }
-        // Last LP rung: one cold, exact (non-colgen) solve with no carried
-        // state at all, floors relaxed, still pivot-budgeted.
-        let mut cold = inst.clone();
-        cold.pool_floors.clear();
-        let mut solver = self.solver(&cold).certify();
-        if let Some(b) = self.config.max_pivots_per_epoch {
-            solver = solver.pivot_budget(b);
-        }
-        match solver.run() {
-            Ok(mut report) => {
-                if self.config.warm_start && !self.config.colgen {
-                    self.carried = Some(report.take_carry());
+        // is the sane fallback. The failed rung before it dropped the
+        // carried state, so that retry is already cold along the basis
+        // axis.
+        let relaxed = (!inst.pool_floors.is_empty()).then(|| LpInstance {
+            pool_floors: Vec::new(),
+            ..inst.clone()
+        });
+        let unfloored = relaxed.as_ref().unwrap_or(inst);
+        let (first, main) = if self.config.colgen {
+            (None, Rung::Master)
+        } else {
+            (
+                Some((Rung::Dual, inst, EpochOutcome::CertifiedDual)),
+                Rung::Primal,
+            )
+        };
+        let ladder = first
+            .into_iter()
+            .chain([(main, inst, EpochOutcome::Certified)])
+            .chain(relaxed.as_ref().map(|r| (main, r, EpochOutcome::Certified)))
+            .chain([(Rung::Cold, unfloored, EpochOutcome::CertifiedCold)]);
+        let mut declined = None;
+        for (rung, inst, outcome) in ladder {
+            match self.run_rung(inst, rung) {
+                Ok(mut r) => {
+                    let stats = &mut r.report.schedule.stats;
+                    stats.declined = stats.declined.take().or(declined);
+                    let mut record = EpochRecord::from_solve_report(
+                        epoch,
+                        jobs,
+                        outcome,
+                        &r.report,
+                        r.incremental,
+                    );
+                    record.epoch_ms = t_epoch.elapsed_ms();
+                    self.records.push(record);
+                    return Some(r.report.schedule);
                 }
-                Some(finish(
-                    self,
-                    EpochOutcome::CertifiedCold,
-                    RungResult {
-                        incremental: false,
-                        report,
-                    },
-                ))
-            }
-            Err(_) => {
-                let mut record = EpochRecord::degraded(epoch, jobs).with_declined(declined);
-                record.epoch_ms = t_epoch.elapsed_ms();
-                self.records.push(record);
-                None
+                Err(EpochSolveError::Lp(LpError::DualDeclined(d))) if rung == Rung::Dual => {
+                    declined = Some(d);
+                }
+                Err(_) => {}
             }
         }
-    }
-
-    /// Log one served epoch, timed since `t_epoch`, and hand its
-    /// schedule back.
-    fn finish(
-        &mut self,
-        epoch: usize,
-        jobs: usize,
-        outcome: EpochOutcome,
-        r: RungResult,
-        t_epoch: Stopwatch,
-    ) -> FractionalSchedule {
-        let mut record =
-            EpochRecord::from_solve_report(epoch, jobs, outcome, &r.report, r.incremental);
+        let mut record = EpochRecord::degraded(epoch, jobs).with_declined(declined);
         record.epoch_ms = t_epoch.elapsed_ms();
         self.records.push(record);
-        r.report.schedule
+        None
     }
 
     fn unread(&self, ctx: &SchedulerContext<'_>, data: DataId, store: StoreId) -> f64 {
@@ -649,8 +594,6 @@ mod tests {
     use lips_sim::{Placement, Simulation};
     use lips_workload::{bind_workload, JobKind, JobSpec, PlacementPolicy};
 
-    use crate::report::RunSummary;
-
     fn outcomes(sched: &LipsScheduler) -> Vec<&str> {
         sched
             .epoch_records()
@@ -945,41 +888,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_epoch_loops_agree_on_cost() {
-        // The warm start must never change scheduling outcomes, only the
-        // pivot path: identical runs with it on and off land on the same
-        // total dollars (the LPs here have unique optima per epoch).
-        let run = |warm: bool| {
-            let mut cluster = ec2_20_node(0.5, 1e9);
-            let bound = bind_workload(&mut cluster, small_suite(), PlacementPolicy::RoundRobin, 9);
-            let placement = Placement::spread_blocks(&cluster, 9);
-            let mut cfg = SchedulerConfig::small_cluster(400.0);
-            cfg.warm_start = warm;
-            let mut sched = LipsScheduler::new(cfg);
-            let report = Simulation::new(&cluster, &bound)
-                .with_placement(placement)
-                .run(&mut sched)
-                .unwrap();
-            let iterations = RunSummary::from_records(sched.epoch_records()).iterations;
-            (report.metrics.total_dollars(), iterations)
-        };
-        let (warm_cost, warm_iters) = run(true);
-        let (cold_cost, cold_iters) = run(false);
-        let scale = 1.0 + cold_cost.abs();
-        assert!(
-            (warm_cost - cold_cost).abs() / scale < 1e-6,
-            "warm ${warm_cost} vs cold ${cold_cost}"
-        );
-        assert!(
-            warm_iters <= cold_iters,
-            "warm start cost extra pivots: {warm_iters} vs {cold_iters}"
-        );
-    }
-
-    #[test]
     fn colgen_and_exact_epoch_loops_agree_on_cost() {
-        // Column generation is a solve-path knob like warm_start: every
-        // epoch is certified against the full model, so an identical run
+        // Column generation is a solve-path knob: every epoch is
+        // certified against the full model, so an identical run
         // with it on and off must land on the same total dollars.
         let run = |colgen: bool| {
             let mut cluster = ec2_20_node(0.5, 1e9);

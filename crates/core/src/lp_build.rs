@@ -1077,7 +1077,7 @@ impl std::fmt::Display for EpochCertificate {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Model construction: candidate enumeration, (restricted) model
-    /// build, presolve, column pricing and appends — everything outside
+    /// build, column pricing and appends — everything outside
     /// the simplex and the certifier.
     pub build_ms: f64,
     /// Simplex wall-time, summed over every master round in colgen mode.
@@ -1106,9 +1106,6 @@ pub struct SolveReport {
     pub basis: WarmStart,
     /// Cross-epoch column state + telemetry; `Some` iff colgen mode.
     pub colgen: Option<(ColGenState, ColGenStats)>,
-    /// Variables fixed plus rows dropped by epoch presolve (0 unless
-    /// [`EpochSolver::presolve`] was requested).
-    pub presolve_removed: usize,
     /// Per-phase wall-clock of this solve.
     pub timings: PhaseTimings,
 }
@@ -1156,7 +1153,6 @@ pub struct EpochSolver<'i, 'c> {
     colgen: Option<(ColGenOptions, Option<&'i ColGenState>)>,
     pivot_budget: Option<usize>,
     dual: bool,
-    presolve: bool,
     pool: Pool,
 }
 
@@ -1170,7 +1166,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
             colgen: None,
             pivot_budget: None,
             dual: false,
-            presolve: false,
             pool: Pool::from_env(),
         }
     }
@@ -1246,21 +1241,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         self
     }
 
-    /// Reduce the model with certification-safe presolve
-    /// ([`lips_lp::presolve::certified_options`]: redundant-row dropping
-    /// and Fig-1 dominated-column fixing) before the simplex, mapping
-    /// the warm basis into the reduced space and restoring the solution
-    /// (values, duals, objective, and basis) to the full model afterward.
-    /// Certification still runs against the *full* model, so the knob can
-    /// never change an optimum, only shrink the simplex's working set.
-    /// Ignored in colgen mode (the restricted master is its own
-    /// reduction).
-    #[must_use]
-    pub fn presolve(mut self) -> Self {
-        self.presolve = true;
-        self
-    }
-
     /// Cap simplex pivots for this solve; past the cap the solve fails
     /// with [`LpError::IterationLimit`] instead of running to optimality.
     /// This is the epoch scheduler's time-budget rung: a faulted epoch
@@ -1282,35 +1262,17 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
                 certificate: Some(EpochCertificate::Restricted(out.certificate)),
                 basis: out.state.basis.clone(),
                 colgen: Some((out.state, out.stats)),
-                presolve_removed: 0,
                 timings: out.timings,
             });
         }
 
         let t_build = lips_lp::clock::Stopwatch::start();
         let (model, space, maps) = build(self.inst, self.pool);
-        let mut build_ms = t_build.elapsed_ms();
-        let (mut sol, presolve_removed) = if self.presolve {
-            let t_pre = lips_lp::clock::Stopwatch::start();
-            let (reduced, restore) =
-                lips_lp::presolve::presolve_with(&model, lips_lp::presolve::certified_options())?;
-            // The carried basis is keyed to the full model; project it
-            // into the reduced space so the warm/dual path still applies.
-            let mapped = self.warm.map(|w| restore.map_warm_start(&model, w));
-            build_ms += t_pre.elapsed_ms();
-            let sol = if self.dual {
-                solve_model_dual(&reduced, mapped.as_ref(), self.pivot_budget)?
-            } else {
-                solve_model(&reduced, mapped.as_ref(), self.pivot_budget)?
-            };
-            // Values, duals, objective, and basis all in full-model space
-            // again — certification below runs against the *unreduced*
-            // model, so presolve can never launder a wrong answer.
-            (restore.restore_solution(&model, &sol), restore.removed())
-        } else if self.dual {
-            (solve_model_dual(&model, self.warm, self.pivot_budget)?, 0)
+        let build_ms = t_build.elapsed_ms();
+        let mut sol = if self.dual {
+            solve_model_dual(&model, self.warm, self.pivot_budget)?
         } else {
-            (solve_model(&model, self.warm, self.pivot_budget)?, 0)
+            solve_model(&model, self.warm, self.pivot_budget)?
         };
         let t_cert = lips_lp::clock::Stopwatch::start();
         let certificate = if self.certify {
@@ -1338,7 +1300,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
             certificate,
             basis,
             colgen: None,
-            presolve_removed,
             timings,
         })
     }

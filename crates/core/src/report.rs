@@ -59,10 +59,11 @@ pub struct EpochRecord {
     pub active_columns: usize,
     /// Task columns of the full model.
     pub total_columns: usize,
-    /// Variables fixed + rows dropped by epoch presolve.
+    /// Always 0: epoch presolve was deleted. Kept so existing readers of
+    /// the schema still find the field.
     pub presolve_removed: usize,
     /// Model-construction wall-time (candidate enumeration, build,
-    /// presolve, pricing, appends), from [`PhaseTimings`].
+    /// pricing, appends), from [`PhaseTimings`].
     pub build_ms: f64,
     /// Simplex wall-time, from [`PhaseTimings`].
     pub solve_ms: f64,
@@ -127,7 +128,7 @@ impl EpochRecord {
             pricing_rounds,
             active_columns,
             total_columns,
-            presolve_removed: report.presolve_removed,
+            presolve_removed: 0,
             build_ms: timings.build_ms,
             solve_ms: timings.solve_ms,
             certify_ms: timings.certify_ms,

@@ -11,12 +11,12 @@
 //!
 //! * [`revised::RevisedSimplex`] — the production solver: a two-phase,
 //!   bounded-variable revised primal simplex with a Markowitz-ordered
-//!   sparse-LU factorization of the basis ([`slu::SparseLu`]; a dense
-//!   backend remains available), sparse product-form (eta-file) updates
-//!   between refactorizations, devex pricing over a partial-pricing window
-//!   (Dantzig available), a Bland anti-cycling fallback, and warm starting
-//!   from a prior basis ([`basis::WarmStart`]) for the epoch-loop
-//!   resolve-the-same-LP-again workload.
+//!   sparse-LU factorization of the basis ([`slu::SparseLu`]), sparse
+//!   product-form (eta-file) updates between refactorizations, devex
+//!   pricing over a partial-pricing window (Dantzig available), a Bland
+//!   anti-cycling fallback, and warm starting from a prior basis
+//!   ([`basis::WarmStart`]) for the epoch-loop resolve-the-same-LP-again
+//!   workload.
 //! * [`dense::DenseSimplex`] — a textbook two-phase tableau simplex used as a
 //!   cross-checking oracle in tests and for very small models.
 //!
@@ -41,9 +41,9 @@ pub mod clock;
 pub mod dense;
 pub mod dual;
 pub mod error;
-pub mod lu;
+#[cfg(test)]
+mod lu;
 pub mod model;
-pub mod presolve;
 pub mod pricing;
 pub mod revised;
 pub mod scaling;

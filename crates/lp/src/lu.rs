@@ -1,11 +1,5 @@
-//! Dense LU factorization with partial pivoting, used to (re)factorize the
-//! simplex basis matrix.
-//!
-//! The basis of the scheduling LPs is a few hundred to a few thousand rows;
-//! a dense factorization is simple, cache-friendly, and — combined with
-//! product-form eta updates between refactorizations — fast enough for every
-//! experiment in the paper (the paper itself reports "10s of ms" GLPK
-//! solves).
+//! Dense LU factorization with partial pivoting: the reference the sparse
+//! basis factorization ([`crate::slu::SparseLu`]) is tested against.
 
 #![allow(clippy::needless_range_loop)] // index math mirrors the textbook formulas
 
@@ -60,24 +54,6 @@ impl DenseLu {
             }
         }
         Ok(DenseLu { n, lu: a, perm })
-    }
-
-    /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Consume the factorization, handing back its `n × n` backing buffer so
-    /// the caller can refill and refactorize without a fresh allocation.
-    pub fn into_buffer(self) -> Vec<f64> {
-        self.lu
-    }
-
-    /// The original row that provided the pivot for column `pos` (used by
-    /// warm-start basis repair to know which row a replacement unit column
-    /// must cover).
-    pub fn pivot_row(&self, pos: usize) -> usize {
-        self.perm[pos]
     }
 
     /// Solve `A x = rhs` in place (`rhs` becomes `x`).

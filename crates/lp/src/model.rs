@@ -160,8 +160,8 @@ impl Model {
     }
 
     /// Add a variable with `src`'s identity (key and name) for variable
-    /// `v`, under new bounds and cost: how derived models (presolve,
-    /// scaling) keep warm starts resolving across the transformation.
+    /// `v`, under new bounds and cost: how a derived model (scaling)
+    /// keeps warm starts resolving across the transformation.
     pub(crate) fn add_var_like(
         &mut self,
         src: &Model,
@@ -172,14 +172,6 @@ impl Model {
     ) -> VarId {
         let s = &src.vars[v.0];
         self.push_var(s.key, s.name.clone(), lb, ub, obj)
-    }
-
-    /// Give row `c` of this model the identity (key and name) of row
-    /// `from` in `src`.
-    pub(crate) fn copy_row_identity(&mut self, c: ConstraintId, src: &Model, from: ConstraintId) {
-        let s = &src.cons[from.0];
-        self.cons[c.0].key = s.key;
-        self.cons[c.0].name = s.name.clone();
     }
 
     /// Append a full column to a live model: a new variable identified by
@@ -279,12 +271,6 @@ impl Model {
         self.cons[c.0]
             .key
             .unwrap_or_else(|| positional_row_key(c.0))
-    }
-
-    /// Whether a row carries its own key (named or keyed) rather than
-    /// matching warm starts by position.
-    pub(crate) fn constraint_is_keyed(&self, c: ConstraintId) -> bool {
-        self.cons[c.0].key.is_some()
     }
 
     /// Number of variables.

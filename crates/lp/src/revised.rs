@@ -8,11 +8,11 @@
 //!   fraction of the size that a split `x = x⁺ − x⁻` reformulation would
 //!   need.
 //! * **Sparse product-form updates.** The basis inverse is represented as a
-//!   Markowitz-ordered sparse LU factorization ([`crate::slu::SparseLu`];
-//!   the dense backend survives as an option) plus a file of sparse eta
-//!   vectors, refactorized periodically. FTRAN/BTRAN cost is proportional
-//!   to the stored nonzeros rather than `m²`, which matters because the
-//!   scheduler's bases are mostly slack (unit) columns.
+//!   Markowitz-ordered sparse LU factorization ([`crate::slu::SparseLu`])
+//!   plus a file of sparse eta vectors, refactorized periodically.
+//!   FTRAN/BTRAN cost is proportional to the stored nonzeros rather than
+//!   `m²`, which matters because the scheduler's bases are mostly slack
+//!   (unit) columns.
 //! * **Phase 1 with per-row artificials.** Rows whose slack cannot absorb
 //!   the initial residual get a signed artificial column; phase 1 minimizes
 //!   the artificial mass, phase 2 pins artificials to `[0,0]` and restores
@@ -34,24 +34,12 @@
 
 use crate::basis::{BasisStatus, WarmOutcome, WarmStart};
 use crate::error::LpError;
-use crate::lu::DenseLu;
 use crate::model::{ConstraintId, Model, VarId};
 use crate::slu::SparseLu;
 use crate::solution::{Solution, SolveStats};
 use crate::sparse::CsrMatrix;
 use crate::standard::StandardForm;
 use crate::{PIVOT_TOL, TOL};
-
-/// Basis factorization backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LuBackend {
-    /// Markowitz-ordered sparse LU (the default; cost tracks fill-in).
-    #[default]
-    Sparse,
-    /// Dense LU with partial pivoting (`O(m³)` refactorization); kept for
-    /// cross-checking and for tiny dense models.
-    Dense,
-}
 
 /// Entering-variable pricing rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,8 +80,6 @@ pub struct RevisedOptions {
     /// greedy pivots; the optimum is unaffected (a pass that finds no
     /// eligible column in the window continues scanning the rest).
     pub partial_pricing: Option<usize>,
-    /// Basis factorization backend.
-    pub backend: LuBackend,
     /// Entering-variable pricing rule.
     pub pricing: Pricing,
 }
@@ -107,7 +93,6 @@ impl Default for RevisedOptions {
             pivot_tol: PIVOT_TOL,
             bland_trigger: 200,
             partial_pricing: Some(64),
-            backend: LuBackend::Sparse,
             pricing: Pricing::Devex,
         }
     }
@@ -318,35 +303,6 @@ pub(crate) struct Eta {
     pub(crate) nnz: Vec<(usize, f64)>,
 }
 
-/// Basis factorization, either backend.
-pub(crate) enum Factor {
-    Dense(DenseLu),
-    Sparse(SparseLu),
-}
-
-impl Factor {
-    fn solve_in_place(&self, v: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            Factor::Dense(lu) => lu.solve_in_place(v),
-            Factor::Sparse(lu) => lu.solve_in_place(v, scratch),
-        }
-    }
-
-    fn solve_transpose_in_place(&self, v: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            Factor::Dense(lu) => lu.solve_transpose_in_place(v),
-            Factor::Sparse(lu) => lu.solve_transpose_in_place(v, scratch),
-        }
-    }
-
-    fn pivot_row(&self, pos: usize) -> usize {
-        match self {
-            Factor::Dense(lu) => lu.pivot_row(pos),
-            Factor::Sparse(lu) => lu.pivot_row(pos),
-        }
-    }
-}
-
 pub(crate) struct Worker<'a> {
     pub(crate) sf: &'a StandardForm,
     pub(crate) opts: &'a RevisedOptions,
@@ -366,9 +322,9 @@ pub(crate) struct Worker<'a> {
     pub(crate) basis: Vec<usize>,
     /// Current value of every column.
     pub(crate) x: Vec<f64>,
-    factor: Option<Factor>,
+    factor: Option<SparseLu>,
     pub(crate) etas: Vec<Eta>,
-    /// Length-`m` scratch for the sparse backend's solves.
+    /// Length-`m` scratch for the factorization's solves.
     scratch: Vec<f64>,
     /// Reused per-refactorization workspace: the basis columns handed to
     /// the sparse factorization (drained by it, refilled next time).
@@ -866,46 +822,23 @@ impl<'a> Worker<'a> {
     /// Rebuild the basis factorization and recompute the basic values from
     /// scratch (limits numerical drift).
     ///
-    /// Both backends recycle their working storage across calls: the sparse
-    /// path refills the per-column workspace the previous factorization
-    /// drained, the dense path refills the previous factor's `m × m`
-    /// buffer. Refactorization happens every few dozen pivots, and on large
+    /// The working storage is recycled across calls: the per-column
+    /// workspace the previous factorization drained is refilled.
+    /// Refactorization happens every few dozen pivots, and on large
     /// bases the repeated allocation (and its page faults) used to dominate
     /// the factorization itself.
     pub(crate) fn refactor(&mut self) -> Result<(), LpError> {
         let m = self.m();
         self.refactors += 1;
-        match self.opts.backend {
-            LuBackend::Sparse => {
-                let mut cols = std::mem::take(&mut self.spcols);
-                cols.resize_with(m, Vec::new);
-                for (i, &j) in self.basis.iter().enumerate() {
-                    cols[i].clear();
-                    self.for_col(j, |r, v| cols[i].push((r, v)));
-                }
-                let res = SparseLu::factorize(m, &mut cols, self.opts.pivot_tol);
-                self.spcols = cols;
-                self.factor = Some(Factor::Sparse(res?));
-            }
-            LuBackend::Dense => {
-                let mut dense = match self.factor.take() {
-                    Some(Factor::Dense(old)) if old.dim() == m => {
-                        let mut buf = old.into_buffer();
-                        buf.fill(0.0);
-                        buf
-                    }
-                    _ => vec![0.0; m * m],
-                };
-                for (i, &j) in self.basis.iter().enumerate() {
-                    self.for_col(j, |r, v| dense[r * m + i] = v);
-                }
-                self.factor = Some(Factor::Dense(DenseLu::factorize(
-                    m,
-                    dense,
-                    self.opts.pivot_tol,
-                )?));
-            }
+        let mut cols = std::mem::take(&mut self.spcols);
+        cols.resize_with(m, Vec::new);
+        for (i, &j) in self.basis.iter().enumerate() {
+            cols[i].clear();
+            self.for_col(j, |r, v| cols[i].push((r, v)));
         }
+        let res = SparseLu::factorize(m, &mut cols, self.opts.pivot_tol);
+        self.spcols = cols;
+        self.factor = Some(res?);
         self.etas.clear();
         self.recompute_basic_values();
         Ok(())
@@ -1693,7 +1626,7 @@ mod tests {
         assert_eq!(solver.solve(&unb).unwrap_err(), LpError::Unbounded);
     }
 
-    /// Build a mid-size random LP for backend/pricing agreement tests.
+    /// Build a mid-size random LP for oracle/pricing agreement tests.
     fn random_model(seed: u64, n: usize, rows: usize) -> Model {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -1722,20 +1655,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_backends_agree() {
+    fn revised_matches_dense_tableau_oracle() {
         for seed in 0..10u64 {
             let m = random_model(seed, 40, 25);
-            let sparse = RevisedSimplex::with_options(RevisedOptions {
-                backend: LuBackend::Sparse,
-                ..Default::default()
-            })
-            .solve(&m);
-            let dense = RevisedSimplex::with_options(RevisedOptions {
-                backend: LuBackend::Dense,
-                ..Default::default()
-            })
-            .solve(&m);
-            match (sparse, dense) {
+            match (RevisedSimplex::default().solve(&m), m.solve_dense()) {
                 (Ok(a), Ok(b)) => {
                     let scale = 1.0 + a.objective().abs().max(b.objective().abs());
                     assert!(
@@ -1746,7 +1669,7 @@ mod tests {
                     );
                     assert!(m.is_feasible(a.values(), 1e-6), "seed {seed}");
                 }
-                (a, b) => panic!("seed {seed}: backend disagreement {a:?} vs {b:?}"),
+                (a, b) => panic!("seed {seed}: revised vs oracle disagree {a:?} vs {b:?}"),
             }
         }
     }

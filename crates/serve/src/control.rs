@@ -172,6 +172,16 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             if !(input_mb.is_finite() && input_mb >= 0.0) || tasks == 0 {
                 return (err("input_mb must be finite and >= 0, tasks > 0"), false);
             }
+            if read_fraction.is_some_and(|f| !(f > 0.0 && f <= 1.0)) {
+                return (err("read_fraction must be in (0, 1]"), false);
+            }
+            let reduce = reduce_tasks.zip(shuffle_mb);
+            if reduce.is_some_and(|(rt, smb)| rt == 0 || !(smb.is_finite() && smb > 0.0)) {
+                return (
+                    err("reduce_tasks must be > 0, shuffle_mb finite and > 0"),
+                    false,
+                );
+            }
             let id = id.unwrap_or_else(|| daemon.fresh_job_id());
             let name = name.unwrap_or_else(|| format!("job-{id}"));
             let mut spec = JobSpec::new(id, name, kind, input_mb, tasks);
@@ -181,12 +191,9 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             // A submit with no arrival time arrives now, not at t = 0.
             spec = spec.arriving_at(arrival_s.unwrap_or_else(|| daemon.now()));
             if let Some(f) = read_fraction {
-                if !(0.0..=1.0).contains(&f) {
-                    return (err("read_fraction must be in [0, 1]"), false);
-                }
                 spec = spec.reading_fraction(f);
             }
-            if let (Some(rt), Some(smb)) = (reduce_tasks, shuffle_mb) {
+            if let Some((rt, smb)) = reduce {
                 let tcp = spec.tcp_ecu_sec_per_mb;
                 spec = spec.with_reduce(rt, smb, tcp);
             }
@@ -316,6 +323,11 @@ mod tests {
             "not json",
             r#"{"cmd":"unknown"}"#,
             r#"{"cmd":"submit","kind":"mystery","input_mb":1}"#,
+            r#"{"cmd":"submit","input_mb":64,"reduce_tasks":0,"shuffle_mb":16}"#,
+            r#"{"cmd":"submit","input_mb":64,"reduce_tasks":2,"shuffle_mb":0}"#,
+            r#"{"cmd":"submit","input_mb":64,"reduce_tasks":2,"shuffle_mb":-8}"#,
+            r#"{"cmd":"submit","input_mb":64,"read_fraction":0}"#,
+            r#"{"cmd":"submit","input_mb":64,"read_fraction":1.5}"#,
         ] {
             let (r, stop) = handle_line(&mut d, line);
             assert!(r.contains("\"ok\":false"), "{line} -> {r}");

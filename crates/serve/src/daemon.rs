@@ -9,14 +9,14 @@
 //!    admission control ([`crate::admission`]);
 //! 2. hands the live state to [`LipsScheduler::decide`] — the scheduler
 //!    keeps its carried basis / column-generation state across calls, so
-//!    with `dual_resolve` + `colgen` on, new arrivals enter the incumbent
+//!    with `colgen` on, new arrivals enter the incumbent
 //!    restricted master as freshly priced columns and the carried basis
 //!    is re-optimized by the dual simplex instead of a cold rebuild;
 //! 3. applies the actions *fluidly*: chunks complete within the epoch,
 //!    moves land immediately, map→reduce transitions materialize shuffle
 //!    data where the maps ran (mirroring the event engine's rule);
 //! 4. feeds the observed backlog to the epoch-length tuner
-//!    ([`crate::tuner`]), closing the loop on the cost-vs-makespan knob.
+//!    ([`lips_core::tuner`]), closing the loop on the cost-vs-makespan knob.
 //!
 //! Everything runs on virtual time and deterministic data structures, so
 //! a trajectory is bitwise reproducible at any worker-thread count.
@@ -34,14 +34,14 @@ use lips_workload::JobSpec;
 
 use crate::admission::{admit, AdmissionConfig, AdmissionDecision};
 use crate::queue::ArrivalQueue;
-use crate::tuner::{EpochTuner, TuneConfig};
+use lips_core::{EpochTuner, TuneConfig};
 
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The epoch scheduler's knobs. The default enables `colgen` (on top
-    /// of `warm_start` + `dual_resolve`) because the incremental-arrival
-    /// path lives in the column-generation master.
+    /// The epoch scheduler's knobs. The default enables `colgen` because
+    /// the incremental-arrival path lives in the column-generation
+    /// master.
     pub scheduler: SchedulerConfig,
     pub admission: AdmissionConfig,
     /// Closed-loop epoch-length tuning; `None` pins the configured
@@ -444,8 +444,7 @@ impl Daemon {
         // 5. Close the loop on the epoch-length knob.
         let next_epoch_s = if let Some(t) = self.tuner {
             let remaining: f64 = self.queue.iter().map(PendingJob::unassigned_ecu).sum();
-            let capacity: f64 = self.cluster.machines.iter().map(|m| m.tp_ecu).sum();
-            t.next_epoch(remaining, capacity, epoch_s)
+            t.next_epoch(remaining, t.target_rate(&self.cluster), epoch_s)
         } else {
             epoch_s
         };

@@ -9,8 +9,9 @@
 //!   the `lips-workload` generators or fed live over the control API);
 //! * [`admission`] — per-pool ECU budgets and a global queue cap decide
 //!   at arrival time whether a job enters the scheduler queue;
-//! * [`tuner::EpochTuner`] — closed-loop epoch-length tuning on the
-//!   paper's cost-vs-makespan knob (Fig 8), driven by observed backlog;
+//! * [`EpochTuner`] (from `lips-core`) — closed-loop epoch-length tuning
+//!   on the paper's cost-vs-makespan knob (Fig 8), driven by observed
+//!   backlog;
 //! * [`daemon::Daemon`] — the fluid epoch executor with *incremental
 //!   re-solves*: carried simplex bases and column-generation state flow
 //!   across epochs, so new arrivals are priced into the incumbent
@@ -40,10 +41,9 @@ pub mod control;
 pub mod daemon;
 pub mod metrics;
 pub mod queue;
-pub mod tuner;
 
 pub use admission::{admit, AdmissionConfig, AdmissionDecision};
 pub use control::{handle_line, Command};
 pub use daemon::{AdmissionEvent, Daemon, ServeConfig, ServeEpochRecord, ServeSummary};
+pub use lips_core::{EpochTuner, TuneConfig};
 pub use queue::ArrivalQueue;
-pub use tuner::{EpochTuner, TuneConfig};

@@ -86,9 +86,10 @@ const USAGE: &str = "usage: lips-serve [options]
   --metrics-out P    also write Prometheus metrics text to P
 ";
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the command line (`argv` without the program name).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -125,6 +126,9 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
+    }
+    if args.nodes == 0 {
+        return Err("--nodes must be >= 1".to_owned());
     }
     Ok(args)
 }
@@ -194,7 +198,7 @@ fn build_daemon(args: &Args) -> Result<Daemon, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lips-serve: {e}");
@@ -259,4 +263,22 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn zero_nodes_is_rejected() {
+        let e = parse(&["--nodes", "0"])
+            .err()
+            .expect("--nodes 0 must not parse");
+        assert!(e.contains("--nodes"), "{e}");
+        assert_eq!(parse(&["--nodes", "1"]).map(|a| a.nodes), Ok(1));
+    }
 }

@@ -106,6 +106,7 @@ fn tuner_tracks_backlog_and_stays_in_band() {
         max_epoch_s: 1600.0,
         target_epochs: 2.0,
         smoothing: 1.0,
+        ..Default::default()
     };
     let mut config = ServeConfig {
         tuning: Some(tune),

@@ -19,8 +19,8 @@
 
 use lips_cluster::{ec2_100_node, ec2_mixed_cluster, Cluster};
 use lips_core::{
-    AdaptiveConfig, AdaptiveLips, DelayScheduler, FairScheduler, HadoopDefaultScheduler,
-    LipsScheduler, SchedulerConfig,
+    AdaptiveLips, DelayScheduler, FairScheduler, HadoopDefaultScheduler, LipsScheduler,
+    SchedulerConfig, TuneConfig,
 };
 use lips_sim::{Placement, Scheduler, SimError, SimReport, Simulation};
 use lips_workload::{bind_workload, JobSpec, PlacementPolicy};
@@ -51,9 +51,9 @@ impl SchedulerChoice {
             SchedulerChoice::LipsConfigured(cfg) => Box::new(LipsScheduler::new(cfg.clone())),
             SchedulerChoice::LipsAdaptive { cost_preference } => Box::new(AdaptiveLips::new(
                 SchedulerConfig::small_cluster(400.0),
-                AdaptiveConfig {
+                TuneConfig {
                     cost_preference: *cost_preference,
-                    ..Default::default()
+                    ..TuneConfig::adaptive()
                 },
             )),
             SchedulerChoice::HadoopDefault => Box::new(HadoopDefaultScheduler::new()),
