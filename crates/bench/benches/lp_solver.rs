@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lips_bench::lp_epoch::{run_epochs, run_epochs_faulted, EpochMode, FaultScript};
+use lips_bench::lp_epoch::{run_cold, run_epochs, run_epochs_faulted, FaultScript};
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
 use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig};
 use lips_lp::revised::{RevisedOptions, RevisedSimplex};
@@ -66,20 +66,20 @@ fn bench_epoch_lp(c: &mut Criterion) {
 
 fn bench_epoch_sequence(c: &mut Criterion) {
     // The solve-path story end to end: a whole chained epoch sequence per
-    // iteration — cold vs warm vs column-generated — on a mid-size cluster
-    // (the full 100-node, 20-epoch acceptance numbers come from the
-    // `lp_bench` binary).
+    // iteration — the cold oracle vs the scheduler's full-model and
+    // column-generation ladders — on a mid-size cluster (the full
+    // 100-node, 20-epoch acceptance numbers come from the `lp_bench`
+    // binary).
     let cluster = ec2_mixed_cluster(50, 0.4, 1e9, 1);
     let mut g = c.benchmark_group("epoch_sequence");
     g.sample_size(10);
-    for mode in [EpochMode::Cold, EpochMode::Warm, EpochMode::ColGen] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{mode:?}").to_lowercase()),
-            &mode,
-            |b, &mode| {
-                b.iter(|| black_box(run_epochs(&cluster, 16, 2, 3, 8, mode, 1).total_iterations));
-            },
-        );
+    g.bench_function("cold", |b| {
+        b.iter(|| black_box(run_cold(&cluster, 16, 2, 3, 8, 1).total_iterations));
+    });
+    for (name, colgen) in [("full", false), ("colgen", true)] {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &colgen, |b, &colgen| {
+            b.iter(|| black_box(run_epochs(&cluster, 16, 2, 3, 8, colgen, 1).total_iterations));
+        });
     }
     g.finish();
 }
@@ -139,21 +139,21 @@ fn bench_refactor_interval(c: &mut Criterion) {
     g.finish();
 }
 
-/// The churn fast path head to head: the dual-first ladder
-/// (dual re-solve from the carried basis) vs the primal
-/// warm-repair ladder on the scripted fault sequence — revocations, a
-/// store loss, a repricing, and a rejoin mid-run. This is the
-/// microbenchmark behind `lp_bench --faults --mode dual`.
+/// The scheduler's two ladders re-solving through the scripted fault
+/// sequence — revocations, a store loss, a repricing, and a rejoin
+/// mid-run. This is the microbenchmark behind `lp_bench --faults`.
 fn bench_churn_resolve(c: &mut Criterion) {
     let cluster = ec2_mixed_cluster(50, 0.4, 1e9, 1);
     let script = FaultScript::acceptance(&cluster);
     let mut g = c.benchmark_group("churn_resolve");
     g.sample_size(10);
-    for (name, dual) in [("warm_resolve", false), ("dual_resolve", true)] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &dual, |b, &dual| {
+    for (name, colgen) in [("full", false), ("colgen", true)] {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &colgen, |b, &colgen| {
             b.iter(|| {
                 black_box(
-                    run_epochs_faulted(&cluster, 16, 2, 3, 8, &script, 1, dual).total_iterations,
+                    run_epochs_faulted(&cluster, 16, 2, 3, 8, &script, 1, colgen)
+                        .run
+                        .total_iterations,
                 )
             });
         });

@@ -1,22 +1,27 @@
 //! Epoch-loop LP solver benchmark: 20 consecutive Fig-4 epochs on the
-//! large-cluster configuration, cold starts vs warm-start chaining vs
-//! delayed column generation.
+//! large-cluster configuration, solved the way the scheduler solves them.
 //!
-//! Prints a per-epoch table and the per-mode totals; with `--json`,
+//! Every run records three series over the same churn sequence: `cold`
+//! (each epoch's full model from scratch — the objective-parity oracle),
+//! `full` (`LipsScheduler::solve_epoch` with column generation off: dual
+//! simplex from the carried basis, then warm primal, then cold) and
+//! `colgen` (the same call with column generation on: the dual-first
+//! restricted master carrying columns and basis). The records are the
+//! scheduler's own, so the numbers are those of the path that serves an
+//! epoch.
+//!
+//! Prints a per-epoch table and the per-series totals; with `--json`,
 //! additionally writes `BENCH_lp_epoch.json` in the current directory so
 //! the README perf table and CI gates can consume the numbers.
 //!
-//! Flags: `--json`, `--colgen` (also run the column-generated restricted
-//! master and record active-column counts + pricing rounds per epoch),
-//! `--mode dual` (also run the churn fast path — dual-simplex re-solve
-//! from the carried basis — and, with `--faults`, a second fault series
-//! whose ladder tries the dual rung first; records
-//! `dual_pivots`/`bound_flips` per epoch and the fault-epoch iteration
-//! ratio vs the primal repair ladder),
-//! `--audit` (exit non-zero unless every epoch of every mode certified),
+//! Flags: `--json`,
+//! `--faults` (also run both scheduler series over a scripted sequence of
+//! machine revocations, a store loss, a repricing, and a rejoin:
+//! `faults` and `faults_colgen`),
+//! `--audit` (exit non-zero unless every epoch of every series certified),
 //! `--threads N` (worker count for model build, pricing, and
 //! certification; default 0 = `LIPS_THREADS` or the host parallelism),
-//! `--scaling` (re-run the colgen sequence at 1/2/4/8 workers and record
+//! `--scaling` (re-run the colgen series at 1/2/4/8 workers and record
 //! per-width wall-time plus a bitwise determinism check),
 //! `--nodes N` (cluster size, default 100),
 //! `--scale` (run *only* the 100/1k/10k-node scale trajectory on
@@ -28,65 +33,50 @@
 //! departure/arrival pair perturbs the LP's structure).
 
 use lips_bench::lp_epoch::{
-    dual_fault_head_to_head, fault_epoch_iterations, run_epochs, run_epochs_faulted,
-    thread_scaling, EpochMode, EpochRun, FaultEpochRun, FaultScript, ThreadScalingPoint, EPOCHS,
+    run_cold, run_epochs, run_epochs_faulted, thread_scaling, EpochRun, FaultEpochRun, FaultScript,
+    ThreadScalingPoint, EPOCHS,
 };
 use lips_bench::scale::{default_series, run_scale_point, ScaleReport};
 use lips_bench::Table;
 use lips_cluster::ec2_mixed_cluster;
+use lips_core::RunSummary;
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct BenchReport {
     config: String,
+    /// Each epoch's full model cold: the objective-parity oracle.
     cold: EpochRun,
-    warm: EpochRun,
-    /// Present only with `--colgen`.
-    colgen: Option<EpochRun>,
-    /// Present only with `--mode dual`: the churn fast path (dual-simplex
-    /// re-solve from the carried basis, else the slack basis; warm primal
-    /// when the walk is declined).
-    dual: Option<EpochRun>,
-    /// Present only with `--faults`: the same epoch sequence with scripted
-    /// machine revocations, a store loss, a repricing, and a rejoin.
+    /// The scheduler's full-model ladder.
+    full: EpochRun,
+    /// The scheduler's column-generation ladder.
+    colgen: EpochRun,
+    /// Present only with `--faults`: the full-model ladder over the same
+    /// epoch sequence with scripted machine revocations, a store loss, a
+    /// repricing, and a rejoin.
     faults: Option<FaultEpochRun>,
-    /// Present only with `--faults --mode dual`: the fault series re-run
-    /// with the dual rung first in the ladder.
-    faults_dual: Option<FaultEpochRun>,
-    /// Worker count used for the cold/warm/colgen/fault runs (0 = solver
-    /// default: `LIPS_THREADS` or the host parallelism).
+    /// Present only with `--faults`: the column-generation ladder over
+    /// the same fault script.
+    faults_colgen: Option<FaultEpochRun>,
+    /// Worker count used for every series (0 = solver default:
+    /// `LIPS_THREADS` or the host parallelism).
     threads: usize,
     /// `std::thread::available_parallelism()` of the machine that produced
     /// these numbers — read the scaling series against this. On a 1-core
     /// host every width shares the core and the speedups sit near 1.0.
     host_parallelism: usize,
-    /// Present only with `--scaling`: the colgen sequence re-run at
+    /// Present only with `--scaling`: the colgen series re-run at
     /// 1/2/4/8 workers, each width checked bitwise against the serial run.
     thread_scaling: Option<Vec<ThreadScalingPoint>>,
-    /// cold ÷ warm total simplex iterations (higher = warm wins).
+    /// cold ÷ full total simplex iterations (higher = carrying the basis
+    /// wins).
     iteration_ratio: f64,
-    /// cold ÷ warm total solve wall-time.
-    walltime_ratio: f64,
-    /// cold ÷ warm total FTRAN nonzeros.
-    ftran_nnz_ratio: f64,
-    /// warm ÷ colgen total epoch wall-time (build + solve + certify;
-    /// higher = colgen wins). `None` without `--colgen`.
-    colgen_epoch_ms_ratio: Option<f64>,
+    /// full ÷ colgen total epoch wall-time (build + solve + certify;
+    /// higher = colgen wins).
+    colgen_epoch_ms_ratio: f64,
     /// Mean active/total column share of the colgen master (the
-    /// acceptance gate wants ≤ 0.5). `None` without `--colgen`.
-    colgen_active_share: Option<f64>,
-    /// cold ÷ dual total simplex iterations over the churn sequence
-    /// (higher = the dual fast path wins). `None` without `--mode dual`.
-    dual_iteration_ratio: Option<f64>,
-    /// Head-to-head fault re-solve ratio: on each dual-served fault
-    /// epoch both methods solve the same model from the same repaired
-    /// basis, and this is primal ÷ dual summed iterations (higher = the
-    /// dual path wins; the acceptance target is ≥ 5). `None` without
-    /// `--faults --mode dual`.
-    dual_fault_iteration_ratio: Option<f64>,
-    /// Chain-level context: fault-epoch iterations spent by the primal
-    /// repair ladder ÷ by the dual-first ladder, each on its own chain.
-    dual_fault_chain_ratio: Option<f64>,
+    /// acceptance gate wants ≤ 0.5).
+    colgen_active_share: f64,
 }
 
 fn flag_value(args: &[String], name: &str, default: usize) -> usize {
@@ -105,8 +95,6 @@ fn main() {
     let churn_every = flag_value(&args, "--churn-every", 5);
     let threads = flag_value(&args, "--threads", 0);
     let nodes = flag_value(&args, "--nodes", 100);
-    let with_colgen = args.iter().any(|a| a == "--colgen");
-    let with_dual = args.windows(2).any(|w| w[0] == "--mode" && w[1] == "dual");
     let with_faults = args.iter().any(|a| a == "--faults");
     let with_scaling = args.iter().any(|a| a == "--scaling");
     // lips-allow(thread-width-dependence): reported in the bench header only; never feeds results
@@ -125,47 +113,10 @@ fn main() {
     println!("LP epoch-sequence benchmark — {config}");
     println!("threads: {threads} (0 = solver default), host parallelism: {host_parallelism}\n");
 
-    let cold = run_epochs(
-        &cluster,
-        jobs,
-        churn,
-        churn_every,
-        epochs,
-        EpochMode::Cold,
-        threads,
-    );
-    let warm = run_epochs(
-        &cluster,
-        jobs,
-        churn,
-        churn_every,
-        epochs,
-        EpochMode::Warm,
-        threads,
-    );
-    let colgen = with_colgen.then(|| {
-        run_epochs(
-            &cluster,
-            jobs,
-            churn,
-            churn_every,
-            epochs,
-            EpochMode::ColGen,
-            threads,
-        )
-    });
-    let dual = with_dual.then(|| {
-        run_epochs(
-            &cluster,
-            jobs,
-            churn,
-            churn_every,
-            epochs,
-            EpochMode::Dual,
-            threads,
-        )
-    });
-    let faults = with_faults.then(|| {
+    let cold = run_cold(&cluster, jobs, churn, churn_every, epochs, threads);
+    let full = run_epochs(&cluster, jobs, churn, churn_every, epochs, false, threads);
+    let colgen = run_epochs(&cluster, jobs, churn, churn_every, epochs, true, threads);
+    let faulted = |colgen: bool| {
         let script = FaultScript::acceptance(&cluster);
         run_epochs_faulted(
             &cluster,
@@ -175,211 +126,70 @@ fn main() {
             epochs,
             &script,
             threads,
-            false,
+            colgen,
         )
-    });
-    let faults_dual = (with_faults && with_dual).then(|| {
-        let script = FaultScript::acceptance(&cluster);
-        run_epochs_faulted(
-            &cluster,
-            jobs,
-            churn,
-            churn_every,
-            epochs,
-            &script,
-            threads,
-            true,
-        )
-    });
+    };
+    let faults = with_faults.then(|| faulted(false));
+    let faults_colgen = with_faults.then(|| faulted(true));
     let scaling = with_scaling
         .then(|| thread_scaling(&cluster, jobs, churn, churn_every, epochs, &[1, 2, 4, 8]));
 
-    let mut header = vec![
+    let mut t = Table::new(vec![
         "epoch",
         "cold iters",
         "cold ms",
-        "warm iters",
-        "warm ms",
-        "start",
-    ];
-    if with_colgen {
-        header.extend(["cg iters", "cg ms", "cg cols", "cg rounds"]);
-    }
-    if with_dual {
-        header.extend(["dual iters", "dual ms", "pivots/flips"]);
-    }
-    let mut t = Table::new(header);
-    for (i, (c, w)) in cold.epochs.iter().zip(&warm.epochs).enumerate() {
-        let mut row = vec![
+        "full iters",
+        "full ms",
+        "full start",
+        "cg iters",
+        "cg ms",
+        "cg cols",
+        "cg rounds",
+    ]);
+    for ((c, f), cg) in cold.epochs.iter().zip(&full.epochs).zip(&colgen.epochs) {
+        t.row(vec![
             c.epoch.to_string(),
             c.iterations.to_string(),
             format!("{:.2}", c.epoch_ms),
-            w.iterations.to_string(),
-            format!("{:.2}", w.epoch_ms),
-            w.warm.clone(),
-        ];
-        if let Some(cg) = colgen.as_ref().and_then(|r| r.epochs.get(i)) {
-            row.extend([
-                cg.iterations.to_string(),
-                format!("{:.2}", cg.epoch_ms),
-                format!("{}/{}", cg.active_columns, cg.total_columns),
-                cg.pricing_rounds.to_string(),
-            ]);
-        }
-        if let Some(d) = dual.as_ref().and_then(|r| r.epochs.get(i)) {
-            row.extend([
-                d.iterations.to_string(),
-                format!("{:.2}", d.epoch_ms),
-                format!("{}/{}", d.dual_pivots, d.bound_flips),
-            ]);
-        }
-        t.row(row);
+            f.iterations.to_string(),
+            format!("{:.2}", f.epoch_ms),
+            f.warm.clone(),
+            cg.iterations.to_string(),
+            format!("{:.2}", cg.epoch_ms),
+            format!("{}/{}", cg.active_columns, cg.total_columns),
+            cg.pricing_rounds.to_string(),
+        ]);
     }
     t.print();
 
-    let ratio = |c: f64, w: f64| if w > 0.0 { c / w } else { f64::INFINITY };
+    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { f64::INFINITY };
     let report = BenchReport {
-        iteration_ratio: ratio(cold.total_iterations as f64, warm.total_iterations as f64),
-        walltime_ratio: ratio(cold.total_solve_ms, warm.total_solve_ms),
-        ftran_nnz_ratio: ratio(cold.total_ftran_nnz as f64, warm.total_ftran_nnz as f64),
-        colgen_epoch_ms_ratio: colgen
-            .as_ref()
-            .map(|cg| ratio(warm.total_epoch_ms, cg.total_epoch_ms)),
-        colgen_active_share: colgen.as_ref().map(|cg| cg.active_column_share),
-        dual_iteration_ratio: dual
-            .as_ref()
-            .map(|d| ratio(cold.total_iterations as f64, d.total_iterations as f64)),
-        dual_fault_iteration_ratio: faults_dual
-            .as_ref()
-            .and_then(dual_fault_head_to_head)
-            .map(|(p, d)| ratio(p as f64, d as f64)),
-        dual_fault_chain_ratio: match (&faults, &faults_dual) {
-            (Some(base), Some(d)) => Some(ratio(
-                fault_epoch_iterations(base) as f64,
-                fault_epoch_iterations(d) as f64,
-            )),
-            _ => None,
-        },
+        iteration_ratio: ratio(cold.total_iterations as f64, full.total_iterations as f64),
+        colgen_epoch_ms_ratio: ratio(full.total_epoch_ms, colgen.total_epoch_ms),
+        colgen_active_share: colgen.active_column_share,
         config,
         cold,
-        warm,
+        full,
         colgen,
-        dual,
         faults,
-        faults_dual,
+        faults_colgen,
         threads,
         host_parallelism,
         thread_scaling: scaling,
     };
-    println!(
-        "\ntotals: cold {} iters / {:.1} ms solve / {:.1} ms epoch / {} FTRAN nnz",
-        report.cold.total_iterations,
-        report.cold.total_solve_ms,
-        report.cold.total_epoch_ms,
-        report.cold.total_ftran_nnz
-    );
-    println!(
-        "        warm {} iters / {:.1} ms solve / {:.1} ms epoch / {} FTRAN nnz ({}/{} epochs warm-started)",
-        report.warm.total_iterations,
-        report.warm.total_solve_ms,
-        report.warm.total_epoch_ms,
-        report.warm.total_ftran_nnz,
-        report.warm.warm_solves,
-        epochs.saturating_sub(1).max(1)
-    );
-    if let Some(cg) = &report.colgen {
-        println!(
-            "        colgen {} iters / {:.1} ms solve / {:.1} ms epoch / {} pricing rounds / {:.0}% columns active",
-            cg.total_iterations,
-            cg.total_solve_ms,
-            cg.total_epoch_ms,
-            cg.total_pricing_rounds,
-            cg.active_column_share * 100.0
-        );
+    println!();
+    for run in [&report.cold, &report.full, &report.colgen] {
+        print_totals(run);
     }
     println!(
-        "speedup: {:.2}x iterations, {:.2}x wall-time, {:.2}x FTRAN nnz (cold/warm)",
-        report.iteration_ratio, report.walltime_ratio, report.ftran_nnz_ratio,
+        "speedup: {:.2}x iterations (cold/full), {:.2}x epoch wall-time (full/colgen), \
+         {:.0}% of full columns active in the colgen master",
+        report.iteration_ratio,
+        report.colgen_epoch_ms_ratio,
+        report.colgen_active_share * 100.0
     );
-    if let Some(d) = &report.dual {
-        let pivots: usize = d.epochs.iter().map(|e| e.dual_pivots).sum();
-        let flips: usize = d.epochs.iter().map(|e| e.bound_flips).sum();
-        println!(
-            "        dual {} iters / {:.1} ms solve / {:.1} ms epoch / {} dual pivots / {} bound flips",
-            d.total_iterations, d.total_solve_ms, d.total_epoch_ms, pivots, flips
-        );
-    }
-    if let (Some(r), Some(s)) = (report.colgen_epoch_ms_ratio, report.colgen_active_share) {
-        println!(
-            "colgen:  {:.2}x epoch wall-time vs warm, {:.0}% of full columns active",
-            r,
-            s * 100.0
-        );
-    }
-    if let Some(r) = report.dual_iteration_ratio {
-        println!("dual:    {r:.2}x iterations vs cold over the churn sequence");
-    }
-    let print_fault_series = |label: &str, f: &FaultEpochRun| {
-        let mut t = Table::new(vec![
-            "epoch",
-            "faults",
-            "repaired",
-            "iters",
-            "pivots/flips",
-            "ms",
-            "start",
-            "state",
-        ]);
-        for r in &f.epochs {
-            t.row(vec![
-                r.epoch.to_string(),
-                if r.events.is_empty() {
-                    "-".to_string()
-                } else {
-                    r.events.join(", ")
-                },
-                r.repaired.to_string(),
-                r.iterations.to_string(),
-                format!("{}/{}", r.dual_pivots, r.bound_flips),
-                format!("{:.2}", r.epoch_ms),
-                r.warm.clone(),
-                if r.certified {
-                    "certified".to_string()
-                } else {
-                    "DEGRADED".to_string()
-                },
-            ]);
-        }
-        println!(
-            "
-{label} ({} revocations, {} store loss(es), {} repricing(s), {} rejoin(s)):",
-            f.revocations, f.store_losses, f.repricings, f.rejoins
-        );
-        t.print();
-        println!(
-            "faults:  {} iters / {:.1} ms epoch / {} warm / {} dual / {} certified / {} degraded",
-            f.total_iterations,
-            f.total_epoch_ms,
-            f.warm_solves,
-            f.dual_solves,
-            f.certified_epochs,
-            f.degraded_epochs
-        );
-    };
-    if let Some(f) = &report.faults {
-        print_fault_series("fault-mode series", f);
-    }
-    if let Some(f) = &report.faults_dual {
-        print_fault_series("fault-mode series, dual-first ladder", f);
-    }
-    if let Some(r) = report.dual_fault_iteration_ratio {
-        println!(
-            "dual faults: {r:.2}x fewer simplex iterations than repaired-warm primal \
-             on the same fault epochs and bases (head-to-head)"
-        );
-    }
-    if let Some(r) = report.dual_fault_chain_ratio {
-        println!("dual ladder: {r:.2}x fewer fault-epoch iterations than the primal repair chain");
+    for f in report.faults.iter().chain(&report.faults_colgen) {
+        print_fault_series(f);
     }
 
     if let Some(series) = &report.thread_scaling {
@@ -399,7 +209,7 @@ fn main() {
                 },
             ]);
         }
-        println!("\nthread-scaling series (colgen mode, whole-epoch wall-time):");
+        println!("\nthread-scaling series (colgen, whole-epoch wall-time):");
         t.print();
     }
 
@@ -407,12 +217,11 @@ fn main() {
         .thread_scaling
         .as_ref()
         .is_none_or(|s| s.iter().all(|p| p.identical_to_serial));
-    let all_certified = report.cold.all_certified
-        && report.warm.all_certified
-        && report.colgen.as_ref().is_none_or(|cg| cg.all_certified)
-        && report.dual.as_ref().is_none_or(|d| d.all_certified)
-        && report.faults.as_ref().is_none_or(|f| f.all_accounted)
-        && report.faults_dual.as_ref().is_none_or(|f| f.all_accounted)
+    let all_certified = [&report.cold, &report.full, &report.colgen]
+        .into_iter()
+        .chain(report.faults.iter().map(|f| &f.run))
+        .chain(report.faults_colgen.iter().map(|f| &f.run))
+        .all(|r| r.all_certified)
         && deterministic;
     println!("all certified: {all_certified}");
 
@@ -430,6 +239,78 @@ fn main() {
         eprintln!("--audit: at least one epoch failed certification");
         std::process::exit(1);
     }
+}
+
+/// One series' totals, plus which ladder rung served its epochs and how
+/// each solve started.
+fn print_totals(run: &EpochRun) {
+    let rungs = RunSummary::from_records(&run.epochs);
+    let starts = |w: &str| run.epochs.iter().filter(|r| r.warm == w).count();
+    println!(
+        "{:>13}: {} iters / {:.1} ms solve / {:.1} ms epoch / {} pricing rounds / {:.0}% columns active",
+        run.mode,
+        run.total_iterations,
+        run.total_solve_ms,
+        run.total_epoch_ms,
+        run.total_pricing_rounds,
+        run.active_column_share * 100.0
+    );
+    println!(
+        "{:>13}  rungs {} CertifiedDual / {} Certified / {} CertifiedCold / {} Degraded; \
+         starts {} Dual / {} Warm / {} WarmRepaired / {} Cold",
+        "",
+        rungs.dual_epochs,
+        rungs.primal_epochs,
+        rungs.cold_retry_epochs,
+        rungs.degraded_epochs,
+        starts("Dual"),
+        starts("Warm"),
+        starts("WarmRepaired"),
+        starts("Cold")
+    );
+}
+
+/// A fault series: per epoch, what struck, what the scheduler repaired,
+/// and which rung served the epoch; then the totals.
+fn print_fault_series(f: &FaultEpochRun) {
+    let mut t = Table::new(vec![
+        "epoch",
+        "faults",
+        "repaired",
+        "iters",
+        "pivots/flips",
+        "ms",
+        "rung",
+        "start",
+        "state",
+    ]);
+    for ((r, events), repaired) in f.run.epochs.iter().zip(&f.events).zip(&f.repaired) {
+        t.row(vec![
+            r.epoch.to_string(),
+            if events.is_empty() {
+                "-".to_string()
+            } else {
+                events.join(", ")
+            },
+            repaired.to_string(),
+            r.iterations.to_string(),
+            format!("{}/{}", r.dual_pivots, r.bound_flips),
+            format!("{:.2}", r.epoch_ms),
+            r.outcome.clone(),
+            r.warm.clone(),
+            if r.certified {
+                "certified".to_string()
+            } else {
+                "DEGRADED".to_string()
+            },
+        ]);
+    }
+    println!(
+        "\n{} ({} revocations, {} store loss(es), {} repricing(s), {} rejoin(s)):",
+        f.run.mode, f.revocations, f.store_losses, f.repricings, f.rejoins
+    );
+    t.print();
+    print_totals(&f.run);
 }
 
 /// The `--scale` series: the 100 / 1k / 10k-node trajectory on

@@ -1,4 +1,4 @@
-//! The 20-epoch cold/warm/colgen LP workload behind `BENCH_lp_epoch.json`.
+//! The 20-epoch LP workload behind `BENCH_lp_epoch.json`.
 //!
 //! Models the scheduler's steady state. A LiPS epoch is ~2000 s and the
 //! Table-IV jobs run for hours, so consecutive epochs almost always see
@@ -6,92 +6,49 @@
 //! completed last epoch), and only occasionally a departure + arrival.
 //! The sequence here mirrors that: sizes decay a few percent per epoch of
 //! a job's age, and every `churn_every` epochs `churn` jobs complete and
-//! are replaced by fresh ones. Four solve policies are compared:
+//! are replaced by fresh ones. Three series solve it:
 //!
-//! * [`EpochMode::Cold`] — each epoch's full model from scratch;
-//! * [`EpochMode::Warm`] — full model, chaining each epoch's optimal basis
-//!   into the next ([`EpochSolver::warm`]);
-//! * [`EpochMode::ColGen`] — a column-generated restricted master
-//!   ([`EpochSolver::colgen`]) carrying the surviving active columns *and*
-//!   the basis across epochs;
-//! * [`EpochMode::Dual`] — the bounded dual simplex from the carried
-//!   basis, warm primal when the walk is declined.
+//! * `cold` ([`run_cold`]) — each epoch's full model from scratch on the
+//!   primal simplex, nothing carried: the objective-parity oracle;
+//! * `full` ([`run_epochs`] with `colgen = false`) — the scheduler's
+//!   full-model ladder: dual simplex from the carried basis (else the
+//!   slack basis), then warm primal, then cold;
+//! * `colgen` ([`run_epochs`] with `colgen = true`) — the scheduler's
+//!   column-generation ladder: a dual-first restricted master carrying
+//!   the surviving columns *and* the basis across epochs.
 //!
-//! Every epoch is KKT-certified in all modes (the restricted modes
-//! against the **full** model, excluded columns priced), so the
-//! comparison can never trade correctness for speed.
+//! The bench builds no ladder of its own: `full` and `colgen` call
+//! [`LipsScheduler::solve_epoch`], the same call that serves every epoch
+//! of a simulation or a `lips-serve` run, and read the scheduler's own
+//! [`EpochRecord`]s back. Every epoch is KKT-certified in every series
+//! (the restricted master against the **full** model, excluded columns
+//! priced), so the comparison can never trade correctness for speed.
 //!
 //! [`run_epochs_faulted`] additionally scripts mid-sequence machine
 //! revocations, rejoins, repricings, and a store loss into the epoch loop
-//! — the LP-level half of the fault story: the chained basis is repaired
-//! (dead-machine rows/columns dropped) instead of discarded, and every
-//! epoch must end certified against the *surviving* cluster or be
-//! explicitly recorded as degraded.
+//! — the LP-level half of the fault story: the scheduler repairs its
+//! carried state (dead-machine rows/columns dropped) instead of
+//! discarding it, and every epoch must end certified against the
+//! *surviving* cluster or be recorded as degraded.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
-use lips_core::lp_build::{
-    sanitize_warm_start, ColGenOptions, ColGenState, EpochSolveError, EpochSolver, LpInstance,
-    LpJob, PruneConfig,
-};
+use lips_cluster::{Cluster, DataId, StoreId};
+use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig};
 pub use lips_core::EpochRecord;
-use lips_lp::{LpError, WarmOutcome, WarmStart};
+use lips_core::{EpochOutcome, LipsScheduler, SchedulerConfig};
 use lips_workload::JobId;
 use serde::Serialize;
 
 /// Epoch count used by the benchmark and the acceptance gate.
 pub const EPOCHS: usize = 20;
 
-/// The large-cluster configuration of the acceptance criterion: 100 nodes,
-/// 40 % c1.medium, Fig-6 three-zone layout.
-pub fn large_cluster() -> Cluster {
-    ec2_mixed_cluster(100, 0.4, 1e9, 1)
-}
-
-/// How consecutive epoch LPs are solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochMode {
-    /// Full model, cold start every epoch.
-    Cold,
-    /// Full model, warm-started from the previous epoch's basis.
-    Warm,
-    /// Column-generated restricted master with cross-epoch column + basis
-    /// reuse.
-    ColGen,
-    /// The churn fast path: bounded dual-simplex re-solve from the
-    /// previous epoch's basis ([`EpochSolver::dual`]), or from the slack
-    /// basis on the first epoch, falling back to the warm primal when the
-    /// walk is declined.
-    Dual,
-}
-
-impl EpochMode {
-    fn label(self) -> &'static str {
-        match self {
-            EpochMode::Cold => "cold",
-            EpochMode::Warm => "warm",
-            EpochMode::ColGen => "colgen",
-            EpochMode::Dual => "dual",
-        }
-    }
-}
-
-// One epoch's solver telemetry is recorded on the workspace-wide stable
-// schema, `lips_core::EpochRecord` (re-exported above): the same shape the
-// online scheduler logs per decision epoch and the serve daemon exposes
-// over its metrics endpoint. Bench-specific semantics of shared fields:
-// `outcome` holds the [`EpochMode`] label (the rung is *chosen* here, not
-// discovered by a ladder), `epoch_ms` is the honest whole-call wall-time
-// (build + solve + pricing + certification, metered around the call rather
-// than summed from phase timings), and `incremental` means the mode
-// re-used carried state — a chained basis that warmed, or carried
-// colgen state.
-
-/// A full epoch sequence under one starting policy.
+/// A full epoch sequence under one solve path: the per-epoch records and
+/// their totals.
 #[derive(Debug, Clone, Serialize)]
 pub struct EpochRun {
+    /// `"cold"`, `"full"`, or `"colgen"`.
     pub mode: String,
     pub epochs: Vec<EpochRecord>,
     pub total_iterations: usize,
@@ -100,17 +57,49 @@ pub struct EpochRun {
     pub total_build_ms: f64,
     /// Solver-metered certification wall-time summed over epochs.
     pub total_certify_ms: f64,
-    /// Build + solve + certify wall-time summed over epochs.
+    /// Whole-epoch wall-time summed over epochs: the scheduler's ladder
+    /// (failed rungs included), or the oracle's whole solve call.
     pub total_epoch_ms: f64,
-    pub total_ftran_nnz: u64,
     pub total_pricing_rounds: usize,
-    /// Epochs that actually started from the previous basis (warm/colgen
-    /// modes; the first epoch is always cold).
+    /// Epochs that started from the previous basis (the first epoch is
+    /// always cold).
     pub warm_solves: usize,
     /// Mean `active_columns / total_columns` across epochs (1.0 for the
-    /// full-model modes). The acceptance gate wants ≤ 0.5 for colgen.
+    /// full-model series). The acceptance gate wants ≤ 0.5 for colgen.
     pub active_column_share: f64,
     pub all_certified: bool,
+}
+
+impl EpochRun {
+    fn from_records(mode: &str, epochs: Vec<EpochRecord>) -> Self {
+        let share_sum: f64 = epochs
+            .iter()
+            .map(|r| {
+                if r.total_columns > 0 {
+                    r.active_columns as f64 / r.total_columns as f64
+                } else {
+                    1.0
+                }
+            })
+            .sum();
+        EpochRun {
+            mode: mode.to_string(),
+            total_iterations: epochs.iter().map(|r| r.iterations).sum(),
+            total_solve_ms: epochs.iter().map(|r| r.solve_ms).sum(),
+            total_build_ms: epochs.iter().map(|r| r.build_ms).sum(),
+            total_certify_ms: epochs.iter().map(|r| r.certify_ms).sum(),
+            total_epoch_ms: epochs.iter().map(|r| r.epoch_ms).sum(),
+            total_pricing_rounds: epochs.iter().map(|r| r.pricing_rounds).sum(),
+            warm_solves: epochs.iter().filter(|r| r.warm != "Cold").count(),
+            active_column_share: if epochs.is_empty() {
+                1.0
+            } else {
+                share_sum / epochs.len() as f64
+            },
+            all_certified: epochs.iter().all(|r| r.certified),
+            epochs,
+        }
+    }
 }
 
 /// Job set of epoch `e`: a sliding window over job ids that advances by
@@ -146,211 +135,95 @@ fn epoch_jobs(
         .collect()
 }
 
-/// Apply an explicit worker count to a solver (`0` keeps the default).
-fn with_width<'a, 'b>(s: EpochSolver<'a, 'b>, threads: usize) -> EpochSolver<'a, 'b> {
-    if threads > 0 {
-        s.threads(threads)
-    } else {
-        s
+/// The epoch LP over `jobs` on `cluster`: a 600 s epoch with the fake
+/// node, data moves, and the large-cluster candidate pruning.
+fn epoch_instance(cluster: &Cluster, jobs: Vec<LpJob>) -> LpInstance<'_> {
+    LpInstance {
+        cluster,
+        jobs,
+        duration: 600.0,
+        fake_cost: Some(1.0),
+        allow_moves: true,
+        enforce_transfer_time: true,
+        store_free_mb: vec![],
+        pool_floors: vec![],
+        prune: PruneConfig {
+            max_machines_per_job: Some(16),
+            max_new_stores_per_job: Some(6),
+        },
     }
 }
 
-/// Run `epochs` consecutive Fig-4 solves on `cluster` under `mode`.
-///
-/// `threads` sets the worker count for model build, pricing, and
-/// certification (`0` keeps [`EpochSolver`]'s default: `LIPS_THREADS` or
-/// the host parallelism). The solve is bitwise identical at any width.
+/// A scheduler on the given solve path. `threads` sets the worker count
+/// for model build, pricing, and certification (`0` keeps the default:
+/// `LIPS_THREADS` or the host parallelism); every solve is bitwise
+/// identical at any width.
+fn scheduler(colgen: bool, threads: usize) -> LipsScheduler {
+    LipsScheduler::new(SchedulerConfig {
+        colgen,
+        threads: (threads > 0).then_some(threads),
+        ..SchedulerConfig::default()
+    })
+}
+
+/// The objective-parity oracle: `epochs` consecutive Fig-4 solves on
+/// `cluster`, each epoch's full model cold on the primal simplex and
+/// certified. An epoch whose solve fails is recorded as degraded.
+pub fn run_cold(
+    cluster: &Cluster,
+    base_jobs: usize,
+    churn: usize,
+    churn_every: usize,
+    epochs: usize,
+    threads: usize,
+) -> EpochRun {
+    let records = (0..epochs)
+        .map(|e| {
+            let inst = epoch_instance(
+                cluster,
+                epoch_jobs(cluster, e, base_jobs, churn, churn_every),
+            );
+            let mut solver = EpochSolver::new(&inst).certify();
+            if threads > 0 {
+                solver = solver.threads(threads);
+            }
+            let t = Instant::now();
+            let mut record = match solver.run() {
+                Ok(report) => EpochRecord::from_solve_report(
+                    e,
+                    inst.jobs.len(),
+                    EpochOutcome::Certified,
+                    &report,
+                    false,
+                ),
+                Err(_) => EpochRecord::degraded(e, inst.jobs.len()),
+            };
+            record.epoch_ms = t.elapsed().as_secs_f64() * 1e3;
+            record
+        })
+        .collect();
+    EpochRun::from_records("cold", records)
+}
+
+/// Run `epochs` consecutive Fig-4 epochs on `cluster` through
+/// [`LipsScheduler::solve_epoch`], with column generation off (`full`)
+/// or on (`colgen`), and return the scheduler's own records.
 pub fn run_epochs(
     cluster: &Cluster,
     base_jobs: usize,
     churn: usize,
     churn_every: usize,
     epochs: usize,
-    mode: EpochMode,
+    colgen: bool,
     threads: usize,
 ) -> EpochRun {
-    let mut basis: Option<WarmStart> = None;
-    let mut colgen_state: Option<ColGenState> = None;
-    let mut share_sum = 0.0;
-    let mut out = EpochRun {
-        mode: mode.label().to_string(),
-        epochs: Vec::with_capacity(epochs),
-        total_iterations: 0,
-        total_solve_ms: 0.0,
-        total_build_ms: 0.0,
-        total_certify_ms: 0.0,
-        total_epoch_ms: 0.0,
-        total_ftran_nnz: 0,
-        total_pricing_rounds: 0,
-        warm_solves: 0,
-        active_column_share: 1.0,
-        all_certified: true,
-    };
+    let mut sched = scheduler(colgen, threads);
     for e in 0..epochs {
         let jobs = epoch_jobs(cluster, e, base_jobs, churn, churn_every);
-        let n_jobs = jobs.len();
-        let inst = LpInstance {
-            cluster,
-            jobs,
-            duration: 600.0,
-            fake_cost: Some(1.0),
-            allow_moves: true,
-            enforce_transfer_time: true,
-            store_free_mb: vec![],
-            pool_floors: vec![],
-            prune: PruneConfig {
-                max_machines_per_job: Some(16),
-                max_new_stores_per_job: Some(6),
-            },
-        };
-        let t = Instant::now();
-        let (sched, certified, active, total, rounds, timings) = match mode {
-            EpochMode::Cold | EpochMode::Warm => {
-                let seed = if mode == EpochMode::Warm {
-                    basis.as_ref()
-                } else {
-                    None
-                };
-                let report = with_width(EpochSolver::new(&inst), threads)
-                    .warm(seed)
-                    .certify()
-                    .run()
-                    .expect("epoch LP solves");
-                let certified = report
-                    .certificate
-                    .as_ref()
-                    .expect("certification was requested")
-                    .is_optimal();
-                basis = Some(report.basis);
-                (report.schedule, certified, 0, 0, 1, report.timings)
-            }
-            EpochMode::Dual => {
-                // Dual solve from the carried basis (from the slack basis
-                // on the first epoch or when the carried one is declined
-                // at seeding); when the walk is declined mid-way the warm
-                // primal takes over, and the
-                // decline stays on the record — exactly the scheduler's
-                // ladder.
-                let mut declined = None;
-                let mut report = with_width(EpochSolver::new(&inst), threads)
-                    .warm(basis.as_ref())
-                    .dual()
-                    .certify()
-                    .run()
-                    .or_else(|e| {
-                        if let EpochSolveError::Lp(LpError::DualDeclined(d)) = e {
-                            declined = Some(d);
-                        }
-                        with_width(EpochSolver::new(&inst), threads)
-                            .warm(basis.as_ref())
-                            .certify()
-                            .run()
-                    })
-                    .expect("epoch LP solves");
-                report.schedule.stats.declined = report.schedule.stats.declined.or(declined);
-                let certified = report
-                    .certificate
-                    .as_ref()
-                    .expect("certification was requested")
-                    .is_optimal();
-                basis = Some(report.basis);
-                (report.schedule, certified, 0, 0, 1, report.timings)
-            }
-            EpochMode::ColGen => {
-                let report = with_width(EpochSolver::new(&inst), threads)
-                    .colgen(ColGenOptions::default(), colgen_state.as_ref())
-                    .run()
-                    .expect("epoch LP solves");
-                let certified = report
-                    .certificate
-                    .as_ref()
-                    .expect("colgen mode always certifies")
-                    .is_optimal();
-                let (state, stats) = report.colgen.expect("colgen mode carries state");
-                colgen_state = Some(state);
-                (
-                    report.schedule,
-                    certified,
-                    stats.active_columns,
-                    stats.total_columns,
-                    stats.rounds,
-                    report.timings,
-                )
-            }
-        };
-        let epoch_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // Cold/warm/dual solve the full model: active = total by
-        // definition. The restricted modes report their own counts.
-        let (active, total) = if mode == EpochMode::ColGen {
-            (active, total)
-        } else {
-            let full = lp_build_columns(&inst);
-            (full, full)
-        };
-        share_sum += if total > 0 {
-            active as f64 / total as f64
-        } else {
-            1.0
-        };
-
-        let stats = sched.stats;
-        if stats.warm != WarmOutcome::Cold {
-            out.warm_solves += 1;
-        }
-        out.total_iterations += stats.iterations;
-        out.total_solve_ms += stats.solve_ms;
-        out.total_build_ms += timings.build_ms;
-        out.total_certify_ms += timings.certify_ms;
-        out.total_epoch_ms += epoch_ms;
-        out.total_ftran_nnz += stats.ftran_nnz;
-        out.total_pricing_rounds += rounds;
-        out.all_certified &= certified;
-        let incremental = e > 0
-            && match mode {
-                EpochMode::Cold => false,
-                EpochMode::Warm | EpochMode::Dual => stats.warm != WarmOutcome::Cold,
-                EpochMode::ColGen => true,
-            };
-        out.epochs.push(
-            EpochRecord {
-                epoch: e,
-                jobs: n_jobs,
-                outcome: mode.label().to_string(),
-                warm: format!("{:?}", stats.warm),
-                iterations: stats.iterations,
-                phase1_iterations: stats.phase1_iterations,
-                refactors: stats.refactors,
-                ftran_nnz: stats.ftran_nnz,
-                dual_pivots: stats.dual_pivots,
-                bound_flips: stats.bound_flips,
-                pricing_rounds: rounds,
-                active_columns: active,
-                total_columns: total,
-                presolve_removed: 0,
-                build_ms: timings.build_ms,
-                solve_ms: stats.solve_ms,
-                certify_ms: timings.certify_ms,
-                epoch_ms,
-                objective: sched.predicted_dollars,
-                certified,
-                incremental,
-                declined: String::new(),
-                declined_pivots: 0,
-            }
-            .with_declined(stats.declined),
-        );
+        sched.solve_epoch(&epoch_instance(cluster, jobs));
     }
-    if epochs > 0 {
-        out.active_column_share = share_sum / epochs as f64;
-    }
-    out
-}
-
-/// Task-column count of the full (pruned) model for an instance — the
-/// denominator of the colgen active-share metric.
-fn lp_build_columns(inst: &LpInstance<'_>) -> usize {
-    lips_core::lp_build::count_task_columns(inst)
+    let mode = if colgen { "colgen" } else { "full" };
+    EpochRun::from_records(mode, sched.epoch_records().to_vec())
 }
 
 /// One scripted LP-level fault, applied at the *start* of an epoch before
@@ -400,96 +273,97 @@ impl FaultScript {
     }
 }
 
-/// One epoch of the fault-mode series.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultEpochRecord {
-    pub epoch: usize,
-    pub jobs: usize,
-    /// Faults that struck at this epoch (human-readable).
-    pub events: Vec<String>,
-    /// Warm-start entries dropped while repairing the chained basis
-    /// against the surviving cluster.
-    pub repaired: usize,
-    pub iterations: usize,
-    /// `"Cold"`, `"Warm"`, `"WarmRepaired"`, or `"Dual"`.
-    pub warm: String,
-    /// Dual-simplex pivots (0 unless the dual rung served this epoch).
-    pub dual_pivots: usize,
-    /// Nonbasic bound flips by the dual solver.
-    pub bound_flips: usize,
-    /// Head-to-head control (dual ladder, fault epochs only): iterations
-    /// the repaired-warm *primal* rung spends on this exact model from
-    /// this exact incoming basis. `None` on non-fault epochs, on the
-    /// baseline ladder, or when the probe solve failed.
-    pub primal_iterations: Option<usize>,
-    pub solve_ms: f64,
-    pub epoch_ms: f64,
-    pub objective: f64,
-    /// KKT-certified optimal against the surviving cluster.
-    pub certified: bool,
-    /// Every LP rung failed; the epoch fell off the ladder.
-    pub degraded: bool,
+/// A cluster under a [`FaultScript`]: the surviving machines and the lost
+/// stores after the faults struck so far.
+struct FaultedCluster {
+    live: Cluster,
+    /// Capacity of each revoked machine, restored on rejoin.
+    revoked_tp: BTreeMap<usize, f64>,
+    lost_stores: Vec<usize>,
 }
 
-/// The fault-mode epoch sequence summary recorded into
-/// `BENCH_lp_epoch.json` by `lp_bench --faults`.
+impl FaultedCluster {
+    fn new(cluster: &Cluster) -> Self {
+        FaultedCluster {
+            live: cluster.clone(),
+            revoked_tp: BTreeMap::new(),
+            lost_stores: Vec::new(),
+        }
+    }
+
+    /// Apply one fault; returns its description, or `None` when it
+    /// changed nothing (revoking a dead machine, rejoining a live one).
+    fn strike(&mut self, fault: EpochFault) -> Option<String> {
+        match fault {
+            EpochFault::Revoke(m) => {
+                let tp = self.live.machines[m].tp_ecu;
+                (tp > 0.0).then(|| {
+                    self.revoked_tp.insert(m, tp);
+                    self.live.machines[m].tp_ecu = 0.0;
+                    format!("revoke m{m}")
+                })
+            }
+            EpochFault::Rejoin(m) => self.revoked_tp.remove(&m).map(|tp| {
+                self.live.machines[m].tp_ecu = tp;
+                format!("rejoin m{m}")
+            }),
+            EpochFault::Reprice(m, cost) => {
+                self.live.machines[m].cpu_cost = cost;
+                Some(format!("reprice m{m} to {cost:.2e}"))
+            }
+            EpochFault::LoseStore(s) => {
+                self.lost_stores.push(s);
+                Some(format!("lose s{s}"))
+            }
+        }
+    }
+
+    /// Job set of epoch `e`: the same sliding window as [`run_epochs`]
+    /// but with **two** full replica holders per job (the HDFS
+    /// replication the fault story requires) minus any lost stores.
+    fn jobs(&self, epoch: usize, base_jobs: usize, churn: usize, churn_every: usize) -> Vec<LpJob> {
+        let stores = self.live.num_stores();
+        epoch_jobs(&self.live, epoch, base_jobs, churn, churn_every)
+            .into_iter()
+            .map(|mut j| {
+                let primary = j.avail[0].0;
+                let replica = StoreId((primary.0 + stores / 2 + 1) % stores);
+                j.avail = [primary, replica]
+                    .into_iter()
+                    .filter(|s| !self.lost_stores.contains(&s.0))
+                    .map(|s| (s, 1.0))
+                    .collect();
+                j
+            })
+            .collect()
+    }
+}
+
+/// The fault-mode epoch sequence recorded into `BENCH_lp_epoch.json` by
+/// `lp_bench --faults`: the scheduler's records plus, per epoch, what
+/// struck it and what the scheduler repaired.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultEpochRun {
-    pub epochs: Vec<FaultEpochRecord>,
+    /// The scheduler's records over the faulted sequence, with the same
+    /// totals as a plain series (`"faults"` or `"faults_colgen"`).
+    pub run: EpochRun,
+    /// Per epoch: the faults that struck it (empty on quiet epochs).
+    pub events: Vec<Vec<String>>,
+    /// Per epoch: carried basis/column entries the scheduler dropped
+    /// because they named a revoked machine (the epoch's delta of
+    /// [`LipsScheduler::stale_basis_entries_dropped`]).
+    pub repaired: Vec<usize>,
     pub revocations: usize,
     pub rejoins: usize,
     pub repricings: usize,
     pub store_losses: usize,
-    pub total_iterations: usize,
-    pub total_epoch_ms: f64,
-    /// Epochs that started from the (possibly repaired) previous basis.
-    pub warm_solves: usize,
-    /// Epochs served by the dual-simplex rung (only with the dual ladder).
-    pub dual_solves: usize,
-    pub certified_epochs: usize,
-    pub degraded_epochs: usize,
-    /// Every epoch either certified or explicitly degraded — the
-    /// acceptance criterion. Always true by construction; serialized so
-    /// the JSON is self-describing.
-    pub all_accounted: bool,
 }
 
-/// Job set of epoch `e` in fault mode: same sliding window as
-/// [`run_epochs`] but with **two** full replica holders per job (the HDFS
-/// replication the fault story requires) minus any lost stores.
-fn fault_epoch_jobs(
-    cluster: &Cluster,
-    epoch: usize,
-    base_jobs: usize,
-    churn: usize,
-    churn_every: usize,
-    lost_stores: &[usize],
-) -> Vec<LpJob> {
-    let stores = cluster.num_stores();
-    epoch_jobs(cluster, epoch, base_jobs, churn, churn_every)
-        .into_iter()
-        .map(|mut j| {
-            let primary = j.avail[0].0;
-            let replica = StoreId((primary.0 + stores / 2 + 1) % stores);
-            j.avail = [primary, replica]
-                .into_iter()
-                .filter(|s| !lost_stores.contains(&s.0))
-                .map(|s| (s, 1.0))
-                .collect();
-            j
-        })
-        .collect()
-}
-
-/// Run `epochs` consecutive Fig-4 solves with `script`'s faults injected,
-/// chaining (and repairing) the warm basis across topology changes.
-///
-/// Degradation ladder per epoch: dual re-solve from the repaired basis
-/// (only with `dual`) → repaired-warm exact → cold exact → recorded as
-/// degraded. Never panics on a solvable-cluster script. `dual = false` is
-/// the PR-4 baseline ladder, kept so `lp_bench` can measure how many
-/// simplex iterations the dual rung saves on exactly the same fault
-/// script.
+/// Run `epochs` consecutive Fig-4 epochs through
+/// [`LipsScheduler::solve_epoch`] with `script`'s faults injected, column
+/// generation off or on. The scheduler's ladder repairs its carried
+/// state across each topology change and degrades an epoch it cannot
+/// solve; this driver only applies the faults and reads the records.
 #[allow(clippy::too_many_arguments)] // a benchmark entry point, not an API
 pub fn run_epochs_faulted(
     cluster: &Cluster,
@@ -499,214 +373,46 @@ pub fn run_epochs_faulted(
     epochs: usize,
     script: &FaultScript,
     threads: usize,
-    dual: bool,
+    colgen: bool,
 ) -> FaultEpochRun {
-    let mut live = cluster.clone();
-    let mut revoked_tp: HashMap<usize, f64> = HashMap::new();
-    let mut lost_stores: Vec<usize> = Vec::new();
-    let mut basis: Option<WarmStart> = None;
-    let mut out = FaultEpochRun {
-        epochs: Vec::with_capacity(epochs),
-        revocations: 0,
-        rejoins: 0,
-        repricings: 0,
-        store_losses: 0,
-        total_iterations: 0,
-        total_epoch_ms: 0.0,
-        warm_solves: 0,
-        dual_solves: 0,
-        certified_epochs: 0,
-        degraded_epochs: 0,
-        all_accounted: true,
-    };
+    let mut faulted = FaultedCluster::new(cluster);
+    let mut sched = scheduler(colgen, threads);
+    let mut events = Vec::with_capacity(epochs);
+    let mut repaired = Vec::with_capacity(epochs);
+    let (mut revocations, mut rejoins, mut repricings, mut store_losses) = (0, 0, 0, 0);
     for e in 0..epochs {
-        let mut events = Vec::new();
-        for &(at, fault) in &script.events {
-            if at != e {
+        let mut struck = Vec::new();
+        for &(_, fault) in script.events.iter().filter(|&&(at, _)| at == e) {
+            let Some(what) = faulted.strike(fault) else {
                 continue;
-            }
-            match fault {
-                EpochFault::Revoke(m) => {
-                    let tp = live.machines[m].tp_ecu;
-                    if tp > 0.0 {
-                        revoked_tp.insert(m, tp);
-                        live.machines[m].tp_ecu = 0.0;
-                        out.revocations += 1;
-                        events.push(format!("revoke m{m}"));
-                    }
-                }
-                EpochFault::Rejoin(m) => {
-                    if let Some(tp) = revoked_tp.remove(&m) {
-                        live.machines[m].tp_ecu = tp;
-                        out.rejoins += 1;
-                        events.push(format!("rejoin m{m}"));
-                    }
-                }
-                EpochFault::Reprice(m, cost) => {
-                    live.machines[m].cpu_cost = cost;
-                    out.repricings += 1;
-                    events.push(format!("reprice m{m} to {cost:.2e}"));
-                }
-                EpochFault::LoseStore(s) => {
-                    lost_stores.push(s);
-                    out.store_losses += 1;
-                    events.push(format!("lose s{s}"));
-                }
-            }
+            };
+            *match fault {
+                EpochFault::Revoke(_) => &mut revocations,
+                EpochFault::Rejoin(_) => &mut rejoins,
+                EpochFault::Reprice(..) => &mut repricings,
+                EpochFault::LoseStore(_) => &mut store_losses,
+            } += 1;
+            struck.push(what);
         }
-
-        let jobs = fault_epoch_jobs(&live, e, base_jobs, churn, churn_every, &lost_stores);
-        let n_jobs = jobs.len();
-        let inst = LpInstance {
-            cluster: &live,
-            jobs,
-            duration: 600.0,
-            fake_cost: Some(1.0),
-            allow_moves: true,
-            enforce_transfer_time: true,
-            store_free_mb: vec![],
-            pool_floors: vec![],
-            prune: PruneConfig {
-                max_machines_per_job: Some(16),
-                max_new_stores_per_job: Some(6),
-            },
-        };
-        // Repair the chained basis against the surviving cluster instead
-        // of cold-restarting: drop rows/columns naming dead machines.
-        let repaired = match basis.as_mut() {
-            Some(ws) => sanitize_warm_start(ws, &live),
-            None => 0,
-        };
-        // Head-to-head probe: on fault epochs the dual ladder also solves
-        // the same model from the same repaired basis with the primal
-        // rung, so the recorded ratio compares the two methods on
-        // identical inputs instead of across divergent chains. Runs
-        // outside the timed section and never touches the chained basis.
-        let primal_iterations = if dual && !events.is_empty() {
-            with_width(EpochSolver::new(&inst), threads)
-                .warm(basis.as_ref())
-                .certify()
-                .run()
-                .ok()
-                .map(|r| r.schedule.stats.iterations)
-        } else {
-            None
-        };
-        let t = Instant::now();
-        let solved = if dual {
-            with_width(EpochSolver::new(&inst), threads)
-                .warm(basis.as_ref())
-                .dual()
-                .certify()
-                .run()
-                .or_else(|_| {
-                    with_width(EpochSolver::new(&inst), threads)
-                        .warm(basis.as_ref())
-                        .certify()
-                        .run()
-                })
-                .or_else(|_| with_width(EpochSolver::new(&inst), threads).certify().run())
-        } else {
-            with_width(EpochSolver::new(&inst), threads)
-                .warm(basis.as_ref())
-                .certify()
-                .run()
-                .or_else(|_| with_width(EpochSolver::new(&inst), threads).certify().run())
-        };
-        let epoch_ms = t.elapsed().as_secs_f64() * 1e3;
-        out.total_epoch_ms += epoch_ms;
-        match solved {
-            Ok(report) => {
-                let certified = report
-                    .certificate
-                    .as_ref()
-                    .expect("certification was requested")
-                    .is_optimal();
-                let stats = report.schedule.stats;
-                if stats.warm != WarmOutcome::Cold {
-                    out.warm_solves += 1;
-                }
-                if stats.warm == WarmOutcome::Dual {
-                    out.dual_solves += 1;
-                }
-                out.total_iterations += stats.iterations;
-                out.certified_epochs += usize::from(certified);
-                out.degraded_epochs += usize::from(!certified);
-                out.epochs.push(FaultEpochRecord {
-                    epoch: e,
-                    jobs: n_jobs,
-                    events,
-                    repaired,
-                    iterations: stats.iterations,
-                    warm: format!("{:?}", stats.warm),
-                    dual_pivots: stats.dual_pivots,
-                    bound_flips: stats.bound_flips,
-                    primal_iterations,
-                    solve_ms: stats.solve_ms,
-                    epoch_ms,
-                    objective: report.schedule.predicted_dollars,
-                    certified,
-                    degraded: !certified,
-                });
-                basis = Some(report.basis);
-            }
-            Err(_) => {
-                // Both exact rungs failed: record the epoch as degraded
-                // (the simulator's ladder would place greedily here) and
-                // drop the basis so the next epoch restarts cleanly.
-                out.degraded_epochs += 1;
-                out.epochs.push(FaultEpochRecord {
-                    epoch: e,
-                    jobs: n_jobs,
-                    events,
-                    repaired,
-                    iterations: 0,
-                    warm: "Cold".to_string(),
-                    dual_pivots: 0,
-                    bound_flips: 0,
-                    primal_iterations,
-                    solve_ms: 0.0,
-                    epoch_ms,
-                    objective: 0.0,
-                    certified: false,
-                    degraded: true,
-                });
-                basis = None;
-            }
-        }
+        let inst = epoch_instance(
+            &faulted.live,
+            faulted.jobs(e, base_jobs, churn, churn_every),
+        );
+        let dropped = sched.stale_basis_entries_dropped();
+        sched.solve_epoch(&inst);
+        repaired.push(sched.stale_basis_entries_dropped() - dropped);
+        events.push(struck);
     }
-    out
-}
-
-/// Total simplex iterations spent on the epochs where fault events
-/// actually struck — a chain-level summary of how much each ladder paid
-/// for the script's damage (the two ladders' chains diverge, so this is
-/// context, not a controlled comparison; see [`dual_fault_head_to_head`]).
-pub fn fault_epoch_iterations(run: &FaultEpochRun) -> usize {
-    run.epochs
-        .iter()
-        .filter(|r| !r.events.is_empty())
-        .map(|r| r.iterations)
-        .sum()
-}
-
-/// The controlled fault-re-solve comparison from a dual-ladder run:
-/// `(primal_iterations, dual_iterations)` summed over the fault epochs the
-/// dual rung served, where both methods solved the *same* model from the
-/// *same* repaired incoming basis (the head-to-head probe). This is the
-/// numerator/denominator of `lp_bench`'s `dual_fault_iteration_ratio`.
-/// `None` when the run has no dual-served fault epoch with a probe.
-pub fn dual_fault_head_to_head(run: &FaultEpochRun) -> Option<(usize, usize)> {
-    let pairs: Vec<(usize, usize)> = run
-        .epochs
-        .iter()
-        .filter(|r| !r.events.is_empty() && r.warm == "Dual")
-        .filter_map(|r| r.primal_iterations.map(|p| (p, r.iterations)))
-        .collect();
-    if pairs.is_empty() {
-        return None;
+    let mode = if colgen { "faults_colgen" } else { "faults" };
+    FaultEpochRun {
+        run: EpochRun::from_records(mode, sched.epoch_records().to_vec()),
+        events,
+        repaired,
+        revocations,
+        rejoins,
+        repricings,
+        store_losses,
     }
-    Some(pairs.iter().fold((0, 0), |(a, b), &(p, d)| (a + p, b + d)))
 }
 
 /// One width of the thread-scaling series: the colgen epoch sequence
@@ -752,7 +458,7 @@ pub fn thread_scaling(
             churn,
             churn_every,
             epochs,
-            EpochMode::ColGen,
+            true,
             w.max(1),
         );
         let baseline = serial.get_or_insert_with(|| run.clone());
@@ -781,32 +487,14 @@ pub fn thread_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lips_cluster::ec2_mixed_cluster;
 
-    #[test]
-    fn warm_sequence_chains_bases_and_certifies() {
-        // Small config so the test stays fast; the full large-cluster
-        // numbers are produced by the `lp_bench` binary.
-        let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let cold = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Cold, 1);
-        let warm = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Warm, 1);
-        assert!(cold.all_certified && warm.all_certified);
-        assert_eq!(cold.warm_solves, 0);
-        assert!(
-            warm.warm_solves >= 3,
-            "only {}/4 possible epochs warm-started",
-            warm.warm_solves
-        );
-        assert!(
-            warm.total_iterations < cold.total_iterations,
-            "warm {} vs cold {} iterations",
-            warm.total_iterations,
-            cold.total_iterations
-        );
-        // Same models, same optima regardless of starting basis.
-        for (a, b) in cold.epochs.iter().zip(&warm.epochs) {
+    fn assert_same_optima(oracle: &[EpochRecord], run: &[EpochRecord], what: &str) {
+        assert_eq!(oracle.len(), run.len());
+        for (a, b) in oracle.iter().zip(run) {
             assert!(
                 (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-                "epoch {}: cold {} vs warm {}",
+                "epoch {}: cold {} vs {what} {}",
                 a.epoch,
                 a.objective,
                 b.objective
@@ -829,80 +517,123 @@ mod tests {
                 (5, EpochFault::Rejoin(4)),
             ],
         };
-        let run = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1, false);
-        assert_eq!(run.revocations, 2);
-        assert_eq!(run.rejoins, 1);
-        assert_eq!(run.repricings, 1);
-        assert_eq!(run.store_losses, 1);
+        let faults = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1, false);
+        assert_eq!(faults.revocations, 2);
+        assert_eq!(faults.rejoins, 1);
+        assert_eq!(faults.repricings, 1);
+        assert_eq!(faults.store_losses, 1);
+        let run = &faults.run;
         assert_eq!(run.epochs.len(), 6);
         // Every epoch certified or explicitly degraded; this small script
         // leaves the cluster solvable, so all must certify.
-        for r in &run.epochs {
-            assert!(r.certified ^ r.degraded, "epoch {} unaccounted", r.epoch);
-            assert!(r.certified, "epoch {} degraded: {:?}", r.epoch, r.events);
+        for (r, events) in run.epochs.iter().zip(&faults.events) {
+            assert!(
+                r.certified ^ (r.outcome == "Degraded"),
+                "epoch {} unaccounted",
+                r.epoch
+            );
+            assert!(r.certified, "epoch {} degraded: {events:?}", r.epoch);
         }
         // The revocation epochs repaired the chained basis rather than
         // silently reusing rows for dead machines.
         assert!(
-            run.epochs[1].repaired > 0 && run.epochs[3].repaired > 0,
+            faults.repaired[1] > 0 && faults.repaired[3] > 0,
             "revocation epochs must repair the basis: {:?}",
-            run.epochs.iter().map(|r| r.repaired).collect::<Vec<_>>()
+            faults.repaired
         );
         // And the repair kept warm-starting alive across the faults (a
         // structural break may legitimately fall back to cold, but the
         // majority of post-fault epochs must still reuse their basis).
         assert!(run.warm_solves >= 3, "only {} warm epochs", run.warm_solves);
+        // The dual rung serves a fault epoch from the repaired basis.
+        assert!(
+            run.epochs
+                .iter()
+                .zip(&faults.events)
+                .any(|(r, events)| !events.is_empty() && r.warm == "Dual"),
+            "the dual rung never served a fault epoch"
+        );
+        // Same models, same optima as a cold solve of each faulted epoch.
+        let mut faulted = FaultedCluster::new(&cluster);
+        let cold: Vec<EpochRecord> = (0..6)
+            .map(|e| {
+                for &(_, fault) in script.events.iter().filter(|&&(at, _)| at == e) {
+                    faulted.strike(fault);
+                }
+                let inst = epoch_instance(&faulted.live, faulted.jobs(e, 8, 1, 3));
+                let report = EpochSolver::new(&inst).certify().run().unwrap();
+                EpochRecord::from_solve_report(e, 8, EpochOutcome::Certified, &report, false)
+            })
+            .collect();
+        assert_same_optima(&cold, &run.epochs, "faults");
     }
 
     #[test]
-    fn dual_mode_is_bitwise_identical_across_thread_widths() {
-        // The dual pivot loop is serial by design; threads parallelize the
-        // model build, pricing, and certification around it. Every epoch
-        // record — objective bits included — must be identical at any
-        // width.
+    fn scheduler_series_are_bitwise_identical_across_thread_widths() {
+        // The pivot loops are serial by design; threads parallelize the
+        // model build, pricing, and certification around them. Every
+        // epoch of the full, colgen, and fault series — objective bits
+        // included — must be identical at any width.
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let serial = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Dual, 1);
+        let script = FaultScript {
+            events: vec![
+                (1, EpochFault::Revoke(4)),
+                (2, EpochFault::LoseStore(0)),
+                (5, EpochFault::Rejoin(4)),
+            ],
+        };
+        let series = |threads: usize| {
+            [
+                run_epochs(&cluster, 8, 1, 3, 6, false, threads),
+                run_epochs(&cluster, 8, 1, 3, 6, true, threads),
+                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, threads, false).run,
+                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, threads, true).run,
+            ]
+        };
+        let serial = series(1);
         for threads in [2usize, 4] {
-            let wide = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Dual, threads);
-            assert_eq!(serial.epochs.len(), wide.epochs.len());
-            for (a, b) in serial.epochs.iter().zip(&wide.epochs) {
-                assert_eq!(
-                    a.objective.to_bits(),
-                    b.objective.to_bits(),
-                    "epoch {}: {} threads diverged bitwise ({} vs {})",
-                    a.epoch,
-                    threads,
-                    a.objective,
-                    b.objective
-                );
-                assert_eq!(a.iterations, b.iterations, "epoch {}", a.epoch);
-                assert_eq!(a.dual_pivots, b.dual_pivots, "epoch {}", a.epoch);
-                assert_eq!(a.bound_flips, b.bound_flips, "epoch {}", a.epoch);
-                assert_eq!(a.warm, b.warm, "epoch {}", a.epoch);
+            for (s, w) in serial.iter().zip(series(threads)) {
+                assert_eq!(s.epochs.len(), w.epochs.len());
+                for (a, b) in s.epochs.iter().zip(&w.epochs) {
+                    let at = format!("{} epoch {} at {threads} threads", s.mode, a.epoch);
+                    assert_eq!(
+                        a.objective.to_bits(),
+                        b.objective.to_bits(),
+                        "{at}: {} vs {}",
+                        a.objective,
+                        b.objective
+                    );
+                    assert_eq!(a.iterations, b.iterations, "{at}");
+                    assert_eq!(a.dual_pivots, b.dual_pivots, "{at}");
+                    assert_eq!(a.bound_flips, b.bound_flips, "{at}");
+                    assert_eq!(a.warm, b.warm, "{at}");
+                    assert_eq!(a.pricing_rounds, b.pricing_rounds, "{at}");
+                }
             }
         }
     }
 
     #[test]
-    fn dual_sequence_matches_optima_with_fewer_iterations() {
+    fn full_sequence_matches_cold_optima_with_fewer_iterations() {
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let cold = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Cold, 1);
-        let dual = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Dual, 1);
-        assert!(dual.all_certified);
+        let cold = run_cold(&cluster, 8, 1, 3, 6, 1);
+        let full = run_epochs(&cluster, 8, 1, 3, 6, false, 1);
+        assert!(cold.all_certified && full.all_certified);
+        assert_eq!(cold.warm_solves, 0);
         // The steady-state epochs (no churn) must actually take the dual
         // rung from the carried basis.
-        let dual_served = dual.epochs.iter().filter(|r| r.warm == "Dual").count();
+        let dual_served = full.epochs.iter().filter(|r| r.warm == "Dual").count();
         assert!(dual_served >= 2, "only {dual_served} epochs dual-resolved");
         // The first epoch has no basis: the dual starts from the slack
         // basis — cold, with dual pivots and no phase 1.
-        let first = &dual.epochs[0];
+        let first = &full.epochs[0];
         assert_eq!(first.warm, "Cold");
         assert_eq!(first.phase1_iterations, 0);
         assert!(first.dual_pivots > 0);
         // Every epoch is a dual solve with no phase 1, unless its walk was
         // declined mid-way: then the primal path served it, with no dual
         // pivots, and the record names the decline.
-        for r in &dual.epochs {
+        for r in &full.epochs {
             let walk_declined = r.declined == "Thrash" || r.declined_pivots > 0;
             if walk_declined {
                 assert_eq!(r.dual_pivots, 0, "epoch {}", r.epoch);
@@ -912,88 +643,21 @@ mod tests {
         }
         // Same models, same optima — the fast path is a path, not a model
         // change.
-        assert!(dual.total_iterations < cold.total_iterations);
-        for (a, b) in cold.epochs.iter().zip(&dual.epochs) {
-            assert!(
-                (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-                "epoch {}: cold {} vs dual {}",
-                a.epoch,
-                a.objective,
-                b.objective
-            );
-        }
-    }
-
-    #[test]
-    fn dual_fault_ladder_matches_baseline_and_saves_iterations() {
-        let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        // Faults land off the churn epochs (0 and 3 here) for the same
-        // reason as `FaultScript::acceptance`: a churn+fault compound
-        // epoch measures churn damage, not fault recovery.
-        let script = FaultScript {
-            events: vec![
-                (1, EpochFault::Revoke(4)),
-                (
-                    2,
-                    EpochFault::Reprice(1, cluster.machines[1].cpu_cost * 2.0),
-                ),
-                (5, EpochFault::Rejoin(4)),
-            ],
-        };
-        let base = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1, false);
-        let dual = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1, true);
-        assert_eq!(base.epochs.len(), dual.epochs.len());
-        assert!(dual.dual_solves > 0, "the dual rung never served an epoch");
-        assert_eq!(base.dual_solves, 0);
-        for (a, b) in base.epochs.iter().zip(&dual.epochs) {
-            assert!(a.certified && b.certified);
-            assert!(
-                (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-                "epoch {}: baseline {} vs dual-ladder {}",
-                a.epoch,
-                a.objective,
-                b.objective
-            );
-        }
-        assert!(
-            dual.total_iterations <= base.total_iterations,
-            "dual ladder cost extra pivots: {} vs {}",
-            dual.total_iterations,
-            base.total_iterations
-        );
-        // The headline savings are on the *fault* epochs themselves,
-        // measured head-to-head: both methods solve the same model from
-        // the same repaired basis, and the dual path must not lose.
-        let (bf, df) = (fault_epoch_iterations(&base), fault_epoch_iterations(&dual));
-        assert!(
-            df <= bf,
-            "fault-epoch dual re-solves cost extra: {df} vs {bf} chain iterations"
-        );
-        let (p, d) = dual_fault_head_to_head(&dual)
-            .expect("no dual-served fault epoch carried a head-to-head probe");
-        assert!(
-            d * 2 <= p,
-            "head-to-head: dual path spent {d} iterations vs primal's {p} on the same bases"
-        );
+        assert!(full.total_iterations < cold.total_iterations);
+        assert_same_optima(&cold.epochs, &full.epochs, "full");
     }
 
     #[test]
     fn colgen_sequence_matches_full_model_optima() {
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let cold = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::Cold, 1);
-        let cg = run_epochs(&cluster, 8, 1, 3, 6, EpochMode::ColGen, 1);
+        let cold = run_cold(&cluster, 8, 1, 3, 6, 1);
+        let cg = run_epochs(&cluster, 8, 1, 3, 6, true, 1);
         assert!(cg.all_certified);
         assert!(cg.active_column_share < 1.0, "master never shrank");
         assert!(cg.total_pricing_rounds >= cg.epochs.len());
-        for (a, b) in cold.epochs.iter().zip(&cg.epochs) {
-            assert!(
-                (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-                "epoch {}: cold {} vs colgen {}",
-                a.epoch,
-                a.objective,
-                b.objective
-            );
-            assert!(b.active_columns <= b.total_columns);
+        assert_same_optima(&cold.epochs, &cg.epochs, "colgen");
+        for r in &cg.epochs {
+            assert!(r.active_columns <= r.total_columns);
         }
         // The per-phase clocks are populated and consistent in every mode:
         // build/solve/certify are each nonzero somewhere and sum to no

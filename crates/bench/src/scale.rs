@@ -5,10 +5,11 @@
 //! ([`lips_workload::google_synth`], round-tripped through the TSV
 //! *reader* so the benchmark exercises the same parsing path a real
 //! cluster-data summary file takes) against an `ec2_mixed_cluster` of the
-//! point's size, solved by column generation ([`EpochSolver::colgen`],
-//! first master round on the dual simplex) with the restricted master's
-//! columns and basis carried across epochs. Every certified epoch records
-//! the solver-metered build / solve / certify split.
+//! point's size, solved by a column-generation [`LipsScheduler`] through
+//! [`LipsScheduler::solve_epoch`] — the scheduler's own ladder, its
+//! dual-first restricted master carrying columns and basis across epochs.
+//! Every certified epoch is the scheduler's own record, with the
+//! solver-metered build / solve / certify split.
 //!
 //! The 10k-node point runs the §IV greedy **uncertified** by default —
 //! the honest scale story is that certification (a full-model KKT pass:
@@ -21,11 +22,9 @@ use std::io::Cursor;
 use std::time::Instant;
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
-use lips_core::lp_build::{
-    ColGenOptions, ColGenState, EpochCertificate, EpochSolver, LpInstance, LpJob, PruneConfig,
-};
+use lips_core::lp_build::{LpInstance, LpJob, PruneConfig};
 use lips_core::offline::greedy_schedule;
-use lips_core::EpochOutcome;
+use lips_core::{LipsScheduler, SchedulerConfig};
 use lips_workload::{
     google_records_to_jobs, google_synth, parse_google_tsv, write_google_tsv, GoogleSynthCfg,
 };
@@ -47,14 +46,12 @@ pub struct ScaleSpec {
 }
 
 /// One epoch of a scale point, on the workspace-wide stable schema
-/// ([`lips_core::EpochRecord`]). Scale-specific field semantics:
-/// `outcome` is `"colgen"` or `"greedy"`, `epoch_ms` the whole-epoch
-/// wall-clock metered around the call, `objective` the predicted dollars
-/// (fake-node share excluded), `incremental` whether carried master state
-/// was re-used (always false for the stateless
-/// greedy), and the greedy leaves every model-side counter at zero —
-/// it builds no model and certifies nothing, which is the point being
-/// measured.
+/// ([`lips_core::EpochRecord`]). Certified epochs are the colgen
+/// scheduler's records as it wrote them. A greedy epoch is a degraded
+/// record with `outcome` `"greedy"`, its wall-clock in `solve_ms` and
+/// `epoch_ms` and its predicted dollars in `objective`; every model-side
+/// counter stays at zero — it builds no model and certifies nothing,
+/// which is the point being measured.
 pub type ScaleEpoch = lips_core::EpochRecord;
 
 /// One (nodes × jobs) point of the trajectory.
@@ -169,108 +166,66 @@ fn instance<'c>(cluster: &'c Cluster, jobs: Vec<LpJob>) -> LpInstance<'c> {
     }
 }
 
-fn with_width<'a, 'b>(s: EpochSolver<'a, 'b>, threads: usize) -> EpochSolver<'a, 'b> {
-    if threads > 0 {
-        s.threads(threads)
-    } else {
-        s
+/// The certified path: a column-generation [`LipsScheduler`] solving
+/// `epochs` decayed views of `base`, returning its records.
+fn colgen_epochs(
+    cluster: &Cluster,
+    base: &[LpJob],
+    epochs: usize,
+    threads: usize,
+) -> Vec<ScaleEpoch> {
+    let mut sched = LipsScheduler::new(SchedulerConfig {
+        colgen: true,
+        threads: (threads > 0).then_some(threads),
+        ..SchedulerConfig::default()
+    });
+    for e in 0..epochs {
+        sched.solve_epoch(&instance(cluster, decayed(base, e)));
     }
+    sched.epoch_records().to_vec()
 }
 
-/// One certified colgen epoch, recorded with its phase split.
-fn colgen_epoch(
-    cluster: &Cluster,
-    jobs: Vec<LpJob>,
-    epoch: usize,
-    state: Option<&ColGenState>,
-    threads: usize,
-) -> (ScaleEpoch, ColGenState) {
-    let n_jobs = jobs.len();
-    let inst = instance(cluster, jobs);
-    let opts = ColGenOptions {
-        dual_first: true,
-        ..ColGenOptions::default()
-    };
+/// One §IV greedy epoch, timed around the call.
+fn greedy_epoch(cluster: &Cluster, jobs: &[LpJob], epoch: usize) -> ScaleEpoch {
     let t = Instant::now();
-    let mut report = with_width(EpochSolver::new(&inst), threads)
-        .colgen(opts, state)
-        .run()
-        .expect("scale epoch LP solves");
-    let epoch_ms = t.elapsed().as_secs_f64() * 1e3;
-    let rec = ScaleEpoch {
-        outcome: "colgen".to_string(),
-        epoch_ms,
-        objective: report.schedule.predicted_dollars,
-        certified: report
-            .certificate
-            .as_ref()
-            .is_some_and(EpochCertificate::is_optimal),
-        ..ScaleEpoch::from_solve_report(
-            epoch,
-            n_jobs,
-            EpochOutcome::Certified,
-            &report,
-            state.is_some(),
-        )
-    };
-    (rec, report.take_carry())
+    let (_picks, dollars) = greedy_schedule(cluster, jobs);
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let mut rec = ScaleEpoch::degraded(epoch, jobs.len());
+    rec.outcome = "greedy".to_string();
+    rec.solve_ms = ms;
+    rec.epoch_ms = ms;
+    rec.objective = dollars;
+    rec
 }
 
 /// Run one point of the trajectory.
 pub fn run_scale_point(spec: &ScaleSpec, threads: usize) -> ScalePoint {
     let cluster = ec2_mixed_cluster(spec.nodes, 0.4, 1e9, 1);
     let base = google_scale_jobs(&cluster, spec.jobs, 1);
-    let mut out = ScalePoint {
+    let epochs = if spec.certified {
+        colgen_epochs(&cluster, &base, spec.epochs, threads)
+    } else {
+        (0..spec.epochs)
+            .map(|e| greedy_epoch(&cluster, &decayed(&base, e), e))
+            .collect()
+    };
+    // Greedy points only: one certified epoch at the same node count.
+    let certified_probe = spec.probe_jobs.filter(|_| !spec.certified).and_then(|pj| {
+        colgen_epochs(&cluster, &google_scale_jobs(&cluster, pj, 1), 1, threads).pop()
+    });
+    ScalePoint {
         nodes: spec.nodes,
         jobs: spec.jobs,
         mode: if spec.certified { "colgen" } else { "greedy" }.to_string(),
-        epochs: Vec::with_capacity(spec.epochs),
-        total_build_ms: 0.0,
-        total_solve_ms: 0.0,
-        total_certify_ms: 0.0,
-        total_epoch_ms: 0.0,
-        all_certified: spec.certified,
-        certified_probe: None,
-        probe_jobs: None,
-    };
-    let mut state: Option<ColGenState> = None;
-    for e in 0..spec.epochs {
-        let jobs = decayed(&base, e);
-        let rec = if spec.certified {
-            let (rec, next) = colgen_epoch(&cluster, jobs, e, state.as_ref(), threads);
-            state = Some(next);
-            rec
-        } else {
-            let n_jobs = jobs.len();
-            let t = Instant::now();
-            let (_picks, dollars) = greedy_schedule(&cluster, &jobs);
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            ScaleEpoch {
-                epoch: e,
-                jobs: n_jobs,
-                outcome: "greedy".to_string(),
-                solve_ms: ms,
-                epoch_ms: ms,
-                objective: dollars,
-                ..ScaleEpoch::degraded(e, n_jobs)
-            }
-        };
-        out.total_build_ms += rec.build_ms;
-        out.total_solve_ms += rec.solve_ms;
-        out.total_certify_ms += rec.certify_ms;
-        out.total_epoch_ms += rec.epoch_ms;
-        out.all_certified &= rec.certified || !spec.certified;
-        out.epochs.push(rec);
+        total_build_ms: epochs.iter().map(|r| r.build_ms).sum(),
+        total_solve_ms: epochs.iter().map(|r| r.solve_ms).sum(),
+        total_certify_ms: epochs.iter().map(|r| r.certify_ms).sum(),
+        total_epoch_ms: epochs.iter().map(|r| r.epoch_ms).sum(),
+        all_certified: spec.certified && epochs.iter().all(|r| r.certified),
+        probe_jobs: certified_probe.as_ref().and(spec.probe_jobs),
+        certified_probe,
+        epochs,
     }
-    if !spec.certified {
-        if let Some(pj) = spec.probe_jobs {
-            let probe_base = google_scale_jobs(&cluster, pj, 1);
-            let (rec, _) = colgen_epoch(&cluster, probe_base, 0, None, threads);
-            out.probe_jobs = Some(pj);
-            out.certified_probe = Some(rec);
-        }
-    }
-    out
 }
 
 /// The full `BENCH_scale.json` payload.

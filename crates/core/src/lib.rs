@@ -64,8 +64,6 @@ pub use lp_build::{
     sanitize_warm_start, ColGenOptions, ColGenOutcome, ColGenState, ColGenStats, ColKey,
     EpochCertificate, EpochSolveError, EpochSolver, RowKey, SolveReport,
 };
-pub use offline::{
-    co_schedule, co_schedule_colgen, greedy_schedule, simple_task_schedule, OfflineSchedule,
-};
+pub use offline::{co_schedule, greedy_schedule, simple_task_schedule, OfflineSchedule};
 pub use report::{EpochRecord, RunSummary};
 pub use tuner::{EpochTuner, TuneConfig};

@@ -1215,6 +1215,15 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     /// *full* model, excluded columns priced). The basis passed to
     /// [`EpochSolver::warm`] is ignored in this mode — the colgen state
     /// carries its own.
+    ///
+    /// The first master round goes to the bounded dual simplex, falling
+    /// back to the warm primal path when the walk from the carried basis
+    /// is declined. After a queue delta that only adds and retires
+    /// columns the carried master basis is usually still dual feasible
+    /// and re-optimizes in a handful of pivots with no phase 1. Without a
+    /// carried [`ColGenState`], or with a basis declined at seeding, the
+    /// round starts from the slack basis — a cold start with no phase 1.
+    /// Later rounds run the primal simplex warm from the incumbent basis.
     #[must_use]
     pub fn colgen(mut self, opts: ColGenOptions, prior: Option<&'i ColGenState>) -> Self {
         self.colgen = Some((opts, prior));
@@ -1339,13 +1348,6 @@ fn solve_model(
     }
 }
 
-/// Number of task-assignment (`x^t`) columns the full model would carry
-/// under the instance's pruning — the denominator of
-/// [`EpochSolver::colgen`]'s active-column share.
-pub fn count_task_columns(inst: &LpInstance<'_>) -> usize {
-    arc_space(inst, Pool::serial()).arcs.len()
-}
-
 /// Tuning for the delayed-column-generation solve
 /// ([`EpochSolver::colgen`]).
 #[derive(Debug, Clone)]
@@ -1363,17 +1365,6 @@ pub struct ColGenOptions {
     /// loop terminates without it (every round appends ≥ 1 column), but a
     /// bound keeps worst-case degenerate instances from crawling.
     pub max_rounds: usize,
-    /// Solve the *first* master round with the bounded dual simplex,
-    /// falling back to the warm primal path when the walk from the
-    /// carried basis is declined. This is the incremental-arrival rung
-    /// the `lips-serve` daemon rides: after a queue delta that only adds
-    /// and retires columns, the carried master basis is usually still
-    /// dual feasible and re-optimizes in a handful of pivots with no
-    /// phase 1. Without a carried [`ColGenState`], or with a basis
-    /// declined at seeding, the round starts from the slack basis — a
-    /// cold start with no phase 1. Strictly a solve-path knob — the
-    /// fixpoint and its full-model certificate are unchanged.
-    pub dual_first: bool,
 }
 
 impl Default for ColGenOptions {
@@ -1381,7 +1372,6 @@ impl Default for ColGenOptions {
         ColGenOptions {
             seed_arcs_per_job: 8,
             max_rounds: 50,
-            dual_first: false,
         }
     }
 }
@@ -1480,7 +1470,8 @@ pub struct ColGenStats {
     pub build_ms: f64,
     /// The first master round was solved by the bounded dual simplex,
     /// from the carried basis or the slack basis (see
-    /// [`ColGenOptions::dual_first`]).
+    /// [`EpochSolver::colgen`]); `false` when that walk was declined and
+    /// the warm primal solved the round.
     pub dual_master: bool,
 }
 
@@ -1633,7 +1624,7 @@ struct MasterRun {
     agg: SolveStats,
     build_ms: f64,
     /// The first round's solve was the bounded dual simplex (see
-    /// [`ColGenOptions::dual_first`]).
+    /// [`EpochSolver::colgen`]).
     dual_master: bool,
 }
 
@@ -1696,7 +1687,7 @@ fn master_price_loop(
         // that fails short of an infeasibility verdict (a walk declined
         // mid-way, a budget) falls back to the warm primal path, and a
         // decline is kept on the record.
-        let solved = if opts.dual_first && rounds == 1 {
+        let solved = if rounds == 1 {
             match solve_model_dual(&model, warm.as_deref(), pivot_budget) {
                 Ok(s) => {
                     dual_master = true;

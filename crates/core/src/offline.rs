@@ -11,8 +11,7 @@ use lips_sim::Placement;
 use lips_workload::JobSpec;
 
 use crate::lp_build::{
-    ColGenOptions, ColGenOutcome, EpochCertificate, EpochSolveError, EpochSolver,
-    FractionalSchedule, LpInstance, LpJob, PruneConfig,
+    EpochSolveError, EpochSolver, FractionalSchedule, LpInstance, LpJob, PruneConfig,
 };
 
 /// Result of an offline solve (alias; all schedule queries live on
@@ -88,51 +87,14 @@ pub fn co_schedule(
     EpochSolver::new(&inst).certify().run().map(|r| r.schedule)
 }
 
-/// **Fig 3 via column generation** — same optimum as [`co_schedule`]
-/// (certified against the full model), reached through a restricted
-/// master that typically activates a fraction of the full column set.
-/// Prefer this for one-shot solves on large clusters; the returned
-/// [`ColGenOutcome`] also carries the certificate and column statistics.
-pub fn co_schedule_colgen(
-    cluster: &Cluster,
-    jobs: Vec<LpJob>,
-    uptime: f64,
-) -> Result<ColGenOutcome, EpochSolveError> {
-    let inst = LpInstance {
-        cluster,
-        jobs,
-        duration: uptime,
-        fake_cost: None,
-        allow_moves: true,
-        enforce_transfer_time: false,
-        store_free_mb: vec![],
-        pool_floors: vec![],
-        prune: PruneConfig::default(),
-    };
-    let report = EpochSolver::new(&inst)
-        .colgen(ColGenOptions::default(), None)
-        .run()?;
-    let certificate = match report.certificate.expect("colgen mode always certifies") {
-        EpochCertificate::Restricted(c) => c,
-        EpochCertificate::Full(_) => unreachable!("colgen certifies via the restricted path"),
-    };
-    let (state, stats) = report.colgen.expect("colgen mode carries state");
-    Ok(ColGenOutcome {
-        schedule: report.schedule,
-        shadow_prices: report
-            .shadow_prices
-            .expect("colgen mode computes shadow prices"),
-        certificate,
-        state,
-        stats,
-        timings: report.timings,
-    })
-}
-
 /// **§IV greedy** — for each job pick the `(machine, holder-store)` pair
 /// with the lowest `JM + MS·Size` cost, ignoring capacity. The paper notes
 /// this equals the LP optimum when every node could absorb the whole
 /// workload, and can be arbitrarily bad otherwise.
+///
+/// A job nothing can run — the cluster has no machines, or a data job has
+/// no holder with a positive fraction — is skipped: it is left out of
+/// the picks and adds nothing to the total.
 ///
 /// Returns `(schedule, predicted dollars)`.
 pub fn greedy_schedule(cluster: &Cluster, jobs: &[LpJob]) -> (Vec<(LpJob, usize)>, f64) {
@@ -161,7 +123,7 @@ pub fn greedy_schedule(cluster: &Cluster, jobs: &[LpJob]) -> (Vec<(LpJob, usize)
                 }
             }
         }
-        let (m, c) = best.expect("cluster has machines");
+        let Some((m, c)) = best else { continue };
         total += c;
         picks.push((job.clone(), m));
     }
@@ -240,20 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn co_schedule_colgen_matches_co_schedule() {
-        let (cluster, jobs) = setup();
-        let full = co_schedule(&cluster, jobs.clone(), 1e6).unwrap();
-        let cg = co_schedule_colgen(&cluster, jobs, 1e6).unwrap();
-        assert!(cg.certificate.is_optimal(), "{}", cg.certificate);
-        assert!(
-            (cg.schedule.predicted_dollars - full.predicted_dollars).abs() < 1e-6,
-            "colgen {} vs full {}",
-            cg.schedule.predicted_dollars,
-            full.predicted_dollars
-        );
-    }
-
-    #[test]
     fn greedy_prefers_cheap_machine_for_pi() {
         let (cluster, jobs) = setup();
         let (picks, _) = greedy_schedule(&cluster, &jobs);
@@ -261,6 +209,26 @@ mod tests {
         assert!(pi_job.size_mb == 0.0);
         let min_cost = cluster.min_cpu_cost();
         assert!((cluster.machines[*machine].cpu_cost - min_cost).abs() < 1e-15);
+    }
+
+    #[test]
+    fn greedy_skips_jobs_nothing_can_run() {
+        let (cluster, jobs) = setup();
+        // A data job whose only holder has nothing left to read is skipped;
+        // the Pi job beside it is still placed and priced alone.
+        let mut stranded = jobs[0].clone();
+        stranded.avail = vec![(StoreId(0), 0.0)];
+        let pi = jobs[2].clone();
+        let (picks, total) = greedy_schedule(&cluster, &[stranded, pi.clone()]);
+        let (_, pi_total) = greedy_schedule(&cluster, &[pi]);
+        assert_eq!(picks.len(), 1);
+        assert_eq!(picks[0].0.id, jobs[2].id);
+        assert_eq!(total, pi_total);
+        // A cluster with no machines runs nothing at all.
+        let empty = lips_cluster::ClusterBuilder::new().build();
+        let (picks, total) = greedy_schedule(&empty, &jobs);
+        assert!(picks.is_empty());
+        assert_eq!(total, 0.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lips_workload::{JobKind, JobSpec};
+use lips_workload::{JobKind, JobSpec, MAX_TASKS_PER_JOB};
 
 use crate::daemon::Daemon;
 use crate::metrics;
@@ -169,16 +169,28 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             let Some(kind) = parse_kind(kind.as_deref().unwrap_or("grep")) else {
                 return (err("unknown kind"), false);
             };
-            if !(input_mb.is_finite() && input_mb >= 0.0) || tasks == 0 {
-                return (err("input_mb must be finite and >= 0, tasks > 0"), false);
+            if !(input_mb.is_finite()
+                && input_mb >= 0.0
+                && (1..=MAX_TASKS_PER_JOB).contains(&tasks))
+            {
+                return (
+                    err(&format!(
+                        "input_mb must be finite and >= 0, tasks in 1..={MAX_TASKS_PER_JOB}"
+                    )),
+                    false,
+                );
             }
             if read_fraction.is_some_and(|f| !(f > 0.0 && f <= 1.0)) {
                 return (err("read_fraction must be in (0, 1]"), false);
             }
             let reduce = reduce_tasks.zip(shuffle_mb);
-            if reduce.is_some_and(|(rt, smb)| rt == 0 || !(smb.is_finite() && smb > 0.0)) {
+            if reduce.is_some_and(|(rt, smb)| {
+                !((1..=MAX_TASKS_PER_JOB).contains(&rt) && smb.is_finite() && smb > 0.0)
+            }) {
                 return (
-                    err("reduce_tasks must be > 0, shuffle_mb finite and > 0"),
+                    err(&format!(
+                        "reduce_tasks must be in 1..={MAX_TASKS_PER_JOB}, shuffle_mb finite and > 0"
+                    )),
                     false,
                 );
             }
@@ -328,6 +340,8 @@ mod tests {
             r#"{"cmd":"submit","input_mb":64,"reduce_tasks":2,"shuffle_mb":-8}"#,
             r#"{"cmd":"submit","input_mb":64,"read_fraction":0}"#,
             r#"{"cmd":"submit","input_mb":64,"read_fraction":1.5}"#,
+            r#"{"cmd":"submit","input_mb":64,"tasks":4294967295}"#,
+            r#"{"cmd":"submit","input_mb":64,"reduce_tasks":4294967295,"shuffle_mb":16}"#,
         ] {
             let (r, stop) = handle_line(&mut d, line);
             assert!(r.contains("\"ok\":false"), "{line} -> {r}");

@@ -18,6 +18,13 @@ pub struct ReduceSpec {
     pub tcp_ecu_sec_per_mb: f64,
 }
 
+/// Most map or reduce tasks one job may declare: 65 536, a 4 TB input at
+/// the 64 MB HDFS block size. Task counts set how finely the scheduler
+/// cuts a job, and its per-epoch work grows with them, so inputs that
+/// reach the scheduler from outside (the `lips-serve` control API) are
+/// refused above this bound rather than stalling the daemon.
+pub const MAX_TASKS_PER_JOB: u32 = 65_536;
+
 /// Index of a job within a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub usize);
