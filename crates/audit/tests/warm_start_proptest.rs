@@ -4,14 +4,15 @@
 //! Mirrors the epoch loop's lifecycle: solve a Fig-4-shaped base model
 //! cold, capture its basis, then perturb the model the way epochs do —
 //! jitter the costs, add a job's columns, drop a job's columns — and
-//! re-solve seeded from the stale basis. The warm objective must match an
+//! re-solve by the dual simplex seeded from the stale basis, the one solver
+//! that accepts a carried basis. The warm objective must match an
 //! independent cold solve of the *same perturbed model* to tolerance, and
 //! the warm solution must still pass full KKT certification.
 
 #![allow(clippy::needless_range_loop)] // structured LP builders read clearer with indices
 
 use lips_audit::certify;
-use lips_lp::{Cmp, Model, VarId};
+use lips_lp::{solve_dual_from_basis, Cmp, Model, VarId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -48,8 +49,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Costs jittered, one job added, one job removed: the stale basis must
-    /// repair (or cold-fall-back) into the same optimum a cold solve finds,
-    /// and the result must certify.
+    /// re-optimize (or restart from the slack basis) into the same optimum
+    /// a cold solve finds, and the result must certify.
     #[test]
     fn warm_solve_of_perturbed_model_matches_cold_and_certifies(seed in 0u64..10_000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -70,7 +71,7 @@ proptest! {
         next_jobs.push(n_jobs); // a job id the warm basis has never seen
         let next = epoch_model(&mut rng, &next_jobs, machines);
 
-        let warm_sol = next.solve_warm(Some(&warm)).expect("perturbed model is feasible");
+        let warm_sol = solve_dual_from_basis(&next, &warm).expect("perturbed model is feasible");
         let cold_sol = next.solve().expect("same model, cold");
 
         prop_assert!(
@@ -87,8 +88,8 @@ proptest! {
         );
     }
 
-    /// Unperturbed re-solve: the previous optimal basis is primal feasible
-    /// as-is, so the warm solve must not run a single phase-1 iteration.
+    /// Unperturbed re-solve: the previous optimal basis is optimal as-is,
+    /// so the warm solve must not run a single phase-1 iteration.
     #[test]
     fn warm_resolve_of_identical_model_skips_phase1(seed in 0u64..2_000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -97,7 +98,7 @@ proptest! {
         let m = epoch_model(&mut rng, &jobs, machines);
         let cold = m.solve().expect("feasible");
         let warm = cold.warm_start().expect("basis recorded").clone();
-        let again = m.solve_warm(Some(&warm)).expect("feasible");
+        let again = solve_dual_from_basis(&m, &warm).expect("feasible");
         prop_assert_eq!(again.stats().phase1_iterations, 0,
             "identical model re-solve ran phase 1");
         prop_assert!(

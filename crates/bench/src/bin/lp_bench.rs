@@ -4,7 +4,7 @@
 //! Every run records three series over the same churn sequence: `cold`
 //! (each epoch's full model from scratch — the objective-parity oracle),
 //! `full` (`LipsScheduler::solve_epoch` with column generation off: dual
-//! simplex from the carried basis, then warm primal, then cold) and
+//! simplex from the carried basis, then cold primal) and
 //! `colgen` (the same call with column generation on: the dual-first
 //! restricted master carrying columns and basis). The records are the
 //! scheduler's own, so the numbers are those of the path that serves an
@@ -256,16 +256,14 @@ fn print_totals(run: &EpochRun) {
         run.active_column_share * 100.0
     );
     println!(
-        "{:>13}  rungs {} CertifiedDual / {} Certified / {} CertifiedCold / {} Degraded; \
-         starts {} Dual / {} Warm / {} WarmRepaired / {} Cold",
+        "{:>13}  rungs {} CertifiedDual / {} Certified (master) / {} CertifiedCold / {} Degraded; \
+         starts {} Dual / {} Cold",
         "",
         rungs.dual_epochs,
-        rungs.primal_epochs,
+        rungs.master_epochs,
         rungs.cold_retry_epochs,
         rungs.degraded_epochs,
         starts("Dual"),
-        starts("Warm"),
-        starts("WarmRepaired"),
         starts("Cold")
     );
 }

@@ -25,7 +25,7 @@ fn print_run(t: &ServeTrajectory) {
         "certified",
         "incremental",
         "dual",
-        "primal",
+        "master",
         "cold",
         "degraded",
     ]);
@@ -37,7 +37,7 @@ fn print_run(t: &ServeTrajectory) {
         format!("{:.3}", s.solver.certified_share),
         format!("{:.3}", s.solver.incremental_share),
         s.solver.dual_epochs.to_string(),
-        s.solver.primal_epochs.to_string(),
+        s.solver.master_epochs.to_string(),
         s.solver.cold_retry_epochs.to_string(),
         s.solver.degraded_epochs.to_string(),
     ]);

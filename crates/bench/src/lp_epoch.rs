@@ -12,7 +12,7 @@
 //!   primal simplex, nothing carried: the objective-parity oracle;
 //! * `full` ([`run_epochs`] with `colgen = false`) — the scheduler's
 //!   full-model ladder: dual simplex from the carried basis (else the
-//!   slack basis), then warm primal, then cold;
+//!   slack basis), then cold primal;
 //! * `colgen` ([`run_epochs`] with `colgen = true`) — the scheduler's
 //!   column-generation ladder: a dual-first restricted master carrying
 //!   the surviving columns *and* the basis across epochs.
@@ -192,7 +192,7 @@ pub fn run_cold(
                 Ok(report) => EpochRecord::from_solve_report(
                     e,
                     inst.jobs.len(),
-                    EpochOutcome::Certified,
+                    EpochOutcome::CertifiedCold,
                     &report,
                     false,
                 ),
@@ -562,7 +562,7 @@ mod tests {
                 }
                 let inst = epoch_instance(&faulted.live, faulted.jobs(e, 8, 1, 3));
                 let report = EpochSolver::new(&inst).certify().run().unwrap();
-                EpochRecord::from_solve_report(e, 8, EpochOutcome::Certified, &report, false)
+                EpochRecord::from_solve_report(e, 8, EpochOutcome::CertifiedCold, &report, false)
             })
             .collect();
         assert_same_optima(&cold, &run.epochs, "faults");
@@ -631,7 +631,7 @@ mod tests {
         assert_eq!(first.phase1_iterations, 0);
         assert!(first.dual_pivots > 0);
         // Every epoch is a dual solve with no phase 1, unless its walk was
-        // declined mid-way: then the primal path served it, with no dual
+        // declined mid-way: then the cold primal served it, with no dual
         // pivots, and the record names the decline.
         for r in &full.epochs {
             let walk_declined = r.declined == "Thrash" || r.declined_pivots > 0;

@@ -60,7 +60,7 @@ pub struct SchedulerConfig {
     /// grown by pricing until it provably matches the full model's
     /// optimum. Off, each epoch solves the full model with the bounded
     /// dual simplex from the carried basis (else the slack basis), then
-    /// warm primal. The only solve-path knob: every epoch is still
+    /// cold primal. The only solve-path knob: every epoch is still
     /// KKT-certified against the full model, so the optimum never depends
     /// on it. Pays off once the full model is large (≳ 50 machines); on
     /// small clusters the full LP is already cheap.

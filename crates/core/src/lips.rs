@@ -41,13 +41,14 @@ pub enum EpochOutcome {
     /// [`EpochOutcome::Certified`] so fault-mode telemetry can report how
     /// often the cheap path served the epoch.
     CertifiedDual,
-    /// The epoch LP solved on the warm primal rung (behind a declined or
-    /// failed dual rung) or the colgen master, possibly with the fairness
-    /// floors relaxed, and was independently certified optimal (whether
-    /// it started warm, repaired-warm, or cold).
+    /// The colgen master solved the epoch LP, possibly with the fairness
+    /// floors relaxed, and was independently certified optimal against
+    /// the full model (whether its first round started from the carried
+    /// basis or cold).
     Certified,
-    /// The configured solve path failed but a cold full-model retry
-    /// solved and certified.
+    /// A cold full-model primal solve — behind a declined or failed dual
+    /// rung, or a failed master — solved and certified, possibly with the
+    /// fairness floors relaxed.
     CertifiedCold,
     /// Every LP rung failed; the epoch was served by cheapest-feasible
     /// greedy placement and the LP will be retried next epoch.
@@ -72,8 +73,6 @@ enum Rung {
     /// Bounded dual simplex on the full model, from the carried basis or,
     /// with none usable, the slack basis.
     Dual,
-    /// Primal simplex on the full model, warm from the carried basis.
-    Primal,
     /// Column generation: a restricted master seeded by the carried
     /// columns and basis, its first round dual-simplex-first.
     Master,
@@ -152,12 +151,11 @@ impl LipsScheduler {
     /// Run one ladder rung on `inst`, pivot-budgeted. Every rung but
     /// [`Rung::Cold`] takes the carried state, sanitized against the live
     /// cluster (entries naming revoked machines are dropped, so a topology
-    /// delta perturbs the solve instead of feeding the repair loop
+    /// delta perturbs the solve instead of feeding the dual simplex
     /// garbage), as its prior. On success the rung's carry replaces it —
     /// except a cold rung under colgen, whose full-model basis is no
-    /// master state. On failure the dual rung puts the sanitized state
-    /// back for the primal rung behind it; any other rung drops it, so a
-    /// failing carry is not retried forever.
+    /// master state. On failure the carry is dropped: no later rung reads
+    /// it, and a failing carry is not retried forever.
     fn run_rung(
         &mut self,
         inst: &LpInstance<'_>,
@@ -176,36 +174,28 @@ impl LipsScheduler {
         }
         solver = match rung {
             Rung::Master => solver.colgen(ColGenOptions::default(), prior.as_ref()),
-            Rung::Dual => solver.warm(prior.as_ref().map(ColGenState::basis)).dual(),
-            Rung::Primal | Rung::Cold => solver.warm(prior.as_ref().map(ColGenState::basis)),
+            Rung::Dual => solver.dual(prior.as_ref().map(ColGenState::basis)),
+            Rung::Cold => solver,
         }
         .certify();
         if let Some(b) = self.config.max_pivots_per_epoch {
             solver = solver.pivot_budget(b);
         }
-        match solver.run() {
-            Ok(mut report) => {
-                if rung != Rung::Cold || !self.config.colgen {
-                    self.carried = Some(report.take_carry());
-                }
-                Ok(RungResult {
-                    incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
-                    report,
-                })
-            }
-            Err(e) => {
-                if rung == Rung::Dual {
-                    self.carried = prior;
-                }
-                Err(e)
-            }
+        let mut report = solver.run()?;
+        if rung != Rung::Cold || !self.config.colgen {
+            self.carried = Some(report.take_carry());
         }
+        Ok(RungResult {
+            incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
+            report,
+        })
     }
 
     /// The degradation ladder, one [`LipsScheduler::run_rung`] per step:
     ///
     /// * full model: dual simplex (from the carried basis, else the slack
-    ///   basis) → warm primal → fairness floors relaxed → cold → `None`;
+    ///   basis) → cold primal → cold primal with the fairness floors
+    ///   relaxed → `None`;
     /// * colgen: dual-first restricted master → fairness floors relaxed →
     ///   cold full model → `None`.
     ///
@@ -225,26 +215,27 @@ impl LipsScheduler {
         // Fairness floors can conflict with data/capacity constraints
         // (and with a shrunken post-fault cluster); cost-only scheduling
         // is the sane fallback. The failed rung before it dropped the
-        // carried state, so that retry is already cold along the basis
-        // axis.
+        // carried state, so the relaxed master is already cold along the
+        // basis axis.
         let relaxed = (!inst.pool_floors.is_empty()).then(|| LpInstance {
             pool_floors: Vec::new(),
             ..inst.clone()
         });
-        let unfloored = relaxed.as_ref().unwrap_or(inst);
-        let (first, main) = if self.config.colgen {
-            (None, Rung::Master)
+        let mut ladder = Vec::with_capacity(3);
+        if self.config.colgen {
+            ladder.push((Rung::Master, inst, EpochOutcome::Certified));
+            if let Some(r) = &relaxed {
+                ladder.push((Rung::Master, r, EpochOutcome::Certified));
+            }
+            let unfloored = relaxed.as_ref().unwrap_or(inst);
+            ladder.push((Rung::Cold, unfloored, EpochOutcome::CertifiedCold));
         } else {
-            (
-                Some((Rung::Dual, inst, EpochOutcome::CertifiedDual)),
-                Rung::Primal,
-            )
-        };
-        let ladder = first
-            .into_iter()
-            .chain([(main, inst, EpochOutcome::Certified)])
-            .chain(relaxed.as_ref().map(|r| (main, r, EpochOutcome::Certified)))
-            .chain([(Rung::Cold, unfloored, EpochOutcome::CertifiedCold)]);
+            ladder.push((Rung::Dual, inst, EpochOutcome::CertifiedDual));
+            ladder.push((Rung::Cold, inst, EpochOutcome::CertifiedCold));
+            if let Some(r) = &relaxed {
+                ladder.push((Rung::Cold, r, EpochOutcome::CertifiedCold));
+            }
+        }
         let mut declined = None;
         for (rung, inst, outcome) in ladder {
             match self.run_rung(inst, rung) {
@@ -626,10 +617,10 @@ mod tests {
     }
 
     #[test]
-    fn ladder_falls_through_dual_and_primal_to_degraded_on_infeasible_epoch() {
+    fn ladder_falls_through_dual_and_cold_to_degraded_on_infeasible_epoch() {
         // Two machines totalling 7 ECU; no fake node, so slashing the
         // epoch duration below the work's space leaves *every* rung — dual
-        // re-solve, warm primal, relaxed floors, cold — infeasible.
+        // re-solve, cold primal — infeasible.
         let mut b = lips_cluster::ClusterBuilder::new();
         let za = b.add_zone("a");
         let zb = b.add_zone("b");
@@ -666,7 +657,7 @@ mod tests {
         // now warm from the carried basis.
         assert!(sched.solve_epoch(&feasible).is_some());
         // Epoch 2: infeasible. The dual rung must fail fast (the shrunken
-        // model admits no feasible point), every primal rung after it must
+        // model admits no feasible point), the cold rung after it must
         // fail too, and the ladder must land on Degraded — not panic, not
         // return an uncertified schedule.
         assert!(sched.solve_epoch(&infeasible).is_none());
@@ -686,8 +677,8 @@ mod tests {
         // An infeasibility verdict is not a declined basis.
         assert!(r.iter().all(|r| r.declined.is_empty()));
         // Epoch 3: capacity restored — the scheduler recovers on its own,
-        // on the dual rung from the slack basis (the failed primal rungs
-        // dropped the carried basis).
+        // on the dual rung from the slack basis (the failed rungs dropped
+        // the carried basis).
         assert!(sched.solve_epoch(&feasible).is_some());
         assert_eq!(outcomes(&sched)[3], "CertifiedDual");
         assert_eq!(sched.epoch_records()[3].warm, "Cold");

@@ -1131,7 +1131,7 @@ impl SolveReport {
 ///
 /// ```ignore
 /// let report = EpochSolver::new(&inst)
-///     .warm(Some(&basis))
+///     .dual(Some(&basis))
 ///     .certify()
 ///     .shadow_prices()
 ///     .run()?;
@@ -1147,12 +1147,13 @@ impl SolveReport {
 #[derive(Debug)]
 pub struct EpochSolver<'i, 'c> {
     inst: &'i LpInstance<'c>,
-    warm: Option<&'i WarmStart>,
+    /// `Some(start)`: the dual simplex from `start` (the slack basis when
+    /// `None`); `None`: the cold primal.
+    dual: Option<Option<&'i WarmStart>>,
     certify: bool,
     shadow_prices: bool,
     colgen: Option<(ColGenOptions, Option<&'i ColGenState>)>,
     pivot_budget: Option<usize>,
-    dual: bool,
     pool: Pool,
 }
 
@@ -1160,12 +1161,11 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     pub fn new(inst: &'i LpInstance<'c>) -> Self {
         EpochSolver {
             inst,
-            warm: None,
+            dual: None,
             certify: false,
             shadow_prices: false,
             colgen: None,
             pivot_budget: None,
-            dual: false,
             pool: Pool::from_env(),
         }
     }
@@ -1181,15 +1181,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.pool = Pool::new(threads);
-        self
-    }
-
-    /// Seed the simplex from a prior epoch's optimal basis. `None` or an
-    /// unusable basis degrades to a cold solve — the optimum is identical
-    /// either way, only the pivot count changes.
-    #[must_use]
-    pub fn warm(mut self, warm: Option<&'i WarmStart>) -> Self {
-        self.warm = warm;
         self
     }
 
@@ -1212,18 +1203,19 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     /// Solve by delayed column generation over a restricted master
     /// instead of the full model, optionally reusing a prior epoch's
     /// surviving columns + basis. Implies certification (against the
-    /// *full* model, excluded columns priced). The basis passed to
-    /// [`EpochSolver::warm`] is ignored in this mode — the colgen state
-    /// carries its own.
+    /// *full* model, excluded columns priced). [`EpochSolver::dual`] is
+    /// ignored in this mode — the colgen state carries its own basis.
     ///
-    /// The first master round goes to the bounded dual simplex, falling
-    /// back to the warm primal path when the walk from the carried basis
-    /// is declined. After a queue delta that only adds and retires
-    /// columns the carried master basis is usually still dual feasible
-    /// and re-optimizes in a handful of pivots with no phase 1. Without a
-    /// carried [`ColGenState`], or with a basis declined at seeding, the
-    /// round starts from the slack basis — a cold start with no phase 1.
-    /// Later rounds run the primal simplex warm from the incumbent basis.
+    /// Every master round goes to the bounded dual simplex, falling back
+    /// to the cold primal when the walk is declined. In the first round,
+    /// after a queue delta that only adds and retires columns, the carried
+    /// master basis is usually still dual feasible and re-optimizes in a
+    /// handful of pivots with no phase 1. Without a carried
+    /// [`ColGenState`], or with a basis declined at seeding, the round
+    /// starts from the slack basis — a cold start with no phase 1. Later
+    /// rounds start from the incumbent basis, which the appended columns
+    /// leave primal feasible: their walk is empty and the dual's primal
+    /// finisher prices the new columns in.
     #[must_use]
     pub fn colgen(mut self, opts: ColGenOptions, prior: Option<&'i ColGenState>) -> Self {
         self.colgen = Some((opts, prior));
@@ -1231,22 +1223,23 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     }
 
     /// Solve with the *bounded dual simplex*
-    /// ([`lips_lp::solve_dual_with_options`]) instead of the primal
-    /// simplex, starting from the basis passed to [`EpochSolver::warm`].
-    /// After an epoch edit that only perturbs bounds and costs (work
-    /// completing, rhs drifting) the carried basis is typically still
-    /// dual feasible and re-optimizes in a handful of pivots. With no
-    /// basis, or one declined at seeding (under-full or singular), the
-    /// same solve starts from the slack basis — dual feasible because
-    /// every Fig-4 cost is non-negative — so a cold epoch needs no phase 1
-    /// and no second model build. The solve *fails* only when the walk
-    /// from a carried basis is declined ([`LpError::DualDeclined`]) or
-    /// the model is infeasible; callers degrade to the primal path, which
-    /// is exactly how [`crate::lips::LipsScheduler`]'s ladder uses it.
-    /// Ignored in colgen mode.
+    /// ([`lips_lp::solve_dual_with_options`]) from a prior epoch's optimal
+    /// basis, instead of the cold primal simplex that runs when this call
+    /// is left out. After an epoch edit that only perturbs bounds and
+    /// costs (work completing, rhs drifting) the carried basis is
+    /// typically still dual feasible and re-optimizes in a handful of
+    /// pivots. With `None`, or a basis declined at seeding (under-full or
+    /// singular), the same solve starts from the slack basis — dual
+    /// feasible because every Fig-4 cost is non-negative — so a cold epoch
+    /// needs no phase 1 and no second model build. The solve *fails* only
+    /// when the walk from a carried basis is declined
+    /// ([`LpError::DualDeclined`]) or the model is infeasible; callers
+    /// degrade to the cold primal, which is exactly how
+    /// [`crate::lips::LipsScheduler`]'s ladder uses it. Ignored in colgen
+    /// mode.
     #[must_use]
-    pub fn dual(mut self) -> Self {
-        self.dual = true;
+    pub fn dual(mut self, start: Option<&'i WarmStart>) -> Self {
+        self.dual = Some(start);
         self
     }
 
@@ -1278,10 +1271,9 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         let t_build = lips_lp::clock::Stopwatch::start();
         let (model, space, maps) = build(self.inst, self.pool);
         let build_ms = t_build.elapsed_ms();
-        let mut sol = if self.dual {
-            solve_model_dual(&model, self.warm, self.pivot_budget)?
-        } else {
-            solve_model(&model, self.warm, self.pivot_budget)?
+        let mut sol = match self.dual {
+            Some(start) => solve_model_dual(&model, start, self.pivot_budget)?,
+            None => solve_model(&model, self.pivot_budget)?,
         };
         let t_cert = lips_lp::clock::Stopwatch::start();
         let certificate = if self.certify {
@@ -1330,20 +1322,16 @@ fn solve_model_dual(
     lips_lp::solve_dual_with_options(model, warm, &opts)
 }
 
-/// One simplex run, optionally warm-started and pivot-capped.
-fn solve_model(
-    model: &Model,
-    warm: Option<&WarmStart>,
-    pivot_budget: Option<usize>,
-) -> Result<lips_lp::Solution, LpError> {
+/// One cold primal-simplex run, optionally pivot-capped.
+fn solve_model(model: &Model, pivot_budget: Option<usize>) -> Result<lips_lp::Solution, LpError> {
     match pivot_budget {
-        None => model.solve_warm(warm),
+        None => model.solve(),
         Some(max_iterations) => {
             lips_lp::revised::RevisedSimplex::with_options(lips_lp::revised::RevisedOptions {
                 max_iterations,
                 ..Default::default()
             })
-            .solve_with_warm_start(model, warm)
+            .solve(model)
         }
     }
 }
@@ -1439,7 +1427,7 @@ fn on_dead_machine(dead: &BTreeSet<MachineId>, machine: Option<MachineId>) -> bo
 /// Drop every warm-start entry that references a machine no longer alive
 /// in `cluster`. A keyed [`WarmStart`] survives model edits by design, but
 /// a status for a column or row the builder will never emit again would
-/// seed the repair loop with garbage; pruning up front leaves a smaller,
+/// seed the dual simplex with garbage; pruning up front leaves a smaller,
 /// honest basis the solver completes with slacks. Returns how many
 /// entries were dropped.
 pub fn sanitize_warm_start(ws: &mut WarmStart, cluster: &Cluster) -> usize {
@@ -1471,7 +1459,7 @@ pub struct ColGenStats {
     /// The first master round was solved by the bounded dual simplex,
     /// from the carried basis or the slack basis (see
     /// [`EpochSolver::colgen`]); `false` when that walk was declined and
-    /// the warm primal solved the round.
+    /// the cold primal solved the round.
     pub dual_master: bool,
 }
 
@@ -1681,28 +1669,26 @@ fn master_price_loop(
     let mut dual_master = false;
     let sol = loop {
         rounds += 1;
-        // The first round goes to the bounded dual simplex: from the
+        // Every round goes to the bounded dual simplex: the first from the
         // carried basis (new columns perturb the master without
-        // disturbing dual feasibility), else from the slack basis. A dual
-        // that fails short of an infeasibility verdict (a walk declined
-        // mid-way, a budget) falls back to the warm primal path, and a
-        // decline is kept on the record.
-        let solved = if rounds == 1 {
-            match solve_model_dual(&model, warm.as_deref(), pivot_budget) {
-                Ok(s) => {
+        // disturbing dual feasibility), else from the slack basis; later
+        // ones from the incumbent basis. A dual that fails short of an
+        // infeasibility verdict (a walk declined mid-way, a budget) falls
+        // back to the cold primal, and a decline is kept on the record.
+        let solved = match solve_model_dual(&model, warm.as_deref(), pivot_budget) {
+            Ok(s) => {
+                if rounds == 1 {
                     dual_master = true;
-                    Ok(s)
                 }
-                Err(LpError::Infeasible) => Err(LpError::Infeasible),
-                Err(e) => {
-                    if let LpError::DualDeclined(d) = e {
-                        agg.declined = Some(d);
-                    }
-                    solve_model(&model, warm.as_deref(), pivot_budget)
-                }
+                Ok(s)
             }
-        } else {
-            solve_model(&model, warm.as_deref(), pivot_budget)
+            Err(LpError::Infeasible) => Err(LpError::Infeasible),
+            Err(e) => {
+                if let LpError::DualDeclined(d) = e {
+                    agg.declined.get_or_insert(d);
+                }
+                solve_model(&model, pivot_budget)
+            }
         };
         let mut sol = match solved {
             Ok(s) => s,

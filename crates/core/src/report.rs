@@ -35,8 +35,8 @@ pub struct EpochRecord {
     /// `"Certified"`, `"CertifiedCold"`, or `"Degraded"`
     /// (see [`EpochOutcome`]).
     pub outcome: String,
-    /// How the simplex started: `"Cold"`, `"Warm"`, `"WarmRepaired"`, or
-    /// `"Dual"` (see [`WarmOutcome`]).
+    /// How the simplex started: `"Cold"` or `"Dual"` (see
+    /// [`WarmOutcome`]).
     pub warm: String,
     /// Total simplex pivots (both phases, all master rounds).
     pub iterations: usize,
@@ -183,12 +183,10 @@ impl EpochRecord {
 }
 
 /// The solver-facing spelling of a [`WarmOutcome`], stable across the
-/// schema (`"Cold"` / `"Warm"` / `"WarmRepaired"` / `"Dual"`).
+/// schema (`"Cold"` / `"Dual"`).
 pub fn warm_label(warm: WarmOutcome) -> &'static str {
     match warm {
         WarmOutcome::Cold => "Cold",
-        WarmOutcome::Warm => "Warm",
-        WarmOutcome::WarmRepaired => "WarmRepaired",
         WarmOutcome::Dual => "Dual",
     }
 }
@@ -205,8 +203,10 @@ pub struct RunSummary {
     pub certified_share: f64,
     /// Epochs absorbed by the dual rung (`"CertifiedDual"`).
     pub dual_epochs: usize,
-    /// Epochs solved along the configured primal path (`"Certified"`).
-    pub primal_epochs: usize,
+    /// Epochs solved by the colgen master (`"Certified"`). Reads the
+    /// field's former name too, so older summaries still parse.
+    #[serde(alias = "primal_epochs")]
+    pub master_epochs: usize,
     /// Epochs rescued by the cold retry (`"CertifiedCold"`).
     pub cold_retry_epochs: usize,
     /// Epochs served greedily (`"Degraded"`).
@@ -246,7 +246,7 @@ impl RunSummary {
                 certified_epochs as f64 / n as f64
             },
             dual_epochs: count(EpochOutcome::CertifiedDual.as_str()),
-            primal_epochs: count(EpochOutcome::Certified.as_str()),
+            master_epochs: count(EpochOutcome::Certified.as_str()),
             cold_retry_epochs: count(EpochOutcome::CertifiedCold.as_str()),
             degraded_epochs: count(EpochOutcome::Degraded.as_str()),
             incremental_epochs,
@@ -315,13 +315,19 @@ mod tests {
         assert_eq!(s.epochs, 5);
         assert_eq!(s.certified_epochs, 4);
         assert_eq!(s.dual_epochs, 1);
-        assert_eq!(s.primal_epochs, 2);
+        assert_eq!(s.master_epochs, 2);
         assert_eq!(s.cold_retry_epochs, 1);
         assert_eq!(s.degraded_epochs, 1);
         assert_eq!(s.incremental_epochs, 2);
         assert!((s.incremental_share - 0.4).abs() < 1e-12);
         assert_eq!(s.p50_solve_ms, 2.0);
         assert_eq!(s.p99_solve_ms, 4.0);
+        // Summaries written under the field's former name still parse.
+        let json = serde_json::to_string(&s).unwrap();
+        let old = json.replace("\"master_epochs\"", "\"primal_epochs\"");
+        assert!(old.contains("\"primal_epochs\":2"), "{old}");
+        let back: RunSummary = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.master_epochs, 2);
     }
 
     #[test]

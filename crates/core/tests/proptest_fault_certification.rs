@@ -3,13 +3,16 @@
 //! Machines are revoked (tp_ecu = 0) in random waves across a chained
 //! epoch sequence. Each epoch the previous basis is *repaired* against the
 //! surviving cluster ([`sanitize_warm_start`]) and the epoch LP re-solved
-//! warm. The repaired warm solve must land on exactly the optimum an
-//! independent cold solve certifies — a corrupted repair would either
-//! fail KKT certification or move the objective.
+//! warm by the dual simplex — cold when the walk is declined, as on the
+//! scheduler's ladder. The repaired warm solve must land on exactly the
+//! optimum an independent cold solve certifies — a corrupted repair would
+//! either fail KKT certification or move the objective.
 
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
-use lips_core::lp_build::{sanitize_warm_start, EpochSolver, LpInstance, LpJob, PruneConfig};
-use lips_lp::WarmStart;
+use lips_core::lp_build::{
+    sanitize_warm_start, EpochSolveError, EpochSolver, LpInstance, LpJob, PruneConfig,
+};
+use lips_lp::{LpError, WarmStart};
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -66,11 +69,13 @@ proptest! {
             if let Some(b) = ws.as_mut() {
                 sanitize_warm_start(b, &cluster);
             }
-            let warm = EpochSolver::new(&inst)
-                .warm(ws.as_ref())
-                .certify()
-                .run()
-                .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
+            let warm = match EpochSolver::new(&inst).dual(ws.as_ref()).certify().run() {
+                Err(EpochSolveError::Lp(LpError::DualDeclined(_))) => {
+                    EpochSolver::new(&inst).certify().run()
+                }
+                r => r,
+            }
+            .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
             let warm_cert = warm.certificate.as_ref().expect("certification requested");
             prop_assert!(warm_cert.is_optimal(), "epoch {e}: {warm_cert}");
 

@@ -6,8 +6,8 @@
 //! [`WarmStart`] captures the basis of an optimal solution in a form that
 //! survives those edits: statuses are keyed by each variable's and row's
 //! `u64` identity, not by position, so the next model can reuse whatever
-//! part of the basis still exists and the solver repairs or cold-starts the
-//! rest.
+//! part of the basis still exists; the dual simplex completes the rest with
+//! slacks or, past repair, starts from the slack basis.
 
 use std::collections::BTreeMap;
 
@@ -28,23 +28,15 @@ pub enum BasisStatus {
 /// [`crate::solution::SolveStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmOutcome {
-    /// From scratch: no warm start given, or the given basis could not be
-    /// salvaged (singular after repair, wrong shape). The primal solver
-    /// runs phase 1 from its crash basis; the dual solver starts from the
-    /// slack basis and needs no phase 1.
+    /// From scratch: the primal solver's crash basis (it runs phase 1
+    /// where the slacks cannot absorb a row), or the dual solver's slack
+    /// basis when no carried basis was given, none of it matched, or it
+    /// was declined at seeding.
     #[default]
     Cold,
-    /// The warm basis was primal feasible as-is; phase 1 was skipped
-    /// entirely.
-    Warm,
-    /// The warm basis needed repair (some basics violated their bounds
-    /// after model edits); a short phase 1 over the repair artificials ran
-    /// before phase 2.
-    WarmRepaired,
     /// The bounded dual simplex re-optimized the *carried* warm basis
     /// directly — no phase 1, no artificials (see
-    /// [`crate::dual::solve_dual_from_basis`]). A dual solve that started
-    /// from the slack basis reports [`WarmOutcome::Cold`].
+    /// [`crate::dual::solve_dual_from_basis`]).
     Dual,
 }
 
@@ -85,10 +77,9 @@ pub struct DeclinedBasis {
 /// seeding a later solve of the same or a perturbed model.
 ///
 /// Produced by [`crate::solution::Solution::warm_start`] after every
-/// revised-simplex solve; consumed by
-/// [`crate::revised::RevisedSimplex::solve_with_warm_start`] or
-/// [`crate::model::Model::solve_warm`]. Every variable and keyed row has a
-/// key: the caller's own typed key ([`crate::model::Model::add_keyed_var`],
+/// solve; consumed by the dual simplex
+/// ([`crate::dual::solve_dual_with_options`]). Every variable and keyed
+/// row has a key: the caller's own typed key ([`crate::model::Model::add_keyed_var`],
 /// [`crate::model::Model::key_constraint`]) or, for named ones,
 /// [`name_key`] of the name. Rows with neither are keyed positionally by
 /// [`positional_row_key`], which still round-trips when the constraint
@@ -96,9 +87,9 @@ pub struct DeclinedBasis {
 ///
 /// Key collisions degrade gracefully: the status of the last variable with
 /// a given key wins, and any resulting over- or under-full basis is
-/// trimmed / completed with slacks before factorization (with a cold solve
-/// as the final fallback), so a warm start can never change the optimum —
-/// only the path to it.
+/// trimmed / completed with slacks before factorization (with the slack
+/// basis as the final fallback), so a warm start can never change the
+/// optimum — only the path to it.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     vars: BTreeMap<u64, BasisStatus>,
@@ -194,7 +185,7 @@ impl WarmStart {
     ///
     /// Used when the model the basis was taken from loses structure — e.g.
     /// a machine is revoked and every column touching it vanishes. Feeding
-    /// the stale keys to the repair loop would seed garbage; dropping them
+    /// the stale keys to the dual seeding would seed garbage; dropping them
     /// up front leaves a smaller but honest basis the solver completes with
     /// slacks.
     pub fn retain_vars(&mut self, mut keep: impl FnMut(u64) -> bool) {

@@ -365,11 +365,11 @@ impl DenseSimplex {
             for v in &mut t[r] {
                 *v /= piv;
             }
-            let pivot_row: Vec<f64> = t[r].clone();
+            let pivot: Vec<f64> = t[r].clone();
             for (i, row) in t.iter_mut().enumerate() {
                 if i != r && row[q] != 0.0 {
                     let factor = row[q];
-                    for (v, pv) in row.iter_mut().zip(&pivot_row) {
+                    for (v, pv) in row.iter_mut().zip(&pivot) {
                         *v -= factor * pv;
                     }
                 }

@@ -1,13 +1,15 @@
 //! Bounded-variable dual simplex for warm re-solves after churn, and for
 //! cold solves from the slack basis.
 //!
-//! The epoch loop's perturbations — a revoked machine, a lost store, a
-//! repriced transfer — change bounds and right-hand sides but leave the
-//! carried basis *dual feasible*: the reduced costs keep their signs, only
-//! some basic values land outside their bounds. The primal solver treats
-//! that as damage (phase-1 repair artificials); the dual simplex treats it
-//! as a starting point and walks back to primal feasibility directly,
-//! typically in a handful of pivots.
+//! This is the only solver that accepts a carried basis. The epoch loop's
+//! perturbations — a revoked machine, a lost store, a repriced transfer —
+//! change bounds and right-hand sides but leave the carried basis *dual
+//! feasible*: the reduced costs keep their signs, only some basic values
+//! land outside their bounds. The dual simplex treats that as a starting
+//! point and walks back to primal feasibility directly, typically in a
+//! handful of pivots. A carried basis that is still primal feasible (a
+//! column-generation master after appending priced columns) has nothing
+//! to walk: the solve is its primal finisher, a warm primal phase 2.
 //!
 //! The same holds with no carried basis at all. Every cost of the
 //! scheduling LPs is non-negative, so the *slack basis* — every structural
@@ -22,7 +24,7 @@
 //!
 //! * **Same machinery, different outer loop.** The solver reuses the primal
 //!   [`Worker`](crate::revised): the Markowitz sparse LU, the eta file,
-//!   FTRAN/BTRAN, and the keyed warm-start resolution. Only the pivot
+//!   FTRAN/BTRAN, and the keyed warm-start matching. Only the pivot
 //!   selection differs: the *row* (most-violated basic) is chosen first and
 //!   the *column* comes out of a dual ratio test over the pivot row, which
 //!   is accumulated sparsely from the CSR mirror over the support of
@@ -50,20 +52,20 @@
 //!   stays sound, unlike artificial-bound schemes). The walk then works
 //!   off the genuine primal damage with shifted columns held in a
 //!   second-tier reserve: they enter only when a row has no unshifted way
-//!   out, and a flip-thrash guard declines the walk (to the caller's
-//!   primal ladder rung, via [`LpError::DualDeclined`]) when the
-//!   shifted set starts churning instead of converging. Afterwards the
-//!   shifts come off and a warm primal phase-2 *finisher* under the true
-//!   costs absorbs any remaining cost drift — a no-op when the walk's
-//!   duals already sign-corrected everything. Primal bound violations are
-//!   never "repaired" here — they are the work the dual pivots do.
+//!   out, and a flip-thrash guard declines the walk (to the caller's cold
+//!   solve, via [`LpError::DualDeclined`]) when the shifted set starts
+//!   churning instead of converging. Afterwards the model's own costs are
+//!   restored bit for bit and a warm primal phase-2 *finisher* absorbs any
+//!   remaining cost drift — a no-op when the walk's duals already
+//!   sign-corrected everything. Primal bound violations are never
+//!   "repaired" here — they are the work the dual pivots do.
 
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
 use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart};
 use crate::error::LpError;
-use crate::model::Model;
-use crate::revised::{extract_warm_start, resolve_warm_states, RevisedOptions, VarState, Worker};
+use crate::model::{ConstraintId, Model, VarId};
+use crate::revised::{extract_warm_start, RevisedOptions, VarState, Worker};
 use crate::solution::{Solution, SolveStats};
 use crate::standard::StandardForm;
 
@@ -78,7 +80,7 @@ const SLOPE_EPS: f64 = 1e-12;
 /// [`WarmOutcome::Cold`]; so does a carried basis declined at seeding,
 /// whose reason lands in [`SolveStats::declined`]. A carried basis that is
 /// seeded but declined mid-walk returns [`LpError::DualDeclined`] so the
-/// caller can fall back to the primal solver. [`LpError::Infeasible`]
+/// caller can fall back to a cold solve. [`LpError::Infeasible`]
 /// means the dual became unbounded — the model has no feasible point.
 pub fn solve_dual_from_basis(model: &Model, warm: &WarmStart) -> Result<Solution, LpError> {
     solve_dual_with_options(model, warm, &RevisedOptions::default())
@@ -97,7 +99,7 @@ pub fn solve_dual_with_options(
     let states = if warm.is_empty() {
         None
     } else {
-        resolve_warm_states(model, &sf, warm)
+        match_warm_states(model, &sf, warm)
     };
 
     let mut w = Worker::new(&sf, opts);
@@ -116,7 +118,7 @@ pub fn solve_dual_with_options(
     let (dual_pivots, bound_flips) = match shifted_dual_solve(&mut w) {
         Ok(counts) => counts,
         // A carried basis that goes singular mid-walk is declined like a
-        // thrashing one: the primal rung can still solve the model.
+        // thrashing one: a cold solve can still solve the model.
         Err(LpError::SingularBasis) if outcome == WarmOutcome::Dual => {
             return Err(LpError::DualDeclined(DeclinedBasis {
                 reason: DualDecline::Singular,
@@ -148,7 +150,32 @@ pub fn solve_dual_with_options(
     )
 }
 
-/// Seed the basis from resolved warm statuses without any primal repair:
+/// Map a warm start's keyed statuses onto this model's standard-form
+/// columns. Returns `None` when not a single status matched (treat as
+/// cold — the warm start is for a different model).
+fn match_warm_states(
+    model: &Model,
+    sf: &StandardForm,
+    ws: &WarmStart,
+) -> Option<Vec<Option<BasisStatus>>> {
+    let mut states: Vec<Option<BasisStatus>> = vec![None; sf.ncols()];
+    let mut matched = 0usize;
+    for j in 0..sf.n_structural {
+        if let Some(st) = ws.var(model.var_key(VarId(j))) {
+            states[j] = Some(st);
+            matched += 1;
+        }
+    }
+    for i in 0..sf.nrows() {
+        if let Some(st) = ws.row(model.constraint_key(ConstraintId(i))) {
+            states[sf.n_structural + i] = Some(st);
+            matched += 1;
+        }
+    }
+    (matched > 0).then_some(states)
+}
+
+/// Seed the basis from matched warm statuses without any primal repair:
 /// trim an over-full basis, complete an under-full one with slacks, and
 /// factorize (degrading through the rank sweep once). Primal bound
 /// violations among the basics are left in place — they are the dual
@@ -198,10 +225,97 @@ fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), Dual
         w.state[j] = VarState::Basic;
     }
     w.basis = basics;
-    if !w.refactor_or_prune() {
+    if !refactor_or_prune(w) {
         return Err(DualDecline::Singular);
     }
     Ok(())
+}
+
+/// Refactorize, and on singularity retry once after swapping the
+/// dependent columns for slacks (see [`prune_dependent_basics`]).
+fn refactor_or_prune(w: &mut Worker) -> bool {
+    w.refactor().is_ok() || (prune_dependent_basics(w) && w.refactor().is_ok())
+}
+
+/// The seeded warm basis failed to factorize: some key-matched columns
+/// no longer span the row space. Identify a maximal independent subset
+/// with a dense rank-revealing elimination and replace each dependent
+/// column with the slack of a row the independent set leaves uncovered
+/// (slacks are unit columns, so the result is structurally nonsingular).
+/// Runs only on the factorization-failure path, so the O(m³) dense sweep
+/// never touches a healthy solve. Returns `false` when no full basis can
+/// be assembled (the caller declines the carried basis), including
+/// when more than an eighth of the rows (at least 8) are dependent: a
+/// basis that far gone is mostly guessed slacks.
+fn prune_dependent_basics(w: &mut Worker) -> bool {
+    let m = w.m();
+    let limit = (m / 8).max(8);
+    let n_struct = w.sf.n_structural;
+    // Dense copy of the seeded basis columns, a[r * m + p].
+    let mut a = vec![0.0; m * m];
+    for (p, &j) in w.basis.iter().enumerate() {
+        w.for_col(j, |r, v| a[r * m + p] = v);
+    }
+    let mut row_used = vec![false; m];
+    let mut dependent: Vec<usize> = Vec::new();
+    for p in 0..m {
+        let mut best = w.opts.pivot_tol;
+        let mut best_row = usize::MAX;
+        for (r, used) in row_used.iter().enumerate() {
+            if !used && a[r * m + p].abs() > best {
+                best = a[r * m + p].abs();
+                best_row = r;
+            }
+        }
+        if best_row == usize::MAX {
+            dependent.push(p);
+            if dependent.len() > limit {
+                // Past the limit the attempt is doomed: stop the O(m³)
+                // sweep here.
+                return false;
+            }
+            continue;
+        }
+        row_used[best_row] = true;
+        // Eliminate the pivot row from later columns. Earlier pivot rows
+        // are already zero in column p, so skipping used rows is exact.
+        let piv = a[best_row * m + p];
+        for q in (p + 1)..m {
+            let f = a[best_row * m + q] / piv;
+            if f == 0.0 {
+                continue;
+            }
+            for (r, used) in row_used.iter().enumerate() {
+                if !used {
+                    a[r * m + q] -= f * a[r * m + p];
+                }
+            }
+        }
+    }
+    if dependent.is_empty() {
+        // Full rank by this sweep yet LU refused: numerical trouble a
+        // carried basis is not worth fighting.
+        return false;
+    }
+    let mut is_basic = vec![false; w.ncols()];
+    for &j in &w.basis {
+        is_basic[j] = true;
+    }
+    let mut unused: Vec<usize> = (0..m).filter(|&r| !row_used[r]).collect();
+    for &p in &dependent {
+        let Some(pos) = unused.iter().position(|&r| !is_basic[n_struct + r]) else {
+            return false;
+        };
+        let r = unused.swap_remove(pos);
+        let out = w.basis[p];
+        is_basic[out] = false;
+        w.place_nonbasic(out, None);
+        let s = n_struct + r;
+        is_basic[s] = true;
+        w.state[s] = VarState::Basic;
+        w.basis[p] = s;
+    }
+    true
 }
 
 /// Seed the slack basis: every structural at its lower bound (the upper
@@ -238,22 +352,26 @@ fn seed_slack_basis(w: &mut Worker) -> Result<(), LpError> {
 /// damage (revoked capacity, drifted rhs), with shifted columns barred
 /// from long-step flipping — at ratio ≈ 0 they are natural *entering*
 /// candidates, and entering is the informed move where batch-flipping
-/// them would thrash. (3) *Finish*: shifts come off and a warm primal
-/// phase-2 under the true costs absorbs whatever cost drift remains —
-/// devex-priced re-optimization instead of a dual flip storm, and a no-op
-/// when the walk's duals already sign-corrected everything.
+/// them would thrash. (3) *Finish*: the shifted columns get the model's
+/// own costs back and a warm primal phase-2 under them absorbs whatever
+/// cost drift remains — devex-priced re-optimization instead of a dual
+/// flip storm, and a no-op when the walk's duals already sign-corrected
+/// everything.
 ///
 /// Returns `(dual_pivots, bound_flips)`; primal finisher iterations count
 /// into `w.iterations` like any others but are not dual pivots.
 fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpError> {
-    let shifts = restore_dual_feasibility(w);
+    let shifted = restore_dual_feasibility(w);
     let mut barred = vec![false; w.n_real];
-    for &(j, _) in &shifts {
+    for &j in &shifted {
         barred[j] = true;
     }
-    let (dual_pivots, bound_flips) = dual_loop(w, &barred, !shifts.is_empty())?;
-    for (j, delta) in shifts {
-        w.costs[j] -= delta;
+    let (dual_pivots, bound_flips) = dual_loop(w, &barred, !shifted.is_empty())?;
+    // Copy the costs back rather than subtract each shift: `(c − d) + d`
+    // can land a few ulps off `c`, and the finisher must optimize the
+    // model's own cost vector.
+    for j in shifted {
+        w.costs[j] = w.sf.c[j];
     }
     w.run()?;
     Ok((dual_pivots, bound_flips))
@@ -261,11 +379,11 @@ fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpError> {
 
 /// Make the nonbasic reduced costs sign-consistent by shifting each
 /// wrong-signed cost so the reduced cost is exactly zero. Returns the
-/// applied shifts as `(column, delta)` pairs for the caller to undo.
-fn restore_dual_feasibility(w: &mut Worker) -> Vec<(usize, f64)> {
+/// shifted columns for the caller to restore.
+fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
     let tol = w.opts.tol;
     let y = w.current_duals();
-    let mut shifts: Vec<(usize, f64)> = Vec::new();
+    let mut shifted: Vec<usize> = Vec::new();
     for j in 0..w.n_real {
         if w.state[j] == VarState::Basic || w.lb[j] == w.ub[j] {
             continue;
@@ -279,10 +397,10 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<(usize, f64)> {
         };
         if wrong {
             w.costs[j] -= d;
-            shifts.push((j, -d));
+            shifted.push(j);
         }
     }
-    shifts
+    shifted
 }
 
 /// Pick the leaving row: the basic variable with the largest relative bound
@@ -410,8 +528,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
     let mut d_fresh = false;
 
     loop {
-        let cap = self_cap(w);
-        if w.iterations >= cap {
+        if w.iterations >= w.opts.max_iterations {
             return Err(LpError::IterationLimit {
                 iterations: w.iterations,
             });
@@ -423,7 +540,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // small multiple of its pivot count. When shifted columns are in
         // play and flips outrun pivots by 4×, the walk is shuffling the
         // shifted set instead of repairing primal damage (a churn-epoch
-        // storm) — decline to the primal ladder before burning the budget.
+        // storm) — decline to a cold solve before burning the budget.
         if any_barred && bound_flips > 4 * dual_pivots + 256 {
             return Err(thrash(w));
         }
@@ -661,12 +778,6 @@ fn thrash(w: &Worker) -> LpError {
     })
 }
 
-/// Effective pivot cap: the explicit budget, clamped by `max_iterations`.
-fn self_cap(w: &Worker) -> usize {
-    w.iteration_budget
-        .map_or(w.opts.max_iterations, |b| b.min(w.opts.max_iterations))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,6 +827,20 @@ mod tests {
         assert_eq!(dual_sol.stats().warm, WarmOutcome::Dual);
         assert!(dual_sol.stats().dual_pivots > 0);
         assert_eq!(dual_sol.stats().phase1_iterations, 0);
+
+        // Rows added and removed, the survivor in a new position: named
+        // rows let the basis follow it.
+        let mut m3 = Model::new(Sense::Maximize);
+        let x = m3.add_var("x", 0.0, 10.0, 3.0);
+        let y = m3.add_var("y", 0.0, 10.0, 5.0);
+        let z = m3.add_var("z", 0.0, 5.0, 1.0);
+        let fresh_row = m3.add_constraint([(y, 1.0), (z, 1.0)], Cmp::Le, 7.0);
+        let c2 = m3.add_constraint([(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
+        m3.name_constraint(fresh_row, "fresh");
+        m3.name_constraint(c2, "c2");
+        let dual_sol = solve_dual_from_basis(&m3, &ws).unwrap();
+        assert_close(dual_sol.objective(), m3.solve().unwrap().objective());
+        assert!(m3.is_feasible(dual_sol.values(), 1e-6));
     }
 
     #[test]
@@ -725,6 +850,20 @@ mod tests {
         assert_close(dual_sol.objective(), 36.0);
         assert_eq!(dual_sol.stats().dual_pivots, 0);
         assert_eq!(dual_sol.stats().bound_flips, 0);
+
+        // An equality-constrained model needs phase 1 cold; from its own
+        // optimal basis it needs no pivot at all.
+        let mut m = Model::minimize();
+        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = m.add_var("y", 0.0, f64::INFINITY, 2.0);
+        m.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Eq, 10.0);
+        m.add_constraint([(x, 1.0), (y, -1.0)], Cmp::Eq, 2.0);
+        let cold = m.solve().unwrap();
+        assert!(cold.stats().phase1_iterations > 0);
+        let again = solve_dual_from_basis(&m, cold.warm_start().unwrap()).unwrap();
+        assert_eq!(again.stats().warm, WarmOutcome::Dual);
+        assert_eq!(again.iterations(), 0);
+        assert_close(again.objective(), cold.objective());
     }
 
     /// min 2x + 3y + z  s.t.  x + y >= 4,  x + 3y + z >= 6,  y + z = 2,
@@ -766,6 +905,18 @@ mod tests {
         let again = solve_dual_from_basis(&m, &alien).unwrap();
         assert_eq!(again.stats().warm, WarmOutcome::Cold);
         assert_eq!(again.objective().to_bits(), dual.objective().to_bits());
+        // One claiming every column basic is trimmed to a full basis and
+        // still reaches the optimum.
+        let mut all_basic = WarmStart::new();
+        for v in ["x", "y", "z"] {
+            all_basic.set_var(name_key(v), BasisStatus::Basic);
+        }
+        for r in ["c0", "c1", "c2"] {
+            all_basic.set_row(name_key(r), BasisStatus::Basic);
+        }
+        let trimmed = solve_dual_from_basis(&m, &all_basic).unwrap();
+        assert_close(trimmed.objective(), cold.objective());
+        assert!(m.is_feasible(trimmed.values(), 1e-7));
     }
 
     #[test]
@@ -825,6 +976,20 @@ mod tests {
         m2.name_constraint(c, "cover");
         let err = solve_dual_from_basis(&m2, &ws).unwrap_err();
         assert_eq!(err, LpError::Infeasible);
+
+        // A bound edit instead of a row edit: x ≥ 4 once held with x basic
+        // at 4; with x ≤ 2 no point is left.
+        let mut m3 = Model::minimize();
+        let x = m3.add_var("x", 0.0, 10.0, 1.0);
+        m3.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
+        let ws = m3.solve().unwrap().warm_start().unwrap().clone();
+        let mut m4 = Model::minimize();
+        let x = m4.add_var("x", 0.0, 2.0, 1.0);
+        m4.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
+        assert_eq!(
+            solve_dual_from_basis(&m4, &ws).unwrap_err(),
+            LpError::Infeasible
+        );
     }
 
     #[test]
@@ -850,6 +1015,26 @@ mod tests {
         assert_eq!(dual_sol.stats().dual_pivots, 0);
         // Two primal bound-flip iterations, nothing structural.
         assert!(dual_sol.stats().iterations <= 2);
+
+        // Jittered costs on the textbook LP keep its basis primal
+        // feasible: the finisher alone re-optimizes, in no more pivots
+        // than a cold solve.
+        let (_, ws) = textbook();
+        let mut m3 = Model::new(Sense::Maximize);
+        let x = m3.add_var("x", 0.0, 10.0, 3.4);
+        let y = m3.add_var("y", 0.0, 10.0, 1.9);
+        let c0 = m3.add_constraint([(x, 1.0)], Cmp::Le, 4.0);
+        let c1 = m3.add_constraint([(y, 2.0)], Cmp::Le, 12.0);
+        let c2 = m3.add_constraint([(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
+        m3.name_constraint(c0, "c0");
+        m3.name_constraint(c1, "c1");
+        m3.name_constraint(c2, "c2");
+        let cold = m3.solve().unwrap();
+        let warm = solve_dual_from_basis(&m3, &ws).unwrap();
+        assert_eq!(warm.stats().warm, WarmOutcome::Dual);
+        assert_eq!(warm.stats().dual_pivots, 0);
+        assert_close(warm.objective(), cold.objective());
+        assert!(warm.iterations() <= cold.iterations());
     }
 
     #[test]
@@ -907,5 +1092,65 @@ mod tests {
             }
         }
         assert!(checked > 10, "only {checked} dual re-solves succeeded");
+    }
+
+    #[test]
+    fn finisher_sees_the_model_costs_bit_for_bit() {
+        // Cost edits leave nonbasic structurals wrong-signed under the
+        // carried basis's duals. Each is shifted for the walk and must get
+        // the model's own cost back exactly: `(c − d) + d` need not be `c`.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (nv, nc) = (8, 3);
+        let mut shifted_structurals = 0usize;
+        for _case in 0..20 {
+            let coeffs: Vec<f64> = (0..nc * nv).map(|_| 0.3 + rng()).collect();
+            let rhs: Vec<f64> = (0..nc).map(|_| 1.0 + rng()).collect();
+            let build = |costs: &[f64]| {
+                let mut m = Model::minimize();
+                let vars: Vec<_> = (0..nv)
+                    .map(|j| m.add_var(format!("v{j}"), 0.0, 1.0, costs[j]))
+                    .collect();
+                for i in 0..nc {
+                    let terms: Vec<_> = (0..nv).map(|j| (vars[j], coeffs[i * nv + j])).collect();
+                    let c = m.add_constraint(terms, Cmp::Ge, rhs[i]);
+                    m.name_constraint(c, format!("r{i}"));
+                }
+                m
+            };
+            let costs: Vec<f64> = (0..nv).map(|_| 0.5 + rng()).collect();
+            let Ok(sol) = build(&costs).solve() else {
+                continue;
+            };
+            let ws = sol.warm_start().unwrap().clone();
+            let edited: Vec<f64> = costs.iter().map(|c| c - 0.6 * rng()).collect();
+            let m = build(&edited);
+            let sf = StandardForm::from_model(&m);
+            let opts = RevisedOptions::default();
+            let mut w = Worker::new(&sf, &opts);
+            w.ensure_csr();
+            let states = match_warm_states(&m, &sf, &ws).unwrap();
+            assert!(seed_basis(&mut w, &states).is_ok());
+            w.set_phase2_costs();
+            let y = w.current_duals();
+            shifted_structurals += (0..sf.n_structural)
+                .filter(|&j| w.state[j] == VarState::AtLower && w.reduced_cost(&y, j) < -opts.tol)
+                .count();
+            if shifted_dual_solve(&mut w).is_err() {
+                continue;
+            }
+            let costs: Vec<u64> = w.costs[..w.n_real].iter().map(|c| c.to_bits()).collect();
+            let model: Vec<u64> = sf.c.iter().map(|c| c.to_bits()).collect();
+            assert_eq!(costs, model);
+        }
+        assert!(
+            shifted_structurals > 10,
+            "only {shifted_structurals} shifts"
+        );
     }
 }

@@ -28,7 +28,7 @@ pub enum LpError {
     SingularBasis,
     /// The dual simplex declined the warm basis mid-walk (flip thrash over
     /// cost-shifted columns, or a singular pivot). Not a property of the
-    /// model — the caller should fall back to the primal solver.
+    /// model — the caller should fall back to a cold solve.
     DualDeclined(DeclinedBasis),
 }
 

@@ -7,20 +7,22 @@
 //! (thousands of rows, tens of thousands of sparse columns, all variables
 //! boxed into `[0, 1]`).
 //!
-//! Two solvers are provided:
+//! Three solvers are provided:
 //!
-//! * [`revised::RevisedSimplex`] — the production solver: a two-phase,
+//! * [`revised::RevisedSimplex`] — the production cold solver: a two-phase,
 //!   bounded-variable revised primal simplex with a Markowitz-ordered
 //!   sparse-LU factorization of the basis ([`slu::SparseLu`]), sparse
 //!   product-form (eta-file) updates between refactorizations, devex
-//!   pricing over a partial-pricing window (Dantzig available), a Bland
-//!   anti-cycling fallback, and warm starting from a prior basis
-//!   ([`basis::WarmStart`]) for the epoch-loop resolve-the-same-LP-again
-//!   workload.
+//!   pricing over a partial-pricing window (Dantzig available), and a
+//!   Bland anti-cycling fallback.
+//! * [`dual::solve_dual_with_options`] — the bounded dual simplex on the
+//!   same machinery, and the only solver that accepts a prior basis
+//!   ([`basis::WarmStart`]): the epoch loop's resolve-the-same-LP-again
+//!   workload, and cold solves from the slack basis.
 //! * [`dense::DenseSimplex`] — a textbook two-phase tableau simplex used as a
 //!   cross-checking oracle in tests and for very small models.
 //!
-//! Both consume the same [`model::Model`] builder and return the same
+//! All consume the same [`model::Model`] builder and return the same
 //! [`solution::Solution`].
 //!
 //! ```

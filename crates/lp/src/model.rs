@@ -180,9 +180,10 @@ impl Model {
     /// point for delayed column generation — after a restricted master has
     /// been built and solved, columns that price out (see
     /// [`crate::pricing`]) are appended here and the model re-solved from
-    /// the incumbent basis via [`Model::solve_warm`]; the new column is
-    /// unknown to the saved basis and therefore starts nonbasic at a bound,
-    /// exactly the state a freshly priced-in column should have.
+    /// the incumbent basis via [`crate::dual::solve_dual_from_basis`]; the
+    /// new column is unknown to the saved basis and therefore starts
+    /// nonbasic at a bound, exactly the state a freshly priced-in column
+    /// should have.
     ///
     /// Rows not mentioned get a zero coefficient. Mentioning the same row
     /// twice sums the coefficients (the same convention as duplicate terms
@@ -427,15 +428,6 @@ impl Model {
         crate::revised::RevisedSimplex::default().solve(self)
     }
 
-    /// Solve with the production solver, seeding the simplex from a prior
-    /// basis. `None` (or an empty / unusable warm start) behaves exactly
-    /// like [`Model::solve`]; the warm start can only change the pivot
-    /// path, never the optimum. The returned solution carries its own
-    /// basis via [`Solution::warm_start`] for chaining.
-    pub fn solve_warm(&self, warm: Option<&crate::basis::WarmStart>) -> Result<Solution, LpError> {
-        crate::revised::RevisedSimplex::default().solve_with_warm_start(self, warm)
-    }
-
     /// Solve with the dense tableau oracle (small models only).
     pub fn solve_dense(&self) -> Result<Solution, LpError> {
         crate::dense::DenseSimplex::default().solve(self)
@@ -662,7 +654,7 @@ mod tests {
 
     #[test]
     fn add_column_then_warm_resolve_matches_cold() {
-        // The appended column must survive a warm re-solve from the
+        // The appended column must survive a dual re-solve from the
         // incumbent basis (it starts nonbasic at its lower bound).
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, 10.0, 2.0);
@@ -673,7 +665,8 @@ mod tests {
         let sol = m.solve().unwrap();
         let basis = sol.warm_start().cloned().unwrap();
         m.add_keyed_column(name_key("y"), 0.0, 10.0, 1.0, [(r0, 1.0), (r1, 1.0)]);
-        let warm = m.solve_warm(Some(&basis)).unwrap();
+        let warm = crate::dual::solve_dual_from_basis(&m, &basis).unwrap();
+        assert_eq!(warm.stats().warm, crate::basis::WarmOutcome::Dual);
         let cold = m.solve().unwrap();
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
         assert!((warm.objective() - 4.0).abs() < 1e-6);

@@ -147,7 +147,8 @@ mod tests {
     #[test]
     fn appending_priced_out_column_reaches_full_optimum() {
         // The full colgen contract in miniature: solve restricted, price,
-        // append, re-solve warm, price again → nothing left, objective
+        // append, re-solve by the dual from the incumbent basis, price
+        // again → nothing left, objective
         // matches the from-scratch full model.
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, 10.0, 2.0);
@@ -159,7 +160,8 @@ mod tests {
         assert!(pricer.prices_out(1.0, &cand));
         let basis = sol.warm_start().cloned().unwrap();
         m.add_keyed_column(crate::name_key("z"), 0.0, 10.0, 1.0, cand);
-        let sol2 = m.solve_warm(Some(&basis)).unwrap();
+        let sol2 = crate::dual::solve_dual_from_basis(&m, &basis).unwrap();
+        assert_eq!(sol2.stats().warm, crate::WarmOutcome::Dual);
         assert!((sol2.objective() - 4.0).abs() < 1e-6);
         let pricer2 = ColumnPricer::new(&m, &sol2).unwrap();
         assert!(!pricer2.prices_out(1.0, &cand), "column already in master");

@@ -23,16 +23,14 @@
 //!   iteration. After a run of degenerate pivots the solver switches to
 //!   Bland's rule, which guarantees termination, and switches back once the
 //!   objective moves again.
-//! * **Warm starts.** [`RevisedSimplex::solve_with_warm_start`] seeds the
-//!   basis from a keyed [`WarmStart`] snapshot (produced by every solve).
-//!   A basis that is still primal feasible skips phase 1 entirely; a basis
-//!   broken by model edits is repaired with per-row artificials and a short
-//!   phase 1; anything unusable falls back to a cold solve. The warm start
-//!   can change the pivot path but never the optimum.
+//! * **Cold only.** This solver always starts from its crash basis. A
+//!   carried basis goes to the bounded dual simplex ([`crate::dual`]),
+//!   which reuses this module's `Worker` — factorization, eta file,
+//!   FTRAN/BTRAN and phase 2 — as its machinery and primal finisher.
 
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
-use crate::basis::{BasisStatus, WarmOutcome, WarmStart};
+use crate::basis::{BasisStatus, WarmStart};
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
 use crate::slu::SparseLu;
@@ -111,84 +109,21 @@ impl RevisedSimplex {
         RevisedSimplex { options }
     }
 
-    /// Solve `model` to proven optimality (or a definitive error).
+    /// Solve `model` to proven optimality (or a definitive error), cold
+    /// from the crash basis.
     pub fn solve(&self, model: &Model) -> Result<Solution, LpError> {
-        self.solve_with_warm_start(model, None)
-    }
-
-    /// Solve `model`, optionally seeding the simplex from a prior basis.
-    ///
-    /// The warm start is matched to the model by variable key and row key
-    /// (see [`WarmStart`]); unmatched columns get their cold-start
-    /// placement. Three things can happen, reported in
-    /// [`SolveStats::warm`]:
-    ///
-    /// * the seeded basis is primal feasible → phase 1 is skipped,
-    /// * it violates some bounds (model edits) → violating basics are
-    ///   swapped for per-row artificials and a short phase 1 repairs them,
-    /// * it is unusable (singular, wrong shape) → full cold solve.
-    ///
-    /// The optimum is identical in all three cases; only the pivot path
-    /// changes.
-    pub fn solve_with_warm_start(
-        &self,
-        model: &Model,
-        warm: Option<&WarmStart>,
-    ) -> Result<Solution, LpError> {
         model.validate()?;
         let t0 = crate::clock::Stopwatch::start();
         let sf = StandardForm::from_model(model);
-        let warm_states = warm
-            .filter(|ws| !ws.is_empty())
-            .and_then(|ws| resolve_warm_states(model, &sf, ws));
-
         let mut w = Worker::new(&sf, &self.options);
-        let mut outcome = WarmOutcome::Cold;
-        if let Some(states) = &warm_states {
-            match w.init_warm_basis(states) {
-                WarmInit::Feasible => outcome = WarmOutcome::Warm,
-                WarmInit::Repaired => outcome = WarmOutcome::WarmRepaired,
-                WarmInit::Failed => {
-                    // Anything left over from the attempt (partial basis,
-                    // repair artificials) is untrustworthy: start fresh.
-                    w = Worker::new(&sf, &self.options);
-                }
-            }
-        }
-        if outcome == WarmOutcome::Cold {
-            w.init_basis();
-            w.refactor()?;
-        } else if outcome == WarmOutcome::WarmRepaired {
-            // A repaired basis is usually a handful of pivots from
-            // feasibility, but a bad repair can strand phase 1 on a
-            // degenerate plateau the cold crash basis would never visit.
-            // Budget the probe; if it runs out, restart cold below so the
-            // worst case is a bounded prefix of phase 1 plus one cold solve.
-            w.iteration_budget = Some((sf.nrows() / 2).max(256));
-        }
+        w.init_basis();
+        w.refactor()?;
 
-        // Phase 1: minimize total artificial mass. A feasible warm basis
-        // has no artificials and skips this entirely; a repaired one only
-        // carries artificials for the rows broken by model edits.
+        // Phase 1: minimize total artificial mass. A crash basis whose
+        // slacks absorb every row residual has no artificials and skips it.
         if w.has_artificials() {
             w.set_phase1_costs();
-            match w.run() {
-                Err(LpError::IterationLimit { .. }) if w.iteration_budget.is_some() => {
-                    // Repaired warm start blew its budget: abandon it, but
-                    // keep the wasted pivots on the books so the stats stay
-                    // honest about what the warm attempt really cost.
-                    let wasted = w.iterations;
-                    outcome = WarmOutcome::Cold;
-                    w = Worker::new(&sf, &self.options);
-                    w.iterations = wasted;
-                    w.init_basis();
-                    w.refactor()?;
-                    w.set_phase1_costs();
-                    w.run()?;
-                }
-                r => r?,
-            }
-            w.iteration_budget = None;
+            w.run()?;
             // Per-row relative residual check: an artificial's value is the
             // residual of *its own* row, so compare it against that row's
             // scale — a global max-|b| scale would let large capacity rows
@@ -212,7 +147,6 @@ impl RevisedSimplex {
             phase1_iterations: w.phase1_iterations,
             refactors: w.refactors,
             ftran_nnz: w.ftran_nnz,
-            warm: outcome,
             solve_ms: t0.elapsed_ms(),
             ..SolveStats::default()
         };
@@ -223,31 +157,6 @@ impl RevisedSimplex {
                 .with_warm_start(next_warm),
         )
     }
-}
-
-/// Map a warm start's keyed statuses onto this model's standard-form
-/// columns. Returns `None` when not a single status matched (treat as
-/// cold — the warm start is for a different model).
-pub(crate) fn resolve_warm_states(
-    model: &Model,
-    sf: &StandardForm,
-    ws: &WarmStart,
-) -> Option<Vec<Option<BasisStatus>>> {
-    let mut states: Vec<Option<BasisStatus>> = vec![None; sf.ncols()];
-    let mut matched = 0usize;
-    for j in 0..sf.n_structural {
-        if let Some(st) = ws.var(model.var_key(VarId(j))) {
-            states[j] = Some(st);
-            matched += 1;
-        }
-    }
-    for i in 0..sf.nrows() {
-        if let Some(st) = ws.row(model.constraint_key(ConstraintId(i))) {
-            states[sf.n_structural + i] = Some(st);
-            matched += 1;
-        }
-    }
-    (matched > 0).then_some(states)
 }
 
 /// Snapshot the final basis as a key-indexed warm start for the next solve.
@@ -279,17 +188,6 @@ pub(crate) enum VarState {
     AtUpper,
     /// Nonbasic with both bounds infinite; rests at zero.
     Free,
-}
-
-/// Outcome of seeding the worker from a warm basis.
-enum WarmInit {
-    /// Basis factorized and primal feasible: go straight to phase 2.
-    Feasible,
-    /// Basis factorized after swapping violating basics for artificials:
-    /// needs a (short) phase 1.
-    Repaired,
-    /// Unusable; caller must rebuild the worker and cold-start.
-    Failed,
 }
 
 /// One product-form update: `B_new = B_old · E` where `E` is the identity
@@ -345,11 +243,6 @@ pub(crate) struct Worker<'a> {
     in_phase1: bool,
     /// Rotating start offset for partial pricing.
     price_cursor: usize,
-    /// Extra pivot cap for the current phase (on top of
-    /// `opts.max_iterations`). Set while probing a repaired warm basis so a
-    /// pathological repair can never cost more than a bounded prefix of
-    /// phase 1 before the caller falls back to a cold start.
-    pub(crate) iteration_budget: Option<usize>,
 }
 
 impl<'a> Worker<'a> {
@@ -387,7 +280,6 @@ impl<'a> Worker<'a> {
             bland: false,
             in_phase1: false,
             price_cursor: 0,
-            iteration_budget: None,
         }
     }
 
@@ -410,16 +302,6 @@ impl<'a> Worker<'a> {
 
     fn has_artificials(&self) -> bool {
         !self.art_cols.is_empty()
-    }
-
-    /// How much of the basis a warm-start repair may touch before the
-    /// attempt is abandoned. Every repaired slot demotes a basic to an
-    /// arbitrary bound and spends a phase-1 artificial on its row, so past
-    /// a modest share of the rows the repaired point is *worse* than the
-    /// cold crash basis; measured on the epoch workload the crossover sits
-    /// near an eighth of the rows.
-    pub(crate) fn repair_limit(&self) -> usize {
-        (self.m() / 8).max(8)
     }
 
     /// Visit the nonzero entries of a column (handles artificial columns,
@@ -534,245 +416,6 @@ impl<'a> Worker<'a> {
         self.x.push(0.0);
         self.devex_w.push(1.0);
         col
-    }
-
-    /// Seed the basis from key-resolved warm statuses. Never fails the
-    /// solve: any inconsistency degrades to [`WarmInit::Failed`] and the
-    /// caller cold-starts.
-    fn init_warm_basis(&mut self, states: &[Option<BasisStatus>]) -> WarmInit {
-        let m = self.m();
-        let n_struct = self.sf.n_structural;
-
-        // Nonbasic placement + basic candidates.
-        let mut basics: Vec<usize> = Vec::new();
-        for j in 0..self.n_real {
-            if states[j] == Some(BasisStatus::Basic) {
-                basics.push(j);
-            } else {
-                self.place_nonbasic(j, states[j]);
-            }
-        }
-        // Over-full basis (key collisions, model edits): demote the
-        // highest-index extras — those are slacks / late-added columns,
-        // the cheapest to re-derive.
-        while basics.len() > m {
-            let j = basics.pop().expect("non-empty");
-            self.place_nonbasic(j, None);
-        }
-        // Fail fast when model edits wiped out a sizeable share of the
-        // basis: missing slots get completed with guessed slacks that
-        // mostly come straight back as repairs, so far past the repair
-        // limit the attempt is already doomed — bail before spending a
-        // factorization (and possibly a rank sweep) on it. The factor of
-        // two is headroom for the completions that do land feasible.
-        if m - basics.len() > 2 * self.repair_limit() {
-            return WarmInit::Failed;
-        }
-        // Under-full: complete with slacks of uncovered rows (every row has
-        // one, so this always reaches m).
-        if basics.len() < m {
-            let mut in_basis = vec![false; self.n_real];
-            for &j in &basics {
-                in_basis[j] = true;
-            }
-            for i in 0..m {
-                if basics.len() == m {
-                    break;
-                }
-                let s = n_struct + i;
-                if !in_basis[s] {
-                    in_basis[s] = true;
-                    basics.push(s);
-                }
-            }
-        }
-        if basics.len() != m {
-            return WarmInit::Failed;
-        }
-        basics.sort_unstable();
-        for &j in &basics {
-            self.state[j] = VarState::Basic;
-        }
-        self.basis = basics;
-        let mut repaired = false;
-        if self.refactor().is_err() {
-            // Model edits can leave the key-matched columns rank-deficient
-            // (a job's avail set changed, a column vanished). Swap the
-            // dependent ones for slacks of the rows they fail to cover and
-            // retry once before giving up.
-            if !self.prune_dependent_basics(self.repair_limit()) || self.refactor().is_err() {
-                return WarmInit::Failed;
-            }
-            repaired = true;
-        }
-
-        // Repair loop: basics pushed out of their bounds by model edits are
-        // demoted to the violated bound and replaced by an artificial unit
-        // column on their pivot row (which keeps the basis nonsingular).
-        // Artificials that come out negative get their sign flipped — that
-        // negates exactly their own basic value and nothing else. A few
-        // rounds suffice in practice; anything that still violates after
-        // that is handed back as Failed.
-        for round in 0..4 {
-            let mut flipped = false;
-            for k in 0..self.art_cols.len() {
-                let j = self.art_cols[k];
-                if self.x[j] < -self.opts.tol {
-                    let row = self.art_row[k];
-                    self.art_sign[row] = -self.art_sign[row];
-                    flipped = true;
-                }
-            }
-            if flipped && !self.refactor_or_prune() {
-                return WarmInit::Failed;
-            }
-
-            let mut violators: Vec<usize> = Vec::new();
-            for p in 0..m {
-                let j = self.basis[p];
-                let v = self.x[j];
-                let below = self.lb[j].is_finite()
-                    && v < self.lb[j] - self.opts.tol * (1.0 + self.lb[j].abs());
-                let above = self.ub[j].is_finite()
-                    && v > self.ub[j] + self.opts.tol * (1.0 + self.ub[j].abs());
-                if below || above {
-                    violators.push(p);
-                }
-            }
-            if violators.is_empty() {
-                return if repaired {
-                    WarmInit::Repaired
-                } else {
-                    WarmInit::Feasible
-                };
-            }
-            if round == 3 {
-                break;
-            }
-            // Cold-fallback condition: a repair that would touch more than
-            // the limit's share of the basis starts phase 1 from a *worse*
-            // point than the cold crash basis — hand back Failed and let
-            // the caller cold-start.
-            if self.art_cols.len() + violators.len() > self.repair_limit() {
-                return WarmInit::Failed;
-            }
-            for &p in &violators {
-                let out = self.basis[p];
-                if out >= self.n_real {
-                    // An artificial out of bounds even after sign flips:
-                    // numerics are off, don't fight them.
-                    return WarmInit::Failed;
-                }
-                let row = self.factor.as_ref().expect("factorized").pivot_row(p);
-                if self.art_sign[row] != 0.0 {
-                    return WarmInit::Failed;
-                }
-                let (st, v) = if self.x[out] < self.lb[out] {
-                    (VarState::AtLower, self.lb[out])
-                } else {
-                    (VarState::AtUpper, self.ub[out])
-                };
-                self.state[out] = st;
-                self.x[out] = v;
-                let col = self.push_artificial(row, 1.0);
-                self.basis[p] = col;
-                repaired = true;
-            }
-            // A unit swap on the factorization's pivot row is almost always
-            // nonsingular, but later columns' elimination ran through the
-            // replaced one, so it isn't guaranteed — degrade through the
-            // rank repair before abandoning the warm start.
-            if !self.refactor_or_prune() {
-                return WarmInit::Failed;
-            }
-        }
-        WarmInit::Failed
-    }
-
-    /// Refactorize, and on singularity retry once after swapping the
-    /// dependent columns for slacks (see [`Self::prune_dependent_basics`]).
-    pub(crate) fn refactor_or_prune(&mut self) -> bool {
-        self.refactor().is_ok()
-            || (self.prune_dependent_basics(self.repair_limit()) && self.refactor().is_ok())
-    }
-
-    /// The seeded warm basis failed to factorize: some key-matched columns
-    /// no longer span the row space. Identify a maximal independent subset
-    /// with a dense rank-revealing elimination and replace each dependent
-    /// column with the slack of a row the independent set leaves uncovered
-    /// (slacks are unit columns, so the result is structurally nonsingular).
-    /// Runs only on the factorization-failure path, so the O(m³) dense sweep
-    /// never touches a healthy solve. Returns `false` when no full basis can
-    /// be assembled (caller cold-starts).
-    fn prune_dependent_basics(&mut self, limit: usize) -> bool {
-        let m = self.m();
-        let n_struct = self.sf.n_structural;
-        // Dense copy of the seeded basis columns, a[r * m + p].
-        let mut a = vec![0.0; m * m];
-        for (p, &j) in self.basis.iter().enumerate() {
-            self.for_col(j, |r, v| a[r * m + p] = v);
-        }
-        let mut row_used = vec![false; m];
-        let mut dependent: Vec<usize> = Vec::new();
-        for p in 0..m {
-            let mut best = self.opts.pivot_tol;
-            let mut best_row = usize::MAX;
-            for (r, used) in row_used.iter().enumerate() {
-                if !used && a[r * m + p].abs() > best {
-                    best = a[r * m + p].abs();
-                    best_row = r;
-                }
-            }
-            if best_row == usize::MAX {
-                dependent.push(p);
-                if dependent.len() > limit {
-                    // More dependent columns than the repair loop would
-                    // ever accept as violators: the attempt is doomed, so
-                    // stop the O(m³) sweep here.
-                    return false;
-                }
-                continue;
-            }
-            row_used[best_row] = true;
-            // Eliminate the pivot row from later columns. Earlier pivot rows
-            // are already zero in column p, so skipping used rows is exact.
-            let piv = a[best_row * m + p];
-            for q in (p + 1)..m {
-                let f = a[best_row * m + q] / piv;
-                if f == 0.0 {
-                    continue;
-                }
-                for (r, used) in row_used.iter().enumerate() {
-                    if !used {
-                        a[r * m + q] -= f * a[r * m + p];
-                    }
-                }
-            }
-        }
-        if dependent.is_empty() {
-            // Full rank by this sweep yet LU refused: numerical trouble the
-            // warm path should not fight.
-            return false;
-        }
-        let mut is_basic = vec![false; self.ncols()];
-        for &j in &self.basis {
-            is_basic[j] = true;
-        }
-        let mut unused: Vec<usize> = (0..m).filter(|&r| !row_used[r]).collect();
-        for &p in &dependent {
-            let Some(pos) = unused.iter().position(|&r| !is_basic[n_struct + r]) else {
-                return false;
-            };
-            let r = unused.swap_remove(pos);
-            let out = self.basis[p];
-            is_basic[out] = false;
-            self.place_nonbasic(out, None);
-            let s = n_struct + r;
-            is_basic[s] = true;
-            self.state[s] = VarState::Basic;
-            self.basis[p] = s;
-        }
-        true
     }
 
     fn set_phase1_costs(&mut self) {
@@ -1157,10 +800,7 @@ impl<'a> Worker<'a> {
         let mut tol = self.opts.tol;
         let mut checked = false;
         loop {
-            let cap = self.iteration_budget.map_or(self.opts.max_iterations, |b| {
-                b.min(self.opts.max_iterations)
-            });
-            if self.iterations >= cap {
+            if self.iterations >= self.opts.max_iterations {
                 return Err(LpError::IterationLimit {
                     iterations: self.iterations,
                 });
@@ -1322,7 +962,6 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::{name_key, positional_row_key};
     use crate::model::{Cmp, Model, Sense};
 
     fn assert_close(a: f64, b: f64) {
@@ -1699,158 +1338,6 @@ mod tests {
                 dantzig.objective()
             );
         }
-    }
-
-    #[test]
-    fn warm_restart_of_same_model_skips_phase1() {
-        // An equality-constrained model needs phase 1 when cold; re-solving
-        // from its own optimal basis must not.
-        let mut m = Model::minimize();
-        let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 2.0);
-        m.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Eq, 10.0);
-        m.add_constraint([(x, 1.0), (y, -1.0)], Cmp::Eq, 2.0);
-        let cold = m.solve().unwrap();
-        assert!(cold.stats().phase1_iterations > 0);
-        assert_eq!(cold.stats().warm, WarmOutcome::Cold);
-
-        let warm = m.solve_warm(cold.warm_start()).unwrap();
-        assert_eq!(warm.stats().warm, WarmOutcome::Warm);
-        assert_eq!(warm.stats().phase1_iterations, 0);
-        assert_close(warm.objective(), cold.objective());
-        // Optimal basis stays optimal: zero pivots needed.
-        assert_eq!(warm.iterations(), 0);
-    }
-
-    #[test]
-    fn warm_start_with_jittered_costs_matches_cold() {
-        let base = random_model(77, 30, 18);
-        let first = base.solve().unwrap();
-        // Cost-only perturbations keep the basis primal feasible, so the
-        // warm path must engage (feasibility doesn't depend on costs).
-        let mut jittered = Model::minimize();
-        for v in base.var_ids() {
-            let (lb, ub) = base.var_bounds(v);
-            jittered.add_var(
-                base.var_name(v).to_string(),
-                lb,
-                ub,
-                base.var_obj(v) + 0.013 * ((v.index() as f64) * 1.7).sin(),
-            );
-        }
-        for c in base.constraint_ids() {
-            let terms: Vec<_> = base.constraint_terms(c).collect();
-            jittered.add_constraint(terms, base.constraint_cmp(c), base.constraint_rhs(c));
-        }
-        let cold = jittered.solve().unwrap();
-        let warm = jittered.solve_warm(first.warm_start()).unwrap();
-        assert_eq!(warm.stats().warm, WarmOutcome::Warm);
-        let scale = 1.0 + cold.objective().abs();
-        assert!(
-            (warm.objective() - cold.objective()).abs() / scale < 1e-7,
-            "{} vs {}",
-            warm.objective(),
-            cold.objective()
-        );
-        assert!(warm.iterations() <= cold.iterations());
-    }
-
-    #[test]
-    fn warm_start_survives_added_and_removed_rows() {
-        // Named rows let the warm start follow the surviving constraints
-        // even when the row order shifts.
-        let mut base = Model::minimize();
-        let x = base.add_var("x", 0.0, 10.0, 1.0);
-        let y = base.add_var("y", 0.0, 10.0, 2.0);
-        let c0 = base.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
-        let c1 = base.add_constraint([(x, 1.0), (y, 3.0)], Cmp::Ge, 6.0);
-        base.name_constraint(c0, "sum");
-        base.name_constraint(c1, "weighted");
-        let first = base.solve().unwrap();
-
-        // Drop "weighted", add a fresh row, keep "sum" — in a new order.
-        let mut edited = Model::minimize();
-        let x = edited.add_var("x", 0.0, 10.0, 1.0);
-        let y = edited.add_var("y", 0.0, 10.0, 2.0);
-        let z = edited.add_var("z", 0.0, 5.0, 0.5);
-        let cnew = edited.add_constraint([(y, 1.0), (z, 1.0)], Cmp::Ge, 1.0);
-        let csum = edited.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
-        edited.name_constraint(cnew, "fresh");
-        edited.name_constraint(csum, "sum");
-
-        let cold = edited.solve().unwrap();
-        let warm = edited.solve_warm(first.warm_start()).unwrap();
-        let scale = 1.0 + cold.objective().abs();
-        assert!(
-            (warm.objective() - cold.objective()).abs() / scale < 1e-7,
-            "{} vs {}",
-            warm.objective(),
-            cold.objective()
-        );
-        assert!(edited.is_feasible(warm.values(), 1e-6));
-    }
-
-    #[test]
-    fn warm_start_garbage_falls_back_to_cold() {
-        let mut m = Model::minimize();
-        let x = m.add_var("x", 0.0, f64::INFINITY, 2.0);
-        let y = m.add_var("y", 0.0, f64::INFINITY, 3.0);
-        m.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
-
-        // Statuses for a completely different model: nothing matches.
-        let mut alien = WarmStart::new();
-        alien.set_var(name_key("a"), BasisStatus::Basic);
-        alien.set_var(name_key("b"), BasisStatus::AtUpper);
-        let sol = m.solve_warm(Some(&alien)).unwrap();
-        assert_eq!(sol.stats().warm, WarmOutcome::Cold);
-        assert_close(sol.objective(), 8.0);
-
-        // Everything claims to be basic: must trim and still solve right.
-        let mut all_basic = WarmStart::new();
-        all_basic.set_var(name_key("x"), BasisStatus::Basic);
-        all_basic.set_var(name_key("y"), BasisStatus::Basic);
-        all_basic.set_row(positional_row_key(0), BasisStatus::Basic);
-        let sol = m.solve_warm(Some(&all_basic)).unwrap();
-        assert_close(sol.objective(), 8.0);
-    }
-
-    #[test]
-    fn warm_start_repairs_bound_violations() {
-        // Optimal basis for rhs=4 puts x basic at 4; tightening x's upper
-        // bound to 3 breaks that basis and must trigger the repair path
-        // (or at minimum still reach the new optimum).
-        let mut base = Model::minimize();
-        let x = base.add_var("x", 0.0, 10.0, 1.0);
-        let y = base.add_var("y", 0.0, 10.0, 2.0);
-        base.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
-        let first = base.solve().unwrap();
-        assert_close(first.objective(), 4.0); // x=4, y=0
-
-        let mut tight = Model::minimize();
-        let x = tight.add_var("x", 0.0, 3.0, 1.0);
-        let y = tight.add_var("y", 0.0, 10.0, 2.0);
-        tight.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
-        let warm = tight.solve_warm(first.warm_start()).unwrap();
-        assert_close(warm.objective(), 5.0); // x=3, y=1
-        assert!(tight.is_feasible(warm.values(), 1e-7));
-        assert_ne!(warm.stats().warm, WarmOutcome::Cold);
-        let _ = (x, y);
-    }
-
-    #[test]
-    fn warm_start_detects_infeasible_after_edit() {
-        let mut base = Model::minimize();
-        let x = base.add_var("x", 0.0, 10.0, 1.0);
-        base.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
-        let first = base.solve().unwrap();
-
-        let mut broken = Model::minimize();
-        let x = broken.add_var("x", 0.0, 2.0, 1.0);
-        broken.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
-        assert_eq!(
-            broken.solve_warm(first.warm_start()).unwrap_err(),
-            LpError::Infeasible
-        );
     }
 
     #[test]

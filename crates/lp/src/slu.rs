@@ -43,8 +43,6 @@ pub struct SparseLu {
     prow: Vec<usize>,
     /// `pcol[k]` = basis *position* (column index) pivoted at step `k`.
     pcol: Vec<usize>,
-    /// `row_of_pos[p]` = pivot row assigned to basis position `p`.
-    row_of_pos: Vec<usize>,
     /// Step `k`'s L multipliers live at `lptr[k]..lptr[k+1]` in
     /// `lrow`/`lval`; applying the step does `v[lrow[e]] -= lval[e] * t`.
     lptr: Vec<usize>,
@@ -75,7 +73,6 @@ impl SparseLu {
             m,
             prow: Vec::with_capacity(m),
             pcol: Vec::with_capacity(m),
-            row_of_pos: vec![usize::MAX; m],
             lptr: vec![0],
             lrow: Vec::new(),
             lval: Vec::new(),
@@ -148,7 +145,6 @@ impl SparseLu {
             let k = lu.prow.len();
             lu.prow.push(pr);
             lu.pcol.push(pc);
-            lu.row_of_pos[pc] = pr;
             lu.udiag.push(pv);
 
             // --- build L multipliers from the pivot column ---------------
@@ -247,13 +243,6 @@ impl SparseLu {
     /// Stored nonzeros in `L` and `U` (fill-in diagnostic).
     pub fn nnz(&self) -> usize {
         self.nnz
-    }
-
-    /// The pivot row assigned to basis position `pos` (used by warm-start
-    /// basis repair to know which row a replacement unit column must
-    /// cover).
-    pub fn pivot_row(&self, pos: usize) -> usize {
-        self.row_of_pos[pos]
     }
 
     /// Solve `B x = v` in place. On entry `v` is indexed by *row*; on exit
@@ -406,19 +395,6 @@ mod tests {
             SparseLu::factorize(2, &mut cols, 1e-9),
             Err(LpError::SingularBasis)
         ));
-    }
-
-    #[test]
-    fn pivot_rows_cover_all_rows_once() {
-        let a = [2.0, 1.0, 0.5, 0.0, 3.0, 1.0, 1.0, 0.0, 4.0];
-        let mut cols = to_sparse_cols(3, &a);
-        let lu = SparseLu::factorize(3, &mut cols, 1e-9).unwrap();
-        let mut seen = [false; 3];
-        for p in 0..3 {
-            let r = lu.pivot_row(p);
-            assert!(!seen[r]);
-            seen[r] = true;
-        }
     }
 
     #[test]

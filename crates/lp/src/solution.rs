@@ -16,8 +16,8 @@ pub enum Status {
 pub struct SolveStats {
     /// Total simplex pivots (both phases).
     pub iterations: usize,
-    /// Pivots spent in phase 1 (zero when a warm basis was already
-    /// feasible).
+    /// Pivots spent in phase 1 (always zero for the dual solver, which
+    /// needs none).
     pub phase1_iterations: usize,
     /// Basis refactorizations performed.
     pub refactors: usize,
@@ -25,7 +25,7 @@ pub struct SolveStats {
     /// pivots — the honest measure of how much linear algebra the solve
     /// did, independent of wall clock.
     pub ftran_nnz: u64,
-    /// How the solve started (cold / warm / warm-after-repair / dual).
+    /// How the solve started (cold, or dual from a carried basis).
     pub warm: WarmOutcome,
     /// Wall-clock time of the simplex itself (basis seeding through final
     /// pivot), excluding model construction and any later certification.
@@ -185,13 +185,13 @@ mod tests {
                 phase1_iterations: 1,
                 refactors: 2,
                 ftran_nnz: 42,
-                warm: WarmOutcome::Warm,
+                warm: WarmOutcome::Dual,
                 ..SolveStats::default()
             })
             .with_warm_start(ws);
         assert_eq!(s.stats().phase1_iterations, 1);
         assert_eq!(s.stats().ftran_nnz, 42);
-        assert_eq!(s.stats().warm, WarmOutcome::Warm);
+        assert_eq!(s.stats().warm, WarmOutcome::Dual);
         assert_eq!(
             s.warm_start().unwrap().var(name_key("x")),
             Some(BasisStatus::Basic)

@@ -183,17 +183,25 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             if read_fraction.is_some_and(|f| !(f > 0.0 && f <= 1.0)) {
                 return (err("read_fraction must be in (0, 1]"), false);
             }
-            let reduce = reduce_tasks.zip(shuffle_mb);
-            if reduce.is_some_and(|(rt, smb)| {
-                !((1..=MAX_TASKS_PER_JOB).contains(&rt) && smb.is_finite() && smb > 0.0)
-            }) {
-                return (
-                    err(&format!(
-                        "reduce_tasks must be in 1..={MAX_TASKS_PER_JOB}, shuffle_mb finite and > 0"
-                    )),
-                    false,
-                );
-            }
+            // A reduce spec is both fields or neither: half of one is
+            // refused, not silently dropped.
+            let reduce = match (reduce_tasks, shuffle_mb) {
+                (None, None) => None,
+                (Some(rt), Some(smb))
+                    if (1..=MAX_TASKS_PER_JOB).contains(&rt) && smb.is_finite() && smb > 0.0 =>
+                {
+                    Some((rt, smb))
+                }
+                _ => {
+                    return (
+                        err(&format!(
+                            "a reduce spec needs both reduce_tasks in 1..={MAX_TASKS_PER_JOB} \
+                             and shuffle_mb finite and > 0"
+                        )),
+                        false,
+                    )
+                }
+            };
             let id = id.unwrap_or_else(|| daemon.fresh_job_id());
             let name = name.unwrap_or_else(|| format!("job-{id}"));
             let mut spec = JobSpec::new(id, name, kind, input_mb, tasks);
@@ -342,6 +350,9 @@ mod tests {
             r#"{"cmd":"submit","input_mb":64,"read_fraction":1.5}"#,
             r#"{"cmd":"submit","input_mb":64,"tasks":4294967295}"#,
             r#"{"cmd":"submit","input_mb":64,"reduce_tasks":4294967295,"shuffle_mb":16}"#,
+            r#"{"cmd":"submit","input_mb":64,"reduce_tasks":0}"#,
+            r#"{"cmd":"submit","input_mb":64,"reduce_tasks":4294967295}"#,
+            r#"{"cmd":"submit","input_mb":64,"shuffle_mb":-5}"#,
         ] {
             let (r, stop) = handle_line(&mut d, line);
             assert!(r.contains("\"ok\":false"), "{line} -> {r}");

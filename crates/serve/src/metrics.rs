@@ -128,8 +128,8 @@ pub fn render(daemon: &Daemon) -> String {
     );
     let _ = writeln!(
         out,
-        "lips_epochs_by_rung_total{{rung=\"primal\"}} {}",
-        s.primal_epochs
+        "lips_epochs_by_rung_total{{rung=\"master\"}} {}",
+        s.master_epochs
     );
     let _ = writeln!(
         out,

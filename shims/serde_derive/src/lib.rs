@@ -40,6 +40,9 @@ struct Field {
     name: String,
     default: Option<DefaultKind>,
     is_option: bool,
+    /// Other keys the field is read from (`#[serde(alias = "...")]`),
+    /// tried in order after its own name.
+    aliases: Vec<String>,
 }
 
 #[derive(Debug)]
@@ -213,10 +216,12 @@ fn field_from_attrs(
     ty: &[TokenTree],
 ) -> Result<Field, String> {
     let mut default = None;
+    let mut aliases = Vec::new();
     for (key, value) in entries {
         match (key.as_str(), value) {
             ("default", None) => default = Some(DefaultKind::Std),
             ("default", Some(path)) => default = Some(DefaultKind::Path(path.clone())),
+            ("alias", Some(alias)) => aliases.push(alias.clone()),
             (k, _) => return Err(format!("unsupported field serde attr `{k}` on `{name}`")),
         }
     }
@@ -225,6 +230,7 @@ fn field_from_attrs(
         name,
         default,
         is_option,
+        aliases,
     })
 }
 
@@ -392,8 +398,13 @@ fn missing_field_expr(field: &Field) -> String {
 fn named_fields_construct(path: &str, fields: &[Field], map_expr: &str) -> String {
     let mut out = format!("::core::result::Result::Ok({path} {{\n");
     for f in fields {
+        let lookup: String = f
+            .aliases
+            .iter()
+            .map(|a| format!(".or_else(|| {map_expr}.get(\"{a}\"))"))
+            .collect();
         out.push_str(&format!(
-            "    {name}: match {map_expr}.get(\"{name}\") {{\n\
+            "    {name}: match {map_expr}.get(\"{name}\"){lookup} {{\n\
                      ::core::option::Option::Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
                      ::core::option::Option::None => {missing},\n\
                  }},\n",
@@ -407,7 +418,11 @@ fn named_fields_construct(path: &str, fields: &[Field], map_expr: &str) -> Strin
 
 /// Unknown-key guard over `entries` given the allowed key list.
 fn deny_unknown_guard(fields: &[Field], extra_allowed: &[&str]) -> String {
-    let mut allowed: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    let mut allowed: Vec<String> = fields
+        .iter()
+        .flat_map(|f| std::iter::once(&f.name).chain(&f.aliases))
+        .map(|k| format!("\"{k}\""))
+        .collect();
     allowed.extend(extra_allowed.iter().map(|k| format!("\"{k}\"")));
     let arms = if allowed.is_empty() {
         "\"\"".to_string()

@@ -93,7 +93,7 @@ fn twenty_epoch_fault_run_certifies_or_degrades_every_epoch() {
 
     // Rung ordering: the dual rung runs *first*, so with warm starts on it
     // absorbs the steady-state epochs — only fault-perturbed epochs whose
-    // walk is declined may fall to the primal rungs. The run summary must
+    // walk is declined may fall to the cold rungs. The run summary must
     // agree with the per-epoch records.
     let dual = count(EpochOutcome::CertifiedDual);
     assert_eq!(dual, RunSummary::from_records(records).dual_epochs);
