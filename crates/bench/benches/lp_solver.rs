@@ -66,21 +66,18 @@ fn bench_epoch_lp(c: &mut Criterion) {
 
 fn bench_epoch_sequence(c: &mut Criterion) {
     // The solve-path story end to end: a whole chained epoch sequence per
-    // iteration — the cold oracle vs the scheduler's full-model and
-    // column-generation ladders — on a mid-size cluster (the full
-    // 100-node, 20-epoch acceptance numbers come from the `lp_bench`
-    // binary).
+    // iteration — the cold oracle vs the scheduler's column-generation
+    // ladder — on a mid-size cluster (the full 100-node, 20-epoch
+    // acceptance numbers come from the `lp_bench` binary).
     let cluster = ec2_mixed_cluster(50, 0.4, 1e9, 1);
     let mut g = c.benchmark_group("epoch_sequence");
     g.sample_size(10);
     g.bench_function("cold", |b| {
         b.iter(|| black_box(run_cold(&cluster, 16, 2, 3, 8, 1).total_iterations));
     });
-    for (name, colgen) in [("full", false), ("colgen", true)] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &colgen, |b, &colgen| {
-            b.iter(|| black_box(run_epochs(&cluster, 16, 2, 3, 8, colgen, 1).total_iterations));
-        });
-    }
+    g.bench_function("colgen", |b| {
+        b.iter(|| black_box(run_epochs(&cluster, 16, 2, 3, 8, 1).total_iterations));
+    });
     g.finish();
 }
 
@@ -139,7 +136,7 @@ fn bench_refactor_interval(c: &mut Criterion) {
     g.finish();
 }
 
-/// The scheduler's two ladders re-solving through the scripted fault
+/// The scheduler's ladder re-solving through the scripted fault
 /// sequence — revocations, a store loss, a repricing, and a rejoin
 /// mid-run. This is the microbenchmark behind `lp_bench --faults`.
 fn bench_churn_resolve(c: &mut Criterion) {
@@ -147,17 +144,15 @@ fn bench_churn_resolve(c: &mut Criterion) {
     let script = FaultScript::acceptance(&cluster);
     let mut g = c.benchmark_group("churn_resolve");
     g.sample_size(10);
-    for (name, colgen) in [("full", false), ("colgen", true)] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &colgen, |b, &colgen| {
-            b.iter(|| {
-                black_box(
-                    run_epochs_faulted(&cluster, 16, 2, 3, 8, &script, 1, colgen)
-                        .run
-                        .total_iterations,
-                )
-            });
+    g.bench_function("colgen", |b| {
+        b.iter(|| {
+            black_box(
+                run_epochs_faulted(&cluster, 16, 2, 3, 8, &script, 1)
+                    .run
+                    .total_iterations,
+            )
         });
-    }
+    });
     g.finish();
 }
 

@@ -1,23 +1,20 @@
 //! Epoch-loop LP solver benchmark: 20 consecutive Fig-4 epochs on the
 //! large-cluster configuration, solved the way the scheduler solves them.
 //!
-//! Every run records three series over the same churn sequence: `cold`
-//! (each epoch's full model from scratch — the objective-parity oracle),
-//! `full` (`LipsScheduler::solve_epoch` with column generation off: dual
-//! simplex from the carried basis, then cold primal) and
-//! `colgen` (the same call with column generation on: the dual-first
-//! restricted master carrying columns and basis). The records are the
-//! scheduler's own, so the numbers are those of the path that serves an
-//! epoch.
+//! Every run records two series over the same churn sequence: `cold`
+//! (each epoch's full model from scratch — the objective-parity oracle)
+//! and `colgen` (`LipsScheduler::solve_epoch`: the dual-first restricted
+//! master carrying columns and basis). The records are the scheduler's
+//! own, so the numbers are those of the path that serves an epoch.
 //!
 //! Prints a per-epoch table and the per-series totals; with `--json`,
 //! additionally writes `BENCH_lp_epoch.json` in the current directory so
 //! the README perf table and CI gates can consume the numbers.
 //!
 //! Flags: `--json`,
-//! `--faults` (also run both scheduler series over a scripted sequence of
-//! machine revocations, a store loss, a repricing, and a rejoin:
-//! `faults` and `faults_colgen`),
+//! `--faults` (also run the scheduler over a scripted sequence of machine
+//! revocations, a store loss, a repricing, and a rejoin:
+//! `faults_colgen`),
 //! `--audit` (exit non-zero unless every epoch of every series certified),
 //! `--threads N` (worker count for model build, pricing, and
 //! certification; default 0 = `LIPS_THREADS` or the host parallelism),
@@ -47,16 +44,11 @@ struct BenchReport {
     config: String,
     /// Each epoch's full model cold: the objective-parity oracle.
     cold: EpochRun,
-    /// The scheduler's full-model ladder.
-    full: EpochRun,
-    /// The scheduler's column-generation ladder.
+    /// The scheduler's ladder.
     colgen: EpochRun,
-    /// Present only with `--faults`: the full-model ladder over the same
+    /// Present only with `--faults`: the scheduler's ladder over the same
     /// epoch sequence with scripted machine revocations, a store loss, a
     /// repricing, and a rejoin.
-    faults: Option<FaultEpochRun>,
-    /// Present only with `--faults`: the column-generation ladder over
-    /// the same fault script.
     faults_colgen: Option<FaultEpochRun>,
     /// Worker count used for every series (0 = solver default:
     /// `LIPS_THREADS` or the host parallelism).
@@ -68,12 +60,6 @@ struct BenchReport {
     /// Present only with `--scaling`: the colgen series re-run at
     /// 1/2/4/8 workers, each width checked bitwise against the serial run.
     thread_scaling: Option<Vec<ThreadScalingPoint>>,
-    /// cold ÷ full total simplex iterations (higher = carrying the basis
-    /// wins).
-    iteration_ratio: f64,
-    /// full ÷ colgen total epoch wall-time (build + solve + certify;
-    /// higher = colgen wins).
-    colgen_epoch_ms_ratio: f64,
     /// Mean active/total column share of the colgen master (the
     /// acceptance gate wants ≤ 0.5).
     colgen_active_share: f64,
@@ -114,23 +100,11 @@ fn main() {
     println!("threads: {threads} (0 = solver default), host parallelism: {host_parallelism}\n");
 
     let cold = run_cold(&cluster, jobs, churn, churn_every, epochs, threads);
-    let full = run_epochs(&cluster, jobs, churn, churn_every, epochs, false, threads);
-    let colgen = run_epochs(&cluster, jobs, churn, churn_every, epochs, true, threads);
-    let faulted = |colgen: bool| {
+    let colgen = run_epochs(&cluster, jobs, churn, churn_every, epochs, threads);
+    let faults_colgen = with_faults.then(|| {
         let script = FaultScript::acceptance(&cluster);
-        run_epochs_faulted(
-            &cluster,
-            jobs,
-            churn,
-            churn_every,
-            epochs,
-            &script,
-            threads,
-            colgen,
-        )
-    };
-    let faults = with_faults.then(|| faulted(false));
-    let faults_colgen = with_faults.then(|| faulted(true));
+        run_epochs_faulted(&cluster, jobs, churn, churn_every, epochs, &script, threads)
+    });
     let scaling = with_scaling
         .then(|| thread_scaling(&cluster, jobs, churn, churn_every, epochs, &[1, 2, 4, 8]));
 
@@ -138,57 +112,45 @@ fn main() {
         "epoch",
         "cold iters",
         "cold ms",
-        "full iters",
-        "full ms",
-        "full start",
         "cg iters",
         "cg ms",
+        "cg start",
         "cg cols",
         "cg rounds",
     ]);
-    for ((c, f), cg) in cold.epochs.iter().zip(&full.epochs).zip(&colgen.epochs) {
+    for (c, cg) in cold.epochs.iter().zip(&colgen.epochs) {
         t.row(vec![
             c.epoch.to_string(),
             c.iterations.to_string(),
             format!("{:.2}", c.epoch_ms),
-            f.iterations.to_string(),
-            format!("{:.2}", f.epoch_ms),
-            f.warm.clone(),
             cg.iterations.to_string(),
             format!("{:.2}", cg.epoch_ms),
+            cg.warm.clone(),
             format!("{}/{}", cg.active_columns, cg.total_columns),
             cg.pricing_rounds.to_string(),
         ]);
     }
     t.print();
 
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { f64::INFINITY };
     let report = BenchReport {
-        iteration_ratio: ratio(cold.total_iterations as f64, full.total_iterations as f64),
-        colgen_epoch_ms_ratio: ratio(full.total_epoch_ms, colgen.total_epoch_ms),
         colgen_active_share: colgen.active_column_share,
         config,
         cold,
-        full,
         colgen,
-        faults,
         faults_colgen,
         threads,
         host_parallelism,
         thread_scaling: scaling,
     };
     println!();
-    for run in [&report.cold, &report.full, &report.colgen] {
+    for run in [&report.cold, &report.colgen] {
         print_totals(run);
     }
     println!(
-        "speedup: {:.2}x iterations (cold/full), {:.2}x epoch wall-time (full/colgen), \
-         {:.0}% of full columns active in the colgen master",
-        report.iteration_ratio,
-        report.colgen_epoch_ms_ratio,
+        "{:.0}% of full columns active in the colgen master",
         report.colgen_active_share * 100.0
     );
-    for f in report.faults.iter().chain(&report.faults_colgen) {
+    if let Some(f) = &report.faults_colgen {
         print_fault_series(f);
     }
 
@@ -217,9 +179,8 @@ fn main() {
         .thread_scaling
         .as_ref()
         .is_none_or(|s| s.iter().all(|p| p.identical_to_serial));
-    let all_certified = [&report.cold, &report.full, &report.colgen]
+    let all_certified = [&report.cold, &report.colgen]
         .into_iter()
-        .chain(report.faults.iter().map(|f| &f.run))
         .chain(report.faults_colgen.iter().map(|f| &f.run))
         .all(|r| r.all_certified)
         && deterministic;
@@ -256,10 +217,9 @@ fn print_totals(run: &EpochRun) {
         run.active_column_share * 100.0
     );
     println!(
-        "{:>13}  rungs {} CertifiedDual / {} Certified (master) / {} CertifiedCold / {} Degraded; \
+        "{:>13}  rungs {} Certified (master) / {} CertifiedCold / {} Degraded; \
          starts {} Dual / {} Cold",
         "",
-        rungs.dual_epochs,
         rungs.master_epochs,
         rungs.cold_retry_epochs,
         rungs.degraded_epochs,

@@ -4,8 +4,8 @@
 //! Two 200-LP-epoch runs (a Poisson synthetic stream and a Google-trace
 //! shaped stream) through `lips-serve`'s daemon with closed-loop epoch
 //! tuning. The acceptance gate: every LP epoch KKT-certified, and at
-//! least 80 % of them incremental re-solves (carried colgen master +
-//! dual-rung basis reuse). Exits nonzero if either run misses the gate.
+//! least 80 % of them incremental re-solves (the carried colgen master's
+//! columns and basis reused). Exits nonzero if either run misses the gate.
 //!
 //! ```bash
 //! serve-bench            # full 200-epoch runs, writes BENCH_serve.json
@@ -24,7 +24,6 @@ fn print_run(t: &ServeTrajectory) {
         "lp_epochs",
         "certified",
         "incremental",
-        "dual",
         "master",
         "cold",
         "degraded",
@@ -36,7 +35,6 @@ fn print_run(t: &ServeTrajectory) {
         t.lp_epochs.to_string(),
         format!("{:.3}", s.solver.certified_share),
         format!("{:.3}", s.solver.incremental_share),
-        s.solver.dual_epochs.to_string(),
         s.solver.master_epochs.to_string(),
         s.solver.cold_retry_epochs.to_string(),
         s.solver.degraded_epochs.to_string(),

@@ -6,21 +6,18 @@
 //! completed last epoch), and only occasionally a departure + arrival.
 //! The sequence here mirrors that: sizes decay a few percent per epoch of
 //! a job's age, and every `churn_every` epochs `churn` jobs complete and
-//! are replaced by fresh ones. Three series solve it:
+//! are replaced by fresh ones. Two series solve it:
 //!
 //! * `cold` ([`run_cold`]) — each epoch's full model from scratch on the
 //!   primal simplex, nothing carried: the objective-parity oracle;
-//! * `full` ([`run_epochs`] with `colgen = false`) — the scheduler's
-//!   full-model ladder: dual simplex from the carried basis (else the
-//!   slack basis), then cold primal;
-//! * `colgen` ([`run_epochs`] with `colgen = true`) — the scheduler's
-//!   column-generation ladder: a dual-first restricted master carrying
-//!   the surviving columns *and* the basis across epochs.
+//! * `colgen` ([`run_epochs`]) — the scheduler's ladder: a dual-first
+//!   restricted master carrying the surviving columns *and* the basis
+//!   across epochs.
 //!
-//! The bench builds no ladder of its own: `full` and `colgen` call
+//! The bench builds no ladder of its own: `colgen` calls
 //! [`LipsScheduler::solve_epoch`], the same call that serves every epoch
-//! of a simulation or a `lips-serve` run, and read the scheduler's own
-//! [`EpochRecord`]s back. Every epoch is KKT-certified in every series
+//! of a simulation or a `lips-serve` run, and reads the scheduler's own
+//! [`EpochRecord`]s back. Every epoch is KKT-certified in both series
 //! (the restricted master against the **full** model, excluded columns
 //! priced), so the comparison can never trade correctness for speed.
 //!
@@ -48,7 +45,7 @@ pub const EPOCHS: usize = 20;
 /// their totals.
 #[derive(Debug, Clone, Serialize)]
 pub struct EpochRun {
-    /// `"cold"`, `"full"`, or `"colgen"`.
+    /// `"cold"`, `"colgen"`, or `"faults_colgen"`.
     pub mode: String,
     pub epochs: Vec<EpochRecord>,
     pub total_iterations: usize,
@@ -65,7 +62,7 @@ pub struct EpochRun {
     /// always cold).
     pub warm_solves: usize,
     /// Mean `active_columns / total_columns` across epochs (1.0 for the
-    /// full-model series). The acceptance gate wants ≤ 0.5 for colgen.
+    /// cold series). The acceptance gate wants ≤ 0.5 for colgen.
     pub active_column_share: f64,
     pub all_certified: bool,
 }
@@ -154,13 +151,12 @@ fn epoch_instance(cluster: &Cluster, jobs: Vec<LpJob>) -> LpInstance<'_> {
     }
 }
 
-/// A scheduler on the given solve path. `threads` sets the worker count
-/// for model build, pricing, and certification (`0` keeps the default:
-/// `LIPS_THREADS` or the host parallelism); every solve is bitwise
-/// identical at any width.
-fn scheduler(colgen: bool, threads: usize) -> LipsScheduler {
+/// A scheduler with the default configuration. `threads` sets the worker
+/// count for model build, pricing, and certification (`0` keeps the
+/// default: `LIPS_THREADS` or the host parallelism); every solve is
+/// bitwise identical at any width.
+fn scheduler(threads: usize) -> LipsScheduler {
     LipsScheduler::new(SchedulerConfig {
-        colgen,
         threads: (threads > 0).then_some(threads),
         ..SchedulerConfig::default()
     })
@@ -206,24 +202,21 @@ pub fn run_cold(
 }
 
 /// Run `epochs` consecutive Fig-4 epochs on `cluster` through
-/// [`LipsScheduler::solve_epoch`], with column generation off (`full`)
-/// or on (`colgen`), and return the scheduler's own records.
+/// [`LipsScheduler::solve_epoch`] and return the scheduler's own records.
 pub fn run_epochs(
     cluster: &Cluster,
     base_jobs: usize,
     churn: usize,
     churn_every: usize,
     epochs: usize,
-    colgen: bool,
     threads: usize,
 ) -> EpochRun {
-    let mut sched = scheduler(colgen, threads);
+    let mut sched = scheduler(threads);
     for e in 0..epochs {
         let jobs = epoch_jobs(cluster, e, base_jobs, churn, churn_every);
         sched.solve_epoch(&epoch_instance(cluster, jobs));
     }
-    let mode = if colgen { "colgen" } else { "full" };
-    EpochRun::from_records(mode, sched.epoch_records().to_vec())
+    EpochRun::from_records("colgen", sched.epoch_records().to_vec())
 }
 
 /// One scripted LP-level fault, applied at the *start* of an epoch before
@@ -345,7 +338,7 @@ impl FaultedCluster {
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultEpochRun {
     /// The scheduler's records over the faulted sequence, with the same
-    /// totals as a plain series (`"faults"` or `"faults_colgen"`).
+    /// totals as a plain series (`"faults_colgen"`).
     pub run: EpochRun,
     /// Per epoch: the faults that struck it (empty on quiet epochs).
     pub events: Vec<Vec<String>>,
@@ -360,11 +353,10 @@ pub struct FaultEpochRun {
 }
 
 /// Run `epochs` consecutive Fig-4 epochs through
-/// [`LipsScheduler::solve_epoch`] with `script`'s faults injected, column
-/// generation off or on. The scheduler's ladder repairs its carried
-/// state across each topology change and degrades an epoch it cannot
-/// solve; this driver only applies the faults and reads the records.
-#[allow(clippy::too_many_arguments)] // a benchmark entry point, not an API
+/// [`LipsScheduler::solve_epoch`] with `script`'s faults injected. The
+/// scheduler's ladder repairs its carried state across each topology
+/// change and degrades an epoch it cannot solve; this driver only applies
+/// the faults and reads the records.
 pub fn run_epochs_faulted(
     cluster: &Cluster,
     base_jobs: usize,
@@ -373,10 +365,9 @@ pub fn run_epochs_faulted(
     epochs: usize,
     script: &FaultScript,
     threads: usize,
-    colgen: bool,
 ) -> FaultEpochRun {
     let mut faulted = FaultedCluster::new(cluster);
-    let mut sched = scheduler(colgen, threads);
+    let mut sched = scheduler(threads);
     let mut events = Vec::with_capacity(epochs);
     let mut repaired = Vec::with_capacity(epochs);
     let (mut revocations, mut rejoins, mut repricings, mut store_losses) = (0, 0, 0, 0);
@@ -403,9 +394,8 @@ pub fn run_epochs_faulted(
         repaired.push(sched.stale_basis_entries_dropped() - dropped);
         events.push(struck);
     }
-    let mode = if colgen { "faults_colgen" } else { "faults" };
     FaultEpochRun {
-        run: EpochRun::from_records(mode, sched.epoch_records().to_vec()),
+        run: EpochRun::from_records("faults_colgen", sched.epoch_records().to_vec()),
         events,
         repaired,
         revocations,
@@ -452,15 +442,7 @@ pub fn thread_scaling(
     let mut serial: Option<EpochRun> = None;
     let mut out = Vec::with_capacity(widths.len());
     for &w in widths {
-        let run = run_epochs(
-            cluster,
-            base_jobs,
-            churn,
-            churn_every,
-            epochs,
-            true,
-            w.max(1),
-        );
+        let run = run_epochs(cluster, base_jobs, churn, churn_every, epochs, w.max(1));
         let baseline = serial.get_or_insert_with(|| run.clone());
         let identical = baseline.epochs.len() == run.epochs.len()
             && baseline.epochs.iter().zip(&run.epochs).all(|(a, b)| {
@@ -517,7 +499,7 @@ mod tests {
                 (5, EpochFault::Rejoin(4)),
             ],
         };
-        let faults = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1, false);
+        let faults = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1);
         assert_eq!(faults.revocations, 2);
         assert_eq!(faults.rejoins, 1);
         assert_eq!(faults.repricings, 1);
@@ -534,8 +516,8 @@ mod tests {
             );
             assert!(r.certified, "epoch {} degraded: {events:?}", r.epoch);
         }
-        // The revocation epochs repaired the chained basis rather than
-        // silently reusing rows for dead machines.
+        // The revocation epochs repaired the carried state rather than
+        // silently reusing columns and rows for dead machines.
         assert!(
             faults.repaired[1] > 0 && faults.repaired[3] > 0,
             "revocation epochs must repair the basis: {:?}",
@@ -545,13 +527,13 @@ mod tests {
         // structural break may legitimately fall back to cold, but the
         // majority of post-fault epochs must still reuse their basis).
         assert!(run.warm_solves >= 3, "only {} warm epochs", run.warm_solves);
-        // The dual rung serves a fault epoch from the repaired basis.
+        // The master serves a fault epoch from the repaired basis.
         assert!(
             run.epochs
                 .iter()
                 .zip(&faults.events)
                 .any(|(r, events)| !events.is_empty() && r.warm == "Dual"),
-            "the dual rung never served a fault epoch"
+            "the master never re-solved a fault epoch from its carried basis"
         );
         // Same models, same optima as a cold solve of each faulted epoch.
         let mut faulted = FaultedCluster::new(&cluster);
@@ -572,8 +554,8 @@ mod tests {
     fn scheduler_series_are_bitwise_identical_across_thread_widths() {
         // The pivot loops are serial by design; threads parallelize the
         // model build, pricing, and certification around them. Every
-        // epoch of the full, colgen, and fault series — objective bits
-        // included — must be identical at any width.
+        // epoch of the colgen and fault series — objective bits included —
+        // must be identical at any width.
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
         let script = FaultScript {
             events: vec![
@@ -584,10 +566,8 @@ mod tests {
         };
         let series = |threads: usize| {
             [
-                run_epochs(&cluster, 8, 1, 3, 6, false, threads),
-                run_epochs(&cluster, 8, 1, 3, 6, true, threads),
-                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, threads, false).run,
-                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, threads, true).run,
+                run_epochs(&cluster, 8, 1, 3, 6, threads),
+                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, threads).run,
             ]
         };
         let serial = series(1);
@@ -614,45 +594,32 @@ mod tests {
     }
 
     #[test]
-    fn full_sequence_matches_cold_optima_with_fewer_iterations() {
-        let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let cold = run_cold(&cluster, 8, 1, 3, 6, 1);
-        let full = run_epochs(&cluster, 8, 1, 3, 6, false, 1);
-        assert!(cold.all_certified && full.all_certified);
-        assert_eq!(cold.warm_solves, 0);
-        // The steady-state epochs (no churn) must actually take the dual
-        // rung from the carried basis.
-        let dual_served = full.epochs.iter().filter(|r| r.warm == "Dual").count();
-        assert!(dual_served >= 2, "only {dual_served} epochs dual-resolved");
-        // The first epoch has no basis: the dual starts from the slack
-        // basis — cold, with dual pivots and no phase 1.
-        let first = &full.epochs[0];
-        assert_eq!(first.warm, "Cold");
-        assert_eq!(first.phase1_iterations, 0);
-        assert!(first.dual_pivots > 0);
-        // Every epoch is a dual solve with no phase 1, unless its walk was
-        // declined mid-way: then the cold primal served it, with no dual
-        // pivots, and the record names the decline.
-        for r in &full.epochs {
-            let walk_declined = r.declined == "Thrash" || r.declined_pivots > 0;
-            if walk_declined {
-                assert_eq!(r.dual_pivots, 0, "epoch {}", r.epoch);
-            } else {
-                assert_eq!(r.phase1_iterations, 0, "epoch {}", r.epoch);
-            }
-        }
-        // Same models, same optima — the fast path is a path, not a model
-        // change.
-        assert!(full.total_iterations < cold.total_iterations);
-        assert_same_optima(&cold.epochs, &full.epochs, "full");
-    }
-
-    #[test]
     fn colgen_sequence_matches_full_model_optima() {
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
         let cold = run_cold(&cluster, 8, 1, 3, 6, 1);
-        let cg = run_epochs(&cluster, 8, 1, 3, 6, true, 1);
-        assert!(cg.all_certified);
+        let cg = run_epochs(&cluster, 8, 1, 3, 6, 1);
+        assert!(cold.all_certified && cg.all_certified);
+        assert_eq!(cold.warm_solves, 0);
+        // The first epoch has nothing carried: the master's dual starts
+        // from the slack basis — cold, with dual pivots and no phase 1.
+        let first = &cg.epochs[0];
+        assert_eq!(first.warm, "Cold");
+        assert_eq!(first.phase1_iterations, 0);
+        assert!(first.dual_pivots > 0);
+        // The steady-state epochs (no churn) re-solve the master from the
+        // carried basis, in fewer pivots than the cold oracle.
+        let dual_served = cg.epochs.iter().filter(|r| r.warm == "Dual").count();
+        assert!(dual_served >= 2, "only {dual_served} epochs dual-resolved");
+        assert!(cg.total_iterations < cold.total_iterations);
+        // Every master round is a dual solve with no phase 1, unless its
+        // walk was declined mid-way and the cold primal served the round:
+        // then the record names the decline.
+        for r in &cg.epochs {
+            let walk_declined = r.declined == "Thrash" || r.declined_pivots > 0;
+            if !walk_declined {
+                assert_eq!(r.phase1_iterations, 0, "epoch {}", r.epoch);
+            }
+        }
         assert!(cg.active_column_share < 1.0, "master never shrank");
         assert!(cg.total_pricing_rounds >= cg.epochs.len());
         assert_same_optima(&cold.epochs, &cg.epochs, "colgen");

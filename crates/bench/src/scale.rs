@@ -166,8 +166,8 @@ fn instance<'c>(cluster: &'c Cluster, jobs: Vec<LpJob>) -> LpInstance<'c> {
     }
 }
 
-/// The certified path: a column-generation [`LipsScheduler`] solving
-/// `epochs` decayed views of `base`, returning its records.
+/// The certified path: a [`LipsScheduler`] (its column-generation ladder)
+/// solving `epochs` decayed views of `base`, returning its records.
 fn colgen_epochs(
     cluster: &Cluster,
     base: &[LpJob],
@@ -175,7 +175,6 @@ fn colgen_epochs(
     threads: usize,
 ) -> Vec<ScaleEpoch> {
     let mut sched = LipsScheduler::new(SchedulerConfig {
-        colgen: true,
         threads: (threads > 0).then_some(threads),
         ..SchedulerConfig::default()
     });

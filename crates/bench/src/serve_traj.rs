@@ -11,7 +11,7 @@
 //!   scheduler's degradation-ladder guarantee), and
 //! * at least 80 % of LP epochs are *incremental* — the carried
 //!   column-generation master absorbed the new arrivals and the carried
-//!   basis re-optimized (dual rung first) instead of a cold rebuild.
+//!   basis re-optimized (dual simplex first) instead of a cold rebuild.
 //!
 //! Queue-depth, completed-job latency, ladder-rung counts, and p50/p99
 //! solve latency ride along in the summary, plus the full per-epoch serve

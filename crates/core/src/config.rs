@@ -8,12 +8,12 @@
 //! [`SchedulerConfigBuilder`], and hand it to
 //! [`crate::LipsScheduler::new`].
 //!
-//! Every knob is a *solve-path* or *policy* knob: presets and builder
+//! Every knob is a *model-size* or *policy* knob: presets and builder
 //! settings can change how fast an epoch solves or how much of the queue
 //! it sees, but a certified optimum is certified under any of them. The
-//! solve path itself has one switch, [`SchedulerConfig::colgen`]; every
-//! epoch warm-starts from what the previous one carried, and the
-//! degradation ladder behind it is fixed (see [`crate::lips`]).
+//! solve path has no switch: every epoch runs the one degradation ladder
+//! (see [`crate::lips`]), whose column-generation master warm-starts from
+//! what the previous epoch carried.
 
 use std::fmt;
 
@@ -53,23 +53,6 @@ pub struct SchedulerConfig {
     /// if the fairness floors make an epoch LP infeasible the scheduler
     /// retries without them.
     pub fairness: f64,
-    /// Solve each epoch LP by delayed column generation
-    /// ([`crate::lp_build::EpochSolver::colgen`]): a restricted master
-    /// seeded with the cheapest arcs per job (plus the previous epoch's
-    /// surviving columns and basis), its first round dual-simplex-first,
-    /// grown by pricing until it provably matches the full model's
-    /// optimum. Off, each epoch solves the full model with the bounded
-    /// dual simplex from the carried basis (else the slack basis), then
-    /// cold primal. The only solve-path knob: every epoch is still
-    /// KKT-certified against the full model, so the optimum never depends
-    /// on it. Pays off once the full model is large (≳ 50 machines); on
-    /// small clusters the full LP is already cheap.
-    pub colgen: bool,
-    /// Simplex pivot budget per epoch solve (`None` = unlimited). An
-    /// epoch whose LP exceeds it walks the degradation ladder (cold
-    /// retry, then greedy placement) instead of stalling the cluster —
-    /// the fault-tolerance analogue of a wall-clock solve budget.
-    pub max_pivots_per_epoch: Option<usize>,
     /// Worker threads for model build, column pricing, and certification
     /// (`None` = the `LIPS_THREADS` environment variable, else the
     /// machine's available parallelism). Pure throughput tuning: the
@@ -90,8 +73,6 @@ impl Default for SchedulerConfig {
             min_task_fraction: 0.05,
             enforce_transfer_time: true,
             fairness: 0.0,
-            colgen: false,
-            max_pivots_per_epoch: None,
             threads: None,
         }
     }
@@ -103,8 +84,8 @@ impl Default for SchedulerConfig {
 pub enum Preset {
     /// ≤ ~20-node clusters: exact model, no pruning.
     Small,
-    /// ~100-node clusters / trace workloads: pruned candidates plus
-    /// column generation.
+    /// ~100-node clusters / trace workloads: pruned candidates and a
+    /// smaller per-epoch job window.
     LargeCluster,
 }
 
@@ -153,7 +134,6 @@ impl SchedulerConfig {
             max_machines_per_job: Some(16),
             max_new_stores_per_job: Some(6),
             max_holder_stores_per_job: Some(20),
-            colgen: true,
             ..Default::default()
         }
     }
@@ -301,20 +281,6 @@ impl SchedulerConfigBuilder {
         self
     }
 
-    /// Solve each epoch LP by delayed column generation.
-    #[must_use]
-    pub fn colgen(mut self, on: bool) -> Self {
-        self.cfg.colgen = on;
-        self
-    }
-
-    /// Simplex pivot budget per epoch solve (`None` = unlimited).
-    #[must_use]
-    pub fn max_pivots_per_epoch(mut self, budget: Option<usize>) -> Self {
-        self.cfg.max_pivots_per_epoch = budget;
-        self
-    }
-
     /// Worker threads (`None` = `LIPS_THREADS`, else available
     /// parallelism). Bitwise-identical results at any value.
     #[must_use]
@@ -347,14 +313,14 @@ mod tests {
         let small = SchedulerConfig::preset(Preset::Small, 100.0)
             .build()
             .unwrap();
-        assert!(!small.colgen);
         assert_eq!(small.max_new_stores_per_job, None);
+        assert_eq!(small.max_machines_per_job, None);
 
         let large = SchedulerConfig::preset(Preset::LargeCluster, 100.0)
             .build()
             .unwrap();
-        assert!(large.colgen);
         assert_eq!(large.max_jobs_per_lp, 16);
+        assert_eq!(large.max_machines_per_job, Some(16));
     }
 
     #[test]
@@ -409,11 +375,9 @@ mod tests {
     fn builder_threads_knob_round_trips() {
         let cfg = SchedulerConfig::preset(Preset::Small, 50.0)
             .threads(Some(2))
-            .max_pivots_per_epoch(Some(10_000))
             .build()
             .unwrap();
         assert_eq!(cfg.threads, Some(2));
-        assert_eq!(cfg.max_pivots_per_epoch, Some(10_000));
         assert_eq!(cfg.epoch_s, 50.0);
     }
 }

@@ -61,8 +61,8 @@ pub use config::{ConfigError, Preset, SchedulerConfig, SchedulerConfigBuilder};
 pub use dag::{run_dag, DagReport, DagRunError};
 pub use lips::{EpochOutcome, LipsScheduler};
 pub use lp_build::{
-    sanitize_warm_start, ColGenOptions, ColGenOutcome, ColGenState, ColGenStats, ColKey,
-    EpochCertificate, EpochSolveError, EpochSolver, RowKey, SolveReport,
+    ColGenOptions, ColGenOutcome, ColGenState, ColGenStats, ColKey, EpochCertificate,
+    EpochSolveError, EpochSolver, RowKey, SolveReport,
 };
 pub use offline::{co_schedule, greedy_schedule, simple_task_schedule, OfflineSchedule};
 pub use report::{EpochRecord, RunSummary};

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use lips_cluster::{DataId, StoreId};
 use lips_lp::clock::Stopwatch;
-use lips_lp::{LpError, WarmOutcome};
+use lips_lp::WarmOutcome;
 use lips_sim::{Action, Scheduler, SchedulerContext, WORK_EPS};
 use lips_workload::JobId;
 
@@ -34,21 +34,14 @@ use crate::report::EpochRecord;
 /// rungs of the degradation ladder a fault-mode run reports per epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochOutcome {
-    /// The first rung: the bounded dual simplex solved the epoch — from
-    /// the carried basis when it was usable (`warm == Dual`), else from
-    /// the slack basis (`warm == Cold`) — with no phase 1 and no repair
-    /// artificials, and the result certified. Distinguished from
-    /// [`EpochOutcome::Certified`] so fault-mode telemetry can report how
-    /// often the cheap path served the epoch.
-    CertifiedDual,
-    /// The colgen master solved the epoch LP, possibly with the fairness
-    /// floors relaxed, and was independently certified optimal against
-    /// the full model (whether its first round started from the carried
-    /// basis or cold).
+    /// The column-generation master solved the epoch LP, possibly with
+    /// the fairness floors relaxed, and was independently certified
+    /// optimal against the full model. Its first round is the bounded
+    /// dual simplex, from the carried basis when it was usable
+    /// (`warm == Dual`), else from the slack basis (`warm == Cold`).
     Certified,
-    /// A cold full-model primal solve — behind a declined or failed dual
-    /// rung, or a failed master — solved and certified, possibly with the
-    /// fairness floors relaxed.
+    /// A cold full-model primal solve behind a failed master, solved and
+    /// certified, with the fairness floors relaxed when there were any.
     CertifiedCold,
     /// Every LP rung failed; the epoch was served by cheapest-feasible
     /// greedy placement and the LP will be retried next epoch.
@@ -59,7 +52,6 @@ impl EpochOutcome {
     /// The stable schema spelling (see [`crate::report::EpochRecord`]).
     pub fn as_str(self) -> &'static str {
         match self {
-            EpochOutcome::CertifiedDual => "CertifiedDual",
             EpochOutcome::Certified => "Certified",
             EpochOutcome::CertifiedCold => "CertifiedCold",
             EpochOutcome::Degraded => "Degraded",
@@ -70,9 +62,6 @@ impl EpochOutcome {
 /// One step of the degradation ladder ([`LipsScheduler::run_rung`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rung {
-    /// Bounded dual simplex on the full model, from the carried basis or,
-    /// with none usable, the slack basis.
-    Dual,
     /// Column generation: a restricted master seeded by the carried
     /// columns and basis, its first round dual-simplex-first.
     Master,
@@ -98,10 +87,10 @@ pub struct LipsScheduler {
     /// provides one, so chunk kills (fault revocations) refund reads here
     /// too and the restored work can actually re-read its data.
     issued: BTreeMap<(DataId, StoreId), f64>,
-    /// What the previous epoch's solve left for the next one
-    /// ([`SolveReport::take_carry`]): its basis, plus the restricted master's
-    /// surviving columns under colgen. `None` before the first solve and
-    /// after a failed one.
+    /// What the previous epoch's master left for the next one
+    /// ([`SolveReport::take_carry`]): its surviving columns and basis.
+    /// `None` before the first solve and after an epoch the master did not
+    /// serve.
     carried: Option<ColGenState>,
     /// Carried basis/column entries dropped because their machine was
     /// revoked (topology-delta repair work).
@@ -148,43 +137,35 @@ impl LipsScheduler {
         &self.records
     }
 
-    /// Run one ladder rung on `inst`, pivot-budgeted. Every rung but
-    /// [`Rung::Cold`] takes the carried state, sanitized against the live
-    /// cluster (entries naming revoked machines are dropped, so a topology
-    /// delta perturbs the solve instead of feeding the dual simplex
-    /// garbage), as its prior. On success the rung's carry replaces it —
-    /// except a cold rung under colgen, whose full-model basis is no
-    /// master state. On failure the carry is dropped: no later rung reads
-    /// it, and a failing carry is not retried forever.
+    /// Run one ladder rung on `inst`. The master takes the carried
+    /// state, sanitized against the live cluster (entries naming revoked
+    /// machines are dropped, so a topology delta perturbs the solve
+    /// instead of feeding the dual simplex garbage), as its prior. The
+    /// rung's carry replaces it: the master's columns and basis, nothing
+    /// after a cold solve. On failure the carry is dropped: no later rung
+    /// reads it, and a failing carry is not retried forever.
     fn run_rung(
         &mut self,
         inst: &LpInstance<'_>,
         rung: Rung,
     ) -> Result<RungResult, EpochSolveError> {
         let prior = match rung {
-            Rung::Cold => None,
-            _ => self.carried.take().map(|mut c| {
+            Rung::Master => self.carried.take().map(|mut c| {
                 self.stale_basis_entries_dropped += c.sanitize_for_cluster(inst.cluster);
                 c
             }),
+            Rung::Cold => None,
         };
         let mut solver = EpochSolver::new(inst);
         if let Some(t) = self.config.threads {
             solver = solver.threads(t);
         }
-        solver = match rung {
+        let mut report = match rung {
             Rung::Master => solver.colgen(ColGenOptions::default(), prior.as_ref()),
-            Rung::Dual => solver.dual(prior.as_ref().map(ColGenState::basis)),
-            Rung::Cold => solver,
+            Rung::Cold => solver.certify(),
         }
-        .certify();
-        if let Some(b) = self.config.max_pivots_per_epoch {
-            solver = solver.pivot_budget(b);
-        }
-        let mut report = solver.run()?;
-        if rung != Rung::Cold || !self.config.colgen {
-            self.carried = Some(report.take_carry());
-        }
+        .run()?;
+        self.carried = report.take_carry();
         Ok(RungResult {
             incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
             report,
@@ -192,18 +173,14 @@ impl LipsScheduler {
     }
 
     /// The degradation ladder, one [`LipsScheduler::run_rung`] per step:
-    ///
-    /// * full model: dual simplex (from the carried basis, else the slack
-    ///   basis) → cold primal → cold primal with the fairness floors
-    ///   relaxed → `None`;
-    /// * colgen: dual-first restricted master → fairness floors relaxed →
-    ///   cold full model → `None`.
+    /// the dual-first restricted master → the same with the fairness
+    /// floors relaxed → the cold full model (floors relaxed) → `None`.
     ///
     /// `None` means the caller degrades to greedy placement and retries
     /// the LP next epoch. Every rung that returns a schedule returned a
-    /// *certified* one, and a dual walk declined on the way is kept on
-    /// its record. The record's `epoch_ms` times the whole ladder, failed
-    /// rungs included.
+    /// *certified* one, and a dual walk the master declined on the way is
+    /// kept on its record. The record's `epoch_ms` times the whole ladder,
+    /// failed rungs included.
     ///
     /// [`Scheduler::decide`] serves every LP epoch through this call, and
     /// the benches drive it directly with instances of their own, so what
@@ -221,45 +198,26 @@ impl LipsScheduler {
             pool_floors: Vec::new(),
             ..inst.clone()
         });
-        let mut ladder = Vec::with_capacity(3);
-        if self.config.colgen {
-            ladder.push((Rung::Master, inst, EpochOutcome::Certified));
-            if let Some(r) = &relaxed {
-                ladder.push((Rung::Master, r, EpochOutcome::Certified));
-            }
-            let unfloored = relaxed.as_ref().unwrap_or(inst);
-            ladder.push((Rung::Cold, unfloored, EpochOutcome::CertifiedCold));
-        } else {
-            ladder.push((Rung::Dual, inst, EpochOutcome::CertifiedDual));
-            ladder.push((Rung::Cold, inst, EpochOutcome::CertifiedCold));
-            if let Some(r) = &relaxed {
-                ladder.push((Rung::Cold, r, EpochOutcome::CertifiedCold));
-            }
-        }
-        let mut declined = None;
-        for (rung, inst, outcome) in ladder {
-            match self.run_rung(inst, rung) {
-                Ok(mut r) => {
-                    let stats = &mut r.report.schedule.stats;
-                    stats.declined = stats.declined.take().or(declined);
-                    let mut record = EpochRecord::from_solve_report(
-                        epoch,
-                        jobs,
-                        outcome,
-                        &r.report,
-                        r.incremental,
-                    );
-                    record.epoch_ms = t_epoch.elapsed_ms();
-                    self.records.push(record);
-                    return Some(r.report.schedule);
-                }
-                Err(EpochSolveError::Lp(LpError::DualDeclined(d))) if rung == Rung::Dual => {
-                    declined = Some(d);
-                }
-                Err(_) => {}
+        let unfloored = relaxed.as_ref().unwrap_or(inst);
+        let ladder = [
+            Some((Rung::Master, inst)),
+            relaxed.as_ref().map(|r| (Rung::Master, r)),
+            Some((Rung::Cold, unfloored)),
+        ];
+        for (rung, inst) in ladder.into_iter().flatten() {
+            if let Ok(r) = self.run_rung(inst, rung) {
+                let outcome = match rung {
+                    Rung::Master => EpochOutcome::Certified,
+                    Rung::Cold => EpochOutcome::CertifiedCold,
+                };
+                let mut record =
+                    EpochRecord::from_solve_report(epoch, jobs, outcome, &r.report, r.incremental);
+                record.epoch_ms = t_epoch.elapsed_ms();
+                self.records.push(record);
+                return Some(r.report.schedule);
             }
         }
-        let mut record = EpochRecord::degraded(epoch, jobs).with_declined(declined);
+        let mut record = EpochRecord::degraded(epoch, jobs);
         record.epoch_ms = t_epoch.elapsed_ms();
         self.records.push(record);
         None
@@ -617,10 +575,10 @@ mod tests {
     }
 
     #[test]
-    fn ladder_falls_through_dual_and_cold_to_degraded_on_infeasible_epoch() {
+    fn ladder_falls_through_master_and_cold_to_degraded_on_infeasible_epoch() {
         // Two machines totalling 7 ECU; no fake node, so slashing the
-        // epoch duration below the work's space leaves *every* rung — dual
-        // re-solve, cold primal — infeasible.
+        // epoch duration below the work's space leaves *every* rung —
+        // restricted master, cold primal — infeasible.
         let mut b = lips_cluster::ClusterBuilder::new();
         let za = b.add_zone("a");
         let zb = b.add_zone("b");
@@ -650,21 +608,18 @@ mod tests {
         infeasible.duration = 1024.0 * 10.0 / 7.0 * 0.9; // 10% short of capacity
 
         let mut sched = LipsScheduler::new(SchedulerConfig::small_cluster(600.0));
-        // Epoch 0: no carried basis — the dual rung serves it from the
+        // Epoch 0: nothing carried — the master's dual starts from the
         // slack basis: cold, no phase 1, not incremental.
         assert!(sched.solve_epoch(&feasible).is_some());
-        // Epoch 1: unchanged model, carried basis — the dual rung again,
-        // now warm from the carried basis.
+        // Epoch 1: unchanged model, carried columns and basis — the master
+        // again, now warm from the carried basis.
         assert!(sched.solve_epoch(&feasible).is_some());
-        // Epoch 2: infeasible. The dual rung must fail fast (the shrunken
+        // Epoch 2: infeasible. The master must fail fast (the shrunken
         // model admits no feasible point), the cold rung after it must
         // fail too, and the ladder must land on Degraded — not panic, not
         // return an uncertified schedule.
         assert!(sched.solve_epoch(&infeasible).is_none());
-        assert_eq!(
-            outcomes(&sched),
-            ["CertifiedDual", "CertifiedDual", "Degraded"]
-        );
+        assert_eq!(outcomes(&sched), ["Certified", "Certified", "Degraded"]);
         assert_eq!(sched.degraded_epochs(), 1);
         let r = sched.epoch_records();
         assert_eq!(r.iter().map(|r| r.epoch).collect::<Vec<_>>(), [0, 1, 2]);
@@ -677,10 +632,10 @@ mod tests {
         // An infeasibility verdict is not a declined basis.
         assert!(r.iter().all(|r| r.declined.is_empty()));
         // Epoch 3: capacity restored — the scheduler recovers on its own,
-        // on the dual rung from the slack basis (the failed rungs dropped
-        // the carried basis).
+        // on the master from the slack basis (the failed rungs dropped the
+        // carried state).
         assert!(sched.solve_epoch(&feasible).is_some());
-        assert_eq!(outcomes(&sched)[3], "CertifiedDual");
+        assert_eq!(outcomes(&sched)[3], "Certified");
         assert_eq!(sched.epoch_records()[3].warm, "Cold");
     }
 
@@ -877,39 +832,57 @@ mod tests {
     }
 
     #[test]
-    fn colgen_and_exact_epoch_loops_agree_on_cost() {
-        // Column generation is a solve-path knob: every epoch is
-        // certified against the full model, so an identical run
-        // with it on and off must land on the same total dollars.
-        let run = |colgen: bool| {
-            let mut cluster = ec2_20_node(0.5, 1e9);
-            let bound = bind_workload(&mut cluster, small_suite(), PlacementPolicy::RoundRobin, 9);
-            let placement = Placement::spread_blocks(&cluster, 9);
-            let mut cfg = SchedulerConfig::small_cluster(400.0);
-            cfg.colgen = colgen;
-            let mut sched = LipsScheduler::new(cfg);
-            let report = Simulation::new(&cluster, &bound)
-                .with_placement(placement)
-                .run(&mut sched)
-                .unwrap();
-            (
-                report.metrics.total_dollars(),
-                sched.epoch_records().to_vec(),
-            )
-        };
-        let (cg_cost, cg_records) = run(true);
-        let (exact_cost, exact_records) = run(false);
-        let scale = 1.0 + exact_cost.abs();
-        assert!(
-            (cg_cost - exact_cost).abs() / scale < 1e-6,
-            "colgen ${cg_cost} vs exact ${exact_cost}"
-        );
-        // Every colgen epoch priced against a restricted master; the
-        // exact loop never built one.
-        assert!(cg_records
-            .iter()
-            .all(|r| r.pricing_rounds >= 1 && r.total_columns > 0));
-        assert!(exact_records.iter().all(|r| r.total_columns == 0));
+    fn master_epochs_match_the_cold_oracle() {
+        // The ladder is a solve path, not a model: every epoch the
+        // restricted master serves, carried state and all, must land on
+        // the optimum a cold full-model solve of the same instance
+        // certifies.
+        let cluster = ec2_20_node(0.5, 1e9);
+        let stores = cluster.num_stores();
+        let mut sched = LipsScheduler::new(SchedulerConfig::small_cluster(400.0));
+        let mut oracle = Vec::new();
+        for e in 0..6 {
+            // A sliding window of shrinking jobs: one departs and one
+            // arrives every other epoch.
+            let jobs = (e / 2..e / 2 + 4)
+                .map(|k| LpJob {
+                    id: JobId(k),
+                    data: Some(DataId(k)),
+                    size_mb: 4096.0 * 0.8f64.powi(e as i32),
+                    tcp: 0.25 + k as f64,
+                    fixed_ecu: 0.0,
+                    avail: vec![(StoreId(5 * k % stores), 1.0)],
+                })
+                .collect();
+            let inst = LpInstance {
+                cluster: &cluster,
+                jobs,
+                duration: 400.0,
+                fake_cost: Some(1.0),
+                allow_moves: true,
+                enforce_transfer_time: true,
+                store_free_mb: vec![],
+                pool_floors: vec![],
+                prune: PruneConfig::default(),
+            };
+            assert!(sched.solve_epoch(&inst).is_some());
+            let cold = EpochSolver::new(&inst).certify().run().unwrap();
+            oracle.push(cold.schedule.lp_objective);
+        }
+        let records = sched.epoch_records();
+        for (r, cold) in records.iter().zip(&oracle) {
+            assert_eq!(r.outcome, "Certified", "epoch {}", r.epoch);
+            // Every epoch priced against a restricted master.
+            assert!(r.pricing_rounds >= 1 && r.total_columns > 0);
+            let scale = 1.0 + cold.abs();
+            assert!(
+                (r.objective - cold).abs() / scale < 1e-6,
+                "epoch {}: master {} vs cold {cold}",
+                r.epoch,
+                r.objective
+            );
+        }
+        assert!(records[1..].iter().any(|r| r.incremental));
     }
 
     #[test]

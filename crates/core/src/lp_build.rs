@@ -1102,8 +1102,6 @@ pub struct SolveReport {
     /// in colgen mode — the restricted certificate is how colgen proves
     /// full-model optimality at all).
     pub certificate: Option<EpochCertificate>,
-    /// This solve's optimal basis, for chaining into the next epoch.
-    pub basis: WarmStart,
     /// Cross-epoch column state + telemetry; `Some` iff colgen mode.
     pub colgen: Option<(ColGenState, ColGenStats)>,
     /// Per-phase wall-clock of this solve.
@@ -1112,17 +1110,10 @@ pub struct SolveReport {
 
 impl SolveReport {
     /// Move out the state to carry into the next epoch: the colgen
-    /// master's columns and basis in colgen mode, else this solve's basis
-    /// alone (with no carried columns). The report keeps empty state in
-    /// their place.
-    pub fn take_carry(&mut self) -> ColGenState {
-        match &mut self.colgen {
-            Some((state, _)) => std::mem::take(state),
-            None => ColGenState {
-                active: BTreeSet::new(),
-                basis: std::mem::take(&mut self.basis),
-            },
-        }
+    /// master's columns and basis, `None` for a full-model solve. The
+    /// report keeps empty state in its place.
+    pub fn take_carry(&mut self) -> Option<ColGenState> {
+        self.colgen.as_mut().map(|(state, _)| std::mem::take(state))
     }
 }
 
@@ -1131,9 +1122,7 @@ impl SolveReport {
 ///
 /// ```ignore
 /// let report = EpochSolver::new(&inst)
-///     .dual(Some(&basis))
-///     .certify()
-///     .shadow_prices()
+///     .colgen(ColGenOptions::default(), carried.as_ref())
 ///     .run()?;
 /// ```
 ///
@@ -1147,13 +1136,9 @@ impl SolveReport {
 #[derive(Debug)]
 pub struct EpochSolver<'i, 'c> {
     inst: &'i LpInstance<'c>,
-    /// `Some(start)`: the dual simplex from `start` (the slack basis when
-    /// `None`); `None`: the cold primal.
-    dual: Option<Option<&'i WarmStart>>,
     certify: bool,
     shadow_prices: bool,
     colgen: Option<(ColGenOptions, Option<&'i ColGenState>)>,
-    pivot_budget: Option<usize>,
     pool: Pool,
 }
 
@@ -1161,11 +1146,9 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     pub fn new(inst: &'i LpInstance<'c>) -> Self {
         EpochSolver {
             inst,
-            dual: None,
             certify: false,
             shadow_prices: false,
             colgen: None,
-            pivot_budget: None,
             pool: Pool::from_env(),
         }
     }
@@ -1203,8 +1186,8 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
     /// Solve by delayed column generation over a restricted master
     /// instead of the full model, optionally reusing a prior epoch's
     /// surviving columns + basis. Implies certification (against the
-    /// *full* model, excluded columns priced). [`EpochSolver::dual`] is
-    /// ignored in this mode — the colgen state carries its own basis.
+    /// *full* model, excluded columns priced). Without this call the full
+    /// model is solved cold by the primal simplex.
     ///
     /// Every master round goes to the bounded dual simplex, falling back
     /// to the cold primal when the walk is declined. In the first round,
@@ -1222,47 +1205,14 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         self
     }
 
-    /// Solve with the *bounded dual simplex*
-    /// ([`lips_lp::solve_dual_with_options`]) from a prior epoch's optimal
-    /// basis, instead of the cold primal simplex that runs when this call
-    /// is left out. After an epoch edit that only perturbs bounds and
-    /// costs (work completing, rhs drifting) the carried basis is
-    /// typically still dual feasible and re-optimizes in a handful of
-    /// pivots. With `None`, or a basis declined at seeding (under-full or
-    /// singular), the same solve starts from the slack basis — dual
-    /// feasible because every Fig-4 cost is non-negative — so a cold epoch
-    /// needs no phase 1 and no second model build. The solve *fails* only
-    /// when the walk from a carried basis is declined
-    /// ([`LpError::DualDeclined`]) or the model is infeasible; callers
-    /// degrade to the cold primal, which is exactly how
-    /// [`crate::lips::LipsScheduler`]'s ladder uses it. Ignored in colgen
-    /// mode.
-    #[must_use]
-    pub fn dual(mut self, start: Option<&'i WarmStart>) -> Self {
-        self.dual = Some(start);
-        self
-    }
-
-    /// Cap simplex pivots for this solve; past the cap the solve fails
-    /// with [`LpError::IterationLimit`] instead of running to optimality.
-    /// This is the epoch scheduler's time-budget rung: a faulted epoch
-    /// that cannot be solved cheaply degrades to greedy placement rather
-    /// than stalling the simulation.
-    #[must_use]
-    pub fn pivot_budget(mut self, max_pivots: usize) -> Self {
-        self.pivot_budget = Some(max_pivots);
-        self
-    }
-
     /// Execute the configured solve.
     pub fn run(self) -> Result<SolveReport, EpochSolveError> {
         if let Some((opts, prior)) = &self.colgen {
-            let out = colgen_run(self.inst, opts, *prior, self.pivot_budget, self.pool)?;
+            let out = colgen_run(self.inst, opts, *prior, self.pool)?;
             return Ok(SolveReport {
                 schedule: out.schedule,
                 shadow_prices: Some(out.shadow_prices),
                 certificate: Some(EpochCertificate::Restricted(out.certificate)),
-                basis: out.state.basis.clone(),
                 colgen: Some((out.state, out.stats)),
                 timings: out.timings,
             });
@@ -1271,10 +1221,7 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         let t_build = lips_lp::clock::Stopwatch::start();
         let (model, space, maps) = build(self.inst, self.pool);
         let build_ms = t_build.elapsed_ms();
-        let mut sol = match self.dual {
-            Some(start) => solve_model_dual(&model, start, self.pivot_budget)?,
-            None => solve_model(&model, self.pivot_budget)?,
-        };
+        let sol = model.solve()?;
         let t_cert = lips_lp::clock::Stopwatch::start();
         let certificate = if self.certify {
             match lips_audit::certify_with(self.pool, &model, &sol) {
@@ -1289,7 +1236,6 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
         let shadow_prices = self
             .shadow_prices
             .then(|| cpu_shadow_prices(&model, &maps, &sol));
-        let basis = sol.take_warm_start().unwrap_or_default();
         let timings = PhaseTimings {
             build_ms,
             solve_ms: sol.stats().solve_ms,
@@ -1299,40 +1245,9 @@ impl<'i, 'c> EpochSolver<'i, 'c> {
             schedule: decode(self.inst, &space, &maps, &sol),
             shadow_prices,
             certificate,
-            basis,
             colgen: None,
             timings,
         })
-    }
-}
-
-/// One bounded dual-simplex run, optionally pivot-capped, from a warm
-/// basis or — with none — from the slack basis.
-fn solve_model_dual(
-    model: &Model,
-    warm: Option<&WarmStart>,
-    pivot_budget: Option<usize>,
-) -> Result<lips_lp::Solution, LpError> {
-    let none = WarmStart::new();
-    let warm = warm.unwrap_or(&none);
-    let mut opts = lips_lp::revised::RevisedOptions::default();
-    if let Some(max_iterations) = pivot_budget {
-        opts.max_iterations = max_iterations;
-    }
-    lips_lp::solve_dual_with_options(model, warm, &opts)
-}
-
-/// One cold primal-simplex run, optionally pivot-capped.
-fn solve_model(model: &Model, pivot_budget: Option<usize>) -> Result<lips_lp::Solution, LpError> {
-    match pivot_budget {
-        None => model.solve(),
-        Some(max_iterations) => {
-            lips_lp::revised::RevisedSimplex::with_options(lips_lp::revised::RevisedOptions {
-                max_iterations,
-                ..Default::default()
-            })
-            .solve(model)
-        }
     }
 }
 
@@ -1370,8 +1285,7 @@ impl Default for ColGenOptions {
 /// job only *perturbs* the master (its arcs enter via pricing) instead of
 /// rebuilding the column set from scratch — arcs are keyed by job id
 /// ([`ColKey`]), so surviving keys keep denoting the same
-/// `(job, machine, store)` arc across epochs. A full-model solve carries
-/// its basis alone ([`SolveReport::take_carry`]).
+/// `(job, machine, store)` arc across epochs.
 #[derive(Debug, Clone, Default)]
 pub struct ColGenState {
     /// Packed [`ColKey::Task`] keys of the carried arcs.
@@ -1400,11 +1314,6 @@ impl ColGenState {
             .retain(|&key| !on_dead_machine(&dead, ColKey::unpack(key).and_then(ColKey::machine)));
         before - self.active.len() + sanitize_warm_start(&mut self.basis, cluster)
     }
-
-    /// The carried basis.
-    pub fn basis(&self) -> &WarmStart {
-        &self.basis
-    }
 }
 
 /// Machines currently revoked (zero throughput) in `cluster`.
@@ -1430,7 +1339,7 @@ fn on_dead_machine(dead: &BTreeSet<MachineId>, machine: Option<MachineId>) -> bo
 /// seed the dual simplex with garbage; pruning up front leaves a smaller,
 /// honest basis the solver completes with slacks. Returns how many
 /// entries were dropped.
-pub fn sanitize_warm_start(ws: &mut WarmStart, cluster: &Cluster) -> usize {
+fn sanitize_warm_start(ws: &mut WarmStart, cluster: &Cluster) -> usize {
     let dead = dead_machines(cluster);
     if dead.is_empty() {
         return 0;
@@ -1634,14 +1543,15 @@ fn master_price_loop(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
     prior: Option<&ColGenState>,
-    pivot_budget: Option<usize>,
     pool: Pool,
 ) -> Result<MasterRun, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
     let space = arc_space(inst, pool);
     let mut in_master = seed_active(&space, opts.seed_arcs_per_job, prior.map(|p| &p.active));
     // The carried basis is only read; later rounds own their incumbent's.
-    let mut warm: Option<Cow<'_, WarmStart>> = prior.map(|p| Cow::Borrowed(&p.basis));
+    // An empty basis starts the dual from the slack basis.
+    let mut warm: Cow<'_, WarmStart> =
+        prior.map_or_else(|| Cow::Owned(WarmStart::new()), |p| Cow::Borrowed(&p.basis));
     let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master), pool);
     let mut build_ms = t_build.elapsed_ms();
 
@@ -1673,9 +1583,9 @@ fn master_price_loop(
         // carried basis (new columns perturb the master without
         // disturbing dual feasibility), else from the slack basis; later
         // ones from the incumbent basis. A dual that fails short of an
-        // infeasibility verdict (a walk declined mid-way, a budget) falls
-        // back to the cold primal, and a decline is kept on the record.
-        let solved = match solve_model_dual(&model, warm.as_deref(), pivot_budget) {
+        // infeasibility verdict (a walk declined mid-way) falls back to
+        // the cold primal, and a decline is kept on the record.
+        let solved = match lips_lp::solve_dual_from_basis(&model, &warm) {
             Ok(s) => {
                 if rounds == 1 {
                     dual_master = true;
@@ -1687,7 +1597,7 @@ fn master_price_loop(
                 if let LpError::DualDeclined(d) = e {
                     agg.declined.get_or_insert(d);
                 }
-                solve_model(&model, pivot_budget)
+                model.solve()
             }
         };
         let mut sol = match solved {
@@ -1751,7 +1661,7 @@ fn master_price_loop(
             appended += 1;
         }
         build_ms += t.elapsed_ms();
-        warm = sol.take_warm_start().map(Cow::Owned);
+        warm = Cow::Owned(sol.take_warm_start().unwrap_or_default());
     };
     agg.warm = first_warm.unwrap_or_default();
     Ok(MasterRun {
@@ -1862,10 +1772,9 @@ fn colgen_run(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
     prior: Option<&ColGenState>,
-    pivot_budget: Option<usize>,
     pool: Pool,
 ) -> Result<ColGenOutcome, EpochSolveError> {
-    let mut run = master_price_loop(inst, opts, prior, pivot_budget, pool)?;
+    let mut run = master_price_loop(inst, opts, prior, pool)?;
     let fin = finish_restricted(inst, &mut run, pool)?;
 
     let stats = ColGenStats {
@@ -2459,21 +2368,26 @@ mod tests {
     #[test]
     fn revoked_machine_gets_no_columns_or_capacity() {
         // Kill the cheap node: everything must land on the survivor even
-        // though it is more expensive, and a chained basis naming the dead
+        // though it is more expensive, and a carried basis naming the dead
         // machine must not resurrect it.
         let mut cluster = two_node();
         cluster.machines[1].tp_ecu = 0.0;
         let inst = base_inst(&cluster, vec![one_job(1024.0, 5.0, StoreId(0))]);
-        let report = EpochSolver::new(&inst).certify().run().unwrap();
+        let mut report = EpochSolver::new(&inst)
+            .colgen(ColGenOptions::default(), None)
+            .run()
+            .unwrap();
         assert!(report
             .schedule
             .assignments
             .iter()
             .all(|&(_, l, _, _)| l == MachineId(0)));
         // The surviving model has no basis entries touching machine 1.
-        assert_eq!(report.basis.var(task(0, 1, Some(0))), None);
+        let carry = report.take_carry().expect("colgen carries state");
+        let basis = &carry.basis;
+        assert_eq!(basis.var(task(0, 1, Some(0))), None);
         assert_eq!(
-            report.basis.row(
+            basis.row(
                 RowKey::Cpu {
                     machine: MachineId(1)
                 }
@@ -2481,7 +2395,7 @@ mod tests {
             ),
             None
         );
-        assert!(report.basis.var(task(0, 0, Some(0))).is_some());
+        assert!(basis.var(task(0, 0, Some(0))).is_some());
     }
 
     #[test]
@@ -2568,10 +2482,10 @@ mod tests {
         assert_eq!(state.sanitize_for_cluster(&cluster), 3);
         assert_eq!(state.carried_columns(), 1);
         assert_eq!(
-            state.basis().var(task(0, 0, Some(0))),
+            state.basis.var(task(0, 0, Some(0))),
             Some(BasisStatus::Basic)
         );
-        assert_eq!(state.basis().var(task(0, 1, Some(0))), None);
+        assert_eq!(state.basis.var(task(0, 1, Some(0))), None);
     }
 
     #[test]
@@ -2647,15 +2561,5 @@ mod tests {
         let deferred = report.schedule.deferred.get(&JobId(0)).copied().unwrap();
         assert!(deferred > 1.0 - 1e-6, "deferred {deferred}");
         assert!(report.schedule.moves.is_empty());
-    }
-
-    #[test]
-    fn pivot_budget_exhaustion_reports_iteration_limit() {
-        let cluster = two_node();
-        let inst = base_inst(&cluster, vec![one_job(1024.0, 2.0, StoreId(0))]);
-        match EpochSolver::new(&inst).pivot_budget(0).run() {
-            Err(EpochSolveError::Lp(LpError::IterationLimit { .. })) => {}
-            other => panic!("expected iteration-limit error, got {other:?}"),
-        }
     }
 }

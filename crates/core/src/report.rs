@@ -31,9 +31,8 @@ pub struct EpochRecord {
     pub epoch: usize,
     /// Jobs the epoch LP saw.
     pub jobs: usize,
-    /// Ladder rung that produced the decision: `"CertifiedDual"`,
-    /// `"Certified"`, `"CertifiedCold"`, or `"Degraded"`
-    /// (see [`EpochOutcome`]).
+    /// Ladder rung that produced the decision: `"Certified"` (the colgen
+    /// master), `"CertifiedCold"`, or `"Degraded"` (see [`EpochOutcome`]).
     pub outcome: String,
     /// How the simplex started: `"Cold"` or `"Dual"` (see
     /// [`WarmOutcome`]).
@@ -201,8 +200,6 @@ pub struct RunSummary {
     pub certified_epochs: usize,
     /// `certified_epochs / epochs` (1.0 for an empty run).
     pub certified_share: f64,
-    /// Epochs absorbed by the dual rung (`"CertifiedDual"`).
-    pub dual_epochs: usize,
     /// Epochs solved by the colgen master (`"Certified"`). Reads the
     /// field's former name too, so older summaries still parse.
     #[serde(alias = "primal_epochs")]
@@ -245,7 +242,6 @@ impl RunSummary {
             } else {
                 certified_epochs as f64 / n as f64
             },
-            dual_epochs: count(EpochOutcome::CertifiedDual.as_str()),
             master_epochs: count(EpochOutcome::Certified.as_str()),
             cold_retry_epochs: count(EpochOutcome::CertifiedCold.as_str()),
             degraded_epochs: count(EpochOutcome::Degraded.as_str()),
@@ -305,7 +301,7 @@ mod tests {
     #[test]
     fn summary_counts_outcomes_and_shares() {
         let records = vec![
-            rec(EpochOutcome::CertifiedDual, 1.0, true),
+            rec(EpochOutcome::Certified, 1.0, true),
             rec(EpochOutcome::Certified, 2.0, true),
             rec(EpochOutcome::Certified, 3.0, false),
             rec(EpochOutcome::CertifiedCold, 4.0, false),
@@ -314,8 +310,7 @@ mod tests {
         let s = RunSummary::from_records(&records);
         assert_eq!(s.epochs, 5);
         assert_eq!(s.certified_epochs, 4);
-        assert_eq!(s.dual_epochs, 1);
-        assert_eq!(s.master_epochs, 2);
+        assert_eq!(s.master_epochs, 3);
         assert_eq!(s.cold_retry_epochs, 1);
         assert_eq!(s.degraded_epochs, 1);
         assert_eq!(s.incremental_epochs, 2);
@@ -325,9 +320,9 @@ mod tests {
         // Summaries written under the field's former name still parse.
         let json = serde_json::to_string(&s).unwrap();
         let old = json.replace("\"master_epochs\"", "\"primal_epochs\"");
-        assert!(old.contains("\"primal_epochs\":2"), "{old}");
+        assert!(old.contains("\"primal_epochs\":3"), "{old}");
         let back: RunSummary = serde_json::from_str(&old).unwrap();
-        assert_eq!(back.master_epochs, 2);
+        assert_eq!(back.master_epochs, 3);
     }
 
     #[test]

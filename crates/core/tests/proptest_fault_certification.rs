@@ -1,18 +1,18 @@
 //! Property: objective certification survives random revocation schedules.
 //!
 //! Machines are revoked (tp_ecu = 0) in random waves across a chained
-//! epoch sequence. Each epoch the previous basis is *repaired* against the
-//! surviving cluster ([`sanitize_warm_start`]) and the epoch LP re-solved
-//! warm by the dual simplex — cold when the walk is declined, as on the
-//! scheduler's ladder. The repaired warm solve must land on exactly the
-//! optimum an independent cold solve certifies — a corrupted repair would
-//! either fail KKT certification or move the objective.
+//! epoch sequence. Each epoch the previous master's columns and basis are
+//! *repaired* against the surviving cluster
+//! ([`ColGenState::sanitize_for_cluster`]) and the epoch LP re-solved by
+//! the restricted master from them, as on the scheduler's ladder. The
+//! repaired solve must land on exactly the optimum an independent cold
+//! solve certifies — a corrupted repair would either fail KKT
+//! certification or move the objective.
 
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    sanitize_warm_start, EpochSolveError, EpochSolver, LpInstance, LpJob, PruneConfig,
+    ColGenOptions, ColGenState, EpochSolver, LpInstance, LpJob, PruneConfig,
 };
-use lips_lp::{LpError, WarmStart};
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -41,7 +41,7 @@ proptest! {
         epochs in 2usize..5,
     ) {
         let mut cluster = ec2_mixed_cluster(nodes, 0.4, 1e9, seed);
-        let mut ws: Option<WarmStart> = None;
+        let mut carry: Option<ColGenState> = None;
         for e in 0..epochs {
             // A fresh wave of revocations each epoch: machine i dies in
             // epoch i % epochs if the mask says so — but never the whole
@@ -63,20 +63,17 @@ proptest! {
                 pool_floors: vec![],
                 prune: PruneConfig::default(),
             };
-            // Repair the chained basis against the shrunken cluster —
+            // Repair the chained state against the shrunken cluster —
             // the bug class under test is silently reusing rows/columns
             // of vanished machines.
-            if let Some(b) = ws.as_mut() {
-                sanitize_warm_start(b, &cluster);
+            if let Some(c) = carry.as_mut() {
+                c.sanitize_for_cluster(&cluster);
             }
-            let warm = match EpochSolver::new(&inst).dual(ws.as_ref()).certify().run() {
-                Err(EpochSolveError::Lp(LpError::DualDeclined(_))) => {
-                    EpochSolver::new(&inst).certify().run()
-                }
-                r => r,
-            }
-            .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
-            let warm_cert = warm.certificate.as_ref().expect("certification requested");
+            let mut warm = EpochSolver::new(&inst)
+                .colgen(ColGenOptions::default(), carry.as_ref())
+                .run()
+                .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
+            let warm_cert = warm.certificate.as_ref().expect("colgen mode always certifies");
             prop_assert!(warm_cert.is_optimal(), "epoch {e}: {warm_cert}");
 
             let cold = EpochSolver::new(&inst)
@@ -102,7 +99,7 @@ proptest! {
                     );
                 }
             }
-            ws = Some(warm.basis);
+            carry = warm.take_carry();
         }
     }
 }

@@ -8,10 +8,9 @@
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    sanitize_warm_start, ColGenOptions, ColGenState, EpochCertificate, EpochSolveError,
-    EpochSolver, LpInstance, LpJob, PruneConfig, SolveReport,
+    ColGenOptions, ColGenState, EpochCertificate, EpochSolver, LpInstance, LpJob, PruneConfig,
+    SolveReport,
 };
-use lips_lp::{LpError, WarmStart};
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -162,6 +161,29 @@ fn assert_bitwise(a: &SolveReport, b: &SolveReport, ctx: &str) -> Result<(), Tes
     Ok(())
 }
 
+/// The cold primal on the full model certifies the same objective as
+/// `report`.
+fn assert_cold_parity(
+    inst: &LpInstance<'_>,
+    report: &SolveReport,
+    epoch: usize,
+) -> Result<(), TestCaseError> {
+    let cold = EpochSolver::new(inst)
+        .threads(1)
+        .certify()
+        .run()
+        .map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")))?;
+    let (p, m) = (cold.schedule.lp_objective, report.schedule.lp_objective);
+    prop_assert!(
+        (p - m).abs() <= 1e-6 * (1.0 + p.abs()),
+        "epoch {}: cold primal {} vs master {}",
+        epoch,
+        p,
+        m
+    );
+    Ok(())
+}
+
 /// Apply the chain's scripted revocation to the live cluster at epoch 1.
 fn maybe_revoke(rc: &RandomChain, cluster: &mut Cluster, epoch: usize) {
     if epoch == 1 {
@@ -179,8 +201,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Colgen chains (parallel build + batch pricing + restricted
-    /// certification, cross-epoch column/basis reuse, mid-chain
-    /// revocation) are bitwise identical at 1 vs 4 threads.
+    /// certification, cross-epoch column/basis reuse, the carried state
+    /// sanitized after a mid-chain revocation) are certified, land on the
+    /// cold primal's optimum, and are bitwise identical at 1 vs 4
+    /// threads.
     #[test]
     fn colgen_chain_is_bitwise_identical_across_widths(rc in chain_strategy()) {
         let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
@@ -210,6 +234,9 @@ proptest! {
             let b = run(4, wide.as_ref())
                 .map_err(|e| TestCaseError::fail(format!("parallel colgen failed: {e}")))?;
             assert_bitwise(&a, &b, &format!("epoch {e}"))?;
+            let cert = a.certificate.as_ref().expect("colgen mode always certifies");
+            prop_assert!(cert.is_optimal(), "epoch {}: {}", e, cert);
+            assert_cold_parity(&inst, &a, e)?;
             let (sa, stats_a) = a.colgen.expect("colgen mode carries state");
             let (sb, stats_b) = b.colgen.expect("colgen mode carries state");
             prop_assert_eq!(sa.carried_columns(), sb.carried_columns(), "epoch {}", e);
@@ -221,75 +248,27 @@ proptest! {
         }
     }
 
-    /// Warm-started full-model chains (parallel build + full KKT
-    /// certification, the carried basis sanitized after revocation and
-    /// re-solved by the dual, cold when the walk is declined as on the
-    /// scheduler's ladder) are bitwise identical at 1 vs 4 threads.
+    /// A master with nothing carried starts its dual from the slack
+    /// basis: on random Fig-4 epochs (revocations included) it certifies
+    /// the cold primal's objective, needs no phase 1, and its run is
+    /// bitwise identical at 1 vs 4 threads.
     #[test]
-    fn warm_chain_is_bitwise_identical_across_widths(rc in chain_strategy()) {
-        let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
-        let mut serial: Option<WarmStart> = None;
-        let mut wide: Option<WarmStart> = None;
-        for e in 0..rc.epochs {
-            maybe_revoke(&rc, &mut cluster, e);
-            if let Some(ws) = serial.as_mut() {
-                sanitize_warm_start(ws, &cluster);
-            }
-            if let Some(ws) = wide.as_mut() {
-                sanitize_warm_start(ws, &cluster);
-            }
-            let inst = instance(&rc, &cluster, e);
-            let run = |threads: usize, ws: Option<&WarmStart>| {
-                let solver = || EpochSolver::new(&inst).threads(threads).certify();
-                match solver().dual(ws).run() {
-                    Err(EpochSolveError::Lp(LpError::DualDeclined(_))) => solver().run(),
-                    r => r,
-                }
-            };
-            let a = run(1, serial.as_ref())
-                .map_err(|e| TestCaseError::fail(format!("serial warm failed: {e}")))?;
-            let b = run(4, wide.as_ref())
-                .map_err(|e| TestCaseError::fail(format!("parallel warm failed: {e}")))?;
-            assert_bitwise(&a, &b, &format!("epoch {e}"))?;
-            serial = Some(a.basis);
-            wide = Some(b.basis);
-        }
-    }
-
-    /// Cold epochs on the dual rung start from the slack basis: on random
-    /// Fig-4 epochs (revocations included) the slack-start dual and the
-    /// cold primal certify the same objective, the dual needs no phase 1,
-    /// and its run is bitwise identical at 1 vs 4 threads.
-    #[test]
-    fn slack_start_dual_matches_cold_primal_across_widths(rc in chain_strategy()) {
+    fn slack_start_master_matches_cold_primal_across_widths(rc in chain_strategy()) {
         let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
         for e in 0..rc.epochs {
             maybe_revoke(&rc, &mut cluster, e);
             let inst = instance(&rc, &cluster, e);
-            let primal = EpochSolver::new(&inst)
-                .threads(1)
-                .certify()
-                .run()
-                .map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")))?;
-            let dual = |threads: usize| {
+            let master = |threads: usize| {
                 EpochSolver::new(&inst)
                     .threads(threads)
-                    .dual(None)
-                    .certify()
+                    .colgen(ColGenOptions::default(), None)
                     .run()
-                    .map_err(|e| TestCaseError::fail(format!("slack-start dual failed: {e}")))
+                    .map_err(|e| TestCaseError::fail(format!("slack-start master failed: {e}")))
             };
-            let a = dual(1)?;
-            let b = dual(4)?;
+            let a = master(1)?;
+            let b = master(4)?;
             assert_bitwise(&a, &b, &format!("epoch {e}"))?;
-            let (p, d) = (primal.schedule.lp_objective, a.schedule.lp_objective);
-            prop_assert!(
-                (p - d).abs() <= 1e-6 * (1.0 + p.abs()),
-                "epoch {}: cold primal {} vs slack-start dual {}",
-                e,
-                p,
-                d
-            );
+            assert_cold_parity(&inst, &a, e)?;
             let stats = a.schedule.stats;
             prop_assert_eq!(stats.warm, lips_lp::WarmOutcome::Cold);
             prop_assert_eq!(stats.phase1_iterations, 0);

@@ -183,6 +183,9 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             if read_fraction.is_some_and(|f| !(f > 0.0 && f <= 1.0)) {
                 return (err("read_fraction must be in (0, 1]"), false);
             }
+            if arrival_s.is_some_and(|t| !t.is_finite()) {
+                return (err("arrival_s must be finite"), false);
+            }
             // A reduce spec is both fields or neither: half of one is
             // refused, not silently dropped.
             let reduce = match (reduce_tasks, shuffle_mb) {
@@ -203,6 +206,11 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
                 }
             };
             let id = id.unwrap_or_else(|| daemon.fresh_job_id());
+            // The scheduler and the executor look jobs up by id: a second
+            // job under a known id would be clamped against the first.
+            if daemon.knows_job(id) {
+                return (err(&format!("job id {id} was already submitted")), false);
+            }
             let name = name.unwrap_or_else(|| format!("job-{id}"));
             let mut spec = JobSpec::new(id, name, kind, input_mb, tasks);
             if let Some(p) = pool {
@@ -353,11 +361,45 @@ mod tests {
             r#"{"cmd":"submit","input_mb":64,"reduce_tasks":0}"#,
             r#"{"cmd":"submit","input_mb":64,"reduce_tasks":4294967295}"#,
             r#"{"cmd":"submit","input_mb":64,"shuffle_mb":-5}"#,
+            r#"{"cmd":"submit","input_mb":512,"tasks":4,"arrival_s":1e999}"#,
         ] {
             let (r, stop) = handle_line(&mut d, line);
             assert!(r.contains("\"ok\":false"), "{line} -> {r}");
             assert!(!stop);
         }
+    }
+
+    #[test]
+    fn duplicate_job_ids_are_refused() {
+        let mut d = daemon();
+        let submit = |d: &mut Daemon, line: &str| handle_line(d, line).0;
+        let r = submit(
+            &mut d,
+            r#"{"cmd":"submit","id":0,"kind":"grep","input_mb":512,"tasks":4}"#,
+        );
+        assert!(r.contains("\"ok\":true"), "{r}");
+        // A second job 0 while the first is queued.
+        let r = submit(
+            &mut d,
+            r#"{"cmd":"submit","id":0,"kind":"wordcount","input_mb":2048,"tasks":4}"#,
+        );
+        assert!(r.contains("\"ok\":false"), "{r}");
+        // A second job 1 while the first is still a pending arrival.
+        let r = submit(
+            &mut d,
+            r#"{"cmd":"submit","id":1,"input_mb":64,"tasks":1,"arrival_s":500.0}"#,
+        );
+        assert!(r.contains("queued"), "{r}");
+        let r = submit(&mut d, r#"{"cmd":"submit","id":1,"input_mb":64,"tasks":1}"#);
+        assert!(r.contains("\"ok\":false"), "{r}");
+        handle_line(&mut d, r#"{"cmd":"drain"}"#);
+        assert_eq!(d.completed().len(), 2);
+        // A second job 0 after the first completed.
+        let r = submit(&mut d, r#"{"cmd":"submit","id":0,"input_mb":64,"tasks":1}"#);
+        assert!(r.contains("\"ok\":false"), "{r}");
+        // Ids the daemon draws itself skip every id it has seen.
+        let r = submit(&mut d, r#"{"cmd":"submit","input_mb":64,"tasks":1}"#);
+        assert!(r.contains("\"ok\":true") && r.contains("\"id\":2"), "{r}");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! 1. pops due arrivals off the [`ArrivalQueue`] and runs them through
 //!    admission control ([`crate::admission`]);
 //! 2. hands the live state to [`LipsScheduler::decide`] — the scheduler
-//!    keeps its carried basis / column-generation state across calls, so
-//!    with `colgen` on, new arrivals enter the incumbent
-//!    restricted master as freshly priced columns and the carried basis
-//!    is re-optimized by the dual simplex instead of a cold rebuild;
+//!    keeps its column-generation state across calls, so new arrivals
+//!    enter the incumbent restricted master as freshly priced columns and
+//!    the carried basis is re-optimized by the dual simplex instead of a
+//!    cold rebuild;
 //! 3. applies the actions *fluidly*: chunks complete within the epoch,
 //!    moves land immediately, map→reduce transitions materialize shuffle
 //!    data where the maps ran (mirroring the event engine's rule);
@@ -21,7 +21,7 @@
 //! Everything runs on virtual time and deterministic data structures, so
 //! a trajectory is bitwise reproducible at any worker-thread count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +39,7 @@ use lips_core::{EpochTuner, TuneConfig};
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The epoch scheduler's knobs. The default enables `colgen` because
-    /// the incremental-arrival path lives in the column-generation
-    /// master.
+    /// The epoch scheduler's knobs.
     pub scheduler: SchedulerConfig,
     pub admission: AdmissionConfig,
     /// Closed-loop epoch-length tuning; `None` pins the configured
@@ -54,10 +52,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            scheduler: SchedulerConfig {
-                colgen: true,
-                ..Default::default()
-            },
+            scheduler: SchedulerConfig::default(),
             admission: AdmissionConfig::default(),
             tuning: None,
             bind_seed: 2013,
@@ -147,7 +142,8 @@ pub struct Daemon {
     queue: Vec<PendingJob>,
     now: f64,
     epochs_run: usize,
-    next_job_id: usize,
+    /// Id of every job handed to the daemon, whatever became of it.
+    job_ids: BTreeSet<usize>,
     /// Colocated stores, the round-robin ring for input binding.
     bind_ring: Vec<StoreId>,
     bind_cursor: usize,
@@ -188,7 +184,6 @@ impl Daemon {
         };
         let tuner = config.tuning.map(EpochTuner::new);
         let scheduler = LipsScheduler::new(config.scheduler.clone());
-        let next_job_id = 0;
         Daemon {
             config,
             saved_tp,
@@ -198,7 +193,7 @@ impl Daemon {
             queue: Vec::new(),
             now: 0.0,
             epochs_run: 0,
-            next_job_id,
+            job_ids: BTreeSet::new(),
             bind_ring,
             bind_cursor,
             map_ecu: BTreeMap::new(),
@@ -220,7 +215,13 @@ impl Daemon {
 
     /// A fresh job id no submitted job has used yet.
     pub fn fresh_job_id(&self) -> usize {
-        self.next_job_id
+        self.job_ids.last().map_or(0, |&id| id + 1)
+    }
+
+    /// Whether a job with this id was already handed to the daemon:
+    /// pending arrival, queued, turned away or completed.
+    pub fn knows_job(&self, id: usize) -> bool {
+        self.job_ids.contains(&id)
     }
 
     /// Hand a spec to the daemon. Arrivals in the future (or at `now`)
@@ -230,7 +231,7 @@ impl Daemon {
         if spec.arrival_s < self.now {
             spec.arrival_s = self.now;
         }
-        self.next_job_id = self.next_job_id.max(spec.id.0 + 1);
+        self.job_ids.insert(spec.id.0);
         self.arrivals.push(spec);
     }
 
@@ -242,7 +243,7 @@ impl Daemon {
             self.enqueue(spec);
             None
         } else {
-            self.next_job_id = self.next_job_id.max(spec.id.0 + 1);
+            self.job_ids.insert(spec.id.0);
             Some(self.try_admit(spec))
         }
     }

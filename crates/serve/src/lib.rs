@@ -13,7 +13,7 @@
 //!   on the paper's cost-vs-makespan knob (Fig 8), driven by observed
 //!   backlog;
 //! * [`daemon::Daemon`] — the fluid epoch executor with *incremental
-//!   re-solves*: carried simplex bases and column-generation state flow
+//!   re-solves*: the column-generation master's columns and basis flow
 //!   across epochs, so new arrivals are priced into the incumbent
 //!   restricted master and re-optimized by the dual simplex rather than
 //!   rebuilding the LP from scratch;

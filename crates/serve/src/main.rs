@@ -30,7 +30,6 @@ struct Args {
     seed: u64,
     preset: Preset,
     epoch_s: f64,
-    incremental: bool,
     threads: Option<usize>,
     stream: Option<String>,
     jobs: usize,
@@ -51,7 +50,6 @@ impl Default for Args {
             seed: 2013,
             preset: Preset::Small,
             epoch_s: 400.0,
-            incremental: true,
             threads: None,
             stream: None,
             jobs: 64,
@@ -72,7 +70,6 @@ const USAGE: &str = "usage: lips-serve [options]
   --seed S           generator seed (default 2013)
   --preset P         scheduler preset: small | large (default small)
   --epoch-s F        initial epoch length in seconds (default 400)
-  --no-incremental   disable colgen carry (cold-ish re-solves)
   --threads N        solver worker threads (default: LIPS_THREADS or 1)
   --stream S         arrival stream: synth | google | swim | none
                      (default: synth in batch mode, none with --control)
@@ -101,7 +98,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 args.preset = Preset::parse(&p).ok_or_else(|| format!("unknown preset {p:?}"))?;
             }
             "--epoch-s" => args.epoch_s = val("--epoch-s")?.parse().map_err(|e| format!("{e}"))?,
-            "--no-incremental" => args.incremental = false,
             "--threads" => {
                 args.threads = Some(val("--threads")?.parse().map_err(|e| format!("{e}"))?);
             }
@@ -181,7 +177,6 @@ fn build_daemon(args: &Args) -> Result<Daemon, String> {
     let mut scheduler: SchedulerConfig = SchedulerConfig::preset(args.preset, args.epoch_s)
         .build()
         .map_err(|e| format!("invalid scheduler config: {e}"))?;
-    scheduler.colgen = args.incremental;
     scheduler.threads = args.threads;
     let mut config = ServeConfig {
         scheduler,

@@ -123,11 +123,6 @@ pub fn render(daemon: &Daemon) -> String {
     let _ = writeln!(out, "# TYPE lips_epochs_by_rung_total counter");
     let _ = writeln!(
         out,
-        "lips_epochs_by_rung_total{{rung=\"dual\"}} {}",
-        s.dual_epochs
-    );
-    let _ = writeln!(
-        out,
         "lips_epochs_by_rung_total{{rung=\"master\"}} {}",
         s.master_epochs
     );

@@ -75,8 +75,8 @@ fn twenty_epoch_fault_run_certifies_or_degrades_every_epoch() {
         report.metrics.faults.lost_ecu_sec
     );
 
-    // The headline: >= 20 epochs, each one certified (dual, warm, or
-    // cold) or explicitly degraded — never silently unaccounted.
+    // The headline: >= 20 epochs, each one certified (master or cold)
+    // or explicitly degraded — never silently unaccounted.
     let records = sched.epoch_records();
     let outcomes: Vec<&str> = records.iter().map(|r| r.outcome.as_str()).collect();
     assert!(outcomes.len() >= 20, "only {} epochs ran", outcomes.len());
@@ -86,33 +86,33 @@ fn twenty_epoch_fault_run_certifies_or_degrades_every_epoch() {
         degraded, report.metrics.faults.degraded_epochs,
         "the report must carry the scheduler's degraded-epoch count"
     );
-    let certified = count(EpochOutcome::CertifiedDual)
-        + count(EpochOutcome::Certified)
-        + count(EpochOutcome::CertifiedCold);
+    let master = count(EpochOutcome::Certified);
+    let certified = master + count(EpochOutcome::CertifiedCold);
     assert_eq!(certified + degraded, outcomes.len());
+    // The run summary must agree with the per-epoch records.
+    assert_eq!(master, RunSummary::from_records(records).master_epochs);
 
-    // Rung ordering: the dual rung runs *first*, so with warm starts on it
-    // absorbs the steady-state epochs — only fault-perturbed epochs whose
-    // walk is declined may fall to the cold rungs. The run summary must
-    // agree with the per-epoch records.
-    let dual = count(EpochOutcome::CertifiedDual);
-    assert_eq!(dual, RunSummary::from_records(records).dual_epochs);
-    assert!(
-        dual > 0,
-        "a 20-epoch warm run never took the dual rung: {outcomes:?}"
-    );
-    // The first epoch has no carried basis: the dual rung still serves
-    // it, cold from the slack basis, and it is not an incremental solve.
+    // The first epoch has nothing carried: the master serves it, its dual
+    // starting from the slack basis, and it is not an incremental solve.
     let first = &records[0];
     assert_eq!(
         outcomes[0],
-        EpochOutcome::CertifiedDual.as_str(),
-        "the first epoch must be served by the dual rung: {outcomes:?}"
+        EpochOutcome::Certified.as_str(),
+        "the first epoch must be served by the master: {outcomes:?}"
     );
     assert_eq!(first.warm, "Cold");
     assert!(!first.incremental);
     assert_eq!(first.phase1_iterations, 0);
     assert!(first.dual_pivots > 0);
+    // Every later epoch re-solves the master from the columns and basis
+    // the previous one carried, revocations included.
+    for r in &records[1..] {
+        assert!(
+            r.incremental,
+            "epoch {} was not incremental: {outcomes:?}",
+            r.epoch
+        );
+    }
 }
 
 #[test]
