@@ -31,8 +31,12 @@ fn default_run_epochs() -> usize {
     1
 }
 fn default_drain_epochs() -> usize {
-    10_000
+    MAX_EPOCHS_PER_COMMAND
 }
+
+/// Most epochs one `run` or `drain` line may ask for: a line must not hold
+/// the daemon for ever.
+pub const MAX_EPOCHS_PER_COMMAND: usize = 10_000;
 
 /// One parsed control line.
 #[derive(Debug, Deserialize)]
@@ -111,6 +115,7 @@ struct StatusReply {
     certified_share: f64,
     incremental_share: f64,
     total_dollars: f64,
+    refused_actions: usize,
 }
 
 #[derive(Serialize)]
@@ -206,11 +211,6 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
                 }
             };
             let id = id.unwrap_or_else(|| daemon.fresh_job_id());
-            // The scheduler and the executor look jobs up by id: a second
-            // job under a known id would be clamped against the first.
-            if daemon.knows_job(id) {
-                return (err(&format!("job id {id} was already submitted")), false);
-            }
             let name = name.unwrap_or_else(|| format!("job-{id}"));
             let mut spec = JobSpec::new(id, name, kind, input_mb, tasks);
             if let Some(p) = pool {
@@ -225,15 +225,28 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
                 let tcp = spec.tcp_ecu_sec_per_mb;
                 spec = spec.with_reduce(rt, smb, tcp);
             }
+            // The scheduler and the executor look jobs up by id: a second
+            // job under a known id is refused.
             let decision = match daemon.submit(spec) {
-                None => "queued".to_owned(),
-                Some(d) => d.as_str().to_owned(),
+                Err(e) => return (err(&e.to_string()), false),
+                Ok(None) => "queued".to_owned(),
+                Ok(Some(d)) => d.as_str().to_owned(),
             };
             serde_json::to_string(&SubmitReply {
                 ok: true,
                 id,
                 decision,
             })
+        }
+        Command::Run { epochs } | Command::Drain { max_epochs: epochs }
+            if epochs > MAX_EPOCHS_PER_COMMAND =>
+        {
+            return (
+                err(&format!(
+                    "at most {MAX_EPOCHS_PER_COMMAND} epochs per command, got {epochs}"
+                )),
+                false,
+            );
         }
         Command::Run { epochs } => {
             for _ in 0..epochs {
@@ -271,6 +284,7 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
                 certified_share: s.solver.certified_share,
                 incremental_share: s.solver.incremental_share,
                 total_dollars: s.total_dollars,
+                refused_actions: s.refused_actions,
             })
         }
         Command::Metrics => serde_json::to_string(&MetricsReply {
@@ -362,6 +376,8 @@ mod tests {
             r#"{"cmd":"submit","input_mb":64,"reduce_tasks":4294967295}"#,
             r#"{"cmd":"submit","input_mb":64,"shuffle_mb":-5}"#,
             r#"{"cmd":"submit","input_mb":512,"tasks":4,"arrival_s":1e999}"#,
+            r#"{"cmd":"run","epochs":18446744073709551615}"#,
+            r#"{"cmd":"drain","max_epochs":10001}"#,
         ] {
             let (r, stop) = handle_line(&mut d, line);
             assert!(r.contains("\"ok\":false"), "{line} -> {r}");

@@ -12,25 +12,38 @@
 //!    enter the incumbent restricted master as freshly priced columns and
 //!    the carried basis is re-optimized by the dual simplex instead of a
 //!    cold rebuild;
-//! 3. applies the actions *fluidly*: chunks complete within the epoch,
-//!    moves land immediately, map→reduce transitions materialize shuffle
-//!    data where the maps ran (mirroring the event engine's rule);
-//! 4. feeds the observed backlog to the epoch-length tuner
+//! 3. applies the actions *fluidly* through the event engine's
+//!    [`Executor`]: every action is validated and billed exactly as
+//!    `lips_sim::Simulation::run` validates and bills it, but chunks
+//!    complete within the epoch and moves land at its start. An action
+//!    the executor refuses is skipped and counted
+//!    ([`ServeSummary::refused_actions`]), never applied;
+//! 4. settles every queued job at the epoch's end through the same
+//!    executor: a job whose maps are done enters its reduce phase with the
+//!    shuffle placed where the maps ran (the engine's rule), a job with
+//!    nothing left completes;
+//! 5. feeds the observed backlog to the epoch-length tuner
 //!    ([`lips_core::tuner`]), closing the loop on the cost-vs-makespan knob.
+//!
+//! The bill, the placement and the completed jobs are the executor's, so a
+//! drained daemon hands back a [`SimReport`] that
+//! [`lips_sim::validate_report`] checks like any simulated run.
 //!
 //! Everything runs on virtual time and deterministic data structures, so
 //! a trajectory is bitwise reproducible at any worker-thread count.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use lips_cluster::{Cluster, DataId, DataObject, StoreId};
 use lips_core::{LipsScheduler, RunSummary, SchedulerConfig};
 use lips_sim::{
-    Action, JobOutcome, JobPhase, MachineState, PendingJob, Placement, Scheduler, SchedulerContext,
+    Action, Executor, JobOutcome, MachineState, PendingJob, Placement, Scheduler, SchedulerContext,
+    SimReport,
 };
-use lips_workload::JobSpec;
+use lips_workload::{JobId, JobSpec};
 
 use crate::admission::{admit, AdmissionConfig, AdmissionDecision};
 use crate::queue::ArrivalQueue;
@@ -116,12 +129,16 @@ pub struct ServeSummary {
     pub completed: usize,
     pub queued: usize,
     pub pending_arrivals: usize,
+    /// The bill, as the executor metered it.
     pub chunks: usize,
     pub moved_mb: f64,
     pub cpu_dollars: f64,
     pub read_dollars: f64,
     pub move_dollars: f64,
     pub total_dollars: f64,
+    /// Scheduler actions the executor refused (skipped, not applied).
+    #[serde(default)]
+    pub refused_actions: usize,
     pub mean_queue_depth: f64,
     pub max_queue_depth: usize,
     /// Mean completed-job latency (completion − arrival) in virtual
@@ -130,35 +147,41 @@ pub struct ServeSummary {
     pub solver: RunSummary,
 }
 
+/// A submit under a job id the daemon has already seen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DuplicateJob(pub usize);
+
+impl fmt::Display for DuplicateJob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "job id {} was already submitted", self.0)
+    }
+}
+
+impl std::error::Error for DuplicateJob {}
+
 /// The continuous-arrival scheduler daemon.
 pub struct Daemon {
     config: ServeConfig,
     cluster: Cluster,
     /// Original `tp_ecu` per machine, for rejoin after a revocation.
     saved_tp: Vec<f64>,
-    placement: Placement,
     scheduler: LipsScheduler,
     arrivals: ArrivalQueue,
-    queue: Vec<PendingJob>,
+    /// Placement, admitted queue, ledgers, bill and completed jobs.
+    exec: Executor,
     now: f64,
     epochs_run: usize,
-    /// Id of every job handed to the daemon, whatever became of it.
+    /// Id of every job handed to the daemon, whatever became of it: the
+    /// scheduler and the executor look jobs up by id.
     job_ids: BTreeSet<usize>,
     /// Colocated stores, the round-robin ring for input binding.
     bind_ring: Vec<StoreId>,
     bind_cursor: usize,
-    /// Map-phase ECU per (job, machine), driving shuffle placement.
-    map_ecu: BTreeMap<usize, BTreeMap<usize, f64>>,
-    completed: Vec<JobOutcome>,
     admitted: usize,
     rejected_queue_full: usize,
     rejected_pool_budget: usize,
+    refused_actions: usize,
     admission_log: Vec<AdmissionEvent>,
-    cpu_dollars: f64,
-    read_dollars: f64,
-    move_dollars: f64,
-    moved_mb: f64,
-    chunks: usize,
     epoch_log: Vec<ServeEpochRecord>,
     tuner: Option<EpochTuner>,
 }
@@ -167,7 +190,7 @@ impl Daemon {
     /// Build a daemon over `cluster`. Pre-registered data objects keep
     /// their catalog placement (one copy at the origin store).
     pub fn new(cluster: Cluster, config: ServeConfig) -> Self {
-        let placement = Placement::from_cluster(&cluster);
+        let exec = Executor::new(Placement::from_cluster(&cluster));
         let saved_tp = cluster.machines.iter().map(|m| m.tp_ecu).collect();
         let mut bind_ring: Vec<StoreId> = (0..cluster.num_machines())
             .filter_map(|m| cluster.store_of_machine(lips_cluster::MachineId(m)))
@@ -187,26 +210,19 @@ impl Daemon {
         Daemon {
             config,
             saved_tp,
-            placement,
             scheduler,
             arrivals: ArrivalQueue::new(),
-            queue: Vec::new(),
+            exec,
             now: 0.0,
             epochs_run: 0,
             job_ids: BTreeSet::new(),
             bind_ring,
             bind_cursor,
-            map_ecu: BTreeMap::new(),
-            completed: Vec::new(),
             admitted: 0,
             rejected_queue_full: 0,
             rejected_pool_budget: 0,
+            refused_actions: 0,
             admission_log: Vec::new(),
-            cpu_dollars: 0.0,
-            read_dollars: 0.0,
-            move_dollars: 0.0,
-            moved_mb: 0.0,
-            chunks: 0,
             epoch_log: Vec::new(),
             tuner,
             cluster,
@@ -218,40 +234,45 @@ impl Daemon {
         self.job_ids.last().map_or(0, |&id| id + 1)
     }
 
-    /// Whether a job with this id was already handed to the daemon:
-    /// pending arrival, queued, turned away or completed.
-    pub fn knows_job(&self, id: usize) -> bool {
-        self.job_ids.contains(&id)
-    }
-
     /// Hand a spec to the daemon. Arrivals in the future (or at `now`)
     /// wait in the arrival queue and face admission at the epoch boundary
-    /// where they come due; past arrivals are clamped to `now`.
-    pub fn enqueue(&mut self, mut spec: JobSpec) {
+    /// where they come due; past arrivals are clamped to `now`. A spec
+    /// whose id the daemon has already seen (pending arrival, queued,
+    /// turned away or completed) is refused: returns false.
+    pub fn enqueue(&mut self, mut spec: JobSpec) -> bool {
+        if !self.job_ids.insert(spec.id.0) {
+            return false;
+        }
         if spec.arrival_s < self.now {
             spec.arrival_s = self.now;
         }
-        self.job_ids.insert(spec.id.0);
         self.arrivals.push(spec);
+        true
     }
 
     /// Submit a spec through the control path. A future arrival waits in
-    /// the queue (`None`: decision deferred to its boundary); a due one
-    /// faces admission immediately.
-    pub fn submit(&mut self, spec: JobSpec) -> Option<AdmissionDecision> {
+    /// the queue (`Ok(None)`: decision deferred to its boundary); a due
+    /// one faces admission immediately. A known id is refused, as by
+    /// [`Daemon::enqueue`].
+    pub fn submit(&mut self, spec: JobSpec) -> Result<Option<AdmissionDecision>, DuplicateJob> {
+        let id = spec.id.0;
         if spec.arrival_s > self.now {
-            self.enqueue(spec);
-            None
-        } else {
-            self.job_ids.insert(spec.id.0);
-            Some(self.try_admit(spec))
+            return if self.enqueue(spec) {
+                Ok(None)
+            } else {
+                Err(DuplicateJob(id))
+            };
         }
+        if !self.job_ids.insert(id) {
+            return Err(DuplicateJob(id));
+        }
+        Ok(Some(self.try_admit(spec)))
     }
 
     /// Admission decision for `spec` right now: bind its input data and
     /// append it to the scheduler queue, or turn it away.
     fn try_admit(&mut self, mut spec: JobSpec) -> AdmissionDecision {
-        let decision = admit(&self.config.admission, &self.queue, &spec);
+        let decision = admit(&self.config.admission, self.exec.queue(), &spec);
         self.admission_log.push(AdmissionEvent {
             now: self.now,
             job: spec.id.0,
@@ -264,7 +285,7 @@ impl Daemon {
                 if spec.reads_input() && spec.data.is_none() {
                     spec.data = Some(self.bind_input(&spec.name, spec.input_mb));
                 }
-                self.queue.push(PendingJob::from_spec(&spec));
+                self.exec.admit(PendingJob::from_spec(&spec));
             }
             AdmissionDecision::RejectedQueueFull => self.rejected_queue_full += 1,
             AdmissionDecision::RejectedPoolBudget => self.rejected_pool_budget += 1,
@@ -282,7 +303,7 @@ impl Daemon {
         // back to the cursor's store if none fits.
         for off in 0..n {
             let s = self.bind_ring[(self.bind_cursor + off) % n];
-            let free = self.cluster.store(s).capacity_mb - self.placement.used_mb(s);
+            let free = self.cluster.store(s).capacity_mb - self.exec.placement().used_mb(s);
             if free >= mb {
                 origin = s;
                 self.bind_cursor += off + 1;
@@ -293,7 +314,7 @@ impl Daemon {
         self.cluster
             .data
             .push(DataObject::new(id.0, format!("input-{name}"), mb, origin));
-        self.placement.add_copy(id, origin, mb, self.now);
+        self.exec.add_object(id, origin, mb, self.now);
         id
     }
 
@@ -336,30 +357,27 @@ impl Daemon {
         let admitted = self.admitted - before_admitted;
         let rejected = arrived - admitted;
 
-        let queue_depth = self.queue.len();
-        let backlog_ecu: f64 = self.queue.iter().map(PendingJob::unassigned_ecu).sum();
-
-        // 2. Decide. The scheduler context is hand-built (no live engine):
-        // `reads_used: None` keeps the scheduler's private issued ledger
-        // authoritative, which is exact here because chunks complete
-        // within the epoch and are never killed mid-flight.
+        // 2. Decide. `reads_used: None` keeps the scheduler's private
+        // issued ledger authoritative, which is exact here because chunks
+        // complete within the epoch and are never killed mid-flight.
         let records_before = self.scheduler.epoch_records().len();
         let solves_before = self.scheduler.solves();
-        let actions = if self.queue.iter().any(PendingJob::has_unassigned_work) {
-            let machines: Vec<MachineState> = self
-                .cluster
-                .machines
-                .iter()
-                .map(MachineState::new)
-                .collect();
-            let ctx = SchedulerContext {
-                now: self.now,
-                cluster: &self.cluster,
-                placement: &self.placement,
-                queue: &self.queue,
-                machines: &machines,
-                reads_used: None,
-            };
+        let machines: Vec<MachineState> = self
+            .cluster
+            .machines
+            .iter()
+            .map(MachineState::new)
+            .collect();
+        let ctx = SchedulerContext {
+            now: self.now,
+            cluster: &self.cluster,
+            placement: self.exec.placement(),
+            queue: self.exec.queue(),
+            machines: &machines,
+            reads_used: None,
+        };
+        let (queue_depth, backlog_ecu) = (ctx.queue.len(), ctx.backlog_ecu());
+        let actions = if ctx.jobs_with_work().next().is_some() {
             self.scheduler.decide(&ctx)
         } else {
             Vec::new()
@@ -368,83 +386,33 @@ impl Daemon {
 
         // 3. Apply fluidly.
         let n_actions = actions.len();
-        let mut epoch_chunks = 0usize;
-        let mut epoch_moved = 0.0f64;
-        for action in actions {
-            match action {
-                Action::MoveData { data, from, to, mb } => {
-                    // lips-allow(float-accum-in-loop): dollar ledger summed in the scheduler's deterministic action order
-                    self.move_dollars += mb * self.cluster.ss_cost(from, to);
-                    self.placement.add_copy(data, to, mb, self.now);
-                    // lips-allow(float-accum-in-loop): per-epoch MB tally in the same fixed action order
-                    epoch_moved += mb;
-                }
-                Action::RunChunk {
-                    job,
-                    machine,
-                    source,
-                    mb,
-                    fixed_ecu,
-                } => {
-                    let Some(j) = self.queue.iter_mut().find(|j| j.id == job) else {
-                        continue;
-                    };
-                    j.consume(mb, fixed_ecu);
-                    let ecu = mb * j.tcp + fixed_ecu;
-                    // lips-allow(float-accum-in-loop): dollar ledger summed in the scheduler's deterministic action order
-                    self.cpu_dollars += self.cluster.machine(machine).cpu_dollars(ecu);
-                    if let Some(s) = source {
-                        // lips-allow(float-accum-in-loop): dollar ledger summed in the scheduler's deterministic action order
-                        self.read_dollars += mb * self.cluster.ms_cost(machine, s);
-                    }
-                    if j.phase == JobPhase::Map && j.has_pending_reduce() {
-                        *self
-                            .map_ecu
-                            .entry(job.0)
-                            .or_default()
-                            .entry(machine.0)
-                            .or_insert(0.0) += ecu;
-                    }
-                    epoch_chunks += 1;
-                }
-            }
-        }
-        self.chunks += epoch_chunks;
-        self.moved_mb += epoch_moved;
+        let (epoch_chunks, epoch_moved) = self.apply(actions);
 
-        // 4. Fluid completion: every dispatched chunk finishes within the
-        // epoch. Map-done jobs with a reduce spec transition (shuffle data
-        // materializes where the maps ran, as in the event engine); fully
-        // done jobs leave the queue.
+        // 4. Every dispatched chunk finished within the epoch: settle each
+        // queued job at its end. A job entering its reduce phase gets its
+        // shuffle output registered in the catalog.
         let end = self.now + epoch_s;
-        let mut i = 0;
-        while i < self.queue.len() {
-            self.queue[i].running_chunks = 0;
-            if self.queue[i].has_unassigned_work() {
-                i += 1;
-                continue;
+        let jobs: Vec<(JobId, usize)> = self
+            .exec
+            .queue()
+            .iter()
+            .map(|j| (j.id, j.running_chunks))
+            .collect();
+        for (job, running) in jobs {
+            let shuffle = DataId(self.cluster.data.len());
+            if self.exec.settle(&self.cluster, job, running, end, shuffle) {
+                self.register_shuffle(job, shuffle);
             }
-            if self.queue[i].has_pending_reduce() {
-                let shuffle = self.materialize_shuffle(i);
-                self.queue[i].enter_reduce(shuffle);
-                i += 1;
-                continue;
-            }
-            let job = self.queue.remove(i);
-            self.map_ecu.remove(&job.id.0);
-            self.completed.push(JobOutcome {
-                id: job.id,
-                name: job.name,
-                pool: job.pool,
-                arrival: job.arrival,
-                completed: end,
-                chunks: job.chunks_started,
-            });
         }
 
         // 5. Close the loop on the epoch-length knob.
         let next_epoch_s = if let Some(t) = self.tuner {
-            let remaining: f64 = self.queue.iter().map(PendingJob::unassigned_ecu).sum();
+            let remaining: f64 = self
+                .exec
+                .queue()
+                .iter()
+                .map(PendingJob::unassigned_ecu)
+                .sum();
             t.next_epoch(remaining, t.target_rate(&self.cluster), epoch_s)
         } else {
             epoch_s
@@ -475,7 +443,7 @@ impl Daemon {
             actions: n_actions,
             chunks: epoch_chunks,
             moved_mb: epoch_moved,
-            completed: self.completed.len(),
+            completed: self.exec.outcomes().len(),
             next_epoch_s,
         });
         self.now = end;
@@ -483,46 +451,69 @@ impl Daemon {
         &self.epoch_log[idx]
     }
 
-    /// Shuffle data for the job at queue index `i`: registered in the
-    /// catalog and placed proportionally to where its map ECU ran
-    /// (remainder and machines without local stores fall to the first
-    /// ring store) — the event engine's materialization rule.
-    fn materialize_shuffle(&mut self, i: usize) -> DataId {
-        let job = &self.queue[i];
-        // Callers gate on `has_pending_reduce`; a map-only job shuffles
-        // nothing.
-        let shuffle_mb = job.reduce.map_or(0.0, |r| r.shuffle_mb);
-        let name = format!("shuffle-{}", job.name);
-        let per_machine = self.map_ecu.remove(&job.id.0).unwrap_or_default();
-        let total: f64 = per_machine.values().sum();
-        let fallback = self.bind_ring[0];
-        let mut placed: BTreeMap<StoreId, f64> = BTreeMap::new();
-        if total > 0.0 {
-            for (&m, &ecu) in &per_machine {
-                let share = shuffle_mb * ecu / total;
-                let store = self
-                    .cluster
-                    .store_of_machine(lips_cluster::MachineId(m))
-                    .unwrap_or(fallback);
-                *placed.entry(store).or_insert(0.0) += share;
+    /// Apply one decision through the executor: moves land at `now`, a
+    /// chunk keeps its machine busy for `slot_seconds_for(ecu)`. A refused
+    /// action is skipped and counted. Returns the chunks started and the
+    /// MB moved.
+    fn apply(&mut self, actions: Vec<Action>) -> (usize, f64) {
+        let now = self.now;
+        let mut chunks = 0usize;
+        let mut moved = 0.0f64;
+        for action in actions {
+            let applied = match action {
+                Action::MoveData { data, from, to, mb } => self
+                    .exec
+                    .move_data(&self.cluster, data, from, to, mb, |_| now)
+                    .map(|landed| {
+                        if landed.is_some() {
+                            // lips-allow(float-accum-in-loop): per-epoch MB tally in the scheduler's fixed action order
+                            moved += mb;
+                        }
+                    }),
+                Action::RunChunk {
+                    job,
+                    machine,
+                    source,
+                    mb,
+                    fixed_ecu,
+                } => self
+                    .exec
+                    .check_chunk(&self.cluster, job, machine, source, mb, fixed_ecu)
+                    .map(|chunk| {
+                        if let Some(chunk) = chunk {
+                            let busy = self.cluster.machine(machine).slot_seconds_for(chunk.ecu);
+                            self.exec.start_chunk(&self.cluster, &chunk, machine, busy);
+                            chunks += 1;
+                        }
+                    }),
+            };
+            if applied.is_err() {
+                self.refused_actions += 1;
             }
-        } else {
-            placed.insert(fallback, shuffle_mb);
         }
-        let origin = placed
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-            .map_or(fallback, |(&s, _)| s);
-        let id = DataId(self.cluster.data.len());
-        self.cluster
-            .data
-            .push(DataObject::new(id.0, name, shuffle_mb, origin));
-        for (store, mb) in placed {
-            if mb > 0.0 {
-                self.placement.add_copy(id, store, mb, self.now);
-            }
-        }
-        id
+        (chunks, moved)
+    }
+
+    /// Register `job`'s shuffle output `data` in the catalog, its origin
+    /// the store holding most of it.
+    fn register_shuffle(&mut self, job: JobId, data: DataId) {
+        let Some(j) = self.exec.queue().iter().find(|j| j.id == job) else {
+            return;
+        };
+        let origin = self
+            .exec
+            .placement()
+            .stores_of(data)
+            .into_iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0 .0.cmp(&a.0 .0)))
+            .map_or(StoreId(0), |(s, _)| s);
+        let object = DataObject::new(
+            data.0,
+            format!("shuffle-{}", j.name),
+            j.remaining_mb,
+            origin,
+        );
+        self.cluster.data.push(object);
     }
 
     /// Run epochs until both the queue and the arrival stream are empty
@@ -531,7 +522,7 @@ impl Daemon {
     pub fn run_until_drained(&mut self, max_epochs: usize) -> usize {
         let start = self.epochs_run;
         while self.epochs_run - start < max_epochs {
-            if self.queue.is_empty() {
+            if self.exec.queue().is_empty() {
                 match self.arrivals.next_arrival() {
                     Some(t) => self.now = self.now.max(t),
                     None => break,
@@ -555,7 +546,7 @@ impl Daemon {
     }
 
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.exec.queue().len()
     }
 
     pub fn pending_arrivals(&self) -> usize {
@@ -563,7 +554,7 @@ impl Daemon {
     }
 
     pub fn completed(&self) -> &[JobOutcome] {
-        &self.completed
+        self.exec.outcomes()
     }
 
     pub fn admission_log(&self) -> &[AdmissionEvent] {
@@ -583,7 +574,26 @@ impl Daemon {
     }
 
     pub fn total_dollars(&self) -> f64 {
-        self.cpu_dollars + self.read_dollars + self.move_dollars
+        self.exec.metrics().total_dollars()
+    }
+
+    /// The run as a [`SimReport`], once the queue and the arrival stream
+    /// are drained (`None` before): the executor's bill, completed jobs
+    /// and final placement, the makespan at the last completion.
+    pub fn report(&self) -> Option<SimReport> {
+        if !(self.exec.queue().is_empty() && self.arrivals.is_empty()) {
+            return None;
+        }
+        let outcomes = self.exec.outcomes().to_vec();
+        let makespan = outcomes.iter().map(|o| o.completed).fold(0.0, f64::max);
+        Some(SimReport {
+            scheduler: self.scheduler.name().to_owned(),
+            metrics: self.exec.metrics().clone(),
+            outcomes,
+            makespan,
+            events: self.epochs_run,
+            final_placement: self.exec.placement().clone(),
+        })
     }
 
     /// Roll up the run so far.
@@ -595,34 +605,127 @@ impl Daemon {
         } else {
             depths.iter().sum::<usize>() as f64 / depths.len() as f64
         };
-        let mean_latency_s = if self.completed.is_empty() {
+        let completed = self.exec.outcomes();
+        let mean_latency_s = if completed.is_empty() {
             0.0
         } else {
-            self.completed
+            completed
                 .iter()
                 .map(|j| j.completed - j.arrival)
                 .sum::<f64>()
-                / self.completed.len() as f64
+                / completed.len() as f64
         };
+        let metrics = self.exec.metrics();
         ServeSummary {
             epochs_run: self.epochs_run,
             lp_epochs: self.scheduler.solves(),
             admitted: self.admitted,
             rejected_queue_full: self.rejected_queue_full,
             rejected_pool_budget: self.rejected_pool_budget,
-            completed: self.completed.len(),
-            queued: self.queue.len(),
+            completed: completed.len(),
+            queued: self.exec.queue().len(),
             pending_arrivals: self.arrivals.len(),
-            chunks: self.chunks,
-            moved_mb: self.moved_mb,
-            cpu_dollars: self.cpu_dollars,
-            read_dollars: self.read_dollars,
-            move_dollars: self.move_dollars,
-            total_dollars: self.total_dollars(),
+            chunks: metrics.chunks(),
+            moved_mb: metrics.moved_mb,
+            cpu_dollars: metrics.cpu_dollars,
+            read_dollars: metrics.read_dollars,
+            move_dollars: metrics.move_dollars,
+            total_dollars: metrics.total_dollars(),
+            refused_actions: self.refused_actions,
             mean_queue_depth,
             max_queue_depth: depths.into_iter().max().unwrap_or(0),
             mean_latency_s,
             solver,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lips_cluster::{ec2_20_node, MachineId};
+    use lips_workload::JobKind;
+
+    fn daemon() -> Daemon {
+        Daemon::new(ec2_20_node(0.5, 1e9), ServeConfig::default())
+    }
+
+    #[test]
+    fn enqueue_refuses_a_known_id() {
+        let mut d = daemon();
+        assert!(d.enqueue(JobSpec::new(0, "g", JobKind::Grep, 512.0, 4)));
+        assert!(!d.enqueue(JobSpec::new(0, "wc", JobKind::WordCount, 2048.0, 4)));
+        assert!(d.enqueue(JobSpec::new(1, "g1", JobKind::Grep, 256.0, 4)));
+        assert_eq!(d.pending_arrivals(), 2);
+        assert_eq!(d.run_until_drained(10), 1);
+        let done: Vec<&str> = d.completed().iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(done, ["g", "g1"]);
+        // A known id stays refused after its job completed, on either path.
+        assert!(!d.enqueue(JobSpec::new(1, "again", JobKind::Grep, 64.0, 1)));
+        let late = JobSpec::new(0, "again", JobKind::Grep, 64.0, 1).arriving_at(d.now());
+        assert_eq!(d.submit(late), Err(DuplicateJob(0)));
+    }
+
+    #[test]
+    fn refused_actions_are_counted_not_applied() {
+        let mut d = daemon();
+        let id = d.fresh_job_id();
+        let decision = d.submit(JobSpec::new(id, "g", JobKind::Grep, 512.0, 4));
+        assert_eq!(decision, Ok(Some(AdmissionDecision::Admitted)));
+        let job = JobId(id);
+        let data = d.exec.queue()[0].data.expect("input bound at admission");
+        let holder = d.exec.placement().stores_of(data)[0].0;
+        let empty = StoreId((holder.0 + 1) % d.cluster.stores.len());
+        let bogus = vec![
+            // A job the daemon never admitted.
+            Action::RunChunk {
+                job: JobId(99),
+                machine: MachineId(0),
+                source: Some(holder),
+                mb: 64.0,
+                fixed_ecu: 0.0,
+            },
+            // More input than the job has.
+            Action::RunChunk {
+                job,
+                machine: MachineId(0),
+                source: Some(holder),
+                mb: 4096.0,
+                fixed_ecu: 0.0,
+            },
+            // A data-reading chunk without a source.
+            Action::RunChunk {
+                job,
+                machine: MachineId(0),
+                source: None,
+                mb: 64.0,
+                fixed_ecu: 0.0,
+            },
+            // A read from a store that holds none of the input.
+            Action::RunChunk {
+                job,
+                machine: MachineId(0),
+                source: Some(empty),
+                mb: 64.0,
+                fixed_ecu: 0.0,
+            },
+            // A move of data the source store does not hold.
+            Action::MoveData {
+                data,
+                from: empty,
+                to: holder,
+                mb: 64.0,
+            },
+        ];
+        assert_eq!(d.apply(bogus), (0, 0.0));
+        assert_eq!(d.refused_actions, 5);
+        let s = d.summary();
+        assert_eq!((s.refused_actions, s.chunks, s.total_dollars), (5, 0, 0.0));
+        assert_eq!(d.exec.queue()[0].remaining_mb, 512.0);
+        // The daemon still runs the job to completion, refusing nothing more.
+        d.run_until_drained(10);
+        assert_eq!(d.completed().len(), 1);
+        assert_eq!(d.refused_actions, 5);
+        assert!(d.total_dollars() > 0.0);
     }
 }

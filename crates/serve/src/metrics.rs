@@ -96,6 +96,12 @@ pub fn render(daemon: &Daemon) -> String {
         "Cumulative bill (cpu + reads + moves).",
         summary.total_dollars,
     );
+    counter(
+        &mut out,
+        "lips_serve_refused_actions_total",
+        "Scheduler actions the executor refused (skipped, not applied).",
+        summary.refused_actions as f64,
+    );
 
     // Solver-side telemetry, from the stable per-epoch record schema.
     counter(

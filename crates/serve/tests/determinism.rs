@@ -2,12 +2,16 @@
 //! clusters, arrival streams, and mid-stream revocations, a trajectory
 //! must be **bitwise** identical at any solver worker-thread count —
 //! every admission decision, epoch boundary, LP objective, and the final
-//! bill, down to the last mantissa bit.
+//! bill, down to the last mantissa bit. The drained trajectory must also
+//! pass the simulator's billing and conservation checks
+//! (`lips_sim::validate_report`) with no action refused.
 
 use lips_cluster::ec2_mixed_cluster;
 use lips_serve::{Daemon, ServeConfig};
+use lips_sim::{validate_report, Violation};
 use lips_workload::{
-    assign_arrivals, random_workload, ArrivalProcess, JobKind, JobSpec, RandomWorkloadCfg,
+    assign_arrivals, random_workload, ArrivalProcess, BoundWorkload, JobKind, JobSpec,
+    RandomWorkloadCfg,
 };
 use proptest::prelude::*;
 
@@ -59,7 +63,15 @@ struct Fingerprint {
     objectives: Vec<u64>,
 }
 
-fn run(s: &Scenario, threads: usize) -> Fingerprint {
+/// What the executor checks say about a drained trajectory.
+#[derive(Debug)]
+struct Checks {
+    violations: Vec<Violation>,
+    refused_actions: usize,
+    reduce_jobs: usize,
+}
+
+fn run(s: &Scenario, threads: usize) -> (Fingerprint, Checks) {
     let mut config = ServeConfig::default();
     config.scheduler.threads = Some(threads);
     if s.tune {
@@ -74,24 +86,22 @@ fn run(s: &Scenario, threads: usize) -> Fingerprint {
         s.seed,
     );
     assign_arrivals(&mut specs, ArrivalProcess::Poisson, s.horizon, s.seed);
+    let mut handed = Vec::new();
     for (i, mut spec) in specs.into_iter().enumerate() {
         if i % s.reduce_every == 0 {
             let tcp = spec.tcp_ecu_sec_per_mb;
             spec = spec.with_reduce(2, 256.0, tcp.max(0.1));
         }
-        d.enqueue(spec);
+        handed.push(spec.clone());
+        assert!(d.enqueue(spec));
     }
     // Extra mid-run control-path submission, after some epochs.
     for _ in 0..s.revoke_at {
         d.run_epoch();
     }
-    d.submit(JobSpec::new(
-        d.fresh_job_id(),
-        "late",
-        JobKind::Grep,
-        777.0,
-        3,
-    ));
+    let late = JobSpec::new(d.fresh_job_id(), "late", JobKind::Grep, 777.0, 3);
+    handed.push(late.clone());
+    d.submit(late).expect("a fresh id is accepted");
     if s.revoke < 100 {
         d.revoke(s.revoke % s.nodes);
         for _ in 0..2 {
@@ -101,7 +111,26 @@ fn run(s: &Scenario, threads: usize) -> Fingerprint {
     }
     d.run_until_drained(250);
 
-    Fingerprint {
+    // The workload the daemon ran is what it admitted.
+    let admitted: Vec<usize> = d
+        .admission_log()
+        .iter()
+        .filter(|e| e.decision == "admitted")
+        .map(|e| e.job)
+        .collect();
+    let jobs: Vec<JobSpec> = handed
+        .into_iter()
+        .filter(|j| admitted.contains(&j.id.0))
+        .collect();
+    let reduce_jobs = jobs.iter().filter(|j| j.reduce.is_some()).count();
+    let report = d.report().expect("the stream drains");
+    let checks = Checks {
+        violations: validate_report(&report, d.cluster(), &BoundWorkload { jobs }),
+        refused_actions: d.summary().refused_actions,
+        reduce_jobs,
+    };
+
+    let fingerprint = Fingerprint {
         admissions: d
             .admission_log()
             .iter()
@@ -134,7 +163,8 @@ fn run(s: &Scenario, threads: usize) -> Fingerprint {
             .iter()
             .map(|r| r.objective.to_bits())
             .collect(),
-    }
+    };
+    (fingerprint, checks)
 }
 
 proptest! {
@@ -142,11 +172,16 @@ proptest! {
 
     #[test]
     fn trajectories_are_bitwise_identical_across_thread_counts(s in scenario()) {
-        let serial = run(&s, 1);
-        let wide = run(&s, 4);
+        let (serial, checks) = run(&s, 1);
+        // Every scenario runs reduce jobs, and the executor's checks hold
+        // on the drained run.
+        prop_assert!(checks.reduce_jobs > 0);
+        prop_assert!(checks.violations.is_empty(), "{:?}", checks.violations);
+        prop_assert_eq!(checks.refused_actions, 0);
+        let (wide, _) = run(&s, 4);
         prop_assert_eq!(&serial, &wide);
         // And re-running serially is self-consistent (no hidden state).
-        let again = run(&s, 1);
+        let (again, _) = run(&s, 1);
         prop_assert_eq!(&serial, &again);
     }
 }

@@ -1,4 +1,12 @@
 //! The discrete-event simulation driver.
+//!
+//! [`Simulation::run`] replays job arrivals, epoch ticks, chunk
+//! completions and scripted faults through an event queue. Everything a
+//! schedule's bill depends on — validating and applying actions, the read
+//! and map-output ledgers, the shuffle rule, job completion — lives in the
+//! shared [`Executor`]; the engine adds what only a timed executor has:
+//! slots, transfer and compute durations, stragglers, speculative backups,
+//! network interference and faults.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -8,12 +16,13 @@ use lips_workload::{BoundWorkload, JobId};
 
 use crate::action::{Action, Scheduler, SchedulerContext};
 use crate::event::{EventKind, EventQueue};
+use crate::executor::{Chunk, Executor};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::job_state::{JobOutcome, PendingJob};
+use crate::job_state::PendingJob;
 use crate::machine_state::MachineState;
-use crate::metrics::{Metrics, SimReport};
+use crate::metrics::SimReport;
 use crate::placement::Placement;
-use crate::{Time, WORK_EPS};
+use crate::Time;
 
 /// Simulation failures: all indicate a buggy or stalled *scheduler* (the
 /// simulator validates every action against physical reality).
@@ -38,6 +47,8 @@ pub enum SimError {
     },
     /// A data-reading chunk did not name a source store.
     SourceRequired(JobId),
+    /// A chunk read input MB for a job with no input data object.
+    NoInput(JobId),
     /// Chunk targeted a machine that is currently revoked (a fault-aware
     /// scheduler must respect the live cluster's `tp_ecu == 0` marker).
     MachineRevoked(MachineId),
@@ -46,6 +57,8 @@ pub enum SimError {
     Stalled { unfinished: usize },
     /// The scheduler kept emitting actions without making progress.
     ActionLoop,
+    /// An epoch scheduler reported no epoch, or a non-positive one.
+    BadEpoch,
 }
 
 impl fmt::Display for SimError {
@@ -75,6 +88,7 @@ impl fmt::Display for SimError {
             SimError::SourceRequired(j) => {
                 write!(f, "data-reading chunk for {j:?} lacks a source store")
             }
+            SimError::NoInput(j) => write!(f, "chunk reads input for {j:?}, which has none"),
             SimError::MachineRevoked(m) => {
                 write!(f, "chunk scheduled on revoked machine {m:?}")
             }
@@ -82,6 +96,7 @@ impl fmt::Display for SimError {
                 write!(f, "simulation stalled with {unfinished} unfinished jobs")
             }
             SimError::ActionLoop => write!(f, "scheduler emitted actions without progress"),
+            SimError::BadEpoch => write!(f, "epoch scheduler reported no positive epoch"),
         }
     }
 }
@@ -126,44 +141,35 @@ pub struct Simulation<'a> {
 /// One dispatched, not-yet-finished chunk — everything needed to unwind it
 /// if its machine is revoked.
 struct RunningChunk {
-    job: JobId,
+    chunk: Chunk,
     machine: MachineId,
     start: Time,
     end: Time,
-    /// Input MB and fixed ECU-seconds consumed from the job at dispatch.
-    mb: f64,
-    fixed_ecu: f64,
-    /// Total ECU-seconds of the chunk.
-    ecu: f64,
     /// CPU dollars billed at dispatch (at the dispatch-time price).
     cpu_dollars: f64,
-    /// `(data, source)` the read budget was charged against, if any.
-    read: Option<(DataId, StoreId)>,
-    /// Whether the chunk's ECU went into the map-output ledger.
-    tracked_map: bool,
 }
 
-/// Mutable fault-related bookkeeping threaded through the run.
-#[derive(Default)]
-struct FaultState {
-    next_chunk: u64,
+/// The engine's own state for one run, around the shared [`Executor`].
+struct Run {
+    /// The cluster the run actually sees: faults mutate this copy
+    /// (revocation zeroes `tp_ecu`, repricing moves `cpu_cost`), so every
+    /// scheduler decision and every bill reflects the surviving topology.
+    live: Cluster,
+    exec: Executor,
+    machines: Vec<MachineState>,
+    events: EventQueue,
+    stragglers: Option<(rand_chacha::ChaCha8Rng, StragglerModel)>,
+    interference: f64,
+    speculation: bool,
     /// In-flight chunks by id; a `ChunkDone` whose id is absent was killed.
     /// Ordered so revocation kills victims in chunk-id order.
     running: BTreeMap<u64, RunningChunk>,
+    next_chunk: u64,
     /// Objects that lost a replica to a store loss (moves of these count
     /// as re-replication traffic).
     lost_data: BTreeSet<DataId>,
     /// Original `tp_ecu` of currently revoked machines.
     revoked_ecu: BTreeMap<MachineId, f64>,
-}
-
-impl FaultState {
-    fn register(&mut self, chunk: RunningChunk) -> u64 {
-        let id = self.next_chunk;
-        self.next_chunk += 1;
-        self.running.insert(id, chunk);
-        id
-    }
 }
 
 impl<'a> Simulation<'a> {
@@ -235,28 +241,26 @@ impl<'a> Simulation<'a> {
             "speculation and fault injection are mutually exclusive"
         );
         let cluster = self.cluster;
-        // The cluster the run actually sees: faults mutate this copy
-        // (revocation zeroes `tp_ecu`, repricing moves `cpu_cost`), so every
-        // scheduler decision and every bill reflects the surviving topology.
-        let mut live: Cluster = cluster.clone();
-        let mut fstate = FaultState::default();
-        let mut events = EventQueue::new();
-        let mut placement = self
+        let placement = self
             .initial_placement
             .clone()
             .unwrap_or_else(|| Placement::from_cluster(cluster));
-        let mut machines: Vec<MachineState> =
-            cluster.machines.iter().map(MachineState::new).collect();
-        let mut metrics = Metrics::default();
-        let mut queue: Vec<PendingJob> = Vec::new();
-        let mut outcomes: Vec<JobOutcome> = Vec::new();
-        // Read budget per (data, store): total MB chunks may read from a
-        // store is capped by the MB actually placed there (constraint (13)).
-        let mut reads_used: BTreeMap<(DataId, StoreId), f64> = BTreeMap::new();
-        // ECU-seconds of map work executed per (job, machine): determines
-        // where a job's shuffle output materializes for its reduce phase.
-        // Ordered so shuffle placement visits machines deterministically.
-        let mut map_ecu: BTreeMap<(JobId, lips_cluster::MachineId), f64> = BTreeMap::new();
+        let mut run = Run {
+            live: cluster.clone(),
+            exec: Executor::new(placement),
+            machines: cluster.machines.iter().map(MachineState::new).collect(),
+            events: EventQueue::new(),
+            stragglers: self.stragglers.map(|m| {
+                use rand::SeedableRng;
+                (rand_chacha::ChaCha8Rng::seed_from_u64(m.seed), m)
+            }),
+            interference: self.interference,
+            speculation: self.speculation,
+            running: BTreeMap::new(),
+            next_chunk: 0,
+            lost_data: BTreeSet::new(),
+            revoked_ecu: BTreeMap::new(),
+        };
         // Synthetic data ids for shuffle outputs start above the catalog.
         let shuffle_data_base = cluster.num_data();
 
@@ -264,31 +268,29 @@ impl<'a> Simulation<'a> {
             self.workload.jobs.iter().map(|j| (j.id, j)).collect();
         let mut arrivals_pending = 0usize;
         for job in &self.workload.jobs {
-            events.push(job.arrival_s, EventKind::JobArrival(job.id));
+            run.events
+                .push(job.arrival_s, EventKind::JobArrival(job.id));
             arrivals_pending += 1;
         }
         if let Some(plan) = &self.faults {
             for &(time, fe) in plan.events() {
-                events.push(time, EventKind::Fault(fe));
+                run.events.push(time, EventKind::Fault(fe));
             }
         }
         let epoch = scheduler.epoch();
         if let Some(e) = epoch {
-            assert!(e > 0.0, "epoch must be positive");
+            if e <= 0.0 {
+                return Err(SimError::BadEpoch);
+            }
             // First decision at t = 0 (arrivals at t = 0 are queued first
             // because they were pushed first); later decisions every `e`.
-            events.push(0.0, EventKind::EpochTick);
+            run.events.push(0.0, EventKind::EpochTick);
         }
 
-        let mut running_total = 0usize;
         let mut makespan: Time = 0.0;
         let mut processed = 0usize;
-        let mut straggler_rng = self.stragglers.map(|m| {
-            use rand::SeedableRng;
-            (rand_chacha::ChaCha8Rng::seed_from_u64(m.seed), m)
-        });
 
-        while let Some(ev) = events.pop() {
+        while let Some(ev) = run.events.pop() {
             processed += 1;
             if processed > self.max_events {
                 return Err(SimError::ActionLoop);
@@ -297,175 +299,27 @@ impl<'a> Simulation<'a> {
             match ev.kind {
                 EventKind::JobArrival(id) => {
                     arrivals_pending -= 1;
-                    let spec = specs[&id];
-                    let pj = PendingJob::from_spec(spec);
-                    if pj.is_complete() {
-                        // Degenerate zero-work job: completes instantly.
-                        outcomes.push(JobOutcome {
-                            id,
-                            name: pj.name.clone(),
-                            pool: pj.pool.clone(),
-                            arrival: now,
-                            completed: now,
-                            chunks: 0,
-                        });
-                    } else {
-                        queue.push(pj);
-                    }
+                    run.exec.admit(PendingJob::from_spec(specs[&id]));
+                    // A degenerate zero-work job settles at once.
+                    run.exec
+                        .settle(&run.live, id, 0, now, DataId(shuffle_data_base + id.0));
                 }
                 EventKind::ChunkDone { job, chunk, .. } => {
-                    if fstate.running.remove(&chunk).is_none() {
+                    if run.running.remove(&chunk).is_none() {
                         // The chunk was killed by a revocation before it
                         // finished: its work is already back in the queue
                         // and no state changed — skip the stale completion.
                         continue;
                     }
-                    running_total -= 1;
                     makespan = makespan.max(now);
-                    if let Some(pos) = queue.iter().position(|j| j.id == job) {
-                        queue[pos].running_chunks -= 1;
-                        if queue[pos].is_complete() {
-                            if queue[pos].has_pending_reduce() {
-                                // Maps done: materialize the shuffle output
-                                // where the maps ran and start the reduce
-                                // phase. The shuffle object is a synthetic
-                                // data id above the catalog range.
-                                let data = DataId(shuffle_data_base + job.0);
-                                let spec = queue[pos].reduce.expect("pending reduce");
-                                let total: f64 = map_ecu
-                                    .iter()
-                                    .filter(|((j, _), _)| *j == job)
-                                    .map(|(_, e)| *e)
-                                    .sum();
-                                let mut placed = 0.0;
-                                if total > WORK_EPS {
-                                    // map_ecu is ordered by (job, machine),
-                                    // so this walk is already machine-sorted.
-                                    let shares: Vec<(lips_cluster::MachineId, f64)> = map_ecu
-                                        .iter()
-                                        .filter(|((j, _), _)| *j == job)
-                                        .map(|((_, m), e)| (*m, *e))
-                                        .collect();
-                                    for (machine, ecu) in shares {
-                                        if let Some(store) = cluster.store_of_machine(machine) {
-                                            let mb = spec.shuffle_mb * ecu / total;
-                                            placement.add_copy(data, store, mb, now);
-                                            placed += mb;
-                                        }
-                                    }
-                                }
-                                if placed < spec.shuffle_mb - WORK_EPS {
-                                    // Remainder (e.g. map machines without a
-                                    // co-located store): park it on the
-                                    // first DataNode.
-                                    let fallback = cluster
-                                        .stores
-                                        .iter()
-                                        .find(|s| s.colocated.is_some())
-                                        .map_or(StoreId(0), |s| s.id);
-                                    placement.add_copy(
-                                        data,
-                                        fallback,
-                                        spec.shuffle_mb - placed,
-                                        now,
-                                    );
-                                }
-                                queue[pos].enter_reduce(data);
-                            } else {
-                                let done = queue.remove(pos);
-                                outcomes.push(JobOutcome {
-                                    id: done.id,
-                                    name: done.name,
-                                    pool: done.pool,
-                                    arrival: done.arrival,
-                                    completed: now,
-                                    chunks: done.chunks_started,
-                                });
-                            }
-                        }
-                    }
+                    run.exec
+                        .settle(&run.live, job, 1, now, DataId(shuffle_data_base + job.0));
                 }
                 EventKind::MoveDone { .. } => {
                     makespan = makespan.max(now);
                 }
                 EventKind::EpochTick => {}
-                EventKind::Fault(fe) => match fe {
-                    FaultEvent::RevokeMachine { machine } => {
-                        if live.machines[machine.0].tp_ecu > 0.0 {
-                            fstate
-                                .revoked_ecu
-                                .insert(machine, live.machines[machine.0].tp_ecu);
-                            live.machines[machine.0].tp_ecu = 0.0;
-                            metrics.faults.revocations += 1;
-                            // Kill every in-flight chunk on the machine: the
-                            // burned fraction stays billed (the provider
-                            // charged for it) but the partial output is
-                            // lost, so the whole chunk's work goes back to
-                            // the queue and its read budget is refunded.
-                            let victims: Vec<u64> = fstate
-                                .running
-                                .iter()
-                                .filter(|(_, c)| c.machine == machine)
-                                .map(|(&id, _)| id)
-                                .collect();
-                            for id in victims {
-                                let c = fstate.running.remove(&id).expect("victim registered");
-                                let dur = c.end - c.start;
-                                let frac = if dur > 0.0 {
-                                    ((now - c.start) / dur).clamp(0.0, 1.0)
-                                } else {
-                                    1.0
-                                };
-                                metrics.refund_chunk(
-                                    machine,
-                                    c.ecu * (1.0 - frac),
-                                    (c.end - now).max(0.0),
-                                    c.cpu_dollars * (1.0 - frac),
-                                );
-                                metrics.faults.killed_chunks += 1;
-                                metrics.faults.lost_ecu_sec += c.ecu * frac;
-                                if let Some((data, src)) = c.read {
-                                    if let Some(used) = reads_used.get_mut(&(data, src)) {
-                                        *used = (*used - c.mb).max(0.0);
-                                    }
-                                }
-                                if c.tracked_map {
-                                    if let Some(e) = map_ecu.get_mut(&(c.job, machine)) {
-                                        *e = (*e - c.ecu).max(0.0);
-                                    }
-                                }
-                                let pj = queue
-                                    .iter_mut()
-                                    .find(|j| j.id == c.job)
-                                    .expect("job with a running chunk is queued");
-                                pj.restore(c.mb, c.fixed_ecu);
-                                running_total -= 1;
-                            }
-                            machines[machine.0].release_all(now);
-                        }
-                    }
-                    FaultEvent::RejoinMachine { machine } => {
-                        if let Some(tp) = fstate.revoked_ecu.remove(&machine) {
-                            live.machines[machine.0].tp_ecu = tp;
-                            metrics.faults.rejoins += 1;
-                        }
-                    }
-                    FaultEvent::LoseStore { store } => {
-                        let dropped = placement.drop_store(store);
-                        metrics.faults.store_losses += 1;
-                        for &(data, mb) in &dropped {
-                            metrics.faults.lost_store_mb += mb;
-                            fstate.lost_data.insert(data);
-                        }
-                        // The store's read ledger dies with its contents:
-                        // replicas copied there later are readable afresh.
-                        reads_used.retain(|&(_, s), _| s != store);
-                    }
-                    FaultEvent::Reprice { machine, cpu_cost } => {
-                        live.machines[machine.0].cpu_cost = cpu_cost;
-                        metrics.faults.repricings += 1;
-                    }
-                },
+                EventKind::Fault(fe) => run.fault(fe, now)?,
             }
 
             // Decision point. Event-driven schedulers react to everything;
@@ -481,11 +335,11 @@ impl<'a> Simulation<'a> {
                     let actions = {
                         let ctx = SchedulerContext {
                             now,
-                            cluster: &live,
-                            placement: &placement,
-                            queue: &queue,
-                            machines: &machines,
-                            reads_used: Some(&reads_used),
+                            cluster: &run.live,
+                            placement: run.exec.placement(),
+                            queue: run.exec.queue(),
+                            machines: &run.machines,
+                            reads_used: Some(run.exec.reads_used()),
                         };
                         scheduler.decide(&ctx)
                     };
@@ -493,21 +347,7 @@ impl<'a> Simulation<'a> {
                         break;
                     }
                     for action in actions {
-                        self.apply(
-                            action,
-                            now,
-                            &live,
-                            &mut placement,
-                            &mut machines,
-                            &mut queue,
-                            &mut metrics,
-                            &mut reads_used,
-                            &mut events,
-                            &mut running_total,
-                            &mut straggler_rng,
-                            &mut map_ecu,
-                            &mut fstate,
-                        )?;
+                        run.apply(action, now)?;
                     }
                     if epoch.is_some() {
                         break; // epoch schedulers decide once per tick
@@ -516,17 +356,28 @@ impl<'a> Simulation<'a> {
             }
 
             if is_tick {
-                let work_left = !queue.is_empty() || arrivals_pending > 0 || running_total > 0;
+                let work_left =
+                    !run.exec.queue().is_empty() || arrivals_pending > 0 || !run.running.is_empty();
                 if work_left {
                     // Re-query: adaptive schedulers may change their epoch
                     // between ticks (§V-B).
-                    let next = scheduler.epoch().expect("epoch scheduler stays epochal");
-                    assert!(next > 0.0, "epoch must stay positive");
-                    events.push(now + next, EventKind::EpochTick);
+                    match scheduler.epoch() {
+                        Some(next) if next > 0.0 => {
+                            run.events.push(now + next, EventKind::EpochTick);
+                        }
+                        _ => return Err(SimError::BadEpoch),
+                    }
                 }
             }
         }
 
+        let Executor {
+            placement,
+            queue,
+            mut metrics,
+            outcomes,
+            ..
+        } = run.exec;
         if !queue.is_empty() {
             return Err(SimError::Stalled {
                 unfinished: queue.len(),
@@ -542,57 +393,97 @@ impl<'a> Simulation<'a> {
             final_placement: placement,
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn apply(
-        &self,
-        action: Action,
-        now: Time,
-        cluster: &Cluster,
-        placement: &mut Placement,
-        machines: &mut [MachineState],
-        queue: &mut [PendingJob],
-        metrics: &mut Metrics,
-        reads_used: &mut BTreeMap<(DataId, StoreId), f64>,
-        events: &mut EventQueue,
-        running_total: &mut usize,
-        straggler_rng: &mut Option<(rand_chacha::ChaCha8Rng, StragglerModel)>,
-        map_ecu: &mut BTreeMap<(JobId, lips_cluster::MachineId), f64>,
-        fstate: &mut FaultState,
-    ) -> Result<(), SimError> {
+impl Run {
+    /// Replay one scripted fault at `now`.
+    fn fault(&mut self, fe: FaultEvent, now: Time) -> Result<(), SimError> {
+        let faults = &mut self.exec.metrics.faults;
+        match fe {
+            FaultEvent::RevokeMachine { machine } => {
+                if self.live.machines[machine.0].tp_ecu > 0.0 {
+                    self.revoked_ecu
+                        .insert(machine, self.live.machines[machine.0].tp_ecu);
+                    self.live.machines[machine.0].tp_ecu = 0.0;
+                    faults.revocations += 1;
+                    // Kill every in-flight chunk on the machine: the burned
+                    // fraction stays billed (the provider charged for it)
+                    // but the partial output is lost, so the whole chunk's
+                    // work goes back to the queue and its read budget is
+                    // refunded.
+                    let victims: Vec<u64> = self
+                        .running
+                        .iter()
+                        .filter(|(_, c)| c.machine == machine)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    for id in victims {
+                        let Some(c) = self.running.remove(&id) else {
+                            continue;
+                        };
+                        let dur = c.end - c.start;
+                        let frac = if dur > 0.0 {
+                            ((now - c.start) / dur).clamp(0.0, 1.0)
+                        } else {
+                            1.0
+                        };
+                        let metrics = &mut self.exec.metrics;
+                        metrics.refund_chunk(
+                            machine,
+                            c.chunk.ecu * (1.0 - frac),
+                            (c.end - now).max(0.0),
+                            c.cpu_dollars * (1.0 - frac),
+                        );
+                        metrics.faults.killed_chunks += 1;
+                        metrics.faults.lost_ecu_sec += c.chunk.ecu * frac;
+                        self.exec.revert_chunk(&c.chunk, machine)?;
+                    }
+                    self.machines[machine.0].release_all(now);
+                }
+            }
+            FaultEvent::RejoinMachine { machine } => {
+                if let Some(tp) = self.revoked_ecu.remove(&machine) {
+                    self.live.machines[machine.0].tp_ecu = tp;
+                    faults.rejoins += 1;
+                }
+            }
+            FaultEvent::LoseStore { store } => {
+                let dropped = self.exec.placement.drop_store(store);
+                // The store's read ledger dies with its contents: replicas
+                // copied there later are readable afresh.
+                self.exec.reads_used.retain(|&(_, s), _| s != store);
+                let metrics = &mut self.exec.metrics;
+                metrics.faults.store_losses += 1;
+                for &(data, mb) in &dropped {
+                    metrics.faults.lost_store_mb += mb;
+                    self.lost_data.insert(data);
+                }
+            }
+            FaultEvent::Reprice { machine, cpu_cost } => {
+                self.live.machines[machine.0].cpu_cost = cpu_cost;
+                faults.repricings += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Validate and apply one scheduler action at `now`.
+    fn apply(&mut self, action: Action, now: Time) -> Result<(), SimError> {
         match action {
             Action::MoveData { data, from, to, mb } => {
-                if mb <= WORK_EPS {
-                    return Ok(());
+                let live = &self.live;
+                let landed = self.exec.move_data(live, data, from, to, mb, |p| {
+                    p.ready_at(data, from).max(now) + mb / live.bandwidth_store_store(from, to)
+                })?;
+                if let Some(ready) = landed {
+                    if self.lost_data.contains(&data) {
+                        // Re-replication traffic: this object lost a
+                        // replica to a store failure and is being copied
+                        // again.
+                        self.exec.metrics.faults.recopied_mb += mb;
+                    }
+                    self.events.push(ready, EventKind::MoveDone { data, to });
                 }
-                if fstate.lost_data.contains(&data) {
-                    // Re-replication traffic: this object lost a replica to
-                    // a store failure and is being copied again.
-                    metrics.faults.recopied_mb += mb;
-                }
-                if !placement.has(data, from, mb) {
-                    return Err(SimError::MissingData {
-                        data,
-                        store: from,
-                        wanted_mb: mb,
-                        present_mb: placement.amount(data, from),
-                    });
-                }
-                let cap = cluster.store(to).capacity_mb;
-                let would = placement.used_mb(to) + mb;
-                if would > cap + WORK_EPS {
-                    return Err(SimError::StoreOverflow {
-                        store: to,
-                        capacity_mb: cap,
-                        would_use_mb: would,
-                    });
-                }
-                let src_ready = placement.ready_at(data, from).max(now);
-                let duration = mb / cluster.bandwidth_store_store(from, to);
-                let ready = src_ready + duration;
-                placement.add_copy(data, to, mb, ready);
-                metrics.record_move(mb, mb * cluster.ss_cost(from, to));
-                events.push(ready, EventKind::MoveDone { data, to });
                 Ok(())
             }
             Action::RunChunk {
@@ -602,233 +493,142 @@ impl<'a> Simulation<'a> {
                 mb,
                 fixed_ecu,
             } => {
-                if mb <= WORK_EPS && fixed_ecu <= WORK_EPS {
-                    return Ok(());
-                }
-                if cluster.machine(machine).tp_ecu <= 0.0 {
-                    return Err(SimError::MachineRevoked(machine));
-                }
-                let pj = queue
-                    .iter_mut()
-                    .find(|j| j.id == job)
-                    .ok_or(SimError::UnknownJob(job))?;
-                if mb > pj.remaining_mb + WORK_EPS || fixed_ecu > pj.remaining_fixed_ecu + WORK_EPS
+                if let Some(chunk) = self
+                    .exec
+                    .check_chunk(&self.live, job, machine, source, mb, fixed_ecu)?
                 {
-                    return Err(SimError::OverAssignment(job));
+                    self.run_chunk(&chunk, machine, now);
                 }
-                let mut start_floor = now;
-                let mut read_dollars = 0.0;
-                let mut transfer_time = 0.0;
-                let mut locality = None;
-                let mut read_pair = None;
-                if mb > WORK_EPS {
-                    let src = source.ok_or(SimError::SourceRequired(job))?;
-                    let data = pj.data.expect("job with input MB has a data object");
-                    read_pair = Some((data, src));
-                    let used = reads_used.entry((data, src)).or_default();
-                    let present = placement.amount(data, src);
-                    if *used + mb > present + WORK_EPS {
-                        return Err(SimError::MissingData {
-                            data,
-                            store: src,
-                            wanted_mb: *used + mb,
-                            present_mb: present,
-                        });
-                    }
-                    *used += mb;
-                    start_floor = start_floor.max(placement.ready_at(data, src));
-                    read_dollars = mb * cluster.ms_cost(machine, src);
-                    transfer_time = mb / cluster.bandwidth_machine_store(machine, src);
-                    let level = cluster.locality_level(machine, src);
-                    locality = Some(level);
-                    if level > 0 {
-                        metrics.remote_read_mb += mb;
-                    }
-                }
-                let m = cluster.machine(machine);
-                let ecu = mb * pj.tcp + fixed_ecu;
-                let (slot, free_at) = machines[machine.0].earliest_slot();
-                let start = start_floor.max(free_at);
-                if self.interference > 0.0 && transfer_time > 0.0 {
-                    // Siblings still busy when this chunk starts contend for
-                    // the node's NIC.
-                    let busy = machines[machine.0].busy_slots(start);
-                    transfer_time *= 1.0 + self.interference * busy as f64;
-                }
-                let mut compute_time = m.slot_seconds_for(ecu);
-                let mut straggled = false;
-                if let Some((rng, model)) = straggler_rng {
-                    use rand::Rng;
-                    if rng.gen_bool(model.prob) {
-                        compute_time *= model.slowdown;
-                        straggled = true;
-                    }
-                }
-                let end = start + transfer_time + compute_time;
-
-                // Speculative execution: back up straggling chunks on the
-                // globally earliest-free slot; the first finisher wins and
-                // the loser is killed (its burned cycles are still billed).
-                if self.speculation && straggled {
-                    let backup =
-                        (0..machines.len())
-                            .filter(|&i| i != machine.0)
-                            .min_by(|&a, &b| {
-                                machines[a]
-                                    .earliest_slot()
-                                    .1
-                                    .total_cmp(&machines[b].earliest_slot().1)
-                            });
-                    if let Some(bi) = backup {
-                        let bm = cluster.machine(lips_cluster::MachineId(bi));
-                        let (bslot, bfree) = machines[bi].earliest_slot();
-                        let bstart = start_floor.max(bfree);
-                        // The backup re-reads the data (billed again) and
-                        // computes at clean speed.
-                        let btransfer = if mb > WORK_EPS {
-                            let src = source.expect("data chunk has source");
-                            mb / cluster.bandwidth_machine_store(bm.id, src)
-                        } else {
-                            0.0
-                        };
-                        let bend = bstart + btransfer + bm.slot_seconds_for(ecu);
-                        if bend < end {
-                            // Backup wins. If it finishes before the
-                            // original's slot even frees, the original is
-                            // never launched; otherwise it is killed at
-                            // `bend` and billed for the work it completed.
-                            if bend > start {
-                                let ran = (bend - start).clamp(0.0, end - start);
-                                let frac = if end > start {
-                                    ran / (end - start)
-                                } else {
-                                    1.0
-                                };
-                                machines[machine.0].occupy(slot, bend);
-                                metrics.record_chunk(
-                                    machine,
-                                    ecu * frac,
-                                    ran,
-                                    m.cpu_dollars(ecu * frac),
-                                    read_dollars,
-                                    0.0,
-                                    locality,
-                                );
-                            }
-                            // The winner is the backup; fall through with
-                            // its identity.
-                            let bread = if mb > WORK_EPS {
-                                mb * cluster.ms_cost(bm.id, source.unwrap())
-                            } else {
-                                0.0
-                            };
-                            machines[bi].occupy(bslot, bend);
-                            let track_map = pj.phase == crate::job_state::JobPhase::Map
-                                && pj.has_pending_reduce();
-                            pj.consume(mb, fixed_ecu);
-                            if track_map {
-                                *map_ecu.entry((job, bm.id)).or_default() += ecu;
-                            }
-                            *running_total += 1;
-                            metrics.record_chunk(
-                                bm.id,
-                                ecu,
-                                bend - bstart,
-                                bm.cpu_dollars(ecu),
-                                bread,
-                                0.0,
-                                locality,
-                            );
-                            let chunk = fstate.register(RunningChunk {
-                                job,
-                                machine: bm.id,
-                                start: bstart,
-                                end: bend,
-                                mb,
-                                fixed_ecu,
-                                ecu,
-                                cpu_dollars: bm.cpu_dollars(ecu),
-                                read: read_pair,
-                                tracked_map: track_map,
-                            });
-                            events.push(
-                                bend,
-                                EventKind::ChunkDone {
-                                    job,
-                                    machine: bm.id,
-                                    slot: bslot,
-                                    chunk,
-                                },
-                            );
-                            return Ok(());
-                        } else {
-                            // Original wins: the backup burns until `end`
-                            // then is killed; bill its partial work.
-                            let ran = (end - bstart).clamp(0.0, bend - bstart);
-                            let frac = if bend > bstart {
-                                ran / (bend - bstart)
-                            } else {
-                                0.0
-                            };
-                            machines[bi].occupy(bslot, end.max(bfree));
-                            let bread = if mb > WORK_EPS {
-                                mb * cluster.ms_cost(bm.id, source.unwrap())
-                            } else {
-                                0.0
-                            };
-                            metrics.record_chunk(
-                                bm.id,
-                                ecu * frac,
-                                ran,
-                                bm.cpu_dollars(ecu * frac),
-                                bread,
-                                0.0,
-                                locality,
-                            );
-                        }
-                    }
-                }
-                machines[machine.0].occupy(slot, end);
-                let track_map =
-                    pj.phase == crate::job_state::JobPhase::Map && pj.has_pending_reduce();
-                pj.consume(mb, fixed_ecu);
-                if track_map {
-                    *map_ecu.entry((job, machine)).or_default() += ecu;
-                }
-                *running_total += 1;
-                metrics.record_chunk(
-                    machine,
-                    ecu,
-                    end - start,
-                    m.cpu_dollars(ecu),
-                    read_dollars,
-                    0.0, // remote MB already tallied above
-                    locality,
-                );
-                let chunk = fstate.register(RunningChunk {
-                    job,
-                    machine,
-                    start,
-                    end,
-                    mb,
-                    fixed_ecu,
-                    ecu,
-                    cpu_dollars: m.cpu_dollars(ecu),
-                    read: read_pair,
-                    tracked_map: track_map,
-                });
-                events.push(
-                    end,
-                    EventKind::ChunkDone {
-                        job,
-                        machine,
-                        slot,
-                        chunk,
-                    },
-                );
                 Ok(())
             }
         }
+    }
+
+    /// Time a checked chunk on `machine` (or on a speculative backup that
+    /// beats it), start it in the executor and schedule its completion.
+    fn run_chunk(&mut self, chunk: &Chunk, machine: MachineId, now: Time) {
+        let cluster = &self.live;
+        let machines = &mut self.machines;
+        let (job, mb, ecu) = (chunk.job, chunk.mb, chunk.ecu);
+        let start_floor = now.max(chunk.ready_at);
+        let mut transfer_time = chunk.read.map_or(0.0, |(_, src)| {
+            mb / cluster.bandwidth_machine_store(machine, src)
+        });
+        let m = cluster.machine(machine);
+        let (slot, free_at) = machines[machine.0].earliest_slot();
+        let start = start_floor.max(free_at);
+        if self.interference > 0.0 && transfer_time > 0.0 {
+            // Siblings still busy when this chunk starts contend for the
+            // node's NIC.
+            let busy = machines[machine.0].busy_slots(start);
+            transfer_time *= 1.0 + self.interference * busy as f64;
+        }
+        let mut compute_time = m.slot_seconds_for(ecu);
+        let mut straggled = false;
+        if let Some((rng, model)) = &mut self.stragglers {
+            use rand::Rng;
+            if rng.gen_bool(model.prob) {
+                compute_time *= model.slowdown;
+                straggled = true;
+            }
+        }
+        let end = start + transfer_time + compute_time;
+
+        // Speculative execution: back up straggling chunks on the globally
+        // earliest-free slot; the first finisher wins and the loser is
+        // killed (its burned cycles are still billed).
+        let backup = if self.speculation && straggled {
+            (0..machines.len())
+                .filter(|&i| i != machine.0)
+                .min_by(|&a, &b| {
+                    machines[a]
+                        .earliest_slot()
+                        .1
+                        .total_cmp(&machines[b].earliest_slot().1)
+                })
+        } else {
+            None
+        };
+        let mut winner = (machine, slot, start, end);
+        if let Some(bi) = backup {
+            let bm = cluster.machine(MachineId(bi));
+            let (bslot, bfree) = machines[bi].earliest_slot();
+            let bstart = start_floor.max(bfree);
+            // The backup re-reads the data (billed again) and computes at
+            // clean speed.
+            let btransfer = chunk.read.map_or(0.0, |(_, src)| {
+                mb / cluster.bandwidth_machine_store(bm.id, src)
+            });
+            let bend = bstart + btransfer + bm.slot_seconds_for(ecu);
+            let metrics = &mut self.exec.metrics;
+            if bend < end {
+                // Backup wins. If it finishes before the original's slot
+                // even frees, the original is never launched; otherwise it
+                // is killed at `bend` and billed for the work it completed.
+                if bend > start {
+                    let ran = (bend - start).clamp(0.0, end - start);
+                    let frac = if end > start {
+                        ran / (end - start)
+                    } else {
+                        1.0
+                    };
+                    machines[machine.0].occupy(slot, bend);
+                    metrics.record_chunk(
+                        machine,
+                        ecu * frac,
+                        ran,
+                        m.cpu_dollars(ecu * frac),
+                        chunk.read_dollars(cluster, machine),
+                        0.0,
+                        chunk.locality,
+                    );
+                }
+                winner = (bm.id, bslot, bstart, bend);
+            } else {
+                // Original wins: the backup burns until `end` then is
+                // killed; bill its partial work.
+                let ran = (end - bstart).clamp(0.0, bend - bstart);
+                let frac = if bend > bstart {
+                    ran / (bend - bstart)
+                } else {
+                    0.0
+                };
+                machines[bi].occupy(bslot, end.max(bfree));
+                metrics.record_chunk(
+                    bm.id,
+                    ecu * frac,
+                    ran,
+                    bm.cpu_dollars(ecu * frac),
+                    chunk.read_dollars(cluster, bm.id),
+                    0.0,
+                    chunk.locality,
+                );
+            }
+        }
+        let (machine, slot, start, end) = winner;
+        machines[machine.0].occupy(slot, end);
+        let cpu_dollars = self.exec.start_chunk(cluster, chunk, machine, end - start);
+        let id = self.next_chunk;
+        self.next_chunk += 1;
+        self.running.insert(
+            id,
+            RunningChunk {
+                chunk: *chunk,
+                machine,
+                start,
+                end,
+                cpu_dollars,
+            },
+        );
+        self.events.push(
+            end,
+            EventKind::ChunkDone {
+                job,
+                machine,
+                slot,
+                chunk: id,
+            },
+        );
     }
 }
 

@@ -23,6 +23,9 @@
 //!   [`Scheduler::epoch`].
 //! * Speculative execution is absent and transfers never time out,
 //!   matching the paper's experimental configuration (§VI-A).
+//! * Applying and billing actions, the read and map-output ledgers, the
+//!   shuffle rule and job completion live in [`Executor`], which the
+//!   `lips-serve` daemon drives too: both executors bill identically.
 //!
 //! The simulator is fully deterministic: ties break on sequence numbers,
 //! never on hash order or wall-clock.
@@ -55,6 +58,7 @@
 pub mod action;
 pub mod engine;
 pub mod event;
+pub mod executor;
 pub mod fault;
 pub mod job_state;
 pub mod machine_state;
@@ -65,6 +69,7 @@ pub mod validate;
 pub use action::{Action, Scheduler, SchedulerContext};
 pub use engine::{SimError, Simulation, StragglerModel};
 pub use event::{Event, EventKind};
+pub use executor::{Chunk, Executor};
 pub use fault::{FaultEvent, FaultPlan};
 pub use job_state::{JobOutcome, JobPhase, PendingJob};
 pub use machine_state::MachineState;

@@ -74,6 +74,12 @@ impl Metrics {
         self.read_dollars + self.move_dollars
     }
 
+    /// Chunks billed: every locality level plus the input-less ones (a
+    /// killed speculative copy counts too).
+    pub fn chunks(&self) -> usize {
+        self.chunks_by_locality.iter().sum::<usize>() + self.inputless_chunks
+    }
+
     /// Fraction of data-reading chunks that were node-local.
     pub fn locality_ratio(&self) -> f64 {
         let total: usize = self.chunks_by_locality.iter().sum();
