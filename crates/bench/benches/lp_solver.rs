@@ -10,7 +10,7 @@ use std::hint::black_box;
 
 use lips_bench::lp_epoch::{run_cold, run_epochs, run_epochs_faulted, FaultScript};
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
-use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig};
+use lips_core::lp_build::{solve_full, LpInstance, LpJob, PruneConfig};
 use lips_lp::revised::{RevisedOptions, RevisedSimplex};
 use lips_lp::{Cmp, Model, Sense};
 use lips_workload::JobId;
@@ -55,7 +55,7 @@ fn bench_epoch_lp(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 b.iter(|| {
-                    let report = EpochSolver::new(inst).certify().run().unwrap();
+                    let report = solve_full(inst, None).unwrap();
                     black_box(report.schedule.predicted_dollars)
                 });
             },

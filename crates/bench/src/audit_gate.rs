@@ -9,7 +9,7 @@
 
 use lips_audit::Severity;
 use lips_cluster::ec2_20_node;
-use lips_core::lp_build::{audit_instance, EpochSolver, LpInstance, PruneConfig};
+use lips_core::lp_build::{audit_instance, solve_full, LpInstance, PruneConfig};
 use lips_core::offline::lp_jobs_from_specs;
 use lips_sim::Placement;
 use lips_workload::{bind_workload, table_iv_suite, PlacementPolicy};
@@ -70,16 +70,14 @@ pub fn run(epoch: f64) {
                 .filter(|l| l.severity == Severity::Error)
                 .collect();
             assert!(errors.is_empty(), "audit {family} {label}: {errors:?}");
-            let report = EpochSolver::new(inst)
-                .certify()
-                .run()
-                .unwrap_or_else(|e| panic!("audit {family} {label}: solve failed: {e}"));
-            let cert = report.certificate.expect("certification was requested");
+            let cert = solve_full(inst, None)
+                .unwrap_or_else(|e| panic!("audit {family} {label}: solve failed: {e}"))
+                .certificate;
             assert!(cert.is_optimal(), "audit {family} {label}: {cert}");
             println!(
                 "   {family} {label}: {} warnings, gap {:.2e} -> OPTIMAL",
                 lints.len(),
-                cert.as_full().expect("direct solve").duality_gap
+                cert.master.duality_gap
             );
         }
     }

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use lips_cluster::{random_cluster, RandomClusterCfg, StoreId, BLOCK_MB};
-use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig};
+use lips_core::lp_build::{solve_full, LpInstance, LpJob, PruneConfig};
 use lips_workload::{random_workload, RandomWorkloadCfg};
 
 /// One x-axis point of Figure 5.
@@ -143,9 +143,7 @@ fn one_trial(point: Fig5Point, seed: u64) -> (f64, f64) {
             max_new_stores_per_job: Some(12),
         },
     };
-    let sched = EpochSolver::new(&inst)
-        .certify()
-        .run()
+    let sched = solve_full(&inst, None)
         .expect("offline LP solvable")
         .schedule;
     let lips_dollars = sched.predicted_dollars;

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use lips_cluster::{Cluster, DataId, StoreId};
-use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig};
+use lips_core::lp_build::{solve_full, LpInstance, LpJob, PruneConfig};
 pub use lips_core::EpochRecord;
 use lips_core::{EpochOutcome, LipsScheduler, SchedulerConfig};
 use lips_workload::JobId;
@@ -179,12 +179,8 @@ pub fn run_cold(
                 cluster,
                 epoch_jobs(cluster, e, base_jobs, churn, churn_every),
             );
-            let mut solver = EpochSolver::new(&inst).certify();
-            if threads > 0 {
-                solver = solver.threads(threads);
-            }
             let t = Instant::now();
-            let mut record = match solver.run() {
+            let mut record = match solve_full(&inst, (threads > 0).then_some(threads)) {
                 Ok(report) => EpochRecord::from_solve_report(
                     e,
                     inst.jobs.len(),
@@ -543,7 +539,7 @@ mod tests {
                     faulted.strike(fault);
                 }
                 let inst = epoch_instance(&faulted.live, faulted.jobs(e, 8, 1, 3));
-                let report = EpochSolver::new(&inst).certify().run().unwrap();
+                let report = solve_full(&inst, None).unwrap();
                 EpochRecord::from_solve_report(e, 8, EpochOutcome::CertifiedCold, &report, false)
             })
             .collect();

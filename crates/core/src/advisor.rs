@@ -9,7 +9,7 @@
 
 use lips_cluster::{Cluster, MachineId};
 
-use crate::lp_build::{EpochSolveError, EpochSolver, LpInstance, LpJob, PruneConfig};
+use crate::lp_build::{solve_full, EpochSolveError, LpInstance, LpJob, PruneConfig};
 
 /// One row of advice.
 #[derive(Debug, Clone)]
@@ -46,11 +46,8 @@ pub fn capacity_advice(
         pool_floors: vec![],
         prune: PruneConfig::default(),
     };
-    let report = EpochSolver::new(&inst).certify().shadow_prices().run()?;
-    let shadows = report
+    let mut advice: Vec<CapacityAdvice> = solve_full(&inst, None)?
         .shadow_prices
-        .expect("shadow prices were requested from the builder");
-    let mut advice: Vec<CapacityAdvice> = shadows
         .into_iter()
         .filter(|&(_, s)| s < -1e-15)
         .map(|(m, s)| {

@@ -25,8 +25,8 @@ use lips_workload::JobId;
 
 pub use crate::config::SchedulerConfig;
 use crate::lp_build::{
-    ColGenOptions, ColGenState, EpochSolveError, EpochSolver, FractionalSchedule, LpInstance,
-    LpJob, PruneConfig, SolveReport,
+    solve_full, solve_master, ColGenOptions, ColGenState, EpochSolveError, FractionalSchedule,
+    LpInstance, LpJob, PruneConfig, SolveReport,
 };
 use crate::report::EpochRecord;
 
@@ -156,15 +156,11 @@ impl LipsScheduler {
             }),
             Rung::Cold => None,
         };
-        let mut solver = EpochSolver::new(inst);
-        if let Some(t) = self.config.threads {
-            solver = solver.threads(t);
-        }
+        let threads = self.config.threads;
         let mut report = match rung {
-            Rung::Master => solver.colgen(ColGenOptions::default(), prior.as_ref()),
-            Rung::Cold => solver.certify(),
-        }
-        .run()?;
+            Rung::Master => solve_master(inst, prior.as_ref(), &ColGenOptions::default(), threads),
+            Rung::Cold => solve_full(inst, threads),
+        }?;
         self.carried = report.take_carry();
         Ok(RungResult {
             incremental: prior.is_some() && report.schedule.stats.warm != WarmOutcome::Cold,
@@ -866,7 +862,7 @@ mod tests {
                 prune: PruneConfig::default(),
             };
             assert!(sched.solve_epoch(&inst).is_some());
-            let cold = EpochSolver::new(&inst).certify().run().unwrap();
+            let cold = solve_full(&inst, None).unwrap();
             oracle.push(cold.schedule.lp_objective);
         }
         let records = sched.epoch_records();

@@ -35,13 +35,24 @@
 //!   only placed for work actually scheduled this epoch; deferred work
 //!   defers its placement too (strictly cheaper, same deployment
 //!   behaviour).
+//!
+//! ## Solving
+//!
+//! Two functions solve an instance and return the same [`SolveReport`]:
+//! [`solve_master`] by delayed column generation over a restricted master
+//! (every scheduler epoch), [`solve_full`] by the cold primal on the whole
+//! model (the ladder's cold rung and every offline caller). Both end in
+//! one finish step: certify against the full row set, pricing every task
+//! arc the solved model excluded (none after a full solve); read the
+//! CPU-capacity shadow prices; decode the schedule; and, for a master,
+//! take the columns and basis the next epoch carries.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
 
-use lips_audit::{Certificate, ModelAnnotations, PaperExpectations, RowKind, VarKind};
+use lips_audit::{ModelAnnotations, PaperExpectations, RestrictedCertificate, RowKind, VarKind};
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
 use lips_lp::{Cmp, KeyNames, LpError, Model, SolveStats, VarId, WarmStart};
 use lips_par::Pool;
@@ -138,6 +149,8 @@ pub struct FractionalSchedule {
 /// matches what emission will actually pay).
 struct NdVar {
     job: usize,
+    /// The job's data set, which the copy replicates.
+    data: DataId,
     dest: StoreId,
     var: VarId,
     /// `(holder, stock fraction)` pairs this variable may draw from.
@@ -581,18 +594,11 @@ struct RowIds {
     job_pools: Vec<Vec<lips_lp::ConstraintId>>,
 }
 
-/// Build the LP [`Model`] for an instance. Returns the model plus the arc
-/// space and maps needed to decode a solution.
-fn build(inst: &LpInstance<'_>, pool: Pool) -> (Model, ArcSpace, VarMaps) {
-    let space = arc_space(inst, pool);
-    let (model, maps, _) = build_filtered(inst, &space, None, pool);
-    (model, space, maps)
-}
-
 /// One planned `nd` variable before it has a [`VarId`].
 struct NdPlan {
     /// Price-class index within this (job, dest) pair, cheapest first.
     class: usize,
+    data: DataId,
     ub: f64,
     cost: f64,
     dest: StoreId,
@@ -600,14 +606,14 @@ struct NdPlan {
 }
 
 /// Job `k`'s planned-copy variables, in `(dest, price class)` emission
-/// order (none without moves or input).
+/// order (none without moves, input or a [`DataId`] to copy).
 fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPlan> {
     let cluster = inst.cluster;
     let job = &inst.jobs[k];
     let mut nds = Vec::new();
-    if !inst.allow_moves || job.size_mb <= 0.0 {
+    let Some(data) = job.data.filter(|_| inst.allow_moves && job.size_mb > 0.0) else {
         return nds;
-    }
+    };
     let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
     for &m in stores {
         // A store already holding everything needs no copies.
@@ -644,6 +650,7 @@ fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPla
             // Eq (6): move dollars per unit fraction.
             nds.push(NdPlan {
                 class,
+                data,
                 ub: stock.min(1.0),
                 cost: job.size_mb * price,
                 dest: m,
@@ -751,6 +758,7 @@ fn build_filtered(
             );
             maps.nd.push(NdVar {
                 job: k,
+                data: nd.data,
                 dest: nd.dest,
                 var: v,
                 sources: nd.sources,
@@ -936,7 +944,7 @@ fn build_filtered(
 }
 
 /// Ground-truth expectations for `lips-audit`'s paper-invariant pass,
-/// recomputed from the instance independently of [`build`]'s emission
+/// recomputed from the instance independently of [`build_filtered`]'s emission
 /// logic (both read the same cluster, but through different code paths).
 fn expectations(inst: &LpInstance<'_>) -> PaperExpectations {
     let cluster = inst.cluster;
@@ -985,9 +993,11 @@ fn expectations(inst: &LpInstance<'_>) -> PaperExpectations {
 /// Build the LP for `inst` and return it with its audit metadata: the
 /// row/column annotations emitted by the builder plus independently
 /// recomputed [`PaperExpectations`]. This is the entry point for static
-/// analysis; [`solve`] is the entry point for scheduling.
+/// analysis; [`solve_master`] and [`solve_full`] are the entry points for
+/// scheduling.
 pub fn build_audited(inst: &LpInstance<'_>) -> (Model, ModelAnnotations, PaperExpectations) {
-    let (model, _, maps) = build(inst, Pool::serial());
+    let pool = Pool::serial();
+    let (model, maps, _) = build_filtered(inst, &arc_space(inst, pool), None, pool);
     let expect = expectations(inst);
     (model, maps.ann, expect)
 }
@@ -1036,41 +1046,6 @@ impl std::fmt::Display for EpochSolveError {
 
 impl std::error::Error for EpochSolveError {}
 
-/// Proof of optimality attached to a [`SolveReport`] when certification
-/// was requested: full-model KKT for direct solves, the restricted-master
-/// certificate (master KKT + excluded-column pricing) for colgen solves.
-#[derive(Debug, Clone)]
-pub enum EpochCertificate {
-    Full(Certificate),
-    Restricted(lips_audit::RestrictedCertificate),
-}
-
-impl EpochCertificate {
-    pub fn is_optimal(&self) -> bool {
-        match self {
-            EpochCertificate::Full(c) => c.is_optimal(),
-            EpochCertificate::Restricted(c) => c.is_optimal(),
-        }
-    }
-
-    /// The full certificate, if this was a direct (non-colgen) solve.
-    pub fn as_full(&self) -> Option<&Certificate> {
-        match self {
-            EpochCertificate::Full(c) => Some(c),
-            EpochCertificate::Restricted(_) => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EpochCertificate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EpochCertificate::Full(c) => c.fmt(f),
-            EpochCertificate::Restricted(c) => c.fmt(f),
-        }
-    }
-}
-
 /// Wall-clock of one epoch solve, split by phase. Every field comes from
 /// [`lips_lp::clock::Stopwatch`], so all three are `0.0` when the solver
 /// clock is disabled and never influence the solve itself.
@@ -1080,179 +1055,113 @@ pub struct PhaseTimings {
     /// build, column pricing and appends — everything outside
     /// the simplex and the certifier.
     pub build_ms: f64,
-    /// Simplex wall-time, summed over every master round in colgen mode.
+    /// Simplex wall-time, summed over every master round.
     pub solve_ms: f64,
-    /// Independent KKT certification (including excluded-column pricing
-    /// for restricted solves). `0.0` when certification was not requested.
+    /// Independent KKT certification, excluded-column pricing included.
     pub certify_ms: f64,
 }
 
-/// Everything one epoch solve hands back, fields populated according to
-/// what the [`EpochSolver`] builder requested.
+/// Everything one epoch solve hands back; [`solve_master`] and
+/// [`solve_full`] fill the same shape.
 #[derive(Debug, Clone)]
 pub struct SolveReport {
     pub schedule: FractionalSchedule,
     /// Shadow price of each machine's CPU-capacity row: the dollars the
     /// optimal schedule would save per extra ECU-second of capacity on
-    /// that node (≤ 0; more negative = more valuable). `Some` iff
-    /// [`EpochSolver::shadow_prices`] was requested (always present in
-    /// colgen mode, which computes them as a by-product).
-    pub shadow_prices: Option<Vec<(MachineId, f64)>>,
-    /// `Some` iff [`EpochSolver::certify`] was requested (always present
-    /// in colgen mode — the restricted certificate is how colgen proves
-    /// full-model optimality at all).
-    pub certificate: Option<EpochCertificate>,
-    /// Cross-epoch column state + telemetry; `Some` iff colgen mode.
-    pub colgen: Option<(ColGenState, ColGenStats)>,
+    /// that node (≤ 0; more negative = more valuable).
+    pub shadow_prices: Vec<(MachineId, f64)>,
+    /// Proof of full-model optimality: the solved model's own KKT report
+    /// plus a pricing pass over every task arc it excluded (none after
+    /// [`solve_full`]).
+    pub certificate: RestrictedCertificate,
+    /// Cross-epoch column state and telemetry of a [`solve_master`];
+    /// `None` after [`solve_full`].
+    pub master: Option<(ColGenState, ColGenStats)>,
     /// Per-phase wall-clock of this solve.
     pub timings: PhaseTimings,
 }
 
 impl SolveReport {
-    /// Move out the state to carry into the next epoch: the colgen
-    /// master's columns and basis, `None` for a full-model solve. The
-    /// report keeps empty state in its place.
+    /// Move out the state to carry into the next epoch: the master's
+    /// columns and basis, `None` after [`solve_full`]. The report keeps
+    /// empty state in its place.
     pub fn take_carry(&mut self) -> Option<ColGenState> {
-        self.colgen.as_mut().map(|(state, _)| std::mem::take(state))
+        self.master.as_mut().map(|(state, _)| std::mem::take(state))
     }
 }
 
-/// The unified builder-style solve entry point (the former seven `solve*`
-/// free functions completed their deprecation cycle and are gone).
+/// The worker pool of one solve: `threads` workers, else
+/// [`Pool::from_env`].
+fn solve_pool(threads: Option<usize>) -> Pool {
+    threads.map_or_else(Pool::from_env, Pool::new)
+}
+
+/// Solve `inst` by delayed column generation over a restricted master,
+/// seeded with `prior`'s surviving columns and basis when given, and
+/// certify the answer against the *full* model, every excluded arc priced.
 ///
-/// ```ignore
-/// let report = EpochSolver::new(&inst)
-///     .colgen(ColGenOptions::default(), carried.as_ref())
-///     .run()?;
-/// ```
+/// Every master round goes to the bounded dual simplex, falling back to
+/// the cold primal when the walk is declined. In the first round, after a
+/// queue delta that only adds and retires columns, the carried master
+/// basis is usually still dual feasible and re-optimizes in a handful of
+/// pivots with no phase 1. Without a carried [`ColGenState`], or with a
+/// basis declined at seeding, the round starts from the slack basis — a
+/// cold start with no phase 1. Later rounds start from the incumbent
+/// basis, which the appended columns leave primal feasible: their walk is
+/// empty and the dual's primal finisher prices the new columns in.
 ///
-/// Every option is orthogonal: warm starting never changes the optimum,
-/// certification never mutates the solve, colgen mode certifies against
-/// the full model by construction, and [`EpochSolver::threads`] never
-/// changes anything observable except wall-clock time. `run` never panics
-/// on certification failure — it returns
-/// [`EpochSolveError::Certification`], which the epoch scheduler treats
-/// as one more rung on its degradation ladder.
-#[derive(Debug)]
-pub struct EpochSolver<'i, 'c> {
-    inst: &'i LpInstance<'c>,
-    certify: bool,
-    shadow_prices: bool,
-    colgen: Option<(ColGenOptions, Option<&'i ColGenState>)>,
-    pool: Pool,
+/// `threads` sets the workers for model build, column pricing and
+/// certification (`None`: [`lips_par::default_threads`], the
+/// `LIPS_THREADS` environment variable, else the machine's available
+/// parallelism). It is pure throughput tuning: the deterministic merge
+/// discipline of [`lips_par::Pool`] makes every report — objective,
+/// chosen columns, certificate, basis — bitwise identical at any width.
+///
+/// A solution the certifier rejects is
+/// [`EpochSolveError::Certification`], never a panic: the epoch scheduler
+/// treats it as one more rung on its degradation ladder.
+pub fn solve_master(
+    inst: &LpInstance<'_>,
+    prior: Option<&ColGenState>,
+    opts: &ColGenOptions,
+    threads: Option<usize>,
+) -> Result<SolveReport, EpochSolveError> {
+    let pool = solve_pool(threads);
+    let run = master_price_loop(inst, opts, prior, pool)?;
+    finish(inst, run, pool, true)
 }
 
-impl<'i, 'c> EpochSolver<'i, 'c> {
-    pub fn new(inst: &'i LpInstance<'c>) -> Self {
-        EpochSolver {
-            inst,
-            certify: false,
-            shadow_prices: false,
-            colgen: None,
-            pool: Pool::from_env(),
-        }
-    }
-
-    /// Worker threads for model build, column pricing, and certification.
-    /// Defaults to [`lips_par::default_threads`] (the `LIPS_THREADS`
-    /// environment variable, else the machine's available parallelism).
-    ///
-    /// The thread count is pure throughput tuning: the deterministic merge
-    /// discipline of [`lips_par::Pool`] makes every solve — objective,
-    /// chosen columns, certificate, basis — bitwise identical at any
-    /// value, including 1.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.pool = Pool::new(threads);
-        self
-    }
-
-    /// Verify the answer with an independent primal/dual certificate
-    /// ([`lips_audit::certify`]); a rejected solution becomes
-    /// [`EpochSolveError::Certification`].
-    #[must_use]
-    pub fn certify(mut self) -> Self {
-        self.certify = true;
-        self
-    }
-
-    /// Also report the shadow price of each machine's CPU-capacity row.
-    #[must_use]
-    pub fn shadow_prices(mut self) -> Self {
-        self.shadow_prices = true;
-        self
-    }
-
-    /// Solve by delayed column generation over a restricted master
-    /// instead of the full model, optionally reusing a prior epoch's
-    /// surviving columns + basis. Implies certification (against the
-    /// *full* model, excluded columns priced). Without this call the full
-    /// model is solved cold by the primal simplex.
-    ///
-    /// Every master round goes to the bounded dual simplex, falling back
-    /// to the cold primal when the walk is declined. In the first round,
-    /// after a queue delta that only adds and retires columns, the carried
-    /// master basis is usually still dual feasible and re-optimizes in a
-    /// handful of pivots with no phase 1. Without a carried
-    /// [`ColGenState`], or with a basis declined at seeding, the round
-    /// starts from the slack basis — a cold start with no phase 1. Later
-    /// rounds start from the incumbent basis, which the appended columns
-    /// leave primal feasible: their walk is empty and the dual's primal
-    /// finisher prices the new columns in.
-    #[must_use]
-    pub fn colgen(mut self, opts: ColGenOptions, prior: Option<&'i ColGenState>) -> Self {
-        self.colgen = Some((opts, prior));
-        self
-    }
-
-    /// Execute the configured solve.
-    pub fn run(self) -> Result<SolveReport, EpochSolveError> {
-        if let Some((opts, prior)) = &self.colgen {
-            let out = colgen_run(self.inst, opts, *prior, self.pool)?;
-            return Ok(SolveReport {
-                schedule: out.schedule,
-                shadow_prices: Some(out.shadow_prices),
-                certificate: Some(EpochCertificate::Restricted(out.certificate)),
-                colgen: Some((out.state, out.stats)),
-                timings: out.timings,
-            });
-        }
-
-        let t_build = lips_lp::clock::Stopwatch::start();
-        let (model, space, maps) = build(self.inst, self.pool);
-        let build_ms = t_build.elapsed_ms();
-        let sol = model.solve()?;
-        let t_cert = lips_lp::clock::Stopwatch::start();
-        let certificate = if self.certify {
-            match lips_audit::certify_with(self.pool, &model, &sol) {
-                Ok(cert) if cert.is_optimal() => Some(EpochCertificate::Full(cert)),
-                Ok(cert) => return Err(EpochSolveError::Certification(cert.to_string())),
-                Err(e) => return Err(EpochSolveError::Certification(e.to_string())),
-            }
-        } else {
-            None
-        };
-        let certify_ms = t_cert.elapsed_ms();
-        let shadow_prices = self
-            .shadow_prices
-            .then(|| cpu_shadow_prices(&model, &maps, &sol));
-        let timings = PhaseTimings {
-            build_ms,
-            solve_ms: sol.stats().solve_ms,
-            certify_ms,
-        };
-        Ok(SolveReport {
-            schedule: decode(self.inst, &space, &maps, &sol),
-            shadow_prices,
-            certificate,
-            colgen: None,
-            timings,
-        })
-    }
+/// Solve the full model of `inst` cold by the primal simplex. The full
+/// model is a master with nothing excluded: the same finish step as
+/// [`solve_master`] certifies it, reads its shadow prices and decodes it;
+/// only the carry is left out. `threads` and errors as for
+/// [`solve_master`].
+pub fn solve_full(
+    inst: &LpInstance<'_>,
+    threads: Option<usize>,
+) -> Result<SolveReport, EpochSolveError> {
+    let pool = solve_pool(threads);
+    let t_build = lips_lp::clock::Stopwatch::start();
+    let space = arc_space(inst, pool);
+    let (model, maps, rows) = build_filtered(inst, &space, None, pool);
+    let build_ms = t_build.elapsed_ms();
+    let sol = model.solve()?;
+    let stats = *sol.stats();
+    let run = MasterRun {
+        space,
+        model,
+        maps,
+        rows,
+        sol,
+        rounds: 1,
+        appended: 0,
+        stats,
+        build_ms,
+    };
+    finish(inst, run, pool, false)
 }
 
-/// Tuning for the delayed-column-generation solve
-/// ([`EpochSolver::colgen`]).
+/// Tuning for [`solve_master`].
 #[derive(Debug, Clone)]
 pub struct ColGenOptions {
     /// Arcs seeding the restricted master per job, cheapest LP cost first.
@@ -1263,25 +1172,25 @@ pub struct ColGenOptions {
     /// capacity- or transfer-bound optimum can need dominated arcs, which
     /// is why every excluded arc is still priced each round.
     pub seed_arcs_per_job: usize,
-    /// Safety valve: past this many pricing rounds the whole remaining
-    /// column set is appended at once and the model solved exactly. The
-    /// loop terminates without it (every round appends ≥ 1 column), but a
-    /// bound keeps worst-case degenerate instances from crawling.
-    pub max_rounds: usize,
 }
 
 impl Default for ColGenOptions {
     fn default() -> Self {
         ColGenOptions {
             seed_arcs_per_job: 8,
-            max_rounds: 50,
         }
     }
 }
 
+/// Safety valve of the pricing loop: past this many rounds the whole
+/// remaining column set is appended at once and the model solved exactly.
+/// The loop terminates without it (every round appends ≥ 1 column), but a
+/// bound keeps worst-case degenerate instances from crawling.
+const MAX_ROUNDS: usize = 50;
+
 /// Cross-epoch column-generation state: the task arcs that mattered at
 /// the previous epoch's optimum plus its basis. Seeding the next epoch's
-/// restricted master ([`EpochSolver::colgen`]) with both means a churned
+/// restricted master ([`solve_master`]) with both means a churned
 /// job only *perturbs* the master (its arcs enter via pricing) instead of
 /// rebuilding the column set from scratch — arcs are keyed by job id
 /// ([`ColKey`]), so surviving keys keep denoting the same
@@ -1350,7 +1259,7 @@ fn sanitize_warm_start(ws: &mut WarmStart, cluster: &Cluster) -> usize {
     before - ws.len()
 }
 
-/// Telemetry from one column-generated solve.
+/// Telemetry from one [`solve_master`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ColGenStats {
     /// Master solves performed (1 = the seed already priced out nothing).
@@ -1362,30 +1271,6 @@ pub struct ColGenStats {
     /// Task columns of the full model (`active_columns / total_columns`
     /// is the acceptance criterion's "active share").
     pub total_columns: usize,
-    /// Wall-clock spent building the master and appending columns
-    /// (everything except the simplex itself and certification).
-    pub build_ms: f64,
-    /// The first master round was solved by the bounded dual simplex,
-    /// from the carried basis or the slack basis (see
-    /// [`EpochSolver::colgen`]); `false` when that walk was declined and
-    /// the cold primal solved the round.
-    pub dual_master: bool,
-}
-
-/// Everything a column-generated epoch solve hands back.
-#[derive(Debug, Clone)]
-pub struct ColGenOutcome {
-    pub schedule: FractionalSchedule,
-    /// Shadow price of each machine's CPU-capacity row (see
-    /// [`EpochSolver::shadow_prices`]).
-    pub shadow_prices: Vec<(MachineId, f64)>,
-    /// Full-model KKT certificate: the master's own certificate plus a
-    /// pricing pass over every excluded column.
-    pub certificate: lips_audit::RestrictedCertificate,
-    /// Carry into the next epoch's [`EpochSolver::colgen`] call.
-    pub state: ColGenState,
-    pub stats: ColGenStats,
-    pub timings: PhaseTimings,
 }
 
 /// Seed membership for a restricted master, one flag per arc of `space`:
@@ -1505,24 +1390,20 @@ fn cpu_shadow_prices(
         .collect()
 }
 
-/// Result of one restricted-master pricing loop: the full model's task
-/// arcs, the final master model, its optimal solution, and the loop's
-/// telemetry.
+/// A solved model ready for [`finish`]: the full model's task arcs, the
+/// final (restricted or full) model, its optimal solution, and the work
+/// that led there.
 struct MasterRun {
     space: ArcSpace,
     model: Model,
     maps: VarMaps,
     rows: RowIds,
     sol: lips_lp::Solution,
-    /// Per arc of `space`: whether it is a column of the final master.
-    in_master: Vec<bool>,
     rounds: usize,
     appended: usize,
-    agg: SolveStats,
+    /// Solver work summed over every round.
+    stats: SolveStats,
     build_ms: f64,
-    /// The first round's solve was the bounded dual simplex (see
-    /// [`EpochSolver::colgen`]).
-    dual_master: bool,
 }
 
 /// The restricted-master / pricing loop. The master starts with every
@@ -1576,7 +1457,6 @@ fn master_price_loop(
     let mut appended = 0;
     let mut agg = SolveStats::default();
     let mut first_warm: Option<lips_lp::WarmOutcome> = None;
-    let mut dual_master = false;
     let sol = loop {
         rounds += 1;
         // Every round goes to the bounded dual simplex: the first from the
@@ -1586,12 +1466,6 @@ fn master_price_loop(
         // infeasibility verdict (a walk declined mid-way) falls back to
         // the cold primal, and a decline is kept on the record.
         let solved = match lips_lp::solve_dual_from_basis(&model, &warm) {
-            Ok(s) => {
-                if rounds == 1 {
-                    dual_master = true;
-                }
-                Ok(s)
-            }
             Err(LpError::Infeasible) => Err(LpError::Infeasible),
             Err(e) => {
                 if let LpError::DualDeclined(d) = e {
@@ -1599,13 +1473,14 @@ fn master_price_loop(
                 }
                 model.solve()
             }
+            ok => ok,
         };
         let mut sol = match solved {
             Ok(s) => s,
             Err(LpError::Infeasible) if in_master.contains(&false) => {
                 // The *restriction* may be infeasible even when the
-                // instance is not: append everything and match `solve`'s
-                // feasibility semantics exactly.
+                // instance is not: append everything and match
+                // `solve_full`'s feasibility semantics exactly.
                 let t = lips_lp::clock::Stopwatch::start();
                 for (i, inside) in in_master.iter_mut().enumerate() {
                     if !*inside {
@@ -1651,7 +1526,7 @@ fn master_price_loop(
             build_ms += t.elapsed_ms();
             break sol;
         }
-        if rounds >= opts.max_rounds {
+        if rounds >= MAX_ROUNDS {
             // Round budget exhausted: go exact in one step.
             entering = excluded;
         }
@@ -1670,36 +1545,24 @@ fn master_price_loop(
         maps,
         rows,
         sol,
-        in_master,
         rounds,
         appended,
-        agg,
+        stats: agg,
         build_ms,
-        dual_master,
     })
 }
 
-/// The certification/decoding tail of a restricted solve.
-struct RestrictedFinish {
-    schedule: FractionalSchedule,
-    shadow_prices: Vec<(MachineId, f64)>,
-    certificate: lips_audit::RestrictedCertificate,
-    basis: WarmStart,
-    /// Keys of the task columns that mattered at the optimum (basic or
-    /// nonzero) — the next epoch's carried active set.
-    surviving: BTreeSet<u64>,
-    certify_ms: f64,
-}
-
-/// Certify a finished master against the *full* model (master KKT plus an
-/// independent pricing pass over every excluded column), then decode the
-/// schedule and the next epoch's carry-over state. The master's basis is
-/// moved out of `run`.
-fn finish_restricted(
+/// The finish step of every solve. Certify `run` against the full row set
+/// (its KKT conditions plus an independent pricing pass over every task
+/// arc it excluded), read the CPU shadow prices, decode the schedule and,
+/// for a master (`carry`), take the next epoch's columns and basis out of
+/// the solution.
+fn finish(
     inst: &LpInstance<'_>,
-    run: &mut MasterRun,
+    mut run: MasterRun,
     pool: Pool,
-) -> Result<RestrictedFinish, EpochSolveError> {
+    carry: bool,
+) -> Result<SolveReport, EpochSolveError> {
     // Column assembly for the certificate parallelizes per arc; the
     // certificate itself splits its KKT and re-pricing passes across the
     // same pool.
@@ -1708,8 +1571,8 @@ fn finish_restricted(
         .space
         .arcs
         .iter()
-        .zip(&run.in_master)
-        .filter_map(|(a, &inside)| (!inside).then_some(a))
+        .zip(&run.maps.arc_var)
+        .filter_map(|(a, v)| v.is_none().then_some(a))
         .collect();
     let excluded: Vec<lips_audit::ExcludedColumn> = pool.par_map(&excluded_arcs, |_, a| {
         let mut terms = Vec::new();
@@ -1726,7 +1589,7 @@ fn finish_restricted(
             Ok(cert) => {
                 let worst = cert.worst_excluded.map(render_col).unwrap_or_default();
                 return Err(EpochSolveError::Certification(format!(
-                    "colgen master failed full-model certification (worst excluded column \
+                    "epoch LP failed full-model certification (worst excluded column \
                      {worst}): {cert}"
                 )));
             }
@@ -1735,80 +1598,52 @@ fn finish_restricted(
     let certify_ms = t_cert.elapsed_ms();
 
     let shadow_prices = cpu_shadow_prices(&run.model, &run.maps, &run.sol);
-    let basis = run.sol.take_warm_start().unwrap_or_default();
-    // Carry only the columns that mattered at the optimum (basic or at a
-    // nonzero value): the master stays lean across epochs instead of
-    // monotonically accreting every column that ever priced in.
-    let surviving: BTreeSet<u64> = run
-        .space
-        .arcs
-        .iter()
-        .zip(&run.maps.arc_var)
-        .filter_map(|(a, &v)| {
-            let v = v?;
-            let keep =
-                run.sol.value_of(v) > 1e-9 || basis.var(a.key) == Some(lips_lp::BasisStatus::Basic);
-            keep.then_some(a.key)
-        })
-        .collect();
-    let mut schedule = decode(inst, &run.space, &run.maps, &run.sol);
-    schedule.iterations = run.agg.iterations;
-    schedule.stats = run.agg;
-    Ok(RestrictedFinish {
-        schedule,
+    let master = carry.then(|| {
+        let basis = run.sol.take_warm_start().unwrap_or_default();
+        // Carry only the columns that mattered at the optimum (basic or at
+        // a nonzero value): the master stays lean across epochs instead of
+        // monotonically accreting every column that ever priced in.
+        let active: BTreeSet<u64> = run
+            .space
+            .arcs
+            .iter()
+            .zip(&run.maps.arc_var)
+            .filter_map(|(a, &v)| {
+                let v = v?;
+                let keep = run.sol.value_of(v) > 1e-9
+                    || basis.var(a.key) == Some(lips_lp::BasisStatus::Basic);
+                keep.then_some(a.key)
+            })
+            .collect();
+        let stats = ColGenStats {
+            rounds: run.rounds,
+            appended: run.appended,
+            active_columns: run.maps.arc_var.iter().flatten().count(),
+            total_columns: run.space.arcs.len(),
+        };
+        (ColGenState { active, basis }, stats)
+    });
+    Ok(SolveReport {
+        schedule: decode(inst, &run.space, &run.maps, &run.sol, run.stats),
         shadow_prices,
         certificate,
-        basis,
-        surviving,
-        certify_ms,
-    })
-}
-
-/// The column-generation engine behind [`EpochSolver::colgen`]: solve
-/// `inst` by delayed column generation over a restricted master. Runs
-/// [`master_price_loop`] to the pricing fixpoint and proves full-model
-/// optimality via [`finish_restricted`]'s excluded-column certificate.
-fn colgen_run(
-    inst: &LpInstance<'_>,
-    opts: &ColGenOptions,
-    prior: Option<&ColGenState>,
-    pool: Pool,
-) -> Result<ColGenOutcome, EpochSolveError> {
-    let mut run = master_price_loop(inst, opts, prior, pool)?;
-    let fin = finish_restricted(inst, &mut run, pool)?;
-
-    let stats = ColGenStats {
-        rounds: run.rounds,
-        appended: run.appended,
-        active_columns: run.maps.arc_var.iter().flatten().count(),
-        total_columns: run.space.arcs.len(),
-        build_ms: run.build_ms,
-        dual_master: run.dual_master,
-    };
-    let timings = PhaseTimings {
-        build_ms: stats.build_ms,
-        solve_ms: run.agg.solve_ms,
-        certify_ms: fin.certify_ms,
-    };
-    Ok(ColGenOutcome {
-        schedule: fin.schedule,
-        shadow_prices: fin.shadow_prices,
-        certificate: fin.certificate,
-        state: ColGenState {
-            active: fin.surviving,
-            basis: fin.basis,
+        master,
+        timings: PhaseTimings {
+            build_ms: run.build_ms,
+            solve_ms: run.stats.solve_ms,
+            certify_ms,
         },
-        stats,
-        timings,
     })
 }
 
 /// Decode a solved LP back into schedule entities.
+/// `stats` is the solver work that led to `sol`, summed over every round.
 fn decode(
     inst: &LpInstance<'_>,
     space: &ArcSpace,
     maps: &VarMaps,
     sol: &lips_lp::Solution,
+    stats: SolveStats,
 ) -> FractionalSchedule {
     let eps = 1e-7;
 
@@ -1831,7 +1666,6 @@ fn decode(
             continue;
         }
         let job = &inst.jobs[nd.job];
-        let data = job.data.expect("moves only for data jobs");
         // Distribute the group's fraction across its (equal-price) holders
         // without over-drawing any single one.
         for &(src, stock) in &nd.sources {
@@ -1839,7 +1673,7 @@ fn decode(
                 break;
             }
             let take = frac.min(stock);
-            moves.push((data, src, nd.dest, take * job.size_mb));
+            moves.push((nd.data, src, nd.dest, take * job.size_mb));
             frac -= take;
         }
     }
@@ -1864,8 +1698,8 @@ fn decode(
         deferred,
         predicted_dollars: sol.objective() - fake_dollars,
         lp_objective: sol.objective(),
-        iterations: sol.iterations(),
-        stats: *sol.stats(),
+        iterations: stats.iterations,
+        stats,
     }
 }
 
@@ -1875,10 +1709,9 @@ mod tests {
     use lips_cluster::{ec2_20_node, InstanceType};
     use lips_workload::JobKind;
 
-    /// Test shim over the unified API: every solve below goes through
-    /// [`EpochSolver`] (this shadows the deprecated free function).
+    /// The certified full-model schedule of `inst`.
     fn solve(inst: &LpInstance<'_>) -> Result<FractionalSchedule, EpochSolveError> {
-        EpochSolver::new(inst).certify().run().map(|r| r.schedule)
+        solve_full(inst, None).map(|r| r.schedule)
     }
 
     /// Two-machine cluster: expensive m1.medium in zone a holding the
@@ -2182,10 +2015,9 @@ mod tests {
         let full = solve(&inst).unwrap();
         let opts = ColGenOptions {
             seed_arcs_per_job: 2,
-            ..ColGenOptions::default()
         };
-        let out = EpochSolver::new(&inst).colgen(opts, None).run().unwrap();
-        let cert = out.certificate.expect("colgen always certifies");
+        let out = solve_master(&inst, None, &opts, None).unwrap();
+        let cert = &out.certificate;
         assert!(cert.is_optimal(), "{cert}");
         assert!(
             (out.schedule.lp_objective - full.lp_objective).abs() < 1e-6,
@@ -2193,7 +2025,7 @@ mod tests {
             out.schedule.lp_objective,
             full.lp_objective
         );
-        let (_, stats) = out.colgen.expect("colgen mode reports its state");
+        let (_, stats) = out.master.expect("a master reports its state");
         assert!(stats.active_columns <= stats.total_columns);
         assert!(stats.rounds >= 1);
         // The whole point: the master never grew to the full column set.
@@ -2212,22 +2044,16 @@ mod tests {
         let cluster = ec2_20_node(0.5, 100_000.0);
         let opts = ColGenOptions::default();
         let inst1 = base_inst(&cluster, spread_jobs(6));
-        let e1 = EpochSolver::new(&inst1)
-            .colgen(opts.clone(), None)
-            .run()
-            .unwrap();
-        let (state1, _) = e1.colgen.expect("colgen mode reports its state");
+        let e1 = solve_master(&inst1, None, &opts, None).unwrap();
+        let (state1, _) = e1.master.expect("a master reports its state");
         assert!(state1.carried_columns() > 0);
 
         let mut jobs2 = spread_jobs(6);
         jobs2[3].tcp *= 1.5;
         let inst2 = base_inst(&cluster, jobs2);
         let full2 = solve(&inst2).unwrap();
-        let e2 = EpochSolver::new(&inst2)
-            .colgen(opts, Some(&state1))
-            .run()
-            .unwrap();
-        let cert = e2.certificate.expect("colgen always certifies");
+        let e2 = solve_master(&inst2, Some(&state1), &opts, None).unwrap();
+        let cert = &e2.certificate;
         assert!(cert.is_optimal(), "{cert}");
         assert!(
             (e2.schedule.lp_objective - full2.lp_objective).abs() < 1e-6,
@@ -2261,10 +2087,9 @@ mod tests {
         let full = solve(&inst).unwrap();
         let opts = ColGenOptions {
             seed_arcs_per_job: 1,
-            ..ColGenOptions::default()
         };
-        let out = EpochSolver::new(&inst).colgen(opts, None).run().unwrap();
-        let cert = out.certificate.expect("colgen always certifies");
+        let out = solve_master(&inst, None, &opts, None).unwrap();
+        let cert = &out.certificate;
         assert!(cert.is_optimal(), "{cert}");
         assert!((out.schedule.lp_objective - full.lp_objective).abs() < 1e-6);
     }
@@ -2276,17 +2101,10 @@ mod tests {
         let size = 1024.0;
         let mut inst = base_inst(&cluster, vec![one_job(size, work_ecu / size, StoreId(0))]);
         inst.duration = work_ecu / 7.0 * 1.0001; // both CPU rows bind
-        let direct = EpochSolver::new(&inst)
-            .shadow_prices()
-            .run()
+        let direct = solve_full(&inst, None).unwrap().shadow_prices;
+        let cg = solve_master(&inst, None, &ColGenOptions::default(), None)
             .unwrap()
-            .shadow_prices
-            .expect("shadow prices requested");
-        let out = EpochSolver::new(&inst)
-            .colgen(ColGenOptions::default(), None)
-            .run()
-            .unwrap();
-        let cg = out.shadow_prices.expect("colgen computes shadow prices");
+            .shadow_prices;
         for ((m1, p1), (m2, p2)) in direct.iter().zip(cg.iter()) {
             assert_eq!(m1, m2);
             assert!((p1 - p2).abs() < 1e-6, "machine {m1:?}: {p1} vs {p2}");
@@ -2295,64 +2113,82 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_the_solve() {
-        // The tentpole determinism contract, end to end: build, colgen
-        // pricing, and certification at 1/2/8 threads must produce
-        // bitwise-identical reports — objective, schedule, chosen columns,
-        // certificate residuals, everything.
+        // The determinism contract, end to end, on both solve paths:
+        // build, colgen pricing, and certification at 1/2/8 threads must
+        // produce bitwise-identical reports — objective, schedule, shadow
+        // prices, chosen columns, certificate residuals, everything.
         let cluster = ec2_20_node(0.5, 100_000.0);
         let mut inst = base_inst(&cluster, spread_jobs(8));
         inst.fake_cost = Some(1.0);
         let opts = ColGenOptions {
             seed_arcs_per_job: 2,
-            ..ColGenOptions::default()
         };
-        let run = |threads: usize| {
-            EpochSolver::new(&inst)
-                .threads(threads)
-                .colgen(opts.clone(), None)
-                .run()
-                .unwrap()
+        let bits = |v: &[(MachineId, f64)]| -> Vec<(MachineId, u64)> {
+            v.iter().map(|&(m, p)| (m, p.to_bits())).collect()
         };
-        let base = run(1);
-        let base_cert = match base.certificate.as_ref().unwrap() {
-            EpochCertificate::Restricted(c) => c.clone(),
-            EpochCertificate::Full(_) => unreachable!("colgen certifies restricted"),
+        let cert_bits = |c: &RestrictedCertificate| -> Vec<u64> {
+            let m = &c.master;
+            let mut out: Vec<u64> = [
+                m.primal_objective,
+                m.dual_objective,
+                m.duality_gap,
+                m.max_primal_violation,
+                m.max_dual_violation,
+                m.max_slackness_violation,
+                m.objective_mismatch,
+                m.primal_scale,
+                m.gap_scale,
+                c.max_excluded_violation,
+            ]
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+            out.extend(c.worst_excluded);
+            out.push(c.excluded_priced as u64);
+            out
         };
-        for threads in [2, 8] {
-            let other = run(threads);
-            assert_eq!(
-                base.schedule.lp_objective.to_bits(),
-                other.schedule.lp_objective.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                base.schedule.assignments, other.schedule.assignments,
-                "threads={threads}"
-            );
-            assert_eq!(
-                base.schedule.moves, other.schedule.moves,
-                "threads={threads}"
-            );
-            let cert = match other.certificate.as_ref().unwrap() {
-                EpochCertificate::Restricted(c) => c,
-                EpochCertificate::Full(_) => unreachable!(),
+        for path in ["master", "full"] {
+            let run = |threads: usize| {
+                if path == "master" {
+                    solve_master(&inst, None, &opts, Some(threads)).unwrap()
+                } else {
+                    solve_full(&inst, Some(threads)).unwrap()
+                }
             };
-            assert_eq!(
-                base_cert.master.duality_gap.to_bits(),
-                cert.master.duality_gap.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                base_cert.max_excluded_violation.to_bits(),
-                cert.max_excluded_violation.to_bits(),
-                "threads={threads}"
-            );
-            let (state_a, stats_a) = base.colgen.as_ref().unwrap();
-            let (state_b, stats_b) = other.colgen.as_ref().unwrap();
-            assert_eq!(state_a.carried_columns(), state_b.carried_columns());
-            assert_eq!(stats_a.active_columns, stats_b.active_columns);
-            assert_eq!(stats_a.appended, stats_b.appended);
-            assert_eq!(stats_a.rounds, stats_b.rounds);
+            let base = run(1);
+            for threads in [2, 8] {
+                let other = run(threads);
+                let at = format!("{path} threads={threads}");
+                assert_eq!(
+                    base.schedule.lp_objective.to_bits(),
+                    other.schedule.lp_objective.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    base.schedule.assignments, other.schedule.assignments,
+                    "{at}"
+                );
+                assert_eq!(base.schedule.moves, other.schedule.moves, "{at}");
+                assert_eq!(
+                    bits(&base.shadow_prices),
+                    bits(&other.shadow_prices),
+                    "{at}"
+                );
+                assert_eq!(
+                    cert_bits(&base.certificate),
+                    cert_bits(&other.certificate),
+                    "{at}"
+                );
+                assert_eq!(base.master.is_some(), other.master.is_some(), "{at}");
+                if let (Some((state_a, stats_a)), Some((state_b, stats_b))) =
+                    (&base.master, &other.master)
+                {
+                    assert_eq!(state_a.active, state_b.active, "{at}");
+                    assert_eq!(stats_a.active_columns, stats_b.active_columns);
+                    assert_eq!(stats_a.appended, stats_b.appended);
+                    assert_eq!(stats_a.rounds, stats_b.rounds);
+                }
+            }
         }
     }
 
@@ -2373,17 +2209,14 @@ mod tests {
         let mut cluster = two_node();
         cluster.machines[1].tp_ecu = 0.0;
         let inst = base_inst(&cluster, vec![one_job(1024.0, 5.0, StoreId(0))]);
-        let mut report = EpochSolver::new(&inst)
-            .colgen(ColGenOptions::default(), None)
-            .run()
-            .unwrap();
+        let mut report = solve_master(&inst, None, &ColGenOptions::default(), None).unwrap();
         assert!(report
             .schedule
             .assignments
             .iter()
             .all(|&(_, l, _, _)| l == MachineId(0)));
         // The surviving model has no basis entries touching machine 1.
-        let carry = report.take_carry().expect("colgen carries state");
+        let carry = report.take_carry().expect("a master carries state");
         let basis = &carry.basis;
         assert_eq!(basis.var(task(0, 1, Some(0))), None);
         assert_eq!(
@@ -2557,9 +2390,40 @@ mod tests {
         job.avail = vec![];
         let mut inst = base_inst(&cluster, vec![job]);
         inst.fake_cost = Some(1.0);
-        let report = EpochSolver::new(&inst).certify().run().unwrap();
+        let report = solve_full(&inst, None).unwrap();
         let deferred = report.schedule.deferred.get(&JobId(0)).copied().unwrap();
         assert!(deferred > 1.0 - 1e-6, "deferred {deferred}");
         assert!(report.schedule.moves.is_empty());
+    }
+
+    #[test]
+    fn job_without_a_data_id_plans_no_copy() {
+        // Holders but no `DataId`: a copy would have nothing to name, so the
+        // model plans none. The holder's own machine is revoked and the
+        // survivor's read budget caps remote reads well short of the job, so
+        // with a `DataId` the LP would copy the rest; without one the rest
+        // is deferred.
+        let mut cluster = two_node();
+        cluster.machines[0].tp_ecu = 0.0;
+        cluster.machines[1].tp_ecu = 1e6;
+        let mut job = one_job(10.0 * 1024.0, 5.0, StoreId(0));
+        job.data = None;
+        let mut inst = base_inst(&cluster, vec![job]);
+        inst.enforce_transfer_time = true;
+        inst.duration = 60.0;
+        inst.fake_cost = Some(1.0);
+        let report = solve_full(&inst, None).unwrap();
+        assert!(report.schedule.moves.is_empty());
+        let deferred = report.schedule.deferred[&JobId(0)];
+        assert!(deferred > 0.5, "deferred {deferred}");
+        let with_data = base_inst(&cluster, vec![one_job(10.0 * 1024.0, 5.0, StoreId(0))]);
+        let with_data = LpInstance {
+            enforce_transfer_time: true,
+            duration: 60.0,
+            fake_cost: Some(1.0),
+            ..with_data
+        };
+        let moved = solve_full(&with_data, None).unwrap().schedule.moves;
+        assert!(!moved.is_empty(), "a copy must be optimal with a DataId");
     }
 }

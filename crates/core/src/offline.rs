@@ -11,7 +11,7 @@ use lips_sim::Placement;
 use lips_workload::JobSpec;
 
 use crate::lp_build::{
-    EpochSolveError, EpochSolver, FractionalSchedule, LpInstance, LpJob, PruneConfig,
+    solve_full, EpochSolveError, FractionalSchedule, LpInstance, LpJob, PruneConfig,
 };
 
 /// Result of an offline solve (alias; all schedule queries live on
@@ -63,7 +63,7 @@ pub fn simple_task_schedule(
         pool_floors: vec![],
         prune: PruneConfig::default(),
     };
-    EpochSolver::new(&inst).certify().run().map(|r| r.schedule)
+    solve_full(&inst, None).map(|r| r.schedule)
 }
 
 /// **Fig 3** — offline cost-efficient co-scheduling: data placement and
@@ -84,7 +84,7 @@ pub fn co_schedule(
         pool_floors: vec![],
         prune: PruneConfig::default(),
     };
-    EpochSolver::new(&inst).certify().run().map(|r| r.schedule)
+    solve_full(&inst, None).map(|r| r.schedule)
 }
 
 /// **§IV greedy** — for each job pick the `(machine, holder-store)` pair

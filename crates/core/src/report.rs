@@ -1,23 +1,22 @@
 //! The unified reporting surface: everything an epoch solve tells the
 //! outside world, under one roof with one stable serde schema.
 //!
-//! Historically each consumer serialized its own ad-hoc shape —
-//! `lp_bench` one struct, `scale.rs` another, fault telemetry a third.
 //! This module re-exports the in-memory report types
-//! ([`SolveReport`], [`PhaseTimings`], [`ColGenStats`], [`EpochOutcome`]) and defines the one on-disk/on-wire schema
+//! ([`SolveReport`], which `lp_build::solve_master` and
+//! `lp_build::solve_full` both return, [`PhaseTimings`], [`ColGenStats`],
+//! [`EpochOutcome`]) and defines the one on-disk/on-wire schema
 //! ([`EpochRecord`], [`RunSummary`]) shared by `lp_bench`, the scaling
 //! series, and the `lips-serve` metrics endpoint.
 //!
-//! Fields that a given solve mode does not exercise are recorded as their
-//! zero values rather than omitted, so every consumer can parse every
+//! Fields a solve does not exercise are recorded as their zero values
+//! rather than omitted (a full solve has no master: 1 pricing round, 0
+//! active and 0 total columns), so every consumer can parse every
 //! producer's output.
 
 use serde::{Deserialize, Serialize};
 
 pub use crate::lips::EpochOutcome;
-pub use crate::lp_build::{
-    ColGenStats, EpochCertificate, EpochSolveError, PhaseTimings, SolveReport,
-};
+pub use crate::lp_build::{ColGenStats, EpochSolveError, PhaseTimings, SolveReport};
 pub use lips_lp::{DeclinedBasis, SolveStats, WarmOutcome};
 
 /// One epoch solve, flattened to the stable serde schema.
@@ -51,12 +50,12 @@ pub struct EpochRecord {
     /// Nonbasic bound flips by the dual solver (not counted in
     /// `iterations`).
     pub bound_flips: usize,
-    /// Restricted-master solve/price rounds (1 for direct solves).
+    /// Restricted-master solve/price rounds (1 for full solves).
     pub pricing_rounds: usize,
-    /// Task columns the simplex actually saw (restricted modes: final
-    /// master; direct modes: the full model).
+    /// Task columns of the final master (0 for full solves).
     pub active_columns: usize,
-    /// Task columns of the full model.
+    /// Task columns of the full model (0 for full solves, which do not
+    /// count them).
     pub total_columns: usize,
     /// Always 0: epoch presolve was deleted. Kept so existing readers of
     /// the schema still find the field.
@@ -108,7 +107,7 @@ impl EpochRecord {
         incremental: bool,
     ) -> Self {
         let stats = report.schedule.stats;
-        let (pricing_rounds, active_columns, total_columns) = match &report.colgen {
+        let (pricing_rounds, active_columns, total_columns) = match &report.master {
             Some((_, cg)) => (cg.rounds, cg.active_columns, cg.total_columns),
             None => (1, 0, 0),
         };

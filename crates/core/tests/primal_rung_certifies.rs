@@ -10,7 +10,7 @@
 //! round-robin), 600-s epoch, no machine revoked at that moment.
 
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
-use lips_core::lp_build::{EpochSolver, LpInstance, LpJob, PruneConfig};
+use lips_core::lp_build::{solve_full, LpInstance, LpJob, PruneConfig};
 use lips_workload::{bind_workload, swim_trace, JobId, PlacementPolicy, SwimCfg};
 
 const SEED: u64 = 2413;
@@ -109,12 +109,9 @@ fn cold_primal_rung_certifies_the_drift_epoch() {
         },
     };
     // The ladder's last rung: a cold primal solve with no carried state.
-    let report = EpochSolver::new(&inst)
-        .threads(1)
-        .certify()
-        .run()
-        .unwrap_or_else(|e| panic!("the cold primal rung failed: {e}"));
-    assert!(report.certificate.expect("requested").is_optimal());
+    let report =
+        solve_full(&inst, Some(1)).unwrap_or_else(|e| panic!("the cold primal rung failed: {e}"));
+    assert!(report.certificate.is_optimal());
     assert!(
         report.schedule.stats.phase1_iterations > 0,
         "a primal solve"

@@ -1,5 +1,5 @@
 //! Property tests for the column-generated restricted master: across
-//! random clusters and epoch sequences, `EpochSolver::colgen` must land
+//! random clusters and epoch sequences, `solve_master` must land
 //! on the full model's optimum (it certifies that itself — these tests
 //! re-assert it externally against an independent full solve), and the
 //! restricted certificate must reject masters whose excluded columns
@@ -7,7 +7,9 @@
 
 use lips_audit::{certify_restricted, ExcludedColumn};
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
-use lips_core::lp_build::{ColGenOptions, EpochSolver, LpInstance, LpJob, PruneConfig};
+use lips_core::lp_build::{
+    solve_full, solve_master, ColGenOptions, LpInstance, LpJob, PruneConfig,
+};
 use lips_lp::{Cmp, Model};
 use lips_workload::JobId;
 use proptest::prelude::*;
@@ -73,7 +75,6 @@ proptest! {
         let cluster = ec2_mixed_cluster(ri.nodes, ri.c1, 1e9, ri.seed);
         let opts = ColGenOptions {
             seed_arcs_per_job: ri.seed_arcs,
-            ..ColGenOptions::default()
         };
         let mut state = None;
         for e in 0..ri.epochs {
@@ -88,18 +89,14 @@ proptest! {
                 pool_floors: vec![],
                 prune: PruneConfig::default(),
             };
-            let full = EpochSolver::new(&inst)
-                .certify()
-                .run()
+            let full = solve_full(&inst, None)
                 .map_err(|e| TestCaseError::fail(format!("full LP failed: {e}")))?
                 .schedule;
-            let out = EpochSolver::new(&inst)
-                .colgen(opts.clone(), state.as_ref())
-                .run()
+            let out = solve_master(&inst, state.as_ref(), &opts, None)
                 .map_err(|e| TestCaseError::fail(format!("colgen failed: {e}")))?;
-            let cert = out.certificate.expect("colgen mode always certifies");
+            let cert = &out.certificate;
             prop_assert!(cert.is_optimal(), "epoch {e}: {cert}");
-            let (cg_state, cg_stats) = out.colgen.expect("colgen mode carries state");
+            let (cg_state, cg_stats) = out.master.expect("a master carries state");
             let scale = 1.0 + full.lp_objective.abs();
             prop_assert!(
                 (out.schedule.lp_objective - full.lp_objective).abs() / scale < 1e-6,

@@ -11,7 +11,7 @@
 
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    ColGenOptions, ColGenState, EpochSolver, LpInstance, LpJob, PruneConfig,
+    solve_full, solve_master, ColGenOptions, ColGenState, LpInstance, LpJob, PruneConfig,
 };
 use lips_workload::JobId;
 use proptest::prelude::*;
@@ -69,16 +69,12 @@ proptest! {
             if let Some(c) = carry.as_mut() {
                 c.sanitize_for_cluster(&cluster);
             }
-            let mut warm = EpochSolver::new(&inst)
-                .colgen(ColGenOptions::default(), carry.as_ref())
-                .run()
+            let mut warm = solve_master(&inst, carry.as_ref(), &ColGenOptions::default(), None)
                 .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
-            let warm_cert = warm.certificate.as_ref().expect("colgen mode always certifies");
+            let warm_cert = &warm.certificate;
             prop_assert!(warm_cert.is_optimal(), "epoch {e}: {warm_cert}");
 
-            let cold = EpochSolver::new(&inst)
-                .certify()
-                .run()
+            let cold = solve_full(&inst, None)
                 .map_err(|err| TestCaseError::fail(format!("epoch {e}: cold solve failed: {err}")))?;
             // Both solves are KKT-certified, which bounds each to within
             // the certifier's gap tolerance of the optimum — so the two

@@ -8,7 +8,7 @@
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    ColGenOptions, ColGenState, EpochCertificate, EpochSolver, LpInstance, LpJob, PruneConfig,
+    solve_full, solve_master, ColGenOptions, ColGenState, LpInstance, LpJob, PruneConfig,
     SolveReport,
 };
 use lips_workload::JobId;
@@ -114,65 +114,55 @@ fn assert_bitwise(a: &SolveReport, b: &SolveReport, ctx: &str) -> Result<(), Tes
         "{}: iterations",
         ctx
     );
-    match (a.certificate.as_ref(), b.certificate.as_ref()) {
-        (Some(EpochCertificate::Full(ca)), Some(EpochCertificate::Full(cb))) => {
-            prop_assert_eq!(
-                ca.duality_gap.to_bits(),
-                cb.duality_gap.to_bits(),
-                "{}: duality_gap",
-                ctx
-            );
-            prop_assert_eq!(
-                ca.max_dual_violation.to_bits(),
-                cb.max_dual_violation.to_bits(),
-                "{}: max_dual_violation",
-                ctx
-            );
-            prop_assert_eq!(ca.is_optimal(), cb.is_optimal(), "{}: verdict", ctx);
-        }
-        (Some(EpochCertificate::Restricted(ca)), Some(EpochCertificate::Restricted(cb))) => {
-            prop_assert_eq!(
-                ca.master.duality_gap.to_bits(),
-                cb.master.duality_gap.to_bits(),
-                "{}: master duality_gap",
-                ctx
-            );
-            prop_assert_eq!(
-                ca.max_excluded_violation.to_bits(),
-                cb.max_excluded_violation.to_bits(),
-                "{}: max_excluded_violation",
-                ctx
-            );
-            prop_assert_eq!(
-                &ca.worst_excluded,
-                &cb.worst_excluded,
-                "{}: worst_excluded",
-                ctx
-            );
-            prop_assert_eq!(ca.is_optimal(), cb.is_optimal(), "{}: verdict", ctx);
-        }
-        (x, y) => prop_assert!(
-            false,
-            "{ctx}: certificate kinds differ: {} vs {}",
-            x.is_some(),
-            y.is_some()
-        ),
-    }
+    let shadow_bits = |r: &SolveReport| -> Vec<(usize, u64)> {
+        r.shadow_prices
+            .iter()
+            .map(|&(m, p)| (m.0, p.to_bits()))
+            .collect()
+    };
+    prop_assert_eq!(shadow_bits(a), shadow_bits(b), "{}: shadow_prices", ctx);
+    let (ca, cb) = (&a.certificate, &b.certificate);
+    prop_assert_eq!(
+        ca.master.duality_gap.to_bits(),
+        cb.master.duality_gap.to_bits(),
+        "{}: duality_gap",
+        ctx
+    );
+    prop_assert_eq!(
+        ca.master.max_dual_violation.to_bits(),
+        cb.master.max_dual_violation.to_bits(),
+        "{}: max_dual_violation",
+        ctx
+    );
+    prop_assert_eq!(
+        ca.max_excluded_violation.to_bits(),
+        cb.max_excluded_violation.to_bits(),
+        "{}: max_excluded_violation",
+        ctx
+    );
+    prop_assert_eq!(
+        &ca.worst_excluded,
+        &cb.worst_excluded,
+        "{}: worst_excluded",
+        ctx
+    );
+    prop_assert_eq!(ca.is_optimal(), cb.is_optimal(), "{}: verdict", ctx);
     Ok(())
 }
 
 /// The cold primal on the full model certifies the same objective as
-/// `report`.
+/// `report`, and its own report is bitwise identical at 1 vs 4 threads.
 fn assert_cold_parity(
     inst: &LpInstance<'_>,
     report: &SolveReport,
     epoch: usize,
 ) -> Result<(), TestCaseError> {
-    let cold = EpochSolver::new(inst)
-        .threads(1)
-        .certify()
-        .run()
-        .map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")))?;
+    let full = |threads: usize| {
+        solve_full(inst, Some(threads))
+            .map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")))
+    };
+    let cold = full(1)?;
+    assert_bitwise(&cold, &full(4)?, &format!("epoch {epoch} full model"))?;
     let (p, m) = (cold.schedule.lp_objective, report.schedule.lp_objective);
     prop_assert!(
         (p - m).abs() <= 1e-6 * (1.0 + p.abs()),
@@ -210,7 +200,6 @@ proptest! {
         let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
         let opts = ColGenOptions {
             seed_arcs_per_job: rc.seed_arcs,
-            ..ColGenOptions::default()
         };
         let mut serial: Option<ColGenState> = None;
         let mut wide: Option<ColGenState> = None;
@@ -224,21 +213,17 @@ proptest! {
             }
             let inst = instance(&rc, &cluster, e);
             let run = |threads: usize, state: Option<&ColGenState>| {
-                EpochSolver::new(&inst)
-                    .threads(threads)
-                    .colgen(opts.clone(), state)
-                    .run()
+                solve_master(&inst, state, &opts, Some(threads))
             };
             let a = run(1, serial.as_ref())
                 .map_err(|e| TestCaseError::fail(format!("serial colgen failed: {e}")))?;
             let b = run(4, wide.as_ref())
                 .map_err(|e| TestCaseError::fail(format!("parallel colgen failed: {e}")))?;
             assert_bitwise(&a, &b, &format!("epoch {e}"))?;
-            let cert = a.certificate.as_ref().expect("colgen mode always certifies");
-            prop_assert!(cert.is_optimal(), "epoch {}: {}", e, cert);
+            prop_assert!(a.certificate.is_optimal(), "epoch {}: {}", e, a.certificate);
             assert_cold_parity(&inst, &a, e)?;
-            let (sa, stats_a) = a.colgen.expect("colgen mode carries state");
-            let (sb, stats_b) = b.colgen.expect("colgen mode carries state");
+            let (sa, stats_a) = a.master.expect("a master carries state");
+            let (sb, stats_b) = b.master.expect("a master carries state");
             prop_assert_eq!(sa.carried_columns(), sb.carried_columns(), "epoch {}", e);
             prop_assert_eq!(stats_a.active_columns, stats_b.active_columns);
             prop_assert_eq!(stats_a.appended, stats_b.appended);
@@ -259,10 +244,7 @@ proptest! {
             maybe_revoke(&rc, &mut cluster, e);
             let inst = instance(&rc, &cluster, e);
             let master = |threads: usize| {
-                EpochSolver::new(&inst)
-                    .threads(threads)
-                    .colgen(ColGenOptions::default(), None)
-                    .run()
+                solve_master(&inst, None, &ColGenOptions::default(), Some(threads))
                     .map_err(|e| TestCaseError::fail(format!("slack-start master failed: {e}")))
             };
             let a = master(1)?;

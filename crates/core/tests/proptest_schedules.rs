@@ -7,14 +7,14 @@ use std::collections::HashMap;
 
 use lips_cluster::{ec2_mixed_cluster, DataId, MachineId, StoreId};
 use lips_core::lp_build::{
-    EpochSolveError, EpochSolver, FractionalSchedule, LpInstance, LpJob, PruneConfig,
+    solve_full, EpochSolveError, FractionalSchedule, LpInstance, LpJob, PruneConfig,
 };
 use lips_workload::JobId;
 use proptest::prelude::*;
 
-/// The old one-shot entrypoint, expressed on the unified builder.
+/// The certified full-model schedule of `inst`.
 fn solve(inst: &LpInstance<'_>) -> Result<FractionalSchedule, EpochSolveError> {
-    EpochSolver::new(inst).certify().run().map(|r| r.schedule)
+    solve_full(inst, None).map(|r| r.schedule)
 }
 
 #[derive(Debug, Clone)]

@@ -103,7 +103,6 @@ pub fn solve_dual_with_options(
     };
 
     let mut w = Worker::new(&sf, opts);
-    w.ensure_csr();
     let mut outcome = WarmOutcome::Cold;
     let mut declined = None;
     match states.map(|st| seed_basis(&mut w, &st)) {
@@ -553,7 +552,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         w.btran(&mut rho);
         touched.clear();
         {
-            let csr = w.csr.as_ref().ok_or(LpError::SingularBasis)?;
+            let csr = &w.csr;
             for i in 0..m {
                 let ri = rho[i];
                 if ri == 0.0 {
@@ -1133,7 +1132,6 @@ mod tests {
             let sf = StandardForm::from_model(&m);
             let opts = RevisedOptions::default();
             let mut w = Worker::new(&sf, &opts);
-            w.ensure_csr();
             let states = match_warm_states(&m, &sf, &ws).unwrap();
             assert!(seed_basis(&mut w, &states).is_ok());
             w.set_phase2_costs();

@@ -13,8 +13,8 @@
 //!   bounded-variable revised primal simplex with a Markowitz-ordered
 //!   sparse-LU factorization of the basis ([`slu::SparseLu`]), sparse
 //!   product-form (eta-file) updates between refactorizations, devex
-//!   pricing over a partial-pricing window (Dantzig available), and a
-//!   Bland anti-cycling fallback.
+//!   pricing over a partial-pricing window, and a Bland anti-cycling
+//!   fallback.
 //! * [`dual::solve_dual_with_options`] — the bounded dual simplex on the
 //!   same machinery, and the only solver that accepts a prior basis
 //!   ([`basis::WarmStart`]): the epoch loop's resolve-the-same-LP-again
@@ -48,7 +48,6 @@ mod lu;
 pub mod model;
 pub mod pricing;
 pub mod revised;
-pub mod scaling;
 pub mod sensitivity;
 pub mod slu;
 pub mod solution;

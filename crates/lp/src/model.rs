@@ -6,7 +6,6 @@ use std::borrow::Cow;
 use crate::basis::{name_key, positional_row_key};
 use crate::error::LpError;
 use crate::solution::Solution;
-use crate::TOL;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,21 +156,6 @@ impl Model {
             obj,
         });
         VarId(self.vars.len() - 1)
-    }
-
-    /// Add a variable with `src`'s identity (key and name) for variable
-    /// `v`, under new bounds and cost: how a derived model (scaling)
-    /// keeps warm starts resolving across the transformation.
-    pub(crate) fn add_var_like(
-        &mut self,
-        src: &Model,
-        v: VarId,
-        lb: f64,
-        ub: f64,
-        obj: f64,
-    ) -> VarId {
-        let s = &src.vars[v.0];
-        self.push_var(s.key, s.name.clone(), lb, ub, obj)
     }
 
     /// Append a full column to a live model: a new variable identified by
@@ -431,20 +415,6 @@ impl Model {
     /// Solve with the dense tableau oracle (small models only).
     pub fn solve_dense(&self) -> Result<Solution, LpError> {
         crate::dense::DenseSimplex::default().solve(self)
-    }
-
-    /// Quick feasibility probe: does any feasible point exist? Runs phase 1
-    /// only (by solving with a zero objective).
-    pub fn has_feasible_point(&self) -> Result<bool, LpError> {
-        let mut probe = self.clone();
-        for v in &mut probe.vars {
-            v.obj = 0.0;
-        }
-        match probe.solve() {
-            Ok(sol) => Ok(self.is_feasible(sol.values(), 10.0 * TOL)),
-            Err(LpError::Infeasible) => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 }
 

@@ -39,17 +39,6 @@ use crate::sparse::CsrMatrix;
 use crate::standard::StandardForm;
 use crate::{PIVOT_TOL, TOL};
 
-/// Entering-variable pricing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Devex reference weights (approximate steepest edge): pick the
-    /// nonbasic column maximizing `d_j² / w_j`. The default.
-    #[default]
-    Devex,
-    /// Most-negative reduced cost.
-    Dantzig,
-}
-
 /// Devex weights above this trigger a reference-framework reset (all
 /// weights back to 1); unbounded weight growth makes the scores meaningless.
 const DEVEX_RESET: f64 = 1e8;
@@ -78,8 +67,6 @@ pub struct RevisedOptions {
     /// greedy pivots; the optimum is unaffected (a pass that finds no
     /// eligible column in the window continues scanning the rest).
     pub partial_pricing: Option<usize>,
-    /// Entering-variable pricing rule.
-    pub pricing: Pricing,
 }
 
 impl Default for RevisedOptions {
@@ -91,7 +78,6 @@ impl Default for RevisedOptions {
             pivot_tol: PIVOT_TOL,
             bland_trigger: 200,
             partial_pricing: Some(64),
-            pricing: Pricing::Devex,
         }
     }
 }
@@ -227,9 +213,9 @@ pub(crate) struct Worker<'a> {
     /// Reused per-refactorization workspace: the basis columns handed to
     /// the sparse factorization (drained by it, refilled next time).
     spcols: Vec<Vec<(usize, f64)>>,
-    /// Row-major mirror of `sf.a` for devex pivot-row computation
-    /// (`None` under Dantzig pricing).
-    pub(crate) csr: Option<CsrMatrix>,
+    /// Row-major mirror of `sf.a` for pivot-row computation (devex
+    /// weights, the dual ratio test).
+    pub(crate) csr: CsrMatrix,
     /// Devex reference weights, one per column (artificials included).
     devex_w: Vec<f64>,
     pub(crate) iterations: usize,
@@ -249,10 +235,6 @@ impl<'a> Worker<'a> {
     pub(crate) fn new(sf: &'a StandardForm, opts: &'a RevisedOptions) -> Self {
         let n_real = sf.ncols();
         let m = sf.nrows();
-        let csr = match opts.pricing {
-            Pricing::Devex => Some(CsrMatrix::from_csc(&sf.a)),
-            Pricing::Dantzig => None,
-        };
         Worker {
             sf,
             opts,
@@ -270,7 +252,7 @@ impl<'a> Worker<'a> {
             etas: Vec::new(),
             scratch: vec![0.0; m],
             spcols: Vec::new(),
-            csr,
+            csr: CsrMatrix::from_csc(&sf.a),
             devex_w: vec![1.0; n_real],
             iterations: 0,
             phase1_iterations: 0,
@@ -280,15 +262,6 @@ impl<'a> Worker<'a> {
             bland: false,
             in_phase1: false,
             price_cursor: 0,
-        }
-    }
-
-    /// Guarantee the CSR mirror exists. Devex pricing builds it eagerly;
-    /// the dual ratio test needs it regardless of the pricing rule because
-    /// pivot rows are accumulated over the rows of `rho`'s support.
-    pub(crate) fn ensure_csr(&mut self) {
-        if self.csr.is_none() {
-            self.csr = Some(CsrMatrix::from_csc(&self.sf.a));
         }
     }
 
@@ -584,7 +557,6 @@ impl<'a> Worker<'a> {
         } else {
             self.opts.partial_pricing
         };
-        let devex = self.opts.pricing == Pricing::Devex && !self.bland;
         let start = self.price_cursor % n.max(1);
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
         let mut eligible_seen = 0usize;
@@ -625,11 +597,9 @@ impl<'a> Worker<'a> {
                 // Bland: first eligible index wins.
                 return Some((j, dir));
             }
-            let score = if devex {
-                viol * viol / self.devex_w[j]
-            } else {
-                viol
-            };
+            // Devex reference weights (approximate steepest edge): the
+            // column maximizing `d_j² / w_j` enters.
+            let score = viol * viol / self.devex_w[j];
             match best {
                 Some((_, _, bs)) if bs >= score => {}
                 _ => best = Some((j, dir, score)),
@@ -669,10 +639,7 @@ impl<'a> Worker<'a> {
         rho[r] = 1.0;
         self.btran(rho);
         {
-            let csr = self
-                .csr
-                .as_ref()
-                .expect("devex pricing needs the CSR mirror");
+            let csr = &self.csr;
             for i in 0..m {
                 let ri = rho[i];
                 if ri == 0.0 {
@@ -911,7 +878,7 @@ impl<'a> Worker<'a> {
                     }
                     // Devex weights must be updated against the basis
                     // *before* this pivot is applied.
-                    if self.opts.pricing == Pricing::Devex && !self.bland {
+                    if !self.bland {
                         self.devex_update(q, r, &w, &mut rho, &mut acc, &mut touched);
                     }
                     for i in 0..m {
@@ -1310,33 +1277,6 @@ mod tests {
                 }
                 (a, b) => panic!("seed {seed}: revised vs oracle disagree {a:?} vs {b:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn devex_and_dantzig_agree() {
-        for seed in 20..28u64 {
-            let m = random_model(seed, 35, 20);
-            let devex = RevisedSimplex::with_options(RevisedOptions {
-                pricing: Pricing::Devex,
-                ..Default::default()
-            })
-            .solve(&m)
-            .unwrap();
-            let dantzig = RevisedSimplex::with_options(RevisedOptions {
-                pricing: Pricing::Dantzig,
-                partial_pricing: None,
-                ..Default::default()
-            })
-            .solve(&m)
-            .unwrap();
-            let scale = 1.0 + devex.objective().abs().max(dantzig.objective().abs());
-            assert!(
-                (devex.objective() - dantzig.objective()).abs() / scale < 1e-7,
-                "seed {seed}: {} vs {}",
-                devex.objective(),
-                dantzig.objective()
-            );
         }
     }
 

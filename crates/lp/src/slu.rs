@@ -235,11 +235,6 @@ impl SparseLu {
         Ok(lu)
     }
 
-    /// Dimension of the factorized basis.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Stored nonzeros in `L` and `U` (fill-in diagnostic).
     pub fn nnz(&self) -> usize {
         self.nnz

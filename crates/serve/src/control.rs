@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lips_workload::{JobKind, JobSpec, MAX_TASKS_PER_JOB};
+use lips_workload::{JobKind, JobSpec, MAX_JOB_MB, MAX_TASKS_PER_JOB};
 
 use crate::daemon::Daemon;
 use crate::metrics;
@@ -174,13 +174,11 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             let Some(kind) = parse_kind(kind.as_deref().unwrap_or("grep")) else {
                 return (err("unknown kind"), false);
             };
-            if !(input_mb.is_finite()
-                && input_mb >= 0.0
-                && (1..=MAX_TASKS_PER_JOB).contains(&tasks))
+            if !((0.0..=MAX_JOB_MB).contains(&input_mb) && (1..=MAX_TASKS_PER_JOB).contains(&tasks))
             {
                 return (
                     err(&format!(
-                        "input_mb must be finite and >= 0, tasks in 1..={MAX_TASKS_PER_JOB}"
+                        "input_mb must be in 0..={MAX_JOB_MB}, tasks in 1..={MAX_TASKS_PER_JOB}"
                     )),
                     false,
                 );
@@ -196,7 +194,7 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
             let reduce = match (reduce_tasks, shuffle_mb) {
                 (None, None) => None,
                 (Some(rt), Some(smb))
-                    if (1..=MAX_TASKS_PER_JOB).contains(&rt) && smb.is_finite() && smb > 0.0 =>
+                    if (1..=MAX_TASKS_PER_JOB).contains(&rt) && smb > 0.0 && smb <= MAX_JOB_MB =>
                 {
                     Some((rt, smb))
                 }
@@ -204,7 +202,7 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
                     return (
                         err(&format!(
                             "a reduce spec needs both reduce_tasks in 1..={MAX_TASKS_PER_JOB} \
-                             and shuffle_mb finite and > 0"
+                             and shuffle_mb in (0, {MAX_JOB_MB}]"
                         )),
                         false,
                     )
@@ -376,6 +374,8 @@ mod tests {
             r#"{"cmd":"submit","input_mb":64,"reduce_tasks":4294967295}"#,
             r#"{"cmd":"submit","input_mb":64,"shuffle_mb":-5}"#,
             r#"{"cmd":"submit","input_mb":512,"tasks":4,"arrival_s":1e999}"#,
+            r#"{"cmd":"submit","input_mb":1e6,"tasks":4,"read_fraction":0.5,"reduce_tasks":65536,"shuffle_mb":18446744073709551615}"#,
+            r#"{"cmd":"submit","input_mb":1e308,"tasks":4}"#,
             r#"{"cmd":"run","epochs":18446744073709551615}"#,
             r#"{"cmd":"drain","max_epochs":10001}"#,
         ] {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lips_cluster::DataId;
+use lips_cluster::{DataId, BLOCK_MB};
 
 use crate::kind::JobKind;
 
@@ -24,6 +24,12 @@ pub struct ReduceSpec {
 /// reach the scheduler from outside (the `lips-serve` control API) are
 /// refused above this bound rather than stalling the daemon.
 pub const MAX_TASKS_PER_JOB: u32 = 65_536;
+
+/// Largest input or shuffle one job may declare, in MB: 4 TiB, the
+/// [`MAX_TASKS_PER_JOB`] tasks of one 64 MB block each. A job's LP work
+/// grows with its size as its task count does, so the `lips-serve`
+/// control API refuses sizes above this bound for the same reason.
+pub const MAX_JOB_MB: f64 = MAX_TASKS_PER_JOB as f64 * BLOCK_MB;
 
 /// Index of a job within a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

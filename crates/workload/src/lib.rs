@@ -41,7 +41,7 @@ pub use google_trace::{
     google_records_to_jobs, google_synth, parse_google_tsv, write_google_tsv, GoogleParseError,
     GoogleSynthCfg, GoogleTraceRecord, GOOGLE_PROD_PRIORITY,
 };
-pub use job::{JobId, JobPriority, JobSpec, ReduceSpec, MAX_TASKS_PER_JOB};
+pub use job::{JobId, JobPriority, JobSpec, ReduceSpec, MAX_JOB_MB, MAX_TASKS_PER_JOB};
 pub use kind::JobKind;
 pub use rand_gen::{random_workload, RandomWorkloadCfg};
 pub use suite::table_iv_suite;

@@ -5,7 +5,7 @@
 
 use lips::audit::Severity;
 use lips::cluster::ec2_20_node;
-use lips::core::lp_build::{audit_instance, build_audited, EpochSolver, LpInstance, PruneConfig};
+use lips::core::lp_build::{audit_instance, build_audited, solve_full, LpInstance, PruneConfig};
 use lips::core::offline::lp_jobs_from_specs;
 use lips::sim::{validate_certificate, Placement};
 use lips::workload::{bind_workload, JobKind, JobSpec, PlacementPolicy};
@@ -77,14 +77,9 @@ fn check_instance(name: &str, inst: &LpInstance<'_>) {
     assert!(errors.is_empty(), "{name}: audit errors: {errors:?}");
 
     // Dynamic pass: solve and certify through the independent verifier.
-    let report = EpochSolver::new(inst).certify().run().expect("solvable");
+    let report = solve_full(inst, None).expect("solvable");
     let schedule = report.schedule;
-    let cert = report
-        .certificate
-        .expect("certification was requested")
-        .as_full()
-        .expect("direct solves carry a full KKT certificate")
-        .clone();
+    let cert = report.certificate.master;
     assert!(cert.is_optimal(), "{name}: {cert}");
     assert!(
         cert.duality_gap <= 1e-6 * (1.0 + cert.primal_objective.abs()),
