@@ -788,8 +788,10 @@ fn find_test_spans(code: &[Tok]) -> Vec<(usize, usize)> {
             continue;
         }
         if pending {
-            if t.is_punct(";") {
-                // `#[cfg(test)] use …;` — no body to mark.
+            if t.is_punct(";") || t.is_punct("}") {
+                // `#[cfg(test)] use …;`, or a test-only struct field or
+                // struct-literal field closed by its braces — no body to
+                // mark (the next `{` is production code).
                 pending = false;
             } else if t.is_punct("{") {
                 if let Some(close) = matching_brace(code, i) {
@@ -937,6 +939,27 @@ mod tests {
             }
         ");
         assert_eq!(a.findings.len(), 1);
+        assert_eq!(a.findings[0].lint, lints::PANIC_SURFACE);
+    }
+
+    #[test]
+    fn test_only_fields_do_not_hide_the_next_item() {
+        let a = run(r"
+            struct W {
+                #[cfg(test)]
+                count: usize,
+            }
+            impl W {
+                fn new() -> Self {
+                    W {
+                        #[cfg(test)]
+                        count: 0,
+                    }
+                }
+                fn f(x: Option<u32>) -> u32 { x.unwrap() }
+            }
+        ");
+        assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
         assert_eq!(a.findings[0].lint, lints::PANIC_SURFACE);
     }
 

@@ -203,7 +203,7 @@ pub fn certify(model: &Model, sol: &Solution) -> Result<Certificate, CertifyErro
 /// [`certify`] with the KKT residual passes split across `pool`'s workers.
 ///
 /// Determinism contract: the row and column passes are chunked by the
-/// fixed [`ROW_CHUNK`]/[`COL_CHUNK`] sizes and their partials folded in
+/// fixed `ROW_CHUNK`/`COL_CHUNK` sizes and their partials folded in
 /// chunk order, so the certificate — every residual, every sum — is
 /// bitwise identical at any pool width, including [`Pool::serial`].
 pub fn certify_with(
@@ -477,7 +477,7 @@ type PriceResult = Result<(f64, Option<usize>), CertifyError>;
 /// [`certify_restricted`] with the master's KKT passes *and* the
 /// excluded-column re-pricing split across `pool`'s workers.
 ///
-/// The pricing pass is chunked by [`COL_CHUNK`] and its per-chunk worst
+/// The pricing pass is chunked by `COL_CHUNK` and its per-chunk worst
 /// offenders folded in chunk order with a strictly-greater comparison, so
 /// ties resolve to the earliest column — exactly the serial loop's
 /// first-of-ties behavior — and the certificate is bitwise identical at

@@ -4,7 +4,7 @@
 //! mechanically, without re-running the solver:
 //!
 //! * the *models* handed to the solver are well-formed and match the paper's
-//!   Fig 2/3/4 structure ([`lint`], [`audit_paper_invariants`]);
+//!   Fig 2/3/4 structure ([`lint()`], [`audit_paper_invariants`]);
 //! * the *solutions* the solver returns are genuinely optimal, proven by an
 //!   independently recomputed primal/dual certificate ([`certify`]).
 //!

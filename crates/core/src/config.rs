@@ -208,8 +208,8 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`SchedulerConfig`] with validation at [`build`]
-/// ([`SchedulerConfigBuilder::build`]) time. Start from
+/// Builder for [`SchedulerConfig`] with validation at
+/// [`build`](SchedulerConfigBuilder::build) time. Start from
 /// [`SchedulerConfig::builder`] (defaults) or
 /// [`SchedulerConfig::preset`].
 #[derive(Debug, Clone)]

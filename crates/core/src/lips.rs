@@ -168,15 +168,16 @@ impl LipsScheduler {
         })
     }
 
-    /// The degradation ladder, one [`LipsScheduler::run_rung`] per step:
+    /// The degradation ladder, one rung solve per step:
     /// the dual-first restricted master → the same with the fairness
     /// floors relaxed → the cold full model (floors relaxed) → `None`.
     ///
     /// `None` means the caller degrades to greedy placement and retries
     /// the LP next epoch. Every rung that returns a schedule returned a
-    /// *certified* one, and a dual walk the master declined on the way is
-    /// kept on its record. The record's `epoch_ms` times the whole ladder,
-    /// failed rungs included.
+    /// *certified* one. A dual walk the master declined on the way, and
+    /// the error of every rung that failed before the decision
+    /// ([`EpochRecord::failed_rungs`]), are kept on its record. The
+    /// record's `epoch_ms` times the whole ladder, failed rungs included.
     ///
     /// [`Scheduler::decide`] serves every LP epoch through this call, and
     /// the benches drive it directly with instances of their own, so what
@@ -196,25 +197,38 @@ impl LipsScheduler {
         });
         let unfloored = relaxed.as_ref().unwrap_or(inst);
         let ladder = [
-            Some((Rung::Master, inst)),
-            relaxed.as_ref().map(|r| (Rung::Master, r)),
-            Some((Rung::Cold, unfloored)),
+            Some(("master", Rung::Master, inst)),
+            relaxed
+                .as_ref()
+                .map(|r| ("master, floors relaxed", Rung::Master, r)),
+            Some(("cold", Rung::Cold, unfloored)),
         ];
-        for (rung, inst) in ladder.into_iter().flatten() {
-            if let Ok(r) = self.run_rung(inst, rung) {
-                let outcome = match rung {
-                    Rung::Master => EpochOutcome::Certified,
-                    Rung::Cold => EpochOutcome::CertifiedCold,
-                };
-                let mut record =
-                    EpochRecord::from_solve_report(epoch, jobs, outcome, &r.report, r.incremental);
-                record.epoch_ms = t_epoch.elapsed_ms();
-                self.records.push(record);
-                return Some(r.report.schedule);
+        let mut failed_rungs = Vec::new();
+        for (name, rung, inst) in ladder.into_iter().flatten() {
+            match self.run_rung(inst, rung) {
+                Ok(r) => {
+                    let outcome = match rung {
+                        Rung::Master => EpochOutcome::Certified,
+                        Rung::Cold => EpochOutcome::CertifiedCold,
+                    };
+                    let mut record = EpochRecord::from_solve_report(
+                        epoch,
+                        jobs,
+                        outcome,
+                        &r.report,
+                        r.incremental,
+                    );
+                    record.epoch_ms = t_epoch.elapsed_ms();
+                    record.failed_rungs = failed_rungs;
+                    self.records.push(record);
+                    return Some(r.report.schedule);
+                }
+                Err(e) => failed_rungs.push(format!("{name}: {e}")),
             }
         }
         let mut record = EpochRecord::degraded(epoch, jobs);
         record.epoch_ms = t_epoch.elapsed_ms();
+        record.failed_rungs = failed_rungs;
         self.records.push(record);
         None
     }
@@ -625,8 +639,18 @@ mod tests {
         assert!(!r[2].certified);
         // A degraded record still carries the time its failed rungs took.
         assert!(r[2].epoch_ms > 0.0);
-        // An infeasibility verdict is not a declined basis.
+        // An infeasibility verdict is not a declined basis, but each
+        // failed rung keeps its reason, in ladder order.
         assert!(r.iter().all(|r| r.declined.is_empty()));
+        assert!(r[..2].iter().all(|r| r.failed_rungs.is_empty()));
+        assert_eq!(r[2].failed_rungs.len(), 2, "{:?}", r[2].failed_rungs);
+        assert!(r[2].failed_rungs[0].starts_with("master: "));
+        assert!(r[2].failed_rungs[1].starts_with("cold: "));
+        assert!(
+            r[2].failed_rungs.iter().all(|f| f.contains("infeasible")),
+            "{:?}",
+            r[2].failed_rungs
+        );
         // Epoch 3: capacity restored — the scheduler recovers on its own,
         // on the master from the slack basis (the failed rungs dropped the
         // carried state).

@@ -89,6 +89,11 @@ pub struct EpochRecord {
     /// declined at seeding).
     #[serde(default)]
     pub declined_pivots: usize,
+    /// Every ladder rung that failed before this epoch's decision, in
+    /// ladder order, each as `"<rung>: <error>"` (`"master"`, `"master,
+    /// floors relaxed"`, `"cold"`); empty when the first rung served.
+    #[serde(default)]
+    pub failed_rungs: Vec<String>,
 }
 
 impl EpochRecord {
@@ -136,6 +141,7 @@ impl EpochRecord {
             incremental,
             declined: String::new(),
             declined_pivots: 0,
+            failed_rungs: Vec::new(),
         }
         .with_declined(stats.declined)
     }
@@ -176,6 +182,7 @@ impl EpochRecord {
             incremental: false,
             declined: String::new(),
             declined_pivots: 0,
+            failed_rungs: Vec::new(),
         }
     }
 }
@@ -388,6 +395,23 @@ mod tests {
         assert!(!old.contains("declined"), "{old}");
         let back: EpochRecord = serde_json::from_str(&old).unwrap();
         assert_eq!((back.declined.as_str(), back.declined_pivots), ("", 0));
+    }
+
+    #[test]
+    fn failed_rungs_round_trip_and_are_optional_on_the_wire() {
+        let mut r = EpochRecord::degraded(2, 3);
+        r.failed_rungs = vec![
+            "master: LP solve failed: linear program is infeasible".to_string(),
+            "cold: LP solve failed: linear program is infeasible".to_string(),
+        ];
+        let json = serde_json::to_string(&r).unwrap();
+        let back: EpochRecord = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.failed_rungs, r.failed_rungs);
+        // Records written before the field existed still parse.
+        let cut = json.find(",\"failed_rungs\"").unwrap();
+        let old = format!("{}}}", &json[..cut]);
+        let back: EpochRecord = serde_json::from_str(&old).unwrap();
+        assert!(back.failed_rungs.is_empty());
     }
 
     #[test]

@@ -24,14 +24,15 @@
 //!
 //! * **Same machinery, different outer loop.** The solver reuses the primal
 //!   [`Worker`](crate::revised): the Markowitz sparse LU, the eta file,
-//!   FTRAN/BTRAN, and the keyed warm-start matching. Only the pivot
-//!   selection differs: the *row* (most-violated basic) is chosen first and
-//!   the *column* comes out of a dual ratio test over the pivot row, which
-//!   is accumulated sparsely from the CSR mirror over the support of
-//!   `ρ = B⁻ᵀe_r` — the same trick devex pricing uses. The same row updates
-//!   every reduced cost after the pivot, so a pivot needs neither a BTRAN
-//!   for the duals nor a dot product per candidate; they are recomputed
-//!   from fresh duals at each refactorization.
+//!   FTRAN/BTRAN, the pivot-row kernel, the reduced-cost update and the
+//!   keyed warm-start matching. Only the pivot selection differs: the
+//!   *row* (most-violated basic) is chosen first and the *column* comes
+//!   out of a dual ratio test over the pivot row, which the primal loop's
+//!   kernel accumulates sparsely from the CSR mirror over the support of
+//!   `ρ = B⁻ᵀe_r`. The same row updates every reduced cost after the
+//!   pivot, as in the primal loop, so a pivot needs neither a BTRAN for
+//!   the duals nor a dot product per candidate; they are recomputed from
+//!   fresh duals at each refactorization.
 //! * **Bound flips, long-step ratio test.** All structural variables of the
 //!   scheduling LPs are boxed in `[0, 1]`, which makes the generalized
 //!   (long-step) dual ratio test effective: when the minimum-ratio column is
@@ -65,7 +66,7 @@
 use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart};
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
-use crate::revised::{extract_warm_start, RevisedOptions, VarState, Worker};
+use crate::revised::{extract_warm_start, PivotRow, RevisedOptions, VarState, Worker};
 use crate::solution::{Solution, SolveStats};
 use crate::standard::StandardForm;
 
@@ -381,13 +382,13 @@ fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpError> {
 /// shifted columns for the caller to restore.
 fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
     let tol = w.opts.tol;
-    let y = w.current_duals();
+    w.refresh_reduced_costs();
     let mut shifted: Vec<usize> = Vec::new();
     for j in 0..w.n_real {
         if w.state[j] == VarState::Basic || w.lb[j] == w.ub[j] {
             continue;
         }
-        let d = w.reduced_cost(&y, j);
+        let d = w.d[j];
         let wrong = match w.state[j] {
             VarState::AtLower => d < -tol,
             VarState::AtUpper => d > tol,
@@ -511,19 +512,15 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
     let n = w.n_real;
     let tol = w.opts.tol;
     let harris = tol;
-    let mut y: Vec<f64> = Vec::with_capacity(m);
-    let mut rho = vec![0.0; m];
-    let mut acc = vec![0.0; n];
-    let mut touched: Vec<usize> = Vec::new();
+    let mut row = PivotRow::new(m, n);
     let mut wvec = vec![0.0; m];
     let mut flip_rhs = vec![0.0; m];
     let mut dual_pivots = 0usize;
     let mut bound_flips = 0usize;
     let mut tiny_pivot_retries = 0usize;
-    // Reduced costs of every column, updated after each pivot from the
-    // pivot row (no BTRAN for the duals and no column dot products per
-    // pivot) and recomputed from fresh duals after a refactorization.
-    let mut d = vec![0.0; n];
+    // `w.d` is updated after each pivot from the pivot row (no BTRAN for
+    // the duals and no column dot products per pivot) and recomputed from
+    // fresh duals after a refactorization; the cost shifts left it stale.
     let mut d_fresh = false;
 
     loop {
@@ -544,58 +541,32 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             return Err(thrash(w));
         }
 
-        // Pivot row α_r = (B⁻ᵀe_r)ᵀA, accumulated over the CSR rows of
-        // ρ's support. `touched` is put in column order so candidates run
-        // in column order — deterministic tie-breaks for free.
-        rho.fill(0.0);
-        rho[r] = 1.0;
-        w.btran(&mut rho);
-        touched.clear();
-        {
-            let csr = &w.csr;
-            for i in 0..m {
-                let ri = rho[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                for (j, a) in csr.row(i) {
-                    if acc[j] == 0.0 {
-                        touched.push(j);
-                    }
-                    // lips-allow(float-accum-in-loop): serial pivot-row accumulation in fixed CSR row order
-                    acc[j] += ri * a;
-                }
-            }
-        }
-        if touched.len() * 16 > n {
-            // A dense pivot row: one scan of `acc` costs less than the
+        // Pivot row α_r = (B⁻ᵀe_r)ᵀA. Its columns are put in column order
+        // so candidates run in column order — deterministic tie-breaks
+        // for free.
+        w.pivot_row(r, &mut row);
+        if row.touched.len() * 16 > n {
+            // A dense pivot row: one scan of `alpha` costs less than the
             // sort (columns whose sum cancelled to zero drop out, which
             // changes nothing — they are never eligible).
-            touched.clear();
-            touched.extend((0..n).filter(|&j| acc[j] != 0.0));
+            row.touched.clear();
+            row.touched.extend((0..n).filter(|&j| row.alpha[j] != 0.0));
         } else {
-            touched.sort_unstable();
-            touched.dedup();
+            row.touched.sort_unstable();
+            row.touched.dedup();
         }
 
         if !d_fresh {
-            w.current_duals_into(&mut y);
-            for j in 0..n {
-                d[j] = if w.state[j] == VarState::Basic {
-                    0.0
-                } else {
-                    w.reduced_cost(&y, j)
-                };
-            }
+            w.refresh_reduced_costs();
             d_fresh = true;
         }
-        let mut cand: Vec<Candidate> = Vec::with_capacity(touched.len());
+        let mut cand: Vec<Candidate> = Vec::with_capacity(row.touched.len());
         let mut reserve: Vec<Candidate> = Vec::new();
-        for &j in &touched {
+        for &j in &row.touched {
             if w.state[j] == VarState::Basic || w.lb[j] == w.ub[j] {
                 continue;
             }
-            let abar = sigma * acc[j];
+            let abar = sigma * row.alpha[j];
             let eligible = match w.state[j] {
                 VarState::AtLower => abar > w.opts.pivot_tol,
                 VarState::AtUpper => abar < -w.opts.pivot_tol,
@@ -606,7 +577,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                 let c = Candidate {
                     col: j,
                     abar,
-                    d: d[j],
+                    d: w.d[j],
                 };
                 // Shifted columns are second-tier: they only enter when a
                 // row has no unshifted way out, so the walk stays on the
@@ -672,9 +643,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             if tiny_pivot_retries > 2 {
                 return Err(LpError::SingularBasis);
             }
-            for &j in &touched {
-                acc[j] = 0.0;
-            }
+            row.clear();
             w.refactor()?;
             d_fresh = false;
             continue;
@@ -727,15 +696,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // d' = d − (d_q / α_rq)·α_r: the entering column prices to zero,
         // the leaving one to −d_q / α_rq, columns off the pivot row keep
         // theirs.
-        let theta = entering.d / piv;
-        for &j in &touched {
-            if w.state[j] != VarState::Basic {
-                d[j] -= theta * acc[j];
-            }
-            acc[j] = 0.0;
-        }
-        d[q] = 0.0;
-        d[out] = -theta;
+        w.update_reduced_costs(&mut row, q, out, entering.d / piv);
 
         let nnz: Vec<(usize, f64)> = wvec
             .iter()

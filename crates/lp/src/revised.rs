@@ -17,12 +17,19 @@
 //!   the initial residual get a signed artificial column; phase 1 minimizes
 //!   the artificial mass, phase 2 pins artificials to `[0,0]` and restores
 //!   the true costs without rebuilding the basis.
-//! * **Devex pricing + Bland fallback.** Devex reference weights approximate
-//!   steepest-edge at a fraction of the cost and cut pivot counts on the
-//!   long thin scheduling LPs; a partial-pricing window bounds the scan per
-//!   iteration. After a run of degenerate pivots the solver switches to
-//!   Bland's rule, which guarantees termination, and switches back once the
-//!   objective moves again.
+//! * **Devex pricing on updated reduced costs + Bland fallback.** Devex
+//!   reference weights approximate steepest-edge at a fraction of the cost
+//!   and cut pivot counts on the long thin scheduling LPs; a
+//!   partial-pricing window bounds the scan per iteration. Pricing reads
+//!   one reduced-cost vector `d` that every basis change updates from its
+//!   pivot row (`d ← d − (d_q/α_rq)·α_r`), the same row the
+//!   devex weights and the dual ratio test need, so a pivot does one BTRAN
+//!   and no dot product per priced column. `d` is recomputed from fresh
+//!   duals after every refactorization and before a phase may declare
+//!   optimality, so an optimum is never declared on drifted reduced
+//!   costs. After a run of degenerate pivots the solver switches to
+//!   Bland's rule, which guarantees termination, and switches back once
+//!   the objective moves again.
 //! * **Cold only.** This solver always starts from its crash basis. A
 //!   carried basis goes to the bounded dual simplex ([`crate::dual`]),
 //!   which reuses this module's `Worker` — factorization, eta file,
@@ -187,6 +194,59 @@ pub(crate) struct Eta {
     pub(crate) nnz: Vec<(usize, f64)>,
 }
 
+/// The pivot row of a basis change at row `r`, against the basis before
+/// the change: `ρ_r = B⁻ᵀe_r` and `α_r = ρ_rᵀA`. The primal loop feeds it
+/// to the devex weights and the reduced-cost update, the dual loop to its
+/// ratio test and the same update ([`Worker::pivot_row`] computes it for
+/// both).
+pub(crate) struct PivotRow {
+    /// `ρ_r = B⁻ᵀe_r`, indexed by row.
+    pub(crate) rho: Vec<f64>,
+    /// `α_rj` for the columns in `touched`, zero for every other column.
+    pub(crate) alpha: Vec<f64>,
+    /// Every column the accumulation reached, basic ones included, in
+    /// accumulation order. A column whose partial sum cancelled to exactly
+    /// zero on the way may be listed twice, so a consumer either tolerates
+    /// repeats or sorts and dedups (the dual ratio test does).
+    pub(crate) touched: Vec<usize>,
+}
+
+impl PivotRow {
+    /// Scratch for a basis of `m` rows over `n` columns.
+    pub(crate) fn new(m: usize, n: usize) -> Self {
+        PivotRow {
+            rho: vec![0.0; m],
+            alpha: vec![0.0; n],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Forget the row: zero `alpha` where it was set.
+    pub(crate) fn clear(&mut self) {
+        for &j in &self.touched {
+            self.alpha[j] = 0.0;
+        }
+        self.touched.clear();
+    }
+}
+
+/// Work counters the tests account for (`one_btran_per_basis_change`,
+/// `updated_reduced_costs_match_fresh_ones_at_every_optimum`).
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Work {
+    /// BTRANs of any kind.
+    pub(crate) btrans: usize,
+    /// Primal pivots that changed the basis (bound flips do not).
+    pub(crate) basis_changes: usize,
+    /// Fresh pricings a primal phase made to confirm an optimum that its
+    /// updated reduced costs found.
+    pub(crate) confirmations: usize,
+    /// Largest `|d_j − fresh d_j| / (1 + |c_j|)` over the nonbasic columns
+    /// at any confirmation: how far the updates drifted.
+    pub(crate) drift: f64,
+}
+
 pub(crate) struct Worker<'a> {
     pub(crate) sf: &'a StandardForm,
     pub(crate) opts: &'a RevisedOptions,
@@ -206,7 +266,9 @@ pub(crate) struct Worker<'a> {
     pub(crate) basis: Vec<usize>,
     /// Current value of every column.
     pub(crate) x: Vec<f64>,
-    factor: Option<SparseLu>,
+    /// The factorization of the basis at the last refactorization (the
+    /// identity until the first one), with `etas` on top.
+    factor: SparseLu,
     pub(crate) etas: Vec<Eta>,
     /// Length-`m` scratch for the factorization's solves.
     scratch: Vec<f64>,
@@ -214,10 +276,14 @@ pub(crate) struct Worker<'a> {
     /// the sparse factorization (drained by it, refilled next time).
     spcols: Vec<Vec<(usize, f64)>>,
     /// Row-major mirror of `sf.a` for pivot-row computation (devex
-    /// weights, the dual ratio test).
+    /// weights, the reduced-cost updates, the dual ratio test).
     pub(crate) csr: CsrMatrix,
     /// Devex reference weights, one per column (artificials included).
     devex_w: Vec<f64>,
+    /// Reduced cost of every column under the current cost vector (zero
+    /// for basic ones): updated from the pivot row at each basis change,
+    /// recomputed by [`Worker::refresh_reduced_costs`].
+    pub(crate) d: Vec<f64>,
     pub(crate) iterations: usize,
     pub(crate) phase1_iterations: usize,
     pub(crate) refactors: usize,
@@ -229,6 +295,8 @@ pub(crate) struct Worker<'a> {
     in_phase1: bool,
     /// Rotating start offset for partial pricing.
     price_cursor: usize,
+    #[cfg(test)]
+    pub(crate) work: Work,
 }
 
 impl<'a> Worker<'a> {
@@ -248,12 +316,13 @@ impl<'a> Worker<'a> {
             state: vec![VarState::AtLower; n_real],
             basis: Vec::with_capacity(m),
             x: vec![0.0; n_real],
-            factor: None,
+            factor: SparseLu::identity(m),
             etas: Vec::new(),
             scratch: vec![0.0; m],
             spcols: Vec::new(),
             csr: CsrMatrix::from_csc(&sf.a),
             devex_w: vec![1.0; n_real],
+            d: vec![0.0; n_real],
             iterations: 0,
             phase1_iterations: 0,
             refactors: 0,
@@ -262,6 +331,8 @@ impl<'a> Worker<'a> {
             bland: false,
             in_phase1: false,
             price_cursor: 0,
+            #[cfg(test)]
+            work: Work::default(),
         }
     }
 
@@ -388,6 +459,7 @@ impl<'a> Worker<'a> {
         self.state.push(VarState::Basic);
         self.x.push(0.0);
         self.devex_w.push(1.0);
+        self.d.push(0.0);
         col
     }
 
@@ -454,7 +526,7 @@ impl<'a> Worker<'a> {
         }
         let res = SparseLu::factorize(m, &mut cols, self.opts.pivot_tol);
         self.spcols = cols;
-        self.factor = Some(res?);
+        self.factor = res?;
         self.etas.clear();
         self.recompute_basic_values();
         Ok(())
@@ -484,10 +556,7 @@ impl<'a> Worker<'a> {
             etas,
             ..
         } = self;
-        factor
-            .as_ref()
-            .expect("basis factorized")
-            .solve_in_place(v, scratch);
+        factor.solve_in_place(v, scratch);
         for eta in etas.iter() {
             let tr = v[eta.row] / eta.diag;
             if tr != 0.0 {
@@ -501,6 +570,10 @@ impl<'a> Worker<'a> {
 
     /// Solve `Bᵀ y = v` in place.
     pub(crate) fn btran(&mut self, v: &mut [f64]) {
+        #[cfg(test)]
+        {
+            self.work.btrans += 1;
+        }
         let Worker {
             factor,
             scratch,
@@ -514,26 +587,87 @@ impl<'a> Worker<'a> {
             }
             v[eta.row] = s / eta.diag;
         }
-        factor
-            .as_ref()
-            .expect("basis factorized")
-            .solve_transpose_in_place(v, scratch);
+        factor.solve_transpose_in_place(v, scratch);
     }
 
-    /// Simplex multipliers for the *current* cost vector, into a reused
-    /// buffer.
-    pub(crate) fn current_duals_into(&mut self, y: &mut Vec<f64>) {
-        y.clear();
-        y.extend(self.basis.iter().map(|&j| self.costs[j]));
-        self.btran(y);
-    }
-
-    /// Simplex multipliers for the *current* cost vector (allocating; used
-    /// once per solve for the returned duals).
+    /// Simplex multipliers `y = B⁻ᵀc_B` for the *current* cost vector.
     pub(crate) fn current_duals(&mut self) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.current_duals_into(&mut y);
+        let mut y: Vec<f64> = self.basis.iter().map(|&j| self.costs[j]).collect();
+        self.btran(&mut y);
         y
+    }
+
+    /// Recompute `d` from fresh duals: one BTRAN, then `c_j − yᵀa_j` for
+    /// every nonbasic column. The primal loop, the dual loop and the dual
+    /// cost shifts all price fresh through this one routine.
+    pub(crate) fn refresh_reduced_costs(&mut self) {
+        let y = self.current_duals();
+        for j in 0..self.ncols() {
+            self.d[j] = if self.state[j] == VarState::Basic {
+                0.0
+            } else {
+                self.reduced_cost(&y, j)
+            };
+        }
+    }
+
+    /// The pivot row at basis row `r` into `row`, which must be clear:
+    /// `ρ_r` by one BTRAN, then `α_r` accumulated over the CSR rows of
+    /// `ρ_r`'s support. Artificial columns are signed unit vectors, so
+    /// their `α_rj` is `ρ[row]·sign`.
+    pub(crate) fn pivot_row(&mut self, r: usize, row: &mut PivotRow) {
+        let PivotRow {
+            rho,
+            alpha,
+            touched,
+        } = row;
+        rho.fill(0.0);
+        rho[r] = 1.0;
+        self.btran(rho);
+        for i in 0..self.m() {
+            let ri = rho[i];
+            if ri == 0.0 {
+                continue;
+            }
+            for (j, a) in self.csr.row(i) {
+                if alpha[j] == 0.0 {
+                    touched.push(j);
+                }
+                // lips-allow(float-accum-in-loop): serial pivot-row accumulation in fixed CSR row order
+                alpha[j] += ri * a;
+            }
+        }
+        for (k, &j) in self.art_cols.iter().enumerate() {
+            let i = self.art_row[k];
+            let a = rho[i] * self.art_sign[i];
+            if a != 0.0 {
+                touched.push(j);
+                alpha[j] = a;
+            }
+        }
+    }
+
+    /// The reduced-cost update of a basis change that brought `q` in and
+    /// took `out` out, with `theta = d_q / α_rq`: `d ← d − θ·α_r` over the
+    /// nonbasic columns, then `d_q = 0` and `d_out = −θ`. Runs after the
+    /// states are swapped, and leaves `row` clear for the next pivot.
+    pub(crate) fn update_reduced_costs(
+        &mut self,
+        row: &mut PivotRow,
+        q: usize,
+        out: usize,
+        theta: f64,
+    ) {
+        for &j in &row.touched {
+            // Taking α_rj as it is used makes a repeated column harmless.
+            let a = std::mem::take(&mut row.alpha[j]);
+            if self.state[j] != VarState::Basic {
+                self.d[j] -= theta * a;
+            }
+        }
+        row.touched.clear();
+        self.d[q] = 0.0;
+        self.d[out] = -theta;
     }
 
     /// Reduced cost of nonbasic column `j` given multipliers `y`.
@@ -546,11 +680,11 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Pick the entering column, honoring the pricing rule or Bland mode:
-    /// a reduced cost must beat `tol` in the improving direction.
-    /// Returns `(column, direction)` with direction `+1` (increase from
-    /// lower/free) or `-1` (decrease from upper).
-    fn price(&mut self, y: &[f64], tol: f64) -> Option<(usize, f64)> {
+    /// Pick the entering column by its reduced cost in `d`, honoring the
+    /// pricing rule or Bland mode: a reduced cost must beat `tol` in the
+    /// improving direction. Returns `(column, direction)` with direction
+    /// `+1` (increase from lower/free) or `-1` (decrease from upper).
+    fn price(&mut self, tol: f64) -> Option<(usize, f64)> {
         let n = self.ncols();
         let window = if self.bland {
             None
@@ -565,33 +699,15 @@ impl<'a> Worker<'a> {
             // termination guarantee; otherwise rotate from the cursor so
             // partial pricing covers all columns fairly across passes.
             let j = if self.bland { step } else { (start + step) % n };
-            if self.state[j] == VarState::Basic {
-                continue;
-            }
             // Fixed columns (including pinned artificials) can never move.
             if self.lb[j] == self.ub[j] {
                 continue;
             }
+            let d = self.d[j];
             let (dir, viol) = match self.state[j] {
-                VarState::Basic => unreachable!(),
-                VarState::AtLower | VarState::Free => {
-                    let d = self.reduced_cost(y, j);
-                    if d < -tol {
-                        (1.0, -d)
-                    } else if self.state[j] == VarState::Free && d > tol {
-                        (-1.0, d)
-                    } else {
-                        continue;
-                    }
-                }
-                VarState::AtUpper => {
-                    let d = self.reduced_cost(y, j);
-                    if d > tol {
-                        (-1.0, d)
-                    } else {
-                        continue;
-                    }
-                }
+                VarState::AtLower | VarState::Free if d < -tol => (1.0, -d),
+                VarState::AtUpper | VarState::Free if d > tol => (-1.0, d),
+                _ => continue,
             };
             if self.bland {
                 // Bland: first eligible index wins.
@@ -616,77 +732,28 @@ impl<'a> Worker<'a> {
         best.map(|(j, d, _)| (j, d))
     }
 
-    /// Devex reference-weight update after choosing pivot row `r` for
-    /// entering column `q` with FTRAN'd column `w` (so `w[r]` is the pivot
-    /// element α_rq). Computes the pivot row `α_r = (B⁻ᵀe_r)ᵀ A` sparsely
-    /// through the CSR mirror and applies the classical update
+    /// Devex reference-weight update for entering column `q` at pivot row
+    /// `r`, with pivot element `alpha_rq` and the pivot `row` computed
+    /// against the basis *before* the pivot: the classical update
     /// `w_j = max(w_j, (α_rj/α_rq)² w_q)`.
-    fn devex_update(
-        &mut self,
-        q: usize,
-        r: usize,
-        w: &[f64],
-        rho: &mut [f64],
-        acc: &mut [f64],
-        touched: &mut Vec<usize>,
-    ) {
-        let m = self.m();
-        let wr = w[r];
-        if wr == 0.0 {
-            return;
-        }
-        rho.fill(0.0);
-        rho[r] = 1.0;
-        self.btran(rho);
-        {
-            let csr = &self.csr;
-            for i in 0..m {
-                let ri = rho[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                for (j, a) in csr.row(i) {
-                    if acc[j] == 0.0 {
-                        touched.push(j);
-                    }
-                    acc[j] += ri * a;
-                }
-            }
-        }
+    fn devex_update(&mut self, q: usize, r: usize, alpha_rq: f64, row: &PivotRow) {
         let gq = self.devex_w[q];
         let mut needs_reset = false;
-        let mut bump = |wj: &mut f64, alpha: f64| {
-            let ratio = alpha / wr;
-            let cand = ratio * ratio * gq;
-            if cand > *wj {
-                *wj = cand;
-                if cand > DEVEX_RESET {
-                    needs_reset = true;
-                }
-            }
-        };
-        for &j in touched.iter() {
-            if j != q && self.state[j] != VarState::Basic && self.lb[j] != self.ub[j] {
-                bump(&mut self.devex_w[j], acc[j]);
-            }
-        }
-        // Artificial columns are signed unit vectors: α_rj = ρ[row]·sign.
-        for k in 0..self.art_cols.len() {
-            let j = self.art_cols[k];
-            if self.state[j] == VarState::Basic || self.lb[j] == self.ub[j] {
+        for &j in &row.touched {
+            if j == q || self.state[j] == VarState::Basic || self.lb[j] == self.ub[j] {
                 continue;
             }
-            let row = self.art_row[k];
-            bump(&mut self.devex_w[j], rho[row] * self.art_sign[row]);
+            let ratio = row.alpha[j] / alpha_rq;
+            let cand = ratio * ratio * gq;
+            if cand > self.devex_w[j] {
+                self.devex_w[j] = cand;
+                needs_reset |= cand > DEVEX_RESET;
+            }
         }
         // The leaving variable re-enters the nonbasic pool with the weight
         // the devex recurrence assigns it.
         let out = self.basis[r];
-        self.devex_w[out] = (gq / (wr * wr)).max(1.0);
-        for &j in touched.iter() {
-            acc[j] = 0.0;
-        }
-        touched.clear();
+        self.devex_w[out] = (gq / (alpha_rq * alpha_rq)).max(1.0);
         if needs_reset {
             self.devex_w.fill(1.0);
         }
@@ -701,42 +768,36 @@ impl<'a> Worker<'a> {
     /// file's drift is cleared first by a refactorization (phase 2 resumes
     /// if the fresh duals price a column in), and if the gap is still too
     /// wide phase 2 resumes at a pricing tolerance a thousand times
-    /// tighter. Returns the
-    /// entering column, if any, and leaves `y` and `tol` as the resumed
-    /// phase must use them.
-    fn recheck_optimum(
-        &mut self,
-        y: &mut Vec<f64>,
-        tol: &mut f64,
-    ) -> Result<Option<(usize, f64)>, LpError> {
-        if self.open_gap(y) <= *tol * (1.0 + self.objective().abs()) {
+    /// tighter. `d` must be fresh on entry. Returns the entering column, if
+    /// any, and leaves `d` and `tol` as the resumed phase must use them.
+    fn recheck_optimum(&mut self, tol: &mut f64) -> Result<Option<(usize, f64)>, LpError> {
+        if self.open_gap() <= *tol * (1.0 + self.objective().abs()) {
             return Ok(None);
         }
         if !self.etas.is_empty() {
             self.refactor()?;
-            self.current_duals_into(y);
-            if let Some(e) = self.price(y, *tol) {
+            self.refresh_reduced_costs();
+            if let Some(e) = self.price(*tol) {
                 return Ok(Some(e));
             }
-            if self.open_gap(y) <= *tol * (1.0 + self.objective().abs()) {
+            if self.open_gap() <= *tol * (1.0 + self.objective().abs()) {
                 return Ok(None);
             }
         }
         *tol *= POLISH_TOL_FACTOR;
-        Ok(self.price(y, *tol))
+        Ok(self.price(*tol))
     }
 
-    /// The duality gap left open by nonbasic columns whose reduced cost
-    /// under `y` is wrong-signed: `Σ |d_j| · (u_j − l_j)` over finite
-    /// ranges.
-    fn open_gap(&self, y: &[f64]) -> f64 {
+    /// The duality gap left open by nonbasic columns whose reduced cost in
+    /// `d` is wrong-signed: `Σ |d_j| · (u_j − l_j)` over finite ranges.
+    fn open_gap(&self) -> f64 {
         let mut gap = 0.0;
         for j in 0..self.ncols() {
             let range = self.ub[j] - self.lb[j];
             if self.state[j] == VarState::Basic || range == 0.0 || !range.is_finite() {
                 continue;
             }
-            let d = self.reduced_cost(y, j);
+            let d = self.d[j];
             let wrong = match self.state[j] {
                 VarState::AtLower => (-d).max(0.0),
                 VarState::AtUpper => d.max(0.0),
@@ -753,30 +814,51 @@ impl<'a> Worker<'a> {
         self.costs.iter().zip(&self.x).map(|(c, x)| c * x).sum()
     }
 
+    /// Price fresh once more where the updated reduced costs found no
+    /// entering column: an optimum is declared only on fresh duals.
+    fn confirm_optimum(&mut self) {
+        #[cfg(test)]
+        let stale = self.d.clone();
+        self.refresh_reduced_costs();
+        #[cfg(test)]
+        {
+            self.work.confirmations += 1;
+            for j in 0..self.ncols() {
+                if self.state[j] != VarState::Basic {
+                    let drift = (stale[j] - self.d[j]).abs() / (1.0 + self.costs[j].abs());
+                    self.work.drift = self.work.drift.max(drift);
+                }
+            }
+        }
+    }
+
     /// One full simplex phase with the current cost vector.
     pub(crate) fn run(&mut self) -> Result<(), LpError> {
         let m = self.m();
-        let n = self.ncols();
         // Per-phase scratch, reused across every iteration of the loop —
         // the per-iteration allocations here used to dominate small pivots.
-        let mut y = Vec::with_capacity(m);
         let mut w = vec![0.0; m];
-        let mut rho = vec![0.0; m];
-        let mut acc = vec![0.0; n];
-        let mut touched: Vec<usize> = Vec::new();
+        let mut row = PivotRow::new(m, self.ncols());
         let mut tol = self.opts.tol;
         let mut checked = false;
+        self.refresh_reduced_costs();
+        // Whether `d` was priced fresh at the current basis.
+        let mut d_fresh = true;
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return Err(LpError::IterationLimit {
                     iterations: self.iterations,
                 });
             }
-            self.current_duals_into(&mut y);
-            let mut entering = self.price(&y, tol);
+            let mut entering = self.price(tol);
+            if entering.is_none() && !d_fresh {
+                self.confirm_optimum();
+                d_fresh = true;
+                entering = self.price(tol);
+            }
             if entering.is_none() && !self.in_phase1 && !checked {
                 checked = true;
-                entering = self.recheck_optimum(&mut y, &mut tol)?;
+                entering = self.recheck_optimum(&mut tol)?;
             }
             let Some((q, dir)) = entering else {
                 return Ok(()); // phase optimal
@@ -874,12 +956,15 @@ impl<'a> Worker<'a> {
                         // Pivot too small; refactorize and retry this
                         // iteration with fresh numerics.
                         self.refactor()?;
+                        self.refresh_reduced_costs();
+                        d_fresh = true;
                         continue;
                     }
-                    // Devex weights must be updated against the basis
-                    // *before* this pivot is applied.
+                    // The pivot row and the devex weights are taken
+                    // against the basis *before* this pivot is applied.
+                    self.pivot_row(r, &mut row);
                     if !self.bland {
-                        self.devex_update(q, r, &w, &mut rho, &mut acc, &mut touched);
+                        self.devex_update(q, r, w[r], &row);
                     }
                     for i in 0..m {
                         if w[i] != 0.0 {
@@ -890,14 +975,21 @@ impl<'a> Worker<'a> {
                     let out = self.basis[r];
                     self.state[out] = hits;
                     // Snap the leaving variable exactly onto its bound.
-                    self.x[out] = match hits {
-                        VarState::AtLower => self.lb[out],
-                        VarState::AtUpper => self.ub[out],
-                        _ => unreachable!(),
+                    self.x[out] = if hits == VarState::AtLower {
+                        self.lb[out]
+                    } else {
+                        self.ub[out]
                     };
                     self.basis[r] = q;
                     self.state[q] = VarState::Basic;
                     let diag = w[r];
+                    let theta = self.d[q] / diag;
+                    self.update_reduced_costs(&mut row, q, out, theta);
+                    d_fresh = false;
+                    #[cfg(test)]
+                    {
+                        self.work.basis_changes += 1;
+                    }
                     let nnz: Vec<(usize, f64)> = w
                         .iter()
                         .enumerate()
@@ -907,6 +999,8 @@ impl<'a> Worker<'a> {
                     self.etas.push(Eta { row: r, diag, nnz });
                     if self.etas.len() >= self.opts.refactor_interval {
                         self.refactor()?;
+                        self.refresh_reduced_costs();
+                        d_fresh = true;
                     }
                 }
             }
@@ -1073,9 +1167,8 @@ mod tests {
         assert_close(sol.value_of(x), -7.0);
     }
 
-    #[test]
-    fn degenerate_model_terminates() {
-        // Classic degeneracy: redundant constraints through the optimum.
+    /// Classic degeneracy: redundant constraints through the optimum.
+    fn degenerate_model() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, f64::INFINITY, 1.0);
         let y = m.add_var("y", 0.0, f64::INFINITY, 1.0);
@@ -1084,7 +1177,12 @@ mod tests {
         m.add_constraint([(y, 1.0)], Cmp::Le, 1.0);
         m.add_constraint([(x, 2.0), (y, 1.0)], Cmp::Le, 2.0);
         m.add_constraint([(x, 1.0), (y, 2.0)], Cmp::Le, 2.0);
-        let sol = m.solve().unwrap();
+        m
+    }
+
+    #[test]
+    fn degenerate_model_terminates() {
+        let sol = degenerate_model().solve().unwrap();
         assert_close(sol.objective(), 1.0);
     }
 
@@ -1278,6 +1376,119 @@ mod tests {
                 (a, b) => panic!("seed {seed}: revised vs oracle disagree {a:?} vs {b:?}"),
             }
         }
+    }
+
+    /// Run `model`'s phases as [`RevisedSimplex::solve`] does and hand the
+    /// worker to `check` after each one that ends optimal, with the work
+    /// counters and the refactorization count the phase started from.
+    fn each_phase(
+        model: &Model,
+        opts: &RevisedOptions,
+        mut check: impl FnMut(&mut Worker, Work, usize),
+    ) {
+        let sf = StandardForm::from_model(model);
+        let mut w = Worker::new(&sf, opts);
+        w.init_basis();
+        w.refactor().unwrap();
+        if w.has_artificials() {
+            w.set_phase1_costs();
+            let (work, refactors) = (w.work, w.refactors);
+            w.run().unwrap();
+            check(&mut w, work, refactors);
+            if w.worst_relative_infeasibility() > 1e-7 {
+                return; // infeasible: there is no phase 2
+            }
+            w.pin_artificials();
+        }
+        w.set_phase2_costs();
+        let (work, refactors) = (w.work, w.refactors);
+        w.run().unwrap();
+        check(&mut w, work, refactors);
+    }
+
+    /// The random family of `revised_matches_dense_tableau_oracle`, the
+    /// degenerate model, and the phase-1 textbook cases.
+    fn property_models() -> Vec<Model> {
+        let mut models: Vec<Model> = (0..10u64).map(|seed| random_model(seed, 40, 25)).collect();
+        models.push(degenerate_model());
+        let mut eq = Model::minimize();
+        let x = eq.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = eq.add_var("y", 0.0, f64::INFINITY, 2.0);
+        eq.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Eq, 10.0);
+        eq.add_constraint([(x, 1.0), (y, -1.0)], Cmp::Eq, 2.0);
+        models.push(eq);
+        models
+    }
+
+    #[test]
+    fn updated_reduced_costs_match_fresh_ones_at_every_optimum() {
+        let mut confirmations = 0usize;
+        for (k, model) in property_models().iter().enumerate() {
+            for refactor_interval in [96, 7] {
+                let opts = RevisedOptions {
+                    refactor_interval,
+                    ..Default::default()
+                };
+                each_phase(model, &opts, |w, start, _| {
+                    // The reduced costs the phase priced its optimum with.
+                    let y = w.current_duals();
+                    for j in 0..w.ncols() {
+                        if w.state[j] == VarState::Basic {
+                            continue;
+                        }
+                        let mut fresh = w.costs[j];
+                        w.for_col(j, |r, v| fresh -= y[r] * v);
+                        let bound = 1e-9 * (1.0 + w.costs[j].abs());
+                        assert!(
+                            (w.d[j] - fresh).abs() <= bound,
+                            "model {k}, column {j}: priced {} vs fresh {fresh}",
+                            w.d[j]
+                        );
+                    }
+                    // The updated ones the fresh pricing replaced.
+                    assert!(w.work.drift <= 1e-9, "model {k}: drift {}", w.work.drift);
+                    confirmations += w.work.confirmations - start.confirmations;
+                });
+            }
+        }
+        assert!(confirmations > 10, "only {confirmations} confirmations");
+    }
+
+    #[test]
+    fn one_btran_per_basis_change() {
+        let mut changes = 0usize;
+        let mut refactors = 0usize;
+        for (k, model) in property_models().iter().enumerate() {
+            for refactor_interval in [96, 7] {
+                let opts = RevisedOptions {
+                    refactor_interval,
+                    ..Default::default()
+                };
+                each_phase(model, &opts, |w, start, refactors_at_start| {
+                    let phase_changes = w.work.basis_changes - start.basis_changes;
+                    let phase_refactors = w.refactors - refactors_at_start;
+                    let confirmations = w.work.confirmations - start.confirmations;
+                    // Fresh pricings: the phase's entry, each
+                    // refactorization, each optimality confirmation.
+                    let fresh = 1 + phase_refactors + confirmations;
+                    assert_eq!(
+                        w.work.btrans - start.btrans,
+                        phase_changes + fresh,
+                        "model {k}, refactor interval {refactor_interval}"
+                    );
+                    assert!(
+                        confirmations <= 2,
+                        "model {k}: {confirmations} confirmations"
+                    );
+                    changes += phase_changes;
+                    refactors += phase_refactors;
+                });
+            }
+        }
+        assert!(
+            changes > 100 && refactors > 10,
+            "{changes} pivots, {refactors} refactors"
+        );
     }
 
     #[test]

@@ -235,6 +235,25 @@ impl SparseLu {
         Ok(lu)
     }
 
+    /// The factorization of the `m × m` identity: no multipliers, no
+    /// upper entries, unit diagonal. A solver holds it until its first
+    /// basis is factorized, so it never has to ask whether one exists.
+    pub fn identity(m: usize) -> Self {
+        SparseLu {
+            m,
+            prow: (0..m).collect(),
+            pcol: (0..m).collect(),
+            lptr: vec![0; m + 1],
+            lrow: Vec::new(),
+            lval: Vec::new(),
+            uptr: vec![0; m + 1],
+            ustep: Vec::new(),
+            uval: Vec::new(),
+            udiag: vec![1.0; m],
+            nnz: m,
+        }
+    }
+
     /// Stored nonzeros in `L` and `U` (fill-in diagnostic).
     pub fn nnz(&self) -> usize {
         self.nnz
@@ -373,6 +392,17 @@ mod tests {
         let lu = SparseLu::factorize(2, &mut cols, 1e-9).unwrap();
         assert_eq!(ftran(&lu, &[3.0, -4.0]), vec![3.0, -4.0]);
         assert_eq!(btran(&lu, &[5.0, 6.0]), vec![5.0, 6.0]);
+    }
+
+    #[test]
+    fn identity_matches_factorized_identity() {
+        let mut cols = to_sparse_cols(3, &[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+        let factorized = SparseLu::factorize(3, &mut cols, 1e-9).unwrap();
+        let placeholder = SparseLu::identity(3);
+        assert_eq!(placeholder.nnz(), factorized.nnz());
+        let v = [2.5, -1.0, 0.0];
+        assert_eq!(ftran(&placeholder, &v), ftran(&factorized, &v));
+        assert_eq!(btran(&placeholder, &v), btran(&factorized, &v));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum SchedulerChoice {
     Lips { epoch_s: f64 },
     /// LiPS with an explicit configuration.
     LipsConfigured(SchedulerConfig),
-    /// Adaptive-epoch LiPS at a cost preference σ ∈ [0,1].
+    /// Adaptive-epoch LiPS at a cost preference σ ∈ \[0,1\].
     LipsAdaptive { cost_preference: f64 },
     /// Hadoop's default FIFO-locality scheduler.
     HadoopDefault,
