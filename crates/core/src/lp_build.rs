@@ -54,7 +54,7 @@ use std::ops::Range;
 
 use lips_audit::{ModelAnnotations, PaperExpectations, RestrictedCertificate, RowKind, VarKind};
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
-use lips_lp::{Cmp, KeyNames, LpError, Model, SolveStats, VarId, WarmStart};
+use lips_lp::{Cmp, KeyNames, LpError, Model, Session, Solution, SolveStats, VarId, WarmStart};
 use lips_par::Pool;
 use lips_workload::JobId;
 
@@ -1100,15 +1100,17 @@ fn solve_pool(threads: Option<usize>) -> Pool {
 /// seeded with `prior`'s surviving columns and basis when given, and
 /// certify the answer against the *full* model, every excluded arc priced.
 ///
-/// Every master round goes to the bounded dual simplex, falling back to
-/// the cold primal when the walk is declined. In the first round, after a
-/// queue delta that only adds and retires columns, the carried master
-/// basis is usually still dual feasible and re-optimizes in a handful of
-/// pivots with no phase 1. Without a carried [`ColGenState`], or with a
-/// basis declined at seeding, the round starts from the slack basis — a
-/// cold start with no phase 1. Later rounds start from the incumbent
-/// basis, which the appended columns leave primal feasible: their walk is
-/// empty and the dual's primal finisher prices the new columns in.
+/// One [`lips_lp::Session`] serves the epoch. The first round opens it on
+/// the bounded dual simplex, falling back to the cold primal when the walk
+/// is declined. After a queue delta that only adds and retires columns,
+/// the carried master basis is usually still dual feasible and
+/// re-optimizes in a handful of pivots with no phase 1. Without a carried
+/// [`ColGenState`], or with a basis declined at seeding, the round starts
+/// from the slack basis — a cold start with no phase 1. Later rounds
+/// append the priced columns to the live session, which leaves the
+/// incumbent primal feasible, and resume primal phase 2 on the same
+/// factorization: no round after the first re-lowers the model, re-matches
+/// keys or refactorizes on entry.
 ///
 /// `threads` sets the workers for model build, column pricing and
 /// certification (`None`: [`lips_par::default_threads`], the
@@ -1408,18 +1410,22 @@ struct MasterRun {
 
 /// The restricted-master / pricing loop. The master starts with every
 /// `nd`/fake column, the full row set, and only the seed task arcs (top-N
-/// cheapest per job, plus whatever `prior` carried over). Each round
-/// solves the master warm from the incumbent basis, prices every excluded
-/// arc against the master's duals across `pool`'s workers
-/// ([`lips_lp::ColumnPricer::price_out_batch`]), appends everything that
-/// prices out through [`Model::add_keyed_column`], and repeats until
-/// nothing does — at which point the master's optimum *is* the full
-/// model's optimum.
+/// cheapest per job, plus whatever `prior` carried over). One
+/// [`lips_lp::Session`] serves the epoch: the first round opens it (the
+/// dual simplex from the carried basis, else from the slack basis), each
+/// round prices every excluded arc against its duals across `pool`'s
+/// workers ([`lips_lp::ColumnPricer::price_out_batch`]), appends
+/// everything that prices out to the model and the session alike, and
+/// resumes the session — primal phase 2 from the incumbent basis, on the
+/// same factorization — until nothing prices out, at which point the
+/// master's optimum *is* the full model's optimum.
 ///
 /// A restriction can be infeasible where the full model is not (a pool
 /// floor unreachable on the seeded machines); the loop then appends the
-/// whole remainder and retries once, so feasibility semantics match the
-/// direct solve exactly.
+/// whole remainder and opens the session again, so feasibility semantics
+/// match the direct solve exactly. A dual walk declined mid-way falls back
+/// to the cold primal; the next round opens a session from that solve's
+/// basis.
 fn master_price_loop(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
@@ -1429,18 +1435,27 @@ fn master_price_loop(
     let t_build = lips_lp::clock::Stopwatch::start();
     let space = arc_space(inst, pool);
     let mut in_master = seed_active(&space, opts.seed_arcs_per_job, prior.map(|p| &p.active));
-    // The carried basis is only read; later rounds own their incumbent's.
-    // An empty basis starts the dual from the slack basis.
+    // The basis the next session opens from: the carried one (only read),
+    // else a fallback solve's. An empty basis starts the dual from the
+    // slack basis.
     let mut warm: Cow<'_, WarmStart> =
         prior.map_or_else(|| Cow::Owned(WarmStart::new()), |p| Cow::Borrowed(&p.basis));
     let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master), pool);
     let mut build_ms = t_build.elapsed_ms();
 
+    // Every arc enters the model and the live session (if any) together.
     let mut scratch: Vec<(lips_lp::ConstraintId, f64)> = Vec::new();
-    let mut append_arc = |model: &mut Model, maps: &mut VarMaps, i: usize| {
+    let mut append_arc = |model: &mut Model,
+                          maps: &mut VarMaps,
+                          session: Option<&mut Session>,
+                          i: usize|
+     -> Result<(), LpError> {
         let a = &space.arcs[i];
         scratch.clear();
         arc_terms_into(inst, &rows, a, &mut scratch);
+        if let Some(s) = session {
+            s.append_column(0.0, 1.0, a.cost, scratch.iter().copied())?;
+        }
         let v = model.add_keyed_column(a.key, 0.0, 1.0, a.cost, scratch.iter().copied());
         maps.arc_var[i] = Some(v);
         maps.ann.annotate_var(
@@ -1451,63 +1466,67 @@ fn master_price_loop(
                 store: a.m,
             },
         );
+        Ok(())
     };
 
     let mut rounds = 0;
     let mut appended = 0;
     let mut agg = SolveStats::default();
     let mut first_warm: Option<lips_lp::WarmOutcome> = None;
+    let mut live: Option<Box<Session>> = None;
     let sol = loop {
         rounds += 1;
-        // Every round goes to the bounded dual simplex: the first from the
-        // carried basis (new columns perturb the master without
-        // disturbing dual feasibility), else from the slack basis; later
-        // ones from the incumbent basis. A dual that fails short of an
-        // infeasibility verdict (a walk declined mid-way) falls back to
-        // the cold primal, and a decline is kept on the record.
-        let solved = match lips_lp::solve_dual_from_basis(&model, &warm) {
-            Err(LpError::Infeasible) => Err(LpError::Infeasible),
+        let solved = match live.take() {
+            Some(mut s) => s.resume().map(|()| Master::Live(s)),
+            None => Session::open(&model, &warm).map(|s| {
+                first_warm.get_or_insert(s.stats().warm);
+                Master::Live(Box::new(s))
+            }),
+        };
+        let mut current = match solved {
+            Ok(current) => current,
             Err(e) => {
+                // A dual that fails short of an infeasibility verdict (a
+                // walk declined mid-way) falls back to the cold primal,
+                // and a decline is kept on the record.
                 if let LpError::DualDeclined(d) = e {
                     agg.declined.get_or_insert(d);
                 }
-                model.solve()
-            }
-            ok => ok,
-        };
-        let mut sol = match solved {
-            Ok(s) => s,
-            Err(LpError::Infeasible) if in_master.contains(&false) => {
-                // The *restriction* may be infeasible even when the
-                // instance is not: append everything and match
-                // `solve_full`'s feasibility semantics exactly.
-                let t = lips_lp::clock::Stopwatch::start();
-                for (i, inside) in in_master.iter_mut().enumerate() {
-                    if !*inside {
-                        append_arc(&mut model, &mut maps, i);
-                        *inside = true;
-                        appended += 1;
+                let cold = match e {
+                    LpError::Infeasible => Err(e),
+                    _ => model.solve(),
+                };
+                match cold {
+                    Ok(sol) => {
+                        add_stats(&mut agg, sol.stats());
+                        first_warm.get_or_insert(sol.stats().warm);
+                        Master::Cold(sol)
                     }
+                    Err(LpError::Infeasible) if in_master.contains(&false) => {
+                        // The *restriction* may be infeasible even when
+                        // the instance is not: append everything and match
+                        // `solve_full`'s feasibility semantics exactly.
+                        let t = lips_lp::clock::Stopwatch::start();
+                        for (i, inside) in in_master.iter_mut().enumerate() {
+                            if !*inside {
+                                append_arc(&mut model, &mut maps, None, i)?;
+                                *inside = true;
+                                appended += 1;
+                            }
+                        }
+                        build_ms += t.elapsed_ms();
+                        continue;
+                    }
+                    Err(e) => return Err(e.into()),
                 }
-                build_ms += t.elapsed_ms();
-                continue;
             }
-            Err(e) => return Err(e.into()),
         };
-        let s = sol.stats();
-        agg.iterations += s.iterations;
-        agg.phase1_iterations += s.phase1_iterations;
-        agg.refactors += s.refactors;
-        agg.ftran_nnz += s.ftran_nnz;
-        agg.solve_ms += s.solve_ms;
-        agg.dual_pivots += s.dual_pivots;
-        agg.bound_flips += s.bound_flips;
-        agg.declined = agg.declined.or(s.declined);
-        first_warm.get_or_insert(s.warm);
 
-        let pricer = lips_lp::ColumnPricer::new(&model, &sol).map_err(|e| {
-            EpochSolveError::Certification(format!("master solution unusable for pricing: {e}"))
-        })?;
+        let duals = match &current {
+            Master::Live(s) => s.duals(),
+            Master::Cold(sol) => sol.duals(),
+        };
+        let pricer = lips_lp::ColumnPricer::new(model.sense(), duals);
         let t = lips_lp::clock::Stopwatch::start();
         // Price every excluded arc across the pool's workers; the batch
         // returns ascending candidate indices, so `entering` is in arc
@@ -1524,19 +1543,34 @@ fn master_price_loop(
             .collect();
         if entering.is_empty() {
             build_ms += t.elapsed_ms();
-            break sol;
+            break match current {
+                Master::Live(s) => {
+                    let sol = s.into_solution(&model);
+                    add_stats(&mut agg, sol.stats());
+                    sol
+                }
+                Master::Cold(sol) => sol,
+            };
         }
         if rounds >= MAX_ROUNDS {
             // Round budget exhausted: go exact in one step.
             entering = excluded;
         }
         for i in entering {
-            append_arc(&mut model, &mut maps, i);
+            let session = match &mut current {
+                Master::Live(s) => Some(&mut **s),
+                Master::Cold(_) => None,
+            };
+            append_arc(&mut model, &mut maps, session, i)?;
             in_master[i] = true;
             appended += 1;
         }
         build_ms += t.elapsed_ms();
-        warm = Cow::Owned(sol.take_warm_start().unwrap_or_default());
+        match current {
+            Master::Live(s) => live = Some(s),
+            // The next round opens a session from the cold solve's basis.
+            Master::Cold(mut sol) => warm = Cow::Owned(sol.take_warm_start().unwrap_or_default()),
+        }
     };
     agg.warm = first_warm.unwrap_or_default();
     Ok(MasterRun {
@@ -1550,6 +1584,26 @@ fn master_price_loop(
         stats: agg,
         build_ms,
     })
+}
+
+/// The master after a round: the epoch's live session, or the optimum of
+/// a round whose dual walk was declined and solved cold instead.
+enum Master {
+    Live(Box<Session>),
+    Cold(Solution),
+}
+
+/// Add one solve's work to an epoch's running total.
+fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
+    agg.iterations += s.iterations;
+    agg.phase1_iterations += s.phase1_iterations;
+    agg.refactors += s.refactors;
+    agg.ftran_nnz += s.ftran_nnz;
+    agg.solve_ms += s.solve_ms;
+    agg.setup_ms += s.setup_ms;
+    agg.dual_pivots += s.dual_pivots;
+    agg.bound_flips += s.bound_flips;
+    agg.declined = agg.declined.or(s.declined);
 }
 
 /// The finish step of every solve. Certify `run` against the full row set

@@ -65,6 +65,12 @@ pub struct EpochRecord {
     pub build_ms: f64,
     /// Simplex wall-time, from [`PhaseTimings`].
     pub solve_ms: f64,
+    /// The part of `solve_ms` spent before pivoting, summed over the
+    /// epoch's solves ([`lips_lp::SolveStats::setup_ms`]): validation,
+    /// lowering, key matching and a seeded, factorized basis per opened
+    /// solve, the column insertion per resumed master round.
+    #[serde(default)]
+    pub setup_ms: f64,
     /// Independent KKT-certification wall-time, from [`PhaseTimings`].
     pub certify_ms: f64,
     /// Wall-time of the whole epoch call: [`crate::LipsScheduler`] times
@@ -134,6 +140,7 @@ impl EpochRecord {
             presolve_removed: 0,
             build_ms: timings.build_ms,
             solve_ms: timings.solve_ms,
+            setup_ms: stats.setup_ms,
             certify_ms: timings.certify_ms,
             epoch_ms: timings.build_ms + timings.solve_ms + timings.certify_ms,
             objective: report.schedule.lp_objective,
@@ -175,6 +182,7 @@ impl EpochRecord {
             presolve_removed: 0,
             build_ms: 0.0,
             solve_ms: 0.0,
+            setup_ms: 0.0,
             certify_ms: 0.0,
             epoch_ms: 0.0,
             objective: 0.0,

@@ -78,7 +78,7 @@ pub struct DeclinedBasis {
 ///
 /// Produced by [`crate::solution::Solution::warm_start`] after every
 /// solve; consumed by the dual simplex
-/// ([`crate::dual::solve_dual_with_options`]). Every variable and keyed
+/// ([`crate::session::Session::open`]). Every variable and keyed
 /// row has a key: the caller's own typed key ([`crate::model::Model::add_keyed_var`],
 /// [`crate::model::Model::key_constraint`]) or, for named ones,
 /// [`name_key`] of the name. Rows with neither are keyed positionally by

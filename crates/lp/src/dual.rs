@@ -7,9 +7,10 @@
 //! feasible*: the reduced costs keep their signs, only some basic values
 //! land outside their bounds. The dual simplex treats that as a starting
 //! point and walks back to primal feasibility directly, typically in a
-//! handful of pivots. A carried basis that is still primal feasible (a
-//! column-generation master after appending priced columns) has nothing
-//! to walk: the solve is its primal finisher, a warm primal phase 2.
+//! handful of pivots. A column-generation master grown by priced columns
+//! has nothing to walk: the new columns rest nonbasic at zero and leave
+//! the incumbent primal feasible, so its [`Session`] resumes primal phase
+//! 2 on the live worker instead of opening a new solve.
 //!
 //! The same holds with no carried basis at all. Every cost of the
 //! scheduling LPs is non-negative, so the *slack basis* — every structural
@@ -63,11 +64,12 @@
 
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
-use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart};
+use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmStart};
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
-use crate::revised::{extract_warm_start, PivotRow, RevisedOptions, VarState, Worker};
-use crate::solution::{Solution, SolveStats};
+use crate::revised::{PivotRow, VarState, Worker};
+use crate::session::Session;
+use crate::solution::Solution;
 use crate::standard::StandardForm;
 
 /// Primal step below which a dual pivot counts as degenerate.
@@ -75,85 +77,24 @@ const DEGENERATE_EPS: f64 = 1e-10;
 /// Minimum dual-objective slope a bound flip must leave behind.
 const SLOPE_EPS: f64 = 1e-12;
 
-/// Re-optimize `model` by the dual simplex starting from `warm`.
+/// Re-optimize `model` by the dual simplex starting from `warm`: a
+/// [`Session::open`] read out at once by [`Session::into_solution`].
 ///
 /// An empty or unmatched `warm` starts from the slack basis and reports
-/// [`WarmOutcome::Cold`]; so does a carried basis declined at seeding,
-/// whose reason lands in [`SolveStats::declined`]. A carried basis that is
-/// seeded but declined mid-walk returns [`LpError::DualDeclined`] so the
-/// caller can fall back to a cold solve. [`LpError::Infeasible`]
+/// [`WarmOutcome::Cold`](crate::WarmOutcome::Cold); so does a carried
+/// basis declined at seeding, whose reason lands in
+/// [`SolveStats::declined`](crate::SolveStats::declined). A carried basis
+/// that is seeded but declined mid-walk returns [`LpError::DualDeclined`]
+/// so the caller can fall back to a cold solve. [`LpError::Infeasible`]
 /// means the dual became unbounded — the model has no feasible point.
 pub fn solve_dual_from_basis(model: &Model, warm: &WarmStart) -> Result<Solution, LpError> {
-    solve_dual_with_options(model, warm, &RevisedOptions::default())
-}
-
-/// [`solve_dual_from_basis`] with explicit tuning knobs (pivot budget via
-/// `max_iterations`, tolerances, refactorization interval).
-pub fn solve_dual_with_options(
-    model: &Model,
-    warm: &WarmStart,
-    opts: &RevisedOptions,
-) -> Result<Solution, LpError> {
-    model.validate()?;
-    let t0 = crate::clock::Stopwatch::start();
-    let sf = StandardForm::from_model(model);
-    let states = if warm.is_empty() {
-        None
-    } else {
-        match_warm_states(model, &sf, warm)
-    };
-
-    let mut w = Worker::new(&sf, opts);
-    let mut outcome = WarmOutcome::Cold;
-    let mut declined = None;
-    match states.map(|st| seed_basis(&mut w, &st)) {
-        Some(Ok(())) => outcome = WarmOutcome::Dual,
-        Some(Err(reason)) => {
-            declined = Some(DeclinedBasis { reason, pivots: 0 });
-            seed_slack_basis(&mut w)?;
-        }
-        None => seed_slack_basis(&mut w)?,
-    }
-    w.set_phase2_costs();
-    let (dual_pivots, bound_flips) = match shifted_dual_solve(&mut w) {
-        Ok(counts) => counts,
-        // A carried basis that goes singular mid-walk is declined like a
-        // thrashing one: a cold solve can still solve the model.
-        Err(LpError::SingularBasis) if outcome == WarmOutcome::Dual => {
-            return Err(LpError::DualDeclined(DeclinedBasis {
-                reason: DualDecline::Singular,
-                pivots: w.iterations,
-            }))
-        }
-        Err(e) => return Err(e),
-    };
-
-    let values = w.x[..sf.n_structural].to_vec();
-    let internal = w.objective();
-    let duals = w.current_duals();
-    let stats = SolveStats {
-        iterations: w.iterations,
-        phase1_iterations: 0,
-        refactors: w.refactors,
-        ftran_nnz: w.ftran_nnz,
-        warm: outcome,
-        solve_ms: t0.elapsed_ms(),
-        dual_pivots,
-        bound_flips,
-        declined,
-    };
-    let next_warm = extract_warm_start(model, &sf, &w);
-    Ok(
-        Solution::new(sf.external_objective(internal), values, duals, w.iterations)
-            .with_stats(stats)
-            .with_warm_start(next_warm),
-    )
+    Session::open(model, warm).map(|s| s.into_solution(model))
 }
 
 /// Map a warm start's keyed statuses onto this model's standard-form
 /// columns. Returns `None` when not a single status matched (treat as
 /// cold — the warm start is for a different model).
-fn match_warm_states(
+pub(crate) fn match_warm_states(
     model: &Model,
     sf: &StandardForm,
     ws: &WarmStart,
@@ -181,7 +122,10 @@ fn match_warm_states(
 /// violations among the basics are left in place — they are the dual
 /// solver's work list, not damage. On `Err` the worker is half-seeded and
 /// the caller reseeds it from the slack basis.
-fn seed_basis(w: &mut Worker, states: &[Option<BasisStatus>]) -> Result<(), DualDecline> {
+pub(crate) fn seed_basis(
+    w: &mut Worker,
+    states: &[Option<BasisStatus>],
+) -> Result<(), DualDecline> {
     let m = w.m();
     let n_struct = w.sf.n_structural;
     let mut basics: Vec<usize> = Vec::new();
@@ -322,7 +266,7 @@ fn prune_dependent_basics(w: &mut Worker) -> bool {
 /// one if there is none, zero if free) and every slack basic. With
 /// non-negative costs this basis is dual feasible as it stands, and any
 /// wrong-signed cost is left to [`restore_dual_feasibility`]'s shifts.
-fn seed_slack_basis(w: &mut Worker) -> Result<(), LpError> {
+pub(crate) fn seed_slack_basis(w: &mut Worker) -> Result<(), LpError> {
     let n_struct = w.sf.n_structural;
     for j in 0..n_struct {
         let (lo, hi) = (w.lb[j], w.ub[j]);
@@ -360,7 +304,7 @@ fn seed_slack_basis(w: &mut Worker) -> Result<(), LpError> {
 ///
 /// Returns `(dual_pivots, bound_flips)`; primal finisher iterations count
 /// into `w.iterations` like any others but are not dual pivots.
-fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpError> {
+pub(crate) fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpError> {
     let shifted = restore_dual_feasibility(w);
     let mut barred = vec![false; w.n_real];
     for &j in &shifted {
@@ -379,7 +323,9 @@ fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpError> {
 
 /// Make the nonbasic reduced costs sign-consistent by shifting each
 /// wrong-signed cost so the reduced cost is exactly zero. Returns the
-/// shifted columns for the caller to restore.
+/// shifted columns for the caller to restore. Leaves `w.d` fresh: a shift
+/// moves only its own column's cost, and no basic cost, so the duals stand
+/// and every other reduced cost with them.
 fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
     let tol = w.opts.tol;
     w.refresh_reduced_costs();
@@ -397,6 +343,7 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
         };
         if wrong {
             w.costs[j] -= d;
+            w.d[j] = 0.0;
             shifted.push(j);
         }
     }
@@ -407,7 +354,7 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
 /// violation (Bland mode: the violated basic with the smallest variable
 /// index). Returns `(row, σ)` where `σ = −1` for a below-lower violation
 /// and `+1` for above-upper; `None` means primal feasible — optimal.
-fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
+pub(crate) fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
     let tol = w.opts.tol;
     let mut best: Option<(usize, f64)> = None;
     for i in 0..w.m() {
@@ -520,8 +467,8 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
     let mut tiny_pivot_retries = 0usize;
     // `w.d` is updated after each pivot from the pivot row (no BTRAN for
     // the duals and no column dot products per pivot) and recomputed from
-    // fresh duals after a refactorization; the cost shifts left it stale.
-    let mut d_fresh = false;
+    // fresh duals after a refactorization; the cost shifts left it fresh.
+    let mut d_fresh = true;
 
     loop {
         if w.iterations >= w.opts.max_iterations {
@@ -726,6 +673,12 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         }
         w.iterations += 1;
         dual_pivots += 1;
+        #[cfg(test)]
+        {
+            w.work
+                .first_dual_pivot_refreshes
+                .get_or_insert(w.work.refreshes);
+        }
     }
 }
 
@@ -741,8 +694,9 @@ fn thrash(w: &Worker) -> LpError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::name_key;
+    use crate::basis::{name_key, WarmOutcome};
     use crate::model::{Cmp, Model, Sense};
+    use crate::revised::RevisedOptions;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
@@ -888,6 +842,24 @@ mod tests {
         assert_close(sol.objective(), 36.0);
         assert_eq!(sol.stats().warm, WarmOutcome::Cold);
         assert_eq!(sol.stats().phase1_iterations, 0);
+    }
+
+    #[test]
+    fn one_fresh_pricing_before_the_first_dual_pivot() {
+        // The covering LP starts dual feasible; with a negative-cost column
+        // its slack start shifts that cost. Either way the walk starts on
+        // the reduced costs the shift pass priced: one refresh in all.
+        let mut shifted = covering();
+        let w = shifted.add_var("w", 0.0, 1.0, -1.0);
+        shifted.add_constraint([(w, 1.0)], Cmp::Ge, 0.5);
+        for m in [covering(), shifted] {
+            let sf = StandardForm::from_model(&m);
+            let mut w = Worker::new(sf, RevisedOptions::default());
+            seed_slack_basis(&mut w).unwrap();
+            w.set_phase2_costs();
+            shifted_dual_solve(&mut w).unwrap();
+            assert_eq!(w.work.first_dual_pivot_refreshes, Some(1));
+        }
     }
 
     #[test]
@@ -1092,19 +1064,19 @@ mod tests {
             let m = build(&edited);
             let sf = StandardForm::from_model(&m);
             let opts = RevisedOptions::default();
-            let mut w = Worker::new(&sf, &opts);
             let states = match_warm_states(&m, &sf, &ws).unwrap();
+            let mut w = Worker::new(sf, opts.clone());
             assert!(seed_basis(&mut w, &states).is_ok());
             w.set_phase2_costs();
             let y = w.current_duals();
-            shifted_structurals += (0..sf.n_structural)
+            shifted_structurals += (0..w.sf.n_structural)
                 .filter(|&j| w.state[j] == VarState::AtLower && w.reduced_cost(&y, j) < -opts.tol)
                 .count();
             if shifted_dual_solve(&mut w).is_err() {
                 continue;
             }
             let costs: Vec<u64> = w.costs[..w.n_real].iter().map(|c| c.to_bits()).collect();
-            let model: Vec<u64> = sf.c.iter().map(|c| c.to_bits()).collect();
+            let model: Vec<u64> = w.sf.c.iter().map(|c| c.to_bits()).collect();
             assert_eq!(costs, model);
         }
         assert!(

@@ -23,6 +23,9 @@ pub enum LpError {
     NonFiniteInput { what: &'static str },
     /// A constraint referenced a variable id not belonging to this model.
     UnknownVariable { var: usize },
+    /// A column appended to a [`crate::Session`] referenced a row its
+    /// model does not have.
+    UnknownConstraint { row: usize },
     /// The basis matrix became numerically singular and refactorization did
     /// not recover it.
     SingularBasis,
@@ -51,6 +54,9 @@ impl fmt::Display for LpError {
             }
             LpError::UnknownVariable { var } => {
                 write!(f, "constraint references unknown variable id {var}")
+            }
+            LpError::UnknownConstraint { row } => {
+                write!(f, "column references unknown constraint id {row}")
             }
             LpError::SingularBasis => write!(f, "basis matrix is numerically singular"),
             LpError::DualDeclined(d) => write!(
@@ -82,6 +88,7 @@ mod tests {
             },
             LpError::NonFiniteInput { what: "rhs" },
             LpError::UnknownVariable { var: 3 },
+            LpError::UnknownConstraint { row: 3 },
             LpError::SingularBasis,
             LpError::DualDeclined(DeclinedBasis {
                 reason: crate::basis::DualDecline::Thrash,

@@ -15,10 +15,13 @@
 //!   product-form (eta-file) updates between refactorizations, devex
 //!   pricing over a partial-pricing window, and a Bland anti-cycling
 //!   fallback.
-//! * [`dual::solve_dual_with_options`] — the bounded dual simplex on the
+//! * [`dual::solve_dual_from_basis`] — the bounded dual simplex on the
 //!   same machinery, and the only solver that accepts a prior basis
 //!   ([`basis::WarmStart`]): the epoch loop's resolve-the-same-LP-again
-//!   workload, and cold solves from the slack basis.
+//!   workload, and cold solves from the slack basis. A
+//!   [`session::Session`] runs the same solve and keeps its worker, so a
+//!   column-generation master grows by priced columns and re-optimizes in
+//!   place.
 //! * [`dense::DenseSimplex`] — a textbook two-phase tableau simplex used as a
 //!   cross-checking oracle in tests and for very small models.
 //!
@@ -49,6 +52,7 @@ pub mod model;
 pub mod pricing;
 pub mod revised;
 pub mod sensitivity;
+pub mod session;
 pub mod slu;
 pub mod solution;
 pub mod sparse;
@@ -57,10 +61,11 @@ pub mod standard;
 pub use basis::{
     name_key, positional_row_key, BasisStatus, DeclinedBasis, DualDecline, WarmOutcome, WarmStart,
 };
-pub use dual::{solve_dual_from_basis, solve_dual_with_options};
+pub use dual::solve_dual_from_basis;
 pub use error::LpError;
 pub use model::{Cmp, ConstraintId, KeyNames, Model, Sense, VarId};
 pub use pricing::ColumnPricer;
+pub use session::Session;
 pub use solution::{Solution, SolveStats, Status};
 
 /// Default feasibility / optimality tolerance used across the crate.

@@ -86,6 +86,38 @@ pub(crate) struct Constraint {
     pub rhs: f64,
 }
 
+/// [`Model::validate`]'s check of variable `var`: a finite objective
+/// coefficient and a non-empty box with no NaN bound.
+pub(crate) fn check_var(var: usize, lb: f64, ub: f64, obj: f64) -> Result<(), LpError> {
+    if !obj.is_finite() {
+        return Err(LpError::NonFiniteInput {
+            what: "objective coefficient",
+        });
+    }
+    if lb.is_nan() || ub.is_nan() {
+        return Err(LpError::NonFiniteInput {
+            what: "variable bound",
+        });
+    }
+    // `lb = +inf` / `ub = -inf` make the box empty without tripping the
+    // `lb > ub` comparison when the other bound is also infinite.
+    if lb == f64::INFINITY || ub == f64::NEG_INFINITY || lb > ub {
+        return Err(LpError::InvertedBounds { var, lb, ub });
+    }
+    Ok(())
+}
+
+/// [`Model::validate`]'s check of a constraint coefficient.
+pub(crate) fn check_coefficient(coef: f64) -> Result<(), LpError> {
+    if coef.is_finite() {
+        Ok(())
+    } else {
+        Err(LpError::NonFiniteInput {
+            what: "constraint coefficient",
+        })
+    }
+}
+
 /// Renders the keys of keyed columns and rows for diagnostics
 /// ([`Model::var_name`], [`Model::constraint_name`]); set by the model's
 /// builder, which alone knows its key layout.
@@ -163,9 +195,9 @@ impl Model {
     /// coefficients in *existing* rows. This is the incremental entry
     /// point for delayed column generation — after a restricted master has
     /// been built and solved, columns that price out (see
-    /// [`crate::pricing`]) are appended here and the model re-solved from
-    /// the incumbent basis via [`crate::dual::solve_dual_from_basis`]; the
-    /// new column is unknown to the saved basis and therefore starts
+    /// [`crate::pricing`]) are appended here and, in the same order, to the
+    /// master's [`crate::Session`] ([`crate::Session::append_column`]),
+    /// which re-optimizes from the incumbent basis; the new column starts
     /// nonbasic at a bound, exactly the state a freshly priced-in column
     /// should have.
     ///
@@ -329,25 +361,7 @@ impl Model {
     /// ids, non-inverted bounds.
     pub fn validate(&self) -> Result<(), LpError> {
         for (i, v) in self.vars.iter().enumerate() {
-            if !v.obj.is_finite() {
-                return Err(LpError::NonFiniteInput {
-                    what: "objective coefficient",
-                });
-            }
-            if v.lb.is_nan() || v.ub.is_nan() {
-                return Err(LpError::NonFiniteInput {
-                    what: "variable bound",
-                });
-            }
-            // `lb = +inf` / `ub = -inf` make the box empty without tripping
-            // the `lb > ub` comparison when the other bound is also infinite.
-            if v.lb == f64::INFINITY || v.ub == f64::NEG_INFINITY || v.lb > v.ub {
-                return Err(LpError::InvertedBounds {
-                    var: i,
-                    lb: v.lb,
-                    ub: v.ub,
-                });
-            }
+            check_var(i, v.lb, v.ub, v.obj)?;
         }
         for c in &self.cons {
             if !c.rhs.is_finite() {
@@ -359,11 +373,7 @@ impl Model {
                 if v >= self.vars.len() {
                     return Err(LpError::UnknownVariable { var: v });
                 }
-                if !coef.is_finite() {
-                    return Err(LpError::NonFiniteInput {
-                        what: "constraint coefficient",
-                    });
-                }
+                check_coefficient(coef)?;
             }
         }
         Ok(())

@@ -12,13 +12,12 @@
 //! feasibility condition the KKT certificate checks.
 //!
 //! All reduced costs here are in the solver's internal minimization sense
-//! (the convention of [`Solution::duals`]): `d_j = c_j − yᵀa_j` with `c`
+//! (the convention of [`crate::Solution::duals`]): `d_j = c_j − yᵀa_j` with `c`
 //! negated for `Maximize` models. Under that convention the entering rule
 //! is uniform regardless of the model's sense: a column at its lower bound
 //! *prices out* (improves the objective) iff `d_j < −tol`.
 
-use crate::model::{ConstraintId, Model, Sense};
-use crate::solution::Solution;
+use crate::model::{ConstraintId, Sense};
 use crate::TOL;
 use lips_par::Pool;
 
@@ -33,43 +32,18 @@ pub struct ColumnPricer<'a> {
     sign: f64,
 }
 
-/// Why a [`ColumnPricer`] could not be constructed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingDuals {
-    pub expected: usize,
-    pub got: usize,
-}
-
-impl std::fmt::Display for MissingDuals {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "solution has {} dual values but the master has {} rows; cannot price columns",
-            self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for MissingDuals {}
-
 impl<'a> ColumnPricer<'a> {
-    /// Build a pricer from a solved master. Fails if the solution carries
-    /// no (or wrong-arity) duals — e.g. the dense oracle's solutions.
-    pub fn new(master: &Model, sol: &'a Solution) -> Result<Self, MissingDuals> {
-        let duals = sol.duals();
-        if duals.len() != master.num_constraints() {
-            return Err(MissingDuals {
-                expected: master.num_constraints(),
-                got: duals.len(),
-            });
-        }
-        Ok(ColumnPricer {
+    /// A pricer for a master of the given `sense` whose optimum has the
+    /// multipliers `duals`, one per row, in the internal minimization
+    /// sense ([`crate::Solution::duals`], [`crate::Session::duals`]).
+    pub fn new(sense: Sense, duals: &'a [f64]) -> Self {
+        ColumnPricer {
             duals,
-            sign: match master.sense() {
+            sign: match sense {
                 Sense::Minimize => 1.0,
                 Sense::Maximize => -1.0,
             },
-        })
+        }
     }
 
     /// Reduced cost `c_j − yᵀa_j` of a candidate column, in the internal
@@ -116,7 +90,7 @@ impl<'a> ColumnPricer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Cmp;
+    use crate::model::{Cmp, Model};
 
     /// min 2x + 3y s.t. x + y ≥ 4, x ≤ 3 → x=3, y=1, obj 9.
     /// The excluded column z (cost 1, coefficient 1 in the demand row)
@@ -129,7 +103,7 @@ mod tests {
         let demand = m.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
         let cap = m.add_constraint([(x, 1.0)], Cmp::Le, 3.0);
         let sol = m.solve().unwrap();
-        let pricer = ColumnPricer::new(&m, &sol).unwrap();
+        let pricer = ColumnPricer::new(m.sense(), sol.duals());
         // y is basic at optimality → its reduced cost is ~0; x leans on its
         // upper bound → negative reduced cost, but it is *in* the master.
         assert!(pricer.reduced_cost(3.0, &[(demand, 1.0)]).abs() < 1e-9);
@@ -146,25 +120,25 @@ mod tests {
 
     #[test]
     fn appending_priced_out_column_reaches_full_optimum() {
-        // The full colgen contract in miniature: solve restricted, price,
-        // append, re-solve by the dual from the incumbent basis, price
-        // again → nothing left, objective
-        // matches the from-scratch full model.
+        // The full colgen contract in miniature: open a session on the
+        // restricted master, price, append to the model and the session,
+        // resume, price again → nothing left, objective matches the
+        // from-scratch full model.
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, 10.0, 2.0);
         let demand = m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         m.name_constraint(demand, "demand");
-        let sol = m.solve().unwrap();
-        let pricer = ColumnPricer::new(&m, &sol).unwrap();
+        let mut session = crate::Session::open(&m, &crate::WarmStart::new()).unwrap();
         let cand = [(demand, 1.0)];
-        assert!(pricer.prices_out(1.0, &cand));
-        let basis = sol.warm_start().cloned().unwrap();
+        assert!(ColumnPricer::new(m.sense(), session.duals()).prices_out(1.0, &cand));
         m.add_keyed_column(crate::name_key("z"), 0.0, 10.0, 1.0, cand);
-        let sol2 = crate::dual::solve_dual_from_basis(&m, &basis).unwrap();
-        assert_eq!(sol2.stats().warm, crate::WarmOutcome::Dual);
-        assert!((sol2.objective() - 4.0).abs() < 1e-6);
-        let pricer2 = ColumnPricer::new(&m, &sol2).unwrap();
-        assert!(!pricer2.prices_out(1.0, &cand), "column already in master");
+        session.append_column(0.0, 10.0, 1.0, cand).unwrap();
+        session.resume().unwrap();
+        let pricer = ColumnPricer::new(m.sense(), session.duals());
+        assert!(!pricer.prices_out(1.0, &cand), "column already in master");
+        let sol = session.into_solution(&m);
+        assert!((sol.objective() - 4.0).abs() < 1e-6);
+        assert!((sol.objective() - m.solve().unwrap().objective()).abs() < 1e-9);
     }
 
     #[test]
@@ -175,7 +149,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let cap = m.add_constraint([(x, 1.0)], Cmp::Le, 5.0);
         let sol = m.solve().unwrap();
-        let pricer = ColumnPricer::new(&m, &sol).unwrap();
+        let pricer = ColumnPricer::new(m.sense(), sol.duals());
         assert!(pricer.prices_out(3.0, &[(cap, 1.0)]));
         // An excluded column with profit below the row's marginal value
         // must not enter: d = −0.5 + 1 = 0.5 ≥ 0.
@@ -193,7 +167,7 @@ mod tests {
         let demand = m.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
         let cap = m.add_constraint([(x, 1.0)], Cmp::Le, 3.0);
         let sol = m.solve().unwrap();
-        let pricer = ColumnPricer::new(&m, &sol).unwrap();
+        let pricer = ColumnPricer::new(m.sense(), sol.duals());
         // Candidate i: cost i/4 dollars, one unit in the demand row, plus a
         // capacity coefficient on every third candidate.
         let describe = |i: usize, buf: &mut Vec<(ConstraintId, f64)>| -> f64 {
@@ -215,24 +189,6 @@ mod tests {
         for threads in [1, 2, 8] {
             let batch = pricer.price_out_batch(Pool::new(threads), n, |i, buf| describe(i, buf));
             assert_eq!(serial, batch, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn dense_solutions_cannot_price() {
-        let mut m = Model::minimize();
-        let x = m.add_var("x", 0.0, 1.0, 1.0);
-        m.add_constraint([(x, 1.0)], Cmp::Ge, 0.5);
-        let sol = m.solve_dense().unwrap();
-        match ColumnPricer::new(&m, &sol) {
-            Err(e) => assert_eq!(
-                e,
-                MissingDuals {
-                    expected: 1,
-                    got: 0
-                }
-            ),
-            Ok(_) => panic!("dense solutions carry no duals"),
         }
     }
 }

@@ -42,8 +42,8 @@ use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
 use crate::slu::SparseLu;
 use crate::solution::{Solution, SolveStats};
-use crate::sparse::CsrMatrix;
-use crate::standard::StandardForm;
+use crate::sparse::{splice_exact, CsrMatrix};
+use crate::standard::{ColumnBatch, StandardForm};
 use crate::{PIVOT_TOL, TOL};
 
 /// Devex weights above this trigger a reference-framework reset (all
@@ -105,12 +105,12 @@ impl RevisedSimplex {
     /// Solve `model` to proven optimality (or a definitive error), cold
     /// from the crash basis.
     pub fn solve(&self, model: &Model) -> Result<Solution, LpError> {
-        model.validate()?;
         let t0 = crate::clock::Stopwatch::start();
-        let sf = StandardForm::from_model(model);
-        let mut w = Worker::new(&sf, &self.options);
+        model.validate()?;
+        let mut w = Worker::new(StandardForm::from_model(model), self.options.clone());
         w.init_basis();
         w.refactor()?;
+        let setup_ms = t0.elapsed_ms();
 
         // Phase 1: minimize total artificial mass. A crash basis whose
         // slacks absorb every row residual has no artificials and skips it.
@@ -132,7 +132,7 @@ impl RevisedSimplex {
         w.set_phase2_costs();
         w.run()?;
 
-        let values = w.x[..sf.n_structural].to_vec();
+        let values = w.x[..w.sf.n_structural].to_vec();
         let internal = w.objective();
         let duals = w.current_duals();
         let stats = SolveStats {
@@ -141,19 +141,24 @@ impl RevisedSimplex {
             refactors: w.refactors,
             ftran_nnz: w.ftran_nnz,
             solve_ms: t0.elapsed_ms(),
+            setup_ms,
             ..SolveStats::default()
         };
-        let next_warm = extract_warm_start(model, &sf, &w);
-        Ok(
-            Solution::new(sf.external_objective(internal), values, duals, w.iterations)
-                .with_stats(stats)
-                .with_warm_start(next_warm),
+        let next_warm = extract_warm_start(model, &w);
+        Ok(Solution::new(
+            w.sf.external_objective(internal),
+            values,
+            duals,
+            w.iterations,
         )
+        .with_stats(stats)
+        .with_warm_start(next_warm))
     }
 }
 
 /// Snapshot the final basis as a key-indexed warm start for the next solve.
-pub(crate) fn extract_warm_start(model: &Model, sf: &StandardForm, w: &Worker) -> WarmStart {
+pub(crate) fn extract_warm_start(model: &Model, w: &Worker) -> WarmStart {
+    let sf = &w.sf;
     WarmStart::from_entries(
         (0..sf.n_structural).map(|j| (model.var_key(VarId(j)), to_basis_status(w.state[j]))),
         (0..sf.nrows()).map(|i| {
@@ -231,12 +236,22 @@ impl PivotRow {
 }
 
 /// Work counters the tests account for (`one_btran_per_basis_change`,
-/// `updated_reduced_costs_match_fresh_ones_at_every_optimum`).
+/// `updated_reduced_costs_match_fresh_ones_at_every_optimum`, the dual's
+/// `one_fresh_pricing_before_the_first_dual_pivot`, the session's
+/// `resumed_rounds_match_fresh_solves_and_a_fresh_lowering`).
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Work {
     /// BTRANs of any kind.
     pub(crate) btrans: usize,
+    /// Fresh pricings ([`Worker::refresh_reduced_costs`]).
+    pub(crate) refreshes: usize,
+    /// `refreshes` when the first dual pivot completed.
+    pub(crate) first_dual_pivot_refreshes: Option<usize>,
+    /// Models lowered to standard form for this worker.
+    pub(crate) lowerings: usize,
+    /// Keyed warm starts matched onto this worker's columns.
+    pub(crate) key_matches: usize,
     /// Primal pivots that changed the basis (bound flips do not).
     pub(crate) basis_changes: usize,
     /// Fresh pricings a primal phase made to confirm an optimum that its
@@ -247,9 +262,12 @@ pub(crate) struct Work {
     pub(crate) drift: f64,
 }
 
-pub(crate) struct Worker<'a> {
-    pub(crate) sf: &'a StandardForm,
-    pub(crate) opts: &'a RevisedOptions,
+/// The simplex machinery of one solve. It owns the lowered model and its
+/// options, so a [`crate::session::Session`] can keep one worker — its
+/// factorization and eta file included — across column insertions.
+pub(crate) struct Worker {
+    pub(crate) sf: StandardForm,
+    pub(crate) opts: RevisedOptions,
     /// Number of non-artificial columns (structural + slack).
     pub(crate) n_real: usize,
     /// Artificial column sign per row (`0.0` = row has no artificial).
@@ -299,13 +317,12 @@ pub(crate) struct Worker<'a> {
     pub(crate) work: Work,
 }
 
-impl<'a> Worker<'a> {
-    pub(crate) fn new(sf: &'a StandardForm, opts: &'a RevisedOptions) -> Self {
+impl Worker {
+    pub(crate) fn new(sf: StandardForm, opts: RevisedOptions) -> Self {
         let n_real = sf.ncols();
         let m = sf.nrows();
+        let csr = CsrMatrix::from_csc(&sf.a);
         Worker {
-            sf,
-            opts,
             n_real,
             art_sign: vec![0.0; m],
             art_cols: Vec::new(),
@@ -320,7 +337,7 @@ impl<'a> Worker<'a> {
             etas: Vec::new(),
             scratch: vec![0.0; m],
             spcols: Vec::new(),
-            csr: CsrMatrix::from_csc(&sf.a),
+            csr,
             devex_w: vec![1.0; n_real],
             d: vec![0.0; n_real],
             iterations: 0,
@@ -331,6 +348,8 @@ impl<'a> Worker<'a> {
             bland: false,
             in_phase1: false,
             price_cursor: 0,
+            sf,
+            opts,
             #[cfg(test)]
             work: Work::default(),
         }
@@ -483,6 +502,14 @@ impl<'a> Worker<'a> {
         self.devex_w.fill(1.0);
     }
 
+    /// Price the next phase as a fresh worker would: from the first
+    /// column, devex-ranked, with no degenerate run behind it.
+    pub(crate) fn restart_pricing(&mut self) {
+        self.price_cursor = 0;
+        self.degenerate_run = 0;
+        self.bland = false;
+    }
+
     /// Largest artificial value relative to its own row's magnitude.
     fn worst_relative_infeasibility(&self) -> f64 {
         self.art_cols
@@ -504,6 +531,42 @@ impl<'a> Worker<'a> {
                 self.state[j] = VarState::AtLower;
                 self.x[j] = 0.0;
             }
+        }
+    }
+
+    /// Insert `batch`'s columns as structurals before the slacks, each
+    /// nonbasic where a fresh seeding would place it, and shift the slack
+    /// and basis indices past them. The factorization and the eta file
+    /// index basis positions and rows, not columns, so both stay valid:
+    /// nothing is refactorized. The CSR mirror is rebuilt from the grown
+    /// matrix, so its rows list their columns in a fresh lowering's order;
+    /// the old mirror and the batch are dropped first, to keep the peak
+    /// heap near one copy of the matrix.
+    pub(crate) fn insert_structurals(&mut self, batch: ColumnBatch) {
+        debug_assert!(self.art_cols.is_empty(), "artificials sit past the slacks");
+        let (at, k) = (self.sf.n_structural, batch.len());
+        self.csr = CsrMatrix::default();
+        self.sf.insert_structurals(&batch);
+        self.n_real += k;
+        splice_exact(&mut self.lb, at, batch.lb.iter().copied());
+        splice_exact(&mut self.ub, at, batch.ub.iter().copied());
+        splice_exact(&mut self.costs, at, batch.c.iter().copied());
+        let placed = || (0..k).map(|t| Self::default_nonbasic(batch.lb[t], batch.ub[t]));
+        splice_exact(&mut self.state, at, placed().map(|(st, _)| st));
+        splice_exact(&mut self.x, at, placed().map(|(_, v)| v));
+        let off_zero = placed().any(|(_, v)| v != 0.0);
+        drop(batch);
+        splice_exact(&mut self.devex_w, at, std::iter::repeat_n(1.0, k));
+        splice_exact(&mut self.d, at, std::iter::repeat_n(0.0, k));
+        for j in &mut self.basis {
+            if *j >= at {
+                *j += k;
+            }
+        }
+        self.csr = CsrMatrix::from_csc(&self.sf.a);
+        // A column resting off zero moves the basics: one FTRAN.
+        if off_zero {
+            self.recompute_basic_values();
         }
     }
 
@@ -601,6 +664,10 @@ impl<'a> Worker<'a> {
     /// every nonbasic column. The primal loop, the dual loop and the dual
     /// cost shifts all price fresh through this one routine.
     pub(crate) fn refresh_reduced_costs(&mut self) {
+        #[cfg(test)]
+        {
+            self.work.refreshes += 1;
+        }
         let y = self.current_duals();
         for j in 0..self.ncols() {
             self.d[j] = if self.state[j] == VarState::Basic {
@@ -1386,8 +1453,7 @@ mod tests {
         opts: &RevisedOptions,
         mut check: impl FnMut(&mut Worker, Work, usize),
     ) {
-        let sf = StandardForm::from_model(model);
-        let mut w = Worker::new(&sf, opts);
+        let mut w = Worker::new(StandardForm::from_model(model), opts.clone());
         w.init_basis();
         w.refactor().unwrap();
         if w.has_artificials() {

@@ -27,9 +27,16 @@ pub struct SolveStats {
     pub ftran_nnz: u64,
     /// How the solve started (cold, or dual from a carried basis).
     pub warm: WarmOutcome,
-    /// Wall-clock time of the simplex itself (basis seeding through final
-    /// pivot), excluding model construction and any later certification.
+    /// Wall-clock time of the simplex itself (validation and lowering
+    /// through the final pivot), excluding model construction and any
+    /// later certification.
     pub solve_ms: f64,
+    /// The part of `solve_ms` spent before the first pivot: validation,
+    /// lowering, key matching and a seeded, factorized basis when a
+    /// solve opens, the column insertion when a [`crate::Session`]
+    /// resumes. Summed over a session's rounds. `0.0` when the solver
+    /// clock is disabled ([`crate::clock::set_enabled`]).
+    pub setup_ms: f64,
     /// Dual-simplex pivots performed (0 for primal solves). Dual pivots
     /// are also counted in `iterations`.
     pub dual_pivots: usize,

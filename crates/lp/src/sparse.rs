@@ -37,20 +37,7 @@ impl CscMatrix {
         let mut values = Vec::new();
         col_ptr.push(0);
         for bucket in &mut cols {
-            bucket.sort_unstable_by_key(|&(r, _)| r);
-            let mut i = 0;
-            while i < bucket.len() {
-                let r = bucket[i].0;
-                let mut v = 0.0;
-                while i < bucket.len() && bucket[i].0 == r {
-                    v += bucket[i].1;
-                    i += 1;
-                }
-                if v != 0.0 {
-                    row_idx.push(r);
-                    values.push(v);
-                }
-            }
+            merge_column(bucket, &mut row_idx, &mut values);
             col_ptr.push(row_idx.len());
         }
         CscMatrix {
@@ -60,6 +47,36 @@ impl CscMatrix {
             row_idx,
             values,
         }
+    }
+
+    /// Insert columns before column `at`, shifting it and every later
+    /// column right. The new columns arrive as a CSC fragment: `ends[t]`
+    /// is the end of column `t`'s entries in `rows`/`vals`, each column's
+    /// rows sorted and merged as [`merge_column`] leaves them. Storage
+    /// grows by exactly the inserted entries.
+    pub(crate) fn insert_columns(
+        &mut self,
+        at: usize,
+        ends: &[usize],
+        rows: &[usize],
+        vals: &[f64],
+    ) {
+        let nnz = rows.len();
+        let base = self.col_ptr[at];
+        splice_exact(&mut self.row_idx, base, rows.iter().copied());
+        splice_exact(&mut self.values, base, vals.iter().copied());
+        for p in &mut self.col_ptr[at + 1..] {
+            *p += nnz;
+        }
+        splice_exact(&mut self.col_ptr, at + 1, ends.iter().map(|&e| base + e));
+        self.ncols += ends.len();
+    }
+
+    /// The raw storage `(col_ptr, row_idx, values)`, for bitwise
+    /// comparisons in tests.
+    #[cfg(test)]
+    pub(crate) fn raw(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.col_ptr, &self.row_idx, &self.values)
     }
 
     pub fn nrows(&self) -> usize {
@@ -118,13 +135,46 @@ impl CscMatrix {
     }
 }
 
+/// Insert `new` into `v` before index `at`, growing `v`'s storage by
+/// exactly `new.len()`.
+pub(crate) fn splice_exact<T>(v: &mut Vec<T>, at: usize, new: impl ExactSizeIterator<Item = T>) {
+    v.reserve_exact(new.len());
+    v.splice(at..at, new);
+}
+
+/// Append one column's entries to CSC storage: sort `bucket` by row, sum
+/// duplicate rows, drop exact zeros. Every column of a [`CscMatrix`] goes
+/// through this one merge, so a column built by hand sums its duplicates
+/// in the same order as [`CscMatrix::from_triplets`] when `bucket` arrives
+/// in the same order.
+pub(crate) fn merge_column(
+    bucket: &mut [(usize, f64)],
+    row_idx: &mut Vec<usize>,
+    values: &mut Vec<f64>,
+) {
+    bucket.sort_unstable_by_key(|&(r, _)| r);
+    let mut i = 0;
+    while i < bucket.len() {
+        let r = bucket[i].0;
+        let mut v = 0.0;
+        while i < bucket.len() && bucket[i].0 == r {
+            v += bucket[i].1;
+            i += 1;
+        }
+        if v != 0.0 {
+            row_idx.push(r);
+            values.push(v);
+        }
+    }
+}
+
 /// Compressed-sparse-row mirror of a [`CscMatrix`].
 ///
 /// Devex pricing needs the row-oriented access pattern "iterate the nonzeros
 /// of row i" to turn a BTRAN'd pivot row `ρ = B⁻ᵀe_r` into the dense pivot
 /// row `α_r = ρᵀA` in time proportional to the touched nonzeros. Built once
-/// per solve; the matrix itself never changes during a solve.
-#[derive(Debug, Clone)]
+/// per solve, and rebuilt when a session inserts columns.
+#[derive(Debug, Clone, Default)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,

@@ -7,7 +7,7 @@
 //! so the solvers only ever minimize.
 
 use crate::model::{Cmp, Model, Sense};
-use crate::sparse::CscMatrix;
+use crate::sparse::{merge_column, splice_exact, CscMatrix};
 
 /// A model lowered to `min c'x, Ax = b, l ≤ x ≤ u`.
 #[derive(Debug, Clone)]
@@ -72,6 +72,20 @@ impl StandardForm {
         }
     }
 
+    /// Insert `batch`'s columns after the structurals, before the slacks.
+    /// The result is bitwise the lowering of the model with the batch's
+    /// columns appended: same column order, same merged coefficients,
+    /// same costs and bounds.
+    pub(crate) fn insert_structurals(&mut self, batch: &ColumnBatch) {
+        let at = self.n_structural;
+        self.a
+            .insert_columns(at, &batch.ends, &batch.rows, &batch.vals);
+        splice_exact(&mut self.c, at, batch.c.iter().copied());
+        splice_exact(&mut self.lb, at, batch.lb.iter().copied());
+        splice_exact(&mut self.ub, at, batch.ub.iter().copied());
+        self.n_structural += batch.len();
+    }
+
     /// Total number of columns (structural + slack).
     pub fn ncols(&self) -> usize {
         self.a.ncols()
@@ -90,6 +104,41 @@ impl StandardForm {
         } else {
             internal
         }
+    }
+}
+
+/// Structural columns queued for [`StandardForm::insert_structurals`],
+/// already lowered: costs in the internal minimization sense, entries
+/// merged into a CSC fragment.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnBatch {
+    pub(crate) lb: Vec<f64>,
+    pub(crate) ub: Vec<f64>,
+    pub(crate) c: Vec<f64>,
+    /// End offset of each column's entries in `rows`/`vals`.
+    pub(crate) ends: Vec<usize>,
+    pub(crate) rows: Vec<usize>,
+    pub(crate) vals: Vec<f64>,
+}
+
+impl ColumnBatch {
+    /// Number of queued columns.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Queue one column whose `(row, coefficient)` entries are in `bucket`.
+    /// [`StandardForm::from_model`] meets a column's entries row by row,
+    /// each row's in the order they were given, so a stable sort by row
+    /// hands the shared merge the same sequence and the merged column
+    /// comes out bitwise the same.
+    pub(crate) fn push(&mut self, lb: f64, ub: f64, c: f64, bucket: &mut [(usize, f64)]) {
+        bucket.sort_by_key(|&(r, _)| r);
+        merge_column(bucket, &mut self.rows, &mut self.vals);
+        self.ends.push(self.rows.len());
+        self.lb.push(lb);
+        self.ub.push(ub);
+        self.c.push(c);
     }
 }
 
