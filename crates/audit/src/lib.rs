@@ -25,6 +25,13 @@
 //! assert!(cert.is_optimal());
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod certificate;
 pub mod invariants;
 pub mod lint;

@@ -49,6 +49,7 @@ fn run_with(
         sim = sim.with_stragglers(p, f, 7);
     }
     let mut sched = LipsScheduler::new(cfg);
+    #[expect(clippy::disallowed_methods, reason = "bench timing, reported only")]
     let t0 = Instant::now();
     let report = sim.run(&mut sched).expect("completes");
     (report, t0.elapsed().as_secs_f64())
@@ -197,7 +198,7 @@ fn main() {
         let mut cfg = SchedulerConfig::small_cluster(200.0);
         cfg.fairness = sigma;
         let (r, _) = run_with(20, cfg, 1, None);
-        let mut by_pool: std::collections::HashMap<&str, f64> = Default::default();
+        let mut by_pool: std::collections::BTreeMap<&str, f64> = Default::default();
         for o in &r.outcomes {
             let e = by_pool.entry(o.pool.as_str()).or_insert(0.0);
             *e = e.max(o.completed);

@@ -83,7 +83,10 @@ fn main() {
     let nodes = flag_value(&args, "--nodes", 100);
     let with_faults = args.iter().any(|a| a == "--faults");
     let with_scaling = args.iter().any(|a| a == "--scaling");
-    // lips-allow(thread-width-dependence): reported in the bench header only; never feeds results
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reported in the bench header only; never feeds results"
+    )]
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
 
     if args.iter().any(|a| a == "--scale") {

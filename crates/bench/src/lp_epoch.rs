@@ -179,6 +179,7 @@ pub fn run_cold(
                 cluster,
                 epoch_jobs(cluster, e, base_jobs, churn, churn_every),
             );
+            #[expect(clippy::disallowed_methods, reason = "bench timing, reported only")]
             let t = Instant::now();
             let mut record = match solve_full(&inst, (threads > 0).then_some(threads)) {
                 Ok(report) => EpochRecord::from_solve_report(

@@ -186,6 +186,7 @@ fn colgen_epochs(
 
 /// One §IV greedy epoch, timed around the call.
 fn greedy_epoch(cluster: &Cluster, jobs: &[LpJob], epoch: usize) -> ScaleEpoch {
+    #[expect(clippy::disallowed_methods, reason = "bench timing, reported only")]
     let t = Instant::now();
     let (_picks, dollars) = greedy_schedule(cluster, jobs);
     let ms = t.elapsed().as_secs_f64() * 1e3;

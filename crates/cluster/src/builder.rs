@@ -110,6 +110,10 @@ impl ClusterBuilder {
 
     /// Finalize; panics if the assembled cluster is structurally invalid
     /// (builder misuse is a programming error, not an input error).
+    #[expect(
+        clippy::expect_used,
+        reason = "builder misuse is a programming error, not an input error"
+    )]
     pub fn build(self) -> Cluster {
         let c = Cluster {
             zones: self.zones,

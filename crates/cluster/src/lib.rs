@@ -29,6 +29,13 @@
 //! assert!(cluster.min_cpu_cost() < cluster.max_cpu_cost());
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod builder;
 pub mod cluster;
 pub mod data;

@@ -97,7 +97,7 @@ fn hundred_node_testbed_axioms() {
     let c = ec2_100_node(3600.0, 42);
     axioms(&c);
     // Three instance types, three zones, one third each.
-    let kinds: std::collections::HashSet<&str> =
+    let kinds: std::collections::BTreeSet<&str> =
         c.machines.iter().map(|m| m.instance.name).collect();
     assert_eq!(kinds.len(), 3);
 }

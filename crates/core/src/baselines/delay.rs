@@ -7,7 +7,7 @@
 //! this achieves near-100 % data locality, which is why the paper uses it
 //! as the strongest "move computation to data" comparator.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lips_sim::{Action, Scheduler, SchedulerContext};
 use lips_workload::JobId;
@@ -20,7 +20,7 @@ pub struct DelayScheduler {
     ledger: ReadLedger,
     /// Scheduling opportunities each job has passed up waiting for
     /// locality.
-    skips: HashMap<JobId, u32>,
+    skips: BTreeMap<JobId, u32>,
     /// Skip budget (the paper's D; EuroSys default is a few multiples of
     /// the cluster size's worth of heartbeats — we count per-opportunity).
     pub max_skips: u32,
@@ -30,7 +30,7 @@ impl Default for DelayScheduler {
     fn default() -> Self {
         DelayScheduler {
             ledger: ReadLedger::default(),
-            skips: HashMap::new(),
+            skips: BTreeMap::new(),
             max_skips: 20,
         }
     }
@@ -79,11 +79,11 @@ impl Scheduler for DelayScheduler {
                         fixed_ecu: ecu,
                     }];
                 }
-                let data = job.data.unwrap();
-                let local_unread =
-                    own_store.map_or(0.0, |s| self.ledger.unread(ctx.placement, data, s));
-                if local_unread > lips_sim::WORK_EPS {
-                    let store = own_store.unwrap();
+                let local = own_store
+                    .zip(job.data)
+                    .map(|(s, d)| (d, s, self.ledger.unread(ctx.placement, d, s)))
+                    .filter(|&(_, _, unread)| unread > lips_sim::WORK_EPS);
+                if let Some((data, store, local_unread)) = local {
                     let mb = chunk_mb(job, local_unread);
                     self.ledger.issue(data, store, mb);
                     self.skips.insert(job.id, 0);
@@ -99,7 +99,7 @@ impl Scheduler for DelayScheduler {
                 let s = self.skips.entry(job.id).or_insert(0);
                 *s += 1;
                 if *s > self.max_skips {
-                    if let Some((store, _, unread)) =
+                    if let Some((data, store, _, unread)) =
                         self.ledger
                             .best_source(ctx.cluster, ctx.placement, job, machine)
                     {
@@ -120,16 +120,16 @@ impl Scheduler for DelayScheduler {
 
         // Anti-starvation: if nothing is running anywhere, no future event
         // would re-invoke us — force the fairness head to launch non-local.
-        if !any_busy(ctx) {
-            let job = &ctx.queue[order[0]];
-            let machine = free_machines(ctx).into_iter().next().expect("idle cluster");
-            if job.remaining_mb > lips_sim::WORK_EPS {
-                if let Some((store, _, unread)) =
+        let job = &ctx.queue[order[0]];
+        if !any_busy(ctx) && job.remaining_mb > lips_sim::WORK_EPS {
+            // An idle cluster has every slot free.
+            if let Some(&machine) = free_machines(ctx).first() {
+                if let Some((data, store, _, unread)) =
                     self.ledger
                         .best_source(ctx.cluster, ctx.placement, job, machine)
                 {
                     let mb = chunk_mb(job, unread);
-                    self.ledger.issue(job.data.unwrap(), store, mb);
+                    self.ledger.issue(data, store, mb);
                     self.skips.insert(job.id, 0);
                     return vec![Action::RunChunk {
                         job: job.id,

@@ -5,7 +5,7 @@
 //! greedy locality (like the default scheduler). No delay behaviour, no
 //! data movement.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lips_sim::{Action, Scheduler, SchedulerContext};
 
@@ -26,7 +26,7 @@ impl FairScheduler {
 impl Scheduler for FairScheduler {
     fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
         // Running chunks per pool = the pool's current share.
-        let mut running_per_pool: HashMap<&str, usize> = HashMap::new();
+        let mut running_per_pool: BTreeMap<&str, usize> = BTreeMap::new();
         for j in ctx.queue {
             *running_per_pool.entry(j.pool.as_str()).or_default() += j.running_chunks;
         }
@@ -50,12 +50,12 @@ impl Scheduler for FairScheduler {
 
         for machine in free_machines(ctx) {
             if job.remaining_mb > lips_sim::WORK_EPS {
-                if let Some((store, _, unread)) =
+                if let Some((data, store, _, unread)) =
                     self.ledger
                         .best_source(ctx.cluster, ctx.placement, job, machine)
                 {
                     let mb = chunk_mb(job, unread);
-                    self.ledger.issue(job.data.unwrap(), store, mb);
+                    self.ledger.issue(data, store, mb);
                     return vec![Action::RunChunk {
                         job: job.id,
                         machine,

@@ -43,12 +43,12 @@ impl Scheduler for HadoopDefaultScheduler {
         // One launch per invocation; the engine re-invokes until quiet.
         for machine in free_machines(ctx) {
             if job.remaining_mb > lips_sim::WORK_EPS {
-                if let Some((store, _, unread)) =
+                if let Some((data, store, _, unread)) =
                     self.ledger
                         .best_source(ctx.cluster, ctx.placement, job, machine)
                 {
                     let mb = chunk_mb(job, unread);
-                    self.ledger.issue(job.data.unwrap(), store, mb);
+                    self.ledger.issue(data, store, mb);
                     return vec![Action::RunChunk {
                         job: job.id,
                         machine,

@@ -20,7 +20,7 @@ pub use delay::DelayScheduler;
 pub use fair::FairScheduler;
 pub use hadoop_default::HadoopDefaultScheduler;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
 use lips_sim::{PendingJob, Placement, SchedulerContext};
@@ -30,7 +30,7 @@ use lips_sim::{PendingJob, Placement, SchedulerContext};
 /// of input is read exactly once).
 #[derive(Debug, Default)]
 pub(crate) struct ReadLedger {
-    issued: HashMap<(DataId, StoreId), f64>,
+    issued: BTreeMap<(DataId, StoreId), f64>,
 }
 
 impl ReadLedger {
@@ -47,14 +47,15 @@ impl ReadLedger {
 
     /// The best source for reading `job`'s data from `machine`: the store
     /// with unread data at the lowest locality level (then most unread,
-    /// then lowest id). Returns `(store, locality, unread_mb)`.
+    /// then lowest id). Returns `(data, store, locality, unread_mb)`, so a
+    /// match also names the job's input.
     pub fn best_source(
         &self,
         cluster: &Cluster,
         placement: &Placement,
         job: &PendingJob,
         machine: MachineId,
-    ) -> Option<(StoreId, u8, f64)> {
+    ) -> Option<(DataId, StoreId, u8, f64)> {
         let data = job.data?;
         placement
             .stores_of(data)
@@ -65,6 +66,7 @@ impl ReadLedger {
                     .then(|| (s, cluster.locality_level(machine, s), unread))
             })
             .min_by(|a, b| a.1.cmp(&b.1).then(b.2.total_cmp(&a.2)).then(a.0.cmp(&b.0)))
+            .map(|(s, level, unread)| (data, s, level, unread))
     }
 }
 
@@ -126,7 +128,7 @@ mod tests {
         // Machine 0's own store should win when it holds blocks.
         let own = cluster.store_of_machine(MachineId(0)).unwrap();
         if ledger.unread(&placement, pj.data.unwrap(), own) > 0.0 {
-            let (s, level, _) = ledger
+            let (_, s, level, _) = ledger
                 .best_source(&cluster, &placement, &pj, MachineId(0))
                 .unwrap();
             assert_eq!(s, own);

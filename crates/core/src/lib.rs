@@ -41,6 +41,13 @@
 //! assert!(lips < delay); // the paper's headline, in five lines
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod adaptive;
 pub mod advisor;
 pub mod analysis;

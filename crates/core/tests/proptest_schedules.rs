@@ -3,7 +3,7 @@
 //! it was built from — independent of what the simulator would later
 //! check.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lips_cluster::{ec2_mixed_cluster, DataId, MachineId, StoreId};
 use lips_core::lp_build::{
@@ -85,7 +85,7 @@ proptest! {
         };
 
         // 1. Fractions in [0,1]; per-job totals + deferral == 1.
-        let mut per_job: HashMap<JobId, f64> = HashMap::new();
+        let mut per_job: BTreeMap<JobId, f64> = BTreeMap::new();
         for &(j, _, _, f) in &sched.assignments {
             prop_assert!((0.0..=1.0 + 1e-6).contains(&f));
             *per_job.entry(j).or_default() += f;
@@ -101,7 +101,7 @@ proptest! {
         }
 
         // 2. Machine capacity: Σ work·frac ≤ TP·duration (+tol).
-        let mut per_machine: HashMap<MachineId, f64> = HashMap::new();
+        let mut per_machine: BTreeMap<MachineId, f64> = BTreeMap::new();
         for &(j, l, _, f) in &sched.assignments {
             let work = jobs[j.0].work_ecu();
             *per_machine.entry(l).or_default() += work * f;
@@ -112,12 +112,12 @@ proptest! {
         }
 
         // 3. Link constraint: reads from a store ≤ availability + copies.
-        let mut moved_to: HashMap<(DataId, StoreId), f64> = HashMap::new();
+        let mut moved_to: BTreeMap<(DataId, StoreId), f64> = BTreeMap::new();
         for &(d, _, to, mb) in &sched.moves {
             prop_assert!(mb >= -1e-9);
             *moved_to.entry((d, to)).or_default() += mb;
         }
-        let mut reads: HashMap<(JobId, StoreId), f64> = HashMap::new();
+        let mut reads: BTreeMap<(JobId, StoreId), f64> = BTreeMap::new();
         for &(j, _, s, f) in &sched.assignments {
             if let Some(s) = s {
                 *reads.entry((j, s)).or_default() += f;

@@ -14,8 +14,8 @@ use lips_cluster::{Cluster, MachineId, StoreId};
 pub trait ReplicationTargetChooser {
     /// Choose a target for the `replica_idx`-th replica (0-based) of a
     /// block written from `writer`, given the replicas already placed.
-    /// `usable` lists the stores with room, in id order; it is never
-    /// empty. Implementations must return one of `usable`.
+    /// `usable` lists the stores with room, in id order. Implementations
+    /// must return one of `usable`, and `None` only when it is empty.
     fn choose(
         &mut self,
         cluster: &Cluster,
@@ -23,7 +23,7 @@ pub trait ReplicationTargetChooser {
         existing: &[StoreId],
         replica_idx: usize,
         usable: &[StoreId],
-    ) -> StoreId;
+    ) -> Option<StoreId>;
 
     /// Policy name for reports.
     fn name(&self) -> &'static str;
@@ -43,8 +43,8 @@ impl DefaultTargetChooser {
         }
     }
 
-    fn random_from(&mut self, candidates: &[StoreId]) -> StoreId {
-        candidates[self.rng.gen_range(0..candidates.len())]
+    fn random_from(&mut self, candidates: &[StoreId]) -> Option<StoreId> {
+        (!candidates.is_empty()).then(|| candidates[self.rng.gen_range(0..candidates.len())])
     }
 }
 
@@ -56,14 +56,14 @@ impl ReplicationTargetChooser for DefaultTargetChooser {
         existing: &[StoreId],
         replica_idx: usize,
         usable: &[StoreId],
-    ) -> StoreId {
+    ) -> Option<StoreId> {
         match replica_idx {
             0 => {
                 // Writer-local when possible.
                 if let Some(w) = writer {
                     if let Some(local) = cluster.store_of_machine(w) {
                         if usable.contains(&local) {
-                            return local;
+                            return Some(local);
                         }
                     }
                 }
@@ -147,15 +147,12 @@ impl ReplicationTargetChooser for CostAwareTargetChooser {
         _existing: &[StoreId],
         _replica_idx: usize,
         usable: &[StoreId],
-    ) -> StoreId {
-        *usable
-            .iter()
-            .min_by(|&&a, &&b| {
-                self.score(cluster, writer, a)
-                    .total_cmp(&self.score(cluster, writer, b))
-                    .then(a.cmp(&b))
-            })
-            .expect("usable is non-empty")
+    ) -> Option<StoreId> {
+        usable.iter().copied().min_by(|&a, &b| {
+            self.score(cluster, writer, a)
+                .total_cmp(&self.score(cluster, writer, b))
+                .then(a.cmp(&b))
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -181,7 +178,7 @@ mod tests {
         let c = ec2_20_node(0.0, 3600.0);
         let mut ch = DefaultTargetChooser::new(1);
         let w = MachineId(5);
-        let s = ch.choose(&c, Some(w), &[], 0, &usable(&c));
+        let s = ch.choose(&c, Some(w), &[], 0, &usable(&c)).unwrap();
         assert_eq!(c.store(s).colocated, Some(w));
     }
 
@@ -191,7 +188,7 @@ mod tests {
         let mut ch = DefaultTargetChooser::new(2);
         let first = StoreId(0);
         for _ in 0..20 {
-            let s = ch.choose(&c, None, &[first], 1, &usable(&c));
+            let s = ch.choose(&c, None, &[first], 1, &usable(&c)).unwrap();
             assert_ne!(c.store(s).zone, c.store(first).zone);
         }
     }
@@ -202,7 +199,9 @@ mod tests {
         let mut ch = DefaultTargetChooser::new(3);
         let (first, second) = (StoreId(0), StoreId(1));
         for _ in 0..20 {
-            let s = ch.choose(&c, None, &[first, second], 2, &usable(&c));
+            let s = ch
+                .choose(&c, None, &[first, second], 2, &usable(&c))
+                .unwrap();
             assert_eq!(c.store(s).zone, c.store(second).zone);
         }
     }
@@ -221,7 +220,9 @@ mod tests {
         // test between two near-tied cheap nodes.
         let c = ec2_20_node(0.5, 3600.0);
         let mut ch = CostAwareTargetChooser::new(5.0); // very CPU-heavy
-        let s = ch.choose(&c, Some(MachineId(15)), &[], 0, &usable(&c));
+        let s = ch
+            .choose(&c, Some(MachineId(15)), &[], 0, &usable(&c))
+            .unwrap();
         let m = c.store(s).colocated.unwrap();
         let min = c.min_cpu_cost();
         let max = c
@@ -246,7 +247,7 @@ mod tests {
         c.network.cross_zone_dollars_per_mb = 0.1 / 1024.0 * 100.0; // very dear
         let mut ch = CostAwareTargetChooser::new(0.01);
         let w = MachineId(13);
-        let s = ch.choose(&c, Some(w), &[], 0, &usable(&c));
+        let s = ch.choose(&c, Some(w), &[], 0, &usable(&c)).unwrap();
         assert_eq!(c.store(s).zone, c.machine(w).zone);
     }
 

@@ -35,6 +35,13 @@
 //! assert!(nn.under_replicated().is_empty());
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod block;
 pub mod chooser;
 pub mod namenode;

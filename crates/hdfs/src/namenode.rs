@@ -129,10 +129,9 @@ impl NameNode {
             })
             .map(|s| s.id)
             .collect();
-        if usable.is_empty() {
-            return Err(HdfsError::OutOfCapacity { block });
-        }
-        let target = chooser.choose(cluster, writer, &existing, replica_idx, &usable);
+        let target = chooser
+            .choose(cluster, writer, &existing, replica_idx, &usable)
+            .ok_or(HdfsError::OutOfCapacity { block })?;
         assert!(usable.contains(&target), "chooser returned unusable store");
         self.replicas.entry(block).or_default().push(target);
         *self.used_mb.entry(target).or_default() += meta.size_mb;

@@ -35,9 +35,12 @@ pub struct Stopwatch(Option<Instant>);
 
 impl Stopwatch {
     /// Start timing (a no-op recording nothing when timing is disabled).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned stopwatch; its readings never feed a decision"
+    )]
     pub fn start() -> Self {
         if is_enabled() {
-            // lips-allow(wall-clock-in-solver): this is the sanctioned wrapper the lint points to
             Stopwatch(Some(Instant::now()))
         } else {
             Stopwatch(None)

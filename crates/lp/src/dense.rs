@@ -13,7 +13,7 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
@@ -172,7 +172,7 @@ impl DenseSimplex {
         let mut art_cols: Vec<usize> = Vec::new();
         // Scale of the row each artificial belongs to, indexed by column,
         // for the per-row relative infeasibility check after phase 1.
-        let mut art_row_scale: HashMap<usize, f64> = HashMap::new();
+        let mut art_row_scale: BTreeMap<usize, f64> = BTreeMap::new();
         let mut next_slack = ncols;
         let mut next_art = ncols + n_slack;
         for (i, row) in rows.iter().enumerate() {

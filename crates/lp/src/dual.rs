@@ -596,7 +596,6 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             continue;
         }
         tiny_pivot_retries = 0;
-        // lips-allow(float-accum-in-loop): u64 nonzero counter, not a float sum
         w.ftran_nnz += wvec.iter().filter(|&&v| v != 0.0).count() as u64;
 
         // Apply the accumulated bound flips: one FTRAN for the whole batch.

@@ -41,6 +41,13 @@
 //! assert!((sol.objective() - 9.0).abs() < 1e-6); // x=3, y=1
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod basis;
 pub mod clock;
 pub mod dense;

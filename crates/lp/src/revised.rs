@@ -700,7 +700,6 @@ impl Worker {
                 if alpha[j] == 0.0 {
                     touched.push(j);
                 }
-                // lips-allow(float-accum-in-loop): serial pivot-row accumulation in fixed CSR row order
                 alpha[j] += ri * a;
             }
         }
@@ -870,7 +869,6 @@ impl Worker {
                 VarState::AtUpper => d.max(0.0),
                 VarState::Free | VarState::Basic => 0.0,
             };
-            // lips-allow(float-accum-in-loop): serial sum in column order
             gap += wrong * range;
         }
         gap

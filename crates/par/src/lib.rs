@@ -30,6 +30,13 @@
 //! [`Pool::serial`], which runs everything inline on the caller thread
 //! through the same chunking and merge order.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::num::NonZeroUsize;
 
 /// Environment variable overriding the default worker count.
@@ -38,6 +45,10 @@ pub const THREADS_ENV: &str = "LIPS_THREADS";
 /// Worker count for this process: `LIPS_THREADS` if set to a positive
 /// integer, otherwise [`std::thread::available_parallelism`] (1 if even
 /// that is unknown).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lips-par owns the thread width; every other crate asks it"
+)]
 pub fn default_threads() -> usize {
     std::env::var(THREADS_ENV)
         .ok()
@@ -120,6 +131,10 @@ impl Pool {
             let mut out = Vec::with_capacity(ranges.len());
             out.push(first);
             for h in handles {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "re-raises a worker's panic on the caller"
+                )]
                 out.push(h.join().expect("lips-par worker panicked"));
             }
             out

@@ -305,6 +305,15 @@ pub fn handle_line(daemon: &mut Daemon, line: &str) -> (String, bool) {
     }
 }
 
+/// [`handle_line`] for a raw input line: bytes that are not UTF-8 are
+/// refused like any other malformed command, and the daemon keeps going.
+pub fn handle_bytes(daemon: &mut Daemon, line: &[u8]) -> (String, bool) {
+    match std::str::from_utf8(line) {
+        Ok(line) => handle_line(daemon, line),
+        Err(e) => (err(&format!("line is not UTF-8: {e}")), false),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -466,7 +466,6 @@ impl Daemon {
                     .move_data(&self.cluster, data, from, to, mb, |_| now)
                     .map(|landed| {
                         if landed.is_some() {
-                            // lips-allow(float-accum-in-loop): per-epoch MB tally in the scheduler's fixed action order
                             moved += mb;
                         }
                     }),

@@ -36,6 +36,13 @@
 //! assert_eq!(s.solver.certified_share, 1.0);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod admission;
 pub mod control;
 pub mod daemon;

@@ -13,6 +13,13 @@
 //!     '{"cmd":"shutdown"}' | lips-serve --control
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 
@@ -220,18 +227,24 @@ fn main() -> ExitCode {
     }
 
     if args.control {
-        let stdin = std::io::stdin();
+        let mut input = std::io::stdin().lock();
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        for line in stdin.lock().lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
-            if line.trim().is_empty() {
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            match input.read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    eprintln!("lips-serve: read stdin: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+            if std::str::from_utf8(&line).is_ok_and(|l| l.trim().is_empty()) {
                 continue;
             }
-            let (reply, shutdown) = control::handle_line(&mut daemon, &line);
+            let (reply, shutdown) = control::handle_bytes(&mut daemon, &line);
             if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
                 break;
             }

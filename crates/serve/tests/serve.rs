@@ -194,3 +194,37 @@ fn idle_gaps_fast_forward_without_lp_epochs() {
     );
     assert!(d.now() >= 50_000.0);
 }
+
+#[test]
+fn control_mode_refuses_a_non_utf8_line_and_keeps_reading() {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lips-serve"))
+        .arg("--control")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(
+            b"{\"cmd\":\"status\"}\n\xff\xfe\n{\"cmd\":\"status\"}\n{\"cmd\":\"shutdown\"}\n",
+        )
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = stdout.lines().collect();
+    assert_eq!(replies.len(), 4, "{replies:?}");
+    assert!(
+        replies[1].starts_with("{\"ok\":false") && replies[1].contains("not UTF-8"),
+        "{}",
+        replies[1]
+    );
+    for r in [replies[0], replies[2], replies[3]] {
+        assert!(r.starts_with("{\"ok\":true"), "{r}");
+    }
+}

@@ -125,9 +125,11 @@ mod tests {
         q.push(2.0, EventKind::JobArrival(JobId(8)));
         q.push(2.0, EventKind::JobArrival(JobId(9)));
         let ids: Vec<JobId> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::JobArrival(j) => j,
-                _ => unreachable!(),
+            .map(|e| {
+                let EventKind::JobArrival(j) = e.kind else {
+                    panic!("expected a job arrival, got {:?}", e.kind)
+                };
+                j
             })
             .collect();
         assert_eq!(ids, vec![JobId(7), JobId(8), JobId(9)]);

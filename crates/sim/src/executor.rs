@@ -312,7 +312,7 @@ impl Executor {
                 let rest = spec.shuffle_mb - placed;
                 self.placement.add_copy(shuffle, store, rest, now);
             }
-            self.queue[pos].enter_reduce(shuffle);
+            self.queue[pos].enter_reduce(spec, shuffle);
         } else {
             let done = self.queue.remove(pos);
             self.outcomes.push(JobOutcome {

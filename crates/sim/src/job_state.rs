@@ -63,11 +63,12 @@ impl PendingJob {
         }
     }
 
-    /// Transition to the reduce phase: the map outputs have materialized
-    /// as `data` (placed by the engine where the maps ran); the job's
-    /// remaining work becomes the shuffle consumption.
-    pub fn enter_reduce(&mut self, data: DataId) {
-        let spec = self.reduce.take().expect("reduce spec present");
+    /// Transition to the reduce phase `spec` (the job's pending
+    /// [`PendingJob::reduce`], now consumed): the map outputs have
+    /// materialized as `data` (placed by the engine where the maps ran);
+    /// the job's remaining work becomes the shuffle consumption.
+    pub fn enter_reduce(&mut self, spec: ReduceSpec, data: DataId) {
+        self.reduce = None;
         debug_assert!(self.is_complete(), "maps must be done first");
         self.phase = JobPhase::Reduce;
         self.data = Some(data);
@@ -234,7 +235,7 @@ mod tests {
         assert!(p.has_pending_reduce());
         p.remaining_mb = 0.0;
         assert!(p.is_complete());
-        p.enter_reduce(lips_cluster::DataId(99));
+        p.enter_reduce(p.reduce.unwrap(), lips_cluster::DataId(99));
         assert_eq!(p.phase, JobPhase::Reduce);
         assert!(!p.has_pending_reduce());
         assert_eq!(p.remaining_mb, 100.0);

@@ -55,6 +55,13 @@
 //! assert!(report.metrics.total_dollars() > 0.0);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod action;
 pub mod engine;
 pub mod event;

@@ -12,9 +12,12 @@ pub struct MachineState {
 }
 
 impl MachineState {
+    /// Every machine gets at least one slot, as in
+    /// [`Machine::slot_seconds_for`] (a 0-slot machine fails
+    /// `Cluster::validate` anyway).
     pub fn new(machine: &Machine) -> Self {
         MachineState {
-            slot_free_at: vec![0.0; machine.slots as usize],
+            slot_free_at: vec![0.0; machine.slots.max(1) as usize],
         }
     }
 
@@ -30,13 +33,14 @@ impl MachineState {
     /// Slot index that frees earliest (deterministic: lowest index wins
     /// ties).
     pub fn earliest_slot(&self) -> (u32, Time) {
-        let (idx, t) = self
-            .slot_free_at
-            .iter()
-            .enumerate()
-            .min_by(|(i, a), (j, b)| a.total_cmp(b).then(i.cmp(j)))
-            .expect("machines have at least one slot");
-        (idx as u32, *t)
+        // `new` books at least one slot.
+        let mut best = (0, self.slot_free_at[0]);
+        for (i, &t) in self.slot_free_at.iter().enumerate().skip(1) {
+            if t.total_cmp(&best.1).is_lt() {
+                best = (i as u32, t);
+            }
+        }
+        best
     }
 
     /// Occupy `slot` until `until`.

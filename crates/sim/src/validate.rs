@@ -44,7 +44,7 @@ pub fn validate_report(
             ),
         });
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for o in &report.outcomes {
         if !seen.insert(o.id) {
             v.push(Violation {
@@ -304,5 +304,29 @@ mod tests {
         report.makespan = 0.0;
         let v = validate_report(&report, &cluster, &workload);
         assert!(v.iter().any(|x| x.what == "makespan too small"));
+    }
+
+    #[test]
+    fn repeated_outcome_is_caught() {
+        let mut cluster = ec2_20_node(0.0, 3600.0);
+        let jobs = vec![
+            JobSpec::new(0, "a", JobKind::Grep, 320.0, 5),
+            JobSpec::new(1, "b", JobKind::Grep, 320.0, 5),
+        ];
+        let workload = bind_workload(&mut cluster, jobs, PlacementPolicy::RoundRobin, 1);
+        let mut report = Simulation::new(&cluster, &workload)
+            .run(&mut Greedy)
+            .unwrap();
+        assert!(validate_report(&report, &cluster, &workload).is_empty());
+        // Same outcome count, but one job lost and the other reported twice.
+        report.outcomes[1] = report.outcomes[0].clone();
+        let v = validate_report(&report, &cluster, &workload);
+        assert_eq!(
+            v,
+            vec![Violation {
+                what: "duplicate outcome",
+                detail: format!("{:?}", report.outcomes[0].id),
+            }]
+        );
     }
 }

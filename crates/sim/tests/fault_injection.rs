@@ -289,7 +289,7 @@ struct ReplicatingGreedy {
     inner: FaultAwareGreedy,
     /// Holder count per data id at first sight; a later shrink means a
     /// store died and its share must be re-copied.
-    baseline: std::collections::HashMap<lips_cluster::DataId, usize>,
+    baseline: std::collections::BTreeMap<lips_cluster::DataId, usize>,
     repaired: bool,
 }
 
@@ -338,7 +338,7 @@ fn rereplication_of_lost_data_is_metered() {
     let plan = FaultPlan::new().lose_store_at(clean.makespan * 0.2, victim);
     let mut sched = ReplicatingGreedy {
         inner: FaultAwareGreedy::serialized(),
-        baseline: std::collections::HashMap::new(),
+        baseline: std::collections::BTreeMap::new(),
         repaired: false,
     };
     let report = Simulation::new(&cluster, &bound)

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// engine far outside the tidy policies' behaviour.
 struct Erratic {
     state: u64,
-    issued: std::collections::HashMap<(lips_cluster::DataId, lips_cluster::StoreId), f64>,
+    issued: std::collections::BTreeMap<(lips_cluster::DataId, lips_cluster::StoreId), f64>,
 }
 
 impl Erratic {

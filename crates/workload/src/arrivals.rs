@@ -132,7 +132,7 @@ mod tests {
             assert!(j.arrival_s - nearest <= 1.0 + 1e-9, "{}", j.arrival_s);
         }
         // All four bursts used.
-        let used: std::collections::HashSet<u64> =
+        let used: std::collections::BTreeSet<u64> =
             js.iter().map(|j| (j.arrival_s / 1000.0) as u64).collect();
         assert_eq!(used.len(), 4);
     }

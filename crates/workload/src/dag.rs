@@ -10,7 +10,7 @@
 //! crate's `dag` module then schedules each level with any
 //! `lips_sim::Scheduler`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +59,7 @@ impl JobDag {
     /// level k+1 = jobs whose dependencies all sit in levels ≤ k. Returns
     /// the levels as lists of job ids, each list in id order.
     pub fn levels(&self) -> Result<Vec<Vec<JobId>>, DagError> {
-        let mut index: HashMap<JobId, usize> = HashMap::new();
+        let mut index: BTreeMap<JobId, usize> = BTreeMap::new();
         for (i, j) in self.jobs.iter().enumerate() {
             if index.insert(j.id, i).is_some() {
                 return Err(DagError::DuplicateJob(j.id));
@@ -104,7 +104,7 @@ impl JobDag {
 
     /// Jobs of one level, cloned in level order.
     pub fn level_jobs(&self, level: &[JobId]) -> Vec<JobSpec> {
-        let index: HashMap<JobId, usize> = self
+        let index: BTreeMap<JobId, usize> = self
             .jobs
             .iter()
             .enumerate()

@@ -23,6 +23,13 @@
 //! assert_eq!(JobKind::Grep.ecu_sec_per_block(), Some(20.0));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod arrivals;
 pub mod bind;
 pub mod dag;

@@ -80,7 +80,7 @@ proptest! {
             .collect();
         let dag = JobDag::new(jobs, edges.clone()).unwrap();
         let levels = dag.levels().unwrap();
-        let level_of: std::collections::HashMap<JobId, usize> = levels
+        let level_of: std::collections::BTreeMap<JobId, usize> = levels
             .iter()
             .enumerate()
             .flat_map(|(li, level)| level.iter().map(move |&j| (j, li)))

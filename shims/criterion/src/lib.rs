@@ -49,6 +49,7 @@ impl Bencher {
         // Warm-up (not recorded).
         black_box(routine());
         for _ in 0..self.sample_size {
+            #[expect(clippy::disallowed_methods, reason = "a benchmark harness times")]
             let start = Instant::now();
             black_box(routine());
             self.samples.push(start.elapsed());

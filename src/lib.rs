@@ -22,6 +22,13 @@
 //! See `examples/quickstart.rs` for a five-minute tour and the `lips-bench`
 //! crate for binaries regenerating every table and figure of the paper.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod experiment;
 
 pub use experiment::{Experiment, SchedulerChoice};

@@ -94,7 +94,7 @@ fn paper_cost_ordering_holds_on_the_table_iv_suite() {
     // The headline claim, end to end, on the real suite: LiPS (long epoch)
     // is strictly cheaper than the default and delay schedulers on the
     // heterogeneous testbed.
-    let mut costs = std::collections::HashMap::new();
+    let mut costs = std::collections::BTreeMap::new();
     let scheds: Vec<Box<dyn Scheduler>> = vec![
         Box::new(LipsScheduler::new(SchedulerConfig::small_cluster(2000.0))),
         Box::new(HadoopDefaultScheduler::new()),
