@@ -1500,7 +1500,7 @@ fn master_price_loop(
                     Ok(sol) => {
                         add_stats(&mut agg, sol.stats());
                         first_warm.get_or_insert(sol.stats().warm);
-                        Master::Cold(sol)
+                        Master::Cold(Box::new(sol))
                     }
                     Err(LpError::Infeasible) if in_master.contains(&false) => {
                         // The *restriction* may be infeasible even when
@@ -1549,7 +1549,7 @@ fn master_price_loop(
                     add_stats(&mut agg, sol.stats());
                     sol
                 }
-                Master::Cold(sol) => sol,
+                Master::Cold(sol) => *sol,
             };
         }
         if rounds >= MAX_ROUNDS {
@@ -1590,7 +1590,7 @@ fn master_price_loop(
 /// a round whose dual walk was declined and solved cold instead.
 enum Master {
     Live(Box<Session>),
-    Cold(Solution),
+    Cold(Box<Solution>),
 }
 
 /// Add one solve's work to an epoch's running total.
@@ -1601,6 +1601,7 @@ fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
     agg.ftran_nnz += s.ftran_nnz;
     agg.solve_ms += s.solve_ms;
     agg.setup_ms += s.setup_ms;
+    agg.factor_ms += s.factor_ms;
     agg.dual_pivots += s.dual_pivots;
     agg.bound_flips += s.bound_flips;
     agg.declined = agg.declined.or(s.declined);

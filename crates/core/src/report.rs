@@ -71,6 +71,10 @@ pub struct EpochRecord {
     /// solve, the column insertion per resumed master round.
     #[serde(default)]
     pub setup_ms: f64,
+    /// The part of `solve_ms` spent factorizing bases, summed over the
+    /// epoch's solves ([`lips_lp::SolveStats::factor_ms`]).
+    #[serde(default)]
+    pub factor_ms: f64,
     /// Independent KKT-certification wall-time, from [`PhaseTimings`].
     pub certify_ms: f64,
     /// Wall-time of the whole epoch call: [`crate::LipsScheduler`] times
@@ -141,6 +145,7 @@ impl EpochRecord {
             build_ms: timings.build_ms,
             solve_ms: timings.solve_ms,
             setup_ms: stats.setup_ms,
+            factor_ms: stats.factor_ms,
             certify_ms: timings.certify_ms,
             epoch_ms: timings.build_ms + timings.solve_ms + timings.certify_ms,
             objective: report.schedule.lp_objective,
@@ -183,6 +188,7 @@ impl EpochRecord {
             build_ms: 0.0,
             solve_ms: 0.0,
             setup_ms: 0.0,
+            factor_ms: 0.0,
             certify_ms: 0.0,
             epoch_ms: 0.0,
             objective: 0.0,

@@ -40,6 +40,13 @@ fn epoch_ms_bounds_the_phase_sum_and_reads_zero_with_the_clock_off() {
             r.epoch,
             r.epoch_ms
         );
+        assert!(
+            r.factor_ms <= r.solve_ms,
+            "epoch {}: factor_ms {} > solve_ms {}",
+            r.epoch,
+            r.factor_ms,
+            r.solve_ms
+        );
     }
 
     lips_lp::clock::set_enabled(false);
@@ -48,8 +55,14 @@ fn epoch_ms_bounds_the_phase_sum_and_reads_zero_with_the_clock_off() {
     assert_eq!(off.len(), on.len());
     for r in &off {
         assert_eq!(
-            [r.epoch_ms, r.build_ms, r.solve_ms, r.certify_ms],
-            [0.0; 4],
+            [
+                r.epoch_ms,
+                r.build_ms,
+                r.solve_ms,
+                r.factor_ms,
+                r.certify_ms
+            ],
+            [0.0; 5],
             "epoch {}",
             r.epoch
         );

@@ -642,7 +642,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // d' = d − (d_q / α_rq)·α_r: the entering column prices to zero,
         // the leaving one to −d_q / α_rq, columns off the pivot row keep
         // theirs.
-        w.update_reduced_costs(&mut row, q, out, entering.d / piv);
+        w.update_reduced_costs(&mut row, q, out, entering.d / piv, false);
 
         let nnz: Vec<(usize, f64)> = wvec
             .iter()

@@ -49,6 +49,7 @@
 )]
 
 pub mod basis;
+mod bitset;
 pub mod clock;
 pub mod dense;
 pub mod dual;

@@ -27,9 +27,12 @@
 //!   and no dot product per priced column. `d` is recomputed from fresh
 //!   duals after every refactorization and before a phase may declare
 //!   optimality, so an optimum is never declared on drifted reduced
-//!   costs. After a run of degenerate pivots the solver switches to
-//!   Bland's rule, which guarantees termination, and switches back once
-//!   the objective moves again.
+//!   costs. Pricing walks a live set of the eligible columns instead of
+//!   every column: the set is rebuilt with each fresh `d` and re-marked
+//!   only for the columns a pivot or a bound flip changed, and the walk
+//!   picks exactly what a full scan would. After a run of degenerate
+//!   pivots the solver switches to Bland's rule, which guarantees
+//!   termination, and switches back once the objective moves again.
 //! * **Cold only.** This solver always starts from its crash basis. A
 //!   carried basis goes to the bounded dual simplex ([`crate::dual`]),
 //!   which reuses this module's `Worker` — factorization, eta file,
@@ -38,9 +41,10 @@
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
 use crate::basis::{BasisStatus, WarmStart};
+use crate::bitset::BitSet;
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
-use crate::slu::SparseLu;
+use crate::slu::{LuWork, SparseLu};
 use crate::solution::{Solution, SolveStats};
 use crate::sparse::{splice_exact, CsrMatrix};
 use crate::standard::{ColumnBatch, StandardForm};
@@ -139,6 +143,7 @@ impl RevisedSimplex {
             iterations: w.iterations,
             phase1_iterations: w.phase1_iterations,
             refactors: w.refactors,
+            factor_ms: w.factor_ms,
             ftran_nnz: w.ftran_nnz,
             solve_ms: t0.elapsed_ms(),
             setup_ms,
@@ -260,6 +265,8 @@ pub(crate) struct Work {
     /// Largest `|d_j − fresh d_j| / (1 + |c_j|)` over the nonbasic columns
     /// at any confirmation: how far the updates drifted.
     pub(crate) drift: f64,
+    /// Pricing calls made under Bland's rule.
+    pub(crate) bland_prices: usize,
 }
 
 /// The simplex machinery of one solve. It owns the lowered model and its
@@ -293,6 +300,8 @@ pub(crate) struct Worker {
     /// Reused per-refactorization workspace: the basis columns handed to
     /// the sparse factorization (drained by it, refilled next time).
     spcols: Vec<Vec<(usize, f64)>>,
+    /// Reused elimination workspace of the sparse factorization.
+    lu_work: LuWork,
     /// Row-major mirror of `sf.a` for pivot-row computation (devex
     /// weights, the reduced-cost updates, the dual ratio test).
     pub(crate) csr: CsrMatrix,
@@ -305,6 +314,9 @@ pub(crate) struct Worker {
     pub(crate) iterations: usize,
     pub(crate) phase1_iterations: usize,
     pub(crate) refactors: usize,
+    /// Wall time inside [`SparseLu::factorize`] (see
+    /// [`SolveStats::factor_ms`]).
+    pub(crate) factor_ms: f64,
     /// Nonzeros produced by entering-column FTRANs (see
     /// [`SolveStats::ftran_nnz`]).
     pub(crate) ftran_nnz: u64,
@@ -313,6 +325,14 @@ pub(crate) struct Worker {
     in_phase1: bool,
     /// Rotating start offset for partial pricing.
     price_cursor: usize,
+    /// The columns [`Worker::price`] may enter at the running phase's
+    /// pricing tolerance ([`Worker::entering_direction`]). Only the
+    /// primal loop keeps it: rebuilt whenever `d` is priced fresh or the
+    /// tolerance changes, and updated for each column a pivot or a bound
+    /// flip changed.
+    eligible: BitSet,
+    /// The pricing tolerance `eligible` was built at.
+    eligible_tol: f64,
     #[cfg(test)]
     pub(crate) work: Work,
 }
@@ -337,17 +357,21 @@ impl Worker {
             etas: Vec::new(),
             scratch: vec![0.0; m],
             spcols: Vec::new(),
+            lu_work: LuWork::default(),
             csr,
             devex_w: vec![1.0; n_real],
             d: vec![0.0; n_real],
             iterations: 0,
             phase1_iterations: 0,
             refactors: 0,
+            factor_ms: 0.0,
             ftran_nnz: 0,
             degenerate_run: 0,
             bland: false,
             in_phase1: false,
             price_cursor: 0,
+            eligible: BitSet::default(),
+            eligible_tol: 0.0,
             sf,
             opts,
             #[cfg(test)]
@@ -574,10 +598,11 @@ impl Worker {
     /// scratch (limits numerical drift).
     ///
     /// The working storage is recycled across calls: the per-column
-    /// workspace the previous factorization drained is refilled.
-    /// Refactorization happens every few dozen pivots, and on large
-    /// bases the repeated allocation (and its page faults) used to dominate
-    /// the factorization itself.
+    /// workspace the previous factorization drained is refilled, and the
+    /// elimination workspace is reused as it stands. Refactorization
+    /// happens every few dozen pivots, and on large bases the repeated
+    /// allocation (and its page faults) used to dominate the
+    /// factorization itself.
     pub(crate) fn refactor(&mut self) -> Result<(), LpError> {
         let m = self.m();
         self.refactors += 1;
@@ -587,7 +612,9 @@ impl Worker {
             cols[i].clear();
             self.for_col(j, |r, v| cols[i].push((r, v)));
         }
-        let res = SparseLu::factorize(m, &mut cols, self.opts.pivot_tol);
+        let t0 = crate::clock::Stopwatch::start();
+        let res = SparseLu::factorize(m, &mut cols, &mut self.lu_work, self.opts.pivot_tol);
+        self.factor_ms += t0.elapsed_ms();
         self.spcols = cols;
         self.factor = res?;
         self.etas.clear();
@@ -716,13 +743,17 @@ impl Worker {
     /// The reduced-cost update of a basis change that brought `q` in and
     /// took `out` out, with `theta = d_q / α_rq`: `d ← d − θ·α_r` over the
     /// nonbasic columns, then `d_q = 0` and `d_out = −θ`. Runs after the
-    /// states are swapped, and leaves `row` clear for the next pivot.
+    /// states are swapped, and leaves `row` clear for the next pivot. With
+    /// `keep_eligible` (the primal loop) every column whose `d_j` or state
+    /// changed is re-marked in the eligible set; the dual loop, which
+    /// never prices, skips that.
     pub(crate) fn update_reduced_costs(
         &mut self,
         row: &mut PivotRow,
         q: usize,
         out: usize,
         theta: f64,
+        keep_eligible: bool,
     ) {
         for &j in &row.touched {
             // Taking α_rj as it is used makes a repeated column harmless.
@@ -730,10 +761,17 @@ impl Worker {
             if self.state[j] != VarState::Basic {
                 self.d[j] -= theta * a;
             }
+            if keep_eligible {
+                self.mark_eligible(j);
+            }
         }
         row.touched.clear();
         self.d[q] = 0.0;
         self.d[out] = -theta;
+        if keep_eligible {
+            self.mark_eligible(q);
+            self.mark_eligible(out);
+        }
     }
 
     /// Reduced cost of nonbasic column `j` given multipliers `y`.
@@ -746,11 +784,112 @@ impl Worker {
         }
     }
 
+    /// Whether `price` at `tol` may enter column `j`: not fixed (pinned
+    /// artificials included), and `d_j` wrong-signed for its state by more
+    /// than `tol`. Returns the direction, `+1` (increase from lower/free)
+    /// or `-1` (decrease from upper).
+    fn entering_direction(&self, j: usize, tol: f64) -> Option<f64> {
+        if self.lb[j] == self.ub[j] {
+            return None;
+        }
+        let d = self.d[j];
+        match self.state[j] {
+            VarState::AtLower | VarState::Free if d < -tol => Some(1.0),
+            VarState::AtUpper | VarState::Free if d > tol => Some(-1.0),
+            _ => None,
+        }
+    }
+
+    /// Re-decide column `j`'s membership of the eligible set.
+    fn mark_eligible(&mut self, j: usize) {
+        let on = self.entering_direction(j, self.eligible_tol).is_some();
+        self.eligible.set(j, on);
+    }
+
+    /// Price `d` fresh and rebuild the eligible set at `tol` from it.
+    fn reprice(&mut self, tol: f64) {
+        self.refresh_reduced_costs();
+        self.rebuild_eligible(tol);
+    }
+
+    /// Rebuild the eligible set at `tol` from `d` as it stands.
+    fn rebuild_eligible(&mut self, tol: f64) {
+        self.eligible_tol = tol;
+        self.eligible.reset(self.ncols());
+        for j in 0..self.ncols() {
+            self.mark_eligible(j);
+        }
+    }
+
     /// Pick the entering column by its reduced cost in `d`, honoring the
-    /// pricing rule or Bland mode: a reduced cost must beat `tol` in the
-    /// improving direction. Returns `(column, direction)` with direction
-    /// `+1` (increase from lower/free) or `-1` (decrease from upper).
-    fn price(&mut self, tol: f64) -> Option<(usize, f64)> {
+    /// pricing rule or Bland mode: a reduced cost must beat the eligible
+    /// set's tolerance in the improving direction. Returns `(column,
+    /// direction)` with direction `+1` (increase from lower/free) or `-1`
+    /// (decrease from upper).
+    ///
+    /// Only the eligible set is walked, so a call costs the eligible
+    /// columns it visits, not a scan of every column. The walk visits them
+    /// in the order a scan of every column would. Bland mode takes the
+    /// lowest index, which its termination guarantee needs. Otherwise the
+    /// walk rotates from `price_cursor`, so partial pricing covers every
+    /// column fairly across passes; the column maximizing the devex score
+    /// `d_j² / w_j` (the first on ties) enters, and with partial pricing
+    /// the pass stops at the window's last eligible column and the next
+    /// one resumes after it.
+    fn price(&mut self) -> Option<(usize, f64)> {
+        #[cfg(debug_assertions)]
+        let want = self.reference_price(self.eligible_tol);
+        let n = self.ncols();
+        // A member's `d_j` is wrong-signed for its state, so its sign gives
+        // the direction.
+        let dir = |d: f64| if d < 0.0 { 1.0 } else { -1.0 };
+        #[cfg(test)]
+        {
+            self.work.bland_prices += usize::from(self.bland);
+        }
+        let picked = if self.bland {
+            self.eligible
+                .iter_from(0)
+                .next()
+                .map(|j| (j, dir(self.d[j])))
+        } else {
+            let start = self.price_cursor % n.max(1);
+            let rotated = self.eligible.iter_from(start);
+            let wrapped = self.eligible.iter_from(0).take_while(|&j| j < start);
+            let mut best: Option<(usize, f64)> = None; // (col, score)
+            for (seen, j) in rotated.chain(wrapped).enumerate() {
+                // Devex reference weights (approximate steepest edge).
+                let d = self.d[j];
+                let score = d * d / self.devex_w[j];
+                match best {
+                    Some((_, bs)) if bs >= score => {}
+                    _ => best = Some((j, score)),
+                }
+                if self.opts.partial_pricing.is_some_and(|w| seen + 1 >= w) {
+                    // Resume the next pass after this column.
+                    self.price_cursor = (j + 1) % n;
+                    break;
+                }
+            }
+            best.map(|(j, _)| (j, dir(self.d[j])))
+        };
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!((picked, self.price_cursor), want, "price");
+            for j in 0..n {
+                let on = self.entering_direction(j, self.eligible_tol).is_some();
+                assert_eq!(self.eligible.contains(j), on, "eligible set at column {j}");
+            }
+        }
+        picked
+    }
+
+    /// The reference [`Worker::price`] is checked against in debug builds
+    /// (every test run): a scan of every column, in index order under
+    /// Bland's rule and otherwise rotated from the cursor. Returns the
+    /// pick and the cursor the pass leaves.
+    #[cfg(debug_assertions)]
+    fn reference_price(&self, tol: f64) -> (Option<(usize, f64)>, usize) {
         let n = self.ncols();
         let window = if self.bland {
             None
@@ -761,11 +900,7 @@ impl Worker {
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
         let mut eligible_seen = 0usize;
         for step in 0..n {
-            // Bland mode must scan in plain index order for its
-            // termination guarantee; otherwise rotate from the cursor so
-            // partial pricing covers all columns fairly across passes.
             let j = if self.bland { step } else { (start + step) % n };
-            // Fixed columns (including pinned artificials) can never move.
             if self.lb[j] == self.ub[j] {
                 continue;
             }
@@ -776,26 +911,19 @@ impl Worker {
                 _ => continue,
             };
             if self.bland {
-                // Bland: first eligible index wins.
-                return Some((j, dir));
+                return (Some((j, dir)), self.price_cursor);
             }
-            // Devex reference weights (approximate steepest edge): the
-            // column maximizing `d_j² / w_j` enters.
             let score = viol * viol / self.devex_w[j];
             match best {
                 Some((_, _, bs)) if bs >= score => {}
                 _ => best = Some((j, dir, score)),
             }
             eligible_seen += 1;
-            if let Some(w) = window {
-                if eligible_seen >= w {
-                    // Resume the next pass after this column.
-                    self.price_cursor = (start + step + 1) % n;
-                    break;
-                }
+            if window.is_some_and(|cap| eligible_seen >= cap) {
+                return (best.map(|(j, d, _)| (j, d)), (start + step + 1) % n);
             }
         }
-        best.map(|(j, d, _)| (j, d))
+        (best.map(|(j, d, _)| (j, d)), self.price_cursor)
     }
 
     /// Devex reference-weight update for entering column `q` at pivot row
@@ -842,8 +970,8 @@ impl Worker {
         }
         if !self.etas.is_empty() {
             self.refactor()?;
-            self.refresh_reduced_costs();
-            if let Some(e) = self.price(*tol) {
+            self.reprice(*tol);
+            if let Some(e) = self.price() {
                 return Ok(Some(e));
             }
             if self.open_gap() <= *tol * (1.0 + self.objective().abs()) {
@@ -851,7 +979,8 @@ impl Worker {
             }
         }
         *tol *= POLISH_TOL_FACTOR;
-        Ok(self.price(*tol))
+        self.rebuild_eligible(*tol);
+        Ok(self.price())
     }
 
     /// The duality gap left open by nonbasic columns whose reduced cost in
@@ -880,11 +1009,12 @@ impl Worker {
     }
 
     /// Price fresh once more where the updated reduced costs found no
-    /// entering column: an optimum is declared only on fresh duals.
-    fn confirm_optimum(&mut self) {
+    /// entering column at `tol`: an optimum is declared only on fresh
+    /// duals.
+    fn confirm_optimum(&mut self, tol: f64) {
         #[cfg(test)]
         let stale = self.d.clone();
-        self.refresh_reduced_costs();
+        self.reprice(tol);
         #[cfg(test)]
         {
             self.work.confirmations += 1;
@@ -906,7 +1036,7 @@ impl Worker {
         let mut row = PivotRow::new(m, self.ncols());
         let mut tol = self.opts.tol;
         let mut checked = false;
-        self.refresh_reduced_costs();
+        self.reprice(tol);
         // Whether `d` was priced fresh at the current basis.
         let mut d_fresh = true;
         loop {
@@ -915,11 +1045,11 @@ impl Worker {
                     iterations: self.iterations,
                 });
             }
-            let mut entering = self.price(tol);
+            let mut entering = self.price();
             if entering.is_none() && !d_fresh {
-                self.confirm_optimum();
+                self.confirm_optimum(tol);
                 d_fresh = true;
-                entering = self.price(tol);
+                entering = self.price();
             }
             if entering.is_none() && !self.in_phase1 && !checked {
                 checked = true;
@@ -1015,13 +1145,14 @@ impl Worker {
                     } else {
                         VarState::AtLower
                     };
+                    self.mark_eligible(q);
                 }
                 Some((r, hits)) => {
                     if w[r].abs() <= self.opts.pivot_tol {
                         // Pivot too small; refactorize and retry this
                         // iteration with fresh numerics.
                         self.refactor()?;
-                        self.refresh_reduced_costs();
+                        self.reprice(tol);
                         d_fresh = true;
                         continue;
                     }
@@ -1049,7 +1180,7 @@ impl Worker {
                     self.state[q] = VarState::Basic;
                     let diag = w[r];
                     let theta = self.d[q] / diag;
-                    self.update_reduced_costs(&mut row, q, out, theta);
+                    self.update_reduced_costs(&mut row, q, out, theta, true);
                     d_fresh = false;
                     #[cfg(test)]
                     {
@@ -1064,7 +1195,7 @@ impl Worker {
                     self.etas.push(Eta { row: r, diag, nnz });
                     if self.etas.len() >= self.opts.refactor_interval {
                         self.refactor()?;
-                        self.refresh_reduced_costs();
+                        self.reprice(tol);
                         d_fresh = true;
                     }
                 }
@@ -1516,6 +1647,34 @@ mod tests {
             }
         }
         assert!(confirmations > 10, "only {confirmations} confirmations");
+    }
+
+    #[test]
+    fn bland_mode_prices_the_first_eligible_column() {
+        // max Σx over a chain x_0 ≤ x_1 ≤ … ≤ x_11 ≤ 1: every chain row is
+        // tight at the origin, so the walk starts with a run of degenerate
+        // pivots and passes a `bland_trigger` of 1. Each Bland-mode
+        // `price` call checks its pick against the full index-order scan
+        // (debug builds).
+        let mut m = Model::new(Sense::Maximize);
+        let x: Vec<_> = (0..12)
+            .map(|i| m.add_var(format!("x{i}"), 0.0, f64::INFINITY, 1.0))
+            .collect();
+        for w in x.windows(2) {
+            m.add_constraint([(w[0], 1.0), (w[1], -1.0)], Cmp::Le, 0.0);
+        }
+        m.add_constraint([(x[11], 1.0)], Cmp::Le, 1.0);
+        let opts = RevisedOptions {
+            bland_trigger: 1,
+            ..Default::default()
+        };
+        let mut bland = 0;
+        each_phase(&m, &opts, |w, start, _| {
+            bland += w.work.bland_prices - start.bland_prices;
+        });
+        assert!(bland > 0, "the walk never reached Bland's rule");
+        let sol = RevisedSimplex::with_options(opts).solve(&m).unwrap();
+        assert_close(sol.objective(), 12.0);
     }
 
     #[test]

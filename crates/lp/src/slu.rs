@@ -14,18 +14,185 @@
 //!   (`|a_ij| ≥ 0.1 · max |a_·j|`), which balances sparsity against
 //!   numerical stability — the classical compromise from Markowitz 1957 /
 //!   Suhl & Suhl 1990.
+//! * **Singletons first, from a live set.** A zero-cost pivot — a column
+//!   singleton, or an entry whose row no other active column holds —
+//!   cannot be beaten, so the lowest basis position offering one is taken
+//!   before any Markowitz search, as in Suhl & Suhl. Those positions live
+//!   in a bitset that a step re-evaluates only for the columns it changed
+//!   and the columns of rows whose count reached or left one, so a
+//!   slack-heavy basis factorizes in time linear in its nonzeros. The
+//!   Markowitz scan runs only when the set is empty, over a compacted
+//!   list of the active columns. Both searches pick exactly what a scan
+//!   of every active column in position order would (the test module
+//!   keeps that scan as the oracle).
 //! * **Factors stored sparsely.** `L` is a sequence of elimination steps
 //!   (pivot row + multiplier list), `U` a per-step column of upper
 //!   entries; FTRAN/BTRAN walk only stored nonzeros.
-//! * **Caller-owned workspaces.** Both the factorization input (the basis
-//!   columns) and the solve scratch are caller-provided and reused across
-//!   refactorizations, so the steady-state solver does not allocate here.
+//! * **Caller-owned workspaces.** The factorization input (the basis
+//!   columns), the elimination workspace ([`LuWork`]) and the solve
+//!   scratch are caller-provided and reused across refactorizations, so
+//!   the steady-state solver allocates only the factors it returns.
 
+use crate::bitset::BitSet;
 use crate::error::LpError;
 
 /// Relative threshold for Markowitz pivot admissibility: a candidate must
 /// be at least this fraction of the largest magnitude in its column.
 const MARKOWITZ_THRESHOLD: f64 = 0.1;
+
+/// The magnitude a pivot candidate in `col` must reach (threshold
+/// pivoting), or `None` when the whole column is within `pivot_tol` of
+/// zero.
+fn admission(col: &[(usize, f64)], pivot_tol: f64) -> Option<f64> {
+    let colmax = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
+    (colmax > pivot_tol).then_some(MARKOWITZ_THRESHOLD * colmax)
+}
+
+/// The zero-cost pivot column `col` offers: among its admissible entries
+/// that are a column singleton or alone in their row, the first of
+/// largest `|v|`, as `(row, value)`.
+fn zero_cost_pivot(
+    col: &[(usize, f64)],
+    row_count: &[usize],
+    pivot_tol: f64,
+) -> Option<(usize, f64)> {
+    let admit = admission(col, pivot_tol)?;
+    let singleton = col.len() == 1;
+    let mut best: Option<(usize, f64)> = None;
+    for &(r, v) in col {
+        if v.abs() < admit || v.abs() <= pivot_tol || !(singleton || row_count[r] == 1) {
+            continue;
+        }
+        if best.is_none_or(|(_, bv)| v.abs() > bv.abs()) {
+            best = Some((r, v));
+        }
+    }
+    best
+}
+
+/// The Markowitz pivot over the `active` columns, in the order given:
+/// least `(row_count − 1)·(ccount − 1)`, ties to the larger `|v|`, then
+/// to the first seen. Returns `(row, column, value)`.
+fn markowitz_pivot(
+    cols: &[Vec<(usize, f64)>],
+    active: &[usize],
+    row_count: &[usize],
+    pivot_tol: f64,
+) -> Option<(usize, usize, f64)> {
+    let mut best: Option<(usize, usize, f64, usize)> = None; // (row, col, val, cost)
+    for &j in active {
+        let col = &cols[j];
+        let Some(admit) = admission(col, pivot_tol) else {
+            continue;
+        };
+        let ccount = col.len();
+        for &(r, v) in col {
+            if v.abs() < admit || v.abs() <= pivot_tol {
+                continue;
+            }
+            let cost = (row_count[r] - 1) * (ccount - 1);
+            let better = match best {
+                None => true,
+                // On Markowitz ties prefer the larger pivot.
+                Some((_, _, bv, bcost)) => cost < bcost || (cost == bcost && v.abs() > bv.abs()),
+            };
+            if better {
+                best = Some((r, j, v, cost));
+            }
+        }
+    }
+    best.map(|(r, j, v, _)| (r, j, v))
+}
+
+/// Elimination workspace of [`SparseLu::factorize`], owned by the caller
+/// and reused across refactorizations: after the first factorization of
+/// a basis size, refactorizing allocates only the factors.
+#[derive(Debug, Default)]
+pub struct LuWork {
+    /// Upper entries per column position, remapped to steps at the end.
+    upper: Vec<Vec<(usize, f64)>>,
+    col_active: Vec<bool>,
+    /// `row_count[r]` = number of active columns containing row `r`
+    /// (kept exact).
+    row_count: Vec<usize>,
+    /// `row_cols[r]` = columns that may contain row `r` (lazily pruned).
+    row_cols: Vec<Vec<usize>>,
+    /// Dense scratch for the column updates; all zero between steps.
+    acc: Vec<f64>,
+    /// The pivot column's multipliers.
+    lmults: Vec<(usize, f64)>,
+    /// Active columns offering a zero-cost pivot ([`zero_cost_pivot`]).
+    zero: BitSet,
+    /// No member of `zero` lies below this position.
+    zero_lo: usize,
+    /// Active columns in ascending order, compacted before each Markowitz
+    /// scan.
+    active: Vec<usize>,
+    /// Columns the current step eliminated the pivot row from.
+    touched: Vec<usize>,
+    /// Rows whose count the current step changed, with the count before.
+    dirty: Vec<(usize, usize)>,
+    /// The step that last noted each row in `dirty`.
+    row_step: Vec<usize>,
+    /// The step that last re-evaluated each column's `zero` membership.
+    col_step: Vec<usize>,
+    /// Column entries the pivot search visited (zero-set evaluations,
+    /// picks and Markowitz scans).
+    #[cfg(test)]
+    visits: usize,
+}
+
+impl LuWork {
+    /// Size every buffer for an `m`-row basis and clear it.
+    fn reset(&mut self, m: usize) {
+        reset_lists(&mut self.upper, m);
+        reset_lists(&mut self.row_cols, m);
+        reset_to(&mut self.col_active, m, true);
+        reset_to(&mut self.row_count, m, 0);
+        reset_to(&mut self.acc, m, 0.0);
+        reset_to(&mut self.row_step, m, usize::MAX);
+        reset_to(&mut self.col_step, m, usize::MAX);
+        self.lmults.clear();
+        self.zero.reset(m);
+        self.zero_lo = 0;
+        self.active.clear();
+        self.active.extend(0..m);
+        self.touched.clear();
+        self.dirty.clear();
+        #[cfg(test)]
+        {
+            self.visits = 0;
+        }
+    }
+}
+
+/// Make `lists` `m` empty lists, keeping every allocation.
+fn reset_lists<T>(lists: &mut Vec<Vec<T>>, m: usize) {
+    lists.truncate(m);
+    lists.iter_mut().for_each(Vec::clear);
+    lists.resize_with(m, Vec::new);
+}
+
+/// Refill `v` with `m` copies of `x`, keeping its allocation.
+fn reset_to<T: Copy>(v: &mut Vec<T>, m: usize, x: T) {
+    v.clear();
+    v.resize(m, x);
+}
+
+/// Record row `r` in `dirty` with `count`, its count before step `k`
+/// first changes it.
+fn note_row(
+    dirty: &mut Vec<(usize, usize)>,
+    row_step: &mut [usize],
+    count: usize,
+    r: usize,
+    k: usize,
+) {
+    if row_step[r] != k {
+        row_step[r] = k;
+        dirty.push((r, count));
+    }
+}
 
 /// Sparse `B = L·U` factorization (row and column permutations implicit in
 /// the pivot order).
@@ -60,12 +227,14 @@ pub struct SparseLu {
 
 impl SparseLu {
     /// Factorize the basis whose columns are given in `cols` (sparse
-    /// `(row, value)` lists, one per basis position). `cols` is consumed
-    /// as elimination workspace: on return every column is empty, ready
-    /// to be refilled for the next refactorization.
+    /// `(row, value)` lists, one per basis position), eliminating in
+    /// `work`. `cols` is consumed as elimination workspace too: on return
+    /// every column is empty, ready to be refilled for the next
+    /// refactorization.
     pub fn factorize(
         m: usize,
         cols: &mut [Vec<(usize, f64)>],
+        work: &mut LuWork,
         pivot_tol: f64,
     ) -> Result<Self, LpError> {
         assert_eq!(cols.len(), m);
@@ -82,17 +251,24 @@ impl SparseLu {
             udiag: Vec::with_capacity(m),
             nnz: 0,
         };
-        // Upper entries accumulate per *column position* during
-        // elimination and are remapped to steps at the end.
-        let mut upper: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-
-        let mut col_active = vec![true; m];
-        let mut row_active = vec![true; m];
-        // row_count[r] = number of active columns containing row r
-        // (kept exact); row_cols[r] = columns that may contain row r
-        // (lazily pruned).
-        let mut row_count = vec![0usize; m];
-        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
+        work.reset(m);
+        let LuWork {
+            upper,
+            col_active,
+            row_count,
+            row_cols,
+            acc,
+            lmults,
+            zero,
+            zero_lo,
+            active,
+            touched,
+            dirty,
+            row_step,
+            col_step,
+            #[cfg(test)]
+            visits,
+        } = work;
         for (j, col) in cols.iter().enumerate() {
             for &(r, _) in col {
                 assert!(r < m, "column {j}: row {r} out of range");
@@ -100,49 +276,38 @@ impl SparseLu {
                 row_cols[r].push(j);
             }
         }
-
-        // Dense scratch for the column updates.
-        let mut acc = vec![0.0f64; m];
-        let mut lmults: Vec<(usize, f64)> = Vec::new();
-
-        for _step in 0..m {
-            // --- pivot search ------------------------------------------
-            let mut best: Option<(usize, usize, f64, usize)> = None; // (row, col, val, cost)
-            for (j, col) in cols.iter().enumerate() {
-                if !col_active[j] {
-                    continue;
-                }
-                let colmax = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
-                if colmax <= pivot_tol {
-                    continue;
-                }
-                let admit = MARKOWITZ_THRESHOLD * colmax;
-                let ccount = col.len();
-                for &(r, v) in col {
-                    if v.abs() < admit || v.abs() <= pivot_tol {
-                        continue;
-                    }
-                    let cost = (row_count[r] - 1) * (ccount - 1);
-                    let better = match best {
-                        None => true,
-                        // On Markowitz ties prefer the larger pivot.
-                        Some((_, _, bv, bcost)) => {
-                            cost < bcost || (cost == bcost && v.abs() > bv.abs())
-                        }
-                    };
-                    if better {
-                        best = Some((r, j, v, cost));
-                    }
-                }
-                // A zero-cost pivot cannot be beaten; stop searching.
-                if matches!(best, Some((_, _, _, 0))) {
-                    break;
-                }
+        for (j, col) in cols.iter().enumerate() {
+            #[cfg(test)]
+            {
+                *visits += col.len();
             }
-            let Some((pr, pc, pv, _)) = best else {
+            zero.set(j, zero_cost_pivot(col, row_count, pivot_tol).is_some());
+        }
+
+        for k in 0..m {
+            // --- pivot search: the lowest zero-cost column, else Markowitz
+            let pick = match zero.iter_from(*zero_lo).next() {
+                Some(j) => {
+                    *zero_lo = j;
+                    #[cfg(test)]
+                    {
+                        *visits += cols[j].len();
+                    }
+                    zero_cost_pivot(&cols[j], row_count, pivot_tol).map(|(r, v)| (r, j, v))
+                }
+                None => {
+                    *zero_lo = m;
+                    active.retain(|&j| col_active[j]);
+                    #[cfg(test)]
+                    {
+                        *visits += active.iter().map(|&j| cols[j].len()).sum::<usize>();
+                    }
+                    markowitz_pivot(cols, active, row_count, pivot_tol)
+                }
+            };
+            let Some((pr, pc, pv)) = pick else {
                 return Err(LpError::SingularBasis);
             };
-            let k = lu.prow.len();
             lu.prow.push(pr);
             lu.pcol.push(pc);
             lu.udiag.push(pv);
@@ -153,12 +318,13 @@ impl SparseLu {
                 if r != pr {
                     lmults.push((r, v / pv));
                     // Pivot column leaves the active set: its rows lose one.
+                    note_row(dirty, row_step, row_count[r], r, k);
                     row_count[r] -= 1;
                 }
             }
             cols[pc].clear();
             col_active[pc] = false;
-            row_active[pr] = false;
+            zero.set(pc, false);
 
             // --- eliminate the pivot row from the other active columns ---
             // Take the candidate list to appease the borrow checker; it is
@@ -173,6 +339,7 @@ impl SparseLu {
                 let Some(pos) = cols[j].iter().position(|&(r, _)| r == pr) else {
                     continue;
                 };
+                touched.push(j);
                 let uval = cols[j][pos].1;
                 upper[j].push((k, uval));
                 cols[j].swap_remove(pos);
@@ -184,13 +351,14 @@ impl SparseLu {
                 for &(r, v) in &cols[j] {
                     acc[r] = v;
                 }
-                for &(r, l) in &lmults {
+                for &(r, l) in lmults.iter() {
                     let before = acc[r];
                     let after = before - l * uval;
                     if before == 0.0 && after != 0.0 {
                         // Fill-in: row r gains column j.
                         let present = cols[j].iter().any(|&(rr, _)| rr == r);
                         if !present {
+                            note_row(dirty, row_step, row_count[r], r, k);
                             row_count[r] += 1;
                             row_cols[r].push(j);
                             cols[j].push((r, 0.0));
@@ -208,14 +376,46 @@ impl SparseLu {
                         cols[j][w] = (r, v);
                         w += 1;
                     } else {
+                        note_row(dirty, row_step, row_count[r], r, k);
                         row_count[r] = row_count[r].saturating_sub(1);
                     }
                 }
                 cols[j].truncate(w);
             }
 
+            // --- re-evaluate the zero-cost set where it may have changed:
+            // the columns this step rewrote, and every active column of a
+            // row whose count reached or left one.
+            let mut revisit = |j: usize| {
+                if col_step[j] != k {
+                    col_step[j] = k;
+                    #[cfg(test)]
+                    {
+                        *visits += cols[j].len();
+                    }
+                    let on = zero_cost_pivot(&cols[j], row_count, pivot_tol).is_some();
+                    zero.set(j, on);
+                    if on {
+                        *zero_lo = (*zero_lo).min(j);
+                    }
+                }
+            };
+            for &j in touched.iter() {
+                revisit(j);
+            }
+            for &(r, before) in dirty.iter() {
+                if (before == 1) != (row_count[r] == 1) {
+                    row_cols[r].retain(|&j| col_active[j]);
+                    for &j in &row_cols[r] {
+                        revisit(j);
+                    }
+                }
+            }
+            touched.clear();
+            dirty.clear();
+
             lu.nnz += 1 + lmults.len() + upper[pc].len();
-            for &(r, l) in &lmults {
+            for &(r, l) in lmults.iter() {
                 lu.lrow.push(r);
                 lu.lval.push(l);
             }
@@ -359,6 +559,320 @@ mod tests {
     use super::*;
     use crate::lu::DenseLu;
 
+    /// Factorize with a fresh workspace.
+    fn factorize(m: usize, cols: &mut [Vec<(usize, f64)>], tol: f64) -> Result<SparseLu, LpError> {
+        SparseLu::factorize(m, cols, &mut LuWork::default(), tol)
+    }
+
+    /// The oracle: the factorization as it was before the zero-cost set,
+    /// whose pivot search rescans every active column in position order
+    /// at each step and stops early only on a zero-cost pivot. The
+    /// production search must choose exactly what this one chooses.
+    fn reference_factorize(
+        m: usize,
+        cols: &mut [Vec<(usize, f64)>],
+        pivot_tol: f64,
+    ) -> Result<SparseLu, LpError> {
+        let mut lu = SparseLu {
+            m,
+            prow: Vec::new(),
+            pcol: Vec::new(),
+            lptr: vec![0],
+            lrow: Vec::new(),
+            lval: Vec::new(),
+            uptr: vec![0],
+            ustep: Vec::new(),
+            uval: Vec::new(),
+            udiag: Vec::new(),
+            nnz: 0,
+        };
+        let mut upper: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        let mut col_active = vec![true; m];
+        let mut row_count = vec![0usize; m];
+        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
+        for (j, col) in cols.iter().enumerate() {
+            for &(r, _) in col {
+                row_count[r] += 1;
+                row_cols[r].push(j);
+            }
+        }
+        let mut acc = vec![0.0f64; m];
+        let mut lmults: Vec<(usize, f64)> = Vec::new();
+        for k in 0..m {
+            let mut best: Option<(usize, usize, f64, usize)> = None;
+            for (j, col) in cols.iter().enumerate() {
+                if !col_active[j] {
+                    continue;
+                }
+                let colmax = col.iter().map(|&(_, v)| v.abs()).fold(0.0f64, f64::max);
+                if colmax <= pivot_tol {
+                    continue;
+                }
+                let admit = MARKOWITZ_THRESHOLD * colmax;
+                let ccount = col.len();
+                for &(r, v) in col {
+                    if v.abs() < admit || v.abs() <= pivot_tol {
+                        continue;
+                    }
+                    let cost = (row_count[r] - 1) * (ccount - 1);
+                    let better = match best {
+                        None => true,
+                        Some((_, _, bv, bcost)) => {
+                            cost < bcost || (cost == bcost && v.abs() > bv.abs())
+                        }
+                    };
+                    if better {
+                        best = Some((r, j, v, cost));
+                    }
+                }
+                if matches!(best, Some((_, _, _, 0))) {
+                    break;
+                }
+            }
+            let Some((pr, pc, pv, _)) = best else {
+                return Err(LpError::SingularBasis);
+            };
+            lu.prow.push(pr);
+            lu.pcol.push(pc);
+            lu.udiag.push(pv);
+            lmults.clear();
+            for &(r, v) in &cols[pc] {
+                if r != pr {
+                    lmults.push((r, v / pv));
+                    row_count[r] -= 1;
+                }
+            }
+            cols[pc].clear();
+            col_active[pc] = false;
+            for j in std::mem::take(&mut row_cols[pr]) {
+                if !col_active[j] {
+                    continue;
+                }
+                let Some(pos) = cols[j].iter().position(|&(r, _)| r == pr) else {
+                    continue;
+                };
+                let uval = cols[j][pos].1;
+                upper[j].push((k, uval));
+                cols[j].swap_remove(pos);
+                row_count[pr] = row_count[pr].saturating_sub(1);
+                if lmults.is_empty() || uval == 0.0 {
+                    continue;
+                }
+                for &(r, v) in &cols[j] {
+                    acc[r] = v;
+                }
+                for &(r, l) in &lmults {
+                    let before = acc[r];
+                    let after = before - l * uval;
+                    if before == 0.0 && after != 0.0 && !cols[j].iter().any(|&(rr, _)| rr == r) {
+                        row_count[r] += 1;
+                        row_cols[r].push(j);
+                        cols[j].push((r, 0.0));
+                    }
+                    acc[r] = after;
+                }
+                let mut w = 0;
+                for i in 0..cols[j].len() {
+                    let (r, _) = cols[j][i];
+                    let v = acc[r];
+                    acc[r] = 0.0;
+                    if v != 0.0 {
+                        cols[j][w] = (r, v);
+                        w += 1;
+                    } else {
+                        row_count[r] = row_count[r].saturating_sub(1);
+                    }
+                }
+                cols[j].truncate(w);
+            }
+            lu.nnz += 1 + lmults.len() + upper[pc].len();
+            for &(r, l) in &lmults {
+                lu.lrow.push(r);
+                lu.lval.push(l);
+            }
+            lu.lptr.push(lu.lrow.len());
+        }
+        for k in 0..m {
+            for &(k2, u) in &upper[lu.pcol[k]] {
+                lu.ustep.push(k2);
+                lu.uval.push(u);
+            }
+            lu.uptr.push(lu.ustep.len());
+        }
+        Ok(lu)
+    }
+
+    /// Same pivots, same structure, bitwise-equal values.
+    fn assert_identical(got: &SparseLu, want: &SparseLu, case: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.prow, want.prow, "{case}: prow");
+        assert_eq!(got.pcol, want.pcol, "{case}: pcol");
+        assert_eq!(
+            (&got.lptr, &got.lrow),
+            (&want.lptr, &want.lrow),
+            "{case}: L"
+        );
+        assert_eq!(bits(&got.lval), bits(&want.lval), "{case}: L values");
+        assert_eq!(
+            (&got.uptr, &got.ustep),
+            (&want.uptr, &want.ustep),
+            "{case}: U"
+        );
+        assert_eq!(bits(&got.uval), bits(&want.uval), "{case}: U values");
+        assert_eq!(bits(&got.udiag), bits(&want.udiag), "{case}: diagonal");
+        assert_eq!(got.nnz, want.nnz, "{case}: nnz");
+    }
+
+    /// A random basis of one of four shapes: slack-heavy, rich in row
+    /// singletons, a dense nucleus in a slack frame, or singular. Values
+    /// come from a small set, so magnitude ties and threshold-edge
+    /// entries are common, and a few entries are explicit zeros.
+    fn random_basis(rng: &mut rand_chacha::ChaCha8Rng, shape: usize) -> Vec<Vec<(usize, f64)>> {
+        use rand::Rng;
+        const VALUES: [f64; 7] = [1.0, -1.0, 2.0, 0.5, -0.25, 0.09, 3.0];
+        let m = rng.gen_range(1..48usize);
+        let mut dense = vec![0.0f64; m * m];
+        let mut put = |rng: &mut rand_chacha::ChaCha8Rng, i: usize, j: usize| {
+            dense[i * m + j] = VALUES[rng.gen_range(0..VALUES.len())];
+        };
+        match shape {
+            // Mostly unit columns, some structurals over random rows.
+            0 => {
+                for j in 0..m {
+                    put(rng, j, j);
+                    if rng.gen_bool(0.3) {
+                        for _ in 0..rng.gen_range(1..4) {
+                            let i = rng.gen_range(0..m);
+                            put(rng, i, j);
+                        }
+                    }
+                }
+            }
+            // A permuted upper-triangular band: chains of row singletons.
+            1 => {
+                for j in 0..m {
+                    put(rng, j, j);
+                    for i in j.saturating_sub(2)..j {
+                        if rng.gen_bool(0.7) {
+                            put(rng, i, j);
+                        }
+                    }
+                }
+            }
+            // A dense nucleus among slack columns.
+            2 => {
+                let k = rng.gen_range(1..=m.min(10));
+                for j in 0..m {
+                    put(rng, j, j);
+                    if j < k {
+                        for i in 0..k {
+                            if rng.gen_bool(0.8) {
+                                put(rng, i, j);
+                            }
+                        }
+                    }
+                }
+            }
+            // Singular: a repeated column or an empty one.
+            _ => {
+                for j in 0..m {
+                    for i in 0..m {
+                        if i == j || rng.gen_bool(0.1) {
+                            put(rng, i, j);
+                        }
+                    }
+                }
+                let (a, b) = (rng.gen_range(0..m), rng.gen_range(0..m));
+                for i in 0..m {
+                    dense[i * m + b] = if rng.gen_bool(0.5) {
+                        dense[i * m + a]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+        // Shuffle positions so singletons are not simply in order.
+        let mut order: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        order
+            .iter()
+            .map(|&j| {
+                let mut col: Vec<(usize, f64)> = (0..m)
+                    .filter(|&i| dense[i * m + j] != 0.0)
+                    .map(|i| (i, dense[i * m + j]))
+                    .collect();
+                if m > 1 && rng.gen_bool(0.05) {
+                    col.push((rng.gen_range(0..m), 0.0));
+                    col.dedup_by_key(|e| e.0);
+                }
+                col
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pivots_match_the_exhaustive_search_on_random_bases() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        // One workspace across every basis size, as a worker reuses it.
+        let mut work = LuWork::default();
+        let mut singular = 0;
+        for case in 0..800 {
+            let cols = random_basis(&mut rng, case % 4);
+            let m = cols.len();
+            let mut mine = cols.clone();
+            let mut theirs = cols;
+            let got = SparseLu::factorize(m, &mut mine, &mut work, 1e-9);
+            let want = reference_factorize(m, &mut theirs, 1e-9);
+            let case = format!("case {case} (m = {m})");
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    assert_identical(&got, &want, &case);
+                    assert!(
+                        mine.iter().all(Vec::is_empty),
+                        "{case}: columns not drained"
+                    );
+                }
+                (Err(LpError::SingularBasis), Err(LpError::SingularBasis)) => singular += 1,
+                (got, want) => panic!("{case}: {:?} vs {:?}", got.err(), want.err()),
+            }
+        }
+        assert!(singular >= 50, "only {singular} singular cases");
+    }
+
+    #[test]
+    fn pivot_search_work_is_linear_on_a_slack_heavy_basis() {
+        // 8 192 structurals over the first rows, upper bidiagonal with a
+        // link into the slack rows, then 8 192 slacks. Every structural
+        // position sits below every slack, and only the last structural
+        // starts with a zero-cost pivot: the exhaustive search rescanned
+        // the structurals before each pick, about m·nnz/2 entry visits.
+        let s = 8192;
+        let m = 2 * s;
+        let mut cols: Vec<Vec<(usize, f64)>> = (0..s)
+            .map(|p| {
+                let mut col = vec![(p, 2.0), (s + p, 0.5)];
+                if p > 0 {
+                    col.push((p - 1, 0.5));
+                }
+                col
+            })
+            .collect();
+        cols.extend((s..m).map(|r| vec![(r, 1.0)]));
+        let nnz: usize = cols.iter().map(Vec::len).sum();
+        let mut work = LuWork::default();
+        let lu = SparseLu::factorize(m, &mut cols, &mut work, 1e-9).unwrap();
+        assert_eq!(lu.prow.len(), m);
+        assert!(
+            work.visits <= 4 * nnz,
+            "{} visits for {nnz} nonzeros",
+            work.visits
+        );
+    }
+
     fn to_sparse_cols(n: usize, a: &[f64]) -> Vec<Vec<(usize, f64)>> {
         (0..n)
             .map(|j| {
@@ -389,7 +903,7 @@ mod tests {
     #[test]
     fn solves_identity() {
         let mut cols = to_sparse_cols(2, &[1.0, 0.0, 0.0, 1.0]);
-        let lu = SparseLu::factorize(2, &mut cols, 1e-9).unwrap();
+        let lu = factorize(2, &mut cols, 1e-9).unwrap();
         assert_eq!(ftran(&lu, &[3.0, -4.0]), vec![3.0, -4.0]);
         assert_eq!(btran(&lu, &[5.0, 6.0]), vec![5.0, 6.0]);
     }
@@ -397,7 +911,7 @@ mod tests {
     #[test]
     fn identity_matches_factorized_identity() {
         let mut cols = to_sparse_cols(3, &[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
-        let factorized = SparseLu::factorize(3, &mut cols, 1e-9).unwrap();
+        let factorized = factorize(3, &mut cols, 1e-9).unwrap();
         let placeholder = SparseLu::identity(3);
         assert_eq!(placeholder.nnz(), factorized.nnz());
         let v = [2.5, -1.0, 0.0];
@@ -409,7 +923,7 @@ mod tests {
     fn solves_permutation() {
         // B = [[0,1],[1,0]] — forces off-diagonal pivots.
         let mut cols = to_sparse_cols(2, &[0.0, 1.0, 1.0, 0.0]);
-        let lu = SparseLu::factorize(2, &mut cols, 1e-9).unwrap();
+        let lu = factorize(2, &mut cols, 1e-9).unwrap();
         assert_eq!(ftran(&lu, &[7.0, 9.0]), vec![9.0, 7.0]);
     }
 
@@ -417,7 +931,7 @@ mod tests {
     fn singular_is_rejected() {
         let mut cols = to_sparse_cols(2, &[1.0, 2.0, 2.0, 4.0]);
         assert!(matches!(
-            SparseLu::factorize(2, &mut cols, 1e-9),
+            factorize(2, &mut cols, 1e-9),
             Err(LpError::SingularBasis)
         ));
     }
@@ -439,7 +953,7 @@ mod tests {
             }
             let dense = DenseLu::factorize(n, a.clone(), 1e-12).unwrap();
             let mut cols = to_sparse_cols(n, &a);
-            let sparse = SparseLu::factorize(n, &mut cols, 1e-12).unwrap();
+            let sparse = factorize(n, &mut cols, 1e-12).unwrap();
             // Workspace columns are drained by the factorization.
             assert!(cols.iter().all(Vec::is_empty));
 
@@ -480,7 +994,7 @@ mod tests {
         }
         let dense = DenseLu::factorize(n, a.clone(), 1e-12).unwrap();
         let mut cols = to_sparse_cols(n, &a);
-        let sparse = SparseLu::factorize(n, &mut cols, 1e-12).unwrap();
+        let sparse = factorize(n, &mut cols, 1e-12).unwrap();
         for r in 0..n {
             let mut e = vec![0.0; n];
             e[r] = 1.0;
@@ -509,7 +1023,7 @@ mod tests {
         let mut cols: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
         cols[3] = vec![(3, 2.0), (7, 1.0), (19, -1.0)];
         cols[7] = vec![(7, 1.5), (3, 0.5)];
-        let lu = SparseLu::factorize(m, &mut cols, 1e-9).unwrap();
+        let lu = factorize(m, &mut cols, 1e-9).unwrap();
         assert!(lu.nnz() <= 56, "nnz {}", lu.nnz());
         let mut rhs = vec![1.0; m];
         let mut s = vec![0.0; m];

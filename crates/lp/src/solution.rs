@@ -37,6 +37,11 @@ pub struct SolveStats {
     /// resumes. Summed over a session's rounds. `0.0` when the solver
     /// clock is disabled ([`crate::clock::set_enabled`]).
     pub setup_ms: f64,
+    /// The part of `solve_ms` spent inside the basis factorization
+    /// ([`crate::slu::SparseLu::factorize`]), summed over every
+    /// refactorization of the solve (a session's rounds included). `0.0`
+    /// when the solver clock is disabled.
+    pub factor_ms: f64,
     /// Dual-simplex pivots performed (0 for primal solves). Dual pivots
     /// are also counted in `iterations`.
     pub dual_pivots: usize,
