@@ -1599,6 +1599,7 @@ fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
     agg.phase1_iterations += s.phase1_iterations;
     agg.refactors += s.refactors;
     agg.ftran_nnz += s.ftran_nnz;
+    agg.btran_nnz += s.btran_nnz;
     agg.solve_ms += s.solve_ms;
     agg.setup_ms += s.setup_ms;
     agg.factor_ms += s.factor_ms;

@@ -45,6 +45,10 @@ pub struct EpochRecord {
     /// Nonzeros produced by the entering-column FTRANs — the honest
     /// measure of linear algebra done, independent of wall clock.
     pub ftran_nnz: u64,
+    /// Nonzeros of the pivot rows' `ρ_r`, the BTRAN density
+    /// ([`lips_lp::SolveStats::btran_nnz`]).
+    #[serde(default)]
+    pub btran_nnz: u64,
     /// Dual-simplex pivots (also counted in `iterations`).
     pub dual_pivots: usize,
     /// Nonbasic bound flips by the dual solver (not counted in
@@ -136,6 +140,7 @@ impl EpochRecord {
             phase1_iterations: stats.phase1_iterations,
             refactors: stats.refactors,
             ftran_nnz: stats.ftran_nnz,
+            btran_nnz: stats.btran_nnz,
             dual_pivots: stats.dual_pivots,
             bound_flips: stats.bound_flips,
             pricing_rounds,
@@ -179,6 +184,7 @@ impl EpochRecord {
             phase1_iterations: 0,
             refactors: 0,
             ftran_nnz: 0,
+            btran_nnz: 0,
             dual_pivots: 0,
             bound_flips: 0,
             pricing_rounds: 0,

@@ -67,7 +67,7 @@
 use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmStart};
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
-use crate::revised::{PivotRow, VarState, Worker};
+use crate::revised::{Eta, PivotRow, SparseVec, VarState, Worker};
 use crate::session::Session;
 use crate::solution::Solution;
 use crate::standard::StandardForm;
@@ -181,6 +181,91 @@ fn refactor_or_prune(w: &mut Worker) -> bool {
     w.refactor().is_ok() || (prune_dependent_basics(w) && w.refactor().is_ok())
 }
 
+/// Whether the basis's structural rank deficit — `m` less a maximum
+/// matching of basis positions to the rows of their nonzeros — exceeds
+/// `limit`. A greedy matching bounds the deficit from above, so Kuhn's
+/// augmenting-path search runs only when the greedy pass leaves more than
+/// `limit` positions free. It stops as soon as the verdict is known: when
+/// at most `limit` positions are left unmatched, or when more than
+/// `limit` have no augmenting path (such a position stays unmatched in
+/// every matching that later augmentations grow from this one).
+fn structurally_deficient(w: &Worker, limit: usize) -> bool {
+    const FREE: usize = usize::MAX;
+    let m = w.m();
+    let mut ptr = Vec::with_capacity(m + 1);
+    let mut rows: Vec<usize> = Vec::new();
+    ptr.push(0);
+    for &j in &w.basis {
+        w.for_col(j, |r, v| {
+            if v != 0.0 {
+                rows.push(r);
+            }
+        });
+        ptr.push(rows.len());
+    }
+    let mut row_match = vec![FREE; m];
+    let mut free: Vec<usize> = Vec::new();
+    for p in 0..m {
+        match rows[ptr[p]..ptr[p + 1]]
+            .iter()
+            .find(|&&r| row_match[r] == FREE)
+        {
+            Some(&r) => row_match[r] = p,
+            None => free.push(p),
+        }
+    }
+    if free.len() <= limit {
+        return false;
+    }
+    // One depth-first search per free position, over alternating paths:
+    // a position's rows, then the positions those rows are matched to.
+    // Each frame is (position, next entry, row it was entered through).
+    let mut seen = vec![usize::MAX; m];
+    let mut stack: Vec<(usize, usize, usize)> = Vec::new();
+    let (mut open, mut unmatched) = (free.len(), 0);
+    for (search, &p0) in free.iter().enumerate() {
+        stack.clear();
+        stack.push((p0, ptr[p0], FREE));
+        let mut found = false;
+        while let Some(top) = stack.last_mut() {
+            let (p, e) = (top.0, top.1);
+            if e == ptr[p + 1] {
+                stack.pop();
+                continue;
+            }
+            top.1 += 1;
+            let r = rows[e];
+            if seen[r] == search {
+                continue;
+            }
+            seen[r] = search;
+            if row_match[r] == FREE {
+                // Augment: every position on the path takes the row the
+                // search left it through.
+                row_match[r] = p;
+                for i in (1..stack.len()).rev() {
+                    row_match[stack[i].2] = stack[i - 1].0;
+                }
+                found = true;
+                break;
+            }
+            stack.push((row_match[r], ptr[row_match[r]], r));
+        }
+        if found {
+            open -= 1;
+            if open <= limit {
+                return false;
+            }
+        } else {
+            unmatched += 1;
+            if unmatched > limit {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// The seeded warm basis failed to factorize: some key-matched columns
 /// no longer span the row space. Identify a maximal independent subset
 /// with a dense rank-revealing elimination and replace each dependent
@@ -190,10 +275,20 @@ fn refactor_or_prune(w: &mut Worker) -> bool {
 /// never touches a healthy solve. Returns `false` when no full basis can
 /// be assembled (the caller declines the carried basis), including
 /// when more than an eighth of the rows (at least 8) are dependent: a
-/// basis that far gone is mostly guessed slacks.
+/// basis that far gone is mostly guessed slacks. A basis whose structural
+/// rank deficit already passes that limit is declined before the sweep:
+/// numerical rank never exceeds structural rank, so the sweep would count
+/// more dependent columns than its limit too.
 fn prune_dependent_basics(w: &mut Worker) -> bool {
     let m = w.m();
     let limit = (m / 8).max(8);
+    if structurally_deficient(w, limit) {
+        return false;
+    }
+    #[cfg(test)]
+    {
+        w.work.sweeps += 1;
+    }
     let n_struct = w.sf.n_structural;
     // Dense copy of the seeded basis columns, a[r * m + p].
     let mut a = vec![0.0; m * m];
@@ -269,7 +364,7 @@ fn prune_dependent_basics(w: &mut Worker) -> bool {
 pub(crate) fn seed_slack_basis(w: &mut Worker) -> Result<(), LpError> {
     let n_struct = w.sf.n_structural;
     for j in 0..n_struct {
-        let (lo, hi) = (w.lb[j], w.ub[j]);
+        let (lo, hi) = (w.sf.lb[j], w.sf.ub[j]);
         let (st, v) = if lo.is_finite() {
             (VarState::AtLower, lo)
         } else if hi.is_finite() {
@@ -331,7 +426,7 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
     w.refresh_reduced_costs();
     let mut shifted: Vec<usize> = Vec::new();
     for j in 0..w.n_real {
-        if w.state[j] == VarState::Basic || w.lb[j] == w.ub[j] {
+        if w.state[j] == VarState::Basic || w.sf.lb[j] == w.sf.ub[j] {
             continue;
         }
         let d = w.d[j];
@@ -360,7 +455,7 @@ pub(crate) fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
     for i in 0..w.m() {
         let j = w.basis[i];
         let v = w.x[j];
-        let (lo, hi) = (w.lb[j], w.ub[j]);
+        let (lo, hi) = (w.sf.lb[j], w.sf.ub[j]);
         let below = lo.is_finite() && v < lo - tol * (1.0 + lo.abs());
         let above = hi.is_finite() && v > hi + tol * (1.0 + hi.abs());
         let viol = if below {
@@ -384,7 +479,7 @@ pub(crate) fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
     }
     best.map(|(i, _)| {
         let j = w.basis[i];
-        let lo = w.lb[j];
+        let lo = w.sf.lb[j];
         let sigma = if lo.is_finite() && w.x[j] < lo {
             -1.0
         } else {
@@ -460,8 +555,8 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
     let tol = w.opts.tol;
     let harris = tol;
     let mut row = PivotRow::new(m, n);
-    let mut wvec = vec![0.0; m];
-    let mut flip_rhs = vec![0.0; m];
+    let mut wvec = SparseVec::new(m);
+    let mut flip_rhs = SparseVec::new(m);
     let mut dual_pivots = 0usize;
     let mut bound_flips = 0usize;
     let mut tiny_pivot_retries = 0usize;
@@ -510,7 +605,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         let mut cand: Vec<Candidate> = Vec::with_capacity(row.touched.len());
         let mut reserve: Vec<Candidate> = Vec::new();
         for &j in &row.touched {
-            if w.state[j] == VarState::Basic || w.lb[j] == w.ub[j] {
+            if w.state[j] == VarState::Basic || w.sf.lb[j] == w.sf.ub[j] {
                 continue;
             }
             let abar = sigma * row.alpha[j];
@@ -543,9 +638,9 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // element is confirmed, so a refactor-retry restarts cleanly.
         let out = w.basis[r];
         let mut slope = if sigma < 0.0 {
-            w.lb[out] - w.x[out]
+            w.sf.lb[out] - w.x[out]
         } else {
-            w.x[out] - w.ub[out]
+            w.x[out] - w.sf.ub[out]
         };
         let mut flips_this: Vec<usize> = Vec::new();
         let entering = loop {
@@ -564,8 +659,8 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                 // perturbed primal admits no feasible point.
                 return Err(LpError::Infeasible);
             };
-            let boxed = w.lb[cand[k].col].is_finite() && w.ub[cand[k].col].is_finite();
-            let gap = w.ub[cand[k].col] - w.lb[cand[k].col];
+            let boxed = w.sf.lb[cand[k].col].is_finite() && w.sf.ub[cand[k].col].is_finite();
+            let gap = w.sf.ub[cand[k].col] - w.sf.lb[cand[k].col];
             if !w.bland && boxed && slope - gap * cand[k].abar.abs() > SLOPE_EPS {
                 slope -= gap * cand[k].abar.abs();
                 let c = cand.remove(k);
@@ -578,10 +673,13 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
 
         // FTRAN the entering column; its r-th component is the
         // authoritative pivot element.
-        wvec.fill(0.0);
-        w.for_col(q, |ri, v| wvec[ri] += v);
+        wvec.clear();
+        w.for_col(q, |ri, v| {
+            wvec.val[ri] += v;
+            wvec.nz.push(ri);
+        });
         w.ftran(&mut wvec);
-        let piv = wvec[r];
+        let piv = wvec.val[r];
         if piv.abs() <= w.opts.pivot_tol {
             // The CSR-accumulated α_rq disagreed with the FTRAN through
             // stale etas: refactorize and retry the iteration with fresh
@@ -596,39 +694,42 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             continue;
         }
         tiny_pivot_retries = 0;
-        w.ftran_nnz += wvec.iter().filter(|&&v| v != 0.0).count() as u64;
+        w.ftran_nnz += wvec.nz.len() as u64;
 
         // Apply the accumulated bound flips: one FTRAN for the whole batch.
         if !flips_this.is_empty() {
-            flip_rhs.fill(0.0);
+            flip_rhs.clear();
             for &j in &flips_this {
                 let (st, xv) = match w.state[j] {
-                    VarState::AtLower => (VarState::AtUpper, w.ub[j]),
-                    _ => (VarState::AtLower, w.lb[j]),
+                    VarState::AtLower => (VarState::AtUpper, w.sf.ub[j]),
+                    _ => (VarState::AtLower, w.sf.lb[j]),
                 };
                 let dx = xv - w.x[j];
-                w.for_col(j, |ri, v| flip_rhs[ri] += v * dx);
+                w.for_col(j, |ri, v| {
+                    flip_rhs.val[ri] += v * dx;
+                    flip_rhs.nz.push(ri);
+                });
                 w.state[j] = st;
                 w.x[j] = xv;
                 bound_flips += 1;
             }
             w.ftran(&mut flip_rhs);
-            for i in 0..m {
-                if flip_rhs[i] != 0.0 {
-                    w.x[w.basis[i]] -= flip_rhs[i];
-                }
+            for &i in &flip_rhs.nz {
+                w.x[w.basis[i]] -= flip_rhs.val[i];
             }
         }
 
         // Pivot: x_q moves by −δ/α_rq, which lands x_out exactly on its
         // violated bound (δ re-read after the flips moved the basics).
-        let target = if sigma < 0.0 { w.lb[out] } else { w.ub[out] };
+        let target = if sigma < 0.0 {
+            w.sf.lb[out]
+        } else {
+            w.sf.ub[out]
+        };
         let delta = target - w.x[out];
         let step = -delta / piv;
-        for i in 0..m {
-            if wvec[i] != 0.0 {
-                w.x[w.basis[i]] -= wvec[i] * step;
-            }
+        for &i in &wvec.nz {
+            w.x[w.basis[i]] -= wvec.val[i] * step;
         }
         w.x[q] += step;
         w.state[out] = if sigma < 0.0 {
@@ -644,17 +745,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // theirs.
         w.update_reduced_costs(&mut row, q, out, entering.d / piv, false);
 
-        let nnz: Vec<(usize, f64)> = wvec
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        w.etas.push(crate::revised::Eta {
-            row: r,
-            diag: piv,
-            nnz,
-        });
+        w.etas.push(Eta::new(r, &wvec));
         if w.etas.len() >= w.opts.refactor_interval {
             w.refactor()?;
             d_fresh = false;
@@ -887,6 +978,55 @@ mod tests {
         assert_eq!(again.stats().warm, WarmOutcome::Dual);
         assert_eq!(again.stats().declined, None);
         assert_eq!(again.stats().dual_pivots, 0);
+    }
+
+    /// Twenty rows; `x0` covers them all, `x1..=x{tied}` share row 0, and
+    /// `tied + 1..=9` more columns sit alone in rows 10 and up. A warm
+    /// start making every column basic completes the basis with the slacks
+    /// of the first rows, so the tied columns compete for row 0 with one
+    /// slack: a structural rank deficit of `tied`.
+    fn tied_basis(tied: usize) -> Result<(), DualDecline> {
+        let mut m = Model::minimize();
+        let n = tied.max(9) + 1;
+        let x: Vec<VarId> = (0..n)
+            .map(|i| m.add_var(format!("x{i}"), 0.0, 1.0, 1.0))
+            .collect();
+        for r in 0..20 {
+            let mut terms = vec![(x[0], 1.0)];
+            if r == 0 {
+                terms.extend((1..=tied).map(|i| (x[i], 1.0 + i as f64)));
+            }
+            if r >= 10 && tied + r - 9 < n {
+                terms.push((x[tied + r - 9], 1.0));
+            }
+            m.add_constraint(terms, Cmp::Le, 100.0);
+        }
+        let mut ws = WarmStart::new();
+        for i in 0..n {
+            ws.set_var(name_key(&format!("x{i}")), BasisStatus::Basic);
+        }
+        let sf = StandardForm::from_model(&m);
+        let states = match_warm_states(&m, &sf, &ws).unwrap();
+        let mut w = Worker::new(sf, RevisedOptions::default());
+        let seeded = seed_basis(&mut w, &states);
+        // The deficit passes the limit of 8 exactly when the basis is
+        // declined after the failed factorization, without a rank sweep.
+        let (refactors, sweeps) = if tied > 8 { (1, 0) } else { (2, 1) };
+        assert_eq!(
+            (w.refactors, w.work.sweeps),
+            (refactors, sweeps),
+            "tied {tied}"
+        );
+        seeded
+    }
+
+    #[test]
+    fn structurally_deficient_basis_declines_before_the_sweep() {
+        assert_eq!(tied_basis(11), Err(DualDecline::Singular));
+        assert_eq!(tied_basis(9), Err(DualDecline::Singular));
+        // Within the limit the sweep still swaps the tied columns out.
+        assert_eq!(tied_basis(3), Ok(()));
+        assert_eq!(tied_basis(8), Ok(()));
     }
 
     #[test]

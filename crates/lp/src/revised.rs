@@ -10,9 +10,16 @@
 //! * **Sparse product-form updates.** The basis inverse is represented as a
 //!   Markowitz-ordered sparse LU factorization ([`crate::slu::SparseLu`])
 //!   plus a file of sparse eta vectors, refactorized periodically.
-//!   FTRAN/BTRAN cost is proportional to the stored nonzeros rather than
-//!   `m²`, which matters because the scheduler's bases are mostly slack
-//!   (unit) columns.
+//! * **Hypersparse FTRAN/BTRAN.** The scheduler's bases are mostly slack
+//!   (unit) columns, and an entering column or a unit `e_r` solves to a
+//!   vector with about a dozen nonzeros. Both solves take the right-hand
+//!   side's support (a `SparseVec`) and walk only the factor steps it
+//!   reaches, then the eta file, and hand back the result's nonzero
+//!   positions in ascending order. The ratio test, the basic-value and
+//!   bound-flip updates, the eta build and the pivot-row accumulation
+//!   walk that list instead of all `m` rows; ascending order keeps every
+//!   tie-break and every eta's entry order. An FTRAN costs its reach plus
+//!   the eta file's touched entries, a BTRAN its reach plus the eta file.
 //! * **Phase 1 with per-row artificials.** Rows whose slack cannot absorb
 //!   the initial residual get a signed artificial column; phase 1 minimizes
 //!   the artificial mass, phase 2 pins artificials to `[0,0]` and restores
@@ -44,7 +51,7 @@ use crate::basis::{BasisStatus, WarmStart};
 use crate::bitset::BitSet;
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
-use crate::slu::{LuWork, SparseLu};
+use crate::slu::{LuWork, SolveWork, SparseLu};
 use crate::solution::{Solution, SolveStats};
 use crate::sparse::{splice_exact, CsrMatrix};
 use crate::standard::{ColumnBatch, StandardForm};
@@ -145,6 +152,7 @@ impl RevisedSimplex {
             refactors: w.refactors,
             factor_ms: w.factor_ms,
             ftran_nnz: w.ftran_nnz,
+            btran_nnz: w.btran_nnz,
             solve_ms: t0.elapsed_ms(),
             setup_ms,
             ..SolveStats::default()
@@ -204,6 +212,71 @@ pub(crate) struct Eta {
     pub(crate) nnz: Vec<(usize, f64)>,
 }
 
+impl Eta {
+    /// The update that pivots on row `r` of the FTRAN'd entering column
+    /// `w`, its off-pivot entries in ascending row order.
+    pub(crate) fn new(r: usize, w: &SparseVec) -> Self {
+        Eta {
+            row: r,
+            diag: w.val[r],
+            nnz: w
+                .nz
+                .iter()
+                .filter(|&&i| i != r)
+                .map(|&i| (i, w.val[i]))
+                .collect(),
+        }
+    }
+}
+
+/// A length-`m` vector with its support: every entry off `nz` is zero (of
+/// either sign). [`Worker::ftran`] and [`Worker::btran`] accept an `nz`
+/// that repeats an index or names zeros, and leave it naming exactly the
+/// nonzeros, in ascending order.
+#[derive(Debug)]
+pub(crate) struct SparseVec {
+    pub(crate) val: Vec<f64>,
+    pub(crate) nz: Vec<usize>,
+}
+
+impl SparseVec {
+    /// The zero vector of length `m`.
+    pub(crate) fn new(m: usize) -> Self {
+        SparseVec {
+            val: vec![0.0; m],
+            nz: Vec::new(),
+        }
+    }
+
+    /// `val` with its nonzeros listed.
+    fn from_dense(val: Vec<f64>) -> Self {
+        let nz = (0..val.len()).filter(|&i| val[i] != 0.0).collect();
+        SparseVec { val, nz }
+    }
+
+    /// Zero the vector, in time proportional to its support.
+    pub(crate) fn clear(&mut self) {
+        for &i in &self.nz {
+            self.val[i] = 0.0;
+        }
+        self.nz.clear();
+    }
+
+    /// Make `nz` name exactly the nonzeros, ascending, given that it
+    /// names each of them (and no index twice).
+    fn exact_support(&mut self) {
+        let m = self.val.len();
+        if self.nz.len() * 4 > m {
+            self.nz.clear();
+            self.nz.extend((0..m).filter(|&i| self.val[i] != 0.0));
+        } else {
+            let val = &self.val;
+            self.nz.retain(|&i| val[i] != 0.0);
+            self.nz.sort_unstable();
+        }
+    }
+}
+
 /// The pivot row of a basis change at row `r`, against the basis before
 /// the change: `ρ_r = B⁻ᵀe_r` and `α_r = ρ_rᵀA`. The primal loop feeds it
 /// to the devex weights and the reduced-cost update, the dual loop to its
@@ -211,7 +284,7 @@ pub(crate) struct Eta {
 /// both).
 pub(crate) struct PivotRow {
     /// `ρ_r = B⁻ᵀe_r`, indexed by row.
-    pub(crate) rho: Vec<f64>,
+    pub(crate) rho: SparseVec,
     /// `α_rj` for the columns in `touched`, zero for every other column.
     pub(crate) alpha: Vec<f64>,
     /// Every column the accumulation reached, basic ones included, in
@@ -225,7 +298,7 @@ impl PivotRow {
     /// Scratch for a basis of `m` rows over `n` columns.
     pub(crate) fn new(m: usize, n: usize) -> Self {
         PivotRow {
-            rho: vec![0.0; m],
+            rho: SparseVec::new(m),
             alpha: vec![0.0; n],
             touched: Vec::new(),
         }
@@ -267,6 +340,8 @@ pub(crate) struct Work {
     pub(crate) drift: f64,
     /// Pricing calls made under Bland's rule.
     pub(crate) bland_prices: usize,
+    /// Dense rank sweeps over a seeded carried basis.
+    pub(crate) sweeps: usize,
 }
 
 /// The simplex machinery of one solve. It owns the lowered model and its
@@ -283,8 +358,6 @@ pub(crate) struct Worker {
     art_cols: Vec<usize>,
     /// Maps artificial column id → row.
     art_row: Vec<usize>,
-    pub(crate) lb: Vec<f64>,
-    pub(crate) ub: Vec<f64>,
     pub(crate) costs: Vec<f64>,
     pub(crate) state: Vec<VarState>,
     /// Basic variable per row.
@@ -295,8 +368,11 @@ pub(crate) struct Worker {
     /// identity until the first one), with `etas` on top.
     factor: SparseLu,
     pub(crate) etas: Vec<Eta>,
-    /// Length-`m` scratch for the factorization's solves.
-    scratch: Vec<f64>,
+    /// Reused workspace of the factorization's solves.
+    solve_work: SolveWork,
+    /// Marks the support of a vector while the eta file grows it; all
+    /// false between solves.
+    support: Vec<bool>,
     /// Reused per-refactorization workspace: the basis columns handed to
     /// the sparse factorization (drained by it, refilled next time).
     spcols: Vec<Vec<(usize, f64)>>,
@@ -320,6 +396,9 @@ pub(crate) struct Worker {
     /// Nonzeros produced by entering-column FTRANs (see
     /// [`SolveStats::ftran_nnz`]).
     pub(crate) ftran_nnz: u64,
+    /// Nonzeros of the pivot rows' `ρ_r` (see
+    /// [`SolveStats::btran_nnz`]).
+    pub(crate) btran_nnz: u64,
     pub(crate) degenerate_run: usize,
     pub(crate) bland: bool,
     in_phase1: bool,
@@ -347,15 +426,14 @@ impl Worker {
             art_sign: vec![0.0; m],
             art_cols: Vec::new(),
             art_row: Vec::new(),
-            lb: sf.lb.clone(),
-            ub: sf.ub.clone(),
             costs: vec![0.0; n_real],
             state: vec![VarState::AtLower; n_real],
             basis: Vec::with_capacity(m),
             x: vec![0.0; n_real],
             factor: SparseLu::identity(m),
             etas: Vec::new(),
-            scratch: vec![0.0; m],
+            solve_work: SolveWork::default(),
+            support: vec![false; m],
             spcols: Vec::new(),
             lu_work: LuWork::default(),
             csr,
@@ -366,6 +444,7 @@ impl Worker {
             refactors: 0,
             factor_ms: 0.0,
             ftran_nnz: 0,
+            btran_nnz: 0,
             degenerate_run: 0,
             bland: false,
             in_phase1: false,
@@ -425,7 +504,7 @@ impl Worker {
     /// Place column `j` nonbasic, honoring a requested status when it is
     /// consistent with the bounds, falling back to the cold placement.
     pub(crate) fn place_nonbasic(&mut self, j: usize, requested: Option<BasisStatus>) {
-        let (lo, hi) = (self.lb[j], self.ub[j]);
+        let (lo, hi) = (self.sf.lb[j], self.sf.ub[j]);
         let (st, v) = match requested {
             Some(BasisStatus::AtLower) if lo.is_finite() => (VarState::AtLower, lo),
             Some(BasisStatus::AtUpper) if hi.is_finite() => (VarState::AtUpper, hi),
@@ -445,7 +524,7 @@ impl Worker {
 
         // Structural variables: rest at the finite bound nearest zero.
         for j in 0..n_struct {
-            let (st, v) = Self::default_nonbasic(self.lb[j], self.ub[j]);
+            let (st, v) = Self::default_nonbasic(self.sf.lb[j], self.sf.ub[j]);
             self.state[j] = st;
             self.x[j] = v;
         }
@@ -465,7 +544,7 @@ impl Worker {
         self.basis.clear();
         for i in 0..m {
             let s = n_struct + i;
-            let (lo, hi) = (self.lb[s], self.ub[s]);
+            let (lo, hi) = (self.sf.lb[s], self.sf.ub[s]);
             let r = resid[i];
             if r >= lo - self.opts.tol && r <= hi + self.opts.tol {
                 self.state[s] = VarState::Basic;
@@ -496,8 +575,8 @@ impl Worker {
         let col = self.n_real + self.art_cols.len();
         self.art_cols.push(col);
         self.art_row.push(row);
-        self.lb.push(0.0);
-        self.ub.push(f64::INFINITY);
+        self.sf.lb.push(0.0);
+        self.sf.ub.push(f64::INFINITY);
         self.costs.push(0.0);
         self.state.push(VarState::Basic);
         self.x.push(0.0);
@@ -549,8 +628,8 @@ impl Worker {
     /// clamp them into `[0, 0]`.
     fn pin_artificials(&mut self) {
         for &j in &self.art_cols {
-            self.lb[j] = 0.0;
-            self.ub[j] = 0.0;
+            self.sf.lb[j] = 0.0;
+            self.sf.ub[j] = 0.0;
             if self.state[j] != VarState::Basic {
                 self.state[j] = VarState::AtLower;
                 self.x[j] = 0.0;
@@ -572,8 +651,6 @@ impl Worker {
         self.csr = CsrMatrix::default();
         self.sf.insert_structurals(&batch);
         self.n_real += k;
-        splice_exact(&mut self.lb, at, batch.lb.iter().copied());
-        splice_exact(&mut self.ub, at, batch.ub.iter().copied());
         splice_exact(&mut self.costs, at, batch.c.iter().copied());
         let placed = || (0..k).map(|t| Self::default_nonbasic(batch.lb[t], batch.ub[t]));
         splice_exact(&mut self.state, at, placed().map(|(st, _)| st));
@@ -632,22 +709,102 @@ impl Worker {
                 self.for_col(j, |r, v| rhs[r] -= v * xj);
             }
         }
+        let mut rhs = SparseVec::from_dense(rhs);
         self.ftran(&mut rhs);
         for i in 0..m {
-            self.x[self.basis[i]] = rhs[i];
+            self.x[self.basis[i]] = rhs.val[i];
         }
     }
 
-    /// Solve `B t = v` in place.
-    pub(crate) fn ftran(&mut self, v: &mut [f64]) {
+    /// Solve `B t = v` in place: the factorization over `v`'s reach, then
+    /// the eta file, whose entries can only grow the support.
+    pub(crate) fn ftran(&mut self, v: &mut SparseVec) {
+        #[cfg(debug_assertions)]
+        let want = self.reference_ftran(&v.val);
         let Worker {
             factor,
-            scratch,
+            solve_work,
             etas,
+            support,
             ..
         } = self;
-        factor.solve_in_place(v, scratch);
-        for eta in etas.iter() {
+        factor.solve_in_place(&mut v.val, &mut v.nz, solve_work);
+        if !etas.is_empty() {
+            for &i in &v.nz {
+                support[i] = true;
+            }
+            for eta in etas.iter() {
+                let tr = v.val[eta.row] / eta.diag;
+                if tr != 0.0 {
+                    for &(i, w) in &eta.nnz {
+                        if !support[i] {
+                            support[i] = true;
+                            v.nz.push(i);
+                        }
+                        v.val[i] -= w * tr;
+                    }
+                }
+                v.val[eta.row] = tr;
+            }
+            for &i in &v.nz {
+                support[i] = false;
+            }
+        }
+        v.exact_support();
+        #[cfg(debug_assertions)]
+        assert_same_solve(v, &want, "ftran");
+    }
+
+    /// Solve `Bᵀ y = v` in place: the eta file backwards, then the
+    /// factorization over the reach of what it leaves.
+    pub(crate) fn btran(&mut self, v: &mut SparseVec) {
+        #[cfg(test)]
+        {
+            self.work.btrans += 1;
+        }
+        #[cfg(debug_assertions)]
+        let want = self.reference_btran(&v.val);
+        let Worker {
+            factor,
+            solve_work,
+            etas,
+            support,
+            ..
+        } = self;
+        if !etas.is_empty() {
+            for &i in &v.nz {
+                support[i] = true;
+            }
+            for eta in etas.iter().rev() {
+                let mut s = v.val[eta.row];
+                for &(i, w) in &eta.nnz {
+                    s -= w * v.val[i];
+                }
+                let y = s / eta.diag;
+                v.val[eta.row] = y;
+                if y != 0.0 && !support[eta.row] {
+                    support[eta.row] = true;
+                    v.nz.push(eta.row);
+                }
+            }
+            for &i in &v.nz {
+                support[i] = false;
+            }
+        }
+        factor.solve_transpose_in_place(&mut v.val, &mut v.nz, solve_work);
+        v.exact_support();
+        #[cfg(debug_assertions)]
+        assert_same_solve(v, &want, "btran");
+    }
+
+    /// The FTRAN [`Worker::ftran`] is checked against in debug builds
+    /// (every test run): the factorization's dense loops, then every eta.
+    #[cfg(debug_assertions)]
+    fn reference_ftran(&self, v: &[f64]) -> Vec<f64> {
+        let mut v = v.to_vec();
+        let mut scratch = vec![0.0; v.len()];
+        self.factor.solve_dense(&mut v, &mut scratch);
+        for eta in &self.etas {
             let tr = v[eta.row] / eta.diag;
             if tr != 0.0 {
                 for &(i, w) in &eta.nnz {
@@ -656,35 +813,30 @@ impl Worker {
             }
             v[eta.row] = tr;
         }
+        v
     }
 
-    /// Solve `Bᵀ y = v` in place.
-    pub(crate) fn btran(&mut self, v: &mut [f64]) {
-        #[cfg(test)]
-        {
-            self.work.btrans += 1;
-        }
-        let Worker {
-            factor,
-            scratch,
-            etas,
-            ..
-        } = self;
-        for eta in etas.iter().rev() {
+    /// The BTRAN [`Worker::btran`] is checked against in debug builds.
+    #[cfg(debug_assertions)]
+    fn reference_btran(&self, v: &[f64]) -> Vec<f64> {
+        let mut v = v.to_vec();
+        for eta in self.etas.iter().rev() {
             let mut s = v[eta.row];
             for &(i, w) in &eta.nnz {
                 s -= w * v[i];
             }
             v[eta.row] = s / eta.diag;
         }
-        factor.solve_transpose_in_place(v, scratch);
+        let mut scratch = vec![0.0; v.len()];
+        self.factor.solve_transpose_dense(&mut v, &mut scratch);
+        v
     }
 
     /// Simplex multipliers `y = B⁻ᵀc_B` for the *current* cost vector.
     pub(crate) fn current_duals(&mut self) -> Vec<f64> {
-        let mut y: Vec<f64> = self.basis.iter().map(|&j| self.costs[j]).collect();
+        let mut y = SparseVec::from_dense(self.basis.iter().map(|&j| self.costs[j]).collect());
         self.btran(&mut y);
-        y
+        y.val
     }
 
     /// Recompute `d` from fresh duals: one BTRAN, then `c_j − yᵀa_j` for
@@ -705,24 +857,23 @@ impl Worker {
         }
     }
 
-    /// The pivot row at basis row `r` into `row`, which must be clear:
-    /// `ρ_r` by one BTRAN, then `α_r` accumulated over the CSR rows of
-    /// `ρ_r`'s support. Artificial columns are signed unit vectors, so
-    /// their `α_rj` is `ρ[row]·sign`.
+    /// The pivot row at basis row `r` into `row`, whose `alpha` must be
+    /// clear: `ρ_r` by one BTRAN, then `α_r` accumulated over the CSR rows
+    /// of `ρ_r`'s nonzeros in ascending order. Artificial columns are
+    /// signed unit vectors, so their `α_rj` is `ρ[row]·sign`.
     pub(crate) fn pivot_row(&mut self, r: usize, row: &mut PivotRow) {
         let PivotRow {
             rho,
             alpha,
             touched,
         } = row;
-        rho.fill(0.0);
-        rho[r] = 1.0;
+        rho.clear();
+        rho.val[r] = 1.0;
+        rho.nz.push(r);
         self.btran(rho);
-        for i in 0..self.m() {
-            let ri = rho[i];
-            if ri == 0.0 {
-                continue;
-            }
+        self.btran_nnz += rho.nz.len() as u64;
+        for &i in &rho.nz {
+            let ri = rho.val[i];
             for (j, a) in self.csr.row(i) {
                 if alpha[j] == 0.0 {
                     touched.push(j);
@@ -732,7 +883,7 @@ impl Worker {
         }
         for (k, &j) in self.art_cols.iter().enumerate() {
             let i = self.art_row[k];
-            let a = rho[i] * self.art_sign[i];
+            let a = rho.val[i] * self.art_sign[i];
             if a != 0.0 {
                 touched.push(j);
                 alpha[j] = a;
@@ -789,7 +940,7 @@ impl Worker {
     /// than `tol`. Returns the direction, `+1` (increase from lower/free)
     /// or `-1` (decrease from upper).
     fn entering_direction(&self, j: usize, tol: f64) -> Option<f64> {
-        if self.lb[j] == self.ub[j] {
+        if self.sf.lb[j] == self.sf.ub[j] {
             return None;
         }
         let d = self.d[j];
@@ -901,7 +1052,7 @@ impl Worker {
         let mut eligible_seen = 0usize;
         for step in 0..n {
             let j = if self.bland { step } else { (start + step) % n };
-            if self.lb[j] == self.ub[j] {
+            if self.sf.lb[j] == self.sf.ub[j] {
                 continue;
             }
             let d = self.d[j];
@@ -934,7 +1085,7 @@ impl Worker {
         let gq = self.devex_w[q];
         let mut needs_reset = false;
         for &j in &row.touched {
-            if j == q || self.state[j] == VarState::Basic || self.lb[j] == self.ub[j] {
+            if j == q || self.state[j] == VarState::Basic || self.sf.lb[j] == self.sf.ub[j] {
                 continue;
             }
             let ratio = row.alpha[j] / alpha_rq;
@@ -988,7 +1139,7 @@ impl Worker {
     fn open_gap(&self) -> f64 {
         let mut gap = 0.0;
         for j in 0..self.ncols() {
-            let range = self.ub[j] - self.lb[j];
+            let range = self.sf.ub[j] - self.sf.lb[j];
             if self.state[j] == VarState::Basic || range == 0.0 || !range.is_finite() {
                 continue;
             }
@@ -1032,7 +1183,7 @@ impl Worker {
         let m = self.m();
         // Per-phase scratch, reused across every iteration of the loop —
         // the per-iteration allocations here used to dominate small pivots.
-        let mut w = vec![0.0; m];
+        let mut w = SparseVec::new(m);
         let mut row = PivotRow::new(m, self.ncols());
         let mut tol = self.opts.tol;
         let mut checked = false;
@@ -1060,24 +1211,23 @@ impl Worker {
             };
 
             // FTRAN the entering column.
-            w.fill(0.0);
-            self.for_col(q, |r, v| w[r] += v);
+            w.clear();
+            self.for_col(q, |r, v| {
+                w.val[r] += v;
+                w.nz.push(r);
+            });
             self.ftran(&mut w);
 
             // Ratio test: how far can x_q move?
-            let bound_gap = if self.lb[q].is_finite() && self.ub[q].is_finite() {
-                self.ub[q] - self.lb[q]
+            let bound_gap = if self.sf.lb[q].is_finite() && self.sf.ub[q].is_finite() {
+                self.sf.ub[q] - self.sf.lb[q]
             } else {
                 f64::INFINITY
             };
             let mut t = bound_gap;
             let mut leaving: Option<(usize, VarState)> = None;
-            let mut wnnz = 0u64;
-            for i in 0..m {
-                let wi = w[i];
-                if wi != 0.0 {
-                    wnnz += 1;
-                }
+            for &i in &w.nz {
+                let wi = w.val[i];
                 if wi.abs() <= self.opts.pivot_tol {
                     continue;
                 }
@@ -1085,14 +1235,14 @@ impl Worker {
                 // x_B changes at rate −dir·w per unit of t.
                 let delta = dir * wi;
                 let (limit, hits) = if delta > 0.0 {
-                    let lo = self.lb[bvar];
+                    let lo = self.sf.lb[bvar];
                     if lo.is_finite() {
                         ((self.x[bvar] - lo) / delta, VarState::AtLower)
                     } else {
                         continue;
                     }
                 } else {
-                    let hi = self.ub[bvar];
+                    let hi = self.sf.ub[bvar];
                     if hi.is_finite() {
                         ((hi - self.x[bvar]) / (-delta), VarState::AtUpper)
                     } else {
@@ -1110,7 +1260,7 @@ impl Worker {
                         } else {
                             // Prefer larger pivot magnitude on near-ties for
                             // numerical stability.
-                            limit < t - 1e-12 || (limit <= t + 1e-12 && wi.abs() > w[cur].abs())
+                            limit < t - 1e-12 || (limit <= t + 1e-12 && wi.abs() > w.val[cur].abs())
                         }
                     }
                 };
@@ -1119,7 +1269,7 @@ impl Worker {
                     leaving = Some((i, hits));
                 }
             }
-            self.ftran_nnz += wnnz;
+            self.ftran_nnz += w.nz.len() as u64;
 
             if t.is_infinite() {
                 return if self.in_phase1 {
@@ -1134,12 +1284,14 @@ impl Worker {
             match leaving {
                 None => {
                     // Bound flip: x_q jumps to its opposite bound.
-                    for i in 0..m {
-                        if w[i] != 0.0 {
-                            self.x[self.basis[i]] -= dir * t * w[i];
-                        }
+                    for &i in &w.nz {
+                        self.x[self.basis[i]] -= dir * t * w.val[i];
                     }
-                    self.x[q] = if dir > 0.0 { self.ub[q] } else { self.lb[q] };
+                    self.x[q] = if dir > 0.0 {
+                        self.sf.ub[q]
+                    } else {
+                        self.sf.lb[q]
+                    };
                     self.state[q] = if dir > 0.0 {
                         VarState::AtUpper
                     } else {
@@ -1148,7 +1300,7 @@ impl Worker {
                     self.mark_eligible(q);
                 }
                 Some((r, hits)) => {
-                    if w[r].abs() <= self.opts.pivot_tol {
+                    if w.val[r].abs() <= self.opts.pivot_tol {
                         // Pivot too small; refactorize and retry this
                         // iteration with fresh numerics.
                         self.refactor()?;
@@ -1160,25 +1312,23 @@ impl Worker {
                     // against the basis *before* this pivot is applied.
                     self.pivot_row(r, &mut row);
                     if !self.bland {
-                        self.devex_update(q, r, w[r], &row);
+                        self.devex_update(q, r, w.val[r], &row);
                     }
-                    for i in 0..m {
-                        if w[i] != 0.0 {
-                            self.x[self.basis[i]] -= dir * t * w[i];
-                        }
+                    for &i in &w.nz {
+                        self.x[self.basis[i]] -= dir * t * w.val[i];
                     }
                     self.x[q] += dir * t;
                     let out = self.basis[r];
                     self.state[out] = hits;
                     // Snap the leaving variable exactly onto its bound.
                     self.x[out] = if hits == VarState::AtLower {
-                        self.lb[out]
+                        self.sf.lb[out]
                     } else {
-                        self.ub[out]
+                        self.sf.ub[out]
                     };
                     self.basis[r] = q;
                     self.state[q] = VarState::Basic;
-                    let diag = w[r];
+                    let diag = w.val[r];
                     let theta = self.d[q] / diag;
                     self.update_reduced_costs(&mut row, q, out, theta, true);
                     d_fresh = false;
@@ -1186,13 +1336,7 @@ impl Worker {
                     {
                         self.work.basis_changes += 1;
                     }
-                    let nnz: Vec<(usize, f64)> = w
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, &v)| i != r && v != 0.0)
-                        .map(|(i, &v)| (i, v))
-                        .collect();
-                    self.etas.push(Eta { row: r, diag, nnz });
+                    self.etas.push(Eta::new(r, &w));
                     if self.etas.len() >= self.opts.refactor_interval {
                         self.refactor()?;
                         self.reprice(tol);
@@ -1214,6 +1358,21 @@ impl Worker {
             self.iterations += 1;
         }
     }
+}
+
+/// A hypersparse solve must give its dense oracle's values bit for bit
+/// (`+0.0` and `−0.0` being equal) and list exactly their nonzeros, in
+/// ascending order.
+#[cfg(debug_assertions)]
+fn assert_same_solve(got: &SparseVec, want: &[f64], what: &str) {
+    for (i, (&g, &w)) in got.val.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g == 0.0 && w == 0.0),
+            "{what}: entry {i}: {g} vs {w}"
+        );
+    }
+    let support: Vec<usize> = (0..want.len()).filter(|&i| want[i] != 0.0).collect();
+    assert_eq!(got.nz, support, "{what}: support");
 }
 
 #[cfg(test)]

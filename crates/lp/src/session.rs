@@ -199,6 +199,7 @@ impl Session {
             refactors: self.w.refactors,
             factor_ms: self.w.factor_ms,
             ftran_nnz: self.w.ftran_nnz,
+            btran_nnz: self.w.btran_nnz,
             ..self.stats
         }
     }

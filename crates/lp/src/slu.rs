@@ -27,11 +27,26 @@
 //!   keeps that scan as the oracle).
 //! * **Factors stored sparsely.** `L` is a sequence of elimination steps
 //!   (pivot row + multiplier list), `U` a per-step column of upper
-//!   entries; FTRAN/BTRAN walk only stored nonzeros.
+//!   entries. Each factor also keeps its step graph both ways round: the
+//!   step each `L` entry's row is pivoted at, and the row-wise structure
+//!   of `U` and of `L`.
+//! * **Hypersparse solves.** A simplex right-hand side is a column or a
+//!   unit vector, and so is most of its solution: on the scheduler's
+//!   bases an FTRAN result has about a dozen nonzeros out of ~150 rows.
+//!   FTRAN and BTRAN therefore find the steps reachable from the
+//!   right-hand side's nonzeros in the step graph (Gilbert & Peierls
+//!   1988; Hall & McKinnon, "Hyper-sparsity in the revised simplex
+//!   method", 2005), sort that reach into elimination order and do the
+//!   dense loops' arithmetic on the reached steps only, the same operands
+//!   in the same order. Every nonzero of the result is bitwise what the
+//!   dense loops give; only an entry the solve never reaches stays `+0.0`
+//!   where the dense loops could leave `−0.0`. A right-hand side or an
+//!   `L` reach above a fixed share of the rows runs the dense loops.
 //! * **Caller-owned workspaces.** The factorization input (the basis
 //!   columns), the elimination workspace ([`LuWork`]) and the solve
-//!   scratch are caller-provided and reused across refactorizations, so
-//!   the steady-state solver allocates only the factors it returns.
+//!   workspace ([`SolveWork`]) are caller-provided and reused across
+//!   refactorizations, so the steady-state solver allocates only the
+//!   factors it returns.
 
 use crate::bitset::BitSet;
 use crate::error::LpError;
@@ -39,6 +54,12 @@ use crate::error::LpError;
 /// Relative threshold for Markowitz pivot admissibility: a candidate must
 /// be at least this fraction of the largest magnitude in its column.
 const MARKOWITZ_THRESHOLD: f64 = 0.1;
+
+/// A solve whose right-hand side, or whose reach through `L`, has more
+/// than `m / HYPERSPARSE_DIVISOR` steps of an `m`-row basis runs the dense
+/// loops: past that share, sorting the reach costs more than the steps it
+/// skips.
+const HYPERSPARSE_DIVISOR: usize = 8;
 
 /// The magnitude a pivot candidate in `col` must reach (threshold
 /// pivoting), or `None` when the whole column is within `pivot_tol` of
@@ -198,11 +219,11 @@ fn note_row(
 /// the pivot order).
 ///
 /// Both factors are stored *flat-packed* (CSR-style pointer/index/value
-/// triples) rather than as per-step `Vec<Vec<_>>`: FTRAN and BTRAN walk
-/// every stored nonzero once per solve, and with one contiguous allocation
-/// per factor that walk is a linear scan instead of a pointer chase
-/// through `m` separate heap blocks. Dual-simplex pivots are BTRAN-heavy,
-/// which makes the packing measurable.
+/// triples) rather than as per-step `Vec<Vec<_>>`: a dense solve walks
+/// every stored nonzero, and with one contiguous allocation per factor
+/// that walk is a linear scan instead of a pointer chase through `m`
+/// separate heap blocks. The step graphs the hypersparse solves search
+/// are packed the same way.
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     m: usize,
@@ -210,11 +231,21 @@ pub struct SparseLu {
     prow: Vec<usize>,
     /// `pcol[k]` = basis *position* (column index) pivoted at step `k`.
     pcol: Vec<usize>,
+    /// `rstep[r]` = the step that pivots row `r` (inverse of `prow`).
+    rstep: Vec<usize>,
+    /// `cstep[p]` = the step that pivots position `p` (inverse of `pcol`).
+    cstep: Vec<usize>,
     /// Step `k`'s L multipliers live at `lptr[k]..lptr[k+1]` in
     /// `lrow`/`lval`; applying the step does `v[lrow[e]] -= lval[e] * t`.
     lptr: Vec<usize>,
     lrow: Vec<usize>,
     lval: Vec<f64>,
+    /// `lstep[e] = rstep[lrow[e]]`, a later step: L's step graph.
+    lstep: Vec<usize>,
+    /// Row-wise structure of L: the steps whose multipliers touch step
+    /// `k`'s pivot row are `ltstep[ltptr[k]..ltptr[k+1]]`, all earlier.
+    ltptr: Vec<usize>,
+    ltstep: Vec<usize>,
     /// Step `k`'s upper entries live at `uptr[k]..uptr[k+1]` in
     /// `ustep`/`uval`: `ustep[e]` is an earlier step `k'` with
     /// `U[k'][k] = uval[e]`; the diagonal lives in `udiag`.
@@ -222,7 +253,128 @@ pub struct SparseLu {
     ustep: Vec<usize>,
     uval: Vec<f64>,
     udiag: Vec<f64>,
+    /// Row-wise structure of U: the later steps `k` with `U[k'][k] ≠ 0`
+    /// are `urstep[urptr[k']..urptr[k'+1]]`.
+    urptr: Vec<usize>,
+    urstep: Vec<usize>,
     nnz: usize,
+}
+
+/// Caller-owned workspace of [`SparseLu`]'s solves, reused across them.
+/// Between two solves `vals` is all zero, `mark` all false and `reach`
+/// empty.
+#[derive(Debug, Default)]
+pub struct SolveWork {
+    /// A hypersparse solve's values, indexed by elimination step.
+    vals: Vec<f64>,
+    /// The steps in `reach`.
+    mark: Vec<bool>,
+    /// The steps a hypersparse solve reaches.
+    reach: Vec<usize>,
+    /// Scratch of the dense loops.
+    dense: Vec<f64>,
+    /// Entries a hypersparse solve visited: graph edges searched, values
+    /// moved and multiply-adds done.
+    #[cfg(test)]
+    visits: usize,
+    /// Solves that ran the dense loops.
+    #[cfg(test)]
+    dense_solves: usize,
+}
+
+impl SolveWork {
+    /// Make room for an `m`-row basis.
+    fn fit(&mut self, m: usize) {
+        if self.vals.len() < m {
+            self.vals.resize(m, 0.0);
+            self.mark.resize(m, false);
+            self.dense.resize(m, 0.0);
+        }
+    }
+
+    /// Add the unmarked `k` to the reach.
+    fn reach_step(&mut self, k: usize) {
+        if !self.mark[k] {
+            self.mark[k] = true;
+            self.reach.push(k);
+        }
+    }
+
+    /// Extend the reach by every step reachable from it along the edges
+    /// `k → adj[ptr[k]..ptr[k+1]]`, using the reach list itself as the
+    /// search's worklist. Returns `false` as soon as the reach grows past
+    /// `limit`.
+    fn search(&mut self, ptr: &[usize], adj: &[usize], limit: usize) -> bool {
+        let mut i = 0;
+        while i < self.reach.len() {
+            let k = self.reach[i];
+            i += 1;
+            let edges = &adj[ptr[k]..ptr[k + 1]];
+            #[cfg(test)]
+            {
+                self.visits += edges.len();
+            }
+            for &t in edges {
+                if !self.mark[t] {
+                    self.mark[t] = true;
+                    self.reach.push(t);
+                }
+            }
+            if self.reach.len() > limit {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Forget the reach of an abandoned hypersparse attempt.
+    fn abandon(&mut self) {
+        for &k in &self.reach {
+            self.mark[k] = false;
+        }
+        self.reach.clear();
+        #[cfg(test)]
+        {
+            self.dense_solves += 1;
+        }
+    }
+}
+
+/// The transpose of the step graph `k → adj[ptr[k]..ptr[k+1]]` over `m`
+/// steps, as its own `(ptr, adj)` pair.
+fn transpose(m: usize, ptr: &[usize], adj: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut tptr = vec![0usize; m + 1];
+    for &t in adj {
+        tptr[t + 1] += 1;
+    }
+    for k in 0..m {
+        tptr[k + 1] += tptr[k];
+    }
+    let mut next = tptr.clone();
+    let mut tadj = vec![0usize; adj.len()];
+    for k in 0..m {
+        for &t in &adj[ptr[k]..ptr[k + 1]] {
+            tadj[next[t]] = k;
+            next[t] += 1;
+        }
+    }
+    (tptr, tadj)
+}
+
+/// Stored entries of the `steps` in the factor whose pointer array is
+/// `ptr`.
+#[cfg(test)]
+fn entries(ptr: &[usize], steps: &[usize]) -> usize {
+    steps.iter().map(|&k| ptr[k + 1] - ptr[k]).sum()
+}
+
+/// `inv[perm[k]] = k`.
+fn invert(perm: &[usize]) -> Vec<usize> {
+    let mut inv = vec![0usize; perm.len()];
+    for (k, &i) in perm.iter().enumerate() {
+        inv[i] = k;
+    }
+    inv
 }
 
 impl SparseLu {
@@ -239,17 +391,10 @@ impl SparseLu {
     ) -> Result<Self, LpError> {
         assert_eq!(cols.len(), m);
         let mut lu = SparseLu {
-            m,
             prow: Vec::with_capacity(m),
             pcol: Vec::with_capacity(m),
-            lptr: vec![0],
-            lrow: Vec::new(),
-            lval: Vec::new(),
-            uptr: vec![0],
-            ustep: Vec::new(),
-            uval: Vec::new(),
             udiag: Vec::with_capacity(m),
-            nnz: 0,
+            ..SparseLu::empty(m)
         };
         work.reset(m);
         let LuWork {
@@ -432,26 +577,59 @@ impl SparseLu {
             }
             lu.uptr.push(lu.ustep.len());
         }
+        lu.index_steps();
         Ok(lu)
+    }
+
+    /// A factorization of `m` rows with no step taken yet.
+    fn empty(m: usize) -> Self {
+        SparseLu {
+            m,
+            prow: Vec::new(),
+            pcol: Vec::new(),
+            rstep: Vec::new(),
+            cstep: Vec::new(),
+            lptr: vec![0],
+            lrow: Vec::new(),
+            lval: Vec::new(),
+            lstep: Vec::new(),
+            ltptr: Vec::new(),
+            ltstep: Vec::new(),
+            uptr: vec![0],
+            ustep: Vec::new(),
+            uval: Vec::new(),
+            udiag: Vec::new(),
+            urptr: Vec::new(),
+            urstep: Vec::new(),
+            nnz: 0,
+        }
+    }
+
+    /// Derive the step graphs the hypersparse solves search from the
+    /// finished factors.
+    fn index_steps(&mut self) {
+        self.rstep = invert(&self.prow);
+        self.cstep = invert(&self.pcol);
+        self.lstep = self.lrow.iter().map(|&r| self.rstep[r]).collect();
+        (self.ltptr, self.ltstep) = transpose(self.m, &self.lptr, &self.lstep);
+        (self.urptr, self.urstep) = transpose(self.m, &self.uptr, &self.ustep);
     }
 
     /// The factorization of the `m × m` identity: no multipliers, no
     /// upper entries, unit diagonal. A solver holds it until its first
     /// basis is factorized, so it never has to ask whether one exists.
     pub fn identity(m: usize) -> Self {
-        SparseLu {
-            m,
+        let mut lu = SparseLu {
             prow: (0..m).collect(),
             pcol: (0..m).collect(),
             lptr: vec![0; m + 1],
-            lrow: Vec::new(),
-            lval: Vec::new(),
             uptr: vec![0; m + 1],
-            ustep: Vec::new(),
-            uval: Vec::new(),
             udiag: vec![1.0; m],
             nnz: m,
-        }
+            ..SparseLu::empty(m)
+        };
+        lu.index_steps();
+        lu
     }
 
     /// Stored nonzeros in `L` and `U` (fill-in diagnostic).
@@ -459,9 +637,172 @@ impl SparseLu {
         self.nnz
     }
 
-    /// Solve `B x = v` in place. On entry `v` is indexed by *row*; on exit
-    /// it is indexed by *basis position* (matching the dense backend's
-    /// convention). `scratch` must have length `m`.
+    /// Solve `B x = v` in place. On entry `v` is indexed by *row* and is
+    /// zero (of either sign) off `nz`, which may name an index twice or
+    /// name zeros. On exit `v` is indexed by *basis position* (matching the
+    /// dense backend's convention) and is zero off `nz`, which then names
+    /// each index at most once, in no particular order.
+    ///
+    /// The solve walks the reach of `nz` (see the [module docs](self)): a
+    /// search of L's step graph from the right-hand side's steps, the `L`
+    /// pass over that reach in ascending step order, a search of U's graph
+    /// from it, and the `U` pass over the grown reach in descending order.
+    /// A right-hand side or an `L` reach above `m / HYPERSPARSE_DIVISOR`
+    /// steps runs the dense loops instead and leaves `nz = 0..m`.
+    pub fn solve_in_place(&self, v: &mut [f64], nz: &mut Vec<usize>, work: &mut SolveWork) {
+        let m = self.m;
+        debug_assert_eq!(v.len(), m);
+        work.fit(m);
+        let limit = m / HYPERSPARSE_DIVISOR;
+        if nz.len() <= limit {
+            for &r in nz.iter() {
+                work.reach_step(self.rstep[r]);
+            }
+        }
+        if nz.len() > limit || !work.search(&self.lptr, &self.lstep, limit) {
+            work.abandon();
+            self.solve_dense(v, &mut work.dense[..m]);
+            nz.clear();
+            nz.extend(0..m);
+            return;
+        }
+        // Into step space: z_k lives at vals[k].
+        for &k in &work.reach {
+            let r = self.prow[k];
+            work.vals[k] = v[r];
+            v[r] = 0.0;
+        }
+        // Forward: L z = v, the reached steps in elimination order.
+        work.reach.sort_unstable();
+        let SolveWork { vals, reach, .. } = &mut *work;
+        for &k in reach.iter() {
+            let t = vals[k];
+            if t != 0.0 {
+                for e in self.lptr[k]..self.lptr[k + 1] {
+                    vals[self.lstep[e]] -= self.lval[e] * t;
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            work.visits += work.reach.len() + entries(&self.lptr, &work.reach);
+        }
+        // Backward: U x = z, over the reach grown through U's graph.
+        work.search(&self.uptr, &self.ustep, usize::MAX);
+        work.reach.sort_unstable();
+        let SolveWork { vals, reach, .. } = &mut *work;
+        for &k in reach.iter().rev() {
+            let xk = vals[k] / self.udiag[k];
+            vals[k] = xk;
+            if xk != 0.0 {
+                for e in self.uptr[k]..self.uptr[k + 1] {
+                    vals[self.ustep[e]] -= self.uval[e] * xk;
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            work.visits += 2 * work.reach.len() + entries(&self.uptr, &work.reach);
+        }
+        // Step space -> basis positions.
+        nz.clear();
+        let SolveWork {
+            vals, mark, reach, ..
+        } = work;
+        for &k in reach.iter() {
+            let p = self.pcol[k];
+            v[p] = vals[k];
+            vals[k] = 0.0;
+            mark[k] = false;
+            nz.push(p);
+        }
+        reach.clear();
+    }
+
+    /// Solve `Bᵀ y = v` in place. On entry `v` is indexed by *basis
+    /// position*, on exit by *row* (again matching the dense backend);
+    /// `nz` names its support as for [`SparseLu::solve_in_place`].
+    ///
+    /// The reach runs the other way round: a search of U's row-wise
+    /// structure from the right-hand side's steps, the `Uᵀ` pass in
+    /// ascending step order, a search of L's row-wise structure, and the
+    /// `Lᵀ` pass in descending order. Both passes pull each step's value
+    /// from its stored column, as the dense loops do; a step outside the
+    /// reach holds zero.
+    pub fn solve_transpose_in_place(
+        &self,
+        v: &mut [f64],
+        nz: &mut Vec<usize>,
+        work: &mut SolveWork,
+    ) {
+        let m = self.m;
+        debug_assert_eq!(v.len(), m);
+        work.fit(m);
+        let limit = m / HYPERSPARSE_DIVISOR;
+        if nz.len() <= limit {
+            for &p in nz.iter() {
+                work.reach_step(self.cstep[p]);
+            }
+        }
+        if nz.len() > limit || !work.search(&self.urptr, &self.urstep, limit) {
+            work.abandon();
+            self.solve_transpose_dense(v, &mut work.dense[..m]);
+            nz.clear();
+            nz.extend(0..m);
+            return;
+        }
+        for &k in &work.reach {
+            let p = self.pcol[k];
+            work.vals[k] = v[p];
+            v[p] = 0.0;
+        }
+        // Forward: Uᵀ w = v, in step order.
+        work.reach.sort_unstable();
+        let SolveWork { vals, reach, .. } = &mut *work;
+        for &k in reach.iter() {
+            let mut s = vals[k];
+            for e in self.uptr[k]..self.uptr[k + 1] {
+                s -= self.uval[e] * vals[self.ustep[e]];
+            }
+            vals[k] = s / self.udiag[k];
+        }
+        #[cfg(test)]
+        {
+            work.visits += work.reach.len() + entries(&self.uptr, &work.reach);
+        }
+        // Backward: Lᵀ y = w, over the reach grown through L's rows.
+        work.search(&self.ltptr, &self.ltstep, usize::MAX);
+        work.reach.sort_unstable();
+        let SolveWork { vals, reach, .. } = &mut *work;
+        for &k in reach.iter().rev() {
+            let mut s = vals[k];
+            for e in self.lptr[k]..self.lptr[k + 1] {
+                s -= self.lval[e] * vals[self.lstep[e]];
+            }
+            vals[k] = s;
+        }
+        #[cfg(test)]
+        {
+            work.visits += 2 * work.reach.len() + entries(&self.lptr, &work.reach);
+        }
+        // Step space -> rows.
+        nz.clear();
+        let SolveWork {
+            vals, mark, reach, ..
+        } = work;
+        for &k in reach.iter() {
+            let r = self.prow[k];
+            v[r] = vals[k];
+            vals[k] = 0.0;
+            mark[k] = false;
+            nz.push(r);
+        }
+        reach.clear();
+    }
+
+    /// [`SparseLu::solve_in_place`] by the dense loops, which walk every
+    /// step: `v` in rows on entry, in basis positions on exit. `scratch`
+    /// must have length `m`.
     ///
     /// The forward pass runs guarded (skipping steps whose pivot value is
     /// exactly zero) while the solve vector stays sparse, and switches to
@@ -469,7 +810,7 @@ impl SparseLu {
     /// of the rows: on a densified vector the zero check is pure
     /// branch-miss cost. The switch cannot change the result — a skipped
     /// step subtracts exact zeros.
-    pub fn solve_in_place(&self, v: &mut [f64], scratch: &mut [f64]) {
+    pub(crate) fn solve_dense(&self, v: &mut [f64], scratch: &mut [f64]) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
         debug_assert_eq!(scratch.len(), m);
@@ -513,16 +854,15 @@ impl SparseLu {
         v.copy_from_slice(scratch);
     }
 
-    /// Solve `Bᵀ y = v` in place. On entry `v` is indexed by *basis
-    /// position*; on exit by *row* (again matching the dense backend).
-    /// `scratch` must have length `m`.
+    /// [`SparseLu::solve_transpose_in_place`] by the dense loops: `v` in
+    /// basis positions on entry, in rows on exit. `scratch` must have
+    /// length `m`.
     ///
-    /// BTRAN is the dual simplex's hot path (`ρ = B⁻ᵀe_r` every pivot),
-    /// and a unit right-hand side leaves every step before the pivot's
-    /// own trivially zero: the forward pass skips whole steps until the
-    /// first nonzero input appears, which is exact because all earlier
+    /// A unit right-hand side leaves every step before the pivot's own
+    /// trivially zero: the forward pass skips whole steps until the first
+    /// nonzero input appears, which is exact because all earlier
     /// intermediate values are zero too.
-    pub fn solve_transpose_in_place(&self, v: &mut [f64], scratch: &mut [f64]) {
+    pub(crate) fn solve_transpose_dense(&self, v: &mut [f64], scratch: &mut [f64]) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
         debug_assert_eq!(scratch.len(), m);
@@ -573,19 +913,7 @@ mod tests {
         cols: &mut [Vec<(usize, f64)>],
         pivot_tol: f64,
     ) -> Result<SparseLu, LpError> {
-        let mut lu = SparseLu {
-            m,
-            prow: Vec::new(),
-            pcol: Vec::new(),
-            lptr: vec![0],
-            lrow: Vec::new(),
-            lval: Vec::new(),
-            uptr: vec![0],
-            ustep: Vec::new(),
-            uval: Vec::new(),
-            udiag: Vec::new(),
-            nnz: 0,
-        };
+        let mut lu = SparseLu::empty(m);
         let mut upper: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
         let mut col_active = vec![true; m];
         let mut row_count = vec![0usize; m];
@@ -699,6 +1027,7 @@ mod tests {
             }
             lu.uptr.push(lu.ustep.len());
         }
+        lu.index_steps();
         Ok(lu)
     }
 
@@ -886,18 +1215,160 @@ mod tests {
             .collect()
     }
 
+    /// The nonzero indices of `v`.
+    fn support(v: &[f64]) -> Vec<usize> {
+        (0..v.len()).filter(|&i| v[i] != 0.0).collect()
+    }
+
     fn ftran(lu: &SparseLu, rhs: &[f64]) -> Vec<f64> {
         let mut v = rhs.to_vec();
-        let mut s = vec![0.0; rhs.len()];
-        lu.solve_in_place(&mut v, &mut s);
+        lu.solve_in_place(&mut v, &mut support(rhs), &mut SolveWork::default());
         v
     }
 
     fn btran(lu: &SparseLu, rhs: &[f64]) -> Vec<f64> {
         let mut v = rhs.to_vec();
-        let mut s = vec![0.0; rhs.len()];
-        lu.solve_transpose_in_place(&mut v, &mut s);
+        lu.solve_transpose_in_place(&mut v, &mut support(rhs), &mut SolveWork::default());
         v
+    }
+
+    /// Equal bit for bit, except that `+0.0` and `−0.0` are equal.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+    }
+
+    /// A random right-hand side of `m` rows with a few nonzeros, as
+    /// `(values, nz)`; `nz` sometimes names an index twice or a zero.
+    fn random_rhs(rng: &mut rand_chacha::ChaCha8Rng, m: usize) -> (Vec<f64>, Vec<usize>) {
+        use rand::Rng;
+        const VALUES: [f64; 6] = [1.0, -1.0, 0.5, 3.0, -0.125, 1e-3];
+        let mut v = vec![0.0; m];
+        let mut nz = Vec::new();
+        for _ in 0..rng.gen_range(1..=3usize.min(m)) {
+            let i = rng.gen_range(0..m);
+            v[i] = VALUES[rng.gen_range(0..VALUES.len())];
+            nz.push(i);
+        }
+        if rng.gen_bool(0.1) {
+            nz.push(nz[0]);
+            nz.push(rng.gen_range(0..m));
+        }
+        (v, nz)
+    }
+
+    #[test]
+    fn hypersparse_solves_match_the_dense_loops() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(30);
+        // One workspace across every basis, as a worker reuses it.
+        let mut work = SolveWork::default();
+        let mut solves = 0;
+        for case in 0..600 {
+            let mut cols = random_basis(&mut rng, case % 3);
+            let m = cols.len();
+            let Ok(lu) = factorize(m, &mut cols, 1e-9) else {
+                continue;
+            };
+            let mut scratch = vec![0.0; m];
+            for rhs in 0..8 {
+                let (v, nz) = random_rhs(&mut rng, m);
+                for transpose in [false, true] {
+                    let (mut got, mut got_nz, mut want) = (v.clone(), nz.clone(), v.clone());
+                    if transpose {
+                        lu.solve_transpose_in_place(&mut got, &mut got_nz, &mut work);
+                        lu.solve_transpose_dense(&mut want, &mut scratch);
+                    } else {
+                        lu.solve_in_place(&mut got, &mut got_nz, &mut work);
+                        lu.solve_dense(&mut want, &mut scratch);
+                    }
+                    let what = format!("case {case} rhs {rhs} transpose {transpose} (m = {m})");
+                    for i in 0..m {
+                        assert!(
+                            same(got[i], want[i]),
+                            "{what}: {i}: {} vs {}",
+                            got[i],
+                            want[i]
+                        );
+                    }
+                    let mut listed = got_nz.clone();
+                    listed.sort_unstable();
+                    listed.dedup();
+                    assert_eq!(listed.len(), got_nz.len(), "{what}: repeats");
+                    for i in support(&got) {
+                        assert!(listed.binary_search(&i).is_ok(), "{what}: {i} unlisted");
+                    }
+                    solves += 1;
+                }
+            }
+            assert!(work.vals.iter().all(|&x| x == 0.0) && work.reach.is_empty());
+            assert!(!work.mark.iter().any(|&b| b), "case {case}: marks left");
+        }
+        // Both the reach and the dense fallback were exercised.
+        assert!(solves > 4000, "{solves} solves");
+        assert!(work.dense_solves > 300, "{} dense", work.dense_solves);
+        assert!(
+            solves - work.dense_solves > 2000,
+            "{} dense",
+            work.dense_solves
+        );
+    }
+
+    #[test]
+    fn unit_solves_visit_their_reach_not_every_row() {
+        // The slack-heavy basis of the pivot-search test: 8 192
+        // structurals in an upper-bidiagonal chain linked to the slack
+        // rows, then 8 192 slacks. A unit vector's reach runs along the
+        // part of the chain it touches; a dense solve walks all 16 384
+        // steps.
+        let s = 8192;
+        let m = 2 * s;
+        let mut cols: Vec<Vec<(usize, f64)>> = (0..s)
+            .map(|p| {
+                let mut col = vec![(p, 2.0), (s + p, 0.5)];
+                if p > 0 {
+                    col.push((p - 1, 0.5));
+                }
+                col
+            })
+            .collect();
+        cols.extend((s..m).map(|r| vec![(r, 1.0)]));
+        let lu = factorize(m, &mut cols, 1e-9).unwrap();
+        let mut work = SolveWork::default();
+        let mut v = vec![0.0; m];
+        let mut nz = Vec::new();
+        // FTRAN of a slack row, of structural rows near the chain's end,
+        // and BTRAN of positions near its start, and of slack positions.
+        let cases = [
+            (false, s + 5),
+            (false, m - 1),
+            (false, 0),
+            (false, 37),
+            (true, s - 1),
+            (true, s - 40),
+            (true, m - 1),
+            (true, m - 3),
+        ];
+        for (transpose, i) in cases {
+            v[i] = 1.0;
+            nz.clear();
+            nz.push(i);
+            work.visits = 0;
+            if transpose {
+                lu.solve_transpose_in_place(&mut v, &mut nz, &mut work);
+            } else {
+                lu.solve_in_place(&mut v, &mut nz, &mut work);
+            }
+            assert!(
+                work.visits <= 8 * nz.len() && nz.len() <= 100,
+                "transpose {transpose}, index {i}: {} visits, reach {}",
+                work.visits,
+                nz.len()
+            );
+            for &j in &nz {
+                v[j] = 0.0;
+            }
+        }
+        assert_eq!(work.dense_solves, 0);
     }
 
     #[test]
@@ -1026,7 +1497,6 @@ mod tests {
         let lu = factorize(m, &mut cols, 1e-9).unwrap();
         assert!(lu.nnz() <= 56, "nnz {}", lu.nnz());
         let mut rhs = vec![1.0; m];
-        let mut s = vec![0.0; m];
-        lu.solve_in_place(&mut rhs, &mut s);
+        lu.solve_in_place(&mut rhs, &mut (0..m).collect(), &mut SolveWork::default());
     }
 }

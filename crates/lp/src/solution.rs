@@ -25,6 +25,10 @@ pub struct SolveStats {
     /// pivots — the honest measure of how much linear algebra the solve
     /// did, independent of wall clock.
     pub ftran_nnz: u64,
+    /// Nonzeros of the pivot rows' `ρ_r = B⁻ᵀe_r`, summed over all basis
+    /// changes: the density of the BTRANs, which a dense/hypersparse
+    /// switch keys on.
+    pub btran_nnz: u64,
     /// How the solve started (cold, or dual from a carried basis).
     pub warm: WarmOutcome,
     /// Wall-clock time of the simplex itself (validation and lowering
