@@ -372,23 +372,6 @@ pub fn certify_with(
     })
 }
 
-/// One column of the full model that a restricted master excluded.
-///
-/// An excluded column is a variable held at value 0 (its lower bound): the
-/// master simply never materialized it. `terms` are its coefficients in
-/// the master's rows, by [`lips_lp::ConstraintId`]; rows it does not touch
-/// contribute zero. `obj` is its objective coefficient in the model's own
-/// sense.
-#[derive(Debug, Clone)]
-pub struct ExcludedColumn {
-    /// The would-be variable's key (see [`lips_lp::Model::add_keyed_var`]),
-    /// reported back in [`RestrictedCertificate::worst_excluded`]; the
-    /// caller renders it only when a certificate fails.
-    pub key: u64,
-    pub obj: f64,
-    pub terms: Vec<(lips_lp::ConstraintId, f64)>,
-}
-
 /// KKT certificate for a restricted master claimed optimal for its *full*
 /// model: the master's own [`Certificate`] plus a pricing pass over every
 /// excluded column.
@@ -453,40 +436,83 @@ impl std::fmt::Display for RestrictedCertificate {
     }
 }
 
+/// The pricing pass over a run of excluded columns (one chunk, or every
+/// chunk so far): the largest raw reduced-cost violation `max(0, −d_j)`
+/// and the key of the first column attaining it, the largest violation
+/// before that column, and the largest `|obj|`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Priced {
+    worst: f64,
+    worst_key: Option<u64>,
+    before_worst: f64,
+    max_obj: f64,
+}
+
+impl Priced {
+    /// Extend the run by `next`, the run that follows it.
+    fn then(self, next: Priced) -> Priced {
+        let max_obj = self.max_obj.max(next.max_obj);
+        if next.worst > self.worst {
+            Priced {
+                before_worst: self.worst.max(next.before_worst),
+                max_obj,
+                ..next
+            }
+        } else {
+            Priced { max_obj, ..self }
+        }
+    }
+}
+
+/// The raw reduced-cost violation `max(0, −d)` of one excluded column, `d
+/// = sign·obj − Σ y_i·a_ij` summed in `terms` order.
+fn raw_violation(
+    y: &[f64],
+    sign: f64,
+    obj: f64,
+    terms: &[(ConstraintId, f64)],
+) -> Result<f64, usize> {
+    let mut d = sign * obj;
+    for &(c, coef) in terms {
+        let i = c.index();
+        let yi = y.get(i).ok_or(i)?;
+        d -= yi * coef;
+    }
+    Ok((-d).max(0.0))
+}
+
 /// Verify a restricted master against its full model without ever building
 /// the full model: certify the master's solution as usual, then price every
 /// excluded column against the master's duals.
+///
+/// An excluded column is a variable held at value 0 (its lower bound): the
+/// master simply never materialized it. `column` describes one: it writes
+/// the column's coefficients in the master's rows, by [`ConstraintId`], to
+/// the buffer it is handed (empty on every call; rows it does not touch
+/// contribute zero) and returns the column's key (see
+/// [`lips_lp::Model::add_keyed_var`], reported back in
+/// [`RestrictedCertificate::worst_excluded`]) and its objective
+/// coefficient in the model's own sense. The columns are re-derived from
+/// the caller's `excluded` items as they are priced, into one reused
+/// buffer per chunk, so pricing allocates nothing per column.
+///
+/// The master's KKT passes *and* the pricing are split across `pool`'s
+/// workers. The pricing is chunked by `COL_CHUNK` and its per-chunk worst
+/// offenders folded in chunk order with a strictly-greater comparison, so
+/// ties resolve to the earliest column — exactly the serial loop's
+/// first-of-ties behavior — and the certificate is bitwise identical at
+/// any pool width.
 ///
 /// A *wrong* claim (master not optimal, or an excluded column with negative
 /// reduced cost) yields an `Ok` certificate whose
 /// [`RestrictedCertificate::is_optimal`] is false; `Err` is reserved for
 /// structurally unusable inputs, as with [`certify`].
-pub fn certify_restricted(
-    master: &Model,
-    sol: &Solution,
-    excluded: &[ExcludedColumn],
-) -> Result<RestrictedCertificate, CertifyError> {
-    certify_restricted_with(Pool::serial(), master, sol, excluded)
-}
-
-/// Per chunk: the worst normalized reduced-cost violation and the global
-/// index of the column attaining it (first of ties), or the dimension
-/// error for an out-of-range row reference.
-type PriceResult = Result<(f64, Option<usize>), CertifyError>;
-
-/// [`certify_restricted`] with the master's KKT passes *and* the
-/// excluded-column re-pricing split across `pool`'s workers.
-///
-/// The pricing pass is chunked by `COL_CHUNK` and its per-chunk worst
-/// offenders folded in chunk order with a strictly-greater comparison, so
-/// ties resolve to the earliest column — exactly the serial loop's
-/// first-of-ties behavior — and the certificate is bitwise identical at
-/// any pool width.
-pub fn certify_restricted_with(
+pub fn certify_restricted_with<T: Sync>(
     pool: Pool,
     master: &Model,
     sol: &Solution,
-    excluded: &[ExcludedColumn],
+    excluded: &[T],
+    column: impl Fn(&T, &mut Vec<(ConstraintId, f64)>) -> (u64, f64) + Sync,
 ) -> Result<RestrictedCertificate, CertifyError> {
     let cert = certify_with(pool, master, sol)?;
     let y = sol.duals();
@@ -494,63 +520,73 @@ pub fn certify_restricted_with(
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
-    // Same normalization as the master's dual-feasibility test, but the
-    // scale must cover the excluded costs too (an excluded column can be
-    // the dearest in the full model).
-    let mut max_cost = 0.0f64;
-    for v in master.var_ids() {
-        max_cost = max_cost.max(master.var_obj(v).abs());
-    }
-    for col in excluded {
-        max_cost = max_cost.max(col.obj.abs());
-    }
-    let cost_scale = 1.0 + max_cost;
-
-    let price_chunk = |_chunk: usize, off: usize, cols: &[ExcludedColumn]| -> PriceResult {
-        let mut worst = 0.0f64;
-        let mut worst_idx = None;
-        for (k, col) in cols.iter().enumerate() {
-            let mut d = sign * col.obj;
-            for &(c, coef) in &col.terms {
-                let i = c.index();
-                if i >= y.len() {
-                    return Err(CertifyError::DimensionMismatch {
-                        expected: master.num_constraints(),
-                        got: i + 1,
-                    });
-                }
-                d -= y[i] * coef;
-            }
-            let viol = (-d).max(0.0) / cost_scale;
-            if viol > worst {
-                worst = viol;
-                worst_idx = Some(off + k);
-            }
-        }
-        Ok((worst, worst_idx))
+    let out_of_range = |i: usize| CertifyError::DimensionMismatch {
+        expected: master.num_constraints(),
+        got: i + 1,
     };
-    let folded = pool.par_chunk_fold(
+
+    // The violations are normalized by a scale that covers the excluded
+    // costs too, which are only known once every column has been
+    // described, so the chunks fold raw violations. Division by a positive
+    // scale is monotone, so the normalized worst is the normalized raw
+    // worst, bit for bit.
+    let price_chunk = |_chunk: usize, _off: usize, items: &[T]| -> Result<Priced, CertifyError> {
+        let mut terms = Vec::new();
+        let mut part = Priced::default();
+        for item in items {
+            terms.clear();
+            let (key, obj) = column(item, &mut terms);
+            let viol = raw_violation(y, sign, obj, &terms).map_err(out_of_range)?;
+            part = part.then(Priced {
+                worst: viol,
+                worst_key: Some(key),
+                before_worst: 0.0,
+                max_obj: obj.abs(),
+            });
+        }
+        Ok(part)
+    };
+    // The first error in chunk order wins, matching the serial loop's
+    // stop-at-first-bad-column behavior.
+    let priced = pool.par_chunk_fold(
         excluded,
         COL_CHUNK,
         price_chunk,
-        Ok((0.0f64, None)),
-        |acc: PriceResult, part| {
-            // The first error in chunk order wins, matching the serial
-            // loop's stop-at-first-bad-column behavior.
-            let (worst, worst_idx) = acc?;
-            let (p_worst, p_idx) = part?;
-            if p_worst > worst {
-                Ok((p_worst, p_idx))
-            } else {
-                Ok((worst, worst_idx))
+        Ok(Priced::default()),
+        |acc: Result<Priced, CertifyError>, part| Ok(acc?.then(part?)),
+    )?;
+
+    // Same normalization as the master's dual-feasibility test, but the
+    // scale must cover the excluded costs too (an excluded column can be
+    // the dearest in the full model).
+    let mut max_cost = priced.max_obj;
+    for v in master.var_ids() {
+        max_cost = max_cost.max(master.var_obj(v).abs());
+    }
+    let cost_scale = 1.0 + max_cost;
+    let max_excluded_violation = priced.worst / cost_scale;
+
+    // The worst column is the first whose *normalized* violation reaches
+    // the maximum: the raw worst, unless rounding makes an earlier,
+    // slightly smaller violation normalize to the same value. Only then
+    // are the columns priced again, up to the first that does.
+    let mut worst_excluded = priced.worst_key.filter(|_| max_excluded_violation > 0.0);
+    if worst_excluded.is_some() && priced.before_worst / cost_scale == max_excluded_violation {
+        let mut terms = Vec::new();
+        for item in excluded {
+            terms.clear();
+            let (key, obj) = column(item, &mut terms);
+            let viol = raw_violation(y, sign, obj, &terms).map_err(out_of_range)?;
+            if viol / cost_scale == max_excluded_violation {
+                worst_excluded = Some(key);
+                break;
             }
-        },
-    );
-    let (worst, worst_idx) = folded?;
+        }
+    }
     Ok(RestrictedCertificate {
         master: cert,
-        max_excluded_violation: worst,
-        worst_excluded: worst_idx.map(|i| excluded[i].key),
+        max_excluded_violation,
+        worst_excluded,
         excluded_priced: excluded.len(),
     })
 }
@@ -559,6 +595,121 @@ pub fn certify_restricted_with(
 mod tests {
     use super::*;
     use lips_lp::Model;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// An excluded column as the tests describe one.
+    #[derive(Debug, Clone)]
+    struct Col {
+        key: u64,
+        obj: f64,
+        terms: Vec<(ConstraintId, f64)>,
+    }
+
+    fn col(key: u64, obj: f64, terms: Vec<(ConstraintId, f64)>) -> Col {
+        Col { key, obj, terms }
+    }
+
+    /// The `column` callback over [`Col`]s.
+    fn describe(c: &Col, terms: &mut Vec<(ConstraintId, f64)>) -> (u64, f64) {
+        assert!(terms.is_empty(), "the buffer must arrive empty");
+        terms.extend_from_slice(&c.terms);
+        (c.key, c.obj)
+    }
+
+    fn certify_restricted(
+        m: &Model,
+        sol: &Solution,
+        excluded: &[Col],
+    ) -> Result<RestrictedCertificate, CertifyError> {
+        certify_restricted_with(Pool::serial(), m, sol, excluded, describe)
+    }
+
+    /// The pricing pass as it was before columns were described by a
+    /// callback: every column's terms materialized up front, each
+    /// violation normalized before the chunk-order, first-of-ties fold.
+    /// Returns `(max_excluded_violation, worst_excluded)`.
+    fn slice_of_columns_pass(
+        pool: Pool,
+        master: &Model,
+        sol: &Solution,
+        excluded: &[Col],
+    ) -> Result<(f64, Option<u64>), CertifyError> {
+        type Part = Result<(f64, Option<usize>), CertifyError>;
+        let y = sol.duals();
+        let sign = match master.sense() {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        let mut max_cost = 0.0f64;
+        for v in master.var_ids() {
+            max_cost = max_cost.max(master.var_obj(v).abs());
+        }
+        for c in excluded {
+            max_cost = max_cost.max(c.obj.abs());
+        }
+        let cost_scale = 1.0 + max_cost;
+        let price_chunk = |_chunk: usize, off: usize, cols: &[Col]| -> Part {
+            let mut worst = 0.0f64;
+            let mut worst_idx = None;
+            for (k, c) in cols.iter().enumerate() {
+                let mut d = sign * c.obj;
+                for &(r, coef) in &c.terms {
+                    let i = r.index();
+                    if i >= y.len() {
+                        return Err(CertifyError::DimensionMismatch {
+                            expected: master.num_constraints(),
+                            got: i + 1,
+                        });
+                    }
+                    d -= y[i] * coef;
+                }
+                let viol = (-d).max(0.0) / cost_scale;
+                if viol > worst {
+                    worst = viol;
+                    worst_idx = Some(off + k);
+                }
+            }
+            Ok((worst, worst_idx))
+        };
+        let (worst, worst_idx) = pool.par_chunk_fold(
+            excluded,
+            COL_CHUNK,
+            price_chunk,
+            Ok((0.0f64, None)),
+            |acc: Part, part| {
+                let (worst, worst_idx) = acc?;
+                let (p_worst, p_idx) = part?;
+                if p_worst > worst {
+                    Ok((p_worst, p_idx))
+                } else {
+                    Ok((worst, worst_idx))
+                }
+            },
+        )?;
+        Ok((worst, worst_idx.map(|i| excluded[i].key)))
+    }
+
+    /// The callback certificate against [`slice_of_columns_pass`], at
+    /// widths 1 and 3: the same violation bits, the same worst key, the
+    /// same error.
+    fn assert_matches_slice_pass(m: &Model, sol: &Solution, excluded: &[Col]) {
+        for threads in [1, 3] {
+            let pool = Pool::new(threads);
+            let want = slice_of_columns_pass(pool, m, sol, excluded);
+            let got = certify_restricted_with(pool, m, sol, excluded, describe).map(|c| {
+                assert_eq!(c.excluded_priced, excluded.len());
+                (c.max_excluded_violation, c.worst_excluded)
+            });
+            match (want, got) {
+                (Ok((wv, wk)), Ok((gv, gk))) => {
+                    assert_eq!(wv.to_bits(), gv.to_bits(), "threads={threads}");
+                    assert_eq!(wk, gk, "threads={threads}");
+                }
+                (want, got) => assert_eq!(want.err(), got.err(), "threads={threads}"),
+            }
+        }
+    }
 
     /// min 2x + 3y  s.t.  x + y ≥ 4,  x ≤ 3,  x,y ∈ [0,10] → x=3, y=1, obj 9.
     fn sample() -> Model {
@@ -686,11 +837,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 2.0);
         let demand = m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         let sol = m.solve().unwrap();
-        let excluded = vec![ExcludedColumn {
-            key: 26,
-            obj: 1.0,
-            terms: vec![(demand, 1.0)],
-        }];
+        let excluded = vec![col(26, 1.0, vec![(demand, 1.0)])];
         let cert = certify_restricted(&m, &sol, &excluded).unwrap();
         assert!(cert.master.is_optimal(), "master alone certifies");
         assert!(!cert.is_optimal(), "{cert}");
@@ -710,11 +857,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 2.0);
         let demand = m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         let sol = m.solve().unwrap();
-        let excluded = vec![ExcludedColumn {
-            key: 26,
-            obj: 3.0,
-            terms: vec![(demand, 1.0)],
-        }];
+        let excluded = vec![col(26, 3.0, vec![(demand, 1.0)])];
         let cert = certify_restricted(&m, &sol, &excluded).unwrap();
         assert!(cert.is_optimal(), "{cert}");
         assert_eq!(cert.max_excluded_violation, 0.0);
@@ -731,11 +874,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 2.0);
         m.add_constraint([(x, 1.0)], Cmp::Ge, 4.0);
         let sol = m.solve().unwrap();
-        let excluded = vec![ExcludedColumn {
-            key: 1,
-            obj: 1.0,
-            terms: vec![(lips_lp::ConstraintId::from_index(7), 1.0)],
-        }];
+        let excluded = vec![col(1, 1.0, vec![(ConstraintId::from_index(7), 1.0)])];
         assert!(matches!(
             certify_restricted(&m, &sol, &excluded),
             Err(CertifyError::DimensionMismatch { .. })
@@ -747,6 +886,7 @@ mod tests {
         let m = sample();
         let sol = m.solve().unwrap();
         let cert = certify_restricted(&m, &sol, &[]).unwrap();
+        assert_eq!(cert.max_excluded_violation, 0.0);
         assert!(cert.is_optimal());
         assert_eq!(cert.excluded_priced, 0);
     }
@@ -786,14 +926,13 @@ mod tests {
         // Excluded columns spanning several chunks, with a deliberate tie:
         // columns 100 and 700 have identical violations, so first-of-ties
         // selection is exercised across a chunk boundary.
-        let excluded: Vec<ExcludedColumn> = (0..1200)
-            .map(|i| ExcludedColumn {
-                key: i as u64,
-                obj: if i == 100 || i == 700 { 0.01 } else { 2.5 },
-                terms: vec![(rows[i % rows.len()], 1.0)],
+        let excluded: Vec<Col> = (0..1200)
+            .map(|i| {
+                let obj = if i == 100 || i == 700 { 0.01 } else { 2.5 };
+                col(i as u64, obj, vec![(rows[i % rows.len()], 1.0)])
             })
             .collect();
-        let rbase = certify_restricted_with(Pool::serial(), &m, &sol, &excluded).unwrap();
+        let rbase = certify_restricted(&m, &sol, &excluded).unwrap();
         for threads in [2, 3, 8] {
             let pool = Pool::new(threads);
             let cert = certify_with(pool, &m, &sol).unwrap();
@@ -808,7 +947,7 @@ mod tests {
             ] {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
-            let rcert = certify_restricted_with(pool, &m, &sol, &excluded).unwrap();
+            let rcert = certify_restricted_with(pool, &m, &sol, &excluded, describe).unwrap();
             assert_eq!(
                 rbase.max_excluded_violation.to_bits(),
                 rcert.max_excluded_violation.to_bits(),
@@ -823,6 +962,72 @@ mod tests {
         if rbase.max_excluded_violation > 0.0 {
             assert_eq!(rbase.worst_excluded, Some(100));
         }
+    }
+
+    #[test]
+    fn callback_pass_matches_the_slice_of_columns_pass() {
+        let (m, rows) = chunky_master(120);
+        let sol = m.solve().unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        for case in 0..24 {
+            // Up to three chunks of columns over random rows, costs that
+            // price some of them out, and exact repeats of earlier columns
+            // under new keys: ties across and within chunks.
+            let n = rng.gen_range(0..1600);
+            let mut excluded: Vec<Col> = Vec::with_capacity(n);
+            for i in 0..n {
+                let key = (case << 32) | i as u64;
+                if i > 0 && rng.gen_bool(0.2) {
+                    let twin = excluded[rng.gen_range(0..i)].clone();
+                    excluded.push(col(key, twin.obj, twin.terms));
+                    continue;
+                }
+                let terms = (0..rng.gen_range(1..5))
+                    .map(|_| (rows[rng.gen_range(0..rows.len())], rng.gen_range(-2.0..3.0)))
+                    .collect();
+                excluded.push(col(key, rng.gen_range(-1.0..6.0), terms));
+            }
+            if case % 6 == 5 && n > 0 {
+                // An out-of-range row: the same error from both passes.
+                let at = rng.gen_range(0..n);
+                excluded[at]
+                    .terms
+                    .push((ConstraintId::from_index(rows.len() + 3), 1.0));
+            }
+            assert_matches_slice_pass(&m, &sol, &excluded);
+        }
+    }
+
+    #[test]
+    fn worst_excluded_is_first_of_normalized_ties() {
+        // One row with dual 1: a column of cost 0 and coefficient a has
+        // raw violation a. The master's cost 2 makes the scale 3. Raw
+        // violations in [1.5, 2) normalize into [0.5, 0.67), whose spacing
+        // is half again theirs, so two adjacent ones can normalize to the
+        // same value; the earlier, smaller one is then the worst column.
+        let mut m = Model::minimize();
+        let x = m.add_var("x", 0.0, 10.0, 2.0);
+        let row = m.add_constraint([(x, 1.0)], Cmp::Ge, 1.0);
+        let sol = lips_lp::Solution::from_parts(2.0, vec![1.0], vec![1.0], 0);
+        let (a, b) = (1..1000)
+            .map(|k| 1.5 + f64::from(k) * f64::EPSILON)
+            .map(|b| (b.next_down(), b))
+            .find(|&(a, b)| a / 3.0 == b / 3.0)
+            .unwrap();
+        let excluded = vec![
+            col(1, 0.0, vec![(row, 0.25)]),
+            col(2, 0.0, vec![(row, a)]),
+            col(3, 0.0, vec![(row, b)]),
+            col(4, 0.0, vec![(row, b)]),
+        ];
+        let cert = certify_restricted(&m, &sol, &excluded).unwrap();
+        assert_eq!(cert.max_excluded_violation.to_bits(), (b / 3.0).to_bits());
+        assert_eq!(cert.worst_excluded, Some(2));
+        assert_matches_slice_pass(&m, &sol, &excluded);
+        // Without the smaller twin the raw worst stands.
+        let cert = certify_restricted(&m, &sol, &excluded[2..]).unwrap();
+        assert_eq!(cert.worst_excluded, Some(3));
+        assert_matches_slice_pass(&m, &sol, &excluded[2..]);
     }
 
     #[test]

@@ -682,7 +682,7 @@ type MachineTerms = Vec<Option<Vec<(VarId, f64)>>>;
 /// arcs it marks become columns; `nd`/fake columns and — crucially — the
 /// *row set* are always exactly those of the full model, so a restricted
 /// master's duals price excluded columns correctly and
-/// [`lips_audit::certify_restricted`] can verify the zero-extension
+/// [`lips_audit::certify_restricted_with`] can verify the zero-extension
 /// argument row-for-row. (Rows whose full-model terms would all be
 /// excluded are still emitted, merely empty for now; their slack stays
 /// basic at zero cost.)
@@ -1199,8 +1199,8 @@ const MAX_ROUNDS: usize = 50;
 /// `(job, machine, store)` arc across epochs.
 #[derive(Debug, Clone, Default)]
 pub struct ColGenState {
-    /// Packed [`ColKey::Task`] keys of the carried arcs.
-    active: BTreeSet<u64>,
+    /// Packed [`ColKey::Task`] keys of the carried arcs, sorted, each once.
+    active: Vec<u64>,
     basis: WarmStart,
 }
 
@@ -1278,8 +1278,8 @@ pub struct ColGenStats {
 /// Seed membership for a restricted master, one flag per arc of `space`:
 /// the `per_job` cheapest arcs of every job (LP cost, ties by
 /// [`name_order`] — Figure 1's dominance calculus as a seeding heuristic)
-/// plus every arc whose key `carried` holds.
-fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&BTreeSet<u64>>) -> Vec<bool> {
+/// plus every arc whose key the sorted `carried` holds.
+fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&[u64]>) -> Vec<bool> {
     let arcs = &space.arcs;
     let mut active = vec![false; arcs.len()];
     let per_job = per_job.max(1);
@@ -1304,7 +1304,7 @@ fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&BTreeSet<u64>>
     }
     if let Some(carried) = carried {
         for (flag, a) in active.iter_mut().zip(arcs) {
-            *flag |= carried.contains(&a.key);
+            *flag |= carried.binary_search(&a.key).is_ok();
         }
     }
     active
@@ -1434,7 +1434,11 @@ fn master_price_loop(
 ) -> Result<MasterRun, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
     let space = arc_space(inst, pool);
-    let mut in_master = seed_active(&space, opts.seed_arcs_per_job, prior.map(|p| &p.active));
+    let mut in_master = seed_active(
+        &space,
+        opts.seed_arcs_per_job,
+        prior.map(|p| p.active.as_slice()),
+    );
     // The basis the next session opens from: the carried one (only read),
     // else a fallback solve's. An empty basis starts the dual from the
     // slack basis.
@@ -1598,6 +1602,7 @@ fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
     agg.iterations += s.iterations;
     agg.phase1_iterations += s.phase1_iterations;
     agg.refactors += s.refactors;
+    agg.singular_refactors += s.singular_refactors;
     agg.ftran_nnz += s.ftran_nnz;
     agg.btran_nnz += s.btran_nnz;
     agg.solve_ms += s.solve_ms;
@@ -1619,28 +1624,24 @@ fn finish(
     pool: Pool,
     carry: bool,
 ) -> Result<SolveReport, EpochSolveError> {
-    // Column assembly for the certificate parallelizes per arc; the
-    // certificate itself splits its KKT and re-pricing passes across the
-    // same pool.
+    // The certificate splits its KKT and re-pricing passes across the
+    // pool, re-deriving each excluded arc's column from the instance as it
+    // prices it.
     let t_cert = lips_lp::clock::Stopwatch::start();
-    let excluded_arcs: Vec<&ArcCand> = run
+    let excluded: Vec<&ArcCand> = run
         .space
         .arcs
         .iter()
         .zip(&run.maps.arc_var)
         .filter_map(|(a, v)| v.is_none().then_some(a))
         .collect();
-    let excluded: Vec<lips_audit::ExcludedColumn> = pool.par_map(&excluded_arcs, |_, a| {
-        let mut terms = Vec::new();
-        arc_terms_into(inst, &run.rows, a, &mut terms);
-        lips_audit::ExcludedColumn {
-            key: a.key,
-            obj: a.cost,
-            terms,
-        }
-    });
+    let rows = &run.rows;
+    let column = |a: &&ArcCand, terms: &mut Vec<(lips_lp::ConstraintId, f64)>| {
+        arc_terms_into(inst, rows, a, terms);
+        (a.key, a.cost)
+    };
     let certificate =
-        match lips_audit::certify_restricted_with(pool, &run.model, &run.sol, &excluded) {
+        match lips_audit::certify_restricted_with(pool, &run.model, &run.sol, &excluded, column) {
             Ok(cert) if cert.is_optimal() => cert,
             Ok(cert) => {
                 let worst = cert.worst_excluded.map(render_col).unwrap_or_default();
@@ -1659,7 +1660,7 @@ fn finish(
         // Carry only the columns that mattered at the optimum (basic or at
         // a nonzero value): the master stays lean across epochs instead of
         // monotonically accreting every column that ever priced in.
-        let active: BTreeSet<u64> = run
+        let mut active: Vec<u64> = run
             .space
             .arcs
             .iter()
@@ -1671,6 +1672,8 @@ fn finish(
                 keep.then_some(a.key)
             })
             .collect();
+        active.sort_unstable();
+        active.dedup();
         let stats = ColGenStats {
             rounds: run.rounds,
             appended: run.appended,
@@ -2239,10 +2242,29 @@ mod tests {
                 if let (Some((state_a, stats_a)), Some((state_b, stats_b))) =
                     (&base.master, &other.master)
                 {
+                    // The carried keys are sorted, each once.
+                    assert!(state_a.active.windows(2).all(|w| w[0] < w[1]), "{at}");
                     assert_eq!(state_a.active, state_b.active, "{at}");
                     assert_eq!(stats_a.active_columns, stats_b.active_columns);
                     assert_eq!(stats_a.appended, stats_b.appended);
                     assert_eq!(stats_a.rounds, stats_b.rounds);
+                    // The next epoch, seeded from each width's carry at
+                    // that width, solves the same way too.
+                    let next_a = solve_master(&inst, Some(state_a), &opts, Some(1)).unwrap();
+                    let next_b = solve_master(&inst, Some(state_b), &opts, Some(threads)).unwrap();
+                    assert_eq!(
+                        next_a.schedule.lp_objective.to_bits(),
+                        next_b.schedule.lp_objective.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        cert_bits(&next_a.certificate),
+                        cert_bits(&next_b.certificate),
+                        "{at}"
+                    );
+                    let carried =
+                        |r: &SolveReport| r.master.as_ref().map(|(s, _)| s.active.clone());
+                    assert_eq!(carried(&next_a), carried(&next_b), "{at}");
                 }
             }
         }
@@ -2363,13 +2385,14 @@ mod tests {
             .pack(),
             BasisStatus::AtLower,
         );
-        state.active.insert(task(0, 1, Some(0)));
-        state.active.insert(task(0, 0, Some(0)));
+        state.active = vec![task(0, 1, Some(0)), task(0, 0, Some(0))];
+        state.active.sort_unstable();
         assert_eq!(state.sanitize_for_cluster(&cluster), 0);
         cluster.machines[1].tp_ecu = 0.0;
         // One carried column plus two basis entries name machine 1.
         assert_eq!(state.sanitize_for_cluster(&cluster), 3);
         assert_eq!(state.carried_columns(), 1);
+        assert_eq!(state.active, [task(0, 0, Some(0))]);
         assert_eq!(
             state.basis.var(task(0, 0, Some(0))),
             Some(BasisStatus::Basic)

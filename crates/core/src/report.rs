@@ -40,8 +40,12 @@ pub struct EpochRecord {
     pub iterations: usize,
     /// Pivots spent in phase 1.
     pub phase1_iterations: usize,
-    /// Basis refactorizations performed.
+    /// Basis refactorizations attempted, the failed ones included.
     pub refactors: usize,
+    /// The attempts among `refactors` that found the basis singular
+    /// ([`lips_lp::SolveStats::singular_refactors`]).
+    #[serde(default)]
+    pub singular_refactors: usize,
     /// Nonzeros produced by the entering-column FTRANs — the honest
     /// measure of linear algebra done, independent of wall clock.
     pub ftran_nnz: u64,
@@ -139,6 +143,7 @@ impl EpochRecord {
             iterations: stats.iterations,
             phase1_iterations: stats.phase1_iterations,
             refactors: stats.refactors,
+            singular_refactors: stats.singular_refactors,
             ftran_nnz: stats.ftran_nnz,
             btran_nnz: stats.btran_nnz,
             dual_pivots: stats.dual_pivots,
@@ -183,6 +188,7 @@ impl EpochRecord {
             iterations: 0,
             phase1_iterations: 0,
             refactors: 0,
+            singular_refactors: 0,
             ftran_nnz: 0,
             btran_nnz: 0,
             dual_pivots: 0,

@@ -5,12 +5,13 @@
 //! restricted certificate must reject masters whose excluded columns
 //! were never priced in.
 
-use lips_audit::{certify_restricted, ExcludedColumn};
+use lips_audit::certify_restricted_with;
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
 use lips_core::lp_build::{
     solve_full, solve_master, ColGenOptions, LpInstance, LpJob, PruneConfig,
 };
-use lips_lp::{Cmp, Model};
+use lips_lp::{Cmp, ConstraintId, Model};
+use lips_par::Pool;
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -110,7 +111,7 @@ proptest! {
     }
 
     /// The certificate must catch a lazy master: if an improving column
-    /// was excluded and never priced in, `certify_restricted` reports a
+    /// was excluded and never priced in, `certify_restricted_with` reports a
     /// dual-feasibility violation and refuses optimality.
     #[test]
     fn certification_rejects_unpriced_masters(
@@ -125,12 +126,14 @@ proptest! {
         let x = m.add_var("x", 0.0, 100.0, dear);
         let row = m.add_constraint([(x, 1.0)], Cmp::Ge, demand);
         let sol = m.solve().unwrap();
-        let excluded = [ExcludedColumn {
-            key: 1,
-            obj: cheap * dear,
-            terms: vec![(row, 1.0)],
-        }];
-        let cert = certify_restricted(&m, &sol, &excluded).unwrap();
+        // Each excluded column is a `(key, cost)` pair with the one
+        // coefficient 1 in the demand row.
+        let column = |&(key, obj): &(u64, f64), terms: &mut Vec<(ConstraintId, f64)>| {
+            terms.push((row, 1.0));
+            (key, obj)
+        };
+        let excluded = [(1, cheap * dear)];
+        let cert = certify_restricted_with(Pool::serial(), &m, &sol, &excluded, column).unwrap();
         prop_assert!(cert.master.is_optimal(), "master itself is optimal");
         prop_assert!(
             !cert.is_optimal(),
@@ -139,12 +142,8 @@ proptest! {
         prop_assert_eq!(cert.worst_excluded, Some(1));
 
         // Sanity: pricing the column in (dear excluded instead) passes.
-        let fine = [ExcludedColumn {
-            key: 2,
-            obj: dear * 2.0,
-            terms: vec![(row, 1.0)],
-        }];
-        let cert2 = certify_restricted(&m, &sol, &fine).unwrap();
+        let fine = [(2, dear * 2.0)];
+        let cert2 = certify_restricted_with(Pool::serial(), &m, &sol, &fine, column).unwrap();
         prop_assert!(cert2.is_optimal(), "{cert2}");
     }
 }

@@ -9,8 +9,6 @@
 //! part of the basis still exists; the dual simplex completes the rest with
 //! slacks or, past repair, starts from the slack basis.
 
-use std::collections::BTreeMap;
-
 /// Simplex status of one variable (or of a row's slack) in a basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasisStatus {
@@ -90,10 +88,14 @@ pub struct DeclinedBasis {
 /// trimmed / completed with slacks before factorization (with the slack
 /// basis as the final fallback), so a warm start can never change the
 /// optimum — only the path to it.
+///
+/// Each side is a vector sorted by key, one entry per key: a lookup is a
+/// binary search, and a snapshot of `n` statuses is one allocation of `n`
+/// entries, with no tree nodes to allocate or chase.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
-    vars: BTreeMap<u64, BasisStatus>,
-    rows: BTreeMap<u64, BasisStatus>,
+    vars: Vec<(u64, BasisStatus)>,
+    rows: Vec<(u64, BasisStatus)>,
 }
 
 /// FNV-1a offset basis and prime (64-bit).
@@ -142,12 +144,12 @@ impl WarmStart {
     /// Build from `(key, status)` pairs; on a repeated key the last pair
     /// wins, as with repeated [`WarmStart::set_var`] calls.
     pub(crate) fn from_entries(
-        vars: impl IntoIterator<Item = (u64, BasisStatus)>,
-        rows: impl IntoIterator<Item = (u64, BasisStatus)>,
+        vars: impl Iterator<Item = (u64, BasisStatus)> + Clone,
+        rows: impl Iterator<Item = (u64, BasisStatus)> + Clone,
     ) -> Self {
         WarmStart {
-            vars: vars.into_iter().collect(),
-            rows: rows.into_iter().collect(),
+            vars: sorted_last_wins(vars),
+            rows: sorted_last_wins(rows),
         }
     }
 
@@ -163,25 +165,26 @@ impl WarmStart {
 
     /// Record the status of a variable by key.
     pub fn set_var(&mut self, key: u64, status: BasisStatus) {
-        self.vars.insert(key, status);
+        set(&mut self.vars, key, status);
     }
 
     /// Record the status of a row's slack by row key.
     pub fn set_row(&mut self, key: u64, status: BasisStatus) {
-        self.rows.insert(key, status);
+        set(&mut self.rows, key, status);
     }
 
     /// Look up a variable status by key.
     pub fn var(&self, key: u64) -> Option<BasisStatus> {
-        self.vars.get(&key).copied()
+        get(&self.vars, key)
     }
 
     /// Look up a row-slack status by row key.
     pub fn row(&self, key: u64) -> Option<BasisStatus> {
-        self.rows.get(&key).copied()
+        get(&self.rows, key)
     }
 
-    /// Keep only the variable statuses whose key satisfies `keep`.
+    /// Keep only the variable statuses whose key satisfies `keep`, visited
+    /// in key order.
     ///
     /// Used when the model the basis was taken from loses structure — e.g.
     /// a machine is revoked and every column touching it vanishes. Feeding
@@ -189,27 +192,67 @@ impl WarmStart {
     /// up front leaves a smaller but honest basis the solver completes with
     /// slacks.
     pub fn retain_vars(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        self.vars.retain(|&key, _| keep(key));
+        self.vars.retain(|&(key, _)| keep(key));
     }
 
-    /// Keep only the row statuses whose key satisfies `keep`.
+    /// Keep only the row statuses whose key satisfies `keep`, visited in
+    /// key order.
     pub fn retain_rows(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        self.rows.retain(|&key, _| keep(key));
+        self.rows.retain(|&(key, _)| keep(key));
     }
 
     /// Number of variables and rows recorded as [`BasisStatus::Basic`].
     pub fn num_basic(&self) -> usize {
         self.vars
-            .values()
-            .chain(self.rows.values())
-            .filter(|&&s| s == BasisStatus::Basic)
+            .iter()
+            .chain(&self.rows)
+            .filter(|&&(_, s)| s == BasisStatus::Basic)
             .count()
     }
+}
+
+/// The status of `key` in a key-sorted side.
+fn get(side: &[(u64, BasisStatus)], key: u64) -> Option<BasisStatus> {
+    side.binary_search_by_key(&key, |&(k, _)| k)
+        .ok()
+        .map(|i| side[i].1)
+}
+
+/// Record `status` for `key` in a key-sorted side, replacing any earlier
+/// status of the same key.
+fn set(side: &mut Vec<(u64, BasisStatus)>, key: u64, status: BasisStatus) {
+    match side.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => side[i].1 = status,
+        Err(i) => side.insert(i, (key, status)),
+    }
+}
+
+/// `entries` sorted by key, one per key, the last status of a repeated
+/// key winning. The entries are collected once and sorted in place (an
+/// unstable sort, with no scratch copy). Such a sort keeps an arbitrary
+/// one of a repeated key's statuses, so only when a key repeats are the
+/// entries walked a second time, in order, each status overwriting the
+/// last.
+fn sorted_last_wins(
+    entries: impl Iterator<Item = (u64, BasisStatus)> + Clone,
+) -> Vec<(u64, BasisStatus)> {
+    let mut side: Vec<_> = entries.clone().collect();
+    side.sort_unstable_by_key(|&(k, _)| k);
+    let before = side.len();
+    side.dedup_by_key(|&mut (k, _)| k);
+    if side.len() < before {
+        for (key, status) in entries {
+            set(&mut side, key, status);
+        }
+    }
+    side
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn roundtrip_and_counts() {
@@ -249,11 +292,107 @@ mod tests {
     #[test]
     fn from_entries_is_last_wins() {
         let ws = WarmStart::from_entries(
-            [(7, BasisStatus::Basic), (7, BasisStatus::AtUpper)],
-            [(1, BasisStatus::AtLower)],
+            [(7, BasisStatus::Basic), (7, BasisStatus::AtUpper)].into_iter(),
+            [(1, BasisStatus::AtLower)].into_iter(),
         );
         assert_eq!(ws.var(7), Some(BasisStatus::AtUpper));
         assert_eq!(ws.len(), 2);
+    }
+
+    /// One step of the oracle test: a mutation of a [`WarmStart`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        SetVar(u64, BasisStatus),
+        SetRow(u64, BasisStatus),
+        /// Keep the variables whose key is not ≡ 0 (mod the modulus).
+        RetainVars(u64),
+        RetainRows(u64),
+        /// Replace everything by `from_entries` of these pairs.
+        Rebuild(Vec<(u64, BasisStatus)>, Vec<(u64, BasisStatus)>),
+    }
+
+    const STATUSES: [BasisStatus; 4] = [
+        BasisStatus::Basic,
+        BasisStatus::AtLower,
+        BasisStatus::AtUpper,
+        BasisStatus::Free,
+    ];
+
+    /// Keys from a small range, so sets, lookups and rebuilds repeat keys.
+    fn entry() -> impl Strategy<Value = (u64, BasisStatus)> {
+        (0u64..24, 0usize..4).prop_map(|(k, s)| (k, STATUSES[s]))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u8..5,
+            entry(),
+            2u64..5,
+            prop::collection::vec(entry(), 0..20),
+            prop::collection::vec(entry(), 0..20),
+        )
+            .prop_map(|(kind, (k, s), modulus, vars, rows)| match kind {
+                0 => Op::SetVar(k, s),
+                1 => Op::SetRow(k, s),
+                2 => Op::RetainVars(modulus),
+                3 => Op::RetainRows(modulus),
+                _ => Op::Rebuild(vars, rows),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sorted sides agree with a `BTreeMap` oracle after every
+        /// step, duplicate keys in a rebuild included (the last wins).
+        #[test]
+        fn sorted_sides_match_a_btreemap_oracle(ops in prop::collection::vec(op(), 1..40)) {
+            let mut ws = WarmStart::new();
+            let mut vars: BTreeMap<u64, BasisStatus> = BTreeMap::new();
+            let mut rows: BTreeMap<u64, BasisStatus> = BTreeMap::new();
+            for op in &ops {
+                match op {
+                    Op::SetVar(k, s) => {
+                        ws.set_var(*k, *s);
+                        vars.insert(*k, *s);
+                    }
+                    Op::SetRow(k, s) => {
+                        ws.set_row(*k, *s);
+                        rows.insert(*k, *s);
+                    }
+                    Op::RetainVars(m) => {
+                        let mut seen = Vec::new();
+                        ws.retain_vars(|k| {
+                            seen.push(k);
+                            k % m != 0
+                        });
+                        prop_assert!(seen.windows(2).all(|w| w[0] < w[1]), "not in key order");
+                        vars.retain(|k, _| k % m != 0);
+                    }
+                    Op::RetainRows(m) => {
+                        ws.retain_rows(|k| k % m != 0);
+                        rows.retain(|k, _| k % m != 0);
+                    }
+                    Op::Rebuild(v, r) => {
+                        ws = WarmStart::from_entries(v.iter().copied(), r.iter().copied());
+                        vars = v.iter().copied().collect();
+                        rows = r.iter().copied().collect();
+                    }
+                }
+                for k in 0..24 {
+                    prop_assert_eq!(ws.var(k), vars.get(&k).copied());
+                    prop_assert_eq!(ws.row(k), rows.get(&k).copied());
+                }
+                prop_assert_eq!(ws.len(), vars.len() + rows.len());
+                prop_assert_eq!(ws.is_empty(), vars.is_empty() && rows.is_empty());
+                let basic = vars
+                    .values()
+                    .chain(rows.values())
+                    .filter(|&&s| s == BasisStatus::Basic)
+                    .count();
+                prop_assert_eq!(ws.num_basic(), basic);
+            }
+        }
     }
 
     #[test]

@@ -1011,12 +1011,18 @@ mod tests {
         let seeded = seed_basis(&mut w, &states);
         // The deficit passes the limit of 8 exactly when the basis is
         // declined after the failed factorization, without a rank sweep.
+        // Either way the first attempt found the basis singular.
         let (refactors, sweeps) = if tied > 8 { (1, 0) } else { (2, 1) };
         assert_eq!(
-            (w.refactors, w.work.sweeps),
-            (refactors, sweeps),
+            (w.refactors, w.singular_refactors, w.work.sweeps),
+            (refactors, 1, sweeps),
             "tied {tied}"
         );
+        // A session reports the failed attempt too: the slack basis it
+        // falls back to, and every later refactorization, factorize.
+        let stats = Session::open(&m, &ws).unwrap().stats();
+        assert_eq!(stats.singular_refactors, 1, "tied {tied}");
+        assert!(stats.refactors > stats.singular_refactors, "tied {tied}");
         seeded
     }
 

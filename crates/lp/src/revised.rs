@@ -150,6 +150,7 @@ impl RevisedSimplex {
             iterations: w.iterations,
             phase1_iterations: w.phase1_iterations,
             refactors: w.refactors,
+            singular_refactors: w.singular_refactors,
             factor_ms: w.factor_ms,
             ftran_nnz: w.ftran_nnz,
             btran_nnz: w.btran_nnz,
@@ -389,7 +390,10 @@ pub(crate) struct Worker {
     pub(crate) d: Vec<f64>,
     pub(crate) iterations: usize,
     pub(crate) phase1_iterations: usize,
+    /// Refactorizations attempted ([`Worker::refactor`] calls).
     pub(crate) refactors: usize,
+    /// The attempts among `refactors` that found the basis singular.
+    pub(crate) singular_refactors: usize,
     /// Wall time inside [`SparseLu::factorize`] (see
     /// [`SolveStats::factor_ms`]).
     pub(crate) factor_ms: f64,
@@ -442,6 +446,7 @@ impl Worker {
             iterations: 0,
             phase1_iterations: 0,
             refactors: 0,
+            singular_refactors: 0,
             factor_ms: 0.0,
             ftran_nnz: 0,
             btran_nnz: 0,
@@ -672,7 +677,9 @@ impl Worker {
     }
 
     /// Rebuild the basis factorization and recompute the basic values from
-    /// scratch (limits numerical drift).
+    /// scratch (limits numerical drift). Every call counts in `refactors`;
+    /// one that finds the basis singular also counts in
+    /// `singular_refactors` and leaves the factorization as it was.
     ///
     /// The working storage is recycled across calls: the per-column
     /// workspace the previous factorization drained is refilled, and the
@@ -693,7 +700,7 @@ impl Worker {
         let res = SparseLu::factorize(m, &mut cols, &mut self.lu_work, self.opts.pivot_tol);
         self.factor_ms += t0.elapsed_ms();
         self.spcols = cols;
-        self.factor = res?;
+        self.factor = res.inspect_err(|_| self.singular_refactors += 1)?;
         self.etas.clear();
         self.recompute_basic_values();
         Ok(())

@@ -197,6 +197,7 @@ impl Session {
         SolveStats {
             iterations: self.w.iterations,
             refactors: self.w.refactors,
+            singular_refactors: self.w.singular_refactors,
             factor_ms: self.w.factor_ms,
             ftran_nnz: self.w.ftran_nnz,
             btran_nnz: self.w.btran_nnz,

@@ -19,8 +19,12 @@ pub struct SolveStats {
     /// Pivots spent in phase 1 (always zero for the dual solver, which
     /// needs none).
     pub phase1_iterations: usize,
-    /// Basis refactorizations performed.
+    /// Basis refactorizations attempted, the failed ones included.
     pub refactors: usize,
+    /// The attempts among `refactors` that found the basis singular and
+    /// factorized nothing (a carried basis declined at seeding, a rank
+    /// sweep's first try).
+    pub singular_refactors: usize,
     /// Nonzeros produced by the entering-column FTRANs, summed over all
     /// pivots — the honest measure of how much linear algebra the solve
     /// did, independent of wall clock.

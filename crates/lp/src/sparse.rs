@@ -18,28 +18,47 @@ pub struct CscMatrix {
 impl CscMatrix {
     /// Build from unsorted triplets; duplicate `(row, col)` entries are
     /// summed, exact zeros after summation are dropped.
+    ///
+    /// The entries are counted per column and scattered, in input order,
+    /// into one flat array: each column's run reaches `merge_column` in
+    /// the order its triplets arrived, with no allocation per column.
     pub fn from_triplets(
         nrows: usize,
         ncols: usize,
         triplets: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Self {
-        // Bucket by column, then sort each bucket by row and merge dups.
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
-        for (r, c, v) in triplets {
+        let triplets: Vec<(usize, usize, f64)> = triplets.into_iter().collect();
+        // `col_ptr[c + 1]` counts column `c`; the prefix sum turns
+        // `col_ptr[c]` into the start of its run.
+        let mut col_ptr = vec![0usize; ncols + 1];
+        for &(r, c, _) in &triplets {
             assert!(
                 r < nrows && c < ncols,
                 "triplet ({r},{c}) out of {nrows}x{ncols}"
             );
-            cols[c].push((r, v));
+            col_ptr[c + 1] += 1;
         }
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
-        for bucket in &mut cols {
-            merge_column(bucket, &mut row_idx, &mut values);
-            col_ptr.push(row_idx.len());
+        for c in 0..ncols {
+            col_ptr[c + 1] += col_ptr[c];
         }
+        // Scatter: `col_ptr[c]` walks from the start of column `c`'s run
+        // to its end, which is where column `c + 1`'s run starts.
+        let mut flat = vec![(0usize, 0.0f64); triplets.len()];
+        for &(r, c, v) in &triplets {
+            flat[col_ptr[c]] = (r, v);
+            col_ptr[c] += 1;
+        }
+        drop(triplets);
+        let mut row_idx = Vec::with_capacity(flat.len());
+        let mut values = Vec::with_capacity(flat.len());
+        let mut start = 0;
+        for ptr in &mut col_ptr[..ncols] {
+            let end = *ptr;
+            *ptr = row_idx.len();
+            merge_column(&mut flat[start..end], &mut row_idx, &mut values);
+            start = end;
+        }
+        col_ptr[ncols] = row_idx.len();
         CscMatrix {
             nrows,
             ncols,
@@ -293,6 +312,62 @@ mod tests {
     #[should_panic]
     fn out_of_range_triplet_panics() {
         CscMatrix::from_triplets(1, 1, [(1, 0, 1.0)]);
+    }
+
+    /// The bucketed lowering `from_triplets` replaced: one `Vec` per
+    /// column, each merged in arrival order.
+    fn bucketed(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> CscMatrix {
+        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
+        for &(r, c, v) in triplets {
+            cols[c].push((r, v));
+        }
+        let mut col_ptr = vec![0];
+        let (mut row_idx, mut values) = (Vec::new(), Vec::new());
+        for bucket in &mut cols {
+            merge_column(bucket, &mut row_idx, &mut values);
+            col_ptr.push(row_idx.len());
+        }
+        CscMatrix {
+            nrows,
+            ncols,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Counting and scattering matches the bucketed oracle bitwise,
+        /// duplicate `(row, col)` entries (summed in arrival order) and
+        /// entries cancelling to zero included.
+        #[test]
+        fn from_triplets_matches_the_bucketed_oracle(
+            shape in (1usize..6, 1usize..8),
+            raw in proptest::collection::vec((0usize..6, 0usize..8, -4i32..5, 0.0f64..1.0), 0..60),
+        ) {
+            let (nrows, ncols) = shape;
+            // Small integer parts make exact cancellations and repeated
+            // cells common; the fractional part makes summation order
+            // visible in the last bits.
+            let triplets: Vec<(usize, usize, f64)> = raw
+                .iter()
+                .map(|&(r, c, whole, frac)| {
+                    let v = if whole == 0 { 0.0 } else { f64::from(whole) + frac * 1e-3 };
+                    (r % nrows, c % ncols, v)
+                })
+                .collect();
+            let got = CscMatrix::from_triplets(nrows, ncols, triplets.iter().copied());
+            let want = bucketed(nrows, ncols, &triplets);
+            let (gp, gr, gv) = got.raw();
+            let (wp, wr, wv) = want.raw();
+            proptest::prop_assert_eq!(gp, wp);
+            proptest::prop_assert_eq!(gr, wr);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(gv), bits(wv));
+            proptest::prop_assert_eq!((got.nrows(), got.ncols()), (nrows, ncols));
+        }
     }
 
     #[test]
