@@ -21,12 +21,11 @@
 //! regardless of how the solver found it.
 
 use lips_lp::{Cmp, ConstraintId, Model, Sense, Solution, VarId};
-use lips_par::Pool;
 
-/// Rows per partial in the chunked KKT row pass. Chunk boundaries depend
-/// only on this constant — never on the worker count — so every residual
-/// and every floating-point sum below is bitwise identical at any pool
-/// width (see [`Pool::par_chunk_fold`]).
+/// Rows per partial in the chunked KKT row pass. Each chunk sums its own
+/// share of the dual objective and the partials are added in chunk order,
+/// so the summation order — and every bit of the certificate — is fixed
+/// by this constant alone.
 const ROW_CHUNK: usize = 64;
 
 /// Variables (or excluded columns) per partial in the column-side passes.
@@ -166,26 +165,25 @@ impl std::fmt::Display for Certificate {
     }
 }
 
-/// Per-chunk partial of the KKT row pass. `contrib` carries the
-/// `y_i·a_ij` products to subtract from the reduced costs, pushed in row
-/// order within the chunk; merging chunks in order therefore subtracts
-/// each variable's contributions in global row order — the exact
-/// floating-point sequence of the serial loop this pass replaces.
-struct RowPartial {
-    contrib: Vec<(usize, f64)>,
+/// Per-chunk partial of a KKT pass: the largest raw primal, dual-sign
+/// and slackness violations, and the chunk's share of the dual
+/// objective.
+#[derive(Default)]
+struct Partial {
     max_primal: f64,
     max_sign: f64,
     max_slack: f64,
     dual_obj: f64,
 }
 
-/// Per-chunk partial of the column-side pass (bound feasibility, column
-/// slackness, bound terms of the dual objective).
-struct ColPartial {
-    max_primal: f64,
-    max_sign: f64,
-    max_slack: f64,
-    dual_obj: f64,
+impl Partial {
+    /// Fold in `part`, the partial of the next chunk.
+    fn add(&mut self, part: Partial) {
+        self.max_primal = self.max_primal.max(part.max_primal);
+        self.max_sign = self.max_sign.max(part.max_sign);
+        self.max_slack = self.max_slack.max(part.max_slack);
+        self.dual_obj += part.dual_obj;
+    }
 }
 
 /// Verify `sol` against `model`, recomputing everything from scratch.
@@ -195,22 +193,10 @@ struct ColPartial {
 /// certificate whose [`Certificate::is_optimal`] is false and whose
 /// [`Certificate::failures`] explain why.
 ///
-/// Equivalent to [`certify_with`] on a single-worker pool.
+/// The row and column passes run over fixed `ROW_CHUNK`/`COL_CHUNK`
+/// chunks and add their partial sums in chunk order, so every residual
+/// and every sum has one summation order.
 pub fn certify(model: &Model, sol: &Solution) -> Result<Certificate, CertifyError> {
-    certify_with(Pool::serial(), model, sol)
-}
-
-/// [`certify`] with the KKT residual passes split across `pool`'s workers.
-///
-/// Determinism contract: the row and column passes are chunked by the
-/// fixed `ROW_CHUNK`/`COL_CHUNK` sizes and their partials folded in
-/// chunk order, so the certificate — every residual, every sum — is
-/// bitwise identical at any pool width, including [`Pool::serial`].
-pub fn certify_with(
-    pool: Pool,
-    model: &Model,
-    sol: &Solution,
-) -> Result<Certificate, CertifyError> {
     let n = model.num_vars();
     let m = model.num_constraints();
     let x = sol.values();
@@ -256,24 +242,19 @@ pub fn certify_with(
 
     // --- row pass -------------------------------------------------------
     // Per chunk: primal residuals, dual sign violations, row slackness
-    // products, the `bᵀy` share of the dual objective, and the reduced-cost
-    // contributions to merge afterwards. Violation maxima are kept raw and
-    // normalized once at the end (same value: division by a positive scale
-    // commutes with max).
+    // products and the `bᵀy` share of the dual objective; every row also
+    // subtracts its `y_i·a_ij` products from the reduced costs, in row
+    // order. Violation maxima are kept raw and normalized once at the end
+    // (same value: division by a positive scale commutes with max).
     let mut reduced: Vec<f64> = model.var_ids().map(|v| sign * model.var_obj(v)).collect();
-    let row_pass = |_chunk: usize, _off: usize, ids: &[ConstraintId]| -> RowPartial {
-        let mut part = RowPartial {
-            contrib: Vec::new(),
-            max_primal: 0.0,
-            max_sign: 0.0,
-            max_slack: 0.0,
-            dual_obj: 0.0,
-        };
+    let mut total = Partial::default();
+    for ids in rows.chunks(ROW_CHUNK) {
+        let mut part = Partial::default();
         for &c in ids {
             let yi = y[c.index()];
             let mut lhs = 0.0;
             for (v, coef) in model.constraint_terms(c) {
-                part.contrib.push((v.index(), yi * coef));
+                reduced[v.index()] -= yi * coef;
                 lhs += coef * x[v.index()];
             }
             let rhs = model.constraint_rhs(c);
@@ -291,33 +272,14 @@ pub fn certify_with(
             part.max_slack = part.max_slack.max((yi * (lhs - rhs)).abs());
             part.dual_obj += yi * rhs;
         }
-        part
-    };
-    let mut max_primal_violation = 0.0f64;
-    let mut max_dual_raw = 0.0f64;
-    let mut max_slack_raw = 0.0f64;
-    let mut dual_objective_int = 0.0f64;
-    pool.par_chunk_fold(&rows, ROW_CHUNK, row_pass, (), |(), part| {
-        for (j, yc) in part.contrib {
-            reduced[j] -= yc;
-        }
-        max_primal_violation = max_primal_violation.max(part.max_primal);
-        max_dual_raw = max_dual_raw.max(part.max_sign);
-        max_slack_raw = max_slack_raw.max(part.max_slack);
-        dual_objective_int += part.dual_obj;
-    });
+        total.add(part);
+    }
 
     // --- column pass ----------------------------------------------------
-    // Needs the fully merged reduced costs, so it runs strictly after the
-    // row fold. `reduced` is read-only from here on.
-    let reduced = &reduced;
-    let col_pass = |_chunk: usize, _off: usize, ids: &[VarId]| -> ColPartial {
-        let mut part = ColPartial {
-            max_primal: 0.0,
-            max_sign: 0.0,
-            max_slack: 0.0,
-            dual_obj: 0.0,
-        };
+    // Needs every row's reduced-cost update, so it runs strictly after
+    // the row pass.
+    for ids in vars.chunks(COL_CHUNK) {
+        let mut part = Partial::default();
         for &v in ids {
             let d = reduced[v.index()];
             let (lb, ub) = model.var_bounds(v);
@@ -350,22 +312,17 @@ pub fn certify_with(
                 part.dual_obj += d * ub;
             }
         }
-        part
-    };
-    pool.par_chunk_fold(&vars, COL_CHUNK, col_pass, (), |(), part| {
-        max_primal_violation = max_primal_violation.max(part.max_primal);
-        max_dual_raw = max_dual_raw.max(part.max_sign);
-        max_slack_raw = max_slack_raw.max(part.max_slack);
-        dual_objective_int += part.dual_obj;
-    });
+        total.add(part);
+    }
+    let dual_objective_int = total.dual_obj;
 
     Ok(Certificate {
         primal_objective,
         dual_objective: sign * dual_objective_int,
         duality_gap: (p_int - dual_objective_int).abs(),
-        max_primal_violation,
-        max_dual_violation: max_dual_raw / cost_scale,
-        max_slackness_violation: max_slack_raw / gap_scale,
+        max_primal_violation: total.max_primal,
+        max_dual_violation: total.max_sign / cost_scale,
+        max_slackness_violation: total.max_slack / gap_scale,
         objective_mismatch,
         primal_scale,
         gap_scale,
@@ -436,10 +393,10 @@ impl std::fmt::Display for RestrictedCertificate {
     }
 }
 
-/// The pricing pass over a run of excluded columns (one chunk, or every
-/// chunk so far): the largest raw reduced-cost violation `max(0, −d_j)`
-/// and the key of the first column attaining it, the largest violation
-/// before that column, and the largest `|obj|`.
+/// The pricing pass over the excluded columns priced so far: the largest
+/// raw reduced-cost violation `max(0, −d_j)` and the key of the first
+/// column attaining it, the largest violation before that column, and the
+/// largest `|obj|`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Priced {
     worst: f64,
@@ -449,17 +406,14 @@ struct Priced {
 }
 
 impl Priced {
-    /// Extend the run by `next`, the run that follows it.
-    fn then(self, next: Priced) -> Priced {
-        let max_obj = self.max_obj.max(next.max_obj);
-        if next.worst > self.worst {
-            Priced {
-                before_worst: self.worst.max(next.before_worst),
-                max_obj,
-                ..next
-            }
-        } else {
-            Priced { max_obj, ..self }
+    /// Extend the pass by the next column: its key, raw violation and
+    /// objective coefficient.
+    fn push(&mut self, key: u64, viol: f64, obj: f64) {
+        self.max_obj = self.max_obj.max(obj.abs());
+        if viol > self.worst {
+            self.before_worst = self.worst;
+            self.worst = viol;
+            self.worst_key = Some(key);
         }
     }
 }
@@ -494,27 +448,22 @@ fn raw_violation(
 /// [`RestrictedCertificate::worst_excluded`]) and its objective
 /// coefficient in the model's own sense. The columns are re-derived from
 /// the caller's `excluded` items as they are priced, into one reused
-/// buffer per chunk, so pricing allocates nothing per column.
+/// buffer, so pricing allocates nothing per column.
 ///
-/// The master's KKT passes *and* the pricing are split across `pool`'s
-/// workers. The pricing is chunked by `COL_CHUNK` and its per-chunk worst
-/// offenders folded in chunk order with a strictly-greater comparison, so
-/// ties resolve to the earliest column — exactly the serial loop's
-/// first-of-ties behavior — and the certificate is bitwise identical at
-/// any pool width.
+/// The pricing folds the columns in order with a strictly-greater
+/// comparison, so ties resolve to the earliest column.
 ///
 /// A *wrong* claim (master not optimal, or an excluded column with negative
 /// reduced cost) yields an `Ok` certificate whose
 /// [`RestrictedCertificate::is_optimal`] is false; `Err` is reserved for
 /// structurally unusable inputs, as with [`certify`].
-pub fn certify_restricted_with<T: Sync>(
-    pool: Pool,
+pub fn certify_restricted_with<T>(
     master: &Model,
     sol: &Solution,
     excluded: &[T],
-    column: impl Fn(&T, &mut Vec<(ConstraintId, f64)>) -> (u64, f64) + Sync,
+    mut column: impl FnMut(&T, &mut Vec<(ConstraintId, f64)>) -> (u64, f64),
 ) -> Result<RestrictedCertificate, CertifyError> {
-    let cert = certify_with(pool, master, sol)?;
+    let cert = certify(master, sol)?;
     let y = sol.duals();
     let sign = match master.sense() {
         Sense::Minimize => 1.0,
@@ -527,34 +476,17 @@ pub fn certify_restricted_with<T: Sync>(
 
     // The violations are normalized by a scale that covers the excluded
     // costs too, which are only known once every column has been
-    // described, so the chunks fold raw violations. Division by a positive
+    // described, so the pass folds raw violations. Division by a positive
     // scale is monotone, so the normalized worst is the normalized raw
-    // worst, bit for bit.
-    let price_chunk = |_chunk: usize, _off: usize, items: &[T]| -> Result<Priced, CertifyError> {
-        let mut terms = Vec::new();
-        let mut part = Priced::default();
-        for item in items {
-            terms.clear();
-            let (key, obj) = column(item, &mut terms);
-            let viol = raw_violation(y, sign, obj, &terms).map_err(out_of_range)?;
-            part = part.then(Priced {
-                worst: viol,
-                worst_key: Some(key),
-                before_worst: 0.0,
-                max_obj: obj.abs(),
-            });
-        }
-        Ok(part)
-    };
-    // The first error in chunk order wins, matching the serial loop's
-    // stop-at-first-bad-column behavior.
-    let priced = pool.par_chunk_fold(
-        excluded,
-        COL_CHUNK,
-        price_chunk,
-        Ok(Priced::default()),
-        |acc: Result<Priced, CertifyError>, part| Ok(acc?.then(part?)),
-    )?;
+    // worst, bit for bit. The first bad column ends the pass.
+    let mut terms = Vec::new();
+    let mut priced = Priced::default();
+    for item in excluded {
+        terms.clear();
+        let (key, obj) = column(item, &mut terms);
+        let viol = raw_violation(y, sign, obj, &terms).map_err(out_of_range)?;
+        priced.push(key, viol, obj);
+    }
 
     // Same normalization as the master's dual-feasibility test, but the
     // scale must cover the excluded costs too (an excluded column can be
@@ -572,7 +504,6 @@ pub fn certify_restricted_with<T: Sync>(
     // are the columns priced again, up to the first that does.
     let mut worst_excluded = priced.worst_key.filter(|_| max_excluded_violation > 0.0);
     if worst_excluded.is_some() && priced.before_worst / cost_scale == max_excluded_violation {
-        let mut terms = Vec::new();
         for item in excluded {
             terms.clear();
             let (key, obj) = column(item, &mut terms);
@@ -622,20 +553,18 @@ mod tests {
         sol: &Solution,
         excluded: &[Col],
     ) -> Result<RestrictedCertificate, CertifyError> {
-        certify_restricted_with(Pool::serial(), m, sol, excluded, describe)
+        certify_restricted_with(m, sol, excluded, describe)
     }
 
     /// The pricing pass as it was before columns were described by a
     /// callback: every column's terms materialized up front, each
-    /// violation normalized before the chunk-order, first-of-ties fold.
+    /// violation normalized before the in-order, first-of-ties fold.
     /// Returns `(max_excluded_violation, worst_excluded)`.
     fn slice_of_columns_pass(
-        pool: Pool,
         master: &Model,
         sol: &Solution,
         excluded: &[Col],
     ) -> Result<(f64, Option<u64>), CertifyError> {
-        type Part = Result<(f64, Option<usize>), CertifyError>;
         let y = sol.duals();
         let sign = match master.sense() {
             Sense::Minimize => 1.0,
@@ -649,65 +578,41 @@ mod tests {
             max_cost = max_cost.max(c.obj.abs());
         }
         let cost_scale = 1.0 + max_cost;
-        let price_chunk = |_chunk: usize, off: usize, cols: &[Col]| -> Part {
-            let mut worst = 0.0f64;
-            let mut worst_idx = None;
-            for (k, c) in cols.iter().enumerate() {
-                let mut d = sign * c.obj;
-                for &(r, coef) in &c.terms {
-                    let i = r.index();
-                    if i >= y.len() {
-                        return Err(CertifyError::DimensionMismatch {
-                            expected: master.num_constraints(),
-                            got: i + 1,
-                        });
-                    }
-                    d -= y[i] * coef;
+        let (mut worst, mut worst_key) = (0.0f64, None);
+        for c in excluded {
+            let mut d = sign * c.obj;
+            for &(r, coef) in &c.terms {
+                let i = r.index();
+                if i >= y.len() {
+                    return Err(CertifyError::DimensionMismatch {
+                        expected: master.num_constraints(),
+                        got: i + 1,
+                    });
                 }
-                let viol = (-d).max(0.0) / cost_scale;
-                if viol > worst {
-                    worst = viol;
-                    worst_idx = Some(off + k);
-                }
+                d -= y[i] * coef;
             }
-            Ok((worst, worst_idx))
-        };
-        let (worst, worst_idx) = pool.par_chunk_fold(
-            excluded,
-            COL_CHUNK,
-            price_chunk,
-            Ok((0.0f64, None)),
-            |acc: Part, part| {
-                let (worst, worst_idx) = acc?;
-                let (p_worst, p_idx) = part?;
-                if p_worst > worst {
-                    Ok((p_worst, p_idx))
-                } else {
-                    Ok((worst, worst_idx))
-                }
-            },
-        )?;
-        Ok((worst, worst_idx.map(|i| excluded[i].key)))
+            let viol = (-d).max(0.0) / cost_scale;
+            if viol > worst {
+                (worst, worst_key) = (viol, Some(c.key));
+            }
+        }
+        Ok((worst, worst_key))
     }
 
-    /// The callback certificate against [`slice_of_columns_pass`], at
-    /// widths 1 and 3: the same violation bits, the same worst key, the
-    /// same error.
+    /// The callback certificate against [`slice_of_columns_pass`]: the
+    /// same violation bits, the same worst key, the same error.
     fn assert_matches_slice_pass(m: &Model, sol: &Solution, excluded: &[Col]) {
-        for threads in [1, 3] {
-            let pool = Pool::new(threads);
-            let want = slice_of_columns_pass(pool, m, sol, excluded);
-            let got = certify_restricted_with(pool, m, sol, excluded, describe).map(|c| {
-                assert_eq!(c.excluded_priced, excluded.len());
-                (c.max_excluded_violation, c.worst_excluded)
-            });
-            match (want, got) {
-                (Ok((wv, wk)), Ok((gv, gk))) => {
-                    assert_eq!(wv.to_bits(), gv.to_bits(), "threads={threads}");
-                    assert_eq!(wk, gk, "threads={threads}");
-                }
-                (want, got) => assert_eq!(want.err(), got.err(), "threads={threads}"),
+        let want = slice_of_columns_pass(m, sol, excluded);
+        let got = certify_restricted_with(m, sol, excluded, describe).map(|c| {
+            assert_eq!(c.excluded_priced, excluded.len());
+            (c.max_excluded_violation, c.worst_excluded)
+        });
+        match (want, got) {
+            (Ok((wv, wk)), Ok((gv, gk))) => {
+                assert_eq!(wv.to_bits(), gv.to_bits());
+                assert_eq!(wk, gk);
             }
+            (want, got) => assert_eq!(want.err(), got.err()),
         }
     }
 
@@ -916,16 +821,14 @@ mod tests {
     }
 
     #[test]
-    fn certificates_are_bitwise_identical_at_any_width() {
-        // Enough rows/vars to split into several ROW_CHUNK/COL_CHUNK chunks,
-        // so the parallel fold paths genuinely engage.
+    fn certificates_are_bitwise_identical_run_to_run() {
+        // Enough rows/vars to split into several ROW_CHUNK/COL_CHUNK chunks.
         let (m, rows) = chunky_master(200);
         let sol = m.solve().unwrap();
-        let base = certify_with(Pool::serial(), &m, &sol).unwrap();
+        let base = certify(&m, &sol).unwrap();
         assert!(base.is_optimal(), "{base}");
-        // Excluded columns spanning several chunks, with a deliberate tie:
-        // columns 100 and 700 have identical violations, so first-of-ties
-        // selection is exercised across a chunk boundary.
+        // Excluded columns with a deliberate tie: columns 100 and 700 have
+        // identical violations, so first-of-ties selection is exercised.
         let excluded: Vec<Col> = (0..1200)
             .map(|i| {
                 let obj = if i == 100 || i == 700 { 0.01 } else { 2.5 };
@@ -933,32 +836,25 @@ mod tests {
             })
             .collect();
         let rbase = certify_restricted(&m, &sol, &excluded).unwrap();
-        for threads in [2, 3, 8] {
-            let pool = Pool::new(threads);
-            let cert = certify_with(pool, &m, &sol).unwrap();
-            for (a, b) in [
-                (base.primal_objective, cert.primal_objective),
-                (base.dual_objective, cert.dual_objective),
-                (base.duality_gap, cert.duality_gap),
-                (base.max_primal_violation, cert.max_primal_violation),
-                (base.max_dual_violation, cert.max_dual_violation),
-                (base.max_slackness_violation, cert.max_slackness_violation),
-                (base.objective_mismatch, cert.objective_mismatch),
-            ] {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-            let rcert = certify_restricted_with(pool, &m, &sol, &excluded, describe).unwrap();
-            assert_eq!(
-                rbase.max_excluded_violation.to_bits(),
-                rcert.max_excluded_violation.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                rbase.worst_excluded, rcert.worst_excluded,
-                "threads={threads}"
-            );
+        let cert = certify(&m, &sol).unwrap();
+        for (a, b) in [
+            (base.primal_objective, cert.primal_objective),
+            (base.dual_objective, cert.dual_objective),
+            (base.duality_gap, cert.duality_gap),
+            (base.max_primal_violation, cert.max_primal_violation),
+            (base.max_dual_violation, cert.max_dual_violation),
+            (base.max_slackness_violation, cert.max_slackness_violation),
+            (base.objective_mismatch, cert.objective_mismatch),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-        // The tie resolved to the earlier column at every width.
+        let rcert = certify_restricted(&m, &sol, &excluded).unwrap();
+        assert_eq!(
+            rbase.max_excluded_violation.to_bits(),
+            rcert.max_excluded_violation.to_bits()
+        );
+        assert_eq!(rbase.worst_excluded, rcert.worst_excluded);
+        // The tie resolved to the earlier column.
         if rbase.max_excluded_violation > 0.0 {
             assert_eq!(rbase.worst_excluded, Some(100));
         }
@@ -970,9 +866,9 @@ mod tests {
         let sol = m.solve().unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
         for case in 0..24 {
-            // Up to three chunks of columns over random rows, costs that
-            // price some of them out, and exact repeats of earlier columns
-            // under new keys: ties across and within chunks.
+            // Up to 1600 columns over random rows, costs that price some of
+            // them out, and exact repeats of earlier columns under new keys:
+            // ties near and far apart.
             let n = rng.gen_range(0..1600);
             let mut excluded: Vec<Col> = Vec::with_capacity(n);
             for i in 0..n {

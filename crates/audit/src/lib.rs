@@ -37,8 +37,7 @@ pub mod invariants;
 pub mod lint;
 
 pub use certificate::{
-    certify, certify_restricted_with, certify_with, Certificate, CertifyError,
-    RestrictedCertificate,
+    certify, certify_restricted_with, Certificate, CertifyError, RestrictedCertificate,
 };
 pub use invariants::{
     audit_paper_invariants, ModelAnnotations, PaperExpectations, RowKind, VarKind,

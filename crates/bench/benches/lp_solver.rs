@@ -55,7 +55,7 @@ fn bench_epoch_lp(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 b.iter(|| {
-                    let report = solve_full(inst, None).unwrap();
+                    let report = solve_full(inst).unwrap();
                     black_box(report.schedule.predicted_dollars)
                 });
             },
@@ -73,10 +73,10 @@ fn bench_epoch_sequence(c: &mut Criterion) {
     let mut g = c.benchmark_group("epoch_sequence");
     g.sample_size(10);
     g.bench_function("cold", |b| {
-        b.iter(|| black_box(run_cold(&cluster, 16, 2, 3, 8, 1).total_iterations));
+        b.iter(|| black_box(run_cold(&cluster, 16, 2, 3, 8).total_iterations));
     });
     g.bench_function("colgen", |b| {
-        b.iter(|| black_box(run_epochs(&cluster, 16, 2, 3, 8, 1).total_iterations));
+        b.iter(|| black_box(run_epochs(&cluster, 16, 2, 3, 8).total_iterations));
     });
     g.finish();
 }
@@ -147,7 +147,7 @@ fn bench_churn_resolve(c: &mut Criterion) {
     g.bench_function("colgen", |b| {
         b.iter(|| {
             black_box(
-                run_epochs_faulted(&cluster, 16, 2, 3, 8, &script, 1)
+                run_epochs_faulted(&cluster, 16, 2, 3, 8, &script)
                     .run
                     .total_iterations,
             )

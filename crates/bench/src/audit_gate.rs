@@ -70,7 +70,7 @@ pub fn run(epoch: f64) {
                 .filter(|l| l.severity == Severity::Error)
                 .collect();
             assert!(errors.is_empty(), "audit {family} {label}: {errors:?}");
-            let cert = solve_full(inst, None)
+            let cert = solve_full(inst)
                 .unwrap_or_else(|e| panic!("audit {family} {label}: solve failed: {e}"))
                 .certificate;
             assert!(cert.is_optimal(), "audit {family} {label}: {cert}");

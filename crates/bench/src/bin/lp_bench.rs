@@ -16,22 +16,17 @@
 //! revocations, a store loss, a repricing, and a rejoin:
 //! `faults_colgen`),
 //! `--audit` (exit non-zero unless every epoch of every series certified),
-//! `--threads N` (worker count for model build, pricing, and
-//! certification; default 0 = `LIPS_THREADS` or the host parallelism),
-//! `--scaling` (re-run the colgen series at 1/2/4/8 workers and record
-//! per-width wall-time plus a bitwise determinism check),
 //! `--nodes N` (cluster size, default 100),
 //! `--scale` (run *only* the 100/1k/10k-node scale trajectory on
 //! Google-trace-shaped workloads and write `BENCH_scale.json` with
-//! per-phase build/solve/certify wall-times),
+//! per-phase build/solve/certify wall-times; every epoch certified),
 //! `--jobs N` (default 32), `--epochs N` (default 20), `--churn N`
 //! (default 2), `--churn-every N` (default 5 — a LiPS epoch is ~2000 s,
 //! so a Table-IV-sized job spans several epochs before a
 //! departure/arrival pair perturbs the LP's structure).
 
 use lips_bench::lp_epoch::{
-    run_cold, run_epochs, run_epochs_faulted, thread_scaling, EpochRun, FaultEpochRun, FaultScript,
-    ThreadScalingPoint, EPOCHS,
+    run_cold, run_epochs, run_epochs_faulted, EpochRun, FaultEpochRun, FaultScript, EPOCHS,
 };
 use lips_bench::scale::{default_series, run_scale_point, ScaleReport};
 use lips_bench::Table;
@@ -50,16 +45,6 @@ struct BenchReport {
     /// epoch sequence with scripted machine revocations, a store loss, a
     /// repricing, and a rejoin.
     faults_colgen: Option<FaultEpochRun>,
-    /// Worker count used for every series (0 = solver default:
-    /// `LIPS_THREADS` or the host parallelism).
-    threads: usize,
-    /// `std::thread::available_parallelism()` of the machine that produced
-    /// these numbers — read the scaling series against this. On a 1-core
-    /// host every width shares the core and the speedups sit near 1.0.
-    host_parallelism: usize,
-    /// Present only with `--scaling`: the colgen series re-run at
-    /// 1/2/4/8 workers, each width checked bitwise against the serial run.
-    thread_scaling: Option<Vec<ThreadScalingPoint>>,
     /// Mean active/total column share of the colgen master (the
     /// acceptance gate wants ≤ 0.5).
     colgen_active_share: f64,
@@ -79,18 +64,11 @@ fn main() {
     let epochs = flag_value(&args, "--epochs", EPOCHS);
     let churn = flag_value(&args, "--churn", 2);
     let churn_every = flag_value(&args, "--churn-every", 5);
-    let threads = flag_value(&args, "--threads", 0);
     let nodes = flag_value(&args, "--nodes", 100);
     let with_faults = args.iter().any(|a| a == "--faults");
-    let with_scaling = args.iter().any(|a| a == "--scaling");
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "reported in the bench header only; never feeds results"
-    )]
-    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
 
     if args.iter().any(|a| a == "--scale") {
-        run_scale_series(threads, host_parallelism, &args);
+        run_scale_series(&args);
         return;
     }
 
@@ -99,17 +77,14 @@ fn main() {
         "{} nodes, {jobs} jobs/epoch, churn {churn} every {churn_every} epochs, {epochs} epochs",
         cluster.machines.len()
     );
-    println!("LP epoch-sequence benchmark — {config}");
-    println!("threads: {threads} (0 = solver default), host parallelism: {host_parallelism}\n");
+    println!("LP epoch-sequence benchmark — {config}\n");
 
-    let cold = run_cold(&cluster, jobs, churn, churn_every, epochs, threads);
-    let colgen = run_epochs(&cluster, jobs, churn, churn_every, epochs, threads);
+    let cold = run_cold(&cluster, jobs, churn, churn_every, epochs);
+    let colgen = run_epochs(&cluster, jobs, churn, churn_every, epochs);
     let faults_colgen = with_faults.then(|| {
         let script = FaultScript::acceptance(&cluster);
-        run_epochs_faulted(&cluster, jobs, churn, churn_every, epochs, &script, threads)
+        run_epochs_faulted(&cluster, jobs, churn, churn_every, epochs, &script)
     });
-    let scaling = with_scaling
-        .then(|| thread_scaling(&cluster, jobs, churn, churn_every, epochs, &[1, 2, 4, 8]));
 
     let mut t = Table::new(vec![
         "epoch",
@@ -141,9 +116,6 @@ fn main() {
         cold,
         colgen,
         faults_colgen,
-        threads,
-        host_parallelism,
-        thread_scaling: scaling,
     };
     println!();
     for run in [&report.cold, &report.colgen] {
@@ -157,36 +129,10 @@ fn main() {
         print_fault_series(f);
     }
 
-    if let Some(series) = &report.thread_scaling {
-        let mut t = Table::new(vec![
-            "threads", "epoch ms", "solve ms", "speedup", "bitwise",
-        ]);
-        for p in series {
-            t.row(vec![
-                p.threads.to_string(),
-                format!("{:.1}", p.total_epoch_ms),
-                format!("{:.1}", p.total_solve_ms),
-                format!("{:.2}x", p.speedup_vs_serial),
-                if p.identical_to_serial {
-                    "identical".to_string()
-                } else {
-                    "DIVERGED".to_string()
-                },
-            ]);
-        }
-        println!("\nthread-scaling series (colgen, whole-epoch wall-time):");
-        t.print();
-    }
-
-    let deterministic = report
-        .thread_scaling
-        .as_ref()
-        .is_none_or(|s| s.iter().all(|p| p.identical_to_serial));
     let all_certified = [&report.cold, &report.colgen]
         .into_iter()
         .chain(report.faults_colgen.iter().map(|f| &f.run))
-        .all(|r| r.all_certified)
-        && deterministic;
+        .all(|r| r.all_certified);
     println!("all certified: {all_certified}");
 
     if args.iter().any(|a| a == "--json") {
@@ -278,35 +224,26 @@ fn print_fault_series(f: &FaultEpochRun) {
 /// Google-trace-shaped workloads, written to `BENCH_scale.json`. Runs
 /// *instead of* the epoch-sequence battery (a 10k-node model has no
 /// monolithic baseline to compare against — that is the point).
-fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
+fn run_scale_series(args: &[String]) {
     let series = default_series();
     let config = series
         .iter()
         .map(|s| format!("{}x{}", s.nodes, s.jobs))
         .collect::<Vec<_>>()
         .join(", ");
-    println!("LP scale trajectory — nodes x jobs: {config}");
-    println!("threads: {threads} (0 = solver default), host parallelism: {host_parallelism}\n");
+    println!("LP scale trajectory — nodes x jobs: {config}\n");
     let mut points = Vec::with_capacity(series.len());
     for spec in &series {
         println!(
-            "running {} nodes x {} jobs x {} epochs ({}) ...",
-            spec.nodes,
-            spec.jobs,
-            spec.epochs,
-            if spec.certified {
-                "colgen, certified"
-            } else {
-                "greedy, uncertified"
-            }
+            "running {} nodes x {} jobs x {} epochs ...",
+            spec.nodes, spec.jobs, spec.epochs
         );
-        points.push(run_scale_point(spec, threads));
+        points.push(run_scale_point(spec));
     }
 
     let mut t = Table::new(vec![
         "nodes",
         "jobs",
-        "mode",
         "epoch",
         "build ms",
         "solve ms",
@@ -321,7 +258,6 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
             t.row(vec![
                 p.nodes.to_string(),
                 p.jobs.to_string(),
-                p.mode.clone(),
                 r.epoch.to_string(),
                 format!("{:.1}", r.build_ms),
                 format!("{:.1}", r.solve_ms),
@@ -332,25 +268,6 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
                 if r.certified {
                     "certified".to_string()
                 } else {
-                    "greedy".to_string()
-                },
-            ]);
-        }
-        if let Some(probe) = &p.certified_probe {
-            t.row(vec![
-                p.nodes.to_string(),
-                p.probe_jobs.unwrap_or(0).to_string(),
-                "probe".to_string(),
-                probe.epoch.to_string(),
-                format!("{:.1}", probe.build_ms),
-                format!("{:.1}", probe.solve_ms),
-                format!("{:.1}", probe.certify_ms),
-                format!("{:.1}", probe.epoch_ms),
-                probe.pricing_rounds.to_string(),
-                format!("{}/{}", probe.active_columns, probe.total_columns),
-                if probe.certified {
-                    "certified".to_string()
-                } else {
                     "FAILED".to_string()
                 },
             ]);
@@ -358,18 +275,10 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
     }
     t.print();
 
-    let ok = points.iter().all(|p| {
-        (p.mode != "colgen" || p.all_certified)
-            && p.certified_probe.as_ref().is_none_or(|r| r.certified)
-    });
-    println!("certified points + probes optimal: {ok}");
+    let ok = points.iter().all(|p| p.all_certified);
+    println!("all points certified: {ok}");
 
-    let report = ScaleReport {
-        config,
-        threads,
-        host_parallelism,
-        points,
-    };
+    let report = ScaleReport { config, points };
     if args.iter().any(|a| a == "--json") {
         let path = "BENCH_scale.json";
         std::fs::write(
@@ -380,7 +289,7 @@ fn run_scale_series(threads: usize, host_parallelism: usize, args: &[String]) {
         println!("wrote {path}");
     }
     if args.iter().any(|a| a == "--audit") && !ok {
-        eprintln!("--audit: a certified scale point or probe failed certification");
+        eprintln!("--audit: a scale epoch failed certification");
         std::process::exit(1);
     }
 }

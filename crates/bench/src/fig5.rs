@@ -143,9 +143,7 @@ fn one_trial(point: Fig5Point, seed: u64) -> (f64, f64) {
             max_new_stores_per_job: Some(12),
         },
     };
-    let sched = solve_full(&inst, None)
-        .expect("offline LP solvable")
-        .schedule;
+    let sched = solve_full(&inst).expect("offline LP solvable").schedule;
     let lips_dollars = sched.predicted_dollars;
 
     // --- Ideal delay: random block shuffle, every task local ------------

@@ -151,17 +151,6 @@ fn epoch_instance(cluster: &Cluster, jobs: Vec<LpJob>) -> LpInstance<'_> {
     }
 }
 
-/// A scheduler with the default configuration. `threads` sets the worker
-/// count for model build, pricing, and certification (`0` keeps the
-/// default: `LIPS_THREADS` or the host parallelism); every solve is
-/// bitwise identical at any width.
-fn scheduler(threads: usize) -> LipsScheduler {
-    LipsScheduler::new(SchedulerConfig {
-        threads: (threads > 0).then_some(threads),
-        ..SchedulerConfig::default()
-    })
-}
-
 /// The objective-parity oracle: `epochs` consecutive Fig-4 solves on
 /// `cluster`, each epoch's full model cold on the primal simplex and
 /// certified. An epoch whose solve fails is recorded as degraded.
@@ -171,7 +160,6 @@ pub fn run_cold(
     churn: usize,
     churn_every: usize,
     epochs: usize,
-    threads: usize,
 ) -> EpochRun {
     let records = (0..epochs)
         .map(|e| {
@@ -181,7 +169,7 @@ pub fn run_cold(
             );
             #[expect(clippy::disallowed_methods, reason = "bench timing, reported only")]
             let t = Instant::now();
-            let mut record = match solve_full(&inst, (threads > 0).then_some(threads)) {
+            let mut record = match solve_full(&inst) {
                 Ok(report) => EpochRecord::from_solve_report(
                     e,
                     inst.jobs.len(),
@@ -206,9 +194,8 @@ pub fn run_epochs(
     churn: usize,
     churn_every: usize,
     epochs: usize,
-    threads: usize,
 ) -> EpochRun {
-    let mut sched = scheduler(threads);
+    let mut sched = LipsScheduler::new(SchedulerConfig::default());
     for e in 0..epochs {
         let jobs = epoch_jobs(cluster, e, base_jobs, churn, churn_every);
         sched.solve_epoch(&epoch_instance(cluster, jobs));
@@ -361,10 +348,9 @@ pub fn run_epochs_faulted(
     churn_every: usize,
     epochs: usize,
     script: &FaultScript,
-    threads: usize,
 ) -> FaultEpochRun {
     let mut faulted = FaultedCluster::new(cluster);
-    let mut sched = scheduler(threads);
+    let mut sched = LipsScheduler::new(SchedulerConfig::default());
     let mut events = Vec::with_capacity(epochs);
     let mut repaired = Vec::with_capacity(epochs);
     let (mut revocations, mut rejoins, mut repricings, mut store_losses) = (0, 0, 0, 0);
@@ -402,67 +388,6 @@ pub fn run_epochs_faulted(
     }
 }
 
-/// One width of the thread-scaling series: the colgen epoch sequence
-/// (build + pricing + certification — every parallelised stage) re-run at
-/// a fixed worker count.
-#[derive(Debug, Clone, Serialize)]
-pub struct ThreadScalingPoint {
-    pub threads: usize,
-    /// Build + solve + price + certify wall-time summed over epochs.
-    pub total_epoch_ms: f64,
-    /// Simplex-only wall-time (serial in every width; a sanity baseline —
-    /// the scaling headroom is `total_epoch_ms − total_solve_ms`).
-    pub total_solve_ms: f64,
-    /// `1-thread total_epoch_ms ÷ this width's` (higher = faster).
-    pub speedup_vs_serial: f64,
-    /// Every epoch's objective is **bitwise** equal to the 1-thread run's
-    /// and the certificate verdicts match — the determinism contract,
-    /// checked on the real workload rather than assumed.
-    pub identical_to_serial: bool,
-}
-
-/// Run the colgen epoch sequence once per width in `widths` and compare
-/// every run against the first (serial) one bit-for-bit.
-///
-/// The first entry of `widths` should be `1`; its `speedup_vs_serial` is
-/// 1.0 by construction. On a single-core host the speedups will hover
-/// around 1.0 — the point of the series is then the `identical_to_serial`
-/// column, which must hold on any host.
-pub fn thread_scaling(
-    cluster: &Cluster,
-    base_jobs: usize,
-    churn: usize,
-    churn_every: usize,
-    epochs: usize,
-    widths: &[usize],
-) -> Vec<ThreadScalingPoint> {
-    let mut serial: Option<EpochRun> = None;
-    let mut out = Vec::with_capacity(widths.len());
-    for &w in widths {
-        let run = run_epochs(cluster, base_jobs, churn, churn_every, epochs, w.max(1));
-        let baseline = serial.get_or_insert_with(|| run.clone());
-        let identical = baseline.epochs.len() == run.epochs.len()
-            && baseline.epochs.iter().zip(&run.epochs).all(|(a, b)| {
-                a.objective.to_bits() == b.objective.to_bits()
-                    && a.certified == b.certified
-                    && a.active_columns == b.active_columns
-                    && a.pricing_rounds == b.pricing_rounds
-            });
-        out.push(ThreadScalingPoint {
-            threads: w.max(1),
-            total_epoch_ms: run.total_epoch_ms,
-            total_solve_ms: run.total_solve_ms,
-            speedup_vs_serial: if run.total_epoch_ms > 0.0 {
-                baseline.total_epoch_ms / run.total_epoch_ms
-            } else {
-                1.0
-            },
-            identical_to_serial: identical,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,7 +421,7 @@ mod tests {
                 (5, EpochFault::Rejoin(4)),
             ],
         };
-        let faults = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, 1);
+        let faults = run_epochs_faulted(&cluster, 8, 1, 3, 6, &script);
         assert_eq!(faults.revocations, 2);
         assert_eq!(faults.rejoins, 1);
         assert_eq!(faults.repricings, 1);
@@ -540,7 +465,7 @@ mod tests {
                     faulted.strike(fault);
                 }
                 let inst = epoch_instance(&faulted.live, faulted.jobs(e, 8, 1, 3));
-                let report = solve_full(&inst, None).unwrap();
+                let report = solve_full(&inst).unwrap();
                 EpochRecord::from_solve_report(e, 8, EpochOutcome::CertifiedCold, &report, false)
             })
             .collect();
@@ -548,11 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_series_are_bitwise_identical_across_thread_widths() {
-        // The pivot loops are serial by design; threads parallelize the
-        // model build, pricing, and certification around them. Every
-        // epoch of the colgen and fault series — objective bits included —
-        // must be identical at any width.
+    fn scheduler_series_are_bitwise_identical_run_to_run() {
+        // Every epoch of the colgen and fault series — objective bits
+        // included — must be identical when the series is run again.
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
         let script = FaultScript {
             events: vec![
@@ -561,31 +484,28 @@ mod tests {
                 (5, EpochFault::Rejoin(4)),
             ],
         };
-        let series = |threads: usize| {
+        let series = || {
             [
-                run_epochs(&cluster, 8, 1, 3, 6, threads),
-                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script, threads).run,
+                run_epochs(&cluster, 8, 1, 3, 6),
+                run_epochs_faulted(&cluster, 8, 1, 3, 6, &script).run,
             ]
         };
-        let serial = series(1);
-        for threads in [2usize, 4] {
-            for (s, w) in serial.iter().zip(series(threads)) {
-                assert_eq!(s.epochs.len(), w.epochs.len());
-                for (a, b) in s.epochs.iter().zip(&w.epochs) {
-                    let at = format!("{} epoch {} at {threads} threads", s.mode, a.epoch);
-                    assert_eq!(
-                        a.objective.to_bits(),
-                        b.objective.to_bits(),
-                        "{at}: {} vs {}",
-                        a.objective,
-                        b.objective
-                    );
-                    assert_eq!(a.iterations, b.iterations, "{at}");
-                    assert_eq!(a.dual_pivots, b.dual_pivots, "{at}");
-                    assert_eq!(a.bound_flips, b.bound_flips, "{at}");
-                    assert_eq!(a.warm, b.warm, "{at}");
-                    assert_eq!(a.pricing_rounds, b.pricing_rounds, "{at}");
-                }
+        for (s, w) in series().iter().zip(series()) {
+            assert_eq!(s.epochs.len(), w.epochs.len());
+            for (a, b) in s.epochs.iter().zip(&w.epochs) {
+                let at = format!("{} epoch {}", s.mode, a.epoch);
+                assert_eq!(
+                    a.objective.to_bits(),
+                    b.objective.to_bits(),
+                    "{at}: {} vs {}",
+                    a.objective,
+                    b.objective
+                );
+                assert_eq!(a.iterations, b.iterations, "{at}");
+                assert_eq!(a.dual_pivots, b.dual_pivots, "{at}");
+                assert_eq!(a.bound_flips, b.bound_flips, "{at}");
+                assert_eq!(a.warm, b.warm, "{at}");
+                assert_eq!(a.pricing_rounds, b.pricing_rounds, "{at}");
             }
         }
     }
@@ -593,8 +513,8 @@ mod tests {
     #[test]
     fn colgen_sequence_matches_full_model_optima() {
         let cluster = ec2_mixed_cluster(20, 0.4, 1e9, 1);
-        let cold = run_cold(&cluster, 8, 1, 3, 6, 1);
-        let cg = run_epochs(&cluster, 8, 1, 3, 6, 1);
+        let cold = run_cold(&cluster, 8, 1, 3, 6);
+        let cg = run_epochs(&cluster, 8, 1, 3, 6);
         assert!(cold.all_certified && cg.all_certified);
         assert_eq!(cold.warm_solves, 0);
         // The first epoch has nothing carried: the master's dual starts

@@ -46,7 +46,7 @@ pub fn capacity_advice(
         pool_floors: vec![],
         prune: PruneConfig::default(),
     };
-    let mut advice: Vec<CapacityAdvice> = solve_full(&inst, None)?
+    let mut advice: Vec<CapacityAdvice> = solve_full(&inst)?
         .shadow_prices
         .into_iter()
         .filter(|&(_, s)| s < -1e-15)

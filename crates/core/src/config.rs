@@ -53,11 +53,9 @@ pub struct SchedulerConfig {
     /// if the fairness floors make an epoch LP infeasible the scheduler
     /// retries without them.
     pub fairness: f64,
-    /// Worker threads for model build, column pricing, and certification
-    /// (`None` = the `LIPS_THREADS` environment variable, else the
-    /// machine's available parallelism). Pure throughput tuning: the
-    /// deterministic merge discipline of `lips-par` makes every solve
-    /// bitwise identical at any value, including 1.
+    /// Has no effect: every solve runs on the caller's thread. Kept only
+    /// so that configurations written when the solver had a worker pool
+    /// still compile.
     pub threads: Option<usize>,
 }
 
@@ -159,9 +157,6 @@ impl SchedulerConfig {
         if !(0.0..=1.0).contains(&self.fairness) {
             return Err(ConfigError::FairnessOutOfRange(self.fairness));
         }
-        if self.threads == Some(0) {
-            return Err(ConfigError::ZeroThreads);
-        }
         Ok(())
     }
 }
@@ -179,8 +174,6 @@ pub enum ConfigError {
     MinTaskFractionOutOfRange(f64),
     /// `fairness` (σ) must lie in `[0, 1]`.
     FairnessOutOfRange(f64),
-    /// `threads` of zero cannot run anything; use `None` for the default.
-    ZeroThreads,
 }
 
 impl fmt::Display for ConfigError {
@@ -198,9 +191,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::FairnessOutOfRange(v) => {
                 write!(f, "fairness must lie in [0, 1] (got {v})")
-            }
-            ConfigError::ZeroThreads => {
-                write!(f, "threads must be >= 1 (use None for the default)")
             }
         }
     }
@@ -281,8 +271,7 @@ impl SchedulerConfigBuilder {
         self
     }
 
-    /// Worker threads (`None` = `LIPS_THREADS`, else available
-    /// parallelism). Bitwise-identical results at any value.
+    /// Sets [`SchedulerConfig::threads`], which has no effect.
     #[must_use]
     pub fn threads(mut self, threads: Option<usize>) -> Self {
         self.cfg.threads = threads;
@@ -352,7 +341,6 @@ mod tests {
             .max_jobs_per_lp(0)
             .build()
             .is_err());
-        assert!(SchedulerConfig::builder().threads(Some(0)).build().is_err());
     }
 
     #[test]
@@ -364,7 +352,6 @@ mod tests {
             ConfigError::ZeroJobsPerLp,
             ConfigError::MinTaskFractionOutOfRange(2.0),
             ConfigError::FairnessOutOfRange(-1.0),
-            ConfigError::ZeroThreads,
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

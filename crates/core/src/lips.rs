@@ -156,10 +156,9 @@ impl LipsScheduler {
             }),
             Rung::Cold => None,
         };
-        let threads = self.config.threads;
         let mut report = match rung {
-            Rung::Master => solve_master(inst, prior.as_ref(), &ColGenOptions::default(), threads),
-            Rung::Cold => solve_full(inst, threads),
+            Rung::Master => solve_master(inst, prior.as_ref(), &ColGenOptions::default()),
+            Rung::Cold => solve_full(inst),
         }?;
         self.carried = report.take_carry();
         Ok(RungResult {
@@ -886,7 +885,7 @@ mod tests {
                 prune: PruneConfig::default(),
             };
             assert!(sched.solve_epoch(&inst).is_some());
-            let cold = solve_full(&inst, None).unwrap();
+            let cold = solve_full(&inst).unwrap();
             oracle.push(cold.schedule.lp_objective);
         }
         let records = sched.epoch_records();

@@ -55,7 +55,6 @@ use std::ops::Range;
 use lips_audit::{ModelAnnotations, PaperExpectations, RestrictedCertificate, RowKind, VarKind};
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
 use lips_lp::{Cmp, KeyNames, LpError, Model, Session, Solution, SolveStats, VarId, WarmStart};
-use lips_par::Pool;
 use lips_workload::JobId;
 
 /// One job as the LP sees it: remaining divisible work plus current data
@@ -532,24 +531,27 @@ struct ArcSpace {
     jobs: Vec<Range<usize>>,
 }
 
-impl ArcSpace {
-    /// Arcs per candidate machine of job `k`: one per candidate store for
-    /// a data job, one for an input-less job.
-    fn per_machine(&self, inst: &LpInstance<'_>, k: usize) -> usize {
-        if inst.jobs[k].size_mb > 0.0 {
-            self.job_stores[k].len()
-        } else {
-            1
-        }
+/// Arcs per candidate machine of `job`, whose candidate stores are
+/// `stores`: one per store for a data job, one for an input-less job.
+fn per_machine(job: &LpJob, stores: &[StoreId]) -> usize {
+    if job.size_mb > 0.0 {
+        stores.len()
+    } else {
+        1
     }
 }
 
-/// Enumerate an instance's [`ArcSpace`], one job per pool task.
-fn arc_space(inst: &LpInstance<'_>, pool: Pool) -> ArcSpace {
+/// Enumerate an instance's [`ArcSpace`], job by job.
+fn arc_space(inst: &LpInstance<'_>) -> ArcSpace {
     let (job_machines, job_stores) = candidates(inst);
-    let job_indices: Vec<usize> = (0..inst.jobs.len()).collect();
-    let per_job: Vec<Vec<ArcCand>> = pool.par_map(&job_indices, |_, &k| {
-        let mut arcs = Vec::new();
+    // Sized exactly: the arc list is the largest allocation of an epoch.
+    let n_arcs = (0..inst.jobs.len())
+        .map(|k| job_machines[k].len() * per_machine(&inst.jobs[k], &job_stores[k]))
+        .sum();
+    let mut arcs = Vec::with_capacity(n_arcs);
+    let mut jobs = Vec::with_capacity(inst.jobs.len());
+    for k in 0..inst.jobs.len() {
+        let start = arcs.len();
         for &l in &job_machines[k] {
             if inst.jobs[k].size_mb > 0.0 {
                 for (si, &m) in job_stores[k].iter().enumerate() {
@@ -559,13 +561,6 @@ fn arc_space(inst: &LpInstance<'_>, pool: Pool) -> ArcSpace {
                 arcs.push(ArcCand::new(inst, k, l, None, 0));
             }
         }
-        arcs
-    });
-    let mut arcs = Vec::with_capacity(per_job.iter().map(Vec::len).sum());
-    let mut jobs = Vec::with_capacity(per_job.len());
-    for job_arcs in per_job {
-        let start = arcs.len();
-        arcs.extend(job_arcs);
         jobs.push(start..arcs.len());
     }
     ArcSpace {
@@ -662,18 +657,6 @@ fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPla
     nds
 }
 
-/// One planned linking row (24): `(rhs, terms)`, in the job's store order.
-type LnkPlan = (f64, Vec<(VarId, f64)>);
-
-/// Everything one job contributes to the coverage/linking row space,
-/// assembled in parallel once the variable maps exist.
-struct JobRowPlan {
-    /// Terms of the job's coverage row (20).
-    cov: Vec<(VarId, f64)>,
-    /// Linking rows (24), in store order.
-    lnk: Vec<LnkPlan>,
-}
-
 /// Per machine id: the terms of its CPU-capacity row and read-budget row,
 /// `None` when no job has a candidate arc there.
 type MachineTerms = Vec<Option<Vec<(VarId, f64)>>>;
@@ -686,15 +669,10 @@ type MachineTerms = Vec<Option<Vec<(VarId, f64)>>>;
 /// argument row-for-row. (Rows whose full-model terms would all be
 /// excluded are still emitted, merely empty for now; their slack stays
 /// basic at zero cost.)
-///
-/// Copy planning and coverage/linking row assembly run per job across
-/// `pool` ([`Pool::par_map`]) and are stitched into the [`Model`]
-/// serially in job order, so the model is identical at any pool width.
 fn build_filtered(
     inst: &LpInstance<'_>,
     space: &ArcSpace,
     active: Option<&[bool]>,
-    pool: Pool,
 ) -> (Model, VarMaps, RowIds) {
     let cluster = inst.cluster;
     let n_jobs = inst.jobs.len();
@@ -716,14 +694,10 @@ fn build_filtered(
         xfer: vec![None; n_machines],
         job_pools: vec![Vec::new(); n_jobs],
     };
-    let job_indices: Vec<usize> = (0..n_jobs).collect();
 
     // --- variables ------------------------------------------------------
     // Per job: its active task arcs, its copy variables, its fake column.
-    let nd_plans: Vec<Vec<NdPlan>> = pool.par_map(&job_indices, |_, &k| {
-        plan_copies(inst, k, &space.job_stores[k])
-    });
-    for (k, nds) in nd_plans.into_iter().enumerate() {
+    for k in 0..n_jobs {
         let id = inst.jobs[k].id;
         for i in space.jobs[k].clone() {
             if active.is_some_and(|a| !a[i]) {
@@ -742,7 +716,7 @@ fn build_filtered(
             );
         }
         let nd_start = maps.nd.len();
-        for nd in nds {
+        for nd in plan_copies(inst, k, &space.job_stores[k]) {
             let key = ColKey::Nd {
                 job: id,
                 dest: nd.dest,
@@ -778,11 +752,8 @@ fn build_filtered(
     // rows. Rows are added in the order all cov, all lnk, all cpu, all
     // xfer, pool floors, store capacity.
     // (20): every job fully assigned (fake node included).
-    // (24)/(13): task reads bounded by availability + new copies.
-    let row_plans: Vec<JobRowPlan> = pool.par_map(&job_indices, |_, &k| {
-        let job = &inst.jobs[k];
-        let job_arcs = space.jobs[k].clone();
-        let mut cov: Vec<(VarId, f64)> = maps.arc_var[job_arcs.clone()]
+    for k in 0..n_jobs {
+        let mut cov: Vec<(VarId, f64)> = maps.arc_var[space.jobs[k].clone()]
             .iter()
             .flatten()
             .map(|&v| (v, 1.0))
@@ -790,26 +761,7 @@ fn build_filtered(
         if let Some(f) = maps.fake[k] {
             cov.push((f, 1.0));
         }
-        let mut lnk = Vec::new();
-        if job.size_mb > 0.0 {
-            let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
-            let stores = &space.job_stores[k];
-            let nds = &maps.nd[maps.job_nd[k].clone()];
-            for (si, &m) in stores.iter().enumerate() {
-                let mut terms: Vec<(VarId, f64)> = (0..space.job_machines[k].len())
-                    .filter_map(|li| maps.arc_var[job_arcs.start + li * stores.len() + si])
-                    .map(|v| (v, 1.0))
-                    .collect();
-                terms.extend(nds.iter().filter(|n| n.dest == m).map(|n| (n.var, -1.0)));
-                let a = avail.get(&m).copied().unwrap_or(0.0).min(1.0);
-                lnk.push((a, terms));
-            }
-        }
-        JobRowPlan { cov, lnk }
-    });
-    let mut lnk_plans: Vec<Vec<LnkPlan>> = Vec::with_capacity(n_jobs);
-    for (k, plan) in row_plans.into_iter().enumerate() {
-        let row = model.add_constraint(plan.cov, Cmp::Ge, 1.0);
+        let row = model.add_constraint(cov, Cmp::Ge, 1.0);
         model.key_constraint(
             row,
             RowKey::Cov {
@@ -819,20 +771,33 @@ fn build_filtered(
         );
         maps.ann.annotate_row(row, RowKind::Coverage { job: k });
         rows.cov.push(row);
-        lnk_plans.push(plan.lnk);
     }
-    for (k, lnk) in lnk_plans.into_iter().enumerate() {
-        let mut job_rows = Vec::with_capacity(lnk.len());
-        for ((a, terms), &m) in lnk.into_iter().zip(&space.job_stores[k]) {
-            let row = model.add_constraint(terms, Cmp::Le, a);
-            let key = RowKey::Lnk {
-                job: inst.jobs[k].id,
-                store: m,
-            };
-            model.key_constraint(row, key.pack());
-            maps.ann
-                .annotate_row(row, RowKind::Linking { job: k, store: m });
-            job_rows.push(row);
+    // (24)/(13): task reads bounded by availability + new copies.
+    for (k, job) in inst.jobs.iter().enumerate() {
+        let stores = &space.job_stores[k];
+        let mut job_rows = Vec::new();
+        if job.size_mb > 0.0 {
+            job_rows.reserve_exact(stores.len());
+            let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
+            let nds = &maps.nd[maps.job_nd[k].clone()];
+            let start = space.jobs[k].start;
+            for (si, &m) in stores.iter().enumerate() {
+                let mut terms: Vec<(VarId, f64)> = (0..space.job_machines[k].len())
+                    .filter_map(|li| maps.arc_var[start + li * stores.len() + si])
+                    .map(|v| (v, 1.0))
+                    .collect();
+                terms.extend(nds.iter().filter(|n| n.dest == m).map(|n| (n.var, -1.0)));
+                let a = avail.get(&m).copied().unwrap_or(0.0).min(1.0);
+                let row = model.add_constraint(terms, Cmp::Le, a);
+                let key = RowKey::Lnk {
+                    job: job.id,
+                    store: m,
+                };
+                model.key_constraint(row, key.pack());
+                maps.ann
+                    .annotate_row(row, RowKind::Linking { job: k, store: m });
+                job_rows.push(row);
+            }
         }
         rows.lnk.push(job_rows);
     }
@@ -850,7 +815,7 @@ fn build_filtered(
             continue; // no candidate arc anywhere
         }
         let work = job.work_ecu();
-        let per_machine = space.per_machine(inst, k);
+        let per_machine = per_machine(&inst.jobs[k], &space.job_stores[k]);
         for (li, &l) in space.job_machines[k].iter().enumerate() {
             let first = space.jobs[k].start + li * per_machine;
             let arc_vars = &maps.arc_var[first..first + per_machine];
@@ -996,8 +961,7 @@ fn expectations(inst: &LpInstance<'_>) -> PaperExpectations {
 /// analysis; [`solve_master`] and [`solve_full`] are the entry points for
 /// scheduling.
 pub fn build_audited(inst: &LpInstance<'_>) -> (Model, ModelAnnotations, PaperExpectations) {
-    let pool = Pool::serial();
-    let (model, maps, _) = build_filtered(inst, &arc_space(inst, pool), None, pool);
+    let (model, maps, _) = build_filtered(inst, &arc_space(inst), None);
     let expect = expectations(inst);
     (model, maps.ann, expect)
 }
@@ -1090,12 +1054,6 @@ impl SolveReport {
     }
 }
 
-/// The worker pool of one solve: `threads` workers, else
-/// [`Pool::from_env`].
-fn solve_pool(threads: Option<usize>) -> Pool {
-    threads.map_or_else(Pool::from_env, Pool::new)
-}
-
 /// Solve `inst` by delayed column generation over a restricted master,
 /// seeded with `prior`'s surviving columns and basis when given, and
 /// certify the answer against the *full* model, every excluded arc priced.
@@ -1112,13 +1070,6 @@ fn solve_pool(threads: Option<usize>) -> Pool {
 /// factorization: no round after the first re-lowers the model, re-matches
 /// keys or refactorizes on entry.
 ///
-/// `threads` sets the workers for model build, column pricing and
-/// certification (`None`: [`lips_par::default_threads`], the
-/// `LIPS_THREADS` environment variable, else the machine's available
-/// parallelism). It is pure throughput tuning: the deterministic merge
-/// discipline of [`lips_par::Pool`] makes every report — objective,
-/// chosen columns, certificate, basis — bitwise identical at any width.
-///
 /// A solution the certifier rejects is
 /// [`EpochSolveError::Certification`], never a panic: the epoch scheduler
 /// treats it as one more rung on its degradation ladder.
@@ -1126,26 +1077,19 @@ pub fn solve_master(
     inst: &LpInstance<'_>,
     prior: Option<&ColGenState>,
     opts: &ColGenOptions,
-    threads: Option<usize>,
 ) -> Result<SolveReport, EpochSolveError> {
-    let pool = solve_pool(threads);
-    let run = master_price_loop(inst, opts, prior, pool)?;
-    finish(inst, run, pool, true)
+    let run = master_price_loop(inst, opts, prior)?;
+    finish(inst, run, true)
 }
 
 /// Solve the full model of `inst` cold by the primal simplex. The full
 /// model is a master with nothing excluded: the same finish step as
 /// [`solve_master`] certifies it, reads its shadow prices and decodes it;
-/// only the carry is left out. `threads` and errors as for
-/// [`solve_master`].
-pub fn solve_full(
-    inst: &LpInstance<'_>,
-    threads: Option<usize>,
-) -> Result<SolveReport, EpochSolveError> {
-    let pool = solve_pool(threads);
+/// only the carry is left out. Errors as for [`solve_master`].
+pub fn solve_full(inst: &LpInstance<'_>) -> Result<SolveReport, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
-    let space = arc_space(inst, pool);
-    let (model, maps, rows) = build_filtered(inst, &space, None, pool);
+    let space = arc_space(inst);
+    let (model, maps, rows) = build_filtered(inst, &space, None);
     let build_ms = t_build.elapsed_ms();
     let sol = model.solve()?;
     let stats = *sol.stats();
@@ -1160,7 +1104,7 @@ pub fn solve_full(
         stats,
         build_ms,
     };
-    finish(inst, run, pool, false)
+    finish(inst, run, false)
 }
 
 /// Tuning for [`solve_master`].
@@ -1352,8 +1296,8 @@ fn name_order(a: &ArcCand, b: &ArcCand) -> std::cmp::Ordering {
 /// Column of one arc in the full row space, written into a reusable
 /// buffer — must mirror the builder's coefficients exactly (same
 /// work/size/bandwidth formulas). Buffer discipline keeps the pricing
-/// loop free of per-arc heap allocation: each pricing worker reuses one
-/// scratch vector across every arc it prices.
+/// loop free of per-arc heap allocation: pricing reuses one scratch
+/// vector across every arc it prices.
 fn arc_terms_into(
     inst: &LpInstance<'_>,
     rows: &RowIds,
@@ -1413,8 +1357,8 @@ struct MasterRun {
 /// cheapest per job, plus whatever `prior` carried over). One
 /// [`lips_lp::Session`] serves the epoch: the first round opens it (the
 /// dual simplex from the carried basis, else from the slack basis), each
-/// round prices every excluded arc against its duals across `pool`'s
-/// workers ([`lips_lp::ColumnPricer::price_out_batch`]), appends
+/// round prices every excluded arc against its duals
+/// ([`lips_lp::ColumnPricer::price_out_batch`]), appends
 /// everything that prices out to the model and the session alike, and
 /// resumes the session — primal phase 2 from the incumbent basis, on the
 /// same factorization — until nothing prices out, at which point the
@@ -1430,10 +1374,9 @@ fn master_price_loop(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
     prior: Option<&ColGenState>,
-    pool: Pool,
 ) -> Result<MasterRun, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
-    let space = arc_space(inst, pool);
+    let space = arc_space(inst);
     let mut in_master = seed_active(
         &space,
         opts.seed_arcs_per_job,
@@ -1444,7 +1387,7 @@ fn master_price_loop(
     // slack basis.
     let mut warm: Cow<'_, WarmStart> =
         prior.map_or_else(|| Cow::Owned(WarmStart::new()), |p| Cow::Borrowed(&p.basis));
-    let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master), pool);
+    let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master));
     let mut build_ms = t_build.elapsed_ms();
 
     // Every arc enters the model and the live session (if any) together.
@@ -1532,12 +1475,11 @@ fn master_price_loop(
         };
         let pricer = lips_lp::ColumnPricer::new(model.sense(), duals);
         let t = lips_lp::clock::Stopwatch::start();
-        // Price every excluded arc across the pool's workers; the batch
-        // returns ascending candidate indices, so `entering` is in arc
-        // enumeration order at any thread count.
+        // Price every excluded arc; the batch returns ascending candidate
+        // indices, so `entering` is in arc enumeration order.
         let excluded: Vec<usize> = (0..in_master.len()).filter(|&i| !in_master[i]).collect();
         let mut entering: Vec<usize> = pricer
-            .price_out_batch(pool, excluded.len(), |j, buf| {
+            .price_out_batch(excluded.len(), |j, buf| {
                 let a = &space.arcs[excluded[j]];
                 arc_terms_into(inst, &rows, a, buf);
                 a.cost
@@ -1621,12 +1563,10 @@ fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
 fn finish(
     inst: &LpInstance<'_>,
     mut run: MasterRun,
-    pool: Pool,
     carry: bool,
 ) -> Result<SolveReport, EpochSolveError> {
-    // The certificate splits its KKT and re-pricing passes across the
-    // pool, re-deriving each excluded arc's column from the instance as it
-    // prices it.
+    // The certificate re-derives each excluded arc's column from the
+    // instance as it prices it.
     let t_cert = lips_lp::clock::Stopwatch::start();
     let excluded: Vec<&ArcCand> = run
         .space
@@ -1641,7 +1581,7 @@ fn finish(
         (a.key, a.cost)
     };
     let certificate =
-        match lips_audit::certify_restricted_with(pool, &run.model, &run.sol, &excluded, column) {
+        match lips_audit::certify_restricted_with(&run.model, &run.sol, &excluded, column) {
             Ok(cert) if cert.is_optimal() => cert,
             Ok(cert) => {
                 let worst = cert.worst_excluded.map(render_col).unwrap_or_default();
@@ -1770,7 +1710,7 @@ mod tests {
 
     /// The certified full-model schedule of `inst`.
     fn solve(inst: &LpInstance<'_>) -> Result<FractionalSchedule, EpochSolveError> {
-        solve_full(inst, None).map(|r| r.schedule)
+        solve_full(inst).map(|r| r.schedule)
     }
 
     /// Two-machine cluster: expensive m1.medium in zone a holding the
@@ -2075,7 +2015,7 @@ mod tests {
         let opts = ColGenOptions {
             seed_arcs_per_job: 2,
         };
-        let out = solve_master(&inst, None, &opts, None).unwrap();
+        let out = solve_master(&inst, None, &opts).unwrap();
         let cert = &out.certificate;
         assert!(cert.is_optimal(), "{cert}");
         assert!(
@@ -2103,7 +2043,7 @@ mod tests {
         let cluster = ec2_20_node(0.5, 100_000.0);
         let opts = ColGenOptions::default();
         let inst1 = base_inst(&cluster, spread_jobs(6));
-        let e1 = solve_master(&inst1, None, &opts, None).unwrap();
+        let e1 = solve_master(&inst1, None, &opts).unwrap();
         let (state1, _) = e1.master.expect("a master reports its state");
         assert!(state1.carried_columns() > 0);
 
@@ -2111,7 +2051,7 @@ mod tests {
         jobs2[3].tcp *= 1.5;
         let inst2 = base_inst(&cluster, jobs2);
         let full2 = solve(&inst2).unwrap();
-        let e2 = solve_master(&inst2, Some(&state1), &opts, None).unwrap();
+        let e2 = solve_master(&inst2, Some(&state1), &opts).unwrap();
         let cert = &e2.certificate;
         assert!(cert.is_optimal(), "{cert}");
         assert!(
@@ -2147,7 +2087,7 @@ mod tests {
         let opts = ColGenOptions {
             seed_arcs_per_job: 1,
         };
-        let out = solve_master(&inst, None, &opts, None).unwrap();
+        let out = solve_master(&inst, None, &opts).unwrap();
         let cert = &out.certificate;
         assert!(cert.is_optimal(), "{cert}");
         assert!((out.schedule.lp_objective - full.lp_objective).abs() < 1e-6);
@@ -2160,8 +2100,8 @@ mod tests {
         let size = 1024.0;
         let mut inst = base_inst(&cluster, vec![one_job(size, work_ecu / size, StoreId(0))]);
         inst.duration = work_ecu / 7.0 * 1.0001; // both CPU rows bind
-        let direct = solve_full(&inst, None).unwrap().shadow_prices;
-        let cg = solve_master(&inst, None, &ColGenOptions::default(), None)
+        let direct = solve_full(&inst).unwrap().shadow_prices;
+        let cg = solve_master(&inst, None, &ColGenOptions::default())
             .unwrap()
             .shadow_prices;
         for ((m1, p1), (m2, p2)) in direct.iter().zip(cg.iter()) {
@@ -2171,11 +2111,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_solve() {
-        // The determinism contract, end to end, on both solve paths:
-        // build, colgen pricing, and certification at 1/2/8 threads must
-        // produce bitwise-identical reports — objective, schedule, shadow
-        // prices, chosen columns, certificate residuals, everything.
+    fn repeated_solves_are_bitwise_identical() {
+        // The determinism contract, end to end, on both solve paths: two
+        // runs of build, colgen pricing, and certification must produce
+        // bitwise-identical reports — objective, schedule, shadow prices,
+        // chosen columns, certificate residuals, everything.
         let cluster = ec2_20_node(0.5, 100_000.0);
         let mut inst = base_inst(&cluster, spread_jobs(8));
         inst.fake_cost = Some(1.0);
@@ -2207,65 +2147,62 @@ mod tests {
             out
         };
         for path in ["master", "full"] {
-            let run = |threads: usize| {
+            let run = || {
                 if path == "master" {
-                    solve_master(&inst, None, &opts, Some(threads)).unwrap()
+                    solve_master(&inst, None, &opts).unwrap()
                 } else {
-                    solve_full(&inst, Some(threads)).unwrap()
+                    solve_full(&inst).unwrap()
                 }
             };
-            let base = run(1);
-            for threads in [2, 8] {
-                let other = run(threads);
-                let at = format!("{path} threads={threads}");
+            let base = run();
+            let other = run();
+            let at = path;
+            assert_eq!(
+                base.schedule.lp_objective.to_bits(),
+                other.schedule.lp_objective.to_bits(),
+                "{at}"
+            );
+            assert_eq!(
+                base.schedule.assignments, other.schedule.assignments,
+                "{at}"
+            );
+            assert_eq!(base.schedule.moves, other.schedule.moves, "{at}");
+            assert_eq!(
+                bits(&base.shadow_prices),
+                bits(&other.shadow_prices),
+                "{at}"
+            );
+            assert_eq!(
+                cert_bits(&base.certificate),
+                cert_bits(&other.certificate),
+                "{at}"
+            );
+            assert_eq!(base.master.is_some(), other.master.is_some(), "{at}");
+            if let (Some((state_a, stats_a)), Some((state_b, stats_b))) =
+                (&base.master, &other.master)
+            {
+                // The carried keys are sorted, each once.
+                assert!(state_a.active.windows(2).all(|w| w[0] < w[1]), "{at}");
+                assert_eq!(state_a.active, state_b.active, "{at}");
+                assert_eq!(stats_a.active_columns, stats_b.active_columns);
+                assert_eq!(stats_a.appended, stats_b.appended);
+                assert_eq!(stats_a.rounds, stats_b.rounds);
+                // The next epoch, seeded from each run's carry, solves
+                // the same way too.
+                let next_a = solve_master(&inst, Some(state_a), &opts).unwrap();
+                let next_b = solve_master(&inst, Some(state_b), &opts).unwrap();
                 assert_eq!(
-                    base.schedule.lp_objective.to_bits(),
-                    other.schedule.lp_objective.to_bits(),
+                    next_a.schedule.lp_objective.to_bits(),
+                    next_b.schedule.lp_objective.to_bits(),
                     "{at}"
                 );
                 assert_eq!(
-                    base.schedule.assignments, other.schedule.assignments,
+                    cert_bits(&next_a.certificate),
+                    cert_bits(&next_b.certificate),
                     "{at}"
                 );
-                assert_eq!(base.schedule.moves, other.schedule.moves, "{at}");
-                assert_eq!(
-                    bits(&base.shadow_prices),
-                    bits(&other.shadow_prices),
-                    "{at}"
-                );
-                assert_eq!(
-                    cert_bits(&base.certificate),
-                    cert_bits(&other.certificate),
-                    "{at}"
-                );
-                assert_eq!(base.master.is_some(), other.master.is_some(), "{at}");
-                if let (Some((state_a, stats_a)), Some((state_b, stats_b))) =
-                    (&base.master, &other.master)
-                {
-                    // The carried keys are sorted, each once.
-                    assert!(state_a.active.windows(2).all(|w| w[0] < w[1]), "{at}");
-                    assert_eq!(state_a.active, state_b.active, "{at}");
-                    assert_eq!(stats_a.active_columns, stats_b.active_columns);
-                    assert_eq!(stats_a.appended, stats_b.appended);
-                    assert_eq!(stats_a.rounds, stats_b.rounds);
-                    // The next epoch, seeded from each width's carry at
-                    // that width, solves the same way too.
-                    let next_a = solve_master(&inst, Some(state_a), &opts, Some(1)).unwrap();
-                    let next_b = solve_master(&inst, Some(state_b), &opts, Some(threads)).unwrap();
-                    assert_eq!(
-                        next_a.schedule.lp_objective.to_bits(),
-                        next_b.schedule.lp_objective.to_bits(),
-                        "{at}"
-                    );
-                    assert_eq!(
-                        cert_bits(&next_a.certificate),
-                        cert_bits(&next_b.certificate),
-                        "{at}"
-                    );
-                    let carried =
-                        |r: &SolveReport| r.master.as_ref().map(|(s, _)| s.active.clone());
-                    assert_eq!(carried(&next_a), carried(&next_b), "{at}");
-                }
+                let carried = |r: &SolveReport| r.master.as_ref().map(|(s, _)| s.active.clone());
+                assert_eq!(carried(&next_a), carried(&next_b), "{at}");
             }
         }
     }
@@ -2287,7 +2224,7 @@ mod tests {
         let mut cluster = two_node();
         cluster.machines[1].tp_ecu = 0.0;
         let inst = base_inst(&cluster, vec![one_job(1024.0, 5.0, StoreId(0))]);
-        let mut report = solve_master(&inst, None, &ColGenOptions::default(), None).unwrap();
+        let mut report = solve_master(&inst, None, &ColGenOptions::default()).unwrap();
         assert!(report
             .schedule
             .assignments
@@ -2469,7 +2406,7 @@ mod tests {
         job.avail = vec![];
         let mut inst = base_inst(&cluster, vec![job]);
         inst.fake_cost = Some(1.0);
-        let report = solve_full(&inst, None).unwrap();
+        let report = solve_full(&inst).unwrap();
         let deferred = report.schedule.deferred.get(&JobId(0)).copied().unwrap();
         assert!(deferred > 1.0 - 1e-6, "deferred {deferred}");
         assert!(report.schedule.moves.is_empty());
@@ -2491,7 +2428,7 @@ mod tests {
         inst.enforce_transfer_time = true;
         inst.duration = 60.0;
         inst.fake_cost = Some(1.0);
-        let report = solve_full(&inst, None).unwrap();
+        let report = solve_full(&inst).unwrap();
         assert!(report.schedule.moves.is_empty());
         let deferred = report.schedule.deferred[&JobId(0)];
         assert!(deferred > 0.5, "deferred {deferred}");
@@ -2502,7 +2439,7 @@ mod tests {
             fake_cost: Some(1.0),
             ..with_data
         };
-        let moved = solve_full(&with_data, None).unwrap().schedule.moves;
+        let moved = solve_full(&with_data).unwrap().schedule.moves;
         assert!(!moved.is_empty(), "a copy must be optimal with a DataId");
     }
 }

@@ -63,7 +63,7 @@ pub fn simple_task_schedule(
         pool_floors: vec![],
         prune: PruneConfig::default(),
     };
-    solve_full(&inst, None).map(|r| r.schedule)
+    solve_full(&inst).map(|r| r.schedule)
 }
 
 /// **Fig 3** — offline cost-efficient co-scheduling: data placement and
@@ -84,7 +84,7 @@ pub fn co_schedule(
         pool_floors: vec![],
         prune: PruneConfig::default(),
     };
-    solve_full(&inst, None).map(|r| r.schedule)
+    solve_full(&inst).map(|r| r.schedule)
 }
 
 /// **§IV greedy** — for each job pick the `(machine, holder-store)` pair

@@ -109,8 +109,7 @@ fn cold_primal_rung_certifies_the_drift_epoch() {
         },
     };
     // The ladder's last rung: a cold primal solve with no carried state.
-    let report =
-        solve_full(&inst, Some(1)).unwrap_or_else(|e| panic!("the cold primal rung failed: {e}"));
+    let report = solve_full(&inst).unwrap_or_else(|e| panic!("the cold primal rung failed: {e}"));
     assert!(report.certificate.is_optimal());
     assert!(
         report.schedule.stats.phase1_iterations > 0,

@@ -11,7 +11,6 @@ use lips_core::lp_build::{
     solve_full, solve_master, ColGenOptions, LpInstance, LpJob, PruneConfig,
 };
 use lips_lp::{Cmp, ConstraintId, Model};
-use lips_par::Pool;
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -90,10 +89,10 @@ proptest! {
                 pool_floors: vec![],
                 prune: PruneConfig::default(),
             };
-            let full = solve_full(&inst, None)
+            let full = solve_full(&inst)
                 .map_err(|e| TestCaseError::fail(format!("full LP failed: {e}")))?
                 .schedule;
-            let out = solve_master(&inst, state.as_ref(), &opts, None)
+            let out = solve_master(&inst, state.as_ref(), &opts)
                 .map_err(|e| TestCaseError::fail(format!("colgen failed: {e}")))?;
             let cert = &out.certificate;
             prop_assert!(cert.is_optimal(), "epoch {e}: {cert}");
@@ -133,7 +132,7 @@ proptest! {
             (key, obj)
         };
         let excluded = [(1, cheap * dear)];
-        let cert = certify_restricted_with(Pool::serial(), &m, &sol, &excluded, column).unwrap();
+        let cert = certify_restricted_with(&m, &sol, &excluded, column).unwrap();
         prop_assert!(cert.master.is_optimal(), "master itself is optimal");
         prop_assert!(
             !cert.is_optimal(),
@@ -143,7 +142,7 @@ proptest! {
 
         // Sanity: pricing the column in (dear excluded instead) passes.
         let fine = [(2, dear * 2.0)];
-        let cert2 = certify_restricted_with(Pool::serial(), &m, &sol, &fine, column).unwrap();
+        let cert2 = certify_restricted_with(&m, &sol, &fine, column).unwrap();
         prop_assert!(cert2.is_optimal(), "{cert2}");
     }
 }

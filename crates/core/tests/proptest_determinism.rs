@@ -1,10 +1,9 @@
-//! Property tests for the determinism contract of the parallel epoch
-//! pipeline: across random clusters and chained epoch sequences —
-//! including mid-chain machine revocations — the multi-threaded model
-//! build, column pricing, and certification must produce **bitwise**
-//! identical reports to the serial (`threads = 1`) run. Not "close":
-//! identical, down to the last mantissa bit of every objective and
-//! certificate residual.
+//! Property tests for the determinism contract of the epoch pipeline:
+//! across random clusters and chained epoch sequences — including
+//! mid-chain machine revocations — two runs of model build, column
+//! pricing, and certification must produce **bitwise** identical
+//! reports. Not "close": identical, down to the last mantissa bit of
+//! every objective and certificate residual.
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
 use lips_core::lp_build::{
@@ -24,7 +23,7 @@ struct RandomChain {
     seed_arcs: usize,
     epochs: usize,
     /// Machine index to revoke (tp_ecu = 0) at epoch 1, if any — the
-    /// chained state must be repaired identically at every width.
+    /// chained state must be repaired identically in every run.
     revoke: Option<usize>,
 }
 
@@ -151,18 +150,16 @@ fn assert_bitwise(a: &SolveReport, b: &SolveReport, ctx: &str) -> Result<(), Tes
 }
 
 /// The cold primal on the full model certifies the same objective as
-/// `report`, and its own report is bitwise identical at 1 vs 4 threads.
+/// `report`, and its own report is bitwise identical from run to run.
 fn assert_cold_parity(
     inst: &LpInstance<'_>,
     report: &SolveReport,
     epoch: usize,
 ) -> Result<(), TestCaseError> {
-    let full = |threads: usize| {
-        solve_full(inst, Some(threads))
-            .map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")))
-    };
-    let cold = full(1)?;
-    assert_bitwise(&cold, &full(4)?, &format!("epoch {epoch} full model"))?;
+    let full =
+        || solve_full(inst).map_err(|e| TestCaseError::fail(format!("cold primal failed: {e}")));
+    let cold = full()?;
+    assert_bitwise(&cold, &full()?, &format!("epoch {epoch} full model"))?;
     let (p, m) = (cold.schedule.lp_objective, report.schedule.lp_objective);
     prop_assert!(
         (p - m).abs() <= 1e-6 * (1.0 + p.abs()),
@@ -190,35 +187,33 @@ fn maybe_revoke(rc: &RandomChain, cluster: &mut Cluster, epoch: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Colgen chains (parallel build + batch pricing + restricted
-    /// certification, cross-epoch column/basis reuse, the carried state
-    /// sanitized after a mid-chain revocation) are certified, land on the
-    /// cold primal's optimum, and are bitwise identical at 1 vs 4
-    /// threads.
+    /// Colgen chains (build + batch pricing + restricted certification,
+    /// cross-epoch column/basis reuse, the carried state sanitized after a
+    /// mid-chain revocation) are certified, land on the cold primal's
+    /// optimum, and two chains run side by side are bitwise identical.
     #[test]
-    fn colgen_chain_is_bitwise_identical_across_widths(rc in chain_strategy()) {
+    fn colgen_chain_is_bitwise_identical_run_to_run(rc in chain_strategy()) {
         let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
         let opts = ColGenOptions {
             seed_arcs_per_job: rc.seed_arcs,
         };
-        let mut serial: Option<ColGenState> = None;
-        let mut wide: Option<ColGenState> = None;
+        let mut first: Option<ColGenState> = None;
+        let mut second: Option<ColGenState> = None;
         for e in 0..rc.epochs {
             maybe_revoke(&rc, &mut cluster, e);
-            if let Some(s) = serial.as_mut() {
+            if let Some(s) = first.as_mut() {
                 s.sanitize_for_cluster(&cluster);
             }
-            if let Some(s) = wide.as_mut() {
+            if let Some(s) = second.as_mut() {
                 s.sanitize_for_cluster(&cluster);
             }
             let inst = instance(&rc, &cluster, e);
-            let run = |threads: usize, state: Option<&ColGenState>| {
-                solve_master(&inst, state, &opts, Some(threads))
+            let run = |state: Option<&ColGenState>| {
+                solve_master(&inst, state, &opts)
+                    .map_err(|e| TestCaseError::fail(format!("colgen failed: {e}")))
             };
-            let a = run(1, serial.as_ref())
-                .map_err(|e| TestCaseError::fail(format!("serial colgen failed: {e}")))?;
-            let b = run(4, wide.as_ref())
-                .map_err(|e| TestCaseError::fail(format!("parallel colgen failed: {e}")))?;
+            let a = run(first.as_ref())?;
+            let b = run(second.as_ref())?;
             assert_bitwise(&a, &b, &format!("epoch {e}"))?;
             prop_assert!(a.certificate.is_optimal(), "epoch {}: {}", e, a.certificate);
             assert_cold_parity(&inst, &a, e)?;
@@ -228,27 +223,27 @@ proptest! {
             prop_assert_eq!(stats_a.active_columns, stats_b.active_columns);
             prop_assert_eq!(stats_a.appended, stats_b.appended);
             prop_assert_eq!(stats_a.rounds, stats_b.rounds);
-            serial = Some(sa);
-            wide = Some(sb);
+            first = Some(sa);
+            second = Some(sb);
         }
     }
 
     /// A master with nothing carried starts its dual from the slack
     /// basis: on random Fig-4 epochs (revocations included) it certifies
     /// the cold primal's objective, needs no phase 1, and its run is
-    /// bitwise identical at 1 vs 4 threads.
+    /// bitwise identical from run to run.
     #[test]
-    fn slack_start_master_matches_cold_primal_across_widths(rc in chain_strategy()) {
+    fn slack_start_master_matches_cold_primal(rc in chain_strategy()) {
         let mut cluster = ec2_mixed_cluster(rc.nodes, rc.c1, 1e9, rc.seed);
         for e in 0..rc.epochs {
             maybe_revoke(&rc, &mut cluster, e);
             let inst = instance(&rc, &cluster, e);
-            let master = |threads: usize| {
-                solve_master(&inst, None, &ColGenOptions::default(), Some(threads))
+            let master = || {
+                solve_master(&inst, None, &ColGenOptions::default())
                     .map_err(|e| TestCaseError::fail(format!("slack-start master failed: {e}")))
             };
-            let a = master(1)?;
-            let b = master(4)?;
+            let a = master()?;
+            let b = master()?;
             assert_bitwise(&a, &b, &format!("epoch {e}"))?;
             assert_cold_parity(&inst, &a, e)?;
             let stats = a.schedule.stats;

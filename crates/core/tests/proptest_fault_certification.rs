@@ -69,12 +69,12 @@ proptest! {
             if let Some(c) = carry.as_mut() {
                 c.sanitize_for_cluster(&cluster);
             }
-            let mut warm = solve_master(&inst, carry.as_ref(), &ColGenOptions::default(), None)
+            let mut warm = solve_master(&inst, carry.as_ref(), &ColGenOptions::default())
                 .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
             let warm_cert = &warm.certificate;
             prop_assert!(warm_cert.is_optimal(), "epoch {e}: {warm_cert}");
 
-            let cold = solve_full(&inst, None)
+            let cold = solve_full(&inst)
                 .map_err(|err| TestCaseError::fail(format!("epoch {e}: cold solve failed: {err}")))?;
             // Both solves are KKT-certified, which bounds each to within
             // the certifier's gap tolerance of the optimum — so the two

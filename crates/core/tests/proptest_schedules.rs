@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 /// The certified full-model schedule of `inst`.
 fn solve(inst: &LpInstance<'_>) -> Result<FractionalSchedule, EpochSolveError> {
-    solve_full(inst, None).map(|r| r.schedule)
+    solve_full(inst).map(|r| r.schedule)
 }
 
 #[derive(Debug, Clone)]

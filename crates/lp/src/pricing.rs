@@ -19,7 +19,6 @@
 
 use crate::model::{ConstraintId, Sense};
 use crate::TOL;
-use lips_par::Pool;
 
 /// Prices candidate columns against a solved master's duals.
 ///
@@ -64,26 +63,25 @@ impl<'a> ColumnPricer<'a> {
         self.reduced_cost(obj, terms) < -TOL
     }
 
-    /// Price `n` candidate columns across `pool`'s workers and return the
-    /// indices of those that price out, **ascending** — the merge is in
-    /// candidate order, so the result is bitwise identical at any thread
-    /// count.
+    /// Price `n` candidate columns and return the indices of those that
+    /// price out, ascending.
     ///
     /// `fill` describes candidate `i`: it writes the column's terms into
     /// the supplied buffer (already cleared) and returns the objective
-    /// coefficient. The buffer is per-worker scratch reused across every
-    /// candidate that worker prices, so a batch pass performs no per-arc
-    /// heap allocation — with [`Pool::serial`] this is also the allocation
-    /// discipline of the serial pricing loop.
-    pub fn price_out_batch<F>(&self, pool: Pool, n: usize, fill: F) -> Vec<usize>
+    /// coefficient. One buffer is reused across every candidate, so a
+    /// batch pass performs no per-arc heap allocation.
+    pub fn price_out_batch<F>(&self, n: usize, mut fill: F) -> Vec<usize>
     where
-        F: Fn(usize, &mut Vec<(ConstraintId, f64)>) -> f64 + Sync,
+        F: FnMut(usize, &mut Vec<(ConstraintId, f64)>) -> f64,
     {
-        pool.par_filter_indices_with(n, Vec::new, |buf, i| {
-            buf.clear();
-            let obj = fill(i, buf);
-            self.prices_out(obj, buf)
-        })
+        let mut buf = Vec::new();
+        (0..n)
+            .filter(|&i| {
+                buf.clear();
+                let obj = fill(i, &mut buf);
+                self.prices_out(obj, &buf)
+            })
+            .collect()
     }
 }
 
@@ -157,10 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_pricing_matches_per_column_calls_at_any_width() {
+    fn batch_pricing_matches_per_column_calls() {
         // A master with several rows and a spread of candidate columns:
         // the batch API must select exactly the candidates the one-by-one
-        // API selects, in ascending candidate order, at every pool width.
+        // API selects, in ascending candidate order.
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, 10.0, 2.0);
         let y = m.add_var("y", 0.0, 10.0, 3.0);
@@ -186,9 +184,6 @@ mod tests {
             })
             .collect();
         assert!(!serial.is_empty() && serial.len() < n, "degenerate test");
-        for threads in [1, 2, 8] {
-            let batch = pricer.price_out_batch(Pool::new(threads), n, |i, buf| describe(i, buf));
-            assert_eq!(serial, batch, "threads={threads}");
-        }
+        assert_eq!(serial, pricer.price_out_batch(n, describe));
     }
 }

@@ -30,7 +30,7 @@
 //! [`lips_sim::validate_report`] checks like any simulated run.
 //!
 //! Everything runs on virtual time and deterministic data structures, so
-//! a trajectory is bitwise reproducible at any worker-thread count.
+//! a trajectory is bitwise reproducible from run to run.
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -37,7 +37,6 @@ struct Args {
     seed: u64,
     preset: Preset,
     epoch_s: f64,
-    threads: Option<usize>,
     stream: Option<String>,
     jobs: usize,
     horizon: f64,
@@ -57,7 +56,6 @@ impl Default for Args {
             seed: 2013,
             preset: Preset::Small,
             epoch_s: 400.0,
-            threads: None,
             stream: None,
             jobs: 64,
             horizon: 4000.0,
@@ -77,7 +75,6 @@ const USAGE: &str = "usage: lips-serve [options]
   --seed S           generator seed (default 2013)
   --preset P         scheduler preset: small | large (default small)
   --epoch-s F        initial epoch length in seconds (default 400)
-  --threads N        solver worker threads (default: LIPS_THREADS or 1)
   --stream S         arrival stream: synth | google | swim | none
                      (default: synth in batch mode, none with --control)
   --jobs N           jobs in the stream (default 64)
@@ -105,9 +102,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 args.preset = Preset::parse(&p).ok_or_else(|| format!("unknown preset {p:?}"))?;
             }
             "--epoch-s" => args.epoch_s = val("--epoch-s")?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => {
-                args.threads = Some(val("--threads")?.parse().map_err(|e| format!("{e}"))?);
-            }
             "--stream" => args.stream = Some(val("--stream")?),
             "--jobs" => args.jobs = val("--jobs")?.parse().map_err(|e| format!("{e}"))?,
             "--horizon" => args.horizon = val("--horizon")?.parse().map_err(|e| format!("{e}"))?,
@@ -181,10 +175,9 @@ fn stream_jobs(args: &Args) -> Result<Vec<JobSpec>, String> {
 }
 
 fn build_daemon(args: &Args) -> Result<Daemon, String> {
-    let mut scheduler: SchedulerConfig = SchedulerConfig::preset(args.preset, args.epoch_s)
+    let scheduler: SchedulerConfig = SchedulerConfig::preset(args.preset, args.epoch_s)
         .build()
         .map_err(|e| format!("invalid scheduler config: {e}"))?;
-    scheduler.threads = args.threads;
     let mut config = ServeConfig {
         scheduler,
         bind_seed: args.seed,

@@ -1,8 +1,8 @@
 //! The daemon's determinism contract, property-tested: over random
 //! clusters, arrival streams, and mid-stream revocations, a trajectory
-//! must be **bitwise** identical at any solver worker-thread count —
-//! every admission decision, epoch boundary, LP objective, and the final
-//! bill, down to the last mantissa bit. The drained trajectory must also
+//! must be **bitwise** identical from run to run — every admission
+//! decision, epoch boundary, LP objective, and the final bill, down to
+//! the last mantissa bit. The drained trajectory must also
 //! pass the simulator's billing and conservation checks
 //! (`lips_sim::validate_report`) with no action refused.
 
@@ -71,9 +71,8 @@ struct Checks {
     reduce_jobs: usize,
 }
 
-fn run(s: &Scenario, threads: usize) -> (Fingerprint, Checks) {
+fn run(s: &Scenario) -> (Fingerprint, Checks) {
     let mut config = ServeConfig::default();
-    config.scheduler.threads = Some(threads);
     if s.tune {
         config.tuning = Some(lips_serve::TuneConfig::default());
     }
@@ -171,17 +170,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn trajectories_are_bitwise_identical_across_thread_counts(s in scenario()) {
-        let (serial, checks) = run(&s, 1);
+    fn trajectories_are_bitwise_identical_run_to_run(s in scenario()) {
+        let (first, checks) = run(&s);
         // Every scenario runs reduce jobs, and the executor's checks hold
         // on the drained run.
         prop_assert!(checks.reduce_jobs > 0);
         prop_assert!(checks.violations.is_empty(), "{:?}", checks.violations);
         prop_assert_eq!(checks.refused_actions, 0);
-        let (wide, _) = run(&s, 4);
-        prop_assert_eq!(&serial, &wide);
-        // And re-running serially is self-consistent (no hidden state).
-        let (again, _) = run(&s, 1);
-        prop_assert_eq!(&serial, &again);
+        // Re-running is self-consistent (no hidden state).
+        let (again, _) = run(&s);
+        prop_assert_eq!(&first, &again);
     }
 }

@@ -77,7 +77,7 @@ fn check_instance(name: &str, inst: &LpInstance<'_>) {
     assert!(errors.is_empty(), "{name}: audit errors: {errors:?}");
 
     // Dynamic pass: solve and certify through the independent verifier.
-    let report = solve_full(inst, None).expect("solvable");
+    let report = solve_full(inst).expect("solvable");
     let schedule = report.schedule;
     let cert = report.certificate.master;
     assert!(cert.is_optimal(), "{name}: {cert}");
