@@ -20,16 +20,7 @@
 //! the optimum, so a feasible `x` whose gap to `bᵀy + …` is ~0 is optimal
 //! regardless of how the solver found it.
 
-use lips_lp::{Cmp, ConstraintId, Model, Sense, Solution, VarId};
-
-/// Rows per partial in the chunked KKT row pass. Each chunk sums its own
-/// share of the dual objective and the partials are added in chunk order,
-/// so the summation order — and every bit of the certificate — is fixed
-/// by this constant alone.
-const ROW_CHUNK: usize = 64;
-
-/// Variables (or excluded columns) per partial in the column-side passes.
-const COL_CHUNK: usize = 512;
+use lips_lp::{Cmp, ConstraintId, Model, Sense, Solution};
 
 /// Relative tolerance for the duality gap and slackness tests
 /// (acceptance: gap ≤ `GAP_RTOL · (1 + |objective|)`).
@@ -165,27 +156,6 @@ impl std::fmt::Display for Certificate {
     }
 }
 
-/// Per-chunk partial of a KKT pass: the largest raw primal, dual-sign
-/// and slackness violations, and the chunk's share of the dual
-/// objective.
-#[derive(Default)]
-struct Partial {
-    max_primal: f64,
-    max_sign: f64,
-    max_slack: f64,
-    dual_obj: f64,
-}
-
-impl Partial {
-    /// Fold in `part`, the partial of the next chunk.
-    fn add(&mut self, part: Partial) {
-        self.max_primal = self.max_primal.max(part.max_primal);
-        self.max_sign = self.max_sign.max(part.max_sign);
-        self.max_slack = self.max_slack.max(part.max_slack);
-        self.dual_obj += part.dual_obj;
-    }
-}
-
 /// Verify `sol` against `model`, recomputing everything from scratch.
 ///
 /// Fails with [`CertifyError`] only when the inputs are structurally
@@ -193,9 +163,8 @@ impl Partial {
 /// certificate whose [`Certificate::is_optimal`] is false and whose
 /// [`Certificate::failures`] explain why.
 ///
-/// The row and column passes run over fixed `ROW_CHUNK`/`COL_CHUNK`
-/// chunks and add their partial sums in chunk order, so every residual
-/// and every sum has one summation order.
+/// One pass over the rows, then one over the columns, each summing in
+/// index order, so every residual and every sum has one summation order.
 pub fn certify(model: &Model, sol: &Solution) -> Result<Certificate, CertifyError> {
     let n = model.num_vars();
     let m = model.num_constraints();
@@ -237,92 +206,84 @@ pub fn certify(model: &Model, sol: &Solution) -> Result<Certificate, CertifyErro
     let gap_scale = 1.0 + p_int.abs();
     let cost_scale = 1.0 + max_cost;
 
-    let rows: Vec<ConstraintId> = model.constraint_ids().collect();
-    let vars: Vec<VarId> = model.var_ids().collect();
+    // The largest raw primal, dual-sign and slackness violations, kept raw
+    // and normalized once at the end (same value: division by a positive
+    // scale commutes with max), and the dual objective.
+    let mut max_primal = 0.0f64;
+    let mut max_sign = 0.0f64;
+    let mut max_slack = 0.0f64;
+    let mut dual_obj = 0.0;
 
     // --- row pass -------------------------------------------------------
-    // Per chunk: primal residuals, dual sign violations, row slackness
-    // products and the `bᵀy` share of the dual objective; every row also
-    // subtracts its `y_i·a_ij` products from the reduced costs, in row
-    // order. Violation maxima are kept raw and normalized once at the end
-    // (same value: division by a positive scale commutes with max).
+    // Primal residuals, dual sign violations, row slackness products and
+    // `bᵀy`; every row also subtracts its `y_i·a_ij` products from the
+    // reduced costs, in row order.
     let mut reduced: Vec<f64> = model.var_ids().map(|v| sign * model.var_obj(v)).collect();
-    let mut total = Partial::default();
-    for ids in rows.chunks(ROW_CHUNK) {
-        let mut part = Partial::default();
-        for &c in ids {
-            let yi = y[c.index()];
-            let mut lhs = 0.0;
-            for (v, coef) in model.constraint_terms(c) {
-                reduced[v.index()] -= yi * coef;
-                lhs += coef * x[v.index()];
-            }
-            let rhs = model.constraint_rhs(c);
-            // Sign condition per row type (internal minimize: Ge rows carry
-            // y ≥ 0, Le rows y ≤ 0, Eq free), and the primal residual of
-            // the same row (the row half of `Model::max_violation`).
-            let (sign_violation, primal_violation) = match model.constraint_cmp(c) {
-                Cmp::Ge => ((-yi).max(0.0), rhs - lhs),
-                Cmp::Le => (yi.max(0.0), lhs - rhs),
-                Cmp::Eq => (0.0, (lhs - rhs).abs()),
-            };
-            part.max_primal = part.max_primal.max(primal_violation);
-            part.max_sign = part.max_sign.max(sign_violation);
-            // Row complementary slackness: y_i · (a_iᵀx − b_i) ≈ 0.
-            part.max_slack = part.max_slack.max((yi * (lhs - rhs)).abs());
-            part.dual_obj += yi * rhs;
+    for c in model.constraint_ids() {
+        let yi = y[c.index()];
+        let mut lhs = 0.0;
+        for (v, coef) in model.constraint_terms(c) {
+            reduced[v.index()] -= yi * coef;
+            lhs += coef * x[v.index()];
         }
-        total.add(part);
+        let rhs = model.constraint_rhs(c);
+        // Sign condition per row type (internal minimize: Ge rows carry
+        // y ≥ 0, Le rows y ≤ 0, Eq free), and the primal residual of the
+        // same row (the row half of `Model::max_violation`).
+        let (sign_violation, primal_violation) = match model.constraint_cmp(c) {
+            Cmp::Ge => ((-yi).max(0.0), rhs - lhs),
+            Cmp::Le => (yi.max(0.0), lhs - rhs),
+            Cmp::Eq => (0.0, (lhs - rhs).abs()),
+        };
+        max_primal = max_primal.max(primal_violation);
+        max_sign = max_sign.max(sign_violation);
+        // Row complementary slackness: y_i · (a_iᵀx − b_i) ≈ 0.
+        max_slack = max_slack.max((yi * (lhs - rhs)).abs());
+        dual_obj += yi * rhs;
     }
 
     // --- column pass ----------------------------------------------------
     // Needs every row's reduced-cost update, so it runs strictly after
     // the row pass.
-    for ids in vars.chunks(COL_CHUNK) {
-        let mut part = Partial::default();
-        for &v in ids {
-            let d = reduced[v.index()];
-            let (lb, ub) = model.var_bounds(v);
-            let xv = x[v.index()];
-            // Bound half of `Model::max_violation`.
-            if lb.is_finite() {
-                part.max_primal = part.max_primal.max(lb - xv);
-            }
-            if ub.is_finite() {
-                part.max_primal = part.max_primal.max(xv - ub);
-            }
-            // Bound-side dual feasibility: a positive reduced cost needs a
-            // finite lower bound to lean on, a negative one a finite upper.
-            if lb == f64::NEG_INFINITY {
-                part.max_sign = part.max_sign.max(d.max(0.0));
-            }
-            if ub == f64::INFINITY {
-                part.max_sign = part.max_sign.max((-d).max(0.0));
-            }
-            // Column complementary slackness and the bound terms of the
-            // dual objective. Products with an infinite bound are skipped:
-            // their reduced-cost side is already charged as a dual
-            // violation above.
-            if d > 0.0 && lb.is_finite() {
-                part.max_slack = part.max_slack.max((d * (xv - lb)).abs());
-                part.dual_obj += d * lb;
-            }
-            if d < 0.0 && ub.is_finite() {
-                part.max_slack = part.max_slack.max((d * (ub - xv)).abs());
-                part.dual_obj += d * ub;
-            }
+    for v in model.var_ids() {
+        let d = reduced[v.index()];
+        let (lb, ub) = model.var_bounds(v);
+        let xv = x[v.index()];
+        // Bound half of `Model::max_violation`.
+        if lb.is_finite() {
+            max_primal = max_primal.max(lb - xv);
         }
-        total.add(part);
+        if ub.is_finite() {
+            max_primal = max_primal.max(xv - ub);
+        }
+        // Bound-side dual feasibility: a positive reduced cost needs a
+        // finite lower bound to lean on, a negative one a finite upper.
+        if lb == f64::NEG_INFINITY {
+            max_sign = max_sign.max(d.max(0.0));
+        }
+        if ub == f64::INFINITY {
+            max_sign = max_sign.max((-d).max(0.0));
+        }
+        // Column complementary slackness and the bound terms of the dual
+        // objective. Products with an infinite bound are skipped: their
+        // reduced-cost side is already charged as a dual violation above.
+        if d > 0.0 && lb.is_finite() {
+            max_slack = max_slack.max((d * (xv - lb)).abs());
+            dual_obj += d * lb;
+        }
+        if d < 0.0 && ub.is_finite() {
+            max_slack = max_slack.max((d * (ub - xv)).abs());
+            dual_obj += d * ub;
+        }
     }
-    let dual_objective_int = total.dual_obj;
 
     Ok(Certificate {
         primal_objective,
-        dual_objective: sign * dual_objective_int,
-        duality_gap: (p_int - dual_objective_int).abs(),
-        max_primal_violation: total.max_primal,
-        max_dual_violation: total.max_sign / cost_scale,
-        max_slackness_violation: total.max_slack / gap_scale,
+        dual_objective: sign * dual_obj,
+        duality_gap: (p_int - dual_obj).abs(),
+        max_primal_violation: max_primal,
+        max_dual_violation: max_sign / cost_scale,
+        max_slackness_violation: max_slack / gap_scale,
         objective_mismatch,
         primal_scale,
         gap_scale,
@@ -796,9 +757,9 @@ mod tests {
         assert_eq!(cert.excluded_priced, 0);
     }
 
-    /// A master big enough to span several row/column chunks: `k` coupled
-    /// covering rows over `3k` variables, solved to optimality.
-    fn chunky_master(k: usize) -> (Model, Vec<ConstraintId>) {
+    /// A master of `k` coupled covering rows over `3k` variables, solved
+    /// to optimality.
+    fn coupled_master(k: usize) -> (Model, Vec<ConstraintId>) {
         let mut m = Model::minimize();
         let vars: Vec<_> = (0..3 * k)
             .map(|j| {
@@ -822,8 +783,8 @@ mod tests {
 
     #[test]
     fn certificates_are_bitwise_identical_run_to_run() {
-        // Enough rows/vars to split into several ROW_CHUNK/COL_CHUNK chunks.
-        let (m, rows) = chunky_master(200);
+        // Hundreds of rows and columns, summed in one order per pass.
+        let (m, rows) = coupled_master(200);
         let sol = m.solve().unwrap();
         let base = certify(&m, &sol).unwrap();
         assert!(base.is_optimal(), "{base}");
@@ -862,7 +823,7 @@ mod tests {
 
     #[test]
     fn callback_pass_matches_the_slice_of_columns_pass() {
-        let (m, rows) = chunky_master(120);
+        let (m, rows) = coupled_master(120);
         let sol = m.solve().unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
         for case in 0..24 {

@@ -1,15 +1,18 @@
-//! # lips-audit — static analysis for the LiPS linear programs
+//! # lips-audit — model-agnostic static analysis for linear programs
 //!
 //! The reproduction's credibility rests on two things this crate checks
 //! mechanically, without re-running the solver:
 //!
-//! * the *models* handed to the solver are well-formed and match the paper's
-//!   Fig 2/3/4 structure ([`lint()`], [`audit_paper_invariants`]);
+//! * the *models* handed to the solver are well-formed ([`lint()`]);
 //! * the *solutions* the solver returns are genuinely optimal, proven by an
-//!   independently recomputed primal/dual certificate ([`certify`]).
+//!   independently recomputed primal/dual certificate ([`certify`],
+//!   [`certify_restricted_with`]).
 //!
-//! All three passes are pure functions over `lips_lp::Model` /
-//! `lips_lp::Solution`; nothing here mutates or solves.
+//! Both passes are pure functions over any `lips_lp::Model` /
+//! `lips_lp::Solution`; nothing here mutates or solves, and nothing here
+//! knows the paper's LP layout. The paper-invariant audit, which does,
+//! lives next to the builder in `lips-core` (`paper_audit`) and reports
+//! through this crate's [`Lint`] with [`Rule::PaperInvariant`].
 //!
 //! ```
 //! use lips_lp::{Cmp, Model};
@@ -33,13 +36,9 @@
 )]
 
 pub mod certificate;
-pub mod invariants;
 pub mod lint;
 
 pub use certificate::{
     certify, certify_restricted_with, Certificate, CertifyError, RestrictedCertificate,
-};
-pub use invariants::{
-    audit_paper_invariants, ModelAnnotations, PaperExpectations, RowKind, VarKind,
 };
 pub use lint::{lint, Lint, Rule, Severity};

@@ -36,8 +36,9 @@ pub enum Rule {
     /// Coefficient magnitudes in one row (or the objective) span more than
     /// [`SCALING_SPREAD_LIMIT`].
     BadScaling,
-    /// A paper-structure invariant was violated (emitted by
-    /// [`crate::audit_paper_invariants`], never by [`lint`]).
+    /// A paper-structure invariant was violated (emitted by the model's
+    /// builder, which alone knows its layout — `lips-core`'s
+    /// `paper_audit` — never by [`lint`]).
     PaperInvariant,
 }
 

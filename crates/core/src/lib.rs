@@ -8,6 +8,8 @@
 //! * [`lp_build`] — lowering of a scheduling instance into the paper's LP
 //!   models (Figures 2, 3, 4), shared by the offline solvers and the
 //!   online epoch scheduler.
+//! * [`paper_audit`] — the paper-invariant audit: checks a built model's
+//!   keyed columns and rows against the Fig 2/3/4 structure.
 //! * [`offline`] — one-shot solvers: simple task scheduling (Fig 2, data
 //!   pre-placed), full co-scheduling (Fig 3), and the §IV greedy that is
 //!   optimal only under abundant capacity.
@@ -57,6 +59,7 @@ pub mod dag;
 pub mod lips;
 pub mod lp_build;
 pub mod offline;
+pub mod paper_audit;
 pub mod report;
 pub mod tuner;
 

@@ -52,10 +52,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
 
-use lips_audit::{ModelAnnotations, PaperExpectations, RestrictedCertificate, RowKind, VarKind};
+use lips_audit::RestrictedCertificate;
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
 use lips_lp::{Cmp, KeyNames, LpError, Model, Session, Solution, SolveStats, VarId, WarmStart};
 use lips_workload::JobId;
+
+use crate::paper_audit::{audit_paper_invariants, PaperExpectations};
 
 /// One job as the LP sees it: remaining divisible work plus current data
 /// availability.
@@ -162,14 +164,8 @@ struct VarMaps {
     /// outside a restricted master.
     arc_var: Vec<Option<VarId>>,
     nd: Vec<NdVar>,
-    /// `nd[job_nd[k].clone()]` are job `k`'s copy variables.
-    job_nd: Vec<Range<usize>>,
     /// Fake-node column per job index.
     fake: Vec<Option<VarId>>,
-    /// CPU-capacity constraint per machine (constraint (23)/(12)).
-    capacity_rows: Vec<(MachineId, lips_lp::ConstraintId)>,
-    /// Row/column annotations for `lips-audit`'s paper-invariant pass.
-    ann: ModelAnnotations,
 }
 
 // --- LP identities -----------------------------------------------------
@@ -571,9 +567,10 @@ fn arc_space(inst: &LpInstance<'_>) -> ArcSpace {
     }
 }
 
-/// Row handles the column-generation loop needs to assemble the column of
-/// an arc that is *not* in the restricted master (for pricing and for the
-/// excluded-column certificate).
+/// The rows a task arc's column touches, by which [`arc_terms_into`]
+/// assembles it — for the builder, pricing and the excluded-column
+/// certificate alike. `cpu` also names the rows whose shadow prices a
+/// solve reports.
 #[derive(Debug, Default)]
 struct RowIds {
     /// Coverage row (20) per job index.
@@ -593,6 +590,9 @@ struct RowIds {
 struct NdPlan {
     /// Price-class index within this (job, dest) pair, cheapest first.
     class: usize,
+    /// Position of `dest` among the job's candidate stores — the index of
+    /// its linking row in [`RowIds::lnk`].
+    si: usize,
     data: DataId,
     ub: f64,
     cost: f64,
@@ -610,7 +610,7 @@ fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPla
         return nds;
     };
     let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
-    for &m in stores {
+    for (si, &m) in stores.iter().enumerate() {
         // A store already holding everything needs no copies.
         if avail.get(&m).copied().unwrap_or(0.0) >= 1.0 {
             continue;
@@ -645,6 +645,7 @@ fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPla
             // Eq (6): move dollars per unit fraction.
             nds.push(NdPlan {
                 class,
+                si,
                 data,
                 ub: stock.min(1.0),
                 cost: job.size_mb * price,
@@ -657,18 +658,19 @@ fn plan_copies(inst: &LpInstance<'_>, k: usize, stores: &[StoreId]) -> Vec<NdPla
     nds
 }
 
-/// Per machine id: the terms of its CPU-capacity row and read-budget row,
-/// `None` when no job has a candidate arc there.
-type MachineTerms = Vec<Option<Vec<(VarId, f64)>>>;
-
-/// Build the (possibly restricted) LP: when `active` is given, only the
-/// arcs it marks become columns; `nd`/fake columns and — crucially — the
-/// *row set* are always exactly those of the full model, so a restricted
-/// master's duals price excluded columns correctly and
+/// Build the (possibly restricted) LP column by column: when `active` is
+/// given, only the arcs it marks become columns; `nd`/fake columns and —
+/// crucially — the *row set* are always exactly those of the full model,
+/// so a restricted master's duals price excluded columns correctly and
 /// [`lips_audit::certify_restricted_with`] can verify the zero-extension
 /// argument row-for-row. (Rows whose full-model terms would all be
 /// excluded are still emitted, merely empty for now; their slack stays
 /// basic at zero cost.)
+///
+/// The rows are created empty first; then each job adds its task arcs
+/// ([`add_arc`], the one path by which an arc becomes a column), its
+/// copy columns and its fake column. Columns are added in ascending
+/// index order, so every row lists its terms in column order.
 fn build_filtered(
     inst: &LpInstance<'_>,
     space: &ArcSpace,
@@ -679,300 +681,175 @@ fn build_filtered(
     let n_machines = cluster.machines.len();
     let mut model = Model::minimize();
     model.set_key_names(KEY_NAMES);
+    let copies: Vec<Vec<NdPlan>> = (0..n_jobs)
+        .map(|k| plan_copies(inst, k, &space.job_stores[k]))
+        .collect();
+    let mut row = |key: RowKey, cmp: Cmp, rhs: f64| {
+        let c = model.add_constraint([], cmp, rhs);
+        model.key_constraint(c, key.pack());
+        c
+    };
+
+    // --- rows -----------------------------------------------------------
+    // In the order all cov, all lnk, all cpu, all xfer, pool floors, store
+    // capacity. A restricted master has fewer terms per row, never fewer
+    // rows.
+    // (20): every job fully assigned (fake node included).
+    let cov = inst
+        .jobs
+        .iter()
+        .map(|job| row(RowKey::Cov { job: job.id }, Cmp::Ge, 1.0))
+        .collect();
+    // (24)/(13): task reads bounded by availability + new copies.
+    let mut lnk = Vec::with_capacity(n_jobs);
+    for (k, job) in inst.jobs.iter().enumerate() {
+        let mut job_rows = Vec::new();
+        if job.size_mb > 0.0 {
+            let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
+            job_rows = space.job_stores[k]
+                .iter()
+                .map(|&store| {
+                    let a = avail.get(&store).copied().unwrap_or(0.0).min(1.0);
+                    row(RowKey::Lnk { job: job.id, store }, Cmp::Le, a)
+                })
+                .collect();
+        }
+        lnk.push(job_rows);
+    }
+    // (23)/(12): machine CPU capacity; (21): per-machine read-time budget
+    // (aggregated across jobs/slots). A job with candidate arcs on a
+    // machine gives that machine its rows even when none of the arcs is
+    // active; read budgets only count arcs that read.
+    let mut has_cpu = vec![false; n_machines];
+    let mut has_xfer = vec![false; n_machines];
+    for (k, job) in inst.jobs.iter().enumerate() {
+        if space.jobs[k].is_empty() {
+            continue; // no candidate arc anywhere
+        }
+        for &l in &space.job_machines[k] {
+            has_cpu[l.0] = true;
+            has_xfer[l.0] |= inst.enforce_transfer_time && job.size_mb > 0.0;
+        }
+    }
+    let mut cpu = vec![None; n_machines];
+    for machine in cluster.machines.iter().filter(|m| has_cpu[m.id.0]) {
+        let (mid, cap) = (machine.id, machine.capacity_ecu_seconds(inst.duration));
+        cpu[mid.0] = Some(row(RowKey::Cpu { machine: mid }, Cmp::Le, cap));
+    }
+    let mut xfer = vec![None; n_machines];
+    for machine in cluster.machines.iter().filter(|m| has_xfer[m.id.0]) {
+        let (mid, budget) = (machine.id, inst.duration * f64::from(machine.slots));
+        xfer[mid.0] = Some(row(RowKey::Xfer { machine: mid }, Cmp::Le, budget));
+    }
+    // Fair-share floors: Σ_{k∈pool} work_k · Σ x^t_k ≥ min_ecu.
+    let mut job_pools = vec![Vec::new(); n_jobs];
+    for (p, (members, min_ecu)) in inst.pool_floors.iter().enumerate() {
+        if *min_ecu > 0.0 && members.iter().any(|&k| !space.jobs[k].is_empty()) {
+            let c = row(RowKey::Pool { pool: p }, Cmp::Ge, *min_ecu);
+            for &k in members {
+                job_pools[k].push(c);
+            }
+        }
+    }
+    // (22)/(11): store capacity for new copies, one row per destination.
+    let mut store = vec![None; cluster.stores.len()];
+    let mut dests: Vec<StoreId> = copies.iter().flatten().map(|nd| nd.dest).collect();
+    dests.sort_unstable();
+    dests.dedup();
+    for s in dests {
+        let free = inst
+            .store_free_mb
+            .get(s.0)
+            .copied()
+            .unwrap_or_else(|| cluster.store(s).capacity_mb);
+        store[s.0] = Some(row(RowKey::Store { store: s }, Cmp::Le, free.max(0.0)));
+    }
+    let rows = RowIds {
+        cov,
+        lnk,
+        cpu,
+        xfer,
+        job_pools,
+    };
+
+    // --- columns --------------------------------------------------------
+    // Per job: its active task arcs, its copy columns, its fake column.
     let mut maps = VarMaps {
         arc_var: vec![None; space.arcs.len()],
         nd: Vec::new(),
-        job_nd: Vec::with_capacity(n_jobs),
         fake: vec![None; n_jobs],
-        capacity_rows: Vec::new(),
-        ann: ModelAnnotations::default(),
     };
-    let mut rows = RowIds {
-        cov: Vec::with_capacity(n_jobs),
-        lnk: Vec::with_capacity(n_jobs),
-        cpu: vec![None; n_machines],
-        xfer: vec![None; n_machines],
-        job_pools: vec![Vec::new(); n_jobs],
-    };
-
-    // --- variables ------------------------------------------------------
-    // Per job: its active task arcs, its copy variables, its fake column.
-    for k in 0..n_jobs {
-        let id = inst.jobs[k].id;
+    let mut scratch = Vec::new();
+    for (k, job_copies) in copies.into_iter().enumerate() {
+        let job = &inst.jobs[k];
         for i in space.jobs[k].clone() {
-            if active.is_some_and(|a| !a[i]) {
-                continue;
+            if active.is_none_or(|a| a[i]) {
+                add_arc(inst, space, &rows, &mut model, &mut maps, &mut scratch, i);
             }
-            let a = &space.arcs[i];
-            let v = model.add_keyed_var(a.key, 0.0, 1.0, a.cost);
-            maps.arc_var[i] = Some(v);
-            maps.ann.annotate_var(
-                v,
-                VarKind::Assign {
-                    job: k,
-                    machine: a.l,
-                    store: a.m,
-                },
-            );
         }
-        let nd_start = maps.nd.len();
-        for nd in plan_copies(inst, k, &space.job_stores[k]) {
+        for nd in job_copies {
             let key = ColKey::Nd {
-                job: id,
+                job: job.id,
                 dest: nd.dest,
                 class: nd.class,
             };
-            let v = model.add_keyed_var(key.pack(), 0.0, nd.ub, nd.cost);
-            maps.ann.annotate_var(
-                v,
-                VarKind::NewCopy {
-                    job: k,
-                    dest: nd.dest,
-                },
-            );
+            let terms = std::iter::once((rows.lnk[k][nd.si], -1.0))
+                .chain(store[nd.dest.0].map(|c| (c, job.size_mb)));
+            let var = model.add_keyed_column(key.pack(), 0.0, nd.ub, nd.cost, terms);
             maps.nd.push(NdVar {
                 job: k,
                 data: nd.data,
                 dest: nd.dest,
-                var: v,
+                var,
                 sources: nd.sources,
             });
         }
-        maps.job_nd.push(nd_start..maps.nd.len());
         if let Some(fc) = inst.fake_cost {
-            let cost = inst.jobs[k].work_ecu().max(1e-9) * fc;
-            let v = model.add_keyed_var(ColKey::Fake { job: id }.pack(), 0.0, 1.0, cost);
-            maps.fake[k] = Some(v);
-            maps.ann.annotate_var(v, VarKind::Fake { job: k });
+            let cost = job.work_ecu().max(1e-9) * fc;
+            let key = ColKey::Fake { job: job.id }.pack();
+            maps.fake[k] = Some(model.add_keyed_column(key, 0.0, 1.0, cost, [(rows.cov[k], 1.0)]));
         }
     }
-
-    // --- constraints ----------------------------------------------------
-    // A restricted master simply has fewer terms per row, never fewer
-    // rows. Rows are added in the order all cov, all lnk, all cpu, all
-    // xfer, pool floors, store capacity.
-    // (20): every job fully assigned (fake node included).
-    for k in 0..n_jobs {
-        let mut cov: Vec<(VarId, f64)> = maps.arc_var[space.jobs[k].clone()]
-            .iter()
-            .flatten()
-            .map(|&v| (v, 1.0))
-            .collect();
-        if let Some(f) = maps.fake[k] {
-            cov.push((f, 1.0));
-        }
-        let row = model.add_constraint(cov, Cmp::Ge, 1.0);
-        model.key_constraint(
-            row,
-            RowKey::Cov {
-                job: inst.jobs[k].id,
-            }
-            .pack(),
-        );
-        maps.ann.annotate_row(row, RowKind::Coverage { job: k });
-        rows.cov.push(row);
-    }
-    // (24)/(13): task reads bounded by availability + new copies.
-    for (k, job) in inst.jobs.iter().enumerate() {
-        let stores = &space.job_stores[k];
-        let mut job_rows = Vec::new();
-        if job.size_mb > 0.0 {
-            job_rows.reserve_exact(stores.len());
-            let avail: BTreeMap<StoreId, f64> = job.avail.iter().copied().collect();
-            let nds = &maps.nd[maps.job_nd[k].clone()];
-            let start = space.jobs[k].start;
-            for (si, &m) in stores.iter().enumerate() {
-                let mut terms: Vec<(VarId, f64)> = (0..space.job_machines[k].len())
-                    .filter_map(|li| maps.arc_var[start + li * stores.len() + si])
-                    .map(|v| (v, 1.0))
-                    .collect();
-                terms.extend(nds.iter().filter(|n| n.dest == m).map(|n| (n.var, -1.0)));
-                let a = avail.get(&m).copied().unwrap_or(0.0).min(1.0);
-                let row = model.add_constraint(terms, Cmp::Le, a);
-                let key = RowKey::Lnk {
-                    job: job.id,
-                    store: m,
-                };
-                model.key_constraint(row, key.pack());
-                maps.ann
-                    .annotate_row(row, RowKind::Linking { job: k, store: m });
-                job_rows.push(row);
-            }
-        }
-        rows.lnk.push(job_rows);
-    }
-
-    // (23)/(12): machine CPU capacity.
-    // (21): per-machine read-time budget (aggregated across jobs/slots).
-    // One pass over the arcs, job-major, so each machine row lists its
-    // terms by job, then store — a job with candidate arcs on a machine
-    // gives that machine its rows even when none of the arcs is active.
-    let mut cpu_terms: MachineTerms = vec![None; n_machines];
-    let mut xfer_terms: MachineTerms = vec![None; n_machines];
-    for (k, job) in inst.jobs.iter().enumerate() {
-        let stores = &space.job_stores[k];
-        if job.size_mb > 0.0 && stores.is_empty() {
-            continue; // no candidate arc anywhere
-        }
-        let work = job.work_ecu();
-        let per_machine = per_machine(&inst.jobs[k], &space.job_stores[k]);
-        for (li, &l) in space.job_machines[k].iter().enumerate() {
-            let first = space.jobs[k].start + li * per_machine;
-            let arc_vars = &maps.arc_var[first..first + per_machine];
-            cpu_terms[l.0]
-                .get_or_insert_with(Vec::new)
-                .extend(arc_vars.iter().flatten().map(|&v| (v, work)));
-            if inst.enforce_transfer_time && job.size_mb > 0.0 {
-                let xfer = xfer_terms[l.0].get_or_insert_with(Vec::new);
-                for (v, &m) in arc_vars.iter().zip(stores) {
-                    if let Some(v) = *v {
-                        let bw = cluster.bandwidth_machine_store(l, m);
-                        xfer.push((v, job.size_mb / bw));
-                    }
-                }
-            }
-        }
-    }
-    for machine in &cluster.machines {
-        let mid = machine.id;
-        if let Some(terms) = cpu_terms[mid.0].take() {
-            let cap = machine.capacity_ecu_seconds(inst.duration);
-            let row = model.add_constraint(terms, Cmp::Le, cap);
-            model.key_constraint(row, RowKey::Cpu { machine: mid }.pack());
-            maps.ann.annotate_row(row, RowKind::CpuCap { machine: mid });
-            maps.capacity_rows.push((mid, row));
-            rows.cpu[mid.0] = Some(row);
-        }
-    }
-    for machine in &cluster.machines {
-        let mid = machine.id;
-        if let Some(terms) = xfer_terms[mid.0].take() {
-            let budget = inst.duration * f64::from(machine.slots);
-            let row = model.add_constraint(terms, Cmp::Le, budget);
-            model.key_constraint(row, RowKey::Xfer { machine: mid }.pack());
-            maps.ann
-                .annotate_row(row, RowKind::TransferTime { machine: mid });
-            rows.xfer[mid.0] = Some(row);
-        }
-    }
-
-    // Fair-share floors: Σ_{k∈pool} work_k · Σ x^t_k ≥ min_ecu.
-    for (p, (members, min_ecu)) in inst.pool_floors.iter().enumerate() {
-        if *min_ecu <= 0.0 {
-            continue;
-        }
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut any_candidate = false;
-        for &k in members {
-            let work = inst.jobs[k].work_ecu();
-            any_candidate |= !space.jobs[k].is_empty();
-            terms.extend(
-                maps.arc_var[space.jobs[k].clone()]
-                    .iter()
-                    .flatten()
-                    .map(|&v| (v, work)),
-            );
-        }
-        if any_candidate {
-            let row = model.add_constraint(terms, Cmp::Ge, *min_ecu);
-            model.key_constraint(row, RowKey::Pool { pool: p }.pack());
-            maps.ann.annotate_row(row, RowKind::PoolFloor { pool: p });
-            for &k in members {
-                rows.job_pools[k].push(row);
-            }
-        }
-    }
-
-    // (22)/(11): store capacity for new copies.
-    if inst.allow_moves {
-        let free = |s: StoreId| -> f64 {
-            inst.store_free_mb
-                .get(s.0)
-                .copied()
-                .unwrap_or_else(|| cluster.store(s).capacity_mb)
-        };
-        let mut per_store: BTreeMap<StoreId, Vec<(VarId, f64)>> = BTreeMap::new();
-        for nd in &maps.nd {
-            per_store
-                .entry(nd.dest)
-                .or_default()
-                .push((nd.var, inst.jobs[nd.job].size_mb));
-        }
-        for (s, terms) in per_store {
-            let row = model.add_constraint(terms, Cmp::Le, free(s).max(0.0));
-            model.key_constraint(row, RowKey::Store { store: s }.pack());
-            maps.ann.annotate_row(row, RowKind::StoreCap { store: s });
-        }
-    }
-
     (model, maps, rows)
 }
 
-/// Ground-truth expectations for `lips-audit`'s paper-invariant pass,
-/// recomputed from the instance independently of [`build_filtered`]'s emission
-/// logic (both read the same cluster, but through different code paths).
-fn expectations(inst: &LpInstance<'_>) -> PaperExpectations {
-    let cluster = inst.cluster;
-    let free = |s: StoreId| -> f64 {
-        inst.store_free_mb
-            .get(s.0)
-            .copied()
-            .unwrap_or_else(|| cluster.store(s).capacity_mb)
-    };
-    let mut bandwidth = Vec::new();
-    if inst.enforce_transfer_time {
-        for m in &cluster.machines {
-            for s in &cluster.stores {
-                bandwidth.push(((m.id, s.id), cluster.bandwidth_machine_store(m.id, s.id)));
-            }
-        }
-    }
-    PaperExpectations {
-        num_jobs: inst.jobs.len(),
-        job_work_ecu: inst.jobs.iter().map(LpJob::work_ecu).collect(),
-        job_size_mb: inst.jobs.iter().map(|j| j.size_mb).collect(),
-        cpu_capacity: cluster
-            .machines
-            .iter()
-            .map(|m| (m.id, m.capacity_ecu_seconds(inst.duration)))
-            .collect(),
-        transfer_budget: if inst.enforce_transfer_time {
-            cluster
-                .machines
-                .iter()
-                .map(|m| (m.id, inst.duration * f64::from(m.slots)))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        bandwidth,
-        store_free_mb: cluster
-            .stores
-            .iter()
-            .map(|s| (s.id, free(s.id).max(0.0)))
-            .collect(),
-        fake_enabled: inst.fake_cost.is_some(),
-    }
+/// Add arc `i` of `space` to `model` as a column: its terms in the full
+/// row set, written by [`arc_terms_into`] and left in `scratch` for a
+/// caller that appends the same column to a live session. Every task
+/// column of every model is added here — by the builder, the pricing
+/// loop and the restriction fallback alike.
+fn add_arc(
+    inst: &LpInstance<'_>,
+    space: &ArcSpace,
+    rows: &RowIds,
+    model: &mut Model,
+    maps: &mut VarMaps,
+    scratch: &mut Vec<(lips_lp::ConstraintId, f64)>,
+    i: usize,
+) {
+    let a = &space.arcs[i];
+    scratch.clear();
+    arc_terms_into(inst, rows, a, scratch);
+    maps.arc_var[i] =
+        Some(model.add_keyed_column(a.key, 0.0, 1.0, a.cost, scratch.iter().copied()));
 }
 
-/// Build the LP for `inst` and return it with its audit metadata: the
-/// row/column annotations emitted by the builder plus independently
+/// Build the full LP for `inst` and return it with independently
 /// recomputed [`PaperExpectations`]. This is the entry point for static
 /// analysis; [`solve_master`] and [`solve_full`] are the entry points for
 /// scheduling.
-pub fn build_audited(inst: &LpInstance<'_>) -> (Model, ModelAnnotations, PaperExpectations) {
-    let (model, maps, _) = build_filtered(inst, &arc_space(inst), None);
-    let expect = expectations(inst);
-    (model, maps.ann, expect)
+pub fn build_audited(inst: &LpInstance<'_>) -> (Model, PaperExpectations) {
+    let (model, _, _) = build_filtered(inst, &arc_space(inst), None);
+    (model, PaperExpectations::of(inst))
 }
 
 /// Run the full static-analysis suite over the LP generated for `inst`:
 /// the generic model lint plus the Fig 2/3/4 paper-invariant audit.
 /// Returns every finding; an empty vector certifies the model's structure.
 pub fn audit_instance(inst: &LpInstance<'_>) -> Vec<lips_audit::Lint> {
-    let (model, ann, expect) = build_audited(inst);
+    let (model, expect) = build_audited(inst);
     let mut findings = lips_audit::lint(&model);
-    findings.extend(lips_audit::audit_paper_invariants(&model, &ann, &expect));
+    findings.extend(audit_paper_invariants(&model, &expect));
     findings
 }
 
@@ -1294,10 +1171,11 @@ fn name_order(a: &ArcCand, b: &ArcCand) -> std::cmp::Ordering {
 }
 
 /// Column of one arc in the full row space, written into a reusable
-/// buffer — must mirror the builder's coefficients exactly (same
-/// work/size/bandwidth formulas). Buffer discipline keeps the pricing
-/// loop free of per-arc heap allocation: pricing reuses one scratch
-/// vector across every arc it prices.
+/// buffer: the one description of a task column's coefficients, read by
+/// [`add_arc`] (so by every model), by pricing and by the certificate.
+/// Buffer discipline keeps the pricing loop free of per-arc heap
+/// allocation: pricing reuses one scratch vector across every arc it
+/// prices.
 fn arc_terms_into(
     inst: &LpInstance<'_>,
     rows: &RowIds,
@@ -1322,17 +1200,22 @@ fn arc_terms_into(
     }
 }
 
-/// Shadow price of each machine's CPU-capacity row, as
-/// [`lips_lp::sensitivity::shadow_prices`] reports it.
+/// Shadow price of each machine's CPU-capacity row, in cluster machine
+/// order, as [`lips_lp::sensitivity::shadow_prices`] reports it.
 fn cpu_shadow_prices(
+    inst: &LpInstance<'_>,
     model: &Model,
-    maps: &VarMaps,
+    rows: &RowIds,
     sol: &lips_lp::Solution,
 ) -> Vec<(MachineId, f64)> {
     let prices = lips_lp::sensitivity::shadow_prices(model, sol);
-    maps.capacity_rows
+    inst.cluster
+        .machines
         .iter()
-        .map(|&(m, row)| (m, prices.get(row.index()).copied().unwrap_or(0.0)))
+        .filter_map(|m| {
+            let row = rows.cpu[m.id.0]?;
+            Some((m.id, prices.get(row.index()).copied().unwrap_or(0.0)))
+        })
         .collect()
 }
 
@@ -1397,22 +1280,10 @@ fn master_price_loop(
                           session: Option<&mut Session>,
                           i: usize|
      -> Result<(), LpError> {
-        let a = &space.arcs[i];
-        scratch.clear();
-        arc_terms_into(inst, &rows, a, &mut scratch);
+        add_arc(inst, &space, &rows, model, maps, &mut scratch, i);
         if let Some(s) = session {
-            s.append_column(0.0, 1.0, a.cost, scratch.iter().copied())?;
+            s.append_column(0.0, 1.0, space.arcs[i].cost, scratch.iter().copied())?;
         }
-        let v = model.add_keyed_column(a.key, 0.0, 1.0, a.cost, scratch.iter().copied());
-        maps.arc_var[i] = Some(v);
-        maps.ann.annotate_var(
-            v,
-            VarKind::Assign {
-                job: a.k,
-                machine: a.l,
-                store: a.m,
-            },
-        );
         Ok(())
     };
 
@@ -1594,7 +1465,7 @@ fn finish(
         };
     let certify_ms = t_cert.elapsed_ms();
 
-    let shadow_prices = cpu_shadow_prices(&run.model, &run.maps, &run.sol);
+    let shadow_prices = cpu_shadow_prices(inst, &run.model, &run.rows, &run.sol);
     let master = carry.then(|| {
         let basis = run.sol.take_warm_start().unwrap_or_default();
         // Carry only the columns that mattered at the optimum (basic or at
@@ -2035,6 +1906,80 @@ mod tests {
         );
     }
 
+    /// Every column of `model` by key: bounds, cost and terms (rows named
+    /// by [`RowKey`], in row order), all floats as bits.
+    type Columns = BTreeMap<u64, ([u64; 3], Vec<(RowKey, u64)>)>;
+
+    fn columns(model: &Model) -> Columns {
+        let mut cols: Columns = model
+            .var_ids()
+            .map(|v| {
+                let (lb, ub) = model.var_bounds(v);
+                let head = [lb.to_bits(), ub.to_bits(), model.var_obj(v).to_bits()];
+                (model.var_key(v), (head, Vec::new()))
+            })
+            .collect();
+        assert_eq!(cols.len(), model.num_vars(), "column keys are unique");
+        for c in model.constraint_ids() {
+            let row = RowKey::unpack(model.constraint_key(c)).unwrap();
+            for (v, coef) in model.constraint_terms(c) {
+                let col = cols.get_mut(&model.var_key(v)).unwrap();
+                col.1.push((row, coef.to_bits()));
+            }
+        }
+        cols
+    }
+
+    #[test]
+    fn grown_master_equals_the_full_model_column_for_column() {
+        // Every row family: data and input-less jobs, copies, the fake
+        // node, read budgets, two pool floors and a revoked machine.
+        let mut cluster = ec2_20_node(0.5, 100_000.0);
+        cluster.machines[3].tp_ecu = 0.0;
+        let mut jobs = spread_jobs(6);
+        jobs.push(LpJob {
+            id: JobId(40),
+            data: None,
+            size_mb: 0.0,
+            tcp: 0.0,
+            fixed_ecu: 500.0,
+            avail: vec![],
+        });
+        let mut inst = base_inst(&cluster, jobs);
+        inst.fake_cost = Some(1.0);
+        inst.enforce_transfer_time = true;
+        inst.duration = 600.0;
+        inst.pool_floors = vec![(vec![0, 2, 4, 6], 1_000.0), (vec![1, 3, 5], 500.0)];
+        let space = arc_space(&inst);
+        let seed = seed_active(&space, 2, None);
+        assert!(seed.contains(&false), "the seed must exclude arcs");
+
+        let (mut grown, mut maps, rows) = build_filtered(&inst, &space, Some(&seed));
+        let mut scratch = Vec::new();
+        for i in (0..space.arcs.len()).filter(|&i| !seed[i]) {
+            add_arc(&inst, &space, &rows, &mut grown, &mut maps, &mut scratch, i);
+        }
+        let (full, _, _) = build_filtered(&inst, &space, None);
+
+        let row_shapes = |m: &Model| -> Vec<(RowKey, Cmp, u64)> {
+            m.constraint_ids()
+                .map(|c| {
+                    let key = RowKey::unpack(m.constraint_key(c)).unwrap();
+                    (key, m.constraint_cmp(c), m.constraint_rhs(c).to_bits())
+                })
+                .collect()
+        };
+        assert_eq!(row_shapes(&grown), row_shapes(&full));
+        assert!(row_shapes(&full)
+            .iter()
+            .any(|(k, _, _)| matches!(k, RowKey::Pool { pool: 1 })));
+        let (grown, full) = (columns(&grown), columns(&full));
+        assert_eq!(grown.len(), full.len());
+        for (key, col) in &full {
+            assert_eq!(grown.get(key), Some(col), "column {}", render_col(*key));
+        }
+    }
+
     #[test]
     fn colgen_state_reuse_matches_cold_colgen() {
         // Epoch 2 perturbs epoch 1 (one job's work drifts); reusing the
@@ -2377,7 +2322,7 @@ mod tests {
         let cluster = two_node();
         let mut inst = base_inst(&cluster, vec![one_job(1024.0, 5.0, StoreId(0))]);
         inst.fake_cost = Some(1.0);
-        let (model, _, _) = build_audited(&inst);
+        let (model, _) = build_audited(&inst);
         let vars: Vec<String> = model
             .var_ids()
             .map(|v| model.var_name(v).into_owned())

@@ -1,10 +1,14 @@
 //! Paper-invariant audit: structural checks tying a generated LP back to
 //! the Fig 2/3/4 formulations of the paper.
 //!
-//! The builder in `lips-core/src/lp_build.rs` annotates every row and
-//! column it emits ([`RowKind`], [`VarKind`]); this pass re-derives the
-//! paper's structure from those annotations and verifies:
+//! Every column and row [`crate::lp_build`] emits carries a typed key
+//! ([`ColKey`], [`RowKey`]) — the identity warm starts and the
+//! cross-epoch carry match by. This pass classifies the model by
+//! unpacking those keys, checks it against [`PaperExpectations`]
+//! recomputed from the instance, and verifies:
 //!
+//! * every column and row key unpacks: a key that does not names nothing
+//!   in the paper's model;
 //! * every job has exactly one coverage row `Σ x^t + f_k ≥ 1` (eq. 20)
 //!   spanning all of the job's assignment variables;
 //! * every (job, store) pair with assignment variables has the linking
@@ -19,94 +23,28 @@
 //!
 //! Violations are reported as [`Lint`]s with [`Rule::PaperInvariant`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use lips_audit::{Lint, Rule, Severity};
 use lips_cluster::{MachineId, StoreId};
 use lips_lp::{Cmp, ConstraintId, Model, VarId};
+use lips_workload::JobId;
 
-use crate::lint::{Lint, Rule, Severity};
+use crate::lp_build::{ColKey, LpInstance, RowKey};
 
-/// Relative tolerance when comparing annotated coefficients/rhs against
+/// Relative tolerance when comparing the model's coefficients/rhs against
 /// the values recomputed from the expectations.
 const MATCH_RTOL: f64 = 1e-9;
 
-/// What a constraint row encodes, in the paper's terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowKind {
-    /// Eq. 20: job `job` must be fully assigned (fake node included).
-    Coverage { job: usize },
-    /// Eq. 24: job `job`'s reads from `store` are bounded by availability
-    /// plus new copies.
-    Linking { job: usize, store: StoreId },
-    /// Eq. 23: CPU capacity of `machine`.
-    CpuCap { machine: MachineId },
-    /// Eq. 21: read-time budget of `machine`.
-    TransferTime { machine: MachineId },
-    /// Fair-share floor for scheduler pool `pool` (not in the paper's
-    /// figures; see lp_build docs).
-    PoolFloor { pool: usize },
-    /// Eq. 22: free capacity of `store`.
-    StoreCap { store: StoreId },
-}
-
-/// What a column (variable) encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarKind {
-    /// `x^t_klm`: fraction of `job` run on `machine` reading from `store`
-    /// (`None` for input-less work).
-    Assign {
-        job: usize,
-        machine: MachineId,
-        store: Option<StoreId>,
-    },
-    /// `n_km`: new fraction of `job`'s data copied to `dest`.
-    NewCopy { job: usize, dest: StoreId },
-    /// `f_k`: deferred fraction of `job` on the fake node.
-    Fake { job: usize },
-}
-
-/// Row/column annotations the builder emits alongside its [`Model`].
-#[derive(Debug, Clone, Default)]
-pub struct ModelAnnotations {
-    rows: Vec<(ConstraintId, RowKind)>,
-    vars: Vec<(VarId, VarKind)>,
-}
-
-impl ModelAnnotations {
-    pub fn annotate_row(&mut self, id: ConstraintId, kind: RowKind) {
-        self.rows.push((id, kind));
-    }
-
-    pub fn annotate_var(&mut self, id: VarId, kind: VarKind) {
-        self.vars.push((id, kind));
-    }
-
-    /// All annotated rows, in emission order.
-    pub fn rows(&self) -> &[(ConstraintId, RowKind)] {
-        &self.rows
-    }
-
-    /// All annotated columns, in emission order.
-    pub fn vars(&self) -> &[(VarId, VarKind)] {
-        &self.vars
-    }
-
-    /// Kind of one column, if annotated.
-    pub fn var_kind(&self, v: VarId) -> Option<VarKind> {
-        self.vars.iter().find(|&&(id, _)| id == v).map(|&(_, k)| k)
-    }
-}
-
 /// Ground truth recomputed from the instance/cluster, against which the
-/// generated model is checked. Built by `lips-core` next to the model.
+/// generated model is checked.
 #[derive(Debug, Clone, Default)]
 pub struct PaperExpectations {
-    /// Number of jobs in the instance.
-    pub num_jobs: usize,
-    /// `work_ecu()` per job — the expected CPU-row coefficient.
-    pub job_work_ecu: Vec<f64>,
+    /// `work_ecu()` per job — the expected CPU-row coefficient. One entry
+    /// per job of the instance, each of which needs a coverage row.
+    pub job_work_ecu: Vec<(JobId, f64)>,
     /// `size_mb` per job — the expected store-row coefficient.
-    pub job_size_mb: Vec<f64>,
+    pub job_size_mb: Vec<(JobId, f64)>,
     /// Expected rhs of each machine's CPU-capacity row
     /// (`TP_l · duration`).
     pub cpu_capacity: Vec<(MachineId, f64)>,
@@ -120,6 +58,54 @@ pub struct PaperExpectations {
     pub store_free_mb: Vec<(StoreId, f64)>,
     /// Whether the fake node is enabled (Fig 4).
     pub fake_enabled: bool,
+}
+
+impl PaperExpectations {
+    /// The expectations of `inst`, recomputed from the instance
+    /// independently of the builder's emission logic (both read the same
+    /// cluster, but through different code paths).
+    pub fn of(inst: &LpInstance<'_>) -> Self {
+        let cluster = inst.cluster;
+        let free = |s: StoreId| -> f64 {
+            inst.store_free_mb
+                .get(s.0)
+                .copied()
+                .unwrap_or_else(|| cluster.store(s).capacity_mb)
+        };
+        let mut bandwidth = Vec::new();
+        if inst.enforce_transfer_time {
+            for m in &cluster.machines {
+                for s in &cluster.stores {
+                    bandwidth.push(((m.id, s.id), cluster.bandwidth_machine_store(m.id, s.id)));
+                }
+            }
+        }
+        PaperExpectations {
+            job_work_ecu: inst.jobs.iter().map(|j| (j.id, j.work_ecu())).collect(),
+            job_size_mb: inst.jobs.iter().map(|j| (j.id, j.size_mb)).collect(),
+            cpu_capacity: cluster
+                .machines
+                .iter()
+                .map(|m| (m.id, m.capacity_ecu_seconds(inst.duration)))
+                .collect(),
+            transfer_budget: if inst.enforce_transfer_time {
+                cluster
+                    .machines
+                    .iter()
+                    .map(|m| (m.id, inst.duration * f64::from(m.slots)))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+            bandwidth,
+            store_free_mb: cluster
+                .stores
+                .iter()
+                .map(|s| (s.id, free(s.id).max(0.0)))
+                .collect(),
+            fake_enabled: inst.fake_cost.is_some(),
+        }
+    }
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -139,57 +125,70 @@ fn err(location: String, detail: String) -> Lint {
 ///
 /// Returns one [`Lint`] per violated invariant; an empty vector means the
 /// model is structurally exactly what Figs 2/3/4 prescribe.
-pub fn audit_paper_invariants(
-    model: &Model,
-    ann: &ModelAnnotations,
-    expect: &PaperExpectations,
-) -> Vec<Lint> {
+pub fn audit_paper_invariants(model: &Model, expect: &PaperExpectations) -> Vec<Lint> {
     let mut out = Vec::new();
 
-    let var_kinds: BTreeMap<usize, VarKind> =
-        ann.vars.iter().map(|&(v, k)| (v.index(), k)).collect();
-
-    // Partition annotated variables by job.
-    let mut assigns_of_job: BTreeMap<usize, Vec<VarId>> = BTreeMap::new();
-    let mut copies_to: BTreeMap<(usize, StoreId), Vec<VarId>> = BTreeMap::new();
-    let mut fake_of_job: BTreeMap<usize, VarId> = BTreeMap::new();
-    let mut stores_of_job: BTreeMap<usize, Vec<StoreId>> = BTreeMap::new();
-    for &(v, kind) in &ann.vars {
-        match kind {
-            VarKind::Assign { job, store, .. } => {
-                assigns_of_job.entry(job).or_default().push(v);
-                if let Some(s) = store {
-                    let stores = stores_of_job.entry(job).or_default();
-                    if !stores.contains(&s) {
-                        stores.push(s);
-                    }
-                }
-            }
-            VarKind::NewCopy { job, dest } => {
-                copies_to.entry((job, dest)).or_default().push(v);
-            }
-            VarKind::Fake { job } => {
-                fake_of_job.insert(job, v);
-            }
+    // Classify every column and row by its key.
+    let mut cols: Vec<Option<ColKey>> = Vec::with_capacity(model.num_vars());
+    for v in model.var_ids() {
+        let key = model.var_key(v);
+        let col = ColKey::unpack(key);
+        if col.is_none() {
+            out.push(err(
+                format!("var {}", model.var_name(v)),
+                format!("column key {key:#018x} is no epoch-LP column key"),
+            ));
+        }
+        cols.push(col);
+    }
+    let mut rows: Vec<(ConstraintId, RowKey)> = Vec::with_capacity(model.num_constraints());
+    for c in model.constraint_ids() {
+        let key = model.constraint_key(c);
+        match RowKey::unpack(key) {
+            Some(row) => rows.push((c, row)),
+            None => out.push(err(
+                format!("row {}", c.index()),
+                format!("row key {key:#018x} is no epoch-LP row key"),
+            )),
         }
     }
 
+    // Partition the columns by job.
+    let mut assigns_of_job: BTreeMap<JobId, Vec<VarId>> = BTreeMap::new();
+    let mut fake_of_job: BTreeMap<JobId, VarId> = BTreeMap::new();
+    let mut stores_of_job: BTreeMap<JobId, BTreeSet<StoreId>> = BTreeMap::new();
+    for (v, col) in model.var_ids().zip(&cols) {
+        match *col {
+            Some(ColKey::Task { job, store, .. }) => {
+                assigns_of_job.entry(job).or_default().push(v);
+                if let Some(s) = store {
+                    stores_of_job.entry(job).or_default().insert(s);
+                }
+            }
+            Some(ColKey::Fake { job }) => {
+                fake_of_job.insert(job, v);
+            }
+            Some(ColKey::Nd { .. }) | None => {}
+        }
+    }
+    let col_of = |v: VarId| cols[v.index()];
+
     // --- eq. 20: coverage ----------------------------------------------
-    let mut coverage_of_job: BTreeMap<usize, ConstraintId> = BTreeMap::new();
-    for &(c, kind) in &ann.rows {
-        if let RowKind::Coverage { job } = kind {
+    let mut coverage_of_job: BTreeMap<JobId, ConstraintId> = BTreeMap::new();
+    for &(c, row) in &rows {
+        if let RowKey::Cov { job } = row {
             if coverage_of_job.insert(job, c).is_some() {
                 out.push(err(
                     format!("row {}", c.index()),
-                    format!("job {job} has more than one coverage row (eq. 20)"),
+                    format!("job {} has more than one coverage row (eq. 20)", job.0),
                 ));
             }
         }
     }
-    for job in 0..expect.num_jobs {
+    for &(job, _) in &expect.job_work_ecu {
         let Some(&c) = coverage_of_job.get(&job) else {
             out.push(err(
-                format!("job {job}"),
+                format!("job {}", job.0),
                 "no coverage row: nothing forces the job to be scheduled (eq. 20)".into(),
             ));
             continue;
@@ -231,81 +230,82 @@ pub fn audit_paper_invariants(
             out.push(err(
                 format!("row {}", c.index()),
                 format!(
-                    "coverage row covers columns {actual:?} but job {job} owns \
-                     {expected:?} (every x^t and f must appear exactly once)"
+                    "coverage row covers columns {actual:?} but job {} owns \
+                     {expected:?} (every x^t and f must appear exactly once)",
+                    job.0
                 ),
             ));
         }
     }
 
     // --- eq. 24: linking -----------------------------------------------
-    let mut linking_of: BTreeMap<(usize, StoreId), ConstraintId> = BTreeMap::new();
-    for &(c, kind) in &ann.rows {
-        if let RowKind::Linking { job, store } = kind {
+    let mut linking_of: BTreeMap<(JobId, StoreId), ConstraintId> = BTreeMap::new();
+    for &(c, row) in &rows {
+        if let RowKey::Lnk { job, store } = row {
             linking_of.insert((job, store), c);
         }
     }
-    let mut pairs: Vec<(usize, StoreId)> = stores_of_job
-        .iter()
-        .flat_map(|(&job, stores)| stores.iter().map(move |&s| (job, s)))
-        .collect();
-    pairs.sort_unstable_by_key(|&(job, s)| (job, s));
-    for (job, store) in pairs {
-        let Some(&c) = linking_of.get(&(job, store)) else {
-            out.push(err(
-                format!("job {job}"),
-                format!(
-                    "no linking row for store {store:?}: tasks could read data \
-                     that is not there (eq. 24)"
-                ),
-            ));
-            continue;
-        };
-        if model.constraint_cmp(c) != Cmp::Le {
-            out.push(err(
-                format!("row {}", c.index()),
-                "linking row must be a ≤ constraint (eq. 24)".into(),
-            ));
-        }
-        let rhs = model.constraint_rhs(c);
-        if !(0.0..=1.0).contains(&rhs) {
-            out.push(err(
-                format!("row {}", c.index()),
-                format!("linking rhs {rhs} is not an availability fraction in [0, 1]"),
-            ));
-        }
-        for (v, coef) in model.constraint_terms(c) {
-            let ok = match var_kinds.get(&v.index()) {
-                Some(VarKind::Assign {
-                    job: j, store: s, ..
-                }) => *j == job && *s == Some(store) && close(coef, 1.0),
-                Some(VarKind::NewCopy { job: j, dest }) => {
-                    *j == job && *dest == store && close(coef, -1.0)
-                }
-                _ => false,
-            };
-            if !ok {
+    for (&job, stores) in &stores_of_job {
+        for &store in stores {
+            let Some(&c) = linking_of.get(&(job, store)) else {
                 out.push(err(
-                    format!("row {}", c.index()),
+                    format!("job {}", job.0),
                     format!(
-                        "linking row for job {job}/store {store:?} contains \
-                         foreign or mis-signed term {} ({coef})",
-                        model.var_name(v)
+                        "no linking row for store {store:?}: tasks could read data \
+                         that is not there (eq. 24)"
                     ),
                 ));
+                continue;
+            };
+            if model.constraint_cmp(c) != Cmp::Le {
+                out.push(err(
+                    format!("row {}", c.index()),
+                    "linking row must be a ≤ constraint (eq. 24)".into(),
+                ));
+            }
+            let rhs = model.constraint_rhs(c);
+            if !(0.0..=1.0).contains(&rhs) {
+                out.push(err(
+                    format!("row {}", c.index()),
+                    format!("linking rhs {rhs} is not an availability fraction in [0, 1]"),
+                ));
+            }
+            for (v, coef) in model.constraint_terms(c) {
+                let ok = match col_of(v) {
+                    Some(ColKey::Task {
+                        job: j, store: s, ..
+                    }) => j == job && s == Some(store) && close(coef, 1.0),
+                    Some(ColKey::Nd { job: j, dest, .. }) => {
+                        j == job && dest == store && close(coef, -1.0)
+                    }
+                    _ => false,
+                };
+                if !ok {
+                    out.push(err(
+                        format!("row {}", c.index()),
+                        format!(
+                            "linking row for job {}/store {store:?} contains \
+                             foreign or mis-signed term {} ({coef})",
+                            job.0,
+                            model.var_name(v)
+                        ),
+                    ));
+                }
             }
         }
     }
 
     // --- eqs. 23/21/22: capacity rows match the cluster matrices ---------
+    let work: BTreeMap<JobId, f64> = expect.job_work_ecu.iter().copied().collect();
+    let size: BTreeMap<JobId, f64> = expect.job_size_mb.iter().copied().collect();
     let cpu_rhs: BTreeMap<MachineId, f64> = expect.cpu_capacity.iter().copied().collect();
     let transfer_rhs: BTreeMap<MachineId, f64> = expect.transfer_budget.iter().copied().collect();
     let bw: BTreeMap<(MachineId, StoreId), f64> = expect.bandwidth.iter().copied().collect();
     let store_rhs: BTreeMap<StoreId, f64> = expect.store_free_mb.iter().copied().collect();
 
-    for &(c, kind) in &ann.rows {
-        match kind {
-            RowKind::CpuCap { machine } => {
+    for &(c, row) in &rows {
+        match row {
+            RowKey::Cpu { machine } => {
                 match cpu_rhs.get(&machine) {
                     Some(&cap) if close(model.constraint_rhs(c), cap) => {}
                     Some(&cap) => out.push(err(
@@ -322,16 +322,10 @@ pub fn audit_paper_invariants(
                     )),
                 }
                 for (v, coef) in model.constraint_terms(c) {
-                    let ok = match var_kinds.get(&v.index()) {
-                        Some(VarKind::Assign {
+                    let ok = match col_of(v) {
+                        Some(ColKey::Task {
                             job, machine: m, ..
-                        }) => {
-                            *m == machine
-                                && expect
-                                    .job_work_ecu
-                                    .get(*job)
-                                    .is_some_and(|&w| close(coef, w))
-                        }
+                        }) => m == machine && work.get(&job).is_some_and(|&w| close(coef, w)),
                         _ => false,
                     };
                     if !ok {
@@ -346,7 +340,7 @@ pub fn audit_paper_invariants(
                     }
                 }
             }
-            RowKind::TransferTime { machine } => {
+            RowKey::Xfer { machine } => {
                 match transfer_rhs.get(&machine) {
                     Some(&budget) if close(model.constraint_rhs(c), budget) => {}
                     _ => out.push(err(
@@ -359,18 +353,15 @@ pub fn audit_paper_invariants(
                     )),
                 }
                 for (v, coef) in model.constraint_terms(c) {
-                    let ok = match var_kinds.get(&v.index()) {
-                        Some(VarKind::Assign {
+                    let ok = match col_of(v) {
+                        Some(ColKey::Task {
                             job,
                             machine: m,
                             store: Some(s),
                         }) => {
-                            *m == machine
-                                && bw.get(&(machine, *s)).is_some_and(|&b| {
-                                    expect
-                                        .job_size_mb
-                                        .get(*job)
-                                        .is_some_and(|&mb| close(coef, mb / b))
+                            m == machine
+                                && bw.get(&(machine, s)).is_some_and(|&b| {
+                                    size.get(&job).is_some_and(|&mb| close(coef, mb / b))
                                 })
                         }
                         _ => false,
@@ -387,7 +378,7 @@ pub fn audit_paper_invariants(
                     }
                 }
             }
-            RowKind::StoreCap { store } => {
+            RowKey::Store { store } => {
                 match store_rhs.get(&store) {
                     Some(&free) if close(model.constraint_rhs(c), free) => {}
                     _ => out.push(err(
@@ -400,13 +391,9 @@ pub fn audit_paper_invariants(
                     )),
                 }
                 for (v, coef) in model.constraint_terms(c) {
-                    let ok = match var_kinds.get(&v.index()) {
-                        Some(VarKind::NewCopy { job, dest }) => {
-                            *dest == store
-                                && expect
-                                    .job_size_mb
-                                    .get(*job)
-                                    .is_some_and(|&mb| close(coef, mb))
+                    let ok = match col_of(v) {
+                        Some(ColKey::Nd { job, dest, .. }) => {
+                            dest == store && size.get(&job).is_some_and(|&mb| close(coef, mb))
                         }
                         _ => false,
                     };
@@ -422,7 +409,7 @@ pub fn audit_paper_invariants(
                     }
                 }
             }
-            RowKind::Coverage { .. } | RowKind::Linking { .. } | RowKind::PoolFloor { .. } => {}
+            RowKey::Cov { .. } | RowKey::Lnk { .. } | RowKey::Pool { .. } => {}
         }
     }
 
@@ -437,10 +424,10 @@ pub fn audit_paper_invariants(
                 }
             }
         }
-        for job in 0..expect.num_jobs {
+        for &(job, _) in &expect.job_work_ecu {
             let Some(&f) = fake_of_job.get(&job) else {
                 out.push(err(
-                    format!("job {job}"),
+                    format!("job {}", job.0),
                     "fake node enabled but the job has no fake column".into(),
                 ));
                 continue;
@@ -453,8 +440,9 @@ pub fn audit_paper_invariants(
                 out.push(err(
                     format!("var {}", model.var_name(f)),
                     format!(
-                        "fake column must appear only in job {job}'s coverage row \
+                        "fake column must appear only in job {}'s coverage row \
                          (unbounded capacity), but touches rows {:?}",
+                        job.0,
                         touching.iter().map(|c| c.index()).collect::<Vec<_>>()
                     ),
                 ));
@@ -484,20 +472,42 @@ pub fn audit_paper_invariants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lips_lp::Model;
+
+    const J0: JobId = JobId(0);
+
+    fn task(machine: MachineId, store: Option<StoreId>) -> u64 {
+        ColKey::Task {
+            job: J0,
+            machine,
+            store,
+        }
+        .pack()
+    }
+
+    /// Add a row keyed `key`.
+    fn keyed_row(
+        model: &mut Model,
+        terms: Vec<(VarId, f64)>,
+        cmp: Cmp,
+        rhs: f64,
+        key: RowKey,
+    ) -> ConstraintId {
+        let c = model.add_constraint(terms, cmp, rhs);
+        model.key_constraint(c, key.pack());
+        c
+    }
 
     /// Hand-build a minimal, correct Fig-4-shaped model: one job, two
     /// machines (each with a co-located store), data on store 0, fake node
-    /// enabled.
+    /// enabled. Rows: coverage, linking (store 0), linking (store 1), CPU
+    /// (machine 0), CPU (machine 1), store capacity (store 1).
     struct Tiny {
         model: Model,
-        ann: ModelAnnotations,
         expect: PaperExpectations,
     }
 
     fn tiny() -> Tiny {
         let mut model = Model::minimize();
-        let mut ann = ModelAnnotations::default();
         let m0 = MachineId(0);
         let m1 = MachineId(1);
         let s0 = StoreId(0);
@@ -508,29 +518,23 @@ mod tests {
         // Assignment vars for every (machine, store) pair.
         let mut assigns = Vec::new();
         for (l, s) in [(m0, s0), (m0, s1), (m1, s0), (m1, s1)] {
-            let v = model.add_var(format!("xt_0_{}_{}", l.0, s.0), 0.0, 1.0, 1.0 + l.0 as f64);
-            ann.annotate_var(
-                v,
-                VarKind::Assign {
-                    job: 0,
-                    machine: l,
-                    store: Some(s),
-                },
-            );
+            let v = model.add_keyed_var(task(l, Some(s)), 0.0, 1.0, 1.0 + l.0 as f64);
             assigns.push((l, s, v));
         }
         // One new-copy var to store 1.
-        let nd = model.add_var("nd_0_1_0", 0.0, 1.0, 0.5);
-        ann.annotate_var(nd, VarKind::NewCopy { job: 0, dest: s1 });
+        let nd_key = ColKey::Nd {
+            job: J0,
+            dest: s1,
+            class: 0,
+        };
+        let nd = model.add_keyed_var(nd_key.pack(), 0.0, 1.0, 0.5);
         // Fake var, priced above everything.
-        let fake = model.add_var("fake_0", 0.0, 1.0, 1e6);
-        ann.annotate_var(fake, VarKind::Fake { job: 0 });
+        let fake = model.add_keyed_var(ColKey::Fake { job: J0 }.pack(), 0.0, 1.0, 1e6);
 
         // (20) coverage.
         let mut cov: Vec<(VarId, f64)> = assigns.iter().map(|&(_, _, v)| (v, 1.0)).collect();
         cov.push((fake, 1.0));
-        let c = model.add_constraint(cov, Cmp::Ge, 1.0);
-        ann.annotate_row(c, RowKind::Coverage { job: 0 });
+        keyed_row(&mut model, cov, Cmp::Ge, 1.0, RowKey::Cov { job: J0 });
 
         // (24) linking per store.
         for (s, avail) in [(s0, 1.0), (s1, 0.0)] {
@@ -542,8 +546,8 @@ mod tests {
             if s == s1 {
                 terms.push((nd, -1.0));
             }
-            let c = model.add_constraint(terms, Cmp::Le, avail);
-            ann.annotate_row(c, RowKind::Linking { job: 0, store: s });
+            let key = RowKey::Lnk { job: J0, store: s };
+            keyed_row(&mut model, terms, Cmp::Le, avail, key);
         }
 
         // (23) CPU capacity per machine.
@@ -553,29 +557,39 @@ mod tests {
                 .filter(|&&(ml, _, _)| ml == l)
                 .map(|&(_, _, v)| (v, work))
                 .collect();
-            let c = model.add_constraint(terms, Cmp::Le, 500.0);
-            ann.annotate_row(c, RowKind::CpuCap { machine: l });
+            keyed_row(
+                &mut model,
+                terms,
+                Cmp::Le,
+                500.0,
+                RowKey::Cpu { machine: l },
+            );
         }
 
         // (22) store capacity on the copy destination.
-        let c = model.add_constraint([(nd, size)], Cmp::Le, 1000.0);
-        ann.annotate_row(c, RowKind::StoreCap { store: s1 });
+        let key = RowKey::Store { store: s1 };
+        keyed_row(&mut model, vec![(nd, size)], Cmp::Le, 1000.0, key);
 
         let expect = PaperExpectations {
-            num_jobs: 1,
-            job_work_ecu: vec![work],
-            job_size_mb: vec![size],
+            job_work_ecu: vec![(J0, work)],
+            job_size_mb: vec![(J0, size)],
             cpu_capacity: vec![(m0, 500.0), (m1, 500.0)],
             transfer_budget: vec![],
             bandwidth: vec![],
             store_free_mb: vec![(s1, 1000.0)],
             fake_enabled: true,
         };
-        Tiny { model, ann, expect }
+        Tiny { model, expect }
+    }
+
+    /// Re-key row `c` of `t` as `key`.
+    fn rekey(t: &mut Tiny, c: usize, key: RowKey) {
+        t.model
+            .key_constraint(ConstraintId::from_index(c), key.pack());
     }
 
     fn details(t: &Tiny) -> Vec<String> {
-        audit_paper_invariants(&t.model, &t.ann, &t.expect)
+        audit_paper_invariants(&t.model, &t.expect)
             .into_iter()
             .map(|l| l.detail)
             .collect()
@@ -590,48 +604,34 @@ mod tests {
     #[test]
     fn missing_coverage_row_is_caught() {
         let mut t = tiny();
-        t.ann
-            .rows
-            .retain(|&(_, k)| !matches!(k, RowKind::Coverage { .. }));
+        // Row 0 no longer claims to be job 0's coverage row.
+        rekey(&mut t, 0, RowKey::Pool { pool: 0 });
         let d = details(&t);
         assert!(d.iter().any(|s| s.contains("no coverage row")), "{d:?}");
     }
 
     #[test]
     fn wrong_coverage_sense_is_caught() {
-        let t = tiny();
-        // Rebuild with Le instead of Ge by tampering: easiest is a fresh
-        // model mirroring tiny() but flipping the row — instead, annotate a
-        // different row as the coverage row, which also breaks the span.
-        let mut ann = ModelAnnotations::default();
-        for &(v, k) in t.ann.vars() {
-            ann.annotate_var(v, k);
-        }
-        for &(c, k) in t.ann.rows() {
-            match k {
-                RowKind::Coverage { .. } => {
-                    ann.annotate_row(ConstraintId::from_index(1), RowKind::Coverage { job: 0 });
-                }
-                other => ann.annotate_row(c, other),
-            }
-        }
-        let found = audit_paper_invariants(&t.model, &ann, &t.expect);
+        let mut t = tiny();
+        // Key the `≤` linking row of store 0 as the coverage row instead:
+        // wrong sense, wrong span.
+        rekey(&mut t, 0, RowKey::Pool { pool: 0 });
+        rekey(&mut t, 1, RowKey::Cov { job: J0 });
+        let found = audit_paper_invariants(&t.model, &t.expect);
         assert!(!found.is_empty());
         assert!(found.iter().all(|l| l.rule == Rule::PaperInvariant));
+        assert!(
+            found
+                .iter()
+                .any(|l| l.detail.contains("coverage row must read")),
+            "{found:?}"
+        );
     }
 
     #[test]
     fn missing_linking_row_is_caught() {
         let mut t = tiny();
-        t.ann.rows.retain(|&(_, k)| {
-            !matches!(
-                k,
-                RowKind::Linking {
-                    store: StoreId(1),
-                    ..
-                }
-            )
-        });
+        rekey(&mut t, 2, RowKey::Pool { pool: 0 });
         let d = details(&t);
         assert!(d.iter().any(|s| s.contains("no linking row")), "{d:?}");
     }
@@ -654,36 +654,19 @@ mod tests {
 
     #[test]
     fn fake_price_must_dominate() {
-        let mut t = tiny();
-        // Rebuild expectations only; tamper the model by giving the fake
-        // column a bargain price via a fresh model is overkill — instead
-        // check detection on a cheap fake built from scratch.
         let mut model = Model::minimize();
-        let mut ann = ModelAnnotations::default();
-        let v = model.add_var("xt_0_0_0", 0.0, 1.0, 10.0);
-        ann.annotate_var(
-            v,
-            VarKind::Assign {
-                job: 0,
-                machine: MachineId(0),
-                store: None,
-            },
-        );
-        let f = model.add_var("fake_0", 0.0, 1.0, 1.0); // cheaper than real!
-        ann.annotate_var(f, VarKind::Fake { job: 0 });
-        let c = model.add_constraint([(v, 1.0), (f, 1.0)], Cmp::Ge, 1.0);
-        ann.annotate_row(c, RowKind::Coverage { job: 0 });
-        t.expect = PaperExpectations {
-            num_jobs: 1,
-            job_work_ecu: vec![1.0],
-            job_size_mb: vec![0.0],
-            cpu_capacity: vec![],
-            transfer_budget: vec![],
-            bandwidth: vec![],
-            store_free_mb: vec![],
+        let v = model.add_keyed_var(task(MachineId(0), None), 0.0, 1.0, 10.0);
+        // Cheaper than the real assignment!
+        let f = model.add_keyed_var(ColKey::Fake { job: J0 }.pack(), 0.0, 1.0, 1.0);
+        let cov = vec![(v, 1.0), (f, 1.0)];
+        keyed_row(&mut model, cov, Cmp::Ge, 1.0, RowKey::Cov { job: J0 });
+        let expect = PaperExpectations {
+            job_work_ecu: vec![(J0, 1.0)],
+            job_size_mb: vec![(J0, 0.0)],
             fake_enabled: true,
+            ..PaperExpectations::default()
         };
-        let found = audit_paper_invariants(&model, &ann, &t.expect);
+        let found = audit_paper_invariants(&model, &expect);
         assert!(
             found.iter().any(|l| l.detail.contains("strictly dominate")),
             "{found:?}"
@@ -695,25 +678,46 @@ mod tests {
         let t = tiny();
         // Clone the model and add the fake column into a CPU row.
         let mut model = t.model.clone();
-        let fake = t
-            .ann
-            .vars()
-            .iter()
-            .find_map(|&(v, k)| matches!(k, VarKind::Fake { .. }).then_some(v))
+        let fake = model
+            .var_ids()
+            .find(|&v| matches!(ColKey::unpack(model.var_key(v)), Some(ColKey::Fake { .. })))
             .unwrap();
-        let extra = model.add_constraint([(fake, 1.0)], Cmp::Le, 10.0);
-        let mut ann = t.ann.clone();
-        ann.annotate_row(
-            extra,
-            RowKind::CpuCap {
-                machine: MachineId(0),
-            },
-        );
-        let found = audit_paper_invariants(&model, &ann, &t.expect);
+        let cpu = RowKey::Cpu {
+            machine: MachineId(0),
+        };
+        keyed_row(&mut model, vec![(fake, 1.0)], Cmp::Le, 10.0, cpu);
+        let found = audit_paper_invariants(&model, &t.expect);
         assert!(
             found
                 .iter()
                 .any(|l| l.detail.contains("unbounded capacity")),
+            "{found:?}"
+        );
+    }
+
+    #[test]
+    fn keys_that_do_not_unpack_are_reported() {
+        let mut t = tiny();
+        // A fake-node key with stray low bits, and a row never keyed (its
+        // key is positional).
+        let bad_col = ColKey::Fake { job: J0 }.pack() | 1;
+        assert_eq!(ColKey::unpack(bad_col), None);
+        t.model.add_keyed_var(bad_col, 0.0, 1.0, 0.0);
+        let unkeyed = t.model.add_constraint([], Cmp::Le, 0.0);
+        assert_eq!(RowKey::unpack(t.model.constraint_key(unkeyed)), None);
+        let found = audit_paper_invariants(&t.model, &t.expect);
+        assert!(found.iter().all(|l| l.rule == Rule::PaperInvariant));
+        assert!(
+            found
+                .iter()
+                .any(|l| l.detail.contains("no epoch-LP column key")),
+            "{found:?}"
+        );
+        assert!(
+            found
+                .iter()
+                .any(|l| l.detail.contains("no epoch-LP row key")
+                    && l.location == format!("row {}", unkeyed.index())),
             "{found:?}"
         );
     }

@@ -71,6 +71,7 @@ use crate::revised::{Eta, PivotRow, SparseVec, VarState, Worker};
 use crate::session::Session;
 use crate::solution::Solution;
 use crate::standard::StandardForm;
+use crate::{PIVOT_TOL, TOL};
 
 /// Primal step below which a dual pivot counts as degenerate.
 const DEGENERATE_EPS: f64 = 1e-10;
@@ -298,7 +299,7 @@ fn prune_dependent_basics(w: &mut Worker) -> bool {
     let mut row_used = vec![false; m];
     let mut dependent: Vec<usize> = Vec::new();
     for p in 0..m {
-        let mut best = w.opts.pivot_tol;
+        let mut best = PIVOT_TOL;
         let mut best_row = usize::MAX;
         for (r, used) in row_used.iter().enumerate() {
             if !used && a[r * m + p].abs() > best {
@@ -422,7 +423,6 @@ pub(crate) fn shifted_dual_solve(w: &mut Worker) -> Result<(usize, usize), LpErr
 /// moves only its own column's cost, and no basic cost, so the duals stand
 /// and every other reduced cost with them.
 fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
-    let tol = w.opts.tol;
     w.refresh_reduced_costs();
     let mut shifted: Vec<usize> = Vec::new();
     for j in 0..w.n_real {
@@ -431,9 +431,9 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
         }
         let d = w.d[j];
         let wrong = match w.state[j] {
-            VarState::AtLower => d < -tol,
-            VarState::AtUpper => d > tol,
-            VarState::Free => d.abs() > tol,
+            VarState::AtLower => d < -TOL,
+            VarState::AtUpper => d > TOL,
+            VarState::Free => d.abs() > TOL,
             VarState::Basic => false,
         };
         if wrong {
@@ -450,14 +450,13 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
 /// index). Returns `(row, σ)` where `σ = −1` for a below-lower violation
 /// and `+1` for above-upper; `None` means primal feasible — optimal.
 pub(crate) fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
-    let tol = w.opts.tol;
     let mut best: Option<(usize, f64)> = None;
     for i in 0..w.m() {
         let j = w.basis[i];
         let v = w.x[j];
         let (lo, hi) = (w.sf.lb[j], w.sf.ub[j]);
-        let below = lo.is_finite() && v < lo - tol * (1.0 + lo.abs());
-        let above = hi.is_finite() && v > hi + tol * (1.0 + hi.abs());
+        let below = lo.is_finite() && v < lo - TOL * (1.0 + lo.abs());
+        let above = hi.is_finite() && v > hi + TOL * (1.0 + hi.abs());
         let viol = if below {
             lo - v
         } else if above {
@@ -552,8 +551,7 @@ fn choose_entering(cand: &[Candidate], harris: f64, bland: bool) -> Option<usize
 fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize, usize), LpError> {
     let m = w.m();
     let n = w.n_real;
-    let tol = w.opts.tol;
-    let harris = tol;
+    let harris = TOL;
     let mut row = PivotRow::new(m, n);
     let mut wvec = SparseVec::new(m);
     let mut flip_rhs = SparseVec::new(m);
@@ -610,9 +608,9 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             }
             let abar = sigma * row.alpha[j];
             let eligible = match w.state[j] {
-                VarState::AtLower => abar > w.opts.pivot_tol,
-                VarState::AtUpper => abar < -w.opts.pivot_tol,
-                VarState::Free => abar.abs() > w.opts.pivot_tol,
+                VarState::AtLower => abar > PIVOT_TOL,
+                VarState::AtUpper => abar < -PIVOT_TOL,
+                VarState::Free => abar.abs() > PIVOT_TOL,
                 VarState::Basic => false,
             };
             if eligible {
@@ -680,7 +678,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         });
         w.ftran(&mut wvec);
         let piv = wvec.val[r];
-        if piv.abs() <= w.opts.pivot_tol {
+        if piv.abs() <= PIVOT_TOL {
             // The CSR-accumulated α_rq disagreed with the FTRAN through
             // stale etas: refactorize and retry the iteration with fresh
             // numerics, giving up after repeated failures.
@@ -1215,7 +1213,7 @@ mod tests {
             w.set_phase2_costs();
             let y = w.current_duals();
             shifted_structurals += (0..w.sf.n_structural)
-                .filter(|&j| w.state[j] == VarState::AtLower && w.reduced_cost(&y, j) < -opts.tol)
+                .filter(|&j| w.state[j] == VarState::AtLower && w.reduced_cost(&y, j) < -crate::TOL)
                 .count();
             if shifted_dual_solve(&mut w).is_err() {
                 continue;

@@ -72,10 +72,6 @@ pub struct RevisedOptions {
     pub max_iterations: usize,
     /// Refactorize the basis after this many eta updates.
     pub refactor_interval: usize,
-    /// Reduced-cost / feasibility tolerance.
-    pub tol: f64,
-    /// Minimum acceptable pivot magnitude.
-    pub pivot_tol: f64,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub bland_trigger: usize,
     /// Partial pricing window: scan at most this many *eligible* columns
@@ -92,8 +88,6 @@ impl Default for RevisedOptions {
         RevisedOptions {
             max_iterations: 200_000,
             refactor_interval: 96,
-            tol: TOL,
-            pivot_tol: PIVOT_TOL,
             bland_trigger: 200,
             partial_pricing: Some(64),
         }
@@ -551,7 +545,7 @@ impl Worker {
             let s = n_struct + i;
             let (lo, hi) = (self.sf.lb[s], self.sf.ub[s]);
             let r = resid[i];
-            if r >= lo - self.opts.tol && r <= hi + self.opts.tol {
+            if r >= lo - TOL && r <= hi + TOL {
                 self.state[s] = VarState::Basic;
                 self.x[s] = r;
                 self.basis.push(s);
@@ -697,7 +691,7 @@ impl Worker {
             self.for_col(j, |r, v| cols[i].push((r, v)));
         }
         let t0 = crate::clock::Stopwatch::start();
-        let res = SparseLu::factorize(m, &mut cols, &mut self.lu_work, self.opts.pivot_tol);
+        let res = SparseLu::factorize(m, &mut cols, &mut self.lu_work, PIVOT_TOL);
         self.factor_ms += t0.elapsed_ms();
         self.spcols = cols;
         self.factor = res.inspect_err(|_| self.singular_refactors += 1)?;
@@ -1192,7 +1186,7 @@ impl Worker {
         // the per-iteration allocations here used to dominate small pivots.
         let mut w = SparseVec::new(m);
         let mut row = PivotRow::new(m, self.ncols());
-        let mut tol = self.opts.tol;
+        let mut tol = TOL;
         let mut checked = false;
         self.reprice(tol);
         // Whether `d` was priced fresh at the current basis.
@@ -1235,7 +1229,7 @@ impl Worker {
             let mut leaving: Option<(usize, VarState)> = None;
             for &i in &w.nz {
                 let wi = w.val[i];
-                if wi.abs() <= self.opts.pivot_tol {
+                if wi.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let bvar = self.basis[i];
@@ -1307,7 +1301,7 @@ impl Worker {
                     self.mark_eligible(q);
                 }
                 Some((r, hits)) => {
-                    if w.val[r].abs() <= self.opts.pivot_tol {
+                    if w.val[r].abs() <= PIVOT_TOL {
                         // Pivot too small; refactorize and retry this
                         // iteration with fresh numerics.
                         self.refactor()?;

@@ -92,7 +92,7 @@ fn check_instance(name: &str, inst: &LpInstance<'_>) {
     assert!(schedule.lp_objective.is_finite());
 
     // The sim-facing wrapper agrees with the raw certificate.
-    let (model, _, _) = build_audited(inst);
+    let (model, _) = build_audited(inst);
     let sol = model.solve().expect("solvable");
     assert!(
         validate_certificate(&model, &sol).is_empty(),
