@@ -177,7 +177,10 @@ pub fn run_cold(
                     &report,
                     false,
                 ),
-                Err(_) => EpochRecord::degraded(e, inst.jobs.len()),
+                Err(err) => EpochRecord {
+                    failed_rungs: vec![format!("cold: {err}")],
+                    ..EpochRecord::degraded(e, inst.jobs.len())
+                },
             };
             record.epoch_ms = t.elapsed().as_secs_f64() * 1e3;
             record

@@ -1418,6 +1418,7 @@ fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
     agg.singular_refactors += s.singular_refactors;
     agg.ftran_nnz += s.ftran_nnz;
     agg.btran_nnz += s.btran_nnz;
+    agg.eta_reads += s.eta_reads;
     agg.solve_ms += s.solve_ms;
     agg.setup_ms += s.setup_ms;
     agg.factor_ms += s.factor_ms;

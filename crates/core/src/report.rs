@@ -53,6 +53,10 @@ pub struct EpochRecord {
     /// ([`lips_lp::SolveStats::btran_nnz`]).
     #[serde(default)]
     pub btran_nnz: u64,
+    /// Eta-file entries the BTRANs read
+    /// ([`lips_lp::SolveStats::eta_reads`]).
+    #[serde(default)]
+    pub eta_reads: u64,
     /// Dual-simplex pivots (also counted in `iterations`).
     pub dual_pivots: usize,
     /// Nonbasic bound flips by the dual solver (not counted in
@@ -146,6 +150,7 @@ impl EpochRecord {
             singular_refactors: stats.singular_refactors,
             ftran_nnz: stats.ftran_nnz,
             btran_nnz: stats.btran_nnz,
+            eta_reads: stats.eta_reads,
             dual_pivots: stats.dual_pivots,
             bound_flips: stats.bound_flips,
             pricing_rounds,
@@ -191,6 +196,7 @@ impl EpochRecord {
             singular_refactors: 0,
             ftran_nnz: 0,
             btran_nnz: 0,
+            eta_reads: 0,
             dual_pivots: 0,
             bound_flips: 0,
             pricing_rounds: 0,

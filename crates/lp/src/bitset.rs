@@ -1,7 +1,8 @@
 //! A fixed-width set of small indices, one bit each, walked in ascending
-//! order. The factorization keeps its zero-cost pivot columns in one and
-//! primal pricing its eligible columns, so neither rescans the indices
-//! whose membership did not change.
+//! order. The factorization keeps its zero-cost pivot columns in one,
+//! primal pricing its eligible columns and the dual loop its primal
+//! infeasible rows, so none rescans the indices whose membership did not
+//! change.
 
 /// A set of indices below the width given to [`BitSet::reset`].
 #[derive(Debug, Default)]
@@ -24,6 +25,14 @@ impl BitSet {
         } else {
             self.words[i / 64] &= !bit;
         }
+    }
+
+    /// Add `i`; whether it was absent.
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
     }
 
     /// Whether `i` is in the set.
@@ -81,6 +90,8 @@ mod tests {
         }
         s.set(3, false);
         assert!(s.contains(63) && !s.contains(3));
+        assert!(!s.insert(63) && s.insert(3) && s.contains(3));
+        s.set(3, false);
         assert_eq!(s.iter_from(0).collect::<Vec<_>>(), [0, 63, 64, 130, 199]);
         assert_eq!(s.iter_from(64).collect::<Vec<_>>(), [64, 130, 199]);
         assert_eq!(s.iter_from(131).collect::<Vec<_>>(), [199]);

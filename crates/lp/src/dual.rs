@@ -34,6 +34,13 @@
 //!   pivot, as in the primal loop, so a pivot needs neither a BTRAN for
 //!   the duals nor a dot product per candidate; they are recomputed from
 //!   fresh duals at each refactorization.
+//! * **Per-pivot work that follows the pivot.** The loop keeps the set of
+//!   rows whose basic value is out of bounds, re-marks only the rows a
+//!   pivot or a flip batch moved (the FTRANs' supports) and rebuilds it
+//!   after a refactorization, so choosing the leaving row walks the
+//!   violated rows, not all `m`. The ratio test takes the pivot row's
+//!   columns in accumulation order, deduplicated by a mark set, and breaks
+//!   its ties by column index itself instead of sorting them.
 //! * **Bound flips, long-step ratio test.** All structural variables of the
 //!   scheduling LPs are boxed in `[0, 1]`, which makes the generalized
 //!   (long-step) dual ratio test effective: when the minimum-ratio column is
@@ -65,6 +72,7 @@
 #![allow(clippy::needless_range_loop)] // simplex kernels read clearer with indices
 
 use crate::basis::{BasisStatus, DeclinedBasis, DualDecline, WarmStart};
+use crate::bitset::BitSet;
 use crate::error::LpError;
 use crate::model::{ConstraintId, Model, VarId};
 use crate::revised::{Eta, PivotRow, SparseVec, VarState, Worker};
@@ -445,28 +453,42 @@ fn restore_dual_feasibility(w: &mut Worker) -> Vec<usize> {
     shifted
 }
 
-/// Pick the leaving row: the basic variable with the largest relative bound
-/// violation (Bland mode: the violated basic with the smallest variable
-/// index). Returns `(row, σ)` where `σ = −1` for a below-lower violation
-/// and `+1` for above-upper; `None` means primal feasible — optimal.
+/// The bound violation of row `i`'s basic variable, when it lies outside
+/// a bound by more than the tolerance relative to that bound.
+fn violation(w: &Worker, i: usize) -> Option<f64> {
+    let j = w.basis[i];
+    let v = w.x[j];
+    let (lo, hi) = (w.sf.lb[j], w.sf.ub[j]);
+    if lo.is_finite() && v < lo - TOL * (1.0 + lo.abs()) {
+        Some(lo - v)
+    } else if hi.is_finite() && v > hi + TOL * (1.0 + hi.abs()) {
+        Some(v - hi)
+    } else {
+        None
+    }
+}
+
+/// Pick the leaving row: the basic variable with the largest bound
+/// violation, the first row on ties (Bland mode: the violated basic with
+/// the smallest variable index). Returns `(row, σ)` where `σ = −1` for a
+/// below-lower violation and `+1` for above-upper; `None` means primal
+/// feasible — optimal. A scan of every row: the dual loop walks its kept
+/// infeasible-row set instead ([`pick_leaving`]).
 pub(crate) fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
+    pick_leaving(w, 0..w.m())
+}
+
+/// [`select_leaving`] over `rows`, ascending, which must include every
+/// violated row.
+fn pick_leaving(w: &Worker, rows: impl Iterator<Item = usize>) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
-    for i in 0..w.m() {
-        let j = w.basis[i];
-        let v = w.x[j];
-        let (lo, hi) = (w.sf.lb[j], w.sf.ub[j]);
-        let below = lo.is_finite() && v < lo - TOL * (1.0 + lo.abs());
-        let above = hi.is_finite() && v > hi + TOL * (1.0 + hi.abs());
-        let viol = if below {
-            lo - v
-        } else if above {
-            v - hi
-        } else {
+    for i in rows {
+        let Some(viol) = violation(w, i) else {
             continue;
         };
         if w.bland {
             match best {
-                Some((bi, _)) if w.basis[bi] <= j => {}
+                Some((bi, _)) if w.basis[bi] <= w.basis[i] => {}
                 _ => best = Some((i, viol)),
             }
         } else {
@@ -488,7 +510,21 @@ pub(crate) fn select_leaving(w: &Worker) -> Option<(usize, f64)> {
     })
 }
 
+/// Re-decide row `i`'s membership of the infeasible-row set.
+fn mark_infeasible(w: &Worker, infeasible: &mut BitSet, i: usize) {
+    infeasible.set(i, violation(w, i).is_some());
+}
+
+/// Rebuild the infeasible-row set from every row's basic value.
+fn rebuild_infeasible(w: &Worker, infeasible: &mut BitSet) {
+    infeasible.reset(w.m());
+    for i in 0..w.m() {
+        mark_infeasible(w, infeasible, i);
+    }
+}
+
 /// One dual ratio-test candidate: column, `ᾱ_j = σ·α_rj`, reduced cost.
+#[derive(Clone)]
 struct Candidate {
     col: usize,
     abar: f64,
@@ -503,11 +539,62 @@ impl Candidate {
     }
 }
 
-/// Choose the entering candidate index. Bland mode takes the smallest
-/// column index attaining the exact minimum ratio; otherwise a Harris
-/// two-pass picks the largest `|ᾱ|` among ratios within the relaxed
-/// minimum. `None` means no eligible column: the dual is unbounded.
+/// Choose the entering candidate index; the candidates may come in any
+/// order. Bland mode takes the smallest column whose ratio is within
+/// [`DEGENERATE_EPS`] of the minimum; otherwise a Harris two-pass takes
+/// the largest `|ᾱ|` among ratios within the relaxed minimum, the
+/// smallest column on ties. Those are the columns an ascending scan keeping
+/// its first best would pick. `None` means no eligible column: the dual
+/// is unbounded.
 fn choose_entering(cand: &[Candidate], harris: f64, bland: bool) -> Option<usize> {
+    let picked = if bland {
+        let rmin = cand
+            .iter()
+            .map(Candidate::ratio)
+            .fold(f64::INFINITY, f64::min);
+        let mut best: Option<usize> = None;
+        for (k, c) in cand.iter().enumerate() {
+            if c.ratio() <= rmin + DEGENERATE_EPS && best.is_none_or(|b| c.col < cand[b].col) {
+                best = Some(k);
+            }
+        }
+        best
+    } else {
+        let theta_rel = cand
+            .iter()
+            .map(|c| (c.d.abs() + harris) / c.abar.abs())
+            .fold(f64::INFINITY, f64::min);
+        let mut best: Option<usize> = None;
+        for (k, c) in cand.iter().enumerate() {
+            if c.ratio() > theta_rel {
+                continue;
+            }
+            let better = best.is_none_or(|b| {
+                let (a, ba) = (c.abar.abs(), cand[b].abar.abs());
+                a > ba || (a == ba && c.col < cand[b].col)
+            });
+            if better {
+                best = Some(k);
+            }
+        }
+        best
+    };
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        picked.map(|k| cand[k].col),
+        reference_choose_entering(cand, harris, bland),
+        "dual ratio test"
+    );
+    picked
+}
+
+/// The ratio test [`choose_entering`] is checked against in debug builds:
+/// the candidates sorted by column, then one ascending scan that keeps the
+/// first best. Returns the chosen column.
+#[cfg(any(test, debug_assertions))]
+fn reference_choose_entering(cand: &[Candidate], harris: f64, bland: bool) -> Option<usize> {
+    let mut cand = cand.to_vec();
+    cand.sort_unstable_by_key(|c| c.col);
     if cand.is_empty() {
         return None;
     }
@@ -516,25 +603,28 @@ fn choose_entering(cand: &[Candidate], harris: f64, bland: bool) -> Option<usize
             .iter()
             .map(Candidate::ratio)
             .fold(f64::INFINITY, f64::min);
-        return cand.iter().position(|c| c.ratio() <= rmin + DEGENERATE_EPS);
+        return cand
+            .iter()
+            .find(|c| c.ratio() <= rmin + DEGENERATE_EPS)
+            .map(|c| c.col);
     }
     let mut theta_rel = f64::INFINITY;
-    for c in cand {
+    for c in &cand {
         let rel = (c.d.abs() + harris) / c.abar.abs();
         if rel < theta_rel {
             theta_rel = rel;
         }
     }
     let mut best: Option<(usize, f64)> = None;
-    for (k, c) in cand.iter().enumerate() {
+    for c in &cand {
         if c.ratio() <= theta_rel {
             match best {
                 Some((_, ba)) if ba >= c.abar.abs() => {}
-                _ => best = Some((k, c.abar.abs())),
+                _ => best = Some((c.col, c.abar.abs())),
             }
         }
     }
-    best.map(|(k, _)| k)
+    best.map(|(j, _)| j)
 }
 
 /// One walk of the dual pivot loop, from the current (dual-feasible,
@@ -555,6 +645,17 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
     let mut row = PivotRow::new(m, n);
     let mut wvec = SparseVec::new(m);
     let mut flip_rhs = SparseVec::new(m);
+    // Per-pivot scratch, reused: the pivot row's dedup marks, the ratio
+    // test's candidates, the shifted ones held in reserve, the flips.
+    let mut seen = BitSet::default();
+    seen.reset(n);
+    let mut cand: Vec<Candidate> = Vec::new();
+    let mut reserve: Vec<Candidate> = Vec::new();
+    let mut flips_this: Vec<usize> = Vec::new();
+    // The rows whose basic value is out of bounds: rebuilt here and after
+    // every refactorization, re-marked for the rows a pivot moves.
+    let mut infeasible = BitSet::default();
+    rebuild_infeasible(w, &mut infeasible);
     let mut dual_pivots = 0usize;
     let mut bound_flips = 0usize;
     let mut tiny_pivot_retries = 0usize;
@@ -569,7 +670,9 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
                 iterations: w.iterations,
             });
         }
-        let Some((r, sigma)) = select_leaving(w) else {
+        let leaving = pick_leaving(w, infeasible.iter_from(0));
+        debug_assert_eq!(leaving, select_leaving(w), "infeasible-row set");
+        let Some((r, sigma)) = leaving else {
             return Ok((dual_pivots, bound_flips)); // primal feasible
         };
         // Flip-thrash guard: a healthy long-step walk flips at most a
@@ -581,27 +684,21 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             return Err(thrash(w));
         }
 
-        // Pivot row α_r = (B⁻ᵀe_r)ᵀA. Its columns are put in column order
-        // so candidates run in column order — deterministic tie-breaks
-        // for free.
+        // Pivot row α_r = (B⁻ᵀe_r)ᵀA, each column once, in accumulation
+        // order: the ratio test breaks its ties by column index itself.
         w.pivot_row(r, &mut row);
-        if row.touched.len() * 16 > n {
-            // A dense pivot row: one scan of `alpha` costs less than the
-            // sort (columns whose sum cancelled to zero drop out, which
-            // changes nothing — they are never eligible).
-            row.touched.clear();
-            row.touched.extend((0..n).filter(|&j| row.alpha[j] != 0.0));
-        } else {
-            row.touched.sort_unstable();
-            row.touched.dedup();
+        row.touched.retain(|&j| seen.insert(j));
+        for &j in &row.touched {
+            seen.set(j, false);
         }
 
         if !d_fresh {
             w.refresh_reduced_costs();
             d_fresh = true;
         }
-        let mut cand: Vec<Candidate> = Vec::with_capacity(row.touched.len());
-        let mut reserve: Vec<Candidate> = Vec::new();
+        cand.clear();
+        cand.reserve_exact(row.touched.len());
+        reserve.clear();
         for &j in &row.touched {
             if w.state[j] == VarState::Basic || w.sf.lb[j] == w.sf.ub[j] {
                 continue;
@@ -640,7 +737,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         } else {
             w.x[out] - w.sf.ub[out]
         };
-        let mut flips_this: Vec<usize> = Vec::new();
+        flips_this.clear();
         let entering = loop {
             let Some(k) = choose_entering(&cand, harris, w.bland) else {
                 if let Some(k) = choose_entering(&reserve, harris, w.bland) {
@@ -661,7 +758,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             let gap = w.sf.ub[cand[k].col] - w.sf.lb[cand[k].col];
             if !w.bland && boxed && slope - gap * cand[k].abar.abs() > SLOPE_EPS {
                 slope -= gap * cand[k].abar.abs();
-                let c = cand.remove(k);
+                let c = cand.swap_remove(k);
                 flips_this.push(c.col);
                 continue;
             }
@@ -688,6 +785,7 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
             }
             row.clear();
             w.refactor()?;
+            rebuild_infeasible(w, &mut infeasible);
             d_fresh = false;
             continue;
         }
@@ -741,11 +839,22 @@ fn dual_loop(w: &mut Worker, barred: &[bool], any_barred: bool) -> Result<(usize
         // d' = d − (d_q / α_rq)·α_r: the entering column prices to zero,
         // the leaving one to −d_q / α_rq, columns off the pivot row keep
         // theirs.
-        w.update_reduced_costs(&mut row, q, out, entering.d / piv, false);
+        w.update_reduced_costs(&mut row, q, out, entering.d / piv, false, None);
+        // Only the flipped FTRAN's rows and the entering column's rows
+        // moved; row `r` is among the latter.
+        if !flips_this.is_empty() {
+            for &i in &flip_rhs.nz {
+                mark_infeasible(w, &mut infeasible, i);
+            }
+        }
+        for &i in &wvec.nz {
+            mark_infeasible(w, &mut infeasible, i);
+        }
 
         w.etas.push(Eta::new(r, &wvec));
         if w.etas.len() >= w.opts.refactor_interval {
             w.refactor()?;
+            rebuild_infeasible(w, &mut infeasible);
             d_fresh = false;
         }
 
@@ -785,6 +894,109 @@ mod tests {
     use crate::basis::{name_key, WarmOutcome};
     use crate::model::{Cmp, Model, Sense};
     use crate::revised::RevisedOptions;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On candidate lists in any order, with ties in the ratio and in
+        /// `|ᾱ|`, the ratio test picks the column the sorted ascending scan
+        /// picks, under Harris and under Bland.
+        #[test]
+        fn ratio_test_picks_the_sorted_scans_column(seed in 0u64..1_000_000, len in 0usize..24) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut cols: Vec<usize> = (0..64).collect();
+            cols.shuffle(&mut rng);
+            // Few magnitudes and ratios, so both tie often; a reduced
+            // cost a hair on the wrong side clamps to ratio zero.
+            let mut cand: Vec<Candidate> = cols[..len]
+                .iter()
+                .map(|&col| {
+                    let abar = [0.5, 1.0, 2.0][rng.gen_range(0..3)] * [1.0, -1.0][rng.gen_range(0..2)];
+                    let ratio = [0.0, 0.25, 0.5, 1.0][rng.gen_range(0..4)];
+                    let d = if rng.gen_bool(0.1) { -1e-12 * abar } else { ratio * abar };
+                    Candidate { col, abar, d }
+                })
+                .collect();
+            for bland in [false, true] {
+                let want = reference_choose_entering(&cand, TOL, bland);
+                for _ in 0..3 {
+                    cand.shuffle(&mut rng);
+                    let got = choose_entering(&cand, TOL, bland).map(|k| cand[k].col);
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    /// `rows` covering rows `Σ a_ij x_j ≥ b_i` over `n` columns boxed in
+    /// `[0, 1]` at positive costs: the slack basis is dual feasible and
+    /// violates every row, and the long-step ratio test flips the boxed
+    /// columns it passes.
+    fn random_covering(seed: u64, n: usize, rows: usize) -> Model {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut m = Model::minimize();
+        let x: Vec<VarId> = (0..n)
+            .map(|j| m.add_var(format!("x{j}"), 0.0, 1.0, rng.gen_range(0.5..2.0)))
+            .collect();
+        for _ in 0..rows {
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for &v in &x {
+                if rng.gen_bool(0.15) {
+                    terms.push((v, rng.gen_range(0.2..1.5)));
+                }
+            }
+            let cover = terms.iter().map(|t| t.1).sum::<f64>() * rng.gen_range(0.1..0.5);
+            m.add_constraint(terms, Cmp::Ge, cover);
+        }
+        m
+    }
+
+    #[test]
+    fn kept_infeasible_rows_pick_the_scans_row_through_flips_and_refactorizations() {
+        // Every dual pivot asserts that the kept set picks the leaving row
+        // a scan of every row picks (debug builds), and every BTRAN checks
+        // the reach-walked eta file against a pass over all of it.
+        for refactor_interval in [1, 7, 200] {
+            let (mut pivots, mut flips, mut refactors, mut longest) = (0, 0, 0, 0);
+            for seed in 0..4 {
+                let m = random_covering(seed, 120, 80);
+                let opts = RevisedOptions {
+                    refactor_interval,
+                    ..RevisedOptions::default()
+                };
+                let mut w = Worker::new(StandardForm::from_model(&m), opts);
+                seed_slack_basis(&mut w).unwrap();
+                w.set_phase2_costs();
+                let (p, f) = shifted_dual_solve(&mut w).unwrap();
+                assert_close(
+                    w.sf.external_objective(w.objective()),
+                    m.solve().unwrap().objective(),
+                );
+                assert!(m.is_feasible(&w.x[..w.sf.n_structural], 1e-6));
+                pivots += p;
+                flips += f;
+                refactors += w.refactors - 1;
+                longest = longest.max(w.etas.len());
+            }
+            assert!(
+                pivots > 100 && flips > 0,
+                "interval {refactor_interval}: {pivots} pivots, {flips} flips"
+            );
+            if refactor_interval == 200 {
+                // More than 64 etas on one factorization: BTRAN walks
+                // masks of several words.
+                assert!(longest > 64, "the eta file held at most {longest} etas");
+            } else {
+                assert!(
+                    refactors > 0,
+                    "interval {refactor_interval}: no refactorization"
+                );
+            }
+        }
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");

@@ -19,7 +19,9 @@
 //!   bound-flip updates, the eta build and the pivot-row accumulation
 //!   walk that list instead of all `m` rows; ascending order keeps every
 //!   tie-break and every eta's entry order. An FTRAN costs its reach plus
-//!   the eta file's touched entries, a BTRAN its reach plus the eta file.
+//!   the eta file's touched entries. A BTRAN costs its reach plus the etas
+//!   it reaches: a per-row mask over the eta file names the etas that read
+//!   or write each row, so BTRAN applies only those.
 //! * **Phase 1 with per-row artificials.** Rows whose slack cannot absorb
 //!   the initial residual get a signed artificial column; phase 1 minimizes
 //!   the artificial mass, phase 2 pins artificials to `[0,0]` and restores
@@ -148,6 +150,7 @@ impl RevisedSimplex {
             factor_ms: w.factor_ms,
             ftran_nnz: w.ftran_nnz,
             btran_nnz: w.btran_nnz,
+            eta_reads: w.eta_reads,
             solve_ms: t0.elapsed_ms(),
             setup_ms,
             ..SolveStats::default()
@@ -224,6 +227,148 @@ impl Eta {
     }
 }
 
+/// One word of an [`EtaFile`] row mask.
+type MaskWord = u32;
+const WORD_BITS: usize = MaskWord::BITS as usize;
+
+/// The product-form update file on top of the factorization, with a
+/// per-row index of its etas so BTRAN reads only the etas its vector
+/// reaches. Bit `k` of row `i`'s mask is set when eta `k`'s pivot row or
+/// one of its entries is `i`. The masks are `words` 32-bit words per row,
+/// `m × ⌈refactor_interval/32⌉` words in all, allocated by the first push
+/// (a solve that never pivots pays nothing) and widened should the file
+/// outgrow them. Clearing zeroes only the rows the etas touched, so a
+/// refactorization does not pay `O(m)` for them.
+pub(crate) struct EtaFile {
+    etas: Vec<Eta>,
+    rows: usize,
+    /// The mask width the first push allocates.
+    capacity_words: usize,
+    words: usize,
+    /// `rows × words`, row-major.
+    mask: Vec<MaskWord>,
+    /// BTRAN's etas still to apply, `words` wide; zero between solves.
+    pending: Vec<MaskWord>,
+}
+
+impl EtaFile {
+    /// An empty file over `m` rows, refactorized every `interval` etas.
+    fn new(m: usize, interval: usize) -> Self {
+        EtaFile {
+            etas: Vec::new(),
+            rows: m,
+            capacity_words: interval.div_ceil(WORD_BITS).max(1),
+            words: 0,
+            mask: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.etas.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.etas.is_empty()
+    }
+
+    /// The etas, oldest first.
+    fn iter(&self) -> std::slice::Iter<'_, Eta> {
+        self.etas.iter()
+    }
+
+    /// Append the update made after every eta already in the file.
+    pub(crate) fn push(&mut self, eta: Eta) {
+        let k = self.etas.len();
+        if k == self.words * WORD_BITS {
+            self.widen();
+        }
+        let (words, wk, bit) = (self.words, k / WORD_BITS, 1 << (k % WORD_BITS));
+        self.mask[eta.row * words + wk] |= bit;
+        for &(i, _) in &eta.nnz {
+            self.mask[i * words + wk] |= bit;
+        }
+        self.etas.push(eta);
+    }
+
+    /// Room for more etas per row: the allocated width on the first push,
+    /// one word more should the file outgrow it.
+    fn widen(&mut self) {
+        let old = self.words;
+        let words = (old + 1).max(self.capacity_words);
+        let mut mask = vec![0; self.rows * words];
+        for i in 0..self.rows {
+            mask[i * words..i * words + old].copy_from_slice(&self.mask[i * old..(i + 1) * old]);
+        }
+        self.mask = mask;
+        self.words = words;
+        self.pending.resize(words, 0);
+    }
+
+    /// Empty the file, zeroing only the masks of the rows it touched.
+    fn clear(&mut self) {
+        let words = self.words;
+        for eta in &self.etas {
+            self.mask[eta.row * words..(eta.row + 1) * words].fill(0);
+            for &(i, _) in &eta.nnz {
+                self.mask[i * words..(i + 1) * words].fill(0);
+            }
+        }
+        self.etas.clear();
+    }
+
+    /// `v ← E_1⁻ᵀ⋯E_K⁻ᵀ v`, the etas applied last to first. Only the etas
+    /// whose rows meet `v`'s support are computed: the masks of the
+    /// support's rows seed a pending set, the highest pending eta is
+    /// applied as a full pass would apply it, and a row it makes nonzero
+    /// adds its mask below that eta. A skipped eta reads and writes only
+    /// zeros, so every value is the full pass's (up to the sign of a
+    /// zero). `support` marks `v.nz` (all false on entry and exit), and
+    /// `reads` counts the eta entries read.
+    fn btran(&mut self, v: &mut SparseVec, support: &mut [bool], reads: &mut u64) {
+        let EtaFile {
+            etas,
+            words,
+            mask,
+            pending,
+            ..
+        } = self;
+        let words = *words;
+        for &i in &v.nz {
+            support[i] = true;
+            for (p, &b) in pending.iter_mut().zip(&mask[i * words..(i + 1) * words]) {
+                *p |= b;
+            }
+        }
+        for wk in (0..words).rev() {
+            while pending[wk] != 0 {
+                let bit = WORD_BITS - 1 - pending[wk].leading_zeros() as usize;
+                pending[wk] &= !(1 << bit);
+                let eta = &etas[wk * WORD_BITS + bit];
+                let mut s = v.val[eta.row];
+                for &(i, w) in &eta.nnz {
+                    s -= w * v.val[i];
+                }
+                *reads += eta.nnz.len() as u64;
+                let y = s / eta.diag;
+                v.val[eta.row] = y;
+                if y != 0.0 && !support[eta.row] {
+                    support[eta.row] = true;
+                    v.nz.push(eta.row);
+                    let row = &mask[eta.row * words..(eta.row + 1) * words];
+                    for (p, &b) in pending[..wk].iter_mut().zip(row) {
+                        *p |= b;
+                    }
+                    pending[wk] |= row[wk] & ((1 << bit) - 1);
+                }
+            }
+        }
+        for &i in &v.nz {
+            support[i] = false;
+        }
+    }
+}
+
 /// A length-`m` vector with its support: every entry off `nz` is zero (of
 /// either sign). [`Worker::ftran`] and [`Worker::btran`] accept an `nz`
 /// that repeats an index or names zeros, and leave it naming exactly the
@@ -274,9 +419,9 @@ impl SparseVec {
 
 /// The pivot row of a basis change at row `r`, against the basis before
 /// the change: `ρ_r = B⁻ᵀe_r` and `α_r = ρ_rᵀA`. The primal loop feeds it
-/// to the devex weights and the reduced-cost update, the dual loop to its
-/// ratio test and the same update ([`Worker::pivot_row`] computes it for
-/// both).
+/// to the one pass that updates the reduced costs and the devex weights,
+/// the dual loop to its ratio test and the same update
+/// ([`Worker::pivot_row`] computes it for both).
 pub(crate) struct PivotRow {
     /// `ρ_r = B⁻ᵀe_r`, indexed by row.
     pub(crate) rho: SparseVec,
@@ -285,7 +430,7 @@ pub(crate) struct PivotRow {
     /// Every column the accumulation reached, basic ones included, in
     /// accumulation order. A column whose partial sum cancelled to exactly
     /// zero on the way may be listed twice, so a consumer either tolerates
-    /// repeats or sorts and dedups (the dual ratio test does).
+    /// repeats or dedups them (the dual ratio test does, with a mark set).
     pub(crate) touched: Vec<usize>,
 }
 
@@ -362,7 +507,7 @@ pub(crate) struct Worker {
     /// The factorization of the basis at the last refactorization (the
     /// identity until the first one), with `etas` on top.
     factor: SparseLu,
-    pub(crate) etas: Vec<Eta>,
+    pub(crate) etas: EtaFile,
     /// Reused workspace of the factorization's solves.
     solve_work: SolveWork,
     /// Marks the support of a vector while the eta file grows it; all
@@ -397,6 +542,8 @@ pub(crate) struct Worker {
     /// Nonzeros of the pivot rows' `ρ_r` (see
     /// [`SolveStats::btran_nnz`]).
     pub(crate) btran_nnz: u64,
+    /// Eta entries read by BTRANs (see [`SolveStats::eta_reads`]).
+    pub(crate) eta_reads: u64,
     pub(crate) degenerate_run: usize,
     pub(crate) bland: bool,
     in_phase1: bool,
@@ -429,7 +576,7 @@ impl Worker {
             basis: Vec::with_capacity(m),
             x: vec![0.0; n_real],
             factor: SparseLu::identity(m),
-            etas: Vec::new(),
+            etas: EtaFile::new(m, opts.refactor_interval),
             solve_work: SolveWork::default(),
             support: vec![false; m],
             spcols: Vec::new(),
@@ -444,6 +591,7 @@ impl Worker {
             factor_ms: 0.0,
             ftran_nnz: 0,
             btran_nnz: 0,
+            eta_reads: 0,
             degenerate_run: 0,
             bland: false,
             in_phase1: false,
@@ -756,8 +904,9 @@ impl Worker {
         assert_same_solve(v, &want, "ftran");
     }
 
-    /// Solve `Bᵀ y = v` in place: the eta file backwards, then the
-    /// factorization over the reach of what it leaves.
+    /// Solve `Bᵀ y = v` in place: the eta file backwards over the etas
+    /// `v` reaches, then the factorization over the reach of what it
+    /// leaves.
     pub(crate) fn btran(&mut self, v: &mut SparseVec) {
         #[cfg(test)]
         {
@@ -765,34 +914,11 @@ impl Worker {
         }
         #[cfg(debug_assertions)]
         let want = self.reference_btran(&v.val);
-        let Worker {
-            factor,
-            solve_work,
-            etas,
-            support,
-            ..
-        } = self;
-        if !etas.is_empty() {
-            for &i in &v.nz {
-                support[i] = true;
-            }
-            for eta in etas.iter().rev() {
-                let mut s = v.val[eta.row];
-                for &(i, w) in &eta.nnz {
-                    s -= w * v.val[i];
-                }
-                let y = s / eta.diag;
-                v.val[eta.row] = y;
-                if y != 0.0 && !support[eta.row] {
-                    support[eta.row] = true;
-                    v.nz.push(eta.row);
-                }
-            }
-            for &i in &v.nz {
-                support[i] = false;
-            }
+        if !self.etas.is_empty() {
+            self.etas.btran(v, &mut self.support, &mut self.eta_reads);
         }
-        factor.solve_transpose_in_place(&mut v.val, &mut v.nz, solve_work);
+        self.factor
+            .solve_transpose_in_place(&mut v.val, &mut v.nz, &mut self.solve_work);
         v.exact_support();
         #[cfg(debug_assertions)]
         assert_same_solve(v, &want, "btran");
@@ -805,7 +931,7 @@ impl Worker {
         let mut v = v.to_vec();
         let mut scratch = vec![0.0; v.len()];
         self.factor.solve_dense(&mut v, &mut scratch);
-        for eta in &self.etas {
+        for eta in self.etas.iter() {
             let tr = v[eta.row] / eta.diag;
             if tr != 0.0 {
                 for &(i, w) in &eta.nnz {
@@ -895,10 +1021,18 @@ impl Worker {
     /// The reduced-cost update of a basis change that brought `q` in and
     /// took `out` out, with `theta = d_q / α_rq`: `d ← d − θ·α_r` over the
     /// nonbasic columns, then `d_q = 0` and `d_out = −θ`. Runs after the
-    /// states are swapped, and leaves `row` clear for the next pivot. With
-    /// `keep_eligible` (the primal loop) every column whose `d_j` or state
-    /// changed is re-marked in the eligible set; the dual loop, which
-    /// never prices, skips that.
+    /// states are swapped, and leaves `row` clear for the next pivot.
+    ///
+    /// The primal loop keeps its pricing state in the same walk of `row`.
+    /// With `keep_eligible` every column whose `d_j` or state changed is
+    /// re-marked in the eligible set. With `devex = Some(α_rq)` (devex
+    /// pricing, not Bland's rule) each nonbasic, non-fixed column other
+    /// than `out` gets the devex update `w_j = max(w_j, (α_rj/α_rq)² w_q)`:
+    /// after the swap those are exactly the columns a pass before it would
+    /// update (not `q`, no basic, no fixed column). `out` then takes the
+    /// weight the recurrence assigns it, and a weight past [`DEVEX_RESET`]
+    /// resets the reference framework. The dual loop, which never prices,
+    /// passes `false` and `None`.
     pub(crate) fn update_reduced_costs(
         &mut self,
         row: &mut PivotRow,
@@ -906,12 +1040,25 @@ impl Worker {
         out: usize,
         theta: f64,
         keep_eligible: bool,
+        devex: Option<f64>,
     ) {
+        let gq = self.devex_w[q];
+        let mut needs_reset = false;
         for &j in &row.touched {
             // Taking α_rj as it is used makes a repeated column harmless.
             let a = std::mem::take(&mut row.alpha[j]);
             if self.state[j] != VarState::Basic {
                 self.d[j] -= theta * a;
+                if let Some(alpha_rq) = devex {
+                    if j != out && self.sf.lb[j] != self.sf.ub[j] {
+                        let ratio = a / alpha_rq;
+                        let cand = ratio * ratio * gq;
+                        if cand > self.devex_w[j] {
+                            self.devex_w[j] = cand;
+                            needs_reset |= cand > DEVEX_RESET;
+                        }
+                    }
+                }
             }
             if keep_eligible {
                 self.mark_eligible(j);
@@ -920,6 +1067,12 @@ impl Worker {
         row.touched.clear();
         self.d[q] = 0.0;
         self.d[out] = -theta;
+        if let Some(alpha_rq) = devex {
+            self.devex_w[out] = (gq / (alpha_rq * alpha_rq)).max(1.0);
+            if needs_reset {
+                self.devex_w.fill(1.0);
+            }
+        }
         if keep_eligible {
             self.mark_eligible(q);
             self.mark_eligible(out);
@@ -1076,33 +1229,6 @@ impl Worker {
             }
         }
         (best.map(|(j, d, _)| (j, d)), self.price_cursor)
-    }
-
-    /// Devex reference-weight update for entering column `q` at pivot row
-    /// `r`, with pivot element `alpha_rq` and the pivot `row` computed
-    /// against the basis *before* the pivot: the classical update
-    /// `w_j = max(w_j, (α_rj/α_rq)² w_q)`.
-    fn devex_update(&mut self, q: usize, r: usize, alpha_rq: f64, row: &PivotRow) {
-        let gq = self.devex_w[q];
-        let mut needs_reset = false;
-        for &j in &row.touched {
-            if j == q || self.state[j] == VarState::Basic || self.sf.lb[j] == self.sf.ub[j] {
-                continue;
-            }
-            let ratio = row.alpha[j] / alpha_rq;
-            let cand = ratio * ratio * gq;
-            if cand > self.devex_w[j] {
-                self.devex_w[j] = cand;
-                needs_reset |= cand > DEVEX_RESET;
-            }
-        }
-        // The leaving variable re-enters the nonbasic pool with the weight
-        // the devex recurrence assigns it.
-        let out = self.basis[r];
-        self.devex_w[out] = (gq / (alpha_rq * alpha_rq)).max(1.0);
-        if needs_reset {
-            self.devex_w.fill(1.0);
-        }
     }
 
     /// The first phase-2 optimum, checked once more before it is accepted:
@@ -1309,12 +1435,9 @@ impl Worker {
                         d_fresh = true;
                         continue;
                     }
-                    // The pivot row and the devex weights are taken
-                    // against the basis *before* this pivot is applied.
+                    // The pivot row is taken against the basis *before*
+                    // this pivot is applied.
                     self.pivot_row(r, &mut row);
-                    if !self.bland {
-                        self.devex_update(q, r, w.val[r], &row);
-                    }
                     for &i in &w.nz {
                         self.x[self.basis[i]] -= dir * t * w.val[i];
                     }
@@ -1331,7 +1454,8 @@ impl Worker {
                     self.state[q] = VarState::Basic;
                     let diag = w.val[r];
                     let theta = self.d[q] / diag;
-                    self.update_reduced_costs(&mut row, q, out, theta, true);
+                    let devex = (!self.bland).then_some(diag);
+                    self.update_reduced_costs(&mut row, q, out, theta, true, devex);
                     d_fresh = false;
                     #[cfg(test)]
                     {
@@ -1716,22 +1840,43 @@ mod tests {
 
     #[test]
     fn revised_matches_dense_tableau_oracle() {
-        for seed in 0..10u64 {
-            let m = random_model(seed, 40, 25);
-            match (RevisedSimplex::default().solve(&m), m.solve_dense()) {
-                (Ok(a), Ok(b)) => {
-                    let scale = 1.0 + a.objective().abs().max(b.objective().abs());
-                    assert!(
-                        (a.objective() - b.objective()).abs() / scale < 1e-7,
-                        "seed {seed}: {} vs {}",
-                        a.objective(),
-                        b.objective()
-                    );
-                    assert!(m.is_feasible(a.values(), 1e-6), "seed {seed}");
+        // The wider models walk more than 64 pivots on one factorization at
+        // interval 200 (checked below for the first), so BTRAN's eta masks
+        // span several words; every BTRAN checks its reach walk against a
+        // pass over the whole file (debug builds).
+        let models = (0..10u64)
+            .map(|seed| random_model(seed, 40, 25))
+            .chain((10..12u64).map(|seed| random_model(seed, 150, 60)));
+        for (seed, m) in models.enumerate() {
+            for refactor_interval in [96, 1, 7, 200] {
+                let solver = RevisedSimplex::with_options(RevisedOptions {
+                    refactor_interval,
+                    ..Default::default()
+                });
+                match (solver.solve(&m), m.solve_dense()) {
+                    (Ok(a), Ok(b)) => {
+                        let scale = 1.0 + a.objective().abs().max(b.objective().abs());
+                        assert!(
+                            (a.objective() - b.objective()).abs() / scale < 1e-7,
+                            "seed {seed}, interval {refactor_interval}: {} vs {}",
+                            a.objective(),
+                            b.objective()
+                        );
+                        assert!(m.is_feasible(a.values(), 1e-6), "seed {seed}");
+                    }
+                    (a, b) => panic!("seed {seed}: revised vs oracle disagree {a:?} vs {b:?}"),
                 }
-                (a, b) => panic!("seed {seed}: revised vs oracle disagree {a:?} vs {b:?}"),
             }
         }
+        let opts = RevisedOptions {
+            refactor_interval: 200,
+            ..Default::default()
+        };
+        let mut longest = 0;
+        each_phase(&random_model(10, 150, 60), &opts, |w, _, _| {
+            longest = longest.max(w.etas.len());
+        });
+        assert!(longest > 64, "the eta file held at most {longest} etas");
     }
 
     /// Run `model`'s phases as [`RevisedSimplex::solve`] does and hand the

@@ -201,6 +201,7 @@ impl Session {
             factor_ms: self.w.factor_ms,
             ftran_nnz: self.w.ftran_nnz,
             btran_nnz: self.w.btran_nnz,
+            eta_reads: self.w.eta_reads,
             ..self.stats
         }
     }

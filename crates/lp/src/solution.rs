@@ -33,6 +33,10 @@ pub struct SolveStats {
     /// changes: the density of the BTRANs, which a dense/hypersparse
     /// switch keys on.
     pub btran_nnz: u64,
+    /// Eta-file entries read by the BTRANs, summed over the solve: BTRAN
+    /// applies only the etas its vector reaches, so this is the work of
+    /// its eta pass.
+    pub eta_reads: u64,
     /// How the solve started (cold, or dual from a carried basis).
     pub warm: WarmOutcome,
     /// Wall-clock time of the simplex itself (validation and lowering
