@@ -177,13 +177,12 @@ fn print_totals(run: &EpochRun) {
     );
 }
 
-/// A fault series: per epoch, what struck, what the scheduler repaired,
-/// and which rung served the epoch; then the totals.
+/// A fault series: per epoch, what struck and which rung served the
+/// epoch; then the totals.
 fn print_fault_series(f: &FaultEpochRun) {
     let mut t = Table::new(vec![
         "epoch",
         "faults",
-        "repaired",
         "iters",
         "pivots/flips",
         "ms",
@@ -191,7 +190,7 @@ fn print_fault_series(f: &FaultEpochRun) {
         "start",
         "state",
     ]);
-    for ((r, events), repaired) in f.run.epochs.iter().zip(&f.events).zip(&f.repaired) {
+    for (r, events) in f.run.epochs.iter().zip(&f.events) {
         t.row(vec![
             r.epoch.to_string(),
             if events.is_empty() {
@@ -199,7 +198,6 @@ fn print_fault_series(f: &FaultEpochRun) {
             } else {
                 events.join(", ")
             },
-            repaired.to_string(),
             r.iterations.to_string(),
             format!("{}/{}", r.dual_pivots, r.bound_flips),
             format!("{:.2}", r.epoch_ms),

@@ -321,7 +321,7 @@ impl FaultedCluster {
 
 /// The fault-mode epoch sequence recorded into `BENCH_lp_epoch.json` by
 /// `lp_bench --faults`: the scheduler's records plus, per epoch, what
-/// struck it and what the scheduler repaired.
+/// struck it.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultEpochRun {
     /// The scheduler's records over the faulted sequence, with the same
@@ -329,10 +329,6 @@ pub struct FaultEpochRun {
     pub run: EpochRun,
     /// Per epoch: the faults that struck it (empty on quiet epochs).
     pub events: Vec<Vec<String>>,
-    /// Per epoch: carried basis/column entries the scheduler dropped
-    /// because they named a revoked machine (the epoch's delta of
-    /// [`LipsScheduler::stale_basis_entries_dropped`]).
-    pub repaired: Vec<usize>,
     pub revocations: usize,
     pub rejoins: usize,
     pub repricings: usize,
@@ -341,9 +337,9 @@ pub struct FaultEpochRun {
 
 /// Run `epochs` consecutive Fig-4 epochs through
 /// [`LipsScheduler::solve_epoch`] with `script`'s faults injected. The
-/// scheduler's ladder repairs its carried state across each topology
-/// change and degrades an epoch it cannot solve; this driver only applies
-/// the faults and reads the records.
+/// scheduler carries its state across each topology change and degrades
+/// an epoch it cannot solve; this driver only applies the faults and
+/// reads the records.
 pub fn run_epochs_faulted(
     cluster: &Cluster,
     base_jobs: usize,
@@ -355,7 +351,6 @@ pub fn run_epochs_faulted(
     let mut faulted = FaultedCluster::new(cluster);
     let mut sched = LipsScheduler::new(SchedulerConfig::default());
     let mut events = Vec::with_capacity(epochs);
-    let mut repaired = Vec::with_capacity(epochs);
     let (mut revocations, mut rejoins, mut repricings, mut store_losses) = (0, 0, 0, 0);
     for e in 0..epochs {
         let mut struck = Vec::new();
@@ -375,15 +370,12 @@ pub fn run_epochs_faulted(
             &faulted.live,
             faulted.jobs(e, base_jobs, churn, churn_every),
         );
-        let dropped = sched.stale_basis_entries_dropped();
         sched.solve_epoch(&inst);
-        repaired.push(sched.stale_basis_entries_dropped() - dropped);
         events.push(struck);
     }
     FaultEpochRun {
         run: EpochRun::from_records("faults_colgen", sched.epoch_records().to_vec()),
         events,
-        repaired,
         revocations,
         rejoins,
         repricings,
@@ -441,18 +433,11 @@ mod tests {
             );
             assert!(r.certified, "epoch {} degraded: {events:?}", r.epoch);
         }
-        // The revocation epochs repaired the carried state rather than
-        // silently reusing columns and rows for dead machines.
-        assert!(
-            faults.repaired[1] > 0 && faults.repaired[3] > 0,
-            "revocation epochs must repair the basis: {:?}",
-            faults.repaired
-        );
-        // And the repair kept warm-starting alive across the faults (a
+        // The carried state kept warm-starting alive across the faults (a
         // structural break may legitimately fall back to cold, but the
         // majority of post-fault epochs must still reuse their basis).
         assert!(run.warm_solves >= 3, "only {} warm epochs", run.warm_solves);
-        // The master serves a fault epoch from the repaired basis.
+        // The master serves a fault epoch from the carried basis.
         assert!(
             run.epochs
                 .iter()
@@ -531,14 +516,10 @@ mod tests {
         let dual_served = cg.epochs.iter().filter(|r| r.warm == "Dual").count();
         assert!(dual_served >= 2, "only {dual_served} epochs dual-resolved");
         assert!(cg.total_iterations < cold.total_iterations);
-        // Every master round is a dual solve with no phase 1, unless its
-        // walk was declined mid-way and the cold primal served the round:
-        // then the record names the decline.
+        // Every master round is a dual solve with no phase 1: a walk
+        // declined mid-way restarts from the slack basis, not the primal.
         for r in &cg.epochs {
-            let walk_declined = r.declined == "Thrash" || r.declined_pivots > 0;
-            if !walk_declined {
-                assert_eq!(r.phase1_iterations, 0, "epoch {}", r.epoch);
-            }
+            assert_eq!(r.phase1_iterations, 0, "epoch {}", r.epoch);
         }
         assert!(cg.active_column_share < 1.0, "master never shrank");
         assert!(cg.total_pricing_rounds >= cg.epochs.len());

@@ -92,9 +92,6 @@ pub struct LipsScheduler {
     /// `None` before the first solve and after an epoch the master did not
     /// serve.
     carried: Option<ColGenState>,
-    /// Carried basis/column entries dropped because their machine was
-    /// revoked (topology-delta repair work).
-    stale_basis_entries_dropped: usize,
     /// Per-epoch records on the stable schema
     /// ([`crate::report::EpochRecord`]): one per LP decision epoch.
     records: Vec<EpochRecord>,
@@ -106,7 +103,6 @@ impl LipsScheduler {
             config,
             issued: BTreeMap::new(),
             carried: None,
-            stale_basis_entries_dropped: 0,
             records: Vec::new(),
         }
     }
@@ -124,10 +120,12 @@ impl LipsScheduler {
         self.records.len()
     }
 
-    /// Carried warm-start/colgen entries dropped because their machine
-    /// vanished from the live cluster (revocations between epochs).
+    /// Always 0: nothing is dropped from the carried state (a revoked
+    /// machine has no columns or rows in the next epoch's model, so
+    /// carried keys naming it match nothing). Kept so existing callers
+    /// still find it.
     pub fn stale_basis_entries_dropped(&self) -> usize {
-        self.stale_basis_entries_dropped
+        0
     }
 
     /// Per-epoch records on the stable reporting schema, one per LP
@@ -137,12 +135,11 @@ impl LipsScheduler {
         &self.records
     }
 
-    /// Run one ladder rung on `inst`. The master takes the carried
-    /// state, sanitized against the live cluster (entries naming revoked
-    /// machines are dropped, so a topology delta perturbs the solve
-    /// instead of feeding the dual simplex garbage), as its prior. The
-    /// rung's carry replaces it: the master's columns and basis, nothing
-    /// after a cold solve. On failure the carry is dropped: no later rung
+    /// Run one ladder rung on `inst`. The master takes the carried state
+    /// as its prior, as it stands: keys naming a revoked machine match
+    /// nothing in the new model, whose builder gives that machine no
+    /// columns or rows. The rung's carry replaces it: the master's columns
+    /// and basis, nothing after a cold solve. On failure the carry is dropped: no later rung
     /// reads it, and a failing carry is not retried forever.
     fn run_rung(
         &mut self,
@@ -150,10 +147,7 @@ impl LipsScheduler {
         rung: Rung,
     ) -> Result<RungResult, EpochSolveError> {
         let prior = match rung {
-            Rung::Master => self.carried.take().map(|mut c| {
-                self.stale_basis_entries_dropped += c.sanitize_for_cluster(inst.cluster);
-                c
-            }),
+            Rung::Master => self.carried.take(),
             Rung::Cold => None,
         };
         let mut report = match rung {

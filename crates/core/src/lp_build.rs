@@ -47,14 +47,13 @@
 //! CPU-capacity shadow prices; decode the schedule; and, for a master,
 //! take the columns and basis the next epoch carries.
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
 use lips_audit::RestrictedCertificate;
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
-use lips_lp::{Cmp, KeyNames, LpError, Model, Session, Solution, SolveStats, VarId, WarmStart};
+use lips_lp::{Cmp, KeyNames, LpError, Model, Session, SolveStats, VarId, WarmStart};
 use lips_workload::JobId;
 
 use crate::paper_audit::{audit_paper_invariants, PaperExpectations};
@@ -276,14 +275,6 @@ impl ColKey {
         };
         (col.pack() == key).then_some(col)
     }
-
-    /// The machine a column lives on: task arcs only.
-    pub fn machine(self) -> Option<MachineId> {
-        match self {
-            ColKey::Task { machine, .. } => Some(machine),
-            ColKey::Nd { .. } | ColKey::Fake { .. } => None,
-        }
-    }
 }
 
 impl fmt::Display for ColKey {
@@ -365,17 +356,6 @@ impl RowKey {
             _ => return None,
         };
         (row.pack() == key).then_some(row)
-    }
-
-    /// The machine a row belongs to: CPU-capacity and read-budget rows.
-    pub fn machine(self) -> Option<MachineId> {
-        match self {
-            RowKey::Cpu { machine } | RowKey::Xfer { machine } => Some(machine),
-            RowKey::Cov { .. }
-            | RowKey::Lnk { .. }
-            | RowKey::Pool { .. }
-            | RowKey::Store { .. } => None,
-        }
     }
 }
 
@@ -936,16 +916,17 @@ impl SolveReport {
 /// certify the answer against the *full* model, every excluded arc priced.
 ///
 /// One [`lips_lp::Session`] serves the epoch. The first round opens it on
-/// the bounded dual simplex, falling back to the cold primal when the walk
-/// is declined. After a queue delta that only adds and retires columns,
-/// the carried master basis is usually still dual feasible and
-/// re-optimizes in a handful of pivots with no phase 1. Without a carried
-/// [`ColGenState`], or with a basis declined at seeding, the round starts
-/// from the slack basis — a cold start with no phase 1. Later rounds
-/// append the priced columns to the live session, which leaves the
+/// the bounded dual simplex. After a queue delta that only adds and
+/// retires columns, the carried master basis is usually still dual
+/// feasible and re-optimizes in a handful of pivots with no phase 1.
+/// Without a carried [`ColGenState`], or with a basis the walk declines
+/// (at seeding or mid-walk), the round starts from the slack basis — a
+/// cold start with no phase 1. The carried state is used as it stands:
+/// keys naming a machine revoked since it was taken match nothing. Later
+/// rounds append the priced columns to the live session, which leaves the
 /// incumbent primal feasible, and resume primal phase 2 on the same
-/// factorization: no round after the first re-lowers the model, re-matches
-/// keys or refactorizes on entry.
+/// factorization: no round after the first re-lowers the model,
+/// re-matches keys or refactorizes on entry.
 ///
 /// A solution the certifier rejects is
 /// [`EpochSolveError::Certification`], never a panic: the epoch scheduler
@@ -969,7 +950,6 @@ pub fn solve_full(inst: &LpInstance<'_>) -> Result<SolveReport, EpochSolveError>
     let (model, maps, rows) = build_filtered(inst, &space, None);
     let build_ms = t_build.elapsed_ms();
     let sol = model.solve()?;
-    let stats = *sol.stats();
     let run = MasterRun {
         space,
         model,
@@ -978,7 +958,6 @@ pub fn solve_full(inst: &LpInstance<'_>) -> Result<SolveReport, EpochSolveError>
         sol,
         rounds: 1,
         appended: 0,
-        stats,
         build_ms,
     };
     finish(inst, run, false)
@@ -1030,56 +1009,6 @@ impl ColGenState {
     pub fn carried_columns(&self) -> usize {
         self.active.len()
     }
-
-    /// Drop carried columns and basis entries that reference machines no
-    /// longer alive in `cluster`, so a topology change (revocation)
-    /// merely *perturbs* the next master instead of poisoning it with
-    /// arcs the builder will never emit again. Returns how many entries
-    /// were dropped.
-    pub fn sanitize_for_cluster(&mut self, cluster: &Cluster) -> usize {
-        let dead = dead_machines(cluster);
-        if dead.is_empty() {
-            return 0;
-        }
-        let before = self.active.len();
-        self.active
-            .retain(|&key| !on_dead_machine(&dead, ColKey::unpack(key).and_then(ColKey::machine)));
-        before - self.active.len() + sanitize_warm_start(&mut self.basis, cluster)
-    }
-}
-
-/// Machines currently revoked (zero throughput) in `cluster`.
-fn dead_machines(cluster: &Cluster) -> BTreeSet<MachineId> {
-    cluster
-        .machines
-        .iter()
-        .filter(|m| m.tp_ecu <= 0.0)
-        .map(|m| m.id)
-        .collect()
-}
-
-/// True if a key's machine (task arcs, `cpu`/`xfer` rows) is `dead`.
-/// Every other column and row (`nd`, fake, `cov`, `lnk`, pool, store) is
-/// machine-free and survives a revocation untouched.
-fn on_dead_machine(dead: &BTreeSet<MachineId>, machine: Option<MachineId>) -> bool {
-    machine.is_some_and(|m| dead.contains(&m))
-}
-
-/// Drop every warm-start entry that references a machine no longer alive
-/// in `cluster`. A keyed [`WarmStart`] survives model edits by design, but
-/// a status for a column or row the builder will never emit again would
-/// seed the dual simplex with garbage; pruning up front leaves a smaller,
-/// honest basis the solver completes with slacks. Returns how many
-/// entries were dropped.
-fn sanitize_warm_start(ws: &mut WarmStart, cluster: &Cluster) -> usize {
-    let dead = dead_machines(cluster);
-    if dead.is_empty() {
-        return 0;
-    }
-    let before = ws.len();
-    ws.retain_vars(|key| !on_dead_machine(&dead, ColKey::unpack(key).and_then(ColKey::machine)));
-    ws.retain_rows(|key| !on_dead_machine(&dead, RowKey::unpack(key).and_then(RowKey::machine)));
-    before - ws.len()
 }
 
 /// Telemetry from one [`solve_master`].
@@ -1220,8 +1149,8 @@ fn cpu_shadow_prices(
 }
 
 /// A solved model ready for [`finish`]: the full model's task arcs, the
-/// final (restricted or full) model, its optimal solution, and the work
-/// that led there.
+/// final (restricted or full) model, its optimal solution (whose stats are
+/// the solver work that led there), and the work outside the solver.
 struct MasterRun {
     space: ArcSpace,
     model: Model,
@@ -1230,8 +1159,6 @@ struct MasterRun {
     sol: lips_lp::Solution,
     rounds: usize,
     appended: usize,
-    /// Solver work summed over every round.
-    stats: SolveStats,
     build_ms: f64,
 }
 
@@ -1249,10 +1176,9 @@ struct MasterRun {
 ///
 /// A restriction can be infeasible where the full model is not (a pool
 /// floor unreachable on the seeded machines); the loop then appends the
-/// whole remainder and opens the session again, so feasibility semantics
-/// match the direct solve exactly. A dual walk declined mid-way falls back
-/// to the cold primal; the next round opens a session from that solve's
-/// basis.
+/// whole remainder and opens the session again from the carried basis, so
+/// feasibility semantics match the direct solve exactly. Any other solver
+/// error is the caller's: the ladder's cold rung solves the full model.
 fn master_price_loop(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
@@ -1265,11 +1191,9 @@ fn master_price_loop(
         opts.seed_arcs_per_job,
         prior.map(|p| p.active.as_slice()),
     );
-    // The basis the next session opens from: the carried one (only read),
-    // else a fallback solve's. An empty basis starts the dual from the
-    // slack basis.
-    let mut warm: Cow<'_, WarmStart> =
-        prior.map_or_else(|| Cow::Owned(WarmStart::new()), |p| Cow::Borrowed(&p.basis));
+    // An empty basis starts the dual from the slack basis.
+    let cold = WarmStart::new();
+    let warm = prior.map_or(&cold, |p| &p.basis);
     let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master));
     let mut build_ms = t_build.elapsed_ms();
 
@@ -1289,62 +1213,34 @@ fn master_price_loop(
 
     let mut rounds = 0;
     let mut appended = 0;
-    let mut agg = SolveStats::default();
-    let mut first_warm: Option<lips_lp::WarmOutcome> = None;
-    let mut live: Option<Box<Session>> = None;
+    let mut live: Option<Session> = None;
     let sol = loop {
         rounds += 1;
         let solved = match live.take() {
-            Some(mut s) => s.resume().map(|()| Master::Live(s)),
-            None => Session::open(&model, &warm).map(|s| {
-                first_warm.get_or_insert(s.stats().warm);
-                Master::Live(Box::new(s))
-            }),
+            Some(mut s) => s.resume().map(|()| s),
+            None => Session::open(&model, warm),
         };
-        let mut current = match solved {
-            Ok(current) => current,
-            Err(e) => {
-                // A dual that fails short of an infeasibility verdict (a
-                // walk declined mid-way) falls back to the cold primal,
-                // and a decline is kept on the record.
-                if let LpError::DualDeclined(d) = e {
-                    agg.declined.get_or_insert(d);
-                }
-                let cold = match e {
-                    LpError::Infeasible => Err(e),
-                    _ => model.solve(),
-                };
-                match cold {
-                    Ok(sol) => {
-                        add_stats(&mut agg, sol.stats());
-                        first_warm.get_or_insert(sol.stats().warm);
-                        Master::Cold(Box::new(sol))
+        let mut session = match solved {
+            Ok(s) => s,
+            Err(LpError::Infeasible) if in_master.contains(&false) => {
+                // The *restriction* may be infeasible even when the
+                // instance is not: append everything and match
+                // `solve_full`'s feasibility semantics exactly.
+                let t = lips_lp::clock::Stopwatch::start();
+                for (i, inside) in in_master.iter_mut().enumerate() {
+                    if !*inside {
+                        append_arc(&mut model, &mut maps, None, i)?;
+                        *inside = true;
+                        appended += 1;
                     }
-                    Err(LpError::Infeasible) if in_master.contains(&false) => {
-                        // The *restriction* may be infeasible even when
-                        // the instance is not: append everything and match
-                        // `solve_full`'s feasibility semantics exactly.
-                        let t = lips_lp::clock::Stopwatch::start();
-                        for (i, inside) in in_master.iter_mut().enumerate() {
-                            if !*inside {
-                                append_arc(&mut model, &mut maps, None, i)?;
-                                *inside = true;
-                                appended += 1;
-                            }
-                        }
-                        build_ms += t.elapsed_ms();
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
                 }
+                build_ms += t.elapsed_ms();
+                continue;
             }
+            Err(e) => return Err(e.into()),
         };
 
-        let duals = match &current {
-            Master::Live(s) => s.duals(),
-            Master::Cold(sol) => sol.duals(),
-        };
-        let pricer = lips_lp::ColumnPricer::new(model.sense(), duals);
+        let pricer = lips_lp::ColumnPricer::new(model.sense(), session.duals());
         let t = lips_lp::clock::Stopwatch::start();
         // Price every excluded arc; the batch returns ascending candidate
         // indices, so `entering` is in arc enumeration order.
@@ -1360,36 +1256,20 @@ fn master_price_loop(
             .collect();
         if entering.is_empty() {
             build_ms += t.elapsed_ms();
-            break match current {
-                Master::Live(s) => {
-                    let sol = s.into_solution(&model);
-                    add_stats(&mut agg, sol.stats());
-                    sol
-                }
-                Master::Cold(sol) => *sol,
-            };
+            break session.into_solution(&model);
         }
         if rounds >= MAX_ROUNDS {
             // Round budget exhausted: go exact in one step.
             entering = excluded;
         }
         for i in entering {
-            let session = match &mut current {
-                Master::Live(s) => Some(&mut **s),
-                Master::Cold(_) => None,
-            };
-            append_arc(&mut model, &mut maps, session, i)?;
+            append_arc(&mut model, &mut maps, Some(&mut session), i)?;
             in_master[i] = true;
             appended += 1;
         }
         build_ms += t.elapsed_ms();
-        match current {
-            Master::Live(s) => live = Some(s),
-            // The next round opens a session from the cold solve's basis.
-            Master::Cold(mut sol) => warm = Cow::Owned(sol.take_warm_start().unwrap_or_default()),
-        }
+        live = Some(session);
     };
-    agg.warm = first_warm.unwrap_or_default();
     Ok(MasterRun {
         space,
         model,
@@ -1398,33 +1278,8 @@ fn master_price_loop(
         sol,
         rounds,
         appended,
-        stats: agg,
         build_ms,
     })
-}
-
-/// The master after a round: the epoch's live session, or the optimum of
-/// a round whose dual walk was declined and solved cold instead.
-enum Master {
-    Live(Box<Session>),
-    Cold(Box<Solution>),
-}
-
-/// Add one solve's work to an epoch's running total.
-fn add_stats(agg: &mut SolveStats, s: &SolveStats) {
-    agg.iterations += s.iterations;
-    agg.phase1_iterations += s.phase1_iterations;
-    agg.refactors += s.refactors;
-    agg.singular_refactors += s.singular_refactors;
-    agg.ftran_nnz += s.ftran_nnz;
-    agg.btran_nnz += s.btran_nnz;
-    agg.eta_reads += s.eta_reads;
-    agg.solve_ms += s.solve_ms;
-    agg.setup_ms += s.setup_ms;
-    agg.factor_ms += s.factor_ms;
-    agg.dual_pivots += s.dual_pivots;
-    agg.bound_flips += s.bound_flips;
-    agg.declined = agg.declined.or(s.declined);
 }
 
 /// The finish step of every solve. Certify `run` against the full row set
@@ -1495,27 +1350,27 @@ fn finish(
         (ColGenState { active, basis }, stats)
     });
     Ok(SolveReport {
-        schedule: decode(inst, &run.space, &run.maps, &run.sol, run.stats),
+        schedule: decode(inst, &run.space, &run.maps, &run.sol),
         shadow_prices,
         certificate,
         master,
         timings: PhaseTimings {
             build_ms: run.build_ms,
-            solve_ms: run.stats.solve_ms,
+            solve_ms: run.sol.stats().solve_ms,
             certify_ms,
         },
     })
 }
 
-/// Decode a solved LP back into schedule entities.
-/// `stats` is the solver work that led to `sol`, summed over every round.
+/// Decode a solved LP back into schedule entities, with the solver work
+/// that led to `sol`.
 fn decode(
     inst: &LpInstance<'_>,
     space: &ArcSpace,
     maps: &VarMaps,
     sol: &lips_lp::Solution,
-    stats: SolveStats,
 ) -> FractionalSchedule {
+    let stats = *sol.stats();
     let eps = 1e-7;
 
     let mut assignments = Vec::new();
@@ -2192,95 +2047,126 @@ mod tests {
         assert!(basis.var(task(0, 0, Some(0))).is_some());
     }
 
-    #[test]
-    fn sanitize_warm_start_drops_dead_machine_entries() {
-        use lips_lp::BasisStatus;
-        let mut cluster = two_node();
-        let nd = ColKey::Nd {
-            job: JobId(3),
-            dest: StoreId(1),
-            class: 0,
-        }
-        .pack();
-        let fake = ColKey::Fake { job: JobId(3) }.pack();
-        let cpu1 = RowKey::Cpu {
-            machine: MachineId(1),
-        }
-        .pack();
-        let xfer1 = RowKey::Xfer {
-            machine: MachineId(1),
-        }
-        .pack();
-        let cpu0 = RowKey::Cpu {
-            machine: MachineId(0),
-        }
-        .pack();
-        let cov = RowKey::Cov { job: JobId(3) }.pack();
-        // Store 1 and job 1 are machine-free identities that share the
-        // dead machine's index: they must survive.
-        let lnk = RowKey::Lnk {
-            job: JobId(1),
-            store: StoreId(1),
-        }
-        .pack();
-        let store = RowKey::Store { store: StoreId(1) }.pack();
-        let pool = RowKey::Pool { pool: 1 }.pack();
-        let mut ws = WarmStart::new();
-        ws.set_var(task(3, 0, Some(0)), BasisStatus::Basic);
-        ws.set_var(task(3, 1, Some(0)), BasisStatus::Basic);
-        ws.set_var(task(7, 1, None), BasisStatus::AtLower); // input-less arc
-        ws.set_var(task(1, 0, Some(1)), BasisStatus::AtLower);
-        ws.set_var(nd, BasisStatus::AtLower); // store-keyed: survives
-        ws.set_var(fake, BasisStatus::AtLower);
-        for row in [cpu1, xfer1, cpu0, cov, lnk, store, pool] {
-            ws.set_row(row, BasisStatus::AtLower);
-        }
-        // Nothing dead yet: a no-op.
-        assert_eq!(sanitize_warm_start(&mut ws, &cluster), 0);
-        assert_eq!(ws.len(), 13);
-        cluster.machines[1].tp_ecu = 0.0;
-        // Exactly the machine-1 task columns and cpu/xfer rows go.
-        assert_eq!(sanitize_warm_start(&mut ws, &cluster), 4);
-        assert_eq!(ws.var(task(3, 0, Some(0))), Some(BasisStatus::Basic));
-        assert_eq!(ws.var(task(3, 1, Some(0))), None);
-        assert_eq!(ws.var(task(7, 1, None)), None);
-        assert_eq!(ws.var(task(1, 0, Some(1))), Some(BasisStatus::AtLower));
-        assert_eq!(ws.var(nd), Some(BasisStatus::AtLower));
-        assert_eq!(ws.var(fake), Some(BasisStatus::AtLower));
-        assert_eq!(ws.row(cpu1), None);
-        assert_eq!(ws.row(xfer1), None);
-        for row in [cpu0, cov, lnk, store, pool] {
-            assert_eq!(ws.row(row), Some(BasisStatus::AtLower));
+    /// Six jobs over `cluster`'s stores, CPU-bound enough to spread over
+    /// several machines in a 600 s epoch.
+    fn spread_inst(cluster: &Cluster) -> LpInstance<'_> {
+        let stores = cluster.num_stores();
+        let jobs = (0..6)
+            .map(|k| LpJob {
+                id: JobId(k),
+                data: Some(DataId(k)),
+                size_mb: 512.0 + 256.0 * (k % 3) as f64,
+                tcp: 1.0 + 0.5 * k as f64,
+                fixed_ecu: 0.0,
+                avail: vec![(StoreId(k % stores), 1.0)],
+            })
+            .collect();
+        LpInstance {
+            duration: 600.0,
+            fake_cost: Some(1.0),
+            enforce_transfer_time: true,
+            ..base_inst(cluster, jobs)
         }
     }
 
     #[test]
-    fn colgen_state_sanitize_counts_columns_and_basis_entries() {
-        use lips_lp::BasisStatus;
-        let mut cluster = two_node();
-        let mut state = ColGenState::default();
-        state.basis.set_var(task(0, 1, Some(0)), BasisStatus::Basic);
-        state.basis.set_var(task(0, 0, Some(0)), BasisStatus::Basic);
-        state.basis.set_row(
-            RowKey::Cpu {
-                machine: MachineId(1),
+    fn a_carry_naming_a_revoked_machine_solves_as_one_filtered_by_hand() {
+        let opts = ColGenOptions::default();
+        let mut cluster = lips_cluster::ec2_mixed_cluster(8, 0.4, 1e9, 3);
+        let first = spread_inst(&cluster);
+        let mut report = solve_master(&first, None, &opts).unwrap();
+        let raw = report.take_carry().expect("a master carries state");
+        // Revoke the machine that ran the most work.
+        let mut load: BTreeMap<MachineId, f64> = BTreeMap::new();
+        for &(_, l, _, f) in &report.schedule.assignments {
+            *load.entry(l).or_default() += f;
+        }
+        let dead = *load
+            .iter()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .expect("some work was scheduled")
+            .0;
+        // Every key the first epoch's model could carry.
+        let (full, _, _) = build_filtered(&first, &arc_space(&first), None);
+        cluster.machines[dead.0].tp_ecu = 0.0;
+
+        let dead_col = |k: u64| {
+            matches!(
+                ColKey::unpack(k),
+                Some(ColKey::Task { machine, .. }) if machine == dead
+            )
+        };
+        let dead_row = |k: u64| {
+            matches!(
+                RowKey::unpack(k),
+                Some(RowKey::Cpu { machine } | RowKey::Xfer { machine }) if machine == dead
+            )
+        };
+        let mut filtered = ColGenState {
+            active: raw
+                .active
+                .iter()
+                .copied()
+                .filter(|&k| !dead_col(k))
+                .collect(),
+            basis: WarmStart::new(),
+        };
+        let mut dropped = 0;
+        for key in full.var_ids().map(|v| full.var_key(v)) {
+            match raw.basis.var(key) {
+                Some(_) if dead_col(key) => dropped += 1,
+                Some(st) => filtered.basis.set_var(key, st),
+                None => {}
             }
-            .pack(),
-            BasisStatus::AtLower,
-        );
-        state.active = vec![task(0, 1, Some(0)), task(0, 0, Some(0))];
-        state.active.sort_unstable();
-        assert_eq!(state.sanitize_for_cluster(&cluster), 0);
-        cluster.machines[1].tp_ecu = 0.0;
-        // One carried column plus two basis entries name machine 1.
-        assert_eq!(state.sanitize_for_cluster(&cluster), 3);
-        assert_eq!(state.carried_columns(), 1);
-        assert_eq!(state.active, [task(0, 0, Some(0))]);
-        assert_eq!(
-            state.basis.var(task(0, 0, Some(0))),
-            Some(BasisStatus::Basic)
-        );
-        assert_eq!(state.basis.var(task(0, 1, Some(0))), None);
+        }
+        for key in full.constraint_ids().map(|c| full.constraint_key(c)) {
+            match raw.basis.row(key) {
+                Some(_) if dead_row(key) => dropped += 1,
+                Some(st) => filtered.basis.set_row(key, st),
+                None => {}
+            }
+        }
+        // The copy saw every carried entry, and the carry did name the
+        // revoked machine.
+        assert_eq!(filtered.basis.len() + dropped, raw.basis.len());
+        assert!(dropped > 0 && filtered.active.len() < raw.active.len());
+
+        let second = spread_inst(&cluster);
+        let a = solve_master(&second, Some(&raw), &opts).unwrap();
+        let b = solve_master(&second, Some(&filtered), &opts).unwrap();
+        let work = |r: &SolveReport| {
+            let s = r.schedule.stats;
+            let (_, cg) = r.master.as_ref().expect("a master carries state");
+            (
+                r.schedule.lp_objective.to_bits(),
+                (
+                    s.iterations,
+                    s.phase1_iterations,
+                    s.dual_pivots,
+                    s.bound_flips,
+                ),
+                (s.refactors, s.warm, s.declined),
+                (cg.rounds, cg.appended, cg.active_columns),
+            )
+        };
+        assert_eq!(work(&a), work(&b));
+        assert_eq!(a.schedule.stats.warm, lips_lp::WarmOutcome::Dual);
+        let bits = |s: &FractionalSchedule| {
+            let assignments: Vec<_> = s
+                .assignments
+                .iter()
+                .map(|&(k, l, m, f)| (k, l, m, f.to_bits()))
+                .collect();
+            let moves: Vec<_> = s
+                .moves
+                .iter()
+                .map(|&(d, from, to, mb)| (d, from, to, mb.to_bits()))
+                .collect();
+            let deferred: Vec<_> = s.deferred.iter().map(|(&k, f)| (k, f.to_bits())).collect();
+            (assignments, moves, deferred)
+        };
+        assert_eq!(bits(&a.schedule), bits(&b.schedule));
+        assert!(a.schedule.assignments.iter().all(|&(_, l, _, _)| l != dead));
     }
 
     #[test]

@@ -23,7 +23,8 @@ struct RandomChain {
     seed_arcs: usize,
     epochs: usize,
     /// Machine index to revoke (tp_ecu = 0) at epoch 1, if any — the
-    /// chained state must be repaired identically in every run.
+    /// chained state, carried as it stands, must solve identically in
+    /// every run.
     revoke: Option<usize>,
 }
 
@@ -188,7 +189,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Colgen chains (build + batch pricing + restricted certification,
-    /// cross-epoch column/basis reuse, the carried state sanitized after a
+    /// cross-epoch column/basis reuse, the raw carried state across a
     /// mid-chain revocation) are certified, land on the cold primal's
     /// optimum, and two chains run side by side are bitwise identical.
     #[test]
@@ -201,12 +202,6 @@ proptest! {
         let mut second: Option<ColGenState> = None;
         for e in 0..rc.epochs {
             maybe_revoke(&rc, &mut cluster, e);
-            if let Some(s) = first.as_mut() {
-                s.sanitize_for_cluster(&cluster);
-            }
-            if let Some(s) = second.as_mut() {
-                s.sanitize_for_cluster(&cluster);
-            }
             let inst = instance(&rc, &cluster, e);
             let run = |state: Option<&ColGenState>| {
                 solve_master(&inst, state, &opts)

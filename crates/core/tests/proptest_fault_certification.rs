@@ -1,13 +1,13 @@
 //! Property: objective certification survives random revocation schedules.
 //!
 //! Machines are revoked (tp_ecu = 0) in random waves across a chained
-//! epoch sequence. Each epoch the previous master's columns and basis are
-//! *repaired* against the surviving cluster
-//! ([`ColGenState::sanitize_for_cluster`]) and the epoch LP re-solved by
-//! the restricted master from them, as on the scheduler's ladder. The
-//! repaired solve must land on exactly the optimum an independent cold
-//! solve certifies — a corrupted repair would either fail KKT
-//! certification or move the objective.
+//! epoch sequence. Each epoch the epoch LP is re-solved by the restricted
+//! master from the previous master's columns and basis as they stand, as
+//! on the scheduler's ladder: carried keys that name a revoked machine
+//! match nothing in the new model. The carried solve must land on exactly
+//! the optimum an independent cold solve certifies — a carry that
+//! resurrected a dead machine's columns or rows would either fail KKT
+//! certification, move the objective or schedule work on that machine.
 
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
 use lips_core::lp_build::{
@@ -63,12 +63,9 @@ proptest! {
                 pool_floors: vec![],
                 prune: PruneConfig::default(),
             };
-            // Repair the chained state against the shrunken cluster —
-            // the bug class under test is silently reusing rows/columns
-            // of vanished machines.
-            if let Some(c) = carry.as_mut() {
-                c.sanitize_for_cluster(&cluster);
-            }
+            // The chained state still names the machines revoked since it
+            // was taken; the bug class under test is silently reusing
+            // rows/columns of vanished machines.
             let mut warm = solve_master(&inst, carry.as_ref(), &ColGenOptions::default())
                 .map_err(|err| TestCaseError::fail(format!("epoch {e}: warm solve failed: {err}")))?;
             let warm_cert = &warm.certificate;

@@ -29,7 +29,7 @@ pub enum WarmOutcome {
     /// From scratch: the primal solver's crash basis (it runs phase 1
     /// where the slacks cannot absorb a row), or the dual solver's slack
     /// basis when no carried basis was given, none of it matched, or it
-    /// was declined at seeding.
+    /// was declined at seeding or mid-walk.
     #[default]
     Cold,
     /// The bounded dual simplex re-optimized the *carried* warm basis
@@ -183,24 +183,6 @@ impl WarmStart {
         get(&self.rows, key)
     }
 
-    /// Keep only the variable statuses whose key satisfies `keep`, visited
-    /// in key order.
-    ///
-    /// Used when the model the basis was taken from loses structure — e.g.
-    /// a machine is revoked and every column touching it vanishes. Feeding
-    /// the stale keys to the dual seeding would seed garbage; dropping them
-    /// up front leaves a smaller but honest basis the solver completes with
-    /// slacks.
-    pub fn retain_vars(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        self.vars.retain(|&(key, _)| keep(key));
-    }
-
-    /// Keep only the row statuses whose key satisfies `keep`, visited in
-    /// key order.
-    pub fn retain_rows(&mut self, mut keep: impl FnMut(u64) -> bool) {
-        self.rows.retain(|&(key, _)| keep(key));
-    }
-
     /// Number of variables and rows recorded as [`BasisStatus::Basic`].
     pub fn num_basic(&self) -> usize {
         self.vars
@@ -274,22 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_only_rejected_keys() {
-        let mut ws = WarmStart::new();
-        for k in [10, 11, 20, 21] {
-            ws.set_var(k, BasisStatus::Basic);
-            ws.set_row(k, BasisStatus::AtLower);
-        }
-        ws.retain_vars(|k| k % 10 == 0);
-        ws.retain_rows(|k| k < 20);
-        assert_eq!(ws.var(10), Some(BasisStatus::Basic));
-        assert_eq!(ws.var(11), None);
-        assert_eq!(ws.row(11), Some(BasisStatus::AtLower));
-        assert_eq!(ws.row(20), None);
-        assert_eq!(ws.len(), 4);
-    }
-
-    #[test]
     fn from_entries_is_last_wins() {
         let ws = WarmStart::from_entries(
             [(7, BasisStatus::Basic), (7, BasisStatus::AtUpper)].into_iter(),
@@ -304,9 +270,6 @@ mod tests {
     enum Op {
         SetVar(u64, BasisStatus),
         SetRow(u64, BasisStatus),
-        /// Keep the variables whose key is not ≡ 0 (mod the modulus).
-        RetainVars(u64),
-        RetainRows(u64),
         /// Replace everything by `from_entries` of these pairs.
         Rebuild(Vec<(u64, BasisStatus)>, Vec<(u64, BasisStatus)>),
     }
@@ -325,17 +288,14 @@ mod tests {
 
     fn op() -> impl Strategy<Value = Op> {
         (
-            0u8..5,
+            0u8..3,
             entry(),
-            2u64..5,
             prop::collection::vec(entry(), 0..20),
             prop::collection::vec(entry(), 0..20),
         )
-            .prop_map(|(kind, (k, s), modulus, vars, rows)| match kind {
+            .prop_map(|(kind, (k, s), vars, rows)| match kind {
                 0 => Op::SetVar(k, s),
                 1 => Op::SetRow(k, s),
-                2 => Op::RetainVars(modulus),
-                3 => Op::RetainRows(modulus),
                 _ => Op::Rebuild(vars, rows),
             })
     }
@@ -359,19 +319,6 @@ mod tests {
                     Op::SetRow(k, s) => {
                         ws.set_row(*k, *s);
                         rows.insert(*k, *s);
-                    }
-                    Op::RetainVars(m) => {
-                        let mut seen = Vec::new();
-                        ws.retain_vars(|k| {
-                            seen.push(k);
-                            k % m != 0
-                        });
-                        prop_assert!(seen.windows(2).all(|w| w[0] < w[1]), "not in key order");
-                        vars.retain(|k, _| k % m != 0);
-                    }
-                    Op::RetainRows(m) => {
-                        ws.retain_rows(|k| k % m != 0);
-                        rows.retain(|k, _| k % m != 0);
                     }
                     Op::Rebuild(v, r) => {
                         ws = WarmStart::from_entries(v.iter().copied(), r.iter().copied());

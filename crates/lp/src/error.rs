@@ -29,9 +29,12 @@ pub enum LpError {
     /// The basis matrix became numerically singular and refactorization did
     /// not recover it.
     SingularBasis,
-    /// The dual simplex declined the warm basis mid-walk (flip thrash over
-    /// cost-shifted columns, or a singular pivot). Not a property of the
-    /// model — the caller should fall back to a cold solve.
+    /// The dual simplex's walk from the slack basis thrashed: bound flips
+    /// over cost-shifted columns outran its pivots, or its restricted
+    /// ratio test ran dry. Not a property of the model — the primal
+    /// simplex can still solve it. (A carried basis declined mid-walk is
+    /// not an error: [`crate::Session::open`] restarts it from the slack
+    /// basis.)
     DualDeclined(DeclinedBasis),
 }
 

@@ -15,7 +15,8 @@
 //! * [`Session::open`] validates and lowers the model, matches a carried
 //!   [`WarmStart`] by key, seeds the basis (the carried one, else the slack
 //!   basis) and runs the shifted dual walk and its primal finisher
-//!   ([`crate::dual`]).
+//!   ([`crate::dual`]). A carried basis the walk declines restarts from
+//!   the slack basis on the same worker.
 //! * [`Session::append_column`] validates a priced column as
 //!   [`Model::validate`] would and queues it.
 //! * [`Session::resume`] inserts the queued columns after the structurals
@@ -60,11 +61,14 @@ impl Session {
     /// [`crate::solve_dual_from_basis`] does, and keep the worker.
     ///
     /// An empty or unmatched `warm` starts from the slack basis and reports
-    /// [`WarmOutcome::Cold`]; so does a carried basis declined at seeding,
-    /// whose reason lands in [`SolveStats::declined`]. A carried basis that
-    /// is seeded but declined mid-walk returns [`LpError::DualDeclined`] so
-    /// the caller can fall back to a cold solve. [`LpError::Infeasible`]
-    /// means the dual became unbounded — the model has no feasible point.
+    /// [`WarmOutcome::Cold`]. So does a carried basis the walk declines,
+    /// at seeding or mid-walk (flip thrash, a singular pivot): its reason
+    /// and the pivots it spent land in [`SolveStats::declined`], and the
+    /// same worker restarts from the slack basis without lowering the
+    /// model again. A walk from the slack basis that fails returns its
+    /// error: [`LpError::DualDeclined`] when it thrashes,
+    /// [`LpError::Infeasible`] when the dual became unbounded — the model
+    /// has no feasible point.
     pub fn open(model: &Model, warm: &WarmStart) -> Result<Session, LpError> {
         let t0 = Stopwatch::start();
         model.validate()?;
@@ -90,20 +94,30 @@ impl Session {
             }
             None => seed_slack_basis(&mut w)?,
         }
-        let setup_ms = t0.elapsed_ms();
+        let mut setup_ms = t0.elapsed_ms();
         w.set_phase2_costs();
-        let (dual_pivots, bound_flips) = match shifted_dual_solve(&mut w) {
-            Ok(counts) => counts,
-            // A carried basis that goes singular mid-walk is declined like
-            // a thrashing one: a cold solve can still solve the model.
-            Err(LpError::SingularBasis) if outcome == WarmOutcome::Dual => {
-                return Err(LpError::DualDeclined(DeclinedBasis {
-                    reason: DualDecline::Singular,
-                    pivots: w.iterations,
-                }))
-            }
-            Err(e) => return Err(e),
+        let mut walk = shifted_dual_solve(&mut w);
+        let reason = match &walk {
+            Err(LpError::DualDeclined(d)) => Some(d.reason),
+            Err(LpError::SingularBasis) => Some(DualDecline::Singular),
+            _ => None,
         };
+        if let (WarmOutcome::Dual, Some(reason)) = (outcome, reason) {
+            // A carried basis declined mid-walk restarts where one declined
+            // at seeding does: the slack basis, on this worker.
+            declined = Some(DeclinedBasis {
+                reason,
+                pivots: w.iterations,
+            });
+            outcome = WarmOutcome::Cold;
+            let t = Stopwatch::start();
+            seed_slack_basis(&mut w)?;
+            setup_ms += t.elapsed_ms();
+            w.set_phase2_costs();
+            w.restart_pricing();
+            walk = shifted_dual_solve(&mut w);
+        }
+        let (dual_pivots, bound_flips) = walk?;
         let duals = w.current_duals();
         let stats = SolveStats {
             warm: outcome,
@@ -400,6 +414,53 @@ mod tests {
         let sol = s.into_solution(&m);
         assert!((sol.objective() - 1.0).abs() < 1e-12);
         assert_eq!(sol.value_of(VarId(2)), 0.0);
+    }
+
+    #[test]
+    fn a_carried_walk_declined_mid_way_restarts_from_the_slack_basis() {
+        // Two disjoint covering rows, Σ x ≥ 280 over 300 boxed columns
+        // each. The carried basis keeps both slacks basic (both rows
+        // violated) and puts `z`, which costs something and sits in no
+        // row, at its upper bound: a wrong-signed reduced cost, shifted.
+        // The first dual pivot flips ~279 columns of one row while the
+        // other row is still violated, past the thrash guard.
+        use crate::basis::{name_key, BasisStatus};
+        let mut m = Model::minimize();
+        let mut warm = WarmStart::new();
+        for r in 0..2u32 {
+            let cols: Vec<VarId> = (0..300u32)
+                .map(|j| {
+                    let name = format!("x{r}_{j}");
+                    warm.set_var(name_key(&name), BasisStatus::AtLower);
+                    m.add_var(
+                        name,
+                        0.0,
+                        1.0,
+                        1.0 + 0.01 * f64::from(j) + 0.5 * f64::from(r),
+                    )
+                })
+                .collect();
+            let row = m.add_constraint(cols.iter().map(|&v| (v, 1.0)), Cmp::Ge, 280.0);
+            m.name_constraint(row, format!("r{r}"));
+            warm.set_row(name_key(&format!("r{r}")), BasisStatus::Basic);
+        }
+        m.add_var("z", 0.0, 1.0, 1.0);
+        warm.set_var(name_key("z"), BasisStatus::AtUpper);
+
+        let s = Session::open(&m, &warm).unwrap();
+        let stats = s.stats();
+        let declined = stats.declined.expect("the carried walk was declined");
+        assert_eq!(declined.reason, DualDecline::Thrash);
+        assert!(declined.pivots > 0, "declined at seeding, not mid-walk");
+        assert_eq!(stats.warm, WarmOutcome::Cold);
+        assert_eq!(s.w.work.lowerings, 1);
+        let primal = m.solve().unwrap();
+        let got = s.objective();
+        assert!(
+            (got - primal.objective()).abs() <= 1e-9 * (1.0 + primal.objective().abs()),
+            "session {got} vs primal {}",
+            primal.objective()
+        );
     }
 
     #[test]
