@@ -4,6 +4,7 @@
 //! milliseconds, negligible against multi-minute job durations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use lips_cluster::{ec2_mixed_cluster, Cluster};
@@ -50,8 +51,9 @@ fn bench_decide(c: &mut Criterion) {
         let label = format!("M{m}_J{j}");
         g.bench_with_input(BenchmarkId::new("lips", &label), &fx, |b, fx| {
             b.iter(|| {
-                // Fresh scheduler each iteration: `decide` mutates its read
-                // ledger, and a stale ledger would change the work.
+                // Fresh scheduler each iteration: `decide` carries its
+                // basis into the next call, and a carried basis would
+                // change the work.
                 let mut s = LipsScheduler::new(SchedulerConfig::large_cluster(600.0));
                 let ctx = SchedulerContext {
                     now: 0.0,
@@ -59,7 +61,7 @@ fn bench_decide(c: &mut Criterion) {
                     placement: &fx.placement,
                     queue: &fx.queue,
                     machines: &fx.machines,
-                    reads_used: None,
+                    reads_used: &BTreeMap::new(),
                 };
                 black_box(s.decide(&ctx).len())
             });
@@ -73,7 +75,7 @@ fn bench_decide(c: &mut Criterion) {
                     placement: &fx.placement,
                     queue: &fx.queue,
                     machines: &fx.machines,
-                    reads_used: None,
+                    reads_used: &BTreeMap::new(),
                 };
                 black_box(s.decide(&ctx).len())
             });
@@ -87,7 +89,7 @@ fn bench_decide(c: &mut Criterion) {
                     placement: &fx.placement,
                     queue: &fx.queue,
                     machines: &fx.machines,
-                    reads_used: None,
+                    reads_used: &BTreeMap::new(),
                 };
                 black_box(s.decide(&ctx).len())
             });

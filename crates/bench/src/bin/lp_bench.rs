@@ -4,7 +4,7 @@
 //! Every run records two series over the same churn sequence: `cold`
 //! (each epoch's full model from scratch — the objective-parity oracle)
 //! and `colgen` (`LipsScheduler::solve_epoch`: the dual-first restricted
-//! master carrying columns and basis). The records are the scheduler's
+//! master carrying its basis). The records are the scheduler's
 //! own, so the numbers are those of the path that serves an epoch.
 //!
 //! Prints a per-epoch table and the per-series totals; with `--json`,

@@ -5,7 +5,7 @@
 //! shaped stream) through `lips-serve`'s daemon with closed-loop epoch
 //! tuning. The acceptance gate: every LP epoch KKT-certified, and at
 //! least 80 % of them incremental re-solves (the carried colgen master's
-//! columns and basis reused). Exits nonzero if either run misses the gate.
+//! basis reused). Exits nonzero if either run misses the gate.
 //!
 //! ```bash
 //! serve-bench            # full 200-epoch runs, writes BENCH_serve.json

@@ -23,10 +23,11 @@
 //!
 //! [`run_epochs_faulted`] additionally scripts mid-sequence machine
 //! revocations, rejoins, repricings, and a store loss into the epoch loop
-//! — the LP-level half of the fault story: the scheduler repairs its
-//! carried state (dead-machine rows/columns dropped) instead of
-//! discarding it, and every epoch must end certified against the
-//! *surviving* cluster or be recorded as degraded.
+//! — the LP-level half of the fault story: the scheduler keeps its
+//! carried basis as it stands (keys naming a dead machine match nothing
+//! in the surviving model) instead of discarding it, and every epoch must
+//! end certified against the *surviving* cluster or be recorded as
+//! degraded.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -433,7 +434,7 @@ mod tests {
             );
             assert!(r.certified, "epoch {} degraded: {events:?}", r.epoch);
         }
-        // The carried state kept warm-starting alive across the faults (a
+        // The carried basis kept warm-starting alive across the faults (a
         // structural break may legitimately fall back to cold, but the
         // majority of post-fault epochs must still reuse their basis).
         assert!(run.warm_solves >= 3, "only {} warm epochs", run.warm_solves);

@@ -7,7 +7,7 @@
 //! cluster-data summary file takes) against an `ec2_mixed_cluster` of the
 //! point's size, solved by a column-generation [`LipsScheduler`] through
 //! [`LipsScheduler::solve_epoch`] — the scheduler's own ladder, its
-//! dual-first restricted master carrying columns and basis across epochs.
+//! dual-first restricted master carrying its basis across epochs.
 //! Every epoch is the scheduler's own record, with the solver-metered
 //! build / solve / certify split, and every epoch is certified against
 //! the full model, 10k nodes included: certification is a small share of

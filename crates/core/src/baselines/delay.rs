@@ -12,12 +12,11 @@ use std::collections::BTreeMap;
 use lips_sim::{Action, Scheduler, SchedulerContext};
 use lips_workload::JobId;
 
-use super::{any_busy, chunk_mb, free_machines, ReadLedger};
+use super::{any_busy, best_source, chunk_mb, free_machines, unread};
 
 /// The delay scheduler.
 #[derive(Debug)]
 pub struct DelayScheduler {
-    ledger: ReadLedger,
     /// Scheduling opportunities each job has passed up waiting for
     /// locality.
     skips: BTreeMap<JobId, u32>,
@@ -29,7 +28,6 @@ pub struct DelayScheduler {
 impl Default for DelayScheduler {
     fn default() -> Self {
         DelayScheduler {
-            ledger: ReadLedger::default(),
             skips: BTreeMap::new(),
             max_skips: 20,
         }
@@ -81,11 +79,10 @@ impl Scheduler for DelayScheduler {
                 }
                 let local = own_store
                     .zip(job.data)
-                    .map(|(s, d)| (d, s, self.ledger.unread(ctx.placement, d, s)))
-                    .filter(|&(_, _, unread)| unread > lips_sim::WORK_EPS);
-                if let Some((data, store, local_unread)) = local {
+                    .map(|(s, d)| (s, unread(ctx, d, s)))
+                    .filter(|&(_, unread)| unread > lips_sim::WORK_EPS);
+                if let Some((store, local_unread)) = local {
                     let mb = chunk_mb(job, local_unread);
-                    self.ledger.issue(data, store, mb);
                     self.skips.insert(job.id, 0);
                     return vec![Action::RunChunk {
                         job: job.id,
@@ -99,12 +96,8 @@ impl Scheduler for DelayScheduler {
                 let s = self.skips.entry(job.id).or_insert(0);
                 *s += 1;
                 if *s > self.max_skips {
-                    if let Some((data, store, _, unread)) =
-                        self.ledger
-                            .best_source(ctx.cluster, ctx.placement, job, machine)
-                    {
+                    if let Some((store, _, unread)) = best_source(ctx, job, machine) {
                         let mb = chunk_mb(job, unread);
-                        self.ledger.issue(data, store, mb);
                         self.skips.insert(job.id, 0);
                         return vec![Action::RunChunk {
                             job: job.id,
@@ -124,12 +117,8 @@ impl Scheduler for DelayScheduler {
         if !any_busy(ctx) && job.remaining_mb > lips_sim::WORK_EPS {
             // An idle cluster has every slot free.
             if let Some(&machine) = free_machines(ctx).first() {
-                if let Some((data, store, _, unread)) =
-                    self.ledger
-                        .best_source(ctx.cluster, ctx.placement, job, machine)
-                {
+                if let Some((store, _, unread)) = best_source(ctx, job, machine) {
                     let mb = chunk_mb(job, unread);
-                    self.ledger.issue(data, store, mb);
                     self.skips.insert(job.id, 0);
                     return vec![Action::RunChunk {
                         job: job.id,

@@ -9,17 +9,15 @@ use std::collections::BTreeMap;
 
 use lips_sim::{Action, Scheduler, SchedulerContext};
 
-use super::{chunk_mb, free_machines, ReadLedger};
+use super::{best_source, chunk_mb, free_machines};
 
 /// Pool-based fair scheduler.
 #[derive(Debug, Default)]
-pub struct FairScheduler {
-    ledger: ReadLedger,
-}
+pub struct FairScheduler;
 
 impl FairScheduler {
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -50,12 +48,8 @@ impl Scheduler for FairScheduler {
 
         for machine in free_machines(ctx) {
             if job.remaining_mb > lips_sim::WORK_EPS {
-                if let Some((data, store, _, unread)) =
-                    self.ledger
-                        .best_source(ctx.cluster, ctx.placement, job, machine)
-                {
+                if let Some((store, _, unread)) = best_source(ctx, job, machine) {
                     let mb = chunk_mb(job, unread);
-                    self.ledger.issue(data, store, mb);
                     return vec![Action::RunChunk {
                         job: job.id,
                         machine,

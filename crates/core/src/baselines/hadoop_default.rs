@@ -8,17 +8,15 @@
 
 use lips_sim::{Action, Scheduler, SchedulerContext};
 
-use super::{chunk_mb, free_machines, ReadLedger};
+use super::{best_source, chunk_mb, free_machines};
 
 /// The Hadoop 0.20 default policy.
 #[derive(Debug, Default)]
-pub struct HadoopDefaultScheduler {
-    ledger: ReadLedger,
-}
+pub struct HadoopDefaultScheduler;
 
 impl HadoopDefaultScheduler {
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -43,12 +41,8 @@ impl Scheduler for HadoopDefaultScheduler {
         // One launch per invocation; the engine re-invokes until quiet.
         for machine in free_machines(ctx) {
             if job.remaining_mb > lips_sim::WORK_EPS {
-                if let Some((data, store, _, unread)) =
-                    self.ledger
-                        .best_source(ctx.cluster, ctx.placement, job, machine)
-                {
+                if let Some((store, _, unread)) = best_source(ctx, job, machine) {
                     let mb = chunk_mb(job, unread);
-                    self.ledger.issue(data, store, mb);
                     return vec![Action::RunChunk {
                         job: job.id,
                         machine,

@@ -20,54 +20,35 @@ pub use delay::DelayScheduler;
 pub use fair::FairScheduler;
 pub use hadoop_default::HadoopDefaultScheduler;
 
-use std::collections::BTreeMap;
+use lips_cluster::{DataId, MachineId, StoreId};
+use lips_sim::{PendingJob, SchedulerContext};
 
-use lips_cluster::{Cluster, DataId, MachineId, StoreId};
-use lips_sim::{PendingJob, Placement, SchedulerContext};
-
-/// Shared bookkeeping: how much of each (data, store) this scheduler has
-/// already handed to chunks (reads don't deplete placement, but each byte
-/// of input is read exactly once).
-#[derive(Debug, Default)]
-pub(crate) struct ReadLedger {
-    issued: BTreeMap<(DataId, StoreId), f64>,
+/// Unread MB of `data` at `store`: what is placed there less what the
+/// executor's ledger says was already read (each byte of input is read
+/// exactly once; reads do not deplete the placement).
+pub(crate) fn unread(ctx: &SchedulerContext<'_>, data: DataId, store: StoreId) -> f64 {
+    let read = ctx.reads_used.get(&(data, store)).copied().unwrap_or(0.0);
+    (ctx.placement.amount(data, store) - read).max(0.0)
 }
 
-impl ReadLedger {
-    /// Unread MB of `data` at `store`.
-    pub fn unread(&self, placement: &Placement, data: DataId, store: StoreId) -> f64 {
-        (placement.amount(data, store) - self.issued.get(&(data, store)).copied().unwrap_or(0.0))
-            .max(0.0)
-    }
-
-    /// Record `mb` as issued.
-    pub fn issue(&mut self, data: DataId, store: StoreId, mb: f64) {
-        *self.issued.entry((data, store)).or_default() += mb;
-    }
-
-    /// The best source for reading `job`'s data from `machine`: the store
-    /// with unread data at the lowest locality level (then most unread,
-    /// then lowest id). Returns `(data, store, locality, unread_mb)`, so a
-    /// match also names the job's input.
-    pub fn best_source(
-        &self,
-        cluster: &Cluster,
-        placement: &Placement,
-        job: &PendingJob,
-        machine: MachineId,
-    ) -> Option<(DataId, StoreId, u8, f64)> {
-        let data = job.data?;
-        placement
-            .stores_of(data)
-            .into_iter()
-            .filter_map(|(s, _)| {
-                let unread = self.unread(placement, data, s);
-                (unread > lips_sim::WORK_EPS)
-                    .then(|| (s, cluster.locality_level(machine, s), unread))
-            })
-            .min_by(|a, b| a.1.cmp(&b.1).then(b.2.total_cmp(&a.2)).then(a.0.cmp(&b.0)))
-            .map(|(s, level, unread)| (data, s, level, unread))
-    }
+/// The best source for reading `job`'s data from `machine`: the store
+/// with unread data at the lowest locality level (then most unread, then
+/// lowest id). Returns `(store, locality, unread_mb)`.
+pub(crate) fn best_source(
+    ctx: &SchedulerContext<'_>,
+    job: &PendingJob,
+    machine: MachineId,
+) -> Option<(StoreId, u8, f64)> {
+    let data = job.data?;
+    ctx.placement
+        .stores_of(data)
+        .into_iter()
+        .filter_map(|(s, _)| {
+            let unread = unread(ctx, data, s);
+            (unread > lips_sim::WORK_EPS)
+                .then(|| (s, ctx.cluster.locality_level(machine, s), unread))
+        })
+        .min_by(|a, b| a.1.cmp(&b.1).then(b.2.total_cmp(&a.2)).then(a.0.cmp(&b.0)))
 }
 
 /// Machines with at least one free slot at `now`, in id order.
@@ -95,11 +76,17 @@ pub(crate) fn chunk_mb(job: &PendingJob, unread: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use lips_cluster::ec2_20_node;
+    use lips_sim::{MachineState, Placement};
     use lips_workload::{bind_workload, JobKind, JobSpec, PlacementPolicy};
 
     #[test]
-    fn ledger_tracks_unread() {
+    fn best_source_skips_stock_the_ledger_covers() {
+        // Two holders of one input: the reader's own store and a remote
+        // one. The executor's ledger already covers all of the local
+        // stock, so the remote holder is the only source left.
         let mut cluster = ec2_20_node(0.0, 3600.0);
         let jobs = vec![JobSpec::new(0, "g", JobKind::Grep, 640.0, 10)];
         let bound = bind_workload(
@@ -108,13 +95,44 @@ mod tests {
             PlacementPolicy::SingleStore(StoreId(2)),
             1,
         );
-        let placement = Placement::from_cluster(&cluster);
-        let mut ledger = ReadLedger::default();
-        let d = bound.jobs[0].data.unwrap();
-        assert_eq!(ledger.unread(&placement, d, StoreId(2)), 640.0);
-        ledger.issue(d, StoreId(2), 200.0);
-        assert_eq!(ledger.unread(&placement, d, StoreId(2)), 440.0);
-        assert_eq!(ledger.unread(&placement, d, StoreId(3)), 0.0);
+        let pj = PendingJob::from_spec(&bound.jobs[0]);
+        let d = pj.data.unwrap();
+        let machine = MachineId(0);
+        let own = cluster.store_of_machine(machine).unwrap();
+        assert_ne!(own, StoreId(2));
+        let mut placement = Placement::from_cluster(&cluster);
+        placement.add_copy(d, own, 640.0, 0.0);
+        let machines: Vec<MachineState> = cluster.machines.iter().map(MachineState::new).collect();
+        let queue = vec![pj];
+        let mut reads = BTreeMap::new();
+        // `(unread at store, best source of machine 0)` under `reads`.
+        let probe = |reads: &BTreeMap<_, _>, store| {
+            let ctx = SchedulerContext {
+                now: 0.0,
+                cluster: &cluster,
+                placement: &placement,
+                queue: &queue,
+                machines: &machines,
+                reads_used: reads,
+            };
+            (
+                unread(&ctx, d, store),
+                best_source(&ctx, &queue[0], machine),
+            )
+        };
+        // Nothing read yet: the local copy wins.
+        assert_eq!(probe(&reads, own), (640.0, Some((own, 0, 640.0))));
+        // Part of the local stock read: still local, with what is left.
+        reads.insert((d, own), 200.0);
+        assert_eq!(probe(&reads, own), (440.0, Some((own, 0, 440.0))));
+        // All of it read: skipped, the remote holder serves.
+        reads.insert((d, own), 640.0);
+        let (local, best) = probe(&reads, own);
+        let (store, level, mb) = best.unwrap();
+        assert_eq!((local, store, mb), (0.0, StoreId(2), 640.0));
+        assert!(level > 0);
+        // A store that holds none of the input has nothing unread.
+        assert_eq!(probe(&reads, StoreId(3)).0, 0.0);
     }
 
     #[test]
@@ -123,14 +141,21 @@ mod tests {
         let jobs = vec![JobSpec::new(0, "g", JobKind::Grep, 10.0 * 1024.0, 160)];
         let bound = bind_workload(&mut cluster, jobs, PlacementPolicy::RoundRobin, 1);
         let placement = Placement::spread_blocks(&cluster, 3);
-        let ledger = ReadLedger::default();
-        let pj = lips_sim::PendingJob::from_spec(&bound.jobs[0]);
+        let pj = PendingJob::from_spec(&bound.jobs[0]);
+        let machines: Vec<MachineState> = cluster.machines.iter().map(MachineState::new).collect();
+        let queue = vec![pj];
+        let ctx = SchedulerContext {
+            now: 0.0,
+            cluster: &cluster,
+            placement: &placement,
+            queue: &queue,
+            machines: &machines,
+            reads_used: &BTreeMap::new(),
+        };
         // Machine 0's own store should win when it holds blocks.
         let own = cluster.store_of_machine(MachineId(0)).unwrap();
-        if ledger.unread(&placement, pj.data.unwrap(), own) > 0.0 {
-            let (_, s, level, _) = ledger
-                .best_source(&cluster, &placement, &pj, MachineId(0))
-                .unwrap();
+        if unread(&ctx, queue[0].data.unwrap(), own) > 0.0 {
+            let (s, level, _) = best_source(&ctx, &queue[0], MachineId(0)).unwrap();
             assert_eq!(s, own);
             assert_eq!(level, 0);
         }
@@ -139,7 +164,7 @@ mod tests {
     #[test]
     fn chunk_mb_caps() {
         let spec = JobSpec::new(0, "g", JobKind::Grep, 640.0, 10);
-        let mut pj = lips_sim::PendingJob::from_spec(&spec);
+        let mut pj = PendingJob::from_spec(&spec);
         assert_eq!(chunk_mb(&pj, 1000.0), 64.0); // one block
         assert_eq!(chunk_mb(&pj, 10.0), 10.0); // capped by unread
         pj.remaining_mb = 5.0;

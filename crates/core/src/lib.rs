@@ -71,8 +71,8 @@ pub use config::{ConfigError, Preset, SchedulerConfig, SchedulerConfigBuilder};
 pub use dag::{run_dag, DagReport, DagRunError};
 pub use lips::{EpochOutcome, LipsScheduler};
 pub use lp_build::{
-    solve_full, solve_master, ColGenOptions, ColGenState, ColGenStats, ColKey, EpochSolveError,
-    RowKey, SolveReport,
+    solve_full, solve_master, ColGenOptions, ColGenStats, ColKey, EpochSolveError, RowKey,
+    SolveReport,
 };
 pub use offline::{co_schedule, greedy_schedule, simple_task_schedule, OfflineSchedule};
 pub use report::{EpochRecord, RunSummary};

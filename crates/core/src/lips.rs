@@ -19,14 +19,15 @@ use std::collections::BTreeMap;
 
 use lips_cluster::{DataId, StoreId};
 use lips_lp::clock::Stopwatch;
-use lips_lp::WarmOutcome;
+use lips_lp::{WarmOutcome, WarmStart};
 use lips_sim::{Action, Scheduler, SchedulerContext, WORK_EPS};
 use lips_workload::JobId;
 
+use crate::baselines::{any_busy, unread};
 pub use crate::config::SchedulerConfig;
 use crate::lp_build::{
-    solve_full, solve_master, ColGenOptions, ColGenState, EpochSolveError, FractionalSchedule,
-    LpInstance, LpJob, PruneConfig, SolveReport,
+    solve_full, solve_master, ColGenOptions, EpochSolveError, FractionalSchedule, LpInstance,
+    LpJob, PruneConfig, SolveReport,
 };
 use crate::report::EpochRecord;
 
@@ -63,15 +64,15 @@ impl EpochOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rung {
     /// Column generation: a restricted master seeded by the carried
-    /// columns and basis, its first round dual-simplex-first.
+    /// basis, its first round dual-simplex-first.
     Master,
     /// Primal simplex on the full model with nothing carried.
     Cold,
 }
 
 /// What one ladder rung hands back to the record keeper: the full
-/// [`SolveReport`] plus whether the solve re-used carried state (basis or
-/// master columns) instead of building cold — the serve daemon's
+/// [`SolveReport`] plus whether the solve re-used the carried basis
+/// instead of starting cold — the serve daemon's
 /// incremental-re-solve criterion.
 struct RungResult {
     report: SolveReport,
@@ -82,16 +83,11 @@ struct RungResult {
 #[derive(Debug)]
 pub struct LipsScheduler {
     pub config: SchedulerConfig,
-    /// MB of each (data, store) already handed to chunks. Re-synced from
-    /// the engine's read ledger at every decision point when the context
-    /// provides one, so chunk kills (fault revocations) refund reads here
-    /// too and the restored work can actually re-read its data.
-    issued: BTreeMap<(DataId, StoreId), f64>,
     /// What the previous epoch's master left for the next one
-    /// ([`SolveReport::take_carry`]): its surviving columns and basis.
-    /// `None` before the first solve and after an epoch the master did not
-    /// serve.
-    carried: Option<ColGenState>,
+    /// ([`SolveReport::take_carry`]): its final basis, whose `Basic` and
+    /// `AtUpper` task arcs also seed the next master. `None` before the
+    /// first solve and after an epoch the master did not serve.
+    carried: Option<WarmStart>,
     /// Per-epoch records on the stable schema
     /// ([`crate::report::EpochRecord`]): one per LP decision epoch.
     records: Vec<EpochRecord>,
@@ -101,7 +97,6 @@ impl LipsScheduler {
     pub fn new(config: SchedulerConfig) -> Self {
         LipsScheduler {
             config,
-            issued: BTreeMap::new(),
             carried: None,
             records: Vec::new(),
         }
@@ -120,7 +115,7 @@ impl LipsScheduler {
         self.records.len()
     }
 
-    /// Always 0: nothing is dropped from the carried state (a revoked
+    /// Always 0: nothing is dropped from the carried basis (a revoked
     /// machine has no columns or rows in the next epoch's model, so
     /// carried keys naming it match nothing). Kept so existing callers
     /// still find it.
@@ -135,12 +130,12 @@ impl LipsScheduler {
         &self.records
     }
 
-    /// Run one ladder rung on `inst`. The master takes the carried state
+    /// Run one ladder rung on `inst`. The master takes the carried basis
     /// as its prior, as it stands: keys naming a revoked machine match
     /// nothing in the new model, whose builder gives that machine no
-    /// columns or rows. The rung's carry replaces it: the master's columns
-    /// and basis, nothing after a cold solve. On failure the carry is dropped: no later rung
-    /// reads it, and a failing carry is not retried forever.
+    /// columns or rows. The rung's carry replaces it: the master's final
+    /// basis, nothing after a cold solve. On failure the carry is dropped:
+    /// no later rung reads it, and a failing carry is not retried forever.
     fn run_rung(
         &mut self,
         inst: &LpInstance<'_>,
@@ -182,8 +177,7 @@ impl LipsScheduler {
         // Fairness floors can conflict with data/capacity constraints
         // (and with a shrunken post-fault cluster); cost-only scheduling
         // is the sane fallback. The failed rung before it dropped the
-        // carried state, so the relaxed master is already cold along the
-        // basis axis.
+        // carried basis, so the relaxed master starts from the slack basis.
         let relaxed = (!inst.pool_floors.is_empty()).then(|| LpInstance {
             pool_floors: Vec::new(),
             ..inst.clone()
@@ -226,12 +220,6 @@ impl LipsScheduler {
         None
     }
 
-    fn unread(&self, ctx: &SchedulerContext<'_>, data: DataId, store: StoreId) -> f64 {
-        (ctx.placement.amount(data, store)
-            - self.issued.get(&(data, store)).copied().unwrap_or(0.0))
-        .max(0.0)
-    }
-
     /// Build the epoch LP jobs from the queue snapshot.
     fn lp_jobs(&self, ctx: &SchedulerContext<'_>) -> Vec<LpJob> {
         ctx.queue
@@ -245,7 +233,7 @@ impl LipsScheduler {
                         .stores_of(d)
                         .into_iter()
                         .filter_map(|(s, _)| {
-                            let un = self.unread(ctx, d, s);
+                            let un = unread(ctx, d, s);
                             (un > WORK_EPS).then(|| (s, (un / j.remaining_mb).min(1.0)))
                         })
                         .collect(),
@@ -314,7 +302,7 @@ impl LipsScheduler {
     /// cheapest feasible *live* machine. Used when the LP solver fails
     /// (the Degraded rung of the ladder), so a numerical hiccup or a
     /// hostile fault schedule can never stall the cluster.
-    fn greedy_fallback(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
+    fn greedy_fallback(ctx: &SchedulerContext<'_>) -> Vec<Action> {
         let cheapest_live = ctx
             .cluster
             .machines
@@ -337,12 +325,9 @@ impl LipsScheduler {
                 .stores_of(d)
                 .into_iter()
                 .map(|(s, _)| s)
-                .find(|&s| self.unread(ctx, d, s) > WORK_EPS);
+                .find(|&s| unread(ctx, d, s) > WORK_EPS);
             let Some(s) = source else { return vec![] };
-            let mb = job
-                .task_mb
-                .min(job.remaining_mb)
-                .min(self.unread(ctx, d, s));
+            let mb = job.task_mb.min(job.remaining_mb).min(unread(ctx, d, s));
             // Data-local if the co-located machine is alive, else the
             // cheapest survivor reads remotely.
             let machine = ctx
@@ -351,7 +336,6 @@ impl LipsScheduler {
                 .colocated
                 .filter(|&m| ctx.cluster.machine(m).tp_ecu > 0.0)
                 .unwrap_or(cheapest_live);
-            *self.issued.entry((d, s)).or_default() += mb;
             vec![Action::RunChunk {
                 job: job.id,
                 machine,
@@ -373,14 +357,12 @@ impl LipsScheduler {
 
     /// Turn an epoch's fractional schedule into simulator actions: the
     /// planned copies, then task chunks rounded to natural task sizes.
-    fn emit(&mut self, ctx: &SchedulerContext<'_>, sched: FractionalSchedule) -> Vec<Action> {
+    fn emit(&self, ctx: &SchedulerContext<'_>, sched: FractionalSchedule) -> Vec<Action> {
         let mut actions: Vec<Action> = Vec::new();
         // Track how much will be present at each (data, store) after the
         // planned moves, so chunk emission can honour constraint (13)
         // (each entry starts from the *unread* amount).
         let mut budget: BTreeMap<(DataId, StoreId), f64> = BTreeMap::new();
-        let budget_of =
-            |this: &Self, data: DataId, store: StoreId| -> f64 { this.unread(ctx, data, store) };
 
         // --- 1. data moves (already per-source from the LP decode) ------
         for &(data, src, dst, mb) in &sched.moves {
@@ -399,7 +381,7 @@ impl LipsScheduler {
             });
             *budget
                 .entry((data, dst))
-                .or_insert_with(|| budget_of(self, data, dst)) += take;
+                .or_insert_with(|| unread(ctx, data, dst)) += take;
         }
 
         // --- 2. task chunks, rounded to natural task sizes --------------
@@ -421,7 +403,7 @@ impl LipsScheduler {
                     let want = (frac * pj.remaining_mb).min(pj.remaining_mb - *emitted_mb);
                     let cap = *budget
                         .entry((data, store))
-                        .or_insert_with(|| budget_of(self, data, store));
+                        .or_insert_with(|| unread(ctx, data, store));
                     let mut total = want.min(cap);
                     // Minimum-viable-task rounding: defer crumbs unless
                     // they finish the job.
@@ -433,7 +415,6 @@ impl LipsScheduler {
                         *b -= total;
                     }
                     *emitted_mb += total;
-                    *self.issued.entry((data, store)).or_default() += total;
                     while total > WORK_EPS {
                         let mb = total.min(pj.task_mb);
                         actions.push(Action::RunChunk {
@@ -474,12 +455,6 @@ impl LipsScheduler {
 
 impl Scheduler for LipsScheduler {
     fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
-        // Ground truth wins over our private ledger: a fault-killed chunk
-        // refunds its reads in the engine's ledger, and only a re-synced
-        // ledger lets the restored work re-read that data.
-        if let Some(used) = ctx.reads_used {
-            self.issued = used.clone();
-        }
         let jobs = self.lp_jobs(ctx);
         if jobs.is_empty() {
             return vec![];
@@ -508,18 +483,15 @@ impl Scheduler for LipsScheduler {
         let Some(sched) = self.solve_epoch(&inst) else {
             // Bottom rung: cheapest-feasible greedy placement for this
             // epoch; the LP is retried from scratch next epoch.
-            return self.greedy_fallback(ctx);
+            return Self::greedy_fallback(ctx);
         };
 
         let actions = self.emit(ctx, sched);
 
         // Guarantee progress even if the LP deferred everything while the
         // cluster is idle (can only happen with a degenerate config).
-        if actions.is_empty()
-            && !crate::baselines::any_busy(ctx)
-            && ctx.jobs_with_work().next().is_some()
-        {
-            return self.greedy_fallback(ctx);
+        if actions.is_empty() && !any_busy(ctx) && ctx.jobs_with_work().next().is_some() {
+            return Self::greedy_fallback(ctx);
         }
         actions
     }
@@ -614,7 +586,7 @@ mod tests {
         // Epoch 0: nothing carried — the master's dual starts from the
         // slack basis: cold, no phase 1, not incremental.
         assert!(sched.solve_epoch(&feasible).is_some());
-        // Epoch 1: unchanged model, carried columns and basis — the master
+        // Epoch 1: unchanged model, carried basis — the master
         // again, now warm from the carried basis.
         assert!(sched.solve_epoch(&feasible).is_some());
         // Epoch 2: infeasible. The master must fail fast (the shrunken
@@ -646,7 +618,7 @@ mod tests {
         );
         // Epoch 3: capacity restored — the scheduler recovers on its own,
         // on the master from the slack basis (the failed rungs dropped the
-        // carried state).
+        // carried basis).
         assert!(sched.solve_epoch(&feasible).is_some());
         assert_eq!(outcomes(&sched)[3], "Certified");
         assert_eq!(sched.epoch_records()[3].warm, "Cold");
@@ -684,7 +656,7 @@ mod tests {
             placement: &placement,
             queue: &queue,
             machines: &machines,
-            reads_used: None,
+            reads_used: &BTreeMap::new(),
         };
         // Each job's fractions sum to 1 + 1e-9.
         let (m0, m1) = (lips_cluster::MachineId(0), lips_cluster::MachineId(1));
@@ -703,7 +675,7 @@ mod tests {
             iterations: 0,
             stats: lips_lp::SolveStats::default(),
         };
-        let mut lips = LipsScheduler::new(SchedulerConfig::small_cluster(600.0));
+        let lips = LipsScheduler::new(SchedulerConfig::small_cluster(600.0));
         let actions = lips.emit(&ctx, sched);
         let mut after = queue.clone();
         for a in &actions {

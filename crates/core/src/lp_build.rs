@@ -45,7 +45,7 @@
 //! one finish step: certify against the full row set, pricing every task
 //! arc the solved model excluded (none after a full solve); read the
 //! CPU-capacity shadow prices; decode the schedule; and, for a master,
-//! take the columns and basis the next epoch carries.
+//! take the basis the next epoch carries.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,7 +53,7 @@ use std::ops::Range;
 
 use lips_audit::RestrictedCertificate;
 use lips_cluster::{Cluster, DataId, MachineId, StoreId};
-use lips_lp::{Cmp, KeyNames, LpError, Model, Session, SolveStats, VarId, WarmStart};
+use lips_lp::{BasisStatus, Cmp, KeyNames, LpError, Model, Session, SolveStats, VarId, WarmStart};
 use lips_workload::JobId;
 
 use crate::paper_audit::{audit_paper_invariants, PaperExpectations};
@@ -172,8 +172,8 @@ struct VarMaps {
 // Every column and row of the epoch LP carries a typed identity packed
 // into the `u64` key the solver matches warm starts by. Keys name *job
 // ids* (not LP indices): ids are stable across epochs while indices shift
-// as jobs complete and arrive, so the warm-start basis and the cross-epoch
-// colgen active set both match surviving columns by key. No string is
+// as jobs complete and arrive, so the carried basis, and with it the next
+// master's seed arcs, match surviving columns by key. No string is
 // built per column or row; `Display` renders the historical names
 // (`xt_3_1_0`, `cpu_4`, …) for diagnostics only.
 
@@ -895,34 +895,34 @@ pub struct SolveReport {
     /// plus a pricing pass over every task arc it excluded (none after
     /// [`solve_full`]).
     pub certificate: RestrictedCertificate,
-    /// Cross-epoch column state and telemetry of a [`solve_master`];
-    /// `None` after [`solve_full`].
-    pub master: Option<(ColGenState, ColGenStats)>,
+    /// The final basis (the carry into the next epoch) and telemetry of a
+    /// [`solve_master`]; `None` after [`solve_full`].
+    pub master: Option<(WarmStart, ColGenStats)>,
     /// Per-phase wall-clock of this solve.
     pub timings: PhaseTimings,
 }
 
 impl SolveReport {
-    /// Move out the state to carry into the next epoch: the master's
-    /// columns and basis, `None` after [`solve_full`]. The report keeps
-    /// empty state in its place.
-    pub fn take_carry(&mut self) -> Option<ColGenState> {
-        self.master.as_mut().map(|(state, _)| std::mem::take(state))
+    /// Move out the basis to carry into the next epoch, `None` after
+    /// [`solve_full`]. The report keeps an empty basis in its place.
+    pub fn take_carry(&mut self) -> Option<WarmStart> {
+        self.master.as_mut().map(|(basis, _)| std::mem::take(basis))
     }
 }
 
 /// Solve `inst` by delayed column generation over a restricted master,
-/// seeded with `prior`'s surviving columns and basis when given, and
-/// certify the answer against the *full* model, every excluded arc priced.
+/// seeded with `prior`'s basis when given (every task arc it carries
+/// `Basic` or `AtUpper` joins the seed), and certify the answer against
+/// the *full* model, every excluded arc priced.
 ///
 /// One [`lips_lp::Session`] serves the epoch. The first round opens it on
 /// the bounded dual simplex. After a queue delta that only adds and
 /// retires columns, the carried master basis is usually still dual
 /// feasible and re-optimizes in a handful of pivots with no phase 1.
-/// Without a carried [`ColGenState`], or with a basis the walk declines
-/// (at seeding or mid-walk), the round starts from the slack basis — a
-/// cold start with no phase 1. The carried state is used as it stands:
-/// keys naming a machine revoked since it was taken match nothing. Later
+/// Without a carried basis, or with one the walk declines (at seeding or
+/// mid-walk), the round starts from the slack basis — a cold start with
+/// no phase 1. The carried basis is used as it stands: keys naming a
+/// machine revoked since it was taken match nothing. Later
 /// rounds append the priced columns to the live session, which leaves the
 /// incumbent primal feasible, and resume primal phase 2 on the same
 /// factorization: no round after the first re-lowers the model,
@@ -933,7 +933,7 @@ impl SolveReport {
 /// treats it as one more rung on its degradation ladder.
 pub fn solve_master(
     inst: &LpInstance<'_>,
-    prior: Option<&ColGenState>,
+    prior: Option<&WarmStart>,
     opts: &ColGenOptions,
 ) -> Result<SolveReport, EpochSolveError> {
     let run = master_price_loop(inst, opts, prior)?;
@@ -990,27 +990,6 @@ impl Default for ColGenOptions {
 /// bound keeps worst-case degenerate instances from crawling.
 const MAX_ROUNDS: usize = 50;
 
-/// Cross-epoch column-generation state: the task arcs that mattered at
-/// the previous epoch's optimum plus its basis. Seeding the next epoch's
-/// restricted master ([`solve_master`]) with both means a churned
-/// job only *perturbs* the master (its arcs enter via pricing) instead of
-/// rebuilding the column set from scratch — arcs are keyed by job id
-/// ([`ColKey`]), so surviving keys keep denoting the same
-/// `(job, machine, store)` arc across epochs.
-#[derive(Debug, Clone, Default)]
-pub struct ColGenState {
-    /// Packed [`ColKey::Task`] keys of the carried arcs, sorted, each once.
-    active: Vec<u64>,
-    basis: WarmStart,
-}
-
-impl ColGenState {
-    /// Number of task columns carried into the next epoch.
-    pub fn carried_columns(&self) -> usize {
-        self.active.len()
-    }
-}
-
 /// Telemetry from one [`solve_master`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ColGenStats {
@@ -1028,8 +1007,15 @@ pub struct ColGenStats {
 /// Seed membership for a restricted master, one flag per arc of `space`:
 /// the `per_job` cheapest arcs of every job (LP cost, ties by
 /// [`name_order`] — Figure 1's dominance calculus as a seeding heuristic)
-/// plus every arc whose key the sorted `carried` holds.
-fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&[u64]>) -> Vec<bool> {
+/// plus every arc the carried basis holds `Basic` or `AtUpper`: the arcs
+/// that mattered at the previous optimum (task arcs are boxed in
+/// `[0, 1]`, so these are exactly the basic or nonzero ones), which keeps
+/// the master lean instead of accreting every arc that ever priced in,
+/// as carrying every arc the basis names would. Arcs are
+/// keyed by job id ([`ColKey`]), so a surviving key keeps denoting the
+/// same `(job, machine, store)` arc across epochs, and a churned job only
+/// *perturbs* the master (its arcs enter via pricing).
+fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&WarmStart>) -> Vec<bool> {
     let arcs = &space.arcs;
     let mut active = vec![false; arcs.len()];
     let per_job = per_job.max(1);
@@ -1054,7 +1040,10 @@ fn seed_active(space: &ArcSpace, per_job: usize, carried: Option<&[u64]>) -> Vec
     }
     if let Some(carried) = carried {
         for (flag, a) in active.iter_mut().zip(arcs) {
-            *flag |= carried.binary_search(&a.key).is_ok();
+            *flag |= matches!(
+                carried.var(a.key),
+                Some(BasisStatus::Basic | BasisStatus::AtUpper)
+            );
         }
     }
     active
@@ -1182,18 +1171,14 @@ struct MasterRun {
 fn master_price_loop(
     inst: &LpInstance<'_>,
     opts: &ColGenOptions,
-    prior: Option<&ColGenState>,
+    prior: Option<&WarmStart>,
 ) -> Result<MasterRun, EpochSolveError> {
     let t_build = lips_lp::clock::Stopwatch::start();
     let space = arc_space(inst);
-    let mut in_master = seed_active(
-        &space,
-        opts.seed_arcs_per_job,
-        prior.map(|p| p.active.as_slice()),
-    );
+    let mut in_master = seed_active(&space, opts.seed_arcs_per_job, prior);
     // An empty basis starts the dual from the slack basis.
     let cold = WarmStart::new();
-    let warm = prior.map_or(&cold, |p| &p.basis);
+    let warm = prior.unwrap_or(&cold);
     let (mut model, mut maps, rows) = build_filtered(inst, &space, Some(&in_master));
     let mut build_ms = t_build.elapsed_ms();
 
@@ -1285,8 +1270,8 @@ fn master_price_loop(
 /// The finish step of every solve. Certify `run` against the full row set
 /// (its KKT conditions plus an independent pricing pass over every task
 /// arc it excluded), read the CPU shadow prices, decode the schedule and,
-/// for a master (`carry`), take the next epoch's columns and basis out of
-/// the solution.
+/// for a master (`carry`), take the next epoch's basis out of the
+/// solution.
 fn finish(
     inst: &LpInstance<'_>,
     mut run: MasterRun,
@@ -1323,31 +1308,13 @@ fn finish(
 
     let shadow_prices = cpu_shadow_prices(inst, &run.model, &run.rows, &run.sol);
     let master = carry.then(|| {
-        let basis = run.sol.take_warm_start().unwrap_or_default();
-        // Carry only the columns that mattered at the optimum (basic or at
-        // a nonzero value): the master stays lean across epochs instead of
-        // monotonically accreting every column that ever priced in.
-        let mut active: Vec<u64> = run
-            .space
-            .arcs
-            .iter()
-            .zip(&run.maps.arc_var)
-            .filter_map(|(a, &v)| {
-                let v = v?;
-                let keep = run.sol.value_of(v) > 1e-9
-                    || basis.var(a.key) == Some(lips_lp::BasisStatus::Basic);
-                keep.then_some(a.key)
-            })
-            .collect();
-        active.sort_unstable();
-        active.dedup();
         let stats = ColGenStats {
             rounds: run.rounds,
             appended: run.appended,
             active_columns: run.maps.arc_var.iter().flatten().count(),
             total_columns: run.space.arcs.len(),
         };
-        (ColGenState { active, basis }, stats)
+        (run.sol.take_warm_start().unwrap_or_default(), stats)
     });
     Ok(SolveReport {
         schedule: decode(inst, &run.space, &run.maps, &run.sol),
@@ -1846,7 +1813,8 @@ mod tests {
         let inst1 = base_inst(&cluster, spread_jobs(6));
         let e1 = solve_master(&inst1, None, &opts).unwrap();
         let (state1, _) = e1.master.expect("a master reports its state");
-        assert!(state1.carried_columns() > 0);
+        let space1 = arc_space(&inst1);
+        assert!(space1.arcs.iter().any(|a| carried_arc(&state1, a.key)));
 
         let mut jobs2 = spread_jobs(6);
         jobs2[3].tcp *= 1.5;
@@ -1982,9 +1950,7 @@ mod tests {
             if let (Some((state_a, stats_a)), Some((state_b, stats_b))) =
                 (&base.master, &other.master)
             {
-                // The carried keys are sorted, each once.
-                assert!(state_a.active.windows(2).all(|w| w[0] < w[1]), "{at}");
-                assert_eq!(state_a.active, state_b.active, "{at}");
+                assert_eq!(state_a, state_b, "{at}");
                 assert_eq!(stats_a.active_columns, stats_b.active_columns);
                 assert_eq!(stats_a.appended, stats_b.appended);
                 assert_eq!(stats_a.rounds, stats_b.rounds);
@@ -2002,9 +1968,88 @@ mod tests {
                     cert_bits(&next_b.certificate),
                     "{at}"
                 );
-                let carried = |r: &SolveReport| r.master.as_ref().map(|(s, _)| s.active.clone());
+                let carried = |r: &SolveReport| r.master.as_ref().map(|(s, _)| s.clone());
                 assert_eq!(carried(&next_a), carried(&next_b), "{at}");
             }
+        }
+    }
+
+    /// Whether `basis` carries the task arc `key` into the next master's
+    /// seed: `Basic` or `AtUpper`.
+    fn carried_arc(basis: &WarmStart, key: u64) -> bool {
+        matches!(
+            basis.var(key),
+            Some(BasisStatus::Basic | BasisStatus::AtUpper)
+        )
+    }
+
+    #[test]
+    fn the_carried_basis_is_the_next_seed() {
+        // A 3-epoch master chain on a drifting queue, the busiest machine
+        // revoked before the third epoch. Each epoch's carry must hold
+        // every assigned arc as `Basic` or `AtUpper`, and the next epoch's
+        // seed must be exactly each job's cheapest arcs plus those arcs.
+        let opts = ColGenOptions::default();
+        let per_job = opts.seed_arcs_per_job;
+        let mut cluster = lips_cluster::ec2_mixed_cluster(8, 0.4, 1e9, 3);
+        let mut carry: Option<WarmStart> = None;
+        let mut load: BTreeMap<MachineId, f64> = BTreeMap::new();
+        let mut revoked = None;
+        for e in 0..3 {
+            if e == 2 {
+                let (&dead, _) = load
+                    .iter()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .expect("some work was scheduled");
+                cluster.machines[dead.0].tp_ecu = 0.0;
+                revoked = Some(dead);
+            }
+            let mut inst = spread_inst(&cluster);
+            for j in &mut inst.jobs {
+                j.size_mb *= 1.0 + 0.25 * f64::from(e);
+            }
+            let space = arc_space(&inst);
+
+            // The seed this epoch opens on, from the previous carry.
+            let seed = seed_active(&space, per_job, carry.as_ref());
+            let mut cheapest = vec![false; space.arcs.len()];
+            for job_arcs in &space.jobs {
+                let mut order: Vec<usize> = job_arcs.clone().collect();
+                order.sort_by(|&a, &b| {
+                    let (x, y) = (&space.arcs[a], &space.arcs[b]);
+                    x.cost.total_cmp(&y.cost).then_with(|| name_order(x, y))
+                });
+                for &i in order.iter().take(per_job) {
+                    cheapest[i] = true;
+                }
+            }
+            let mut from_carry = 0;
+            for (i, a) in space.arcs.iter().enumerate() {
+                let carried = carry.as_ref().is_some_and(|b| carried_arc(b, a.key));
+                from_carry += usize::from(carried && !cheapest[i]);
+                assert_eq!(seed[i], cheapest[i] || carried, "epoch {e}");
+                assert!(revoked.is_none_or(|d| a.l != d), "epoch {e}");
+            }
+            if e > 0 {
+                assert!(from_carry > 0, "epoch {e}: the carry seeded nothing new");
+            }
+
+            let mut report = solve_master(&inst, carry.as_ref(), &opts).unwrap();
+            assert!(report.certificate.is_optimal(), "epoch {e}");
+            let basis = report.take_carry().expect("a master carries its basis");
+            assert!(!report.schedule.assignments.is_empty());
+            load.clear();
+            for &(job, machine, store, frac) in &report.schedule.assignments {
+                let key = ColKey::Task {
+                    job,
+                    machine,
+                    store,
+                }
+                .pack();
+                assert!(carried_arc(&basis, key), "epoch {e}: {key:x}");
+                *load.entry(machine).or_default() += frac;
+            }
+            carry = Some(basis);
         }
     }
 
@@ -2032,8 +2077,7 @@ mod tests {
             .iter()
             .all(|&(_, l, _, _)| l == MachineId(0)));
         // The surviving model has no basis entries touching machine 1.
-        let carry = report.take_carry().expect("a master carries state");
-        let basis = &carry.basis;
+        let basis = report.take_carry().expect("a master carries state");
         assert_eq!(basis.var(task(0, 1, Some(0))), None);
         assert_eq!(
             basis.row(
@@ -2102,34 +2146,30 @@ mod tests {
                 Some(RowKey::Cpu { machine } | RowKey::Xfer { machine }) if machine == dead
             )
         };
-        let mut filtered = ColGenState {
-            active: raw
-                .active
-                .iter()
-                .copied()
-                .filter(|&k| !dead_col(k))
-                .collect(),
-            basis: WarmStart::new(),
-        };
+        let mut filtered = WarmStart::new();
         let mut dropped = 0;
         for key in full.var_ids().map(|v| full.var_key(v)) {
-            match raw.basis.var(key) {
+            match raw.var(key) {
                 Some(_) if dead_col(key) => dropped += 1,
-                Some(st) => filtered.basis.set_var(key, st),
+                Some(st) => filtered.set_var(key, st),
                 None => {}
             }
         }
         for key in full.constraint_ids().map(|c| full.constraint_key(c)) {
-            match raw.basis.row(key) {
+            match raw.row(key) {
                 Some(_) if dead_row(key) => dropped += 1,
-                Some(st) => filtered.basis.set_row(key, st),
+                Some(st) => filtered.set_row(key, st),
                 None => {}
             }
         }
         // The copy saw every carried entry, and the carry did name the
-        // revoked machine.
-        assert_eq!(filtered.basis.len() + dropped, raw.basis.len());
-        assert!(dropped > 0 && filtered.active.len() < raw.active.len());
+        // revoked machine, down to arcs it would seed.
+        assert_eq!(filtered.len() + dropped, raw.len());
+        assert!(dropped > 0);
+        assert!(full
+            .var_ids()
+            .map(|v| full.var_key(v))
+            .any(|k| dead_col(k) && carried_arc(&raw, k)));
 
         let second = spread_inst(&cluster);
         let a = solve_master(&second, Some(&raw), &opts).unwrap();

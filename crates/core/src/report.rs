@@ -98,9 +98,8 @@ pub struct EpochRecord {
     pub objective: f64,
     /// Whether the decision carries an independent KKT certificate.
     pub certified: bool,
-    /// Whether the solve *re-used carried state* (prior basis or master
-    /// columns) instead of building cold — the daemon's
-    /// incremental-re-solve criterion.
+    /// Whether the solve *re-used the carried basis* instead of starting
+    /// from the slack basis — the daemon's incremental-re-solve criterion.
     pub incremental: bool,
     /// Why the dual simplex declined the carried basis this epoch:
     /// `"UnderFull"`, `"Singular"`, or `"Thrash"` (see
@@ -121,11 +120,9 @@ pub struct EpochRecord {
 impl EpochRecord {
     /// Flatten one [`SolveReport`] into the stable schema.
     ///
-    /// `incremental` is the caller's claim that carried state existed
-    /// going in; it is ANDed with the solver's own account (a carried
-    /// basis that could not be salvaged reports `Cold` and is not
-    /// incremental, except in restricted modes where carried *columns*
-    /// still seed the master).
+    /// `incremental` is the caller's claim that a carried basis existed
+    /// going in and that the solve did not start cold (a carried basis
+    /// the dual walk declined reports `Cold` and is not incremental).
     pub fn from_solve_report(
         epoch: usize,
         jobs: usize,

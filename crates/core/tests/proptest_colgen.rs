@@ -96,7 +96,7 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("colgen failed: {e}")))?;
             let cert = &out.certificate;
             prop_assert!(cert.is_optimal(), "epoch {e}: {cert}");
-            let (cg_state, cg_stats) = out.master.expect("a master carries state");
+            let (basis, cg_stats) = out.master.expect("a master carries its basis");
             let scale = 1.0 + full.lp_objective.abs();
             prop_assert!(
                 (out.schedule.lp_objective - full.lp_objective).abs() / scale < 1e-6,
@@ -105,7 +105,7 @@ proptest! {
                 full.lp_objective
             );
             prop_assert!(cg_stats.active_columns <= cg_stats.total_columns);
-            state = Some(cg_state);
+            state = Some(basis);
         }
     }
 

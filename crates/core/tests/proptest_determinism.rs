@@ -7,9 +7,9 @@
 
 use lips_cluster::{ec2_mixed_cluster, Cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    solve_full, solve_master, ColGenOptions, ColGenState, LpInstance, LpJob, PruneConfig,
-    SolveReport,
+    solve_full, solve_master, ColGenOptions, LpInstance, LpJob, PruneConfig, SolveReport,
 };
+use lips_lp::WarmStart;
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -189,7 +189,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Colgen chains (build + batch pricing + restricted certification,
-    /// cross-epoch column/basis reuse, the raw carried state across a
+    /// the carried basis reused across epochs, as it stands across a
     /// mid-chain revocation) are certified, land on the cold primal's
     /// optimum, and two chains run side by side are bitwise identical.
     #[test]
@@ -198,12 +198,12 @@ proptest! {
         let opts = ColGenOptions {
             seed_arcs_per_job: rc.seed_arcs,
         };
-        let mut first: Option<ColGenState> = None;
-        let mut second: Option<ColGenState> = None;
+        let mut first: Option<WarmStart> = None;
+        let mut second: Option<WarmStart> = None;
         for e in 0..rc.epochs {
             maybe_revoke(&rc, &mut cluster, e);
             let inst = instance(&rc, &cluster, e);
-            let run = |state: Option<&ColGenState>| {
+            let run = |state: Option<&WarmStart>| {
                 solve_master(&inst, state, &opts)
                     .map_err(|e| TestCaseError::fail(format!("colgen failed: {e}")))
             };
@@ -214,7 +214,7 @@ proptest! {
             assert_cold_parity(&inst, &a, e)?;
             let (sa, stats_a) = a.master.expect("a master carries state");
             let (sb, stats_b) = b.master.expect("a master carries state");
-            prop_assert_eq!(sa.carried_columns(), sb.carried_columns(), "epoch {}", e);
+            prop_assert_eq!(&sa, &sb, "epoch {}", e);
             prop_assert_eq!(stats_a.active_columns, stats_b.active_columns);
             prop_assert_eq!(stats_a.appended, stats_b.appended);
             prop_assert_eq!(stats_a.rounds, stats_b.rounds);

@@ -2,7 +2,7 @@
 //!
 //! Machines are revoked (tp_ecu = 0) in random waves across a chained
 //! epoch sequence. Each epoch the epoch LP is re-solved by the restricted
-//! master from the previous master's columns and basis as they stand, as
+//! master from the previous master's basis as it stands, as
 //! on the scheduler's ladder: carried keys that name a revoked machine
 //! match nothing in the new model. The carried solve must land on exactly
 //! the optimum an independent cold solve certifies — a carry that
@@ -11,8 +11,9 @@
 
 use lips_cluster::{ec2_mixed_cluster, DataId, StoreId};
 use lips_core::lp_build::{
-    solve_full, solve_master, ColGenOptions, ColGenState, LpInstance, LpJob, PruneConfig,
+    solve_full, solve_master, ColGenOptions, LpInstance, LpJob, PruneConfig,
 };
+use lips_lp::WarmStart;
 use lips_workload::JobId;
 use proptest::prelude::*;
 
@@ -41,7 +42,7 @@ proptest! {
         epochs in 2usize..5,
     ) {
         let mut cluster = ec2_mixed_cluster(nodes, 0.4, 1e9, seed);
-        let mut carry: Option<ColGenState> = None;
+        let mut carry: Option<WarmStart> = None;
         for e in 0..epochs {
             // A fresh wave of revocations each epoch: machine i dies in
             // epoch i % epochs if the mask says so — but never the whole
@@ -63,7 +64,7 @@ proptest! {
                 pool_floors: vec![],
                 prune: PruneConfig::default(),
             };
-            // The chained state still names the machines revoked since it
+            // The chained basis still names the machines revoked since it
             // was taken; the bug class under test is silently reusing
             // rows/columns of vanished machines.
             let mut warm = solve_master(&inst, carry.as_ref(), &ColGenOptions::default())

@@ -92,7 +92,7 @@ pub struct DeclinedBasis {
 /// Each side is a vector sorted by key, one entry per key: a lookup is a
 /// binary search, and a snapshot of `n` statuses is one allocation of `n`
 /// entries, with no tree nodes to allocate or chase.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarmStart {
     vars: Vec<(u64, BasisStatus)>,
     rows: Vec<(u64, BasisStatus)>,

@@ -357,9 +357,7 @@ impl Daemon {
         let admitted = self.admitted - before_admitted;
         let rejected = arrived - admitted;
 
-        // 2. Decide. `reads_used: None` keeps the scheduler's private
-        // issued ledger authoritative, which is exact here because chunks
-        // complete within the epoch and are never killed mid-flight.
+        // 2. Decide, against the executor's read ledger.
         let records_before = self.scheduler.epoch_records().len();
         let solves_before = self.scheduler.solves();
         let machines: Vec<MachineState> = self
@@ -374,7 +372,7 @@ impl Daemon {
             placement: self.exec.placement(),
             queue: self.exec.queue(),
             machines: &machines,
-            reads_used: None,
+            reads_used: self.exec.reads_used(),
         };
         let (queue_depth, backlog_ecu) = (ctx.queue.len(), ctx.backlog_ecu());
         let actions = if ctx.jobs_with_work().next().is_some() {
@@ -663,6 +661,29 @@ mod tests {
         assert!(!d.enqueue(JobSpec::new(1, "again", JobKind::Grep, 64.0, 1)));
         let late = JobSpec::new(0, "again", JobKind::Grep, 64.0, 1).arriving_at(d.now());
         assert_eq!(d.submit(late), Err(DuplicateJob(0)));
+    }
+
+    #[test]
+    fn a_second_job_on_a_finished_input_reads_it_again() {
+        // The executor drops a finished input's reads from its ledger, so
+        // a later job on the same data finds all of it unread again.
+        let mut d = daemon();
+        let first = d.fresh_job_id();
+        let spec = JobSpec::new(first, "g", JobKind::Grep, 512.0, 8);
+        assert_eq!(d.submit(spec), Ok(Some(AdmissionDecision::Admitted)));
+        let data = d.exec.queue()[0].data.expect("input bound at admission");
+        d.run_until_drained(10);
+        assert_eq!(d.completed().len(), 1);
+        assert!(d.exec.reads_used().is_empty());
+
+        let mut again = JobSpec::new(d.fresh_job_id(), "g-again", JobKind::Grep, 512.0, 8);
+        again.data = Some(data);
+        assert_eq!(d.submit(again), Ok(Some(AdmissionDecision::Admitted)));
+        let epochs = d.run_until_drained(50);
+        let done: Vec<&str> = d.completed().iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(done, ["g", "g-again"], "left: {:?}", d.exec.queue());
+        assert!(epochs <= 5, "{epochs} epochs");
+        assert_eq!(d.summary().refused_actions, 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   on the paper's cost-vs-makespan knob (Fig 8), driven by observed
 //!   backlog;
 //! * [`daemon::Daemon`] — the fluid epoch executor with *incremental
-//!   re-solves*: the column-generation master's columns and basis flow
-//!   across epochs, so new arrivals are priced into the incumbent
+//!   re-solves*: the column-generation master's basis flows across
+//!   epochs, so new arrivals are priced into the incumbent
 //!   restricted master and re-optimized by the dual simplex rather than
 //!   rebuilding the LP from scratch;
 //! * [`control`] — an LDJSON command API (`submit` / `run` / `drain` /

@@ -44,12 +44,12 @@ pub struct SchedulerContext<'a> {
     pub queue: &'a [PendingJob],
     /// Slot occupancy, indexed by machine id.
     pub machines: &'a [MachineState],
-    /// The engine's ground-truth read ledger: MB already read per
-    /// `(data, store)`, net of fault refunds. Schedulers that track their
-    /// own issued reads should re-sync from this (a killed chunk returns
-    /// its read budget, which a scheduler-local ledger cannot see).
-    /// `None` when the context does not come from a live engine run.
-    pub reads_used: Option<&'a BTreeMap<(DataId, StoreId), f64>>,
+    /// The executor's read ledger ([`crate::Executor::reads_used`]): MB
+    /// already read per `(data, store)`, net of fault refunds, with an
+    /// input's entries gone once no queued job reads it. A store's unread
+    /// stock of an object is its placed MB less this; schedulers read it
+    /// here instead of keeping a ledger of their own.
+    pub reads_used: &'a BTreeMap<(DataId, StoreId), f64>,
 }
 
 impl SchedulerContext<'_> {
@@ -115,7 +115,7 @@ mod tests {
             placement: &placement,
             queue: &queue,
             machines: &machines,
-            reads_used: None,
+            reads_used: &BTreeMap::new(),
         };
         let with_work: Vec<JobId> = ctx.jobs_with_work().map(|j| j.id).collect();
         assert_eq!(with_work, vec![JobId(1)]);

@@ -339,7 +339,7 @@ impl<'a> Simulation<'a> {
                             placement: run.exec.placement(),
                             queue: run.exec.queue(),
                             machines: &run.machines,
-                            reads_used: Some(run.exec.reads_used()),
+                            reads_used: run.exec.reads_used(),
                         };
                         scheduler.decide(&ctx)
                     };

@@ -52,12 +52,7 @@ impl Scheduler for FaultAwareGreedy {
                 let chunk = j.task_mb.min(j.remaining_mb);
                 // First holder with unread budget left (the engine caps
                 // total reads per store at the MB placed there).
-                let used = |s| {
-                    ctx.reads_used
-                        .and_then(|r| r.get(&(data, s)))
-                        .copied()
-                        .unwrap_or(0.0)
-                };
+                let used = |s| ctx.reads_used.get(&(data, s)).copied().unwrap_or(0.0);
                 let holders = ctx.placement.stores_of(data);
                 let Some(&(store, _)) = holders
                     .iter()

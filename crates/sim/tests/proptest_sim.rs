@@ -13,15 +13,11 @@ use proptest::prelude::*;
 /// engine far outside the tidy policies' behaviour.
 struct Erratic {
     state: u64,
-    issued: std::collections::BTreeMap<(lips_cluster::DataId, lips_cluster::StoreId), f64>,
 }
 
 impl Erratic {
     fn new(seed: u64) -> Self {
-        Erratic {
-            state: seed.max(1),
-            issued: Default::default(),
-        }
+        Erratic { state: seed.max(1) }
     }
     fn next(&mut self, bound: u64) -> u64 {
         // xorshift: deterministic, no external RNG state.
@@ -45,11 +41,12 @@ impl Scheduler for Erratic {
         if job.remaining_mb > 1e-6 {
             let data = job.data.unwrap();
             // Pick a holder with unread budget.
+            let read = |s| ctx.reads_used.get(&(data, s)).copied().unwrap_or(0.0);
             let holders: Vec<(lips_cluster::StoreId, f64)> = ctx
                 .placement
                 .stores_of(data)
                 .into_iter()
-                .map(|(s, mb)| (s, mb - self.issued.get(&(data, s)).copied().unwrap_or(0.0)))
+                .map(|(s, mb)| (s, mb - read(s)))
                 .filter(|&(_, un)| un > 1e-6)
                 .collect();
             let Some(&(store, unread)) = holders.get(self.next(holders.len() as u64) as usize)
@@ -59,7 +56,6 @@ impl Scheduler for Erratic {
             // Chunk between 10% and 100% of a natural task.
             let frac = (self.next(10) + 1) as f64 / 10.0;
             let mb = (job.task_mb * frac).min(job.remaining_mb).min(unread);
-            *self.issued.entry((data, store)).or_default() += mb;
             vec![Action::RunChunk {
                 job: job.id,
                 machine,

@@ -104,8 +104,8 @@ fn twenty_epoch_fault_run_certifies_or_degrades_every_epoch() {
     assert!(!first.incremental);
     assert_eq!(first.phase1_iterations, 0);
     assert!(first.dual_pivots > 0);
-    // Every later epoch re-solves the master from the columns and basis
-    // the previous one carried, revocations included.
+    // Every later epoch re-solves the master from the basis the previous
+    // one carried, revocations included.
     for r in &records[1..] {
         assert!(
             r.incremental,
